@@ -10,6 +10,16 @@ label cycles of matching length, and the fibers over each target edge are
 glued by a length-preserving bijection of cycles.  Two covers are the same
 labeled cover when per-vertex sheet relabelings carry one to the other, and
 only connected covers whose component graph is a tree (genus zero) count.
+
+A class is keyed by its least encoding (conjugated flag permutations, then
+relabeled mark cycles, then relabeled edge matchings) over all (d!)^|V|
+per-vertex relabelings.  Because the permutation part is compared first and
+its vertex-w component depends on w's relabeling alone, that least encoding
+starts with the per-vertex least conjugates, and only the relabelings
+reaching them (a product of one centraliser coset per vertex) need be
+searched for the rest.  The same argument applies to each mark's cycle in
+turn, which narrows its own vertex's coset; only the edge matchings, which
+couple two vertices, are minimised over a product.
 """
 
 from __future__ import annotations
@@ -410,49 +420,85 @@ def _edge_matchings(gc, gp, limit):
     return out
 
 
-def _orbits(perms, d):
-    parent = list(range(d))
+class UnionFind:
+    """Disjoint sets over range(n), with path halving on find."""
 
-    def find(x):
+    __slots__ = ("parent",)
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
+    def union(self, a, b):
+        """Put a's root under b's root; False when they share a root already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
+def _orbits(perms, d):
+    uf = UnionFind(d)
     for g in perms:
         for i in range(d):
-            a, b = find(i), find(g[i])
-            if a != b:
-                parent[a] = b
+            uf.union(i, g[i])
     groups = {}
     for i in range(d):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(uf.find(i), []).append(i)
     return [frozenset(v) for v in sorted(groups.values())]
 
 
-def _class_encoding(h, tau, vertex_perms, labeling, matchings, relabels, edge_list):
-    enc_perms = []
-    for w, perms in enumerate(vertex_perms):
-        hw = relabels[w]
-        enc_perms.append(tuple(_conj(hw, g) for g in perms))
+def _least_conjugate(perms, all_p):
+    """The least simultaneous conjugate of a flag-permutation tuple, and the
+    relabelings reaching it (one coset of the tuple's centraliser)."""
+    best = None
+    coset = []
+    for hh in all_p:
+        enc = tuple(_conj(hh, g) for g in perms)
+        if best is None or enc < best:
+            best = enc
+            coset = [hh]
+        elif enc == best:
+            coset.append(hh)
+    return best, coset
+
+
+def _least_tail(marks, matchings, edge_list, cosets, limit):
+    """Least (labeling, matching) encoding over the product of per-vertex
+    relabeling cosets; marks lists (mark, flag position, cycle, vertex).
+
+    Each labeling entry depends on one vertex's relabeling, so in mark order
+    each entry narrows its vertex's coset to the relabelings reaching its
+    least value; only the matchings, which couple two vertices, are
+    minimised over the product of what remains.
+    """
+    cosets = list(cosets)
     enc_label = []
-    for a in h.a_marks:
-        pos, cyc = labeling[a]
-        w = _vertex_of_mark(h, tau, a)
-        enc_label.append((a, pos, _cycle_image(relabels[w], cyc)))
-    enc_match = []
-    for (c, p), pairs in zip(edge_list, matchings):
-        hc, hp = relabels[c], relabels[p]
-        enc_match.append(
-            tuple(sorted((_cycle_image(hc, x), _cycle_image(hp, y)) for x, y in pairs))
+    for a, pos, cyc, w in marks:
+        limit.tick(len(cosets[w]))
+        images = [(_cycle_image(hh, cyc), hh) for hh in cosets[w]]
+        best = min(img for img, _hh in images)
+        cosets[w] = [hh for img, hh in images if img == best]
+        enc_label.append((a, pos, best))
+    relabelings = list(itertools.product(*cosets))
+    limit.tick(len(relabelings))
+    enc_match = min(
+        tuple(
+            tuple(sorted(
+                (_cycle_image(rls[c], x), _cycle_image(rls[p], y)) for x, y in pairs
+            ))
+            for (c, p), pairs in zip(edge_list, matchings)
         )
-    return (tuple(enc_perms), tuple(enc_label), tuple(enc_match))
-
-
-def _vertex_of_mark(h, tau, a):
-    b = h.f_map[a]
-    bi = h.b_marks.index(b) + 1
-    return tau.legs[bi - 1]
+        for rls in relabelings
+    )
+    return tuple(enc_label), enc_match
 
 
 def enumerate_cover_classes(h, tau, limit_tuples=None):
@@ -460,7 +506,19 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
 
     Requires a fully marked datum; tau is a stratum tree on |B| marks, mark i
     standing for b_marks[i-1].  Returns CoverClass representatives sorted by
-    canonical key.
+    canonical key; the representative of a class is the first candidate met
+    in enumeration order.
+
+    The key is the least encoding (flag permutations, mark labeling, edge
+    matchings) over every per-vertex sheet relabeling.  It is found without
+    visiting all (d!)^|V| of them: the permutation part comes first and its
+    component at w depends on w's relabeling alone, so its minimum is the
+    tuple of per-vertex least conjugates, reached exactly on the product of
+    one centraliser coset per vertex; only that product is searched for the
+    least labeling and matching parts (see _least_tail).  Keys, and so the
+    classes, representatives and their order, equal those of the full
+    search.  The budget ticks once per candidate and once per relabeling
+    evaluated, in the key search and in each vertex's least-conjugate scan.
     """
     res = validate(h)
     if res.status != "fully_marked":
@@ -473,6 +531,8 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
     num_w = len(tau.parents)
     flag_lists = [tau.flags_of(w) for w in range(num_w)]
     locals_per_w = [_local_assignments(h, tau, w, limit) for w in range(num_w)]
+    b_index = {b: i for i, b in enumerate(h.b_marks)}
+    mark_vertex = [tau.legs[b_index[h.f_map[a]]] for a in h.a_marks]
 
     # target edges with their flag positions on each side
     edge_list = []
@@ -488,7 +548,7 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
         edge_pos.append((posc, posp))
 
     reps = {}
-    relabel_space = list(itertools.product(all_p, repeat=num_w))
+    least = {}  # per-vertex flag-permutation tuple -> _least_conjugate of it
 
     for vertex_perms in itertools.product(*locals_per_w):
         limit.tick()
@@ -511,66 +571,55 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
         if any(not ms for ms in matching_sets):
             continue
 
-        # source components per vertex
-        comps = []
-        comp_id = {}
-        for w in range(num_w):
-            for orb in _orbits(vertex_perms[w], d):
-                comp_id[(w, orb)] = len(comps)
-                comps.append((w, orb))
+        for perms in vertex_perms:
+            if perms not in least:
+                limit.tick(len(all_p))
+                least[perms] = _least_conjugate(perms, all_p)
+        perm_key = tuple(least[perms][0] for perms in vertex_perms)
+        cosets = [least[perms][1] for perms in vertex_perms]
 
-        def comp_of(w, cyc):
-            for (ww, orb), idx in comp_id.items():
-                if ww == w and cyc[0] in orb:
-                    return idx
-            raise AssertionError("cycle outside all orbits")
+        # source components per vertex, and the component of each sheet
+        comps = []
+        comp_at = []
+        for w in range(num_w):
+            at = [0] * d
+            for orb in _orbits(vertex_perms[w], d):
+                for s in orb:
+                    at[s] = len(comps)
+                comps.append((w, orb))
+            comp_at.append(at)
 
         for labeling_combo in itertools.product(*labeling_sets):
             labeling = {}
             for assign in labeling_combo:
                 labeling.update(assign)
+            marks = [(a, *labeling[a], w) for a, w in zip(h.a_marks, mark_vertex)]
             for matchings in itertools.product(*matching_sets):
                 limit.tick()
                 # source graph: one edge per matched cycle pair
-                uf = list(range(len(comps)))
-
-                def find(x):
-                    while uf[x] != x:
-                        uf[x] = uf[uf[x]]
-                        x = uf[x]
-                    return x
-
-                n_edges = 0
+                uf = UnionFind(len(comps))
                 acyclic = True
                 src_edges = []
                 for (c, p), pairs in zip(edge_list, matchings):
                     for cy1, cy2 in pairs:
-                        i1 = comp_of(c, cy1)
-                        i2 = comp_of(p, cy2)
+                        i1 = comp_at[c][cy1[0]]
+                        i2 = comp_at[p][cy2[0]]
                         src_edges.append((i1, i2, len(cy1)))
-                        n_edges += 1
-                        r1, r2 = find(i1), find(i2)
-                        if r1 == r2:
+                        if not uf.union(i1, i2):
                             acyclic = False
                             break
-                        uf[r1] = r2
                     if not acyclic:
                         break
                 if not acyclic:
                     continue
-                if n_edges != len(comps) - 1:
+                if len(src_edges) != len(comps) - 1:
                     continue  # disconnected
-                key = min(
-                    _class_encoding(h, tau, vertex_perms, labeling, matchings, rls, edge_list)
-                    for rls in relabel_space
-                )
+                key = (perm_key,) + _least_tail(marks, matchings, edge_list, cosets, limit)
                 if key in reps:
                     continue
                 comp_marks = [[] for _ in comps]
-                for a in h.a_marks:
-                    pos, cyc = labeling[a]
-                    w = _vertex_of_mark(h, tau, a)
-                    comp_marks[comp_of(w, cyc)].append(a)
+                for a, _pos, cyc, w in marks:
+                    comp_marks[comp_at[w][cyc[0]]].append(a)
                 comp_degree = [len(orb) for (_w, orb) in comps]
                 reps[key] = CoverClass(
                     tau, vertex_perms, labeling, matchings,

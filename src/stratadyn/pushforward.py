@@ -95,21 +95,12 @@ def _smooth_refined_class(full, cls, w_star, w_new, a_index):
             old_nodes.append((ci, cj, r))
 
     # merge components along the new nodes
-    parent = list(range(len(cls.comps)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = hurwitz.UnionFind(len(cls.comps))
     for ci, cj, _r in new_nodes:
-        ri, rj = find(ci), find(cj)
-        if ri != rj:
-            parent[ri] = rj
-    roots = sorted({find(i) for i in range(len(cls.comps))})
+        uf.union(ci, cj)
+    roots = sorted({uf.find(i) for i in range(len(cls.comps))})
     gid = {root: g for g, root in enumerate(roots)}
-    group_of = [gid[find(i)] for i in range(len(cls.comps))]
+    group_of = [gid[uf.find(i)] for i in range(len(cls.comps))]
 
     group_marks = [set() for _ in roots]
     for ci, marks in enumerate(cls.comp_marks):

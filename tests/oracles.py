@@ -113,3 +113,183 @@ def brute_minimality_window(eps):
         if Fraction(1) < s <= T - 1:
             return False
     return True
+
+
+# -- labeled covers by exhaustive search ---------------------------------------
+
+
+def _min_first(cyc):
+    k = cyc.index(min(cyc))
+    return tuple(cyc[k:]) + tuple(cyc[:k])
+
+
+def _perm_cycles(p):
+    """Cycles of p, each rotated to start at its least sheet."""
+    seen = set()
+    out = []
+    for i in range(len(p)):
+        if i in seen:
+            continue
+        cyc = []
+        j = i
+        while j not in seen:
+            seen.add(j)
+            cyc.append(j)
+            j = p[j]
+        out.append(_min_first(cyc))
+    return out
+
+
+def _bijections(sources, cycles, size):
+    """All bijections sources -> cycles with size(source) == len(cycle), as
+    pair lists."""
+    if sorted(map(size, sources)) != sorted(map(len, cycles)):
+        return []
+    return [
+        list(zip(sources, image))
+        for image in itertools.permutations(cycles)
+        if all(size(s) == len(c) for s, c in zip(sources, image))
+    ]
+
+
+def brute_cover_key(h, tau, vertex_perms, labeling, matchings):
+    """The canonical key of one labeled cover: the least full encoding
+    (conjugated flag permutations, relabelled mark cycles, relabelled edge
+    matchings) over every relabelling in (d!)^|V|, one sheet permutation per
+    target vertex."""
+    mark_vertex = {a: tau.legs[h.b_marks.index(h.f_map[a])] for a in h.a_marks}
+    best = None
+    for rls in itertools.product(itertools.permutations(range(h.d)), repeat=len(vertex_perms)):
+        def image(w, cyc):
+            return _min_first([rls[w][x] for x in cyc])
+
+        enc_perms = []
+        for w, perms in enumerate(vertex_perms):
+            r = rls[w]
+            enc_perms.append(tuple(
+                tuple(r[g[r.index(i)]] for i in range(h.d)) for g in perms
+            ))
+        enc_label = tuple(
+            (a, labeling[a][0], image(mark_vertex[a], labeling[a][1])) for a in h.a_marks
+        )
+        enc_match = tuple(
+            tuple(sorted((image(c, x), image(p, y)) for x, y in pairs))
+            for (c, p), pairs in zip(tau.edges(), matchings)
+        )
+        enc = (tuple(enc_perms), enc_label, enc_match)
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
+def brute_cover_keys(h, tau):
+    """Keys of every labeled-cover class of a fully marked datum over tau.
+
+    Enumerates every candidate without pruning: at each vertex every tuple of
+    flag permutations whose product in flag order is the identity and whose
+    leg permutations have the branching cycle type, every length-preserving
+    attachment of the marks to leg cycles and every length-preserving
+    matching of cycles across each edge.  Candidates whose component graph is
+    not a tree are dropped; the rest are keyed by brute_cover_key.
+    """
+    d = h.d
+    sheets = list(itertools.permutations(range(d)))
+    num_w = len(tau.parents)
+    flags = [tau.flags_of(w) for w in range(num_w)]
+
+    def leg_type_ok(f, g):
+        if f[0] != "leg":
+            return True
+        parts = h.br.get(h.b_marks[f[1] - 1], (1,) * d)
+        return tuple(sorted(map(len, _perm_cycles(g)))) == tuple(parts)
+
+    def product_is_identity(perms):
+        for i in range(d):
+            x = i
+            for g in reversed(perms):
+                x = g[x]
+            if x != i:
+                return False
+        return True
+
+    local = [
+        [
+            perms for perms in itertools.product(sheets, repeat=len(flags[w]))
+            if product_is_identity(perms) and all(map(leg_type_ok, flags[w], perms))
+        ]
+        for w in range(num_w)
+    ]
+    edges = tau.edges()
+
+    def flag_pos(w, u):
+        return next(i for i, f in enumerate(flags[w]) if f[0] == "edge" and f[1] == u)
+
+    keys = set()
+    for vertex_perms in itertools.product(*local):
+        # components: orbits of the sheets under each vertex's permutations
+        comp = {}
+        for w, perms in enumerate(vertex_perms):
+            for s in range(d):
+                if (w, s) in comp:
+                    continue
+                orbit, frontier = {s}, [s]
+                while frontier:
+                    x = frontier.pop()
+                    for g in perms:
+                        if g[x] not in orbit:
+                            orbit.add(g[x])
+                            frontier.append(g[x])
+                tag = len(set(comp.values()))
+                for x in orbit:
+                    comp[(w, x)] = tag
+        n_comps = len(set(comp.values()))
+        per_vertex_labelings = []
+        for w, perms in enumerate(vertex_perms):
+            choices = [{}]
+            for pos, f in enumerate(flags[w]):
+                if f[0] != "leg":
+                    continue
+                marks = [a for a in h.a_marks if h.f_map[a] == h.b_marks[f[1] - 1]]
+                cycles = _perm_cycles(perms[pos])
+                options = _bijections(marks, cycles, h.rm.get)
+                choices = [
+                    dict(base, **{a: (pos, cyc) for a, cyc in opt})
+                    for base in choices for opt in options
+                ]
+            per_vertex_labelings.append(choices)
+        per_edge_matchings = [
+            [
+                tuple(sorted(opt))
+                for opt in _bijections(
+                    _perm_cycles(vertex_perms[c][flag_pos(c, p)]),
+                    _perm_cycles(vertex_perms[p][flag_pos(p, c)]),
+                    len,
+                )
+            ]
+            for c, p in edges
+        ]
+        for matchings in itertools.product(*per_edge_matchings):
+            links = [
+                (comp[(c, x[0])], comp[(p, y[0])])
+                for (c, p), pairs in zip(edges, matchings) for x, y in pairs
+            ]
+            if len(links) != n_comps - 1 or not _connected(n_comps, links):
+                continue
+            for parts in itertools.product(*per_vertex_labelings):
+                labeling = {}
+                for part in parts:
+                    labeling.update(part)
+                keys.add(brute_cover_key(h, tau, vertex_perms, labeling, matchings))
+    return keys
+
+
+def _connected(n, links):
+    reach = {0}
+    changed = True
+    while changed:
+        changed = False
+        for i, j in links:
+            if (i in reach) != (j in reach):
+                reach |= {i, j}
+                changed = True
+    return len(reach) == n

@@ -9,6 +9,7 @@ import itertools
 
 import pytest
 
+import oracles
 from stratadyn import trees
 from stratadyn.hurwitz import (
     HurwitzData,
@@ -63,6 +64,19 @@ def d1_datum(n=5):
         rm={ai: 1 for ai in a},
         forget_to=a,
         identify={bi: ai for bi, ai in zip(b, a)},
+    )
+
+
+def d3_five_datum():
+    """Degree-3 datum on five target marks: simple branching over b1..b4,
+    unbranched over b5."""
+    return HurwitzData(
+        a_marks=["a1", "a2", "a3", "a4", "a5"],
+        b_marks=["b1", "b2", "b3", "b4", "b5"],
+        d=3,
+        f_map={"a%d" % i: "b%d" % i for i in range(1, 6)},
+        br={"b%d" % i: [1, 2] for i in range(1, 5)},
+        rm={"a1": 2, "a2": 2, "a3": 2, "a4": 2, "a5": 1},
     )
 
 
@@ -282,6 +296,17 @@ def test_limit_tuples_raises():
         count_covers(full, limit_tuples=5)
 
 
+def test_limit_tuples_counts_key_relabelings():
+    # Over a point stratum of fig1 the enumeration makes 459 ticks when each
+    # candidate counts once, and 1557 when every relabeling evaluated for the
+    # canonical keys counts too; the budget bounds the larger figure.
+    full, _ = fully_mark(fig1_datum())
+    tau = trees.enumerate_strata(4, 0)[0]
+    with pytest.raises(ResourceError):
+        enumerate_cover_classes(full, tau, limit_tuples=1000)
+    assert len(enumerate_cover_classes(full, tau, limit_tuples=1557)) == 2
+
+
 # -- covers over boundary strata ----------------------------------------------
 
 
@@ -350,3 +375,28 @@ def test_degeneration_check_deep_stratum():
     tau = trees.enumerate_strata(6, 0)[0]
     report = degeneration_degree_check(h, tau)
     assert report["ok"] and report["expected"] == 1
+
+
+def test_cover_keys_match_brute_oracle():
+    cases = [
+        (fig1_datum(), trees.enumerate_strata(4, 0)),
+        (d2_datum(), trees.enumerate_strata(4, 0)),
+        (d3_five_datum(), trees.enumerate_strata(5, 1)[:3]),
+    ]
+    for h, strata in cases:
+        full, _ = fully_mark(h)
+        for tau in strata:
+            classes = enumerate_cover_classes(full, tau)
+            assert [c.key for c in classes] == sorted(oracles.brute_cover_keys(full, tau))
+            for c in classes:
+                assert c.key == oracles.brute_cover_key(
+                    full, tau, c.vertex_perms, c.labeling, c.matchings
+                )
+
+
+def test_d3_degeneration_over_five_mark_point_stratum():
+    full, _ = fully_mark(d3_five_datum())
+    tau = trees.enumerate_strata(5, 0)[0]
+    report = degeneration_degree_check(full, tau)
+    assert report["ok"], report
+    assert report["expected"] == count_covers_orbit_stabilizer(full)
