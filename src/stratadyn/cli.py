@@ -406,13 +406,11 @@ def _crit_reduction_kernel():
 def _crit_relation_orthogonality():
     checked = 0
     for n in (4, 5, 6, 7):
-        pres = homology.homology_basis(n, 1)
         splits = trees.all_splits(n)
-        for row in pres.relation_rows:
+        for row in homology.km_relations(n, 1):
             for s in splits:
                 tot = sum(
-                    c * homology.intersection_pairing_h2(pres.strata[i], s)
-                    for i, c in row.items()
+                    c * homology.intersection_pairing_h2(t, s) for t, c in row.items()
                 )
                 assert tot == 0, "a relation pairs to %s against %r at N=%d" % (
                     tot,

@@ -102,9 +102,9 @@ def lambda_subspace(n, k, lam, limit_strata=None):
         raise ValueError("lam must be a partition of k")
     pres = homology.homology_basis(n, k, limit_strata)
     sub = FiltrationSubspace(pres, label="<=%s" % (lam,))
-    for t in pres.strata:
+    for i, t in enumerate(pres.strata):
         if partition_leq(trees.induced_partition(t), lam):
-            sub.add_generator(pres.reduce_tree_dict({t: 1}))
+            sub.add_generator(pres.reduce_index_vec({i: 1}))
     return sub
 
 
@@ -113,9 +113,9 @@ def below_subspace(n, k, limit_strata=None):
     part of the filtration strictly below the maximal partition (k))."""
     pres = homology.homology_basis(n, k, limit_strata)
     sub = FiltrationSubspace(pres, label="<(%d)" % k)
-    for t in pres.strata:
+    for i, t in enumerate(pres.strata):
         if len(trees.induced_partition(t)) >= 2:
-            sub.add_generator(pres.reduce_tree_dict({t: 1}))
+            sub.add_generator(pres.reduce_index_vec({i: 1}))
     return sub
 
 
@@ -158,5 +158,4 @@ def filtration_dims(n, k, limit_strata=None):
         if realizable(n, k, lam):
             out[lam] = lambda_subspace(n, k, lam, limit_strata).dim()
     below = below_subspace(n, k, limit_strata)
-    omega = omega_quotient(n, k, limit_strata)
-    return out, below.dim(), omega.dim()
+    return out, below.dim(), OmegaQuotient(below.pres, below).dim()

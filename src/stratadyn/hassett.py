@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 from fractions import Fraction
 
-from . import filtration, homology, trees
+from . import filtration, homology
 
 ONE = Fraction(1)
 
@@ -140,14 +140,14 @@ def reduction_kernel(n, k, eps, limit_strata=None):
     pres = homology.homology_basis(n, k, limit_strata)
     sub = filtration.FiltrationSubspace(pres, label="ker-reduction")
     buckets = {}
-    for t in pres.strata:
+    for i, t in enumerate(pres.strata):
         it = reduction_image_type(t, ws)
         if it.dim < k:
-            sub.add_generator(pres.reduce_tree_dict({t: 1}))
+            sub.add_generator(pres.reduce_index_vec({i: 1}))
         else:
             rep = buckets.get(it)
             if rep is None:
-                buckets[it] = t
+                buckets[it] = i
             else:
-                sub.add_generator(pres.reduce_tree_dict({rep: 1, t: -1}))
+                sub.add_generator(pres.reduce_index_vec({rep: 1, i: -1}))
     return sub

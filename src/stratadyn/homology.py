@@ -1,14 +1,30 @@
 """Homology of the marked-curve space, presented by boundary strata.
 
 H_{2k} of the n-mark space is generated by the classes of k-dimensional
-boundary strata.  The relations live on (k+1)-dimensional strata: at a vertex
-v with four distinguished flags, the three ways of pairing the four flags two
-against two give equal class sums over all distributions of v's remaining
-flags, each term being the stratum refined at v accordingly.
+boundary strata, listed in a fixed order.  A presentation keeps the
+greedy-prefix basis, the strata whose class is independent of the classes
+of all earlier strata, and expresses every other stratum over the basis
+strata before it.  Two routes build it, with the same result wherever both
+apply.
 
-A presentation fixes the deterministic stratum list, eliminates the relation
-rows with maximal-index pivots, and keeps the non-pivot strata as the
-quotient basis; every pivot stratum is expressed over earlier basis strata.
+Pairing route, for k = 0 and k = 1 below the top degree.  The intersection
+pairing of H_{2k} with the dual degree is perfect (Keel, Trans. AMS 330,
+1992), so a class is fixed by its pairings with a spanning set of the dual
+degree: a point pairs to 1 with the fundamental class, and a curve pairs
+with the boundary divisors through the four flag blocks at its 4-valent
+vertex (`_curve_row`, at most 7 nonzeros).  Each stratum becomes one short
+integer row; the basis strata are the rows independent of the rows before
+them, and every other row is solved over the basis rows (`_greedy_solve`).
+
+Relation route, for every other degree.  The relations live on
+(k+1)-dimensional strata: at a vertex v with four distinguished flags, the
+three ways of pairing the four flags two against two give equal class sums
+over all distributions of v's remaining flags, each term being the stratum
+refined at v accordingly (`km_relations`).  The relation rows are eliminated
+with maximal-index pivots, the non-pivot strata are the basis, and every
+pivot stratum is expressed over earlier basis strata.  Divisor classes
+(k = n-4) stay here: pairing them with the curve basis costs far more than
+their relations do.
 """
 
 from __future__ import annotations
@@ -16,11 +32,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from . import linalg, trees
 from .trees import ResourceError
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def km_relations(n, k):
@@ -101,14 +119,13 @@ def _refine(sigma, v, away):
 
 
 class HomologyPresentation:
-    """Strata, relations, and a quotient basis for H_{2k} of the n-mark space."""
+    """Strata and a quotient basis for H_{2k} of the n-mark space."""
 
-    def __init__(self, n, k, strata, relation_rows, basis, expr):
+    def __init__(self, n, k, strata, basis, expr):
         self.n = n
         self.k = k
         self.strata = strata                    # deterministic list of trees
         self.index = {t: i for i, t in enumerate(strata)}
-        self.relation_rows = relation_rows      # sparse dicts over stratum indices
         self.basis = basis                      # stratum indices, increasing
         self.pos = {b: j for j, b in enumerate(basis)}
         self.expr = expr                        # pivot idx -> {basis pos: Fraction}
@@ -154,16 +171,15 @@ class HomologyPresentation:
         return [self.strata[b] for b in self.basis]
 
 
-@lru_cache(maxsize=None)
-def _presentation(n, k):
-    strata = trees.enumerate_strata(n, k)
+_PRESENTATIONS = {}  # (n, k) -> HomologyPresentation, built once per process
+
+
+def _relation_presentation(n, k, strata):
+    """Basis and expressions from the relation rows (see module docstring)."""
     index = {t: i for i, t in enumerate(strata)}
-    rows = []
-    for row in km_relations(n, k):
-        rows.append({index[t]: Fraction(c) for t, c in row.items()})
     space = linalg.RowSpace(pivot="max")
-    for r in rows:
-        space.add(r)
+    for row in km_relations(n, k):
+        space.add({index[t]: Fraction(c) for t, c in row.items()})
     rr = space.rref()
     pivots = set(rr)
     basis = [i for i in range(len(strata)) if i not in pivots]
@@ -176,23 +192,112 @@ def _presentation(n, k):
                 continue
             e[pos[col]] = -val
         expr[p] = e
-    return HomologyPresentation(n, k, strata, rows, basis, expr)
+    return basis, expr
+
+
+def _pairing_presentation(n, k, strata):
+    """Basis and expressions from pairings with the dual degree, k = 0 or 1."""
+    if k == 0:
+        return [0], {i: {0: ONE} for i in range(1, len(strata))}
+    column = _split_columns(n)
+    return _greedy_solve([_curve_row(t, column) for t in strata])
+
+
+def _greedy_solve(rows):
+    """The greedy-prefix basis of integer rows, and every other row over it.
+
+    Returns (basis, expr): basis lists the indices of the rows independent of
+    the rows before them, and expr maps each other index to its coordinates
+    {basis position: Fraction}.  The basis rows are kept fully reduced, in
+    integers: reduced[c] = (den, red, coords) stands for the combination
+    coords/den of basis rows, which is 1 at pivot column c, red/den off the
+    pivots and 0 at every other pivot.  So a row is reduced in one pass over
+    the pivot columns it meets, with its own entries there as multipliers.
+    """
+    reduced = {}
+    basis = []
+    expr = {}
+    for i, row in enumerate(rows):
+        hits = [c for c in row if c in reduced]
+        den = lcm(*(reduced[c][0] for c in hits))
+        rest = {c: den * v for c, v in row.items() if c not in reduced}
+        coords = {}
+        for c in hits:
+            d, red, red_coords = reduced[c]
+            _axpy(rest, -row[c] * (den // d), red)
+            _axpy(coords, row[c] * (den // d), red_coords)
+        if not rest:
+            expr[i] = {j: Fraction(val, den) for j, val in sorted(coords.items())}
+            continue
+        # rest/den = (e_j - coords/den) . basis rows, j the new basis position
+        p = min(rest)
+        scale = rest.pop(p)
+        coords = {j: -val for j, val in coords.items()}
+        coords[len(basis)] = den
+        basis.append(i)
+        for c, (d, red, red_coords) in reduced.items():
+            f = red.pop(p, None)
+            if f is not None:
+                # subtract f/d times the new row, over the denominator d*scale
+                red = {col: scale * val for col, val in red.items()}
+                red_coords = {j: scale * val for j, val in red_coords.items()}
+                _axpy(red, -f, rest)
+                _axpy(red_coords, -f, coords)
+                reduced[c] = _primitive(d * scale, red, red_coords)
+        reduced[p] = _primitive(scale, rest, coords)
+    return basis, expr
+
+
+def _axpy(acc, f, vec):
+    """acc += f * vec on sparse integer dicts, dropping zeros."""
+    for col, val in vec.items():
+        nv = acc.get(col, 0) + f * val
+        if nv:
+            acc[col] = nv
+        else:
+            del acc[col]
+
+
+def _primitive(den, red, coords):
+    """(den, red, coords) divided by their gcd, with den > 0."""
+    g = gcd(den, *red.values(), *coords.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        red = {col: val // g for col, val in red.items()}
+        coords = {j: val // g for j, val in coords.items()}
+    return den // g, red, coords
+
+
+def _presentation(n, k, strata):
+    if k < n - 3 and k <= 1:
+        basis, expr = _pairing_presentation(n, k, strata)
+    else:
+        basis, expr = _relation_presentation(n, k, strata)
+    return HomologyPresentation(n, k, strata, basis, expr)
 
 
 def homology_basis(n, k, limit_strata=None):
-    """The cached presentation of H_{2k}; optionally capped by stratum count."""
+    """The cached presentation of H_{2k}; optionally capped by stratum count.
+
+    The cap is checked while the strata are enumerated, so an oversized
+    request stops after limit_strata + 1 trees.
+    """
     if n < 3:
         raise ValueError("n must be >= 3")
     if not (0 <= k <= n - 3):
         raise ValueError("k must be between 0 and n-3, got k=%d" % k)
-    if limit_strata is not None:
-        count = len(trees.enumerate_strata(n, k))
-        if count > limit_strata:
-            raise ResourceError(
-                "presentation for (n=%d, k=%d) needs %d strata, limit is %d"
-                % (n, k, count, limit_strata)
-            )
-    return _presentation(n, k)
+    pres = _PRESENTATIONS.get((n, k))
+    over = "presentation for (n=%d, k=%d) needs more than %s strata" % (n, k, limit_strata)
+    if pres is None:
+        try:
+            strata = trees.enumerate_strata(n, k, limit=limit_strata)
+        except ResourceError:
+            raise ResourceError(over) from None
+        pres = _PRESENTATIONS[(n, k)] = _presentation(n, k, strata)
+    elif limit_strata is not None and len(pres.strata) > limit_strata:
+        raise ResourceError(over)
+    return pres
 
 
 def class_reduce(pres, vec):
@@ -234,19 +339,40 @@ def intersection_pairing_h2(tree, side):
     return 0
 
 
+@lru_cache(maxsize=None)
+def _split_columns(n):
+    """Normalised split side -> its position in all_splits(n)."""
+    return {s: j for j, s in enumerate(trees.all_splits(n))}
+
+
+def _curve_row(tree, column):
+    """Pairings of a 1-dim stratum with every boundary divisor, as a sparse
+    {column[split]: int} row; equal to intersection_pairing_h2 split by split.
+
+    Only the four flag blocks at the 4-valent vertex matter: -1 on each block
+    that is a split, +1 on the three unions of two blocks, 0 elsewhere.
+    """
+    v4 = next(v for v in range(len(tree.parents)) if tree.valence(v) == 4)
+    first, *others = tree.flag_marksets(v4)
+    row = {}
+    for b in (first, *others):
+        if len(b) >= 2:
+            row[column[trees.normalize_split(tree.n, b)]] = -1
+    for b in others:
+        row[column[trees.normalize_split(tree.n, first | b)]] = 1
+    return row
+
+
 def pairing_rows(pres):
     """For each split (all_splits order) the pairing row over the basis."""
     if pres.k != 1:
         raise ValueError("pairings live on 1-dimensional stratum classes")
     if pres._pairing_rows is None:
-        rows = []
-        for s in trees.all_splits(pres.n):
-            row = {}
-            for j, b in enumerate(pres.basis):
-                val = intersection_pairing_h2(pres.strata[b], s)
-                if val:
-                    row[j] = Fraction(val)
-            rows.append(row)
+        column = _split_columns(pres.n)
+        rows = [{} for _ in column]
+        for j, b in enumerate(pres.basis):
+            for c, val in _curve_row(pres.strata[b], column).items():
+                rows[c][j] = Fraction(val)
         pres._pairing_rows = rows
     return pres._pairing_rows
 

@@ -315,11 +315,21 @@ class _Limit:
         self.used = 0
 
     def tick(self, amount=1):
-        if self.cap is None:
-            return
         self.used += amount
-        if self.used > self.cap:
+        if self.cap is not None and self.used > self.cap:
             raise ResourceError("cover enumeration exceeded %d tuples" % self.cap)
+
+    def replay(self, cache, key, fn, *args):
+        """fn(*args, self) memoised in `cache` under `key`.  A hit ticks what
+        the first call ticked, so the budget counts as if nothing were
+        cached."""
+        hit = cache.get(key)
+        if hit is None:
+            before = self.used
+            hit = cache[key] = (fn(*args, self), self.used - before)
+        else:
+            self.tick(hit[1])
+        return hit[0]
 
 
 def _local_assignments(h, tau, w, limit):
@@ -549,6 +559,8 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
 
     reps = {}
     least = {}  # per-vertex flag-permutation tuple -> _least_conjugate of it
+    labelings = {}  # (vertex, its tuple) -> (_vertex_labelings, ticks)
+    matchings_of = {}  # (child, parent) edge permutations -> (_edge_matchings, ticks)
 
     for vertex_perms in itertools.product(*locals_per_w):
         limit.tick()
@@ -560,14 +572,16 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
         if not ok:
             continue
         labeling_sets = [
-            _vertex_labelings(h, tau, w, vertex_perms[w], limit) for w in range(num_w)
+            limit.replay(labelings, (w, vertex_perms[w]),
+                         _vertex_labelings, h, tau, w, vertex_perms[w])
+            for w in range(num_w)
         ]
         if any(not ls for ls in labeling_sets):
             continue
-        matching_sets = [
-            _edge_matchings(vertex_perms[c][posc], vertex_perms[p][posp], limit)
-            for (c, p), (posc, posp) in zip(edge_list, edge_pos)
-        ]
+        matching_sets = []
+        for (c, p), (posc, posp) in zip(edge_list, edge_pos):
+            gc, gp = vertex_perms[c][posc], vertex_perms[p][posp]
+            matching_sets.append(limit.replay(matchings_of, (gc, gp), _edge_matchings, gc, gp))
         if any(not ms for ms in matching_sets):
             continue
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from stratadyn import trees
+from stratadyn import homology, linalg, trees
 
 
 def refine_at(t, v, away):
@@ -72,6 +72,34 @@ def strata_counts_by_refinement(n):
         level = nxt
         codim += 1
     return counts
+
+
+def relation_presentation(n, k):
+    """The presentation of H_{2k} from the four-point relations alone: the
+    relation rows are eliminated with maximal-index pivots and the non-pivot
+    strata form the basis.  Independent of the pairing route the library
+    takes for k = 0 and 1."""
+    strata = trees.enumerate_strata(n, k)
+    index = {t: i for i, t in enumerate(strata)}
+    rows = []
+    for row in homology.km_relations(n, k):
+        rows.append({index[t]: Fraction(c) for t, c in row.items()})
+    space = linalg.RowSpace(pivot="max")
+    for r in rows:
+        space.add(r)
+    rr = space.rref()
+    pivots = set(rr)
+    basis = [i for i in range(len(strata)) if i not in pivots]
+    pos = {b: j for j, b in enumerate(basis)}
+    expr = {}
+    for p, row in rr.items():
+        e = {}
+        for col, val in row.items():
+            if col == p:
+                continue
+            e[pos[col]] = -val
+        expr[p] = e
+    return homology.HomologyPresentation(n, k, strata, basis, expr)
 
 
 def random_stable_tree(rng, n, num_edges=None):

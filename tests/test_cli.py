@@ -1,5 +1,6 @@
 """End-to-end command line checks: exact bytes, exit codes, file formats."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -98,6 +99,19 @@ def test_homology_basis_out(tmp_path):
         for j, c in expansion.items():
             assert int(j) in basis
             Fraction(c)
+
+
+def test_homology_basis_bytes_pinned():
+    # sha256 of the stdout of presentations built from the four-point
+    # relations alone; the pairing route must reproduce them byte for byte
+    pinned = {
+        ("6", "1"): "8c59f976860b54a661d057428c86c82fb0ccd6f04a4ea6e52b5409b0a0b684f2",
+        ("7", "0"): "f0052cd41dba644b1d3937ae9d8b21548b2a38acf11c9e3de799c9cd0f2a990c",
+        ("7", "1"): "9ec3a995c3f5108b73231c64a691e5e63289300b2ac24678acc079c55887afb6",
+    }
+    for (n, k), digest in pinned.items():
+        r = run_cli("homology", "basis", "--n", n, "--k", k)
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest, (n, k)
 
 
 def test_pushforward_out_and_blocks(tmp_path):

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from stratadyn import homology, trees
 
 
@@ -189,3 +190,42 @@ def test_forget_vec_lands_in_presentation():
 def test_homology_basis_limit():
     with pytest.raises(trees.ResourceError):
         homology.homology_basis(7, 1, limit_strata=100)
+
+
+def test_homology_basis_limit_stops_at_the_cap(monkeypatch):
+    # (8, 1) has 17,325 strata; the check must not build them all
+    built = []
+    real = trees.tree_from_splits
+    monkeypatch.setattr(trees, "tree_from_splits", lambda *a: built.append(1) or real(*a))
+    with pytest.raises(trees.ResourceError, match=r"\(n=8, k=1\).*100 strata"):
+        homology.homology_basis(8, 1, limit_strata=100)
+    assert len(built) == 101
+
+
+def test_pairing_presentation_matches_relation_oracle():
+    for n in (4, 5, 6, 7):
+        for k in (0, 1):
+            got = homology.homology_basis(n, k)
+            want = oracles.relation_presentation(n, k)
+            assert got.strata == want.strata, (n, k)
+            assert got.basis == want.basis, (n, k)
+            assert got.expr == want.expr, (n, k)
+
+
+def test_points_of_eight_marks_are_one_class():
+    p = homology.homology_basis(8, 0)
+    assert p.basis == [0]
+    assert len(p.expr) == len(p.strata) - 1
+    assert all(e == {0: 1} for e in p.expr.values())
+
+
+def test_curve_row_matches_pairing_over_every_split():
+    for n in (5, 6, 7):
+        column = homology._split_columns(n)
+        for t in trees.enumerate_strata(n, 1):
+            want = {}
+            for s, j in column.items():
+                val = homology.intersection_pairing_h2(t, s)
+                if val:
+                    want[j] = val
+            assert homology._curve_row(t, column) == want

@@ -305,6 +305,10 @@ def test_limit_tuples_counts_key_relabelings():
     with pytest.raises(ResourceError):
         enumerate_cover_classes(full, tau, limit_tuples=1000)
     assert len(enumerate_cover_classes(full, tau, limit_tuples=1557)) == 2
+    # labelings and matchings are memoised per call; a hit ticks what the
+    # first computation ticked, so the figure is exact
+    with pytest.raises(ResourceError):
+        enumerate_cover_classes(full, tau, limit_tuples=1556)
 
 
 # -- covers over boundary strata ----------------------------------------------
