@@ -45,17 +45,23 @@ def km_relations(n, k):
     """The relation vectors among k-dim stratum classes, as {tree: int} dicts.
 
     Deduplicated (sign-normalised) and deterministically ordered.  For
-    k = n-3 the single fundamental class has no relations.
+    k = n-3 the single fundamental class has no relations.  Refining sigma at
+    v by moving some of its flags onto a new vertex adds one split, the union
+    of the moved flag blocks, so each term is looked up by its split set.
     """
     if not (0 <= k <= n - 3):
         raise ValueError("k must be between 0 and n-3")
     if k == n - 3:
         return []
-    index = {t: i for i, t in enumerate(trees.enumerate_strata(n, k))}
+    strata = trees.enumerate_strata(n, k)
+    index = {t: i for i, t in enumerate(strata)}
+    by_splits = {frozenset(t.splits()): t for t in strata}
     rows = []
     for sigma in trees.enumerate_strata(n, k + 1):
+        base = frozenset(sigma.splits())
         for v in range(len(sigma.parents)):
-            val = sigma.valence(v)
+            blocks = sigma.flag_marksets(v)
+            val = len(blocks)
             if val < 4:
                 continue
             for quad in itertools.combinations(range(val), 4):
@@ -63,11 +69,11 @@ def km_relations(n, k):
                 i1, i2, i3, i4 = quad
                 sums = []
                 for a, b in ((i1, i2), (i1, i3), (i1, i4)):
-                    others = [f for f in quad if f not in (a, b)]
                     acc = {}
                     for r in range(len(rest) + 1):
                         for d1 in itertools.combinations(rest, r):
-                            t = _refine(sigma, v, {a, b, *d1})
+                            side = blocks[a].union(blocks[b], *(blocks[f] for f in d1))
+                            t = by_splits[base | {trees.normalize_split(n, side)}]
                             acc[t] = acc.get(t, 0) + 1
                     sums.append(acc)
                 for x in range(3):
@@ -90,32 +96,6 @@ def km_relations(n, k):
         seen.setdefault(tuple(items), row)
     ordered = [seen[key] for key in sorted(seen)]
     return ordered
-
-
-def _refine(sigma, v, away):
-    """Split vertex v, moving the flags with the given indices to a new
-    vertex attached to v; always stable since both parts keep >= 2 flags."""
-    adj = sigma.adjacency()
-    legs_at = sigma.legs_at()
-    flags = sigma.flags_of(v)
-    m = len(sigma.parents)
-    vertices = [[] for _ in range(m + 1)]
-    for u in range(m):
-        if u == v:
-            continue
-        for mk in legs_at[u]:
-            vertices[u].append(("leg", mk))
-        for w in adj[u]:
-            if w != v:
-                vertices[u].append(("edge", w))
-    for i, f in enumerate(flags):
-        tgt = m if i in away else v
-        if f[0] == "leg":
-            vertices[tgt].append(("leg", f[1]))
-        else:
-            vertices[tgt].append(("edge", f[1]))
-    vertices[v].append(("edge", m))
-    return trees.canonical_form(trees._assemble(sigma.n, vertices))
 
 
 class HomologyPresentation:

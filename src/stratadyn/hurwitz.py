@@ -20,6 +20,10 @@ reaching them (a product of one centraliser coset per vertex) need be
 searched for the rest.  The same argument applies to each mark's cycle in
 turn, which narrows its own vertex's coset; only the edge matchings, which
 couple two vertices, are minimised over a product.
+
+The source curve of a class, from its components' marks and its nodes, is
+built in one place (`_source_tree_of_class`), for cover types and for the
+smoothed classes of the pushforward alike.
 """
 
 from __future__ import annotations
@@ -704,25 +708,18 @@ class CoverType:
         return (trees.tree_sort_key(self.source_tree), self.node_data)
 
 
-def _source_tree_of_class(h, cls):
-    """The class's source curve as a stable marked tree plus node data.
+def _source_tree_of_class(n, comp_marks, comp_edges):
+    """A source curve as a stable marked tree plus node data.
 
-    Returns (tree, ((normalised split side, r), ...)); marks are positions in
-    a_marks, and component i of the class is vertex i of the tree.
+    comp_marks lists the marks (1..n) on each component and comp_edges the
+    (i, j, r) nodes between components.  Returns (tree, ((normalised split
+    side, r), ...)), component i being vertex i of the tree.
     """
-    n_a = len(h.a_marks)
-    a_index = {a: i + 1 for i, a in enumerate(h.a_marks)}
-    vertices = [[] for _ in cls.comps]
-    for ci, marks in enumerate(cls.comp_marks):
-        for a in marks:
-            vertices[ci].append(("leg", a_index[a]))
-    for i1, i2, _r in cls.edges:
-        vertices[i1].append(("edge", i2))
-    t = trees._assemble(n_a, vertices)
-    node_data = []
-    for i1, i2, r in cls.edges:
-        side = t.away_marks(i1, i2)
-        node_data.append((trees.normalize_split(n_a, side), r))
+    vertices = [[("leg", mk) for mk in marks] for marks in comp_marks]
+    for i, j, _r in comp_edges:
+        vertices[i].append(("edge", j))
+    t = trees._assemble(n, vertices)
+    node_data = [(trees.normalize_split(n, t.away_marks(i, j)), r) for i, j, r in comp_edges]
     node_data.sort(key=lambda x: (tuple(sorted(x[0])), x[1]))
     return t, tuple(node_data)
 
@@ -730,9 +727,12 @@ def _source_tree_of_class(h, cls):
 def enumerate_cover_types(h, tau, limit_tuples=None):
     """Group the labeled-cover classes over tau by isomorphism type."""
     classes = enumerate_cover_classes(h, tau, limit_tuples)
+    a_index = {a: i + 1 for i, a in enumerate(h.a_marks)}
     buckets = {}
     for cls in classes:
-        t, node_data = _source_tree_of_class(h, cls)
+        t, node_data = _source_tree_of_class(
+            len(h.a_marks), [[a_index[a] for a in marks] for marks in cls.comp_marks], cls.edges
+        )
         key = (trees.canonical_form(t), node_data)
         buckets.setdefault(key, []).append(cls)
     out = []

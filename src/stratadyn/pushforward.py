@@ -10,6 +10,13 @@ tau at its 4-valent vertex and reading off which source nodes appear; the
 pairings pin the family's curve class one source vertex at a time, and the
 class is glued back together, pushed along the forgetful map to the retained
 marks, and reduced in the quotient basis.
+
+Every stratum on the way is built from its split set: a degeneration of tau
+adds the union of two of the four flag blocks at its 4-valent vertex, and
+gluing adds the splits of the small trees (`trees.glue_substitution`).
+Source vertices are named by their flag blocks, which are unique per vertex
+even where a component carries no mark.  A vertex class is solved in the
+presentation of its own valence, under the caller's `limit_strata`.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from fractions import Fraction
 
 from . import filtration, homology, hurwitz, linalg, trees
 from .linalg import ONE, ZERO
-from .trees import ResourceError
 
 
 def pushforward_h0(h, limit_tuples=None):
@@ -34,62 +40,20 @@ def pushforward_h0(h, limit_tuples=None):
 # -- degenerating the target at its 4-valent vertex --------------------------
 
 
-def _refine_target(tau, w, move_positions):
-    """Split vertex w of tau, moving the flags at `move_positions` (indices
-    into flags_of) onto a new vertex joined to w by a fresh edge.  Vertex
-    indices are preserved; the new vertex gets the next index."""
-    flags = tau.flags_of(w)
-    move = set(move_positions)
-    m = tau.num_vertices()
-    legs_at = tau.legs_at()
-    vertices = [[] for _ in range(m + 1)]
-    for u in range(m):
-        if u == w:
-            continue
-        for mk in legs_at[u]:
-            vertices[u].append(("leg", mk))
-    for pos, f in enumerate(flags):
-        tgt = m if pos in move else w
-        if f[0] == "leg":
-            vertices[tgt].append(("leg", f[1]))
-        else:
-            vertices[tgt].append(("edge", f[1]))
-    vertices[m].append(("edge", w))
-    for c, p in tau.edges():
-        if w not in (c, p):
-            vertices[c].append(("edge", p))
-    return trees._assemble(tau.n, vertices)
-
-
-def _type_key_from_components(n_full, comp_marksets, comp_edges):
-    """Canonical (tree, node data) key of a source curve given per-component
-    mark sets and (i, j, r) node edges; matches the keying used for cover
-    types over the unrefined target."""
-    vertices = [[("leg", mk) for mk in ms] for ms in comp_marksets]
-    for i, j, _r in comp_edges:
-        vertices[i].append(("edge", j))
-    t = trees._assemble(n_full, vertices)
-    node_data = []
-    for i, j, r in comp_edges:
-        node_data.append((trees.normalize_split(n_full, t.away_marks(i, j)), r))
-    node_data.sort(key=lambda x: (tuple(sorted(x[0])), x[1]))
-    return trees.canonical_form(t), tuple(node_data)
-
-
-def _smooth_refined_class(full, cls, w_star, w_new, a_index):
+def _smooth_refined_class(full, cls, ends, a_index):
     """Undo the target refinement on a cover class over the refined tree.
 
-    Components joined by nodes over the new target edge merge; old nodes
-    survive.  Returns (type key, contributions, product of new-node
-    ramifications) where contributions maps each merged vertex's mark set to
+    `ends` is the set of the two endpoints of the new target edge.
+    Components joined by nodes over it merge; old nodes survive.  Returns
+    (type key, contributions, product of new-node ramifications) where
+    contributions maps each merged vertex, named by its flag blocks, to
     {normalised flag split: weight}, the weight of a node being the product
     of the other new nodes' ramifications.
     """
     new_nodes = []
     old_nodes = []
     for ci, cj, r in cls.edges:
-        wi, wj = cls.comps[ci][0], cls.comps[cj][0]
-        if {wi, wj} == {w_star, w_new}:
+        if {cls.comps[ci][0], cls.comps[cj][0]} == ends:
             new_nodes.append((ci, cj, r))
         else:
             old_nodes.append((ci, cj, r))
@@ -112,12 +76,8 @@ def _smooth_refined_class(full, cls, w_star, w_new, a_index):
         if gi == gj:
             raise AssertionError("old node internal to a merged component")
         group_edges.append((gi, gj, r))
-    key = _type_key_from_components(len(full.a_marks), group_marks, group_edges)
-
-    vertices = [[("leg", mk) for mk in ms] for ms in group_marks]
-    for gi, gj, _r in group_edges:
-        vertices[gi].append(("edge", gj))
-    sigma = trees._assemble(len(full.a_marks), vertices)
+    sigma, node_data = hurwitz._source_tree_of_class(len(full.a_marks), group_marks, group_edges)
+    key = (trees.canonical_form(sigma), node_data)
 
     rprod = 1
     for _ci, _cj, r in new_nodes:
@@ -154,79 +114,9 @@ def _smooth_refined_class(full, cls, w_star, w_new, a_index):
                     side.add(edge_pos[group_of[di]])
         val = len(flags)
         norm = trees.normalize_split(val, frozenset(side))
-        markset = frozenset(group_marks[g])
-        bucket = contributions.setdefault(markset, {})
+        bucket = contributions.setdefault(frozenset(sigma.flag_marksets(g)), {})
         bucket[norm] = bucket.get(norm, 0) + rprod // r
     return key, contributions, rprod
-
-
-# -- gluing several vertex classes back into a source tree -------------------
-
-
-def _edge_flag_pos(host, v, u):
-    for i, f in enumerate(host.flags_of(v)):
-        if f[0] == "edge" and f[1] == u:
-            return i
-    raise AssertionError("no edge flag from %d to %d" % (v, u))
-
-
-def _substitute_many(host, subs):
-    """Replace each vertex v in `subs` by a small tree on its flag set.
-
-    Multi-vertex version of trees.glue_substitution: small trees carry marks
-    1..valence(v) matching flags_of(host, v) positionally.  Returns the
-    canonical tree on host's marks.
-    """
-    m_host = host.num_vertices()
-    host_adj = host.adjacency()
-    host_legs = host.legs_at()
-    newidx = {}
-    for u in range(m_host):
-        if u not in subs:
-            newidx[u] = len(newidx)
-    blocks = {}
-    off = len(newidx)
-    for v in sorted(subs):
-        blocks[v] = off
-        off += subs[v].num_vertices()
-
-    def small_vertex(v, flag_idx):
-        """Global index of the small-tree vertex holding flag flag_idx of v."""
-        return blocks[v] + subs[v].legs[flag_idx]
-
-    vertices = [[] for _ in range(off)]
-    for u in range(m_host):
-        if u in subs:
-            continue
-        gu = newidx[u]
-        for mk in host_legs[u]:
-            vertices[gu].append(("leg", mk))
-        for wv in host_adj[u]:
-            if wv in subs:
-                vertices[gu].append(("edge", small_vertex(wv, _edge_flag_pos(host, wv, u))))
-            else:
-                vertices[gu].append(("edge", newidx[wv]))
-    for v, sm in subs.items():
-        flags = host.flags_of(v)
-        sm_adj = sm.adjacency()
-        sm_legs = sm.legs_at()
-        for sv in range(sm.num_vertices()):
-            gv = blocks[v] + sv
-            for smk in sm_legs[sv]:
-                f = flags[smk - 1]
-                if f[0] == "leg":
-                    vertices[gv].append(("leg", f[1]))
-                else:
-                    u2 = f[1]
-                    if u2 in subs:
-                        vertices[gv].append(
-                            ("edge", small_vertex(u2, _edge_flag_pos(host, u2, v)))
-                        )
-                    else:
-                        vertices[gv].append(("edge", newidx[u2]))
-            for sw in sm_adj[sv]:
-                vertices[gv].append(("edge", blocks[v] + sw))
-    return trees.canonical_form(trees._assemble(host.n, vertices))
 
 
 # -- the degree-2 pushforward matrix ------------------------------------------
@@ -250,9 +140,6 @@ class PushforwardMatrix:
 
     def shape(self):
         return (len(self.matrix), len(self.matrix[0]) if self.matrix else 0)
-
-
-_MAX_VERTEX_SPACE = 7
 
 
 def pushforward_h2(h, limit_tuples=None, limit_strata=None):
@@ -279,9 +166,9 @@ def pushforward_h2(h, limit_tuples=None, limit_strata=None):
 
     columns = []
     for tau in p_b.basis_trees():
-        columns.append(
-            _push_column(full, tau, p_a, n_a, keep, keepset, renum, deg_nu, limit_tuples)
-        )
+        columns.append(_push_column(
+            full, tau, p_a, n_a, keep, keepset, renum, deg_nu, limit_tuples, limit_strata
+        ))
     matrix = tuple(
         tuple(columns[j].get(i, ZERO) for j in range(len(columns)))
         for i in range(p_a.rank)
@@ -289,26 +176,34 @@ def pushforward_h2(h, limit_tuples=None, limit_strata=None):
     return PushforwardMatrix(matrix, p_b, p_a, aprime, deg_nu)
 
 
-def _push_column(full, tau, p_a, n_a, keep, keepset, renum, deg_nu, limit_tuples):
-    n_full = len(full.a_marks)
+def _push_column(full, tau, p_a, n_a, keep, keepset, renum, deg_nu, limit_tuples,
+                 limit_strata):
     a_index = {a: i + 1 for i, a in enumerate(full.a_marks)}
     types = hurwitz.enumerate_cover_types(full, tau, limit_tuples)
     by_key = {(t.source_tree, t.node_data): t for t in types}
 
+    # each boundary direction pairs two of the four flag blocks at the
+    # 4-valent vertex, adding their union as a split
     w_star = next(v for v in range(tau.num_vertices()) if tau.md(v) == 1)
+    blocks = tau.flag_marksets(w_star)
+    base = tau.splits()
     pairings = {}
-    for move in ((1, 2), (1, 3), (2, 3)):
-        tau_ref = _refine_target(tau, w_star, move)
-        w_new = tau.num_vertices()
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        cut = trees.normalize_split(tau.n, blocks[i] | blocks[j])
+        tau_ref = trees.tree_from_splits(tau.n, base | {cut})
+        ends = next(
+            {c, p} for c, p in tau_ref.edges()
+            if trees.normalize_split(tau.n, tau_ref.away_marks(p, c)) == cut
+        )
         local_deg = {}
         for cls in hurwitz.enumerate_cover_classes(full, tau_ref, limit_tuples):
-            key, contribs, rprod = _smooth_refined_class(full, cls, w_star, w_new, a_index)
+            key, contribs, rprod = _smooth_refined_class(full, cls, ends, a_index)
             if key not in by_key:
                 raise AssertionError("refined cover smooths to an unknown type")
             local_deg[key] = local_deg.get(key, 0) + rprod
             tgt = pairings.setdefault(key, {})
-            for markset, bucket in contribs.items():
-                acc = tgt.setdefault(markset, {})
+            for vertex, bucket in contribs.items():
+                acc = tgt.setdefault(vertex, {})
                 for side, wgt in bucket.items():
                     acc[side] = acc.get(side, 0) + wgt
         for key, t in by_key.items():
@@ -325,19 +220,11 @@ def _push_column(full, tau, p_a, n_a, keep, keepset, renum, deg_nu, limit_tuples
         if not per_vertex:
             continue
         t_g = t.source_tree
-        legs_at = t_g.legs_at()
-        markset_to_vertex = {}
-        for v in range(t_g.num_vertices()):
-            ms = frozenset(legs_at[v])
-            if not ms:
-                raise ValueError(
-                    "pushforward needs every source component to carry a mark"
-                )
-            markset_to_vertex[ms] = v
         mod_vertices = [v for v in range(t_g.num_vertices()) if t_g.md(v) > 0]
-        for markset in sorted(per_vertex, key=lambda s: tuple(sorted(s))):
-            splitvals = per_vertex[markset]
-            v_hat = markset_to_vertex[markset]
+        for v_hat in range(t_g.num_vertices()):
+            splitvals = per_vertex.get(frozenset(t_g.flag_marksets(v_hat)))
+            if splitvals is None:
+                continue
             if t_g.num_vertices() == 1:
                 _add_projected_class(
                     col, splitvals, p_a, n_a, keepset, renum, t.multiplicity
@@ -345,7 +232,7 @@ def _push_column(full, tau, p_a, n_a, keep, keepset, renum, deg_nu, limit_tuples
             else:
                 _add_glued_class(
                     col, splitvals, t_g, v_hat, mod_vertices,
-                    p_a, keep, t.multiplicity,
+                    p_a, keep, t.multiplicity, limit_strata,
                 )
     if deg_nu != 1:
         for i in list(col):
@@ -372,15 +259,11 @@ def _add_projected_class(col, splitvals, p_a, n_a, keepset, renum, mult):
             col.pop(pos, None)
 
 
-def _add_glued_class(col, splitvals, t_g, v_hat, mod_vertices, p_a, keep, mult):
+def _add_glued_class(col, splitvals, t_g, v_hat, mod_vertices, p_a, keep, mult,
+                     limit_strata):
     """Solve the vertex class in its own small space, substitute it at the
     vertex (points everywhere else), forget, and reduce."""
-    val = t_g.valence(v_hat)
-    if val > _MAX_VERTEX_SPACE:
-        raise ResourceError(
-            "vertex class lives in a %d-mark space, beyond the supported size" % val
-        )
-    small = homology.homology_basis(val, 1)
+    small = homology.homology_basis(t_g.valence(v_hat), 1, limit_strata)
     coords = homology.solve_class_from_pairings(
         small, {s: Fraction(w) for s, w in splitvals.items()}
     )
@@ -393,7 +276,7 @@ def _add_glued_class(col, splitvals, t_g, v_hat, mod_vertices, p_a, keep, mult):
         small_tree = small.strata[small.basis[pos]]
         subs = dict(subs_base)
         subs[v_hat] = small_tree
-        big = _substitute_many(t_g, subs)
+        big = trees.glue_substitution(t_g, subs)
         img = trees.forget_pushforward(big, keep)
         if img is None:
             continue

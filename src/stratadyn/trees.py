@@ -10,6 +10,11 @@ least 3.  A vertex v carries md(v) = valence(v) - 3 moduli, so
 Trees are stored as (n, parents, legs): vertices are 0..m-1, parents[i] is the
 parent index (-1 for the root), legs[i-1] is the vertex carrying mark i.  Two
 encodings describe the same stratum iff their canonical forms are equal.
+
+A stratum is also fixed by its set of pairwise-compatible splits, the mark
+bipartitions cut by its edges (Keel, Trans. AMS 330, 1992).  Derived strata
+(gluing small trees into vertices, forgetting marks) are computed on split
+sets and built by tree_from_splits.
 """
 
 from __future__ import annotations
@@ -327,48 +332,28 @@ def _assemble(n, vertices):
 def tree_from_splits(n, splits):
     """Assemble the stratum whose edges cut exactly the given splits.
 
-    `splits` are normalised sides, pairwise compatible.  The tree is grown by
-    splitting, for each new split S, the unique vertex whose flag mark-sets
-    partition into S and its complement.  Returns a canonical MarkedTree.
+    `splits` must be pairwise compatible.  Named by their sides without mark
+    1, they nest or are disjoint: each split is a vertex below the smallest
+    split containing it (below the vertex of mark 1 when none does), and each
+    mark sits at the smallest split containing it.  Returns a canonical
+    MarkedTree.
     """
-    # flags during construction: ('leg', mark) or ('edge', partner, away_set)
-    vertices = [[("leg", m) for m in range(1, n + 1)]]
-    full = frozenset(range(1, n + 1))
-
-    for s in sorted(set(splits), key=lambda x: (len(x), tuple(sorted(x)))):
-        target = None
-        for vi, flags in enumerate(vertices):
-            inside = []
-            covered = set()
-            ok = True
-            for f in flags:
-                ms = frozenset([f[1]]) if f[0] == "leg" else f[2]
-                if ms <= s:
-                    inside.append(f)
-                    covered |= ms
-                elif ms & s:
-                    ok = False
-                    break
-            if ok and covered == s:
-                target = (vi, inside)
+    sides = sorted({normalize_split(n, s) for s in splits}, key=len)
+    parents = [-1] + [0] * len(sides)
+    for i, s in enumerate(sides):
+        # a larger compatible side contains s or misses it; checking up to
+        # the first container suffices, the container's own pass covers the rest
+        for j in range(i + 1, len(sides)):
+            if s < sides[j]:
+                parents[i + 1] = j + 1
                 break
-        if target is None:
-            raise ValueError("split %r is not compatible with the others" % sorted(s))
-        vi, inside = target
-        nj = len(vertices)
-        outside = [f for f in vertices[vi] if f not in inside]
-        for f in inside:
-            if f[0] == "edge":
-                p = f[1]
-                vertices[p] = [
-                    ("edge", nj, g[2]) if g[0] == "edge" and g[1] == vi else g
-                    for g in vertices[p]
-                ]
-        vertices.append(inside + [("edge", vi, full - s)])
-        vertices[vi] = outside + [("edge", nj, s)]
-
-    stripped = [[f if f[0] == "leg" else ("edge", f[1]) for f in flags] for flags in vertices]
-    return canonical_form(_assemble(n, stripped))
+            if s & sides[j]:
+                raise ValueError("split %r is not compatible with the others" % sorted(s))
+    legs = [0] * n
+    for i in reversed(range(len(sides))):
+        for mark in sides[i]:
+            legs[mark - 1] = i + 1
+    return canonical_form(MarkedTree(n, parents, legs))
 
 
 def enumerate_strata(n, k, limit=None):
@@ -433,106 +418,49 @@ def forget_pushforward(tree, keep):
     """Image stratum under forgetting all marks outside `keep`, or None.
 
     Returns the canonical image tree with the kept marks renumbered 1..|keep|
-    order-preservingly, or None when the class dies: dropping a mark from a
-    vertex with moduli (valence >= 4) lowers the image dimension, so the
-    stratum class pushes to zero in its homological degree.
+    order-preservingly, or None when the class dies.  Each split projects to
+    the kept marks, and the projections with both sides of size >= 2 are the
+    image's splits.  Forgetting one mark contracts one edge when the mark sits
+    on a trivalent vertex and lowers the image dimension otherwise, so the
+    class survives exactly when n - |keep| splits are lost.
     """
     keep = sorted(set(keep))
     if len(keep) < 3:
         raise ValueError("need at least 3 marks kept")
     if not set(keep) <= set(range(1, tree.n + 1)):
         raise ValueError("keep must be a subset of the marks 1..%d" % tree.n)
-    cur = tree
-    for drop in sorted((m for m in range(1, tree.n + 1) if m not in keep), reverse=True):
-        cur = _forget_one(cur, drop)
-        if cur is None:
-            return None
-    return canonical_form(cur)
-
-
-def _forget_one(tree, drop):
-    """Drop one mark; marks above it shift down by one.  None if class dies."""
-    v = tree.legs[drop - 1]
-    if tree.valence(v) >= 4:
+    renum = {mk: i for i, mk in enumerate(keep, start=1)}
+    n = len(keep)
+    splits = tree.splits()
+    image = set()
+    for s in splits:
+        side = frozenset(renum[mk] for mk in s if mk in renum)
+        if 2 <= len(side) <= n - 2:
+            image.add(normalize_split(n, side))
+    if len(splits) - len(image) != tree.n - n:
         return None
-    # v is trivalent and loses a leg, so it gets contracted away
-    adj = tree.adjacency()
-    legs_at = tree.legs_at()
-    keep_vertices = [u for u in range(len(tree.parents)) if u != v]
-    newidx = {u: i for i, u in enumerate(keep_vertices)}
-    vertices = [[] for _ in keep_vertices]
-
-    def relabel(mk):
-        return mk if mk < drop else mk - 1
-
-    for u in keep_vertices:
-        for mk in legs_at[u]:
-            vertices[newidx[u]].append(("leg", relabel(mk)))
-        for w in adj[u]:
-            if w != v:
-                vertices[newidx[u]].append(("edge", newidx[w]))
-    nbrs = adj[v]
-    if len(nbrs) == 1:
-        # one edge + two legs: the surviving leg moves to the neighbour
-        u = nbrs[0]
-        for mk in legs_at[v]:
-            if mk != drop:
-                vertices[newidx[u]].append(("leg", relabel(mk)))
-    elif len(nbrs) == 2:
-        # two edges + the dropped leg: the neighbours become adjacent
-        a, b = nbrs
-        vertices[newidx[a]].append(("edge", newidx[b]))
-    else:
-        # trivalent with no edges means n = 3, which callers exclude
-        raise AssertionError("cannot forget down from a 3-mark space")
-    return _assemble(tree.n - 1, vertices)
+    return tree_from_splits(n, image)
 
 
-# -- gluing a small tree into a vertex -------------------------------------
+# -- gluing small trees into vertices ----------------------------------------
 
 
-def glue_substitution(host, v, small):
-    """Replace vertex v of `host` by the tree `small` on its flag set.
+def glue_substitution(host, subs):
+    """Replace each vertex v of `host` by the tree subs[v] on its flag set.
 
-    `small` has marks 1..valence(v) corresponding positionally to
-    flags_of(host, v).  Returns the canonical tree on host's marks, with
-    dim = dim(host) - md(host, v) + dim(small).
+    A small tree has marks 1..valence(v) corresponding positionally to
+    flags_of(host, v), so each of its splits names a union of the flag blocks
+    at v, a new split of the host's marks.  Returns the canonical tree cut by
+    the host's splits and these, with dim = dim(host) - sum of md(host, v) +
+    sum of dim(subs[v]).
     """
-    flags = host.flags_of(v)
-    if small.n != len(flags):
-        raise ValueError(
-            "small tree has %d marks but vertex has valence %d" % (small.n, len(flags))
-        )
-    host_adj = host.adjacency()
-    host_legs_at = host.legs_at()
-    m_host = len(host.parents)
-    m_small = len(small.parents)
-    newidx = {}
-    for u in range(m_host):
-        if u != v:
-            newidx[u] = len(newidx)
-    off = len(newidx)
-
-    vertices = [[] for _ in range(off + m_small)]
-    for u in range(m_host):
-        if u == v:
-            continue
-        for mk in host_legs_at[u]:
-            vertices[newidx[u]].append(("leg", mk))
-        for w in host_adj[u]:
-            if w != v:
-                vertices[newidx[u]].append(("edge", newidx[w]))
-    small_adj = small.adjacency()
-    small_legs_at = small.legs_at()
-    for su in range(m_small):
-        tgt = off + su
-        for mk in small_legs_at[su]:
-            f = flags[mk - 1]
-            if f[0] == "leg":
-                vertices[tgt].append(("leg", f[1]))
-            else:
-                vertices[tgt].append(("edge", newidx[f[1]]))
-        for sw in small_adj[su]:
-            vertices[tgt].append(("edge", off + sw))
-
-    return canonical_form(_assemble(host.n, vertices))
+    splits = host.splits()
+    for v, small in subs.items():
+        blocks = host.flag_marksets(v)
+        if small.n != len(blocks):
+            raise ValueError(
+                "small tree has %d marks but vertex has valence %d" % (small.n, len(blocks))
+            )
+        for s in small.splits():
+            splits.add(normalize_split(host.n, frozenset().union(*(blocks[i - 1] for i in s))))
+    return tree_from_splits(host.n, splits)

@@ -131,6 +131,39 @@ def relabel_vertices(t, perm):
     return trees._assemble(t.n, vertices)
 
 
+def forget_by_contraction(t, keep):
+    """Image stratum under forgetting the marks outside `keep`, or None.
+
+    Forgets one mark at a time, highest first, renumbering the marks above
+    it down by one.  A trivalent vertex losing its leg is contracted: with
+    one edge its other leg moves to the neighbour, with two edges the
+    neighbours are joined.  A vertex of valence 4 or more losing a leg
+    lowers the image dimension, so the class dies.  Independent of the
+    split projection forget_pushforward uses.
+    """
+    keep = set(keep)
+    for drop in sorted(set(range(1, t.n + 1)) - keep, reverse=True):
+        v = t.legs[drop - 1]
+        if t.valence(v) >= 4:
+            return None
+        adj = t.adjacency()
+        legs_at = t.legs_at()
+        others = [u for u in range(len(t.parents)) if u != v]
+        new = {u: i for i, u in enumerate(others)}
+        vertices = [[] for _ in others]
+        for u in others:
+            vertices[new[u]] += [("leg", mk if mk < drop else mk - 1) for mk in legs_at[u]]
+            vertices[new[u]] += [("edge", new[w]) for w in adj[u] if w != v]
+        if len(adj[v]) == 1:
+            (mk,) = [mk for mk in legs_at[v] if mk != drop]
+            vertices[new[adj[v][0]]].append(("leg", mk if mk < drop else mk - 1))
+        else:
+            a, b = adj[v]
+            vertices[new[a]].append(("edge", new[b]))
+        t = trees._assemble(t.n - 1, vertices)
+    return trees.canonical_form(t)
+
+
 def brute_minimality_window(eps):
     """Direct check of the reduction-minimality criterion: no proper subset
     of the weights may have total in the open-closed window (1, T-1]."""

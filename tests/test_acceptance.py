@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 from stratadyn import cli
+from tests.test_cli import ENV
 
 
 def _run(number):
@@ -64,8 +65,8 @@ def test_11_determinism():
 
 def test_11_selftest_reports_byte_identical():
     cmd = [sys.executable, "-m", "stratadyn.cli", "selftest"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = subprocess.run(cmd, capture_output=True, env=ENV)
+    second = subprocess.run(cmd, capture_output=True, env=ENV)
     assert first.returncode == 0, first.stdout.decode()
     assert second.returncode == 0, second.stdout.decode()
     assert first.stdout == second.stdout

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,10 @@ from stratadyn import cli, hassett, trees
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
+# the command runs from this checkout whether or not the package is installed
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+))
 
 
 def run_cli(*argv, check=0):
@@ -18,6 +23,7 @@ def run_cli(*argv, check=0):
         [sys.executable, "-m", "stratadyn.cli", *argv],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     assert r.returncode == check, (r.returncode, r.stdout, r.stderr)
     return r
@@ -103,11 +109,16 @@ def test_homology_basis_out(tmp_path):
 
 def test_homology_basis_bytes_pinned():
     # sha256 of the stdout of presentations built from the four-point
-    # relations alone; the pairing route must reproduce them byte for byte
+    # relations alone; the pairing route must reproduce them byte for byte,
+    # and (6,2), (7,2), (7,3), (8,4) pin the relation route itself
     pinned = {
         ("6", "1"): "8c59f976860b54a661d057428c86c82fb0ccd6f04a4ea6e52b5409b0a0b684f2",
         ("7", "0"): "f0052cd41dba644b1d3937ae9d8b21548b2a38acf11c9e3de799c9cd0f2a990c",
         ("7", "1"): "9ec3a995c3f5108b73231c64a691e5e63289300b2ac24678acc079c55887afb6",
+        ("6", "2"): "9493e3bcef5f397784f7b5d68357101cc4f1a13795dce54c67f9e083193d4aa1",
+        ("7", "2"): "1fc154c1680d2892fe288fe5e1d01e5a4afaab5c33ecc93a9123a54223514da4",
+        ("7", "3"): "0bb79eb2d458bdb47ad9f620121789dac931d39e1c2553607635528cb717c52f",
+        ("8", "4"): "9f6eb28bc4c31ed30aaafbd17739aa548d88d38f333bba39d4fe2f48b979c75e",
     }
     for (n, k), digest in pinned.items():
         r = run_cli("homology", "basis", "--n", n, "--k", k)

@@ -193,7 +193,9 @@ def test_homology_basis_limit():
 
 
 def test_homology_basis_limit_stops_at_the_cap(monkeypatch):
-    # (8, 1) has 17,325 strata; the check must not build them all
+    # (8, 1) has 17,325 strata; the check must not build them all, even
+    # when an earlier test left the presentation in the process cache
+    monkeypatch.setattr(homology, "_PRESENTATIONS", {})
     built = []
     real = trees.tree_from_splits
     monkeypatch.setattr(trees, "tree_from_splits", lambda *a: built.append(1) or real(*a))

@@ -13,6 +13,7 @@ import oracles
 from stratadyn import trees
 from stratadyn.hurwitz import (
     HurwitzData,
+    _source_tree_of_class,
     count_covers,
     count_covers_orbit_stabilizer,
     degeneration_degree_check,
@@ -366,9 +367,8 @@ def test_d1_covers_mirror_target_strata():
         for tau in trees.enumerate_strata(5, k):
             classes = enumerate_cover_classes(h, tau)
             assert len(classes) == 1
-            from stratadyn.hurwitz import _source_tree_of_class
-
-            src, node_data = _source_tree_of_class(h, classes[0])
+            marks = [[h.a_marks.index(a) + 1 for a in m] for m in classes[0].comp_marks]
+            src, node_data = _source_tree_of_class(len(h.a_marks), marks, classes[0].edges)
             assert trees.canonical_form(src) == tau
             assert all(r == 1 for _side, r in node_data)
 

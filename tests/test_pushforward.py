@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from stratadyn import filtration, homology, linalg, trees
+from stratadyn.hurwitz import HurwitzData
 from stratadyn.pushforward import (
     DegreeReport,
-    _substitute_many,
     dynamical_degree,
     filtration_blocks,
     pushforward_h0,
@@ -50,14 +50,55 @@ def test_d1_h2_matrix_is_identity():
             assert pm.matrix[i][j] == (1 if i == j else 0)
 
 
-def test_d1_self_matrix_identity_n6():
-    # exercises the glued path over 6-mark target strata as well
-    mat = self_correspondence_matrix(d1_datum(6), 1)
-    rank = homology.homology_basis(6, 1).rank
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_d1_self_matrix_identity(n):
+    # n >= 6 exercises the glued path; at n = 7 some basis curves have a
+    # source vertex without marks
+    mat = self_correspondence_matrix(d1_datum(n), 1)
+    rank = homology.homology_basis(n, 1).rank
     assert len(mat) == rank
     for i in range(rank):
         for j in range(rank):
             assert mat[i][j] == (1 if i == j else 0)
+    rep = dynamical_degree(mat)
+    assert rep.exact == 1 and rep.method == "exact_roots"
+
+
+def d3_self_map_datum():
+    """Degree-3 self-map of five marks, branching (3),(1,1,1),(1,1,1),(1,2),
+    (1,2); its source curves have vertices of valence up to 8."""
+    a = ["a%d" % i for i in range(1, 6)]
+    b = ["b%d" % i for i in range(1, 6)]
+    return HurwitzData(
+        a_marks=a,
+        b_marks=b,
+        d=3,
+        f_map=dict(zip(a, b)),
+        br={"b1": [3], "b4": [1, 2], "b5": [1, 2]},
+        rm={"a1": 3, "a2": 1, "a3": 1, "a4": 2, "a5": 2},
+        forget_to=a,
+        identify=dict(zip(b, a)),
+    )
+
+
+def test_d3_self_map_reaches_eight_mark_vertex_space():
+    # matrix and degree as computed by this code; the local-degree checks
+    # inside pushforward_h2 hold on every column
+    mat = self_correspondence_matrix(d3_self_map_datum(), 1)
+    assert [[int(x) for x in row] for row in mat] == [
+        [3, 1, 1, 0, 1],
+        [0, 3, 1, 0, 0],
+        [0, 0, 2, 0, 0],
+        [0, 1, 1, 3, 1],
+        [0, -1, -1, 0, 2],
+    ]
+    rep = dynamical_degree(mat)
+    assert rep.exact == 3 and rep.method == "exact_roots"
+
+
+def test_strata_budget_bounds_vertex_space():
+    with pytest.raises(trees.ResourceError, match=r"\(n=8, k=1\)"):
+        self_correspondence_matrix(d3_self_map_datum(), 1, limit_strata=1000)
 
 
 def test_h2_rejects_too_few_retained_marks():
@@ -125,30 +166,6 @@ def test_degree_falls_back_when_real_root_is_not_dominant():
 def test_degree_rejects_non_square():
     with pytest.raises(ValueError):
         dynamical_degree([[Fraction(1), Fraction(0)]])
-
-
-# -- gluing helper ----------------------------------------------------------------
-
-
-def test_substitute_many_matches_single_glue():
-    host = trees.tree_from_splits(6, [frozenset({5, 6})])
-    v5 = next(v for v in range(host.num_vertices()) if host.valence(v) == 5)
-    small = trees.tree_from_splits(5, [frozenset({2, 3})])
-    assert _substitute_many(host, {v5: small}) == trees.glue_substitution(host, v5, small)
-
-
-def test_substitute_many_two_vertices():
-    # host with two 4-valent vertices; substitute splits at both at once
-    host = trees.tree_from_splits(8, [frozenset({5, 6, 7, 8})])
-    assert all(host.valence(v) == 5 for v in range(2))
-    sm = trees.tree_from_splits(5, [frozenset({2, 3})])
-    got = _substitute_many(host, {0: sm, 1: sm})
-    assert got.dim() == host.dim() - 2 * 2 + 2 * 1
-    step1 = trees.glue_substitution(host, 0, sm)
-    # after canonicalisation, find the remaining 5-valent vertex and glue there
-    v5 = next(v for v in range(step1.num_vertices()) if step1.valence(v) == 5)
-    step2 = trees.glue_substitution(step1, v5, sm)
-    assert got == step2
 
 
 # -- filtration blocks -------------------------------------------------------------

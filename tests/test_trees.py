@@ -8,6 +8,7 @@ profile.  Totals 26 / 236 / 2752 / 39208 follow the series of leaf-labeled
 trees without degree-2 vertices.
 """
 
+import itertools
 import json
 import random
 
@@ -15,6 +16,7 @@ import pytest
 
 from stratadyn import trees
 from oracles import (
+    forget_by_contraction,
     one_edge_refinements,
     random_stable_tree,
     relabel_vertices,
@@ -101,6 +103,9 @@ def test_tree_from_splits_rejects_incompatible():
     # {2,3} and {3,4} overlap without nesting
     with pytest.raises(ValueError):
         trees.tree_from_splits(6, [frozenset({2, 3}), frozenset({3, 4})])
+    # overlapping sides that would each still leave a stable vertex
+    with pytest.raises(ValueError):
+        trees.tree_from_splits(8, [frozenset({2, 3, 4}), frozenset({4, 5, 6})])
 
 
 def test_induced_partition():
@@ -155,10 +160,28 @@ def test_forget_composition_order_independent():
         assert a == b
 
 
+def test_forget_matches_contraction_oracle():
+    for n in (5, 6):
+        keeps = [
+            keep
+            for size in range(3, n + 1)
+            for keep in itertools.combinations(range(1, n + 1), size)
+        ]
+        for k in range(0, n - 2):
+            for t in trees.enumerate_strata(n, k):
+                for keep in keeps:
+                    assert trees.forget_pushforward(t, keep) == forget_by_contraction(t, keep)
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        t = random_stable_tree(rng, 7)
+        keep = rng.sample(range(1, 8), rng.randint(3, 7))
+        assert trees.forget_pushforward(t, keep) == forget_by_contraction(t, keep)
+
+
 def test_glue_identity():
     for t in trees.enumerate_strata(6, 1):
         v4 = next(v for v in range(len(t.parents)) if t.valence(v) == 4)
-        assert trees.glue_substitution(t, v4, trees.trivial_tree(4)) == t
+        assert trees.glue_substitution(t, {v4: trees.trivial_tree(4)}) == t
 
 
 def test_glue_adds_expected_split():
@@ -167,13 +190,13 @@ def test_glue_adds_expected_split():
     host = trees.tree_from_splits(6, [frozenset({5, 6})])
     big = next(v for v in range(len(host.parents)) if host.valence(v) == 5)
     small = trees.tree_from_splits(5, [frozenset({2, 3})])  # small split {2,3}
-    glued = trees.glue_substitution(host, big, small)
+    glued = trees.glue_substitution(host, {big: small})
     # small marks 2,3 are host legs 2,3, so the new edge cuts {2,3}
     assert glued.splits() == {frozenset({5, 6}), frozenset({2, 3})}
     assert glued.dim() == host.dim() - host.md(big) + small.dim()
     # and substituting the small split {4,5} maps to legs 4 + away {5,6}
     small2 = trees.tree_from_splits(5, [frozenset({4, 5})])
-    glued2 = trees.glue_substitution(host, big, small2)
+    glued2 = trees.glue_substitution(host, {big: small2})
     assert glued2.splits() == {frozenset({5, 6}), frozenset({4, 5, 6})}
 
 
@@ -184,8 +207,22 @@ def test_glue_refinements_match_oracle():
     got = set()
     for small in trees.enumerate_strata(6, 2):
         if small.codim() == 1:
-            got.add(trees.glue_substitution(t, 0, small))
+            got.add(trees.glue_substitution(t, {0: small}))
     assert got == one_edge_refinements(t)
+
+
+def test_glue_two_vertices_matches_sequential():
+    # host with two 5-valent vertices; substitute splits at both at once
+    host = trees.tree_from_splits(8, [frozenset({5, 6, 7, 8})])
+    assert all(host.valence(v) == 5 for v in range(2))
+    sm = trees.tree_from_splits(5, [frozenset({2, 3})])
+    got = trees.glue_substitution(host, {0: sm, 1: sm})
+    assert got.dim() == host.dim() - 2 * 2 + 2 * 1
+    step1 = trees.glue_substitution(host, {0: sm})
+    # after canonicalisation, find the remaining 5-valent vertex and glue there
+    v5 = next(v for v in range(step1.num_vertices()) if step1.valence(v) == 5)
+    step2 = trees.glue_substitution(step1, {v5: sm})
+    assert got == step2
 
 
 def test_json_roundtrip():
