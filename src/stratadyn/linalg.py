@@ -183,28 +183,57 @@ def mat_vec(a, v):
     return [sum((a[i][j] * v[j] for j in range(len(v))), start=ZERO) for i in range(len(a))]
 
 
-def identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def char_poly(a):
     """Characteristic polynomial of a rational matrix, leading coeff 1.
 
-    Faddeev-LeVerrier; returns coefficients [c_0, ..., c_n] with
-    p(x) = sum c_i x^i and c_n = 1, all Fractions.
+    Reduces a to upper Hessenberg form by elementary similarity transforms,
+    then expands det(xI - H) along the last column, one leading block at a
+    time (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9).
+    Both steps take O(n^3) Fraction operations.  Returns coefficients
+    [c_0, ..., c_n] with p(x) = sum c_i x^i and c_n = 1, all Fractions.
     """
     n = len(a)
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    m = identity(n)
-    for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        trace = sum((m[i][i] for i in range(n)), start=ZERO)
-        c = -trace / k
-        coeffs[n - k] = c
-        for i in range(n):
-            m[i][i] += c
-    return coeffs
+    h = [[Fraction(x) for x in row] for row in a]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        pivot = h[j + 1][j]
+        for i in range(j + 2, n):
+            if not h[i][j]:
+                continue
+            u = h[i][j] / pivot
+            # the row operation clears h[i][j]; the inverse column operation
+            # keeps h similar to a
+            hi, hp = h[i], h[j + 1]
+            for col in range(j, n):
+                if hp[col]:
+                    hi[col] -= u * hp[col]
+            for row in h:
+                if row[i]:
+                    row[j + 1] += u * row[i]
+    # p[m] = det(xI - H[:m, :m]), lowest coefficient first
+    p = [[ONE]]
+    for m in range(1, n + 1):
+        cur = [ZERO] + p[m - 1]
+        diag = h[m - 1][m - 1]
+        for d, c in enumerate(p[m - 1]):
+            cur[d] -= diag * c
+        prod = ONE
+        for i in range(m - 1, 0, -1):
+            prod *= h[i][i - 1]
+            if not prod:
+                break
+            t = h[i - 1][m - 1] * prod
+            if t:
+                for d, c in enumerate(p[i - 1]):
+                    cur[d] -= t * c
+        p.append(cur)
+    return p[n]
 
 
 def char_poly_integer(a):

@@ -14,7 +14,11 @@ encodings describe the same stratum iff their canonical forms are equal.
 A stratum is also fixed by its set of pairwise-compatible splits, the mark
 bipartitions cut by its edges (Keel, Trans. AMS 330, 1992).  Derived strata
 (gluing small trees into vertices, forgetting marks) are computed on split
-sets and built by tree_from_splits.
+sets and built by tree_from_splits.  enumerate_strata searches split sets
+as integer bitmasks, growing each set by AND-ing per-split compatibility
+masks, and builds every set it finds with tree_from_splits.  Canonical
+forms take one subtree-size pass to find the centroid and one pass to
+build the subcodes, and validation one pass over parents and legs.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ class MarkedTree:
 
     def __init__(self, n, parents, legs):
         self.n = int(n)
-        self.parents = tuple(int(p) for p in parents)
-        self.legs = tuple(int(v) for v in legs)
+        self.parents = tuple(map(int, parents))
+        self.legs = tuple(map(int, legs))
         self._hash = hash((self.n, self.parents, self.legs))
 
     def __eq__(self, other):
@@ -159,50 +163,126 @@ def trivial_tree(n):
 
 
 def _validate(tree):
-    m = len(tree.parents)
+    """Raise ValueError unless tree is a stable tree with legs 1..n placed."""
+    parents = tree.parents
+    m = len(parents)
     if m < 1:
         raise ValueError("tree needs at least one vertex")
     if tree.n < 3:
         raise ValueError("need at least 3 marks, got %d" % tree.n)
-    roots = [i for i, p in enumerate(tree.parents) if p == -1]
+    roots = [i for i, p in enumerate(parents) if p == -1]
     if len(roots) != 1:
         raise ValueError("tree must have exactly one root, found %d" % len(roots))
-    for i, p in enumerate(tree.parents):
-        if p != -1 and not (0 <= p < m):
+    valence = [0] * m
+    for i, p in enumerate(parents):
+        if p == -1:
+            continue
+        if not (0 <= p < m):
             raise ValueError("parent index %d out of range at vertex %d" % (p, i))
         if p == i:
             raise ValueError("vertex %d is its own parent" % i)
-    root = roots[0]
+        valence[i] += 1
+        valence[p] += 1
+    # walk up from each vertex, marking the path (1) until it meets a vertex
+    # known to reach the root (2); meeting the path itself is a cycle
+    state = [0] * m
+    state[roots[0]] = 2
     for i in range(m):
-        seen = set()
+        path = []
         v = i
-        while v != root:
-            if v in seen:
-                raise ValueError("parent pointers contain a cycle through %d" % i)
-            seen.add(v)
-            v = tree.parents[v]
+        while not state[v]:
+            state[v] = 1
+            path.append(v)
+            v = parents[v]
+        if state[v] == 1:
+            raise ValueError("parent pointers contain a cycle through %d" % i)
+        for v in path:
+            state[v] = 2
     if len(tree.legs) != tree.n:
         raise ValueError("legs tuple must have length n")
     for mark, v in enumerate(tree.legs, start=1):
         if not (0 <= v < m):
             raise ValueError("mark %d attached to missing vertex %d" % (mark, v))
+        valence[v] += 1
     for v in range(m):
-        if tree.valence(v) < 3:
-            raise ValueError("vertex %d has valence %d < 3" % (v, tree.valence(v)))
+        if valence[v] < 3:
+            raise ValueError("vertex %d has valence %d < 3" % (v, valence[v]))
 
 
-def _component_size(adj, removed, start):
-    stack = [start]
-    seen = {removed, start}
-    cnt = 1
+def _canonical(n, up, legs_at):
+    """Canonical MarkedTree of a stable tree rooted anywhere.
+
+    `up` holds parent indices (-1 at the root) and `legs_at` the sorted
+    marks per vertex.  The canonical root is the centroid (no component of
+    more than m/2 vertices once it is removed; two adjacent ones at most)
+    with the least subcode "(marks;children's subcodes in order)", and
+    vertices are placed in preorder with children sorted by subcode.
+    """
+    m = len(up)
+    if m == 1:
+        return MarkedTree(n, (-1,), (0,) * n)
+    kids = [[] for _ in range(m)]
+    for v, p in enumerate(up):
+        if p >= 0:
+            kids[p].append(v)
+    order = [up.index(-1)]
+    for v in order:
+        order += kids[v]
+    size = [1] * m
+    for v in order[:0:-1]:
+        size[up[v]] += size[v]
+    # from the root, step into a child holding more than half the vertices
+    # while there is one; a child holding exactly half is the other centroid
+    c = order[0]
+    while True:
+        heavy = [u for u in kids[c] if 2 * size[u] >= m]
+        if not heavy or 2 * size[heavy[0]] == m:
+            break
+        c = heavy[0]
+    twin = heavy[0] if heavy else -1
+    # subcodes bottom-up; rooting at c reverses the path from c to the old
+    # root, whose vertices then come last, from the old root down to c
+    seq = order[::-1]
+    if c != order[0]:
+        path = [c]
+        while up[path[-1]] >= 0:
+            path.append(up[path[-1]])
+        for below, above in zip(path, path[1:]):
+            kids[above].remove(below)
+            kids[below].append(above)
+        seq = [v for v in seq if v not in path] + path[::-1]
+    labels = [",".join(map(str, marks)) for marks in legs_at]
+    code = [""] * m
+    for v in seq:
+        ks = kids[v]
+        ks.sort(key=code.__getitem__)
+        code[v] = "(%s;%s)" % (labels[v], "".join([code[u] for u in ks]))
+    root = c
+    if twin >= 0:
+        rest = [u for u in kids[c] if u != twin]
+        whole = code[c]
+        code[c] = "(%s;%s)" % (labels[c], "".join([code[u] for u in rest]))
+        ks = kids[twin] + [c]
+        ks.sort(key=code.__getitem__)
+        if "(%s;%s)" % (labels[twin], "".join([code[u] for u in ks])) < whole:
+            root = twin
+            kids[c] = rest
+            kids[twin] = ks
+
+    # preorder placement, children in subcode order
+    parents = []
+    legs = [0] * n
+    stack = [root]
+    above = [-1]
     while stack:
         v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                cnt += 1
-                stack.append(u)
-    return cnt
+        idx = len(parents)
+        parents.append(above.pop())
+        for mark in legs_at[v]:
+            legs[mark - 1] = idx
+        stack += kids[v][::-1]
+        above += [idx] * len(kids[v])
+    return MarkedTree(n, tuple(parents), tuple(legs))
 
 
 def canonical_form(tree):
@@ -213,52 +293,7 @@ def canonical_form(tree):
     canonical form is relabeling-invariant in the vertex indices.
     """
     _validate(tree)
-    m = len(tree.parents)
-    if m == 1:
-        return MarkedTree(tree.n, (-1,), tuple(0 for _ in range(tree.n)))
-    adj = tree.adjacency()
-    legs_at = tree.legs_at()
-
-    best = None
-    cents = []
-    for v in range(m):
-        worst = max(_component_size(adj, v, u) for u in adj[v])
-        if best is None or worst < best:
-            best = worst
-            cents = [v]
-        elif worst == best:
-            cents.append(v)
-
-    def subcode(v, parent, cache):
-        marks = ",".join(str(x) for x in sorted(legs_at[v]))
-        kids = sorted(subcode(u, v, cache) for u in adj[v] if u != parent)
-        c = "(" + marks + ";" + "".join(kids) + ")"
-        cache[(v, parent)] = c
-        return c
-
-    candidates = []
-    for r in cents:
-        cache = {}
-        candidates.append((subcode(r, -1, cache), r, cache))
-    candidates.sort(key=lambda t: t[0])
-    _, root, cache = candidates[0]
-
-    parents = []
-    legs = [0] * tree.n
-    counter = [0]
-
-    def place(v, parent_old, parent_new):
-        idx = counter[0]
-        counter[0] += 1
-        parents.append(parent_new)
-        for mark in legs_at[v]:
-            legs[mark - 1] = idx
-        kids = sorted((u for u in adj[v] if u != parent_old), key=lambda u: cache[(u, v)])
-        for u in kids:
-            place(u, v, idx)
-
-    place(root, -1, -1)
-    return MarkedTree(tree.n, tuple(parents), tuple(legs))
+    return _canonical(tree.n, tree.parents, tree.legs_at())
 
 
 def tree_sort_key(tree):
@@ -289,12 +324,6 @@ def all_splits(n):
             out.append(side)
     out.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return out
-
-
-def _splits_compatible(a, b):
-    # normalised sides never contain mark 1, so the pair is compatible
-    # exactly when the named sides are nested or disjoint
-    return a <= b or b <= a or not (a & b)
 
 
 def _assemble(n, vertices):
@@ -332,15 +361,18 @@ def _assemble(n, vertices):
 def tree_from_splits(n, splits):
     """Assemble the stratum whose edges cut exactly the given splits.
 
-    `splits` must be pairwise compatible.  Named by their sides without mark
-    1, they nest or are disjoint: each split is a vertex below the smallest
-    split containing it (below the vertex of mark 1 when none does), and each
-    mark sits at the smallest split containing it.  Returns a canonical
+    `splits` must be pairwise compatible, with both sides of size >= 2.
+    Named by their sides without mark 1, they nest or are disjoint: each
+    split is a vertex below the smallest split containing it (below the
+    vertex of mark 1 when none does), and each mark sits at the smallest
+    split containing it.  Every vertex is then stable.  Returns a canonical
     MarkedTree.
     """
     sides = sorted({normalize_split(n, s) for s in splits}, key=len)
     parents = [-1] + [0] * len(sides)
     for i, s in enumerate(sides):
+        if not 2 <= len(s) <= n - 2:
+            raise ValueError("split %r has a side with fewer than 2 marks" % sorted(s))
         # a larger compatible side contains s or misses it; checking up to
         # the first container suffices, the container's own pass covers the rest
         for j in range(i + 1, len(sides)):
@@ -353,7 +385,10 @@ def tree_from_splits(n, splits):
     for i in reversed(range(len(sides))):
         for mark in sides[i]:
             legs[mark - 1] = i + 1
-    return canonical_form(MarkedTree(n, parents, legs))
+    legs_at = [[] for _ in parents]
+    for mark, v in enumerate(legs, start=1):
+        legs_at[v].append(mark)
+    return _canonical(n, parents, legs_at)
 
 
 def enumerate_strata(n, k, limit=None):
@@ -361,6 +396,8 @@ def enumerate_strata(n, k, limit=None):
 
     Enumerates pairwise-compatible sets of n-3-k splits (each set is one
     stratum, so no isomorphism dedup is needed) and assembles each tree.
+    Splits are bitmasks of their sides, and each carries the mask of the
+    later splits compatible with it, so a set grows by AND-ing masks.
     Results are sorted deterministically.  `limit` caps the count and raises
     ResourceError beyond it.
     """
@@ -370,27 +407,33 @@ def enumerate_strata(n, k, limit=None):
         raise ValueError("k must be between 0 and n-3, got %d" % k)
     codim = n - 3 - k
     splits = all_splits(n)
-    ns = len(splits)
-    compat = [[_splits_compatible(splits[i], splits[j]) for j in range(ns)] for i in range(ns)]
+    masks = [sum(1 << mark for mark in s) for s in splits]
+    # normalised sides never contain mark 1, so two splits are compatible
+    # exactly when their sides are nested or disjoint
+    compat = [
+        sum(1 << j for j in range(i + 1, len(masks)) if a & masks[j] in (0, a, masks[j]))
+        for i, a in enumerate(masks)
+    ]
 
     out = []
     chosen = []
 
-    def grow(start):
+    def grow(cand):
         if len(chosen) == codim:
-            out.append(tree_from_splits(n, [splits[i] for i in chosen]))
+            out.append(tree_from_splits(n, chosen))
             if limit is not None and len(out) > limit:
                 raise ResourceError("stratum enumeration exceeded limit %d" % limit)
             return
-        for i in range(start, ns):
-            if ns - i < codim - len(chosen):
-                break
-            if all(compat[j][i] for j in chosen):
-                chosen.append(i)
-                grow(i + 1)
-                chosen.pop()
+        need = codim - len(chosen)
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            chosen.append(splits[i])
+            grow(cand & compat[i])
+            chosen.pop()
 
-    grow(0)
+    grow((1 << len(splits)) - 1)
     seen = set()
     for t in out:
         if t in seen:

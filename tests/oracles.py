@@ -1,9 +1,12 @@
 """Independent oracles shared by the test modules.
 
 Everything here deliberately avoids the library's main code paths: strata are
-regenerated by one-edge refinement sequences instead of split systems, subset
-conditions are checked by full enumeration instead of meet-in-the-middle, and
-cover counts come from raw tuple enumeration.  Expected values frozen in the
+regenerated by one-edge refinement sequences instead of split systems, or by
+a pairwise compatibility search instead of bitmasks; canonical forms come
+from a centroid search from every vertex; subset conditions are checked by
+full enumeration instead of meet-in-the-middle; characteristic polynomials
+come from Faddeev-LeVerrier instead of a Hessenberg reduction; and cover
+counts come from raw tuple enumeration.  Expected values frozen in the
 tests were computed with these oracles (or by hand) before the corresponding
 library code was written.
 """
@@ -102,6 +105,121 @@ def relation_presentation(n, k):
     return homology.HomologyPresentation(n, k, strata, basis, expr)
 
 
+def splits_compatible(a, b):
+    """Normalised sides never contain mark 1, so two splits are compatible
+    exactly when their sides are nested or disjoint."""
+    return a <= b or b <= a or not (a & b)
+
+
+def _component_size(adj, removed, start):
+    stack = [start]
+    seen = {removed, start}
+    cnt = 1
+    while stack:
+        v = stack.pop()
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                cnt += 1
+                stack.append(u)
+    return cnt
+
+
+def canonical_form_reference(tree):
+    """The canonical form by brute force: the centroids are found by a
+    search from every vertex, each candidate root's subcode is built
+    recursively, and vertices are placed in recursive preorder.  Assumes a
+    valid stable tree."""
+    m = len(tree.parents)
+    if m == 1:
+        return trees.MarkedTree(tree.n, (-1,), tuple(0 for _ in range(tree.n)))
+    adj = tree.adjacency()
+    legs_at = tree.legs_at()
+
+    best = None
+    cents = []
+    for v in range(m):
+        worst = max(_component_size(adj, v, u) for u in adj[v])
+        if best is None or worst < best:
+            best = worst
+            cents = [v]
+        elif worst == best:
+            cents.append(v)
+
+    def subcode(v, parent, cache):
+        marks = ",".join(str(x) for x in sorted(legs_at[v]))
+        kids = sorted(subcode(u, v, cache) for u in adj[v] if u != parent)
+        c = "(" + marks + ";" + "".join(kids) + ")"
+        cache[(v, parent)] = c
+        return c
+
+    candidates = []
+    for r in cents:
+        cache = {}
+        candidates.append((subcode(r, -1, cache), r, cache))
+    candidates.sort(key=lambda t: t[0])
+    _, root, cache = candidates[0]
+
+    parents = []
+    legs = [0] * tree.n
+    counter = [0]
+
+    def place(v, parent_old, parent_new):
+        idx = counter[0]
+        counter[0] += 1
+        parents.append(parent_new)
+        for mark in legs_at[v]:
+            legs[mark - 1] = idx
+        kids = sorted((u for u in adj[v] if u != parent_old), key=lambda u: cache[(u, v)])
+        for u in kids:
+            place(u, v, idx)
+
+    place(root, -1, -1)
+    return trees.MarkedTree(tree.n, tuple(parents), tuple(legs))
+
+
+def assemble_from_splits(n, splits):
+    """The (uncanonical) tree cut by compatible normalised splits: one
+    vertex per side below the smallest side containing it, the root holding
+    mark 1, and each mark on the smallest side containing it."""
+    sides = list(splits)
+
+    def home(marks):
+        around = [i for i, o in enumerate(sides) if marks < o]
+        return 1 + min(around, key=lambda i: len(sides[i])) if around else 0
+
+    vertices = [[] for _ in range(len(sides) + 1)]
+    for i, s in enumerate(sides):
+        vertices[i + 1].append(("edge", home(s)))
+    for mark in range(1, n + 1):
+        vertices[home(frozenset([mark]))].append(("leg", mark))
+    return trees._assemble(n, vertices)
+
+
+def enumerate_strata_reference(n, k):
+    """All dimension-k strata of the n-mark space: pairwise-compatible sets
+    of n-3-k splits grown one split at a time, each set assembled and
+    canonicalised by canonical_form_reference, sorted by tree_sort_key."""
+    codim = n - 3 - k
+    splits = trees.all_splits(n)
+    out = []
+    chosen = []
+
+    def grow(start):
+        if len(chosen) == codim:
+            out.append(canonical_form_reference(assemble_from_splits(n, chosen)))
+            return
+        for i in range(start, len(splits)):
+            if all(splits_compatible(c, splits[i]) for c in chosen):
+                chosen.append(splits[i])
+                grow(i + 1)
+                chosen.pop()
+
+    grow(0)
+    out.sort(key=trees.tree_sort_key)
+    return out
+
+
 def random_stable_tree(rng, n, num_edges=None):
     """A uniform-ish random stratum: grow a random compatible split set."""
     splits = trees.all_splits(n)
@@ -112,7 +230,7 @@ def random_stable_tree(rng, n, num_edges=None):
     for s in splits:
         if len(chosen) == num_edges:
             break
-        if all(trees._splits_compatible(s, c) for c in chosen):
+        if all(splits_compatible(s, c) for c in chosen):
             chosen.append(s)
     return trees.tree_from_splits(n, chosen)
 
@@ -162,6 +280,28 @@ def forget_by_contraction(t, keep):
             vertices[new[a]].append(("edge", new[b]))
         t = trees._assemble(t.n - 1, vertices)
     return trees.canonical_form(t)
+
+
+def char_poly_faddeev(a):
+    """Characteristic polynomial by Faddeev-LeVerrier: n matrix products
+    M_k = A (M_{k-1} + c_{k-1} I) with c_k = -tr(M_k) / k, skipping the
+    zero entries of A.  Coefficients [c_0, ..., c_n], lowest first, c_n = 1,
+    all Fractions."""
+    n = len(a)
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    nonzero = [[(t, Fraction(x)) for t, x in enumerate(row) if x] for row in a]
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        m = [
+            [sum((x * m[t][j] for t, x in nonzero[i]), start=Fraction(0)) for j in range(n)]
+            for i in range(n)
+        ]
+        c = -sum((m[i][i] for i in range(n)), start=Fraction(0)) / k
+        coeffs[n - k] = c
+        for i in range(n):
+            m[i][i] += c
+    return coeffs
 
 
 def brute_minimality_window(eps):

@@ -16,6 +16,8 @@ import pytest
 
 from stratadyn import trees
 from oracles import (
+    canonical_form_reference,
+    enumerate_strata_reference,
     forget_by_contraction,
     one_edge_refinements,
     random_stable_tree,
@@ -72,7 +74,15 @@ def test_canonical_form_relabeling_invariance():
         t = random_stable_tree(rng, n)
         perm = list(range(len(t.parents)))
         rng.shuffle(perm)
-        assert trees.canonical_form(relabel_vertices(t, perm)) == t
+        r = relabel_vertices(t, perm)
+        assert trees.canonical_form(r) == t
+        assert canonical_form_reference(r) == t
+
+
+def test_enumeration_matches_reference():
+    cases = [(n, k) for n in range(4, 8) for k in range(n - 2)] + [(8, 0), (8, 4), (8, 5)]
+    for n, k in cases:
+        assert trees.enumerate_strata(n, k) == enumerate_strata_reference(n, k), (n, k)
 
 
 def test_canonical_form_idempotent():
@@ -89,6 +99,21 @@ def test_canonical_form_rejects_unstable():
         trees.canonical_form(trees.MarkedTree(4, (-1, -1), (0, 0, 1, 1)))
     with pytest.raises(ValueError):
         trees.canonical_form(trees.MarkedTree(4, (1, 0), (0, 0, 1, 1)))
+    malformed = [
+        (trees.MarkedTree(4, (), ()), "at least one vertex"),
+        (trees.MarkedTree(2, (-1,), (0, 0)), "at least 3 marks"),
+        # 1 and 2 point at each other and never reach the root 0
+        (trees.MarkedTree(5, (-1, 2, 1), (0, 0, 1, 2, 2)), "cycle through 1"),
+        (trees.MarkedTree(4, (-1, 2), (0, 0, 1, 1)), "parent index 2 out of range at vertex 1"),
+        (trees.MarkedTree(4, (-1, -2), (0, 0, 1, 1)), "parent index -2 out of range"),
+        (trees.MarkedTree(4, (-1, 1), (0, 0, 1, 1)), "vertex 1 is its own parent"),
+        (trees.MarkedTree(5, (-1, 0), (0, 0, 1, 1, 2)), "mark 5 attached to missing vertex 2"),
+        (trees.MarkedTree(4, (-1,), (0, 0, 0)), "legs tuple must have length n"),
+        (trees.MarkedTree(5, (-1, 0, 1), (0, 0, 0, 2, 2)), "vertex 1 has valence 2 < 3"),
+    ]
+    for bad, message in malformed:
+        with pytest.raises(ValueError, match=message):
+            trees.canonical_form(bad)
 
 
 def test_splits_roundtrip():
@@ -234,6 +259,23 @@ def test_json_roundtrip():
 def test_enumerate_strata_limit():
     with pytest.raises(trees.ResourceError):
         trees.enumerate_strata(7, 1, limit=100)
+
+
+def test_enumerate_strata_limit_stops_at_the_cap(monkeypatch):
+    # (8, 0) has 10,395 strata; the search must stop at the 101st build
+    built = []
+    real = trees.tree_from_splits
+    monkeypatch.setattr(trees, "tree_from_splits", lambda *a: built.append(1) or real(*a))
+    with pytest.raises(trees.ResourceError, match="limit 100"):
+        trees.enumerate_strata(8, 0, limit=100)
+    assert len(built) == 101
+
+
+def test_tree_from_splits_rejects_unstable_sides():
+    with pytest.raises(ValueError):
+        trees.tree_from_splits(6, [frozenset({2})])
+    with pytest.raises(ValueError):
+        trees.tree_from_splits(6, [frozenset({2, 3, 4, 5, 6})])
 
 
 def test_enumerate_strata_validates_range():
