@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
+from math import lcm
 
 from . import filtration, homology
 
@@ -76,15 +77,49 @@ def epsilon_dagger(n):
 def stable_vertices(tree, eps):
     """Vertices whose truncated flag weight sums exceed 2."""
     ws = validate_weights(eps, tree.n)
-    out = []
-    for v in range(len(tree.parents)):
-        tot = Fraction(0)
-        for ms in tree.flag_marksets(v):
-            s = sum(ws[i - 1] for i in ms)
-            tot += s if s < 1 else ONE
-        if tot > 2:
-            out.append(v)
-    return out
+    return _stable_vertices(tree, *_integer_weights(ws))
+
+
+def _integer_weights(ws):
+    """Validated weights as integers W_i over their common denominator D."""
+    den = 1
+    for w in ws:
+        den = lcm(den, w.denominator)
+    return tuple(w.numerator * (den // w.denominator) for w in ws), den
+
+
+def _stable_vertices(tree, W, D):
+    """stable_vertices for integer weights W over D: v is stable when the sum
+    over its flags of min(S, D), S the flag's weight, exceeds 2D.
+
+    One pass of subtree sums gives every flag weight: an edge flag towards a
+    child weighs the child's subtree, the one towards the parent the total
+    less v's own subtree, and a leg weighs its mark, never more than D.
+    """
+    parents = tree.parents
+    m = len(parents)
+    legs_sum = [0] * m
+    for w, v in zip(W, tree.legs):
+        legs_sum[v] += w
+    children = [[] for _ in range(m)]
+    for v, p in enumerate(parents):
+        if p >= 0:
+            children[p].append(v)
+    order = [parents.index(-1)]
+    for v in order:
+        order.extend(children[v])
+    sub = list(legs_sum)
+    for v in reversed(order):
+        p = parents[v]
+        if p >= 0:
+            sub[p] += sub[v]
+    total = sub[order[0]]
+    tot = legs_sum  # the leg flags, each at most D
+    for v, p in enumerate(parents):
+        if p >= 0:
+            tot[p] += min(sub[v], D)
+            tot[v] += min(total - sub[v], D)
+    return [v for v in range(m) if tot[v] > 2 * D]
 
 
 class ReductionImageType:
@@ -115,7 +150,12 @@ class ReductionImageType:
 
 def reduction_image_type(tree, eps):
     """Image type of a stratum under the reduction for minimal weights."""
-    stable = stable_vertices(tree, eps)
+    ws = validate_weights(eps, tree.n)
+    return _reduction_image_type(tree, *_integer_weights(ws))
+
+
+def _reduction_image_type(tree, W, D):
+    stable = _stable_vertices(tree, W, D)
     if len(stable) != 1:
         raise ValueError(
             "expected exactly one stable vertex (minimal weights), found %d" % len(stable)
@@ -137,11 +177,12 @@ def reduction_kernel(n, k, eps, limit_strata=None):
     ws = validate_weights(eps, n)
     if not is_minimal(ws):
         raise ValueError("weight datum is not reduction-minimal")
+    W, D = _integer_weights(ws)
     pres = homology.homology_basis(n, k, limit_strata)
     sub = filtration.FiltrationSubspace(pres, label="ker-reduction")
     buckets = {}
     for i, t in enumerate(pres.strata):
-        it = reduction_image_type(t, ws)
+        it = _reduction_image_type(t, W, D)
         if it.dim < k:
             sub.add_generator(pres.reduce_index_vec({i: 1}))
         else:

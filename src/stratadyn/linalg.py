@@ -1,15 +1,25 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts {column index: Fraction}, never storing zeros.  A RowSpace
-holds an incrementally reduced set of rows; the pivot of a row is its maximal
-or minimal column depending on orientation.  Max-pivot orientation makes the
-non-pivot columns a greedy prefix basis, which is what the stratum quotient
-uses; min-pivot is ordinary row echelon for subspace comparisons.
+Vectors are dicts {column index: Fraction or int}, never storing zeros.  A
+RowSpace holds an incrementally reduced set of rows; the pivot of a row is its
+maximal or minimal column depending on orientation.  Max-pivot orientation
+makes the non-pivot columns a greedy prefix basis, which is what the stratum
+quotient uses; min-pivot is ordinary row echelon for subspace comparisons.
+
+Inside a RowSpace the arithmetic is fraction-free.  Each stored row is a
+primitive integer vector (entries with gcd 1, pivot entry positive), not a
+row scaled to pivot 1; an input is cleared to a common denominator and its
+pivot columns are removed by integer cross-multiplication (Bareiss, Math.
+Comp. 22, 1968).  Rationals appear only at the edges: residual and rref
+return Fractions, and both depend only on the space, not on how its rows
+are scaled.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from bisect import insort
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,45 +51,83 @@ class RowSpace:
             raise ValueError("pivot must be 'min' or 'max'")
         self.pivot_fn = min if pivot == "min" else max
         self._min = pivot == "min"
-        self.rows = {}  # pivot column -> row with pivot coefficient 1
+        # pivot column -> primitive integer row (entries with gcd 1, pivot
+        # entry > 0); every other entry lies beyond the pivot
+        self.rows = {}
 
     def dim(self):
         return len(self.rows)
 
-    def residual(self, vec):
-        """vec with every pivot column eliminated (zero iff vec is in the space).
+    def _reduce(self, vec):
+        """(v, den): vec cleared to the common denominator den, then reduced
+        to the integer vector v free of pivot columns; vec = v/den modulo the
+        space.  Explicit zero entries of vec are dropped."""
+        den = 1
+        for x in vec.values():
+            d = x.denominator
+            if d != 1:
+                den = lcm(den, d)
+        v = {c: x.numerator * (den // x.denominator) for c, x in vec.items() if x}
+        return self._eliminate(v, den, self.rows)
 
-        Eliminates the innermost pivot hit first; stored rows only carry
-        columns beyond their own pivot, so the hit sequence is monotone and
-        the loop terminates.
+    def _eliminate(self, v, den, rows):
+        """Clear every pivot column of `rows` from the integer vector v.
+
+        For pivot row r with pivot entry a and v's entry c there, v becomes
+        (a/g) v - (c/g) r with g = gcd(a, c), and den grows by a/g, so v/den
+        keeps its class.  Pivot hits wait in a sorted list and the innermost
+        is taken first; a row only carries columns beyond its pivot, so a
+        cleared column is never hit again and a column joins the list when an
+        elimination creates it.  The queue is a sorted list because bisect
+        is loaded already and heapq is not: importing heapq alone adds about
+        0.3 MB to peak memory.
         """
-        v = dict(vec)
-        while True:
-            hits = [c for c in v if c in self.rows]
-            if not hits:
-                return v
-            p = self.pivot_fn(hits)
-            c = v.pop(p)
-            for col, val in self.rows[p].items():
-                if col == p:
-                    continue
-                nv = v.get(col, ZERO) - c * val
-                if nv:
-                    v[col] = nv
+        s = -1 if self._min else 1  # todo holds s * column, innermost last
+        todo = sorted(s * col for col in v if col in rows)
+        while todo:
+            p = s * todo.pop()
+            c = v.get(p)
+            if c is None:  # cancelled, or listed twice
+                continue
+            row = rows[p]
+            a = row[p]
+            g = gcd(a, c)
+            if g != a:
+                m = a // g
+                den *= m
+                v = {col: m * x for col, x in v.items()}
+            c //= g
+            # the pivot entry cancels like any other
+            for col, x in row.items():
+                old = v.get(col)
+                if old is None:
+                    v[col] = -c * x
+                    if col in rows:
+                        insort(todo, s * col)
                 else:
-                    v.pop(col, None)
+                    nv = old - c * x
+                    if nv:
+                        v[col] = nv
+                    else:
+                        del v[col]
+        return v, den
+
+    def residual(self, vec):
+        """vec with every pivot column eliminated (zero iff vec is in the space),
+        as {column: Fraction}; it depends on the space, not on its rows."""
+        v, den = self._reduce(vec)
+        return {col: Fraction(x, den) for col, x in v.items()}
 
     def contains(self, vec):
-        return not self.residual(vec)
+        return not self._reduce(vec)[0]
 
     def add(self, vec):
         """Insert vec; returns the new pivot column, or None if dependent."""
-        v = self.residual(vec)
+        v, _ = self._reduce(vec)
         if not v:
             return None
         p = self.pivot_fn(v)
-        c = v[p]
-        self.rows[p] = {col: val / c for col, val in v.items()}
+        self.rows[p] = _primitive(v, p)
         return p
 
     def extend(self, vecs):
@@ -88,31 +136,23 @@ class RowSpace:
         return self
 
     def rref(self):
-        """Fully back-substituted rows as {pivot: row}; canonical for the space."""
-        order = sorted(self.rows) if not self._min else sorted(self.rows, reverse=True)
-        # each row's non-pivot entries lie strictly on the far side of its
-        # pivot, so processing pivots from that side outward terminates
+        """Fully back-substituted rows as {pivot: row}, each row a dict of
+        Fractions with 1 at its pivot; canonical for the space.
+
+        Rows are taken from the far side inward, so the rows already reduced
+        carry no pivot column but their own and back-substitution into a row
+        never creates a new hit.
+        """
         done = {}
-        for p in order:
-            v = {c: val for c, val in self.rows[p].items() if c != p}
-            while True:
-                hits = [q for q in v if q in done]
-                if not hits:
-                    break
-                q = hits[0]
-                c = v.pop(q)
-                for col, val in done[q].items():
-                    if col == q:
-                        continue
-                    nv = v.get(col, ZERO) - c * val
-                    if nv:
-                        v[col] = nv
-                    else:
-                        v.pop(col, None)
-            row = {p: ONE}
-            row.update(v)
-            done[p] = row
-        return done
+        for p in sorted(self.rows, reverse=self._min):
+            v, _ = self._eliminate(dict(self.rows[p]), 1, done)
+            done[p] = _primitive(v, p)
+        out = {}
+        for p in list(done):
+            v = done.pop(p)  # so the integer and Fraction copies never coexist
+            a = v[p]
+            out[p] = {col: Fraction(x, a) for col, x in v.items()}
+        return out
 
     def canonical_key(self):
         """Hashable canonical form of the row space, for equality checks."""
@@ -126,6 +166,17 @@ class RowSpace:
 
     def is_subspace_of(self, other):
         return all(other.contains(r) for r in self.rows.values())
+
+
+def _primitive(v, p):
+    """The integer vector v divided by the gcd of its entries, signed so that
+    its entry at p is positive."""
+    g = gcd(*v.values())
+    if v[p] < 0:
+        g = -g
+    if g == 1:
+        return v
+    return {col: x // g for col, x in v.items()}
 
 
 def solve_exact(rows, rhs):
@@ -239,8 +290,6 @@ def char_poly(a):
 def char_poly_integer(a):
     """char_poly with denominators cleared to primitive integer coefficients."""
     cs = char_poly(a)
-    from math import gcd, lcm
-
     den = 1
     for c in cs:
         den = lcm(den, c.denominator)
@@ -310,8 +359,6 @@ def squarefree_part(coeffs):
     sign at all.  The square-free part has the same root set with every root
     simple, so a sign-change scan is reliable on it.
     """
-    from math import gcd, lcm
-
     a = [Fraction(c) for c in coeffs]
     while a and a[-1] == 0:
         a.pop()

@@ -5,7 +5,9 @@ regenerated by one-edge refinement sequences instead of split systems, or by
 a pairwise compatibility search instead of bitmasks; canonical forms come
 from a centroid search from every vertex; subset conditions are checked by
 full enumeration instead of meet-in-the-middle; characteristic polynomials
-come from Faddeev-LeVerrier instead of a Hessenberg reduction; and cover
+come from Faddeev-LeVerrier instead of a Hessenberg reduction; row spaces
+are eliminated over Fractions instead of fraction-free integers; stable
+vertices sum Fraction flag weights instead of integer subtree sums; and cover
 counts come from raw tuple enumeration.  Expected values frozen in the
 tests were computed with these oracles (or by hand) before the corresponding
 library code was written.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from stratadyn import homology, linalg, trees
+from stratadyn import homology, trees
 
 
 def refine_at(t, v, away):
@@ -87,7 +89,7 @@ def relation_presentation(n, k):
     rows = []
     for row in homology.km_relations(n, k):
         rows.append({index[t]: Fraction(c) for t, c in row.items()})
-    space = linalg.RowSpace(pivot="max")
+    space = RowSpaceReference(pivot="max")
     for r in rows:
         space.add(r)
     rr = space.rref()
@@ -103,6 +105,80 @@ def relation_presentation(n, k):
             e[pos[col]] = -val
         expr[p] = e
     return homology.HomologyPresentation(n, k, strata, basis, expr)
+
+
+class RowSpaceReference:
+    """Row space over Fractions with pivot-normalised rows: the elimination
+    linalg.RowSpace did before it went fraction-free, kept as its oracle.
+    Explicit zero entries are dropped on entry (the vector convention says
+    vectors never store them)."""
+
+    def __init__(self, pivot="min"):
+        if pivot not in ("min", "max"):
+            raise ValueError("pivot must be 'min' or 'max'")
+        self.pivot_fn = min if pivot == "min" else max
+        self._min = pivot == "min"
+        self.rows = {}  # pivot column -> row with pivot coefficient 1
+
+    def dim(self):
+        return len(self.rows)
+
+    def residual(self, vec):
+        v = {c: Fraction(x) for c, x in vec.items() if x}
+        while True:
+            hits = [c for c in v if c in self.rows]
+            if not hits:
+                return v
+            p = self.pivot_fn(hits)
+            c = v.pop(p)
+            for col, val in self.rows[p].items():
+                if col == p:
+                    continue
+                nv = v.get(col, 0) - c * val
+                if nv:
+                    v[col] = nv
+                else:
+                    v.pop(col, None)
+
+    def contains(self, vec):
+        return not self.residual(vec)
+
+    def add(self, vec):
+        v = self.residual(vec)
+        if not v:
+            return None
+        p = self.pivot_fn(v)
+        c = v[p]
+        self.rows[p] = {col: val / c for col, val in v.items()}
+        return p
+
+    def rref(self):
+        order = sorted(self.rows, reverse=self._min)
+        done = {}
+        for p in order:
+            v = {c: val for c, val in self.rows[p].items() if c != p}
+            while True:
+                hits = [q for q in v if q in done]
+                if not hits:
+                    break
+                q = hits[0]
+                c = v.pop(q)
+                for col, val in done[q].items():
+                    if col == q:
+                        continue
+                    nv = v.get(col, 0) - c * val
+                    if nv:
+                        v[col] = nv
+                    else:
+                        v.pop(col, None)
+            row = {p: Fraction(1)}
+            row.update(v)
+            done[p] = row
+        return done
+
+    def canonical_key(self):
+        rr = self.rref()
+        return tuple((p, tuple(sorted(rr[p].items()))) for p in sorted(rr))
 
 
 def splits_compatible(a, b):
@@ -314,6 +390,21 @@ def brute_minimality_window(eps):
         if Fraction(1) < s <= T - 1:
             return False
     return True
+
+
+def stable_vertices_reference(tree, eps):
+    """Vertices whose flag weight sums, each truncated at 1, exceed 2,
+    summed as Fractions over flag_marksets."""
+    ws = [Fraction(w) for w in eps]
+    out = []
+    for v in range(len(tree.parents)):
+        tot = Fraction(0)
+        for ms in tree.flag_marksets(v):
+            s = sum(ws[i - 1] for i in ms)
+            tot += min(s, Fraction(1))
+        if tot > 2:
+            out.append(v)
+    return out
 
 
 # -- labeled covers by exhaustive search ---------------------------------------

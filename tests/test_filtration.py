@@ -5,8 +5,10 @@ Frozen dimensions: the strictly-below span at k = n-4 has dimension
 quotient has dimension n.
 """
 
-import pytest
+import random
 from fractions import Fraction
+
+import pytest
 
 from stratadyn import filtration, homology, trees
 
@@ -92,6 +94,31 @@ def test_below_equals_sum_of_nonmaximal_lambdas():
             for row in piece.space.rows.values():
                 summed.add_generator(dict(row))
         assert direct.equals(summed)
+
+
+def test_below_span_independent_of_insertion_order():
+    # the echelon rows depend on the insertion order; the rref and the omega
+    # projections must not
+    pres = homology.homology_basis(7, 2)
+    gens = [
+        pres.reduce_index_vec({i: 1})
+        for i, t in enumerate(pres.strata)
+        if len(trees.induced_partition(t)) >= 2
+    ]
+    quotients = []
+    for seed in (72, 27):
+        order = list(gens)
+        random.Random(seed).shuffle(order)
+        sub = filtration.FiltrationSubspace(pres, label="shuffled")
+        for g in order:
+            sub.add_generator(g)
+        quotients.append(filtration.OmegaQuotient(pres, sub))
+    a, b = quotients
+    assert a.below.space.rref() == b.below.space.rref()
+    assert a.positions == b.positions
+    for i in range(len(pres.strata)):
+        coords = pres.reduce_index_vec({i: 1})
+        assert a.project(coords) == b.project(coords)
 
 
 def test_k1_filtration_trivial():

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from stratadyn import filtration, hassett, trees
-from oracles import brute_minimality_window
+from oracles import brute_minimality_window, stable_vertices_reference
 
 
 def test_validate_weights():
@@ -73,6 +73,38 @@ def test_exactly_one_stable_vertex_small():
         for k in range(0, n - 2):
             for t in trees.enumerate_strata(n, k):
                 assert len(hassett.stable_vertices(t, e)) == 1
+
+
+def test_stable_vertices_match_fraction_reference():
+    for n in (5, 6, 7):
+        e = hassett.epsilon_dagger(n)
+        for k in range(0, n - 2):
+            for t in trees.enumerate_strata(n, k):
+                assert hassett.stable_vertices(t, e) == stable_vertices_reference(t, e)
+    # valid weight data that are not minimal leave several stable vertices
+    rng = random.Random(3014)
+    tried = several = 0
+    while tried < 12:
+        n = rng.randint(5, 7)
+        e = tuple(Fraction(rng.randint(1, 10), rng.choice((3, 4, 5, 10))) for _ in range(n))
+        if not all(w <= 1 for w in e) or sum(e) <= 2 or hassett.is_minimal(e):
+            continue
+        tried += 1
+        for t in trees.enumerate_strata(n, rng.randint(0, n - 4)):
+            got = hassett.stable_vertices(t, e)
+            assert got == stable_vertices_reference(t, e)
+            several += len(got) > 1
+    assert several
+
+
+def test_stable_vertices_validates_weights():
+    t = trees.tree_from_splits(6, [frozenset({4, 5, 6})])
+    with pytest.raises(ValueError, match="expected 6 weights, got 5"):
+        hassett.stable_vertices(t, hassett.epsilon_dagger(5))
+    with pytest.raises(ValueError, match="must lie in"):
+        hassett.stable_vertices(t, [Fraction(3, 2)] + [1] * 5)
+    with pytest.raises(ValueError, match="sum to more than 2"):
+        hassett.stable_vertices(t, [Fraction(1, 3)] * 6)
 
 
 def test_image_type_blocks():

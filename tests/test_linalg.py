@@ -1,11 +1,14 @@
-"""Exact characteristic polynomials against Faddeev-LeVerrier."""
+"""Exact characteristic polynomials against Faddeev-LeVerrier, and the
+fraction-free RowSpace against its Fraction reference."""
 
 import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from stratadyn import linalg
-from oracles import char_poly_faddeev
+from oracles import RowSpaceReference, char_poly_faddeev
 
 
 def _unit_upper_inverse(p):
@@ -56,3 +59,115 @@ def test_char_poly_identity_42():
     eye = [[int(i == j) for j in range(42)] for i in range(42)]
     assert linalg.char_poly(eye) == char_poly_faddeev(eye)
     assert linalg.char_poly_integer(eye) == [(-1) ** (42 - i) * math.comb(42, i) for i in range(43)]
+
+
+def _entry(rng):
+    """An int, a Fraction with one of several denominators, or an explicit 0."""
+    r = rng.random()
+    if r < 0.1:
+        return 0
+    if r < 0.5:
+        return rng.choice((-1, 1)) * rng.randint(1, 5)
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.choice((1, 2, 3, 4, 6, 7, 10)))
+
+
+def _seeded_vectors(rng, ncols, count):
+    """Sparse vectors over columns 0..ncols-1; about a third are rational
+    combinations of earlier ones, so many insertions are dependent."""
+    out = []
+    for _ in range(count):
+        if len(out) >= 2 and rng.random() < 0.35:
+            a, b = rng.sample(out, 2)
+            ca = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            cb = rng.randint(-2, 2)
+            v = {c: ca * a.get(c, 0) + cb * b.get(c, 0) for c in set(a) | set(b)}
+        else:
+            v = {c: _entry(rng) for c in rng.sample(range(ncols), rng.randint(1, min(ncols, 7)))}
+        out.append(v)
+    return out
+
+
+def _assert_same_residual(space, ref, vec):
+    got = space.residual(vec)
+    assert got == ref.residual(vec)
+    assert all(type(x) is Fraction for x in got.values())
+    assert space.contains(vec) == ref.contains(vec)
+
+
+@pytest.mark.parametrize("pivot", ["min", "max"])
+def test_rowspace_matches_fraction_reference(pivot):
+    rng = random.Random(61068)
+    for _ in range(60):
+        ncols = rng.randint(1, 18)
+        vecs = _seeded_vectors(rng, ncols, rng.randint(1, 30))
+        probes = _seeded_vectors(rng, ncols, 10)
+        space, ref = linalg.RowSpace(pivot), RowSpaceReference(pivot)
+        for v in vecs:
+            _assert_same_residual(space, ref, v)
+            assert space.add(v) == ref.add(v)
+            assert space.dim() == ref.dim()
+            assert set(space.rows) == set(ref.rows)
+        assert space.rref() == ref.rref()
+        assert space.canonical_key() == ref.canonical_key()
+        for v in probes + vecs:
+            _assert_same_residual(space, ref, v)
+
+
+def test_rowspace_rows_are_primitive_integer_vectors():
+    rng = random.Random(7)
+    for pivot in ("min", "max"):
+        space = linalg.RowSpace(pivot)
+        space.extend(_seeded_vectors(rng, 12, 40))
+        for p, row in space.rows.items():
+            assert all(type(x) is int and x for x in row.values())
+            assert math.gcd(*row.values()) == 1 and row[p] > 0
+            assert p == space.pivot_fn(row)
+
+
+def test_rowspace_explicit_zeros_are_dropped():
+    space = linalg.RowSpace()
+    assert space.residual({3: 0}) == {}
+    assert space.contains({3: 0, 4: Fraction(0)})
+    assert space.add({3: 0, 5: Fraction(2, 3)}) == 5
+    assert space.residual({5: 1, 6: 0}) == {}
+
+
+def _solve_both(rows, rhs, monkeypatch):
+    """solve_exact's outcome, then its outcome over RowSpaceReference."""
+    out = []
+    for space in (linalg.RowSpace, RowSpaceReference):
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "RowSpace", space)
+            try:
+                out.append(("ok", linalg.solve_exact(rows, rhs)))
+            except ValueError as e:
+                out.append(("error", str(e)))
+    return out
+
+
+def test_solve_exact_matches_reference(monkeypatch):
+    rng = random.Random(404)
+    kinds = {"ok": 0, "inconsistent": 0, "underdetermined": 0}
+    for _ in range(80):
+        m = rng.randint(1, 7)
+        x = {j: _entry(rng) for j in range(m)}
+        x = {j: v for j, v in x.items() if v}
+        rows = [{j: _entry(rng) for j in rng.sample(range(m), rng.randint(1, m))}
+                for _ in range(m + rng.randint(-1, 3))]
+        rows = [{j: v for j, v in r.items() if v} for r in rows]
+        rhs = [sum((Fraction(v) * x.get(j, 0) for j, v in r.items()), start=Fraction(0)) for r in rows]
+        if rows and rng.random() < 0.3:
+            rows.append(dict(rows[0]))
+            rhs.append(rhs[0] + 1)
+        got, want = _solve_both(rows, rhs, monkeypatch)
+        assert got == want, (rows, rhs)
+        if got[0] == "ok":
+            kinds["ok"] += 1
+            cols = set().union(*rows)
+            assert got[1] == {j: v for j, v in x.items() if j in cols}
+        elif "inconsistent" in got[1]:
+            kinds["inconsistent"] += 1
+        else:
+            kinds["underdetermined"] += 1
+    assert all(kinds.values()), kinds
+    assert _solve_both([], [1], monkeypatch) == [("error", "inconsistent system: nonzero rhs over empty rows")] * 2
