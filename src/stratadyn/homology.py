@@ -99,7 +99,10 @@ def km_relations(n, k):
 
 
 class HomologyPresentation:
-    """Strata and a quotient basis for H_{2k} of the n-mark space."""
+    """Strata and a quotient basis for H_{2k} of the n-mark space.
+
+    The `expr` values are read-only: one dict may stand for several strata.
+    """
 
     def __init__(self, n, k, strata, basis, expr):
         self.n = n
@@ -178,7 +181,8 @@ def _relation_presentation(n, k, strata):
 def _pairing_presentation(n, k, strata):
     """Basis and expressions from pairings with the dual degree, k = 0 or 1."""
     if k == 0:
-        return [0], {i: {0: ONE} for i in range(1, len(strata))}
+        # every point is the point class; the strata share one read-only dict
+        return [0], dict.fromkeys(range(1, len(strata)), {0: ONE})
     column = _split_columns(n)
     return _greedy_solve([_curve_row(t, column) for t in strata])
 

@@ -13,13 +13,17 @@ only connected covers whose component graph is a tree (genus zero) count.
 
 A class is keyed by its least encoding (conjugated flag permutations, then
 relabeled mark cycles, then relabeled edge matchings) over all (d!)^|V|
-per-vertex relabelings.  Because the permutation part is compared first and
-its vertex-w component depends on w's relabeling alone, that least encoding
-starts with the per-vertex least conjugates, and only the relabelings
-reaching them (a product of one centraliser coset per vertex) need be
-searched for the rest.  The same argument applies to each mark's cycle in
-turn, which narrows its own vertex's coset; only the edge matchings, which
-couple two vertices, are minimised over a product.
+per-vertex relabelings.  A relabeling of one vertex's sheets conjugates only
+that vertex's flag-permutation tuple, so every class has candidates whose
+vertex tuples are each their own least simultaneous conjugate, and those are
+the only candidates glued.  The permutation part of the key is then the
+candidate's tuples themselves, and only the relabelings fixing them (the
+product of one centraliser per vertex) need be searched for the rest.  Each
+mark's cycle in turn narrows its own vertex's centraliser to the relabelings
+reaching its least image; only the edge matchings, which couple two
+vertices, are minimised over a product.  This is the gluing of per-vertex
+orbit representatives along the edges used in tropical Hurwitz counting
+(Cavalieri-Johnson-Markwig, arXiv 0804.0579).
 
 The source curve of a class, from its components' marks and its nodes, is
 built in one place (`_source_tree_of_class`), for cover types and for the
@@ -289,6 +293,15 @@ def _canon_cycle(cyc):
 class CoverClass:
     """One labeled-cover class over a target tree, by representative.
 
+    The representative is the first candidate met among those whose vertex
+    tuples are their own least conjugates, so vertex_perms equals the
+    permutation part of key.  The other fields describe that one candidate;
+    another candidate of the class may number its sheets and components
+    differently, so only key and the source curve they build are invariants.
+
+    vertex_perms: per target vertex its flag-permutation tuple.
+    labeling: {mark: (flag position, cycle)} attaching marks to leg cycles.
+    matchings: per target edge its sorted (child cycle, parent cycle) pairs.
     comps: list of (target vertex, frozenset of sheets) source components.
     comp_marks: per component the tuple of source marks on it.
     comp_degree: per component its covering degree.
@@ -520,19 +533,25 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
 
     Requires a fully marked datum; tau is a stratum tree on |B| marks, mark i
     standing for b_marks[i-1].  Returns CoverClass representatives sorted by
-    canonical key; the representative of a class is the first candidate met
-    in enumeration order.
+    canonical key.
 
     The key is the least encoding (flag permutations, mark labeling, edge
-    matchings) over every per-vertex sheet relabeling.  It is found without
-    visiting all (d!)^|V| of them: the permutation part comes first and its
-    component at w depends on w's relabeling alone, so its minimum is the
-    tuple of per-vertex least conjugates, reached exactly on the product of
-    one centraliser coset per vertex; only that product is searched for the
-    least labeling and matching parts (see _least_tail).  Keys, and so the
-    classes, representatives and their order, equal those of the full
-    search.  The budget ticks once per candidate and once per relabeling
-    evaluated, in the key search and in each vertex's least-conjugate scan.
+    matchings) over every per-vertex sheet relabeling.  Relabeling vertex w
+    conjugates w's flag-permutation tuple alone, so each class has candidates
+    in which every vertex tuple is its own least simultaneous conjugate.
+    Each local tuple is scanned once (_least_conjugate); only those equal to
+    their least conjugate are kept, each with its centraliser, and only
+    products of kept tuples are glued.  The permutation part of a key is then
+    the candidate's vertex_perms, and only the product of the centralisers is
+    searched for the least labeling and matching parts (see _least_tail).
+    Keys, and so the classes and their order, equal those of the full search;
+    the representative of a class is the first glued candidate met in
+    enumeration order.
+
+    The budget ticks once per flag-permutation combination tried at a
+    vertex, per glued candidate, per mark labeling and per edge matching
+    built or tried, d! per local tuple for the conjugacy scan, and once per
+    relabeling evaluated in the key search.
     """
     res = validate(h)
     if res.status != "fully_marked":
@@ -544,7 +563,19 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
     all_p, _ = _perm_pool(d)
     num_w = len(tau.parents)
     flag_lists = [tau.flags_of(w) for w in range(num_w)]
-    locals_per_w = [_local_assignments(h, tau, w, limit) for w in range(num_w)]
+    # keep each vertex's tuples that are their own least conjugate, with the
+    # centraliser (the coset _least_conjugate returns for such a tuple)
+    locals_per_w = []
+    centraliser = {}
+    for w in range(num_w):
+        kept = []
+        for perms in _local_assignments(h, tau, w, limit):
+            limit.tick(len(all_p))
+            best, coset = _least_conjugate(perms, all_p)
+            if best == perms:
+                kept.append(perms)
+                centraliser[perms] = coset
+        locals_per_w.append(kept)
     b_index = {b: i for i, b in enumerate(h.b_marks)}
     mark_vertex = [tau.legs[b_index[h.f_map[a]]] for a in h.a_marks]
 
@@ -562,7 +593,6 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
         edge_pos.append((posc, posp))
 
     reps = {}
-    least = {}  # per-vertex flag-permutation tuple -> _least_conjugate of it
     labelings = {}  # (vertex, its tuple) -> (_vertex_labelings, ticks)
     matchings_of = {}  # (child, parent) edge permutations -> (_edge_matchings, ticks)
 
@@ -589,12 +619,7 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
         if any(not ms for ms in matching_sets):
             continue
 
-        for perms in vertex_perms:
-            if perms not in least:
-                limit.tick(len(all_p))
-                least[perms] = _least_conjugate(perms, all_p)
-        perm_key = tuple(least[perms][0] for perms in vertex_perms)
-        cosets = [least[perms][1] for perms in vertex_perms]
+        cosets = [centraliser[perms] for perms in vertex_perms]
 
         # source components per vertex, and the component of each sheet
         comps = []
@@ -632,7 +657,7 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
                     continue
                 if len(src_edges) != len(comps) - 1:
                     continue  # disconnected
-                key = (perm_key,) + _least_tail(marks, matchings, edge_list, cosets, limit)
+                key = (vertex_perms,) + _least_tail(marks, matchings, edge_list, cosets, limit)
                 if key in reps:
                     continue
                 comp_marks = [[] for _ in comps]

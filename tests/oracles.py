@@ -444,6 +444,16 @@ def _bijections(sources, cycles, size):
     ]
 
 
+def least_simultaneous_conjugate(perms):
+    """The least tuple (r g r^-1 for g in perms) over every sheet
+    relabelling r."""
+    d = len(perms[0])
+    return min(
+        tuple(tuple(r[g[r.index(i)]] for i in range(d)) for g in perms)
+        for r in itertools.permutations(range(d))
+    )
+
+
 def brute_cover_key(h, tau, vertex_perms, labeling, matchings):
     """The canonical key of one labeled cover: the least full encoding
     (conjugated flag permutations, relabelled mark cycles, relabelled edge

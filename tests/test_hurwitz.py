@@ -68,6 +68,20 @@ def d1_datum(n=5):
     )
 
 
+def d3_total_datum():
+    """Degree-3 datum with total ramification over b1 and b2 and none over
+    b3, b4: the local tuples at a vertex carrying b1 or b2 have nontrivial
+    centralisers, so the key search does real work."""
+    return HurwitzData(
+        a_marks=["a1", "a2", "a3", "a4"],
+        b_marks=["b1", "b2", "b3", "b4"],
+        d=3,
+        f_map={"a1": "b1", "a2": "b2", "a3": "b3", "a4": "b4"},
+        br={"b1": [3], "b2": [3], "b3": [1, 1, 1], "b4": [1, 1, 1]},
+        rm={"a1": 3, "a2": 3, "a3": 1, "a4": 1},
+    )
+
+
 def d3_five_datum():
     """Degree-3 datum on five target marks: simple branching over b1..b4,
     unbranched over b5."""
@@ -298,18 +312,21 @@ def test_limit_tuples_raises():
 
 
 def test_limit_tuples_counts_key_relabelings():
-    # Over a point stratum of fig1 the enumeration makes 459 ticks when each
-    # candidate counts once, and 1557 when every relabeling evaluated for the
-    # canonical keys counts too; the budget bounds the larger figure.
+    # Over a point stratum of fig1 the enumeration makes 241 ticks: 44 for
+    # the local tuples, glued candidates, labelings and matchings, 108 for
+    # the conjugacy scan (3! relabelings for each of the 9 local tuples at
+    # each of the 2 vertices) and 89 for the relabelings of the key search.
     full, _ = fully_mark(fig1_datum())
     tau = trees.enumerate_strata(4, 0)[0]
+    # the budget bounds the relabelings too: a cap that covers everything
+    # but the key search raises
     with pytest.raises(ResourceError):
-        enumerate_cover_classes(full, tau, limit_tuples=1000)
-    assert len(enumerate_cover_classes(full, tau, limit_tuples=1557)) == 2
+        enumerate_cover_classes(full, tau, limit_tuples=44 + 108)
+    assert len(enumerate_cover_classes(full, tau, limit_tuples=241)) == 2
     # labelings and matchings are memoised per call; a hit ticks what the
     # first computation ticked, so the figure is exact
     with pytest.raises(ResourceError):
-        enumerate_cover_classes(full, tau, limit_tuples=1556)
+        enumerate_cover_classes(full, tau, limit_tuples=240)
 
 
 # -- covers over boundary strata ----------------------------------------------
@@ -386,6 +403,7 @@ def test_cover_keys_match_brute_oracle():
         (fig1_datum(), trees.enumerate_strata(4, 0)),
         (d2_datum(), trees.enumerate_strata(4, 0)),
         (d3_five_datum(), trees.enumerate_strata(5, 1)[:3]),
+        (d3_total_datum(), trees.enumerate_strata(4, 0) + trees.enumerate_strata(4, 1)),
     ]
     for h, strata in cases:
         full, _ = fully_mark(h)
@@ -396,6 +414,9 @@ def test_cover_keys_match_brute_oracle():
                 assert c.key == oracles.brute_cover_key(
                     full, tau, c.vertex_perms, c.labeling, c.matchings
                 )
+                # representatives are glued from least-conjugate tuples only
+                for perms in c.vertex_perms:
+                    assert perms == oracles.least_simultaneous_conjugate(perms)
 
 
 def test_d3_degeneration_over_five_mark_point_stratum():
