@@ -21,6 +21,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from . import filtration, hassett, homology, hurwitz, linalg, pushforward, trees
 from .trees import MarkedTree, ResourceError
@@ -702,8 +703,14 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser of main, built once per process; parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")

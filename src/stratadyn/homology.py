@@ -102,6 +102,9 @@ class HomologyPresentation:
     """Strata and a quotient basis for H_{2k} of the n-mark space.
 
     The `expr` values are read-only: one dict may stand for several strata.
+    `reduce_index_vec` reads a single stratum of coefficient 1 off directly,
+    as a copy of {pos: 1} or of its `expr` row, and adds or subtracts the
+    rows of coefficients 1 and -1 without multiplying.
     """
 
     def __init__(self, n, k, strata, basis, expr):
@@ -117,25 +120,26 @@ class HomologyPresentation:
 
     def reduce_index_vec(self, vec):
         """Sparse {stratum index: coeff} -> coordinates {basis pos: Fraction}."""
+        if len(vec) == 1:
+            ((i, c),) = vec.items()
+            if c == 1:
+                j = self.pos.get(i)
+                return dict(self.expr[i]) if j is None else {j: ONE}
         out = {}
         for i, c in vec.items():
-            c = Fraction(c)
-            if not c:
-                continue
-            if i in self.pos:
-                j = self.pos[i]
-                nv = out.get(j, ZERO) + c
-                if nv:
-                    out[j] = nv
-                else:
-                    out.pop(j, None)
+            j = self.pos.get(i)
+            row = self.expr[i] if j is None else {j: ONE}
+            if c == 1:
+                for j, e in row.items():
+                    _accumulate(out, j, out.get(j, ZERO) + e)
+            elif c == -1:
+                for j, e in row.items():
+                    _accumulate(out, j, out.get(j, ZERO) - e)
             else:
-                for j, e in self.expr[i].items():
-                    nv = out.get(j, ZERO) + c * e
-                    if nv:
-                        out[j] = nv
-                    else:
-                        out.pop(j, None)
+                c = Fraction(c)
+                if c:
+                    for j, e in row.items():
+                        _accumulate(out, j, out.get(j, ZERO) + c * e)
         return out
 
     def reduce_tree_dict(self, vec):
@@ -152,6 +156,14 @@ class HomologyPresentation:
 
     def basis_trees(self):
         return [self.strata[b] for b in self.basis]
+
+
+def _accumulate(out, j, value):
+    """Store out[j] = value, dropping the entry when value is zero."""
+    if value:
+        out[j] = value
+    else:
+        out.pop(j, None)
 
 
 _PRESENTATIONS = {}  # (n, k) -> HomologyPresentation, built once per process
@@ -307,7 +319,7 @@ def intersection_pairing_h2(tree, side):
     """
     if tree.dim() != 1:
         raise ValueError("pairing requires a 1-dimensional stratum")
-    v4 = next(v for v in range(len(tree.parents)) if tree.valence(v) == 4)
+    v4 = tree._valences().index(4)
     blocks = tree.flag_marksets(v4)
     side = frozenset(side)
     other = frozenset(range(1, tree.n + 1)) - side
@@ -336,7 +348,7 @@ def _curve_row(tree, column):
     Only the four flag blocks at the 4-valent vertex matter: -1 on each block
     that is a split, +1 on the three unions of two blocks, 0 elsewhere.
     """
-    v4 = next(v for v in range(len(tree.parents)) if tree.valence(v) == 4)
+    v4 = tree._valences().index(4)
     first, *others = tree.flag_marksets(v4)
     row = {}
     for b in (first, *others):

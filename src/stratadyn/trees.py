@@ -19,6 +19,13 @@ as integer bitmasks, growing each set by AND-ing per-split compatibility
 masks, and builds every set it finds with tree_from_splits.  Canonical
 forms take one subtree-size pass to find the centroid and one pass to
 build the subcodes, and validation one pass over parents and legs.
+
+enumerate_strata keeps its full result per (n, k) for the life of the
+process, so each stratum is built once per process however many callers ask
+(a presentation, its relations, the vertex spaces of a cover).  Every call
+gets a fresh list over the same immutable trees.  A call with a `limit`
+keeps its result only when it stays under the cap; on a kept (n, k) it
+raises at once when the kept list is longer than the cap.
 """
 
 from __future__ import annotations
@@ -87,11 +94,22 @@ class MarkedTree:
         deg = sum(1 for p in self.parents if p == v) + (1 if self.parents[v] >= 0 else 0)
         return deg + sum(1 for u in self.legs if u == v)
 
+    def _valences(self):
+        """valence(v) for every vertex v, from one pass over parents and legs."""
+        val = [0] * len(self.parents)
+        for i, p in enumerate(self.parents):
+            if p >= 0:
+                val[i] += 1
+                val[p] += 1
+        for v in self.legs:
+            val[v] += 1
+        return val
+
     def md(self, v):
         return self.valence(v) - 3
 
     def dim(self):
-        return sum(self.md(v) for v in range(len(self.parents)))
+        return sum(self._valences()) - 3 * len(self.parents)
 
     def codim(self):
         return len(self.parents) - 1
@@ -391,6 +409,9 @@ def tree_from_splits(n, splits):
     return _canonical(n, parents, legs_at)
 
 
+_STRATA = {}  # (n, k) -> tuple of every stratum, enumerated once per process
+
+
 def enumerate_strata(n, k, limit=None):
     """All iso classes of dimension-k strata of the n-mark space.
 
@@ -399,12 +420,27 @@ def enumerate_strata(n, k, limit=None):
     Splits are bitmasks of their sides, and each carries the mask of the
     later splits compatible with it, so a set grows by AND-ing masks.
     Results are sorted deterministically.  `limit` caps the count and raises
-    ResourceError beyond it.
+    ResourceError beyond it, after limit + 1 trees.
+
+    The result is kept per (n, k), and every call returns a new list over
+    the kept trees, so a caller may change its list freely.  A kept (n, k)
+    is checked against `limit` without building anything; a call that
+    raises keeps nothing.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
     if not (0 <= k <= n - 3):
         raise ValueError("k must be between 0 and n-3, got %d" % k)
+    kept = _STRATA.get((n, k))
+    if kept is None:
+        kept = _STRATA[(n, k)] = tuple(_enumerate(n, k, limit))
+    elif limit is not None and len(kept) > limit:
+        raise ResourceError("stratum enumeration exceeded limit %d" % limit)
+    return list(kept)
+
+
+def _enumerate(n, k, limit):
+    """The sorted strata of enumerate_strata, each built from its split set."""
     codim = n - 3 - k
     splits = all_splits(n)
     masks = [sum(1 << mark for mark in s) for s in splits]
@@ -450,8 +486,7 @@ def count_strata_by_dim(n, limit=None):
 
 def induced_partition(tree):
     """Partition of dim(tree): the positive per-vertex moduli counts, sorted."""
-    parts = [tree.md(v) for v in range(len(tree.parents)) if tree.md(v) > 0]
-    return tuple(sorted(parts))
+    return tuple(sorted(val - 3 for val in tree._valences() if val > 3))
 
 
 # -- forgetting marks ------------------------------------------------------

@@ -107,6 +107,24 @@ def relation_presentation(n, k):
     return homology.HomologyPresentation(n, k, strata, basis, expr)
 
 
+def reduce_index_vec_reference(pres, vec):
+    """HomologyPresentation.reduce_index_vec by plain Fraction expansion:
+    each coefficient times its basis unit or its `expr` row, summed."""
+    out = {}
+    for i, c in vec.items():
+        c = Fraction(c)
+        if not c:
+            continue
+        row = {pres.pos[i]: Fraction(1)} if i in pres.pos else pres.expr[i]
+        for j, e in row.items():
+            nv = out.get(j, Fraction(0)) + c * e
+            if nv:
+                out[j] = nv
+            else:
+                out.pop(j, None)
+    return out
+
+
 class RowSpaceReference:
     """Row space over Fractions with pivot-normalised rows: the elimination
     linalg.RowSpace did before it went fraction-free, kept as its oracle.

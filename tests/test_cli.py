@@ -195,3 +195,42 @@ def test_data_files_match_builtin_examples():
     ):
         on_disk = json.loads((DATA / path).read_text())
         assert on_disk == builder().to_json_dict(), path
+
+
+def test_main_in_process_repeats_match_fresh_processes(capsys):
+    # main keeps one parser per process; a refused call must leave it, and
+    # the library caches, as they were for the calls that follow
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli._parser()
+    fig1 = str(DATA / "fig1.json")
+    argvs = [
+        ("homology", "dims", "--n", "5"),
+        ("homology", "dims", "--n", "6", "--bogus"),
+        ("strata", "--n", "5", "--k", "1"),
+        ("homology", "dims", "--n", "5", "--jobs", "0"),
+        ("filtration", "dims", "--n", "6", "--k", "2"),
+        ("homology", "dims", "--n", "7", "--limit-strata", "100"),
+        ("homology", "dims", "--n", "6"),
+        ("strata", "--n", "6", "--k", "2", "--limit-strata", "24"),
+        ("strata", "--n", "6", "--k", "2", "--limit-strata", "25"),
+        ("dyndeg", "--data", fig1, "--k", "0"),
+        ("hurwitz", "count", "--data", fig1),
+    ]
+
+    def in_process(argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:
+            code = e.code
+        return code, capsys.readouterr().out
+
+    fresh = {}
+    for argv in argvs:
+        r = subprocess.run([sys.executable, "-m", "stratadyn.cli", *argv],
+                           capture_output=True, text=True, env=ENV)
+        fresh[argv] = (r.returncode, r.stdout)
+    for _ in range(2):
+        for argv in argvs:
+            assert in_process(argv) == fresh[argv], argv
+    codes = sorted({code for code, _ in fresh.values()})
+    assert codes == [0, 2, 3]

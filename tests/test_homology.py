@@ -196,12 +196,63 @@ def test_homology_basis_limit_stops_at_the_cap(monkeypatch):
     # (8, 1) has 17,325 strata; the check must not build them all, even
     # when an earlier test left the presentation in the process cache
     monkeypatch.setattr(homology, "_PRESENTATIONS", {})
+    monkeypatch.setattr(trees, "_STRATA", {})
     built = []
     real = trees.tree_from_splits
     monkeypatch.setattr(trees, "tree_from_splits", lambda *a: built.append(1) or real(*a))
     with pytest.raises(trees.ResourceError, match=r"\(n=8, k=1\).*100 strata"):
         homology.homology_basis(8, 1, limit_strata=100)
     assert len(built) == 101
+
+
+def test_homology_basis_limit_on_kept_strata_builds_nothing(monkeypatch):
+    # with (8, 0) enumerated, a capped request is refused from the kept list
+    monkeypatch.setattr(homology, "_PRESENTATIONS", {})
+    trees.enumerate_strata(8, 0)
+    built = []
+    real = trees.tree_from_splits
+    monkeypatch.setattr(trees, "tree_from_splits", lambda *a: built.append(1) or real(*a))
+    with pytest.raises(trees.ResourceError, match=r"\(n=8, k=0\).*100 strata"):
+        homology.homology_basis(8, 0, limit_strata=100)
+    assert built == []
+
+
+def test_presentation_strata_are_the_enumeration():
+    for n in (4, 5, 6, 7):
+        for k in range(n - 2):
+            assert homology.homology_basis(n, k).strata == trees.enumerate_strata(n, k)
+
+
+def test_reduce_index_vec_matches_fraction_reference():
+    rng = random.Random(8)
+    for n in (5, 6, 7):
+        for k in range(n - 2):
+            pres = homology.homology_basis(n, k)
+            m = len(pres.strata)
+            vecs = [{i: 1} for i in range(m)]
+            vecs += [{i: c} for i in rng.sample(range(m), min(m, 20)) for c in (-3, -1, 0, 2)]
+            for _ in range(40):
+                size = rng.randint(1, min(m, 5))
+                vecs.append({i: rng.randint(-3, 3) for i in rng.sample(range(m), size)})
+            vecs += [{i: Fraction(1), j: Fraction(-1)} for i, j in zip(range(m), range(1, m))]
+            for vec in vecs:
+                got = pres.reduce_index_vec(vec)
+                want = oracles.reduce_index_vec_reference(pres, vec)
+                assert got == want, (n, k, vec)
+                assert list(got) == list(want), (n, k, vec)
+                assert all(type(v) is Fraction for v in got.values()), (n, k, vec)
+
+
+def test_reduced_coordinates_do_not_alias_the_presentation():
+    for n, k in ((6, 0), (6, 1), (6, 2), (7, 2)):
+        pres = homology.homology_basis(n, k)
+        before = {i: dict(e) for i, e in pres.expr.items()}
+        for i in range(len(pres.strata)):
+            coords = pres.reduce_index_vec({i: 1})
+            coords[0] = Fraction(99)
+            coords.pop(1, None)
+        assert pres.expr == before, (n, k)
+        assert pres.reduce_index_vec({pres.basis[0]: 1}) == {0: 1}
 
 
 def test_pairing_presentation_matches_relation_oracle():

@@ -262,13 +262,52 @@ def test_enumerate_strata_limit():
 
 
 def test_enumerate_strata_limit_stops_at_the_cap(monkeypatch):
-    # (8, 0) has 10,395 strata; the search must stop at the 101st build
+    # (8, 0) has 10,395 strata; the search must stop at the 101st build,
+    # even when an earlier test left them in the process cache
+    monkeypatch.setattr(trees, "_STRATA", {})
     built = []
     real = trees.tree_from_splits
     monkeypatch.setattr(trees, "tree_from_splits", lambda *a: built.append(1) or real(*a))
     with pytest.raises(trees.ResourceError, match="limit 100"):
         trees.enumerate_strata(8, 0, limit=100)
     assert len(built) == 101
+    assert trees._STRATA == {}
+
+
+def test_enumerate_strata_keeps_each_result_once(monkeypatch):
+    monkeypatch.setattr(trees, "_STRATA", {})
+    built = []
+    real = trees.tree_from_splits
+    monkeypatch.setattr(trees, "tree_from_splits", lambda *a: built.append(1) or real(*a))
+    # a capped call that stays under its cap keeps its result
+    first = trees.enumerate_strata(6, 1, limit=105)
+    assert len(built) == 105
+    # a kept (n, k) is checked against the cap and returned without builds
+    with pytest.raises(trees.ResourceError, match="limit 104"):
+        trees.enumerate_strata(6, 1, limit=104)
+    again = trees.enumerate_strata(6, 1)
+    assert len(built) == 105
+    assert again == first == enumerate_strata_reference(6, 1)
+    # each call gets its own list over the same trees
+    again.reverse()
+    again.append(trees.trivial_tree(6))
+    third = trees.enumerate_strata(6, 1)
+    assert third == first and third is not first
+    assert all(a is b for a, b in zip(first, third))
+
+
+def test_valences_match_the_per_vertex_definition():
+    rng = random.Random(5)
+    for n in range(3, 8):
+        ts = [t for k in range(n - 2) for t in trees.enumerate_strata(n, k)]
+        ts += [relabel_vertices(t, rng.sample(range(t.num_vertices()), t.num_vertices()))
+               for t in ts[:: max(1, len(ts) // 50)]]
+        for t in ts:
+            m = t.num_vertices()
+            assert t._valences() == [t.valence(v) for v in range(m)], t
+            assert t.dim() == sum(t.md(v) for v in range(m)), t
+            parts = [t.md(v) for v in range(m) if t.md(v) > 0]
+            assert trees.induced_partition(t) == tuple(sorted(parts)), t
 
 
 def test_tree_from_splits_rejects_unstable_sides():
