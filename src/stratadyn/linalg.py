@@ -37,12 +37,6 @@ def vec_add(a, b, scale=ONE):
     return out
 
 
-def vec_scale(a, c):
-    if not c:
-        return {}
-    return {col: c * val for col, val in a.items()}
-
-
 class RowSpace:
     """Row space of sparse rational vectors with incremental reduction."""
 
@@ -230,10 +224,6 @@ def mat_mul(a, b):
     ]
 
 
-def mat_vec(a, v):
-    return [sum((a[i][j] * v[j] for j in range(len(v))), start=ZERO) for i in range(len(a))]
-
-
 def char_poly(a):
     """Characteristic polynomial of a rational matrix, leading coeff 1.
 
@@ -287,28 +277,18 @@ def char_poly(a):
     return p[n]
 
 
+def _primitive_ints(cs):
+    """Rational coefficients times the positive rational that makes them
+    integers with gcd 1; every sign is kept."""
+    den = lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
 def char_poly_integer(a):
     """char_poly with denominators cleared to primitive integer coefficients."""
-    cs = char_poly(a)
-    den = 1
-    for c in cs:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in cs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
-
-
-def poly_eval(coeffs, x):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    return _primitive_ints(char_poly(a))
 
 
 def _poly_rem(a, b):
@@ -331,105 +311,92 @@ def _poly_rem(a, b):
     return a
 
 
-def _poly_div_exact(a, b):
-    """Quotient of a by b when b divides a, exact Fraction arithmetic."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while b and b[-1] == 0:
-        b.pop()
-    out = [ZERO] * (len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        q = a[-1] / b[-1]
-        off = len(a) - len(b)
-        out[off] = q
-        for i in range(len(b) - 1):
-            a[off + i] -= q * b[i]
-        a.pop()
-    return out
+def _value(q, m, e):
+    """2^(e deg q) * q(m / 2^e) for an integer polynomial q: its sign is the
+    sign of q at the dyadic point, found in integer arithmetic."""
+    acc = 0
+    shift = 0
+    for c in reversed(q):
+        acc = acc * m + (c << shift)
+        shift += e
+    return acc
 
 
-def squarefree_part(coeffs):
-    """Collapse repeated roots: p / gcd(p, p') as primitive integers.
-
-    Repeated roots defeat float root isolation twice over: evaluation near
-    the root is all cancellation noise, and even multiplicities never change
-    sign at all.  The square-free part has the same root set with every root
-    simple, so a sign-change scan is reliable on it.
-    """
-    a = [Fraction(c) for c in coeffs]
-    while a and a[-1] == 0:
-        a.pop()
-    if len(a) <= 2:
-        return [int(c) for c in a]
-    x = a
-    y = [a[i] * i for i in range(1, len(a))]
-    while y:
-        x, y = y, _poly_rem(x, y)
-    sf = a if len(x) <= 1 else _poly_div_exact(a, x)
-    den = 1
-    for c in sf:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in sf]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+def _sign_changes(values):
+    changes = 0
+    prev = 0
+    for v in values:
+        if v:
+            if prev and (v < 0) != (prev < 0):
+                changes += 1
+            prev = v
+    return changes
 
 
 def largest_real_root(coeffs, tol=1e-12):
-    """Largest real root of an integer polynomial, or None.
+    """Largest real root of an integer polynomial, or None if it has none.
 
-    Reduces to the square-free part, then scans a descending grid from the
-    Cauchy bound for a sign change and bisects.  With simple roots the sign
-    changes are sharp; a root the grid still straddles without crossing would
-    make this return None and callers fall back to an iterative estimate.
+    Exact isolation by the Sturm chain p, p', -rem(p, p'), ...: the number of
+    distinct real roots above a point x that is not a root is the drop in
+    sign changes along the chain from x to +infinity.  The chain is built
+    once, scaled to integers by positive factors, and evaluated at dyadic
+    points in integer arithmetic.  Bisection starts from the Cauchy bound and
+    keeps the largest root in the bracket (lo, hi].  Once the bracket holds
+    only that root and is at most 1 wide, an integer root in it is returned
+    exactly; otherwise bisection runs until the bracket is narrower than tol.
+    Repeated roots need no special case: the chain counts distinct roots.
     """
-    cs = squarefree_part(coeffs)
-    if len(cs) <= 1:
+    p = list(coeffs)
+    while p and p[-1] == 0:
+        p.pop()
+    if len(p) < 2:
         return None
-    lead = abs(cs[-1])
-    bound = 1.0 + max(abs(c) for c in cs[:-1]) / lead
-    steps = 4096
-    h = 2.0 * bound / steps
-    x_hi = bound
-    f_hi = poly_eval(cs, x_hi)
-    x = x_hi
-    for i in range(1, steps + 1):
-        x = bound - i * h
-        f = poly_eval(cs, x)
-        if f == 0.0:
-            return x
-        if (f < 0) != (f_hi < 0):
-            lo, hi = x, x_hi
-            flo = f
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = poly_eval(cs, mid)
-                if fm == 0.0 or hi - lo < tol:
-                    return mid
-                if (fm < 0) == (flo < 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-        x_hi, f_hi = x, f
-    return None
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while True:
+        r = _poly_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(_primitive_ints([-c for c in r]))
+    at_inf = _sign_changes([q[-1] for q in chain])
+    # at -infinity an odd-degree member has the sign opposite to its leading one
+    above = _sign_changes([q[-1] if len(q) % 2 else -q[-1] for q in chain]) - at_inf
+    if not above:
+        return None
+    # every root has |x| < 1 + max |c_i / c_d|
+    bound = 1 - (-max(abs(c) for c in p[:-1]) // abs(p[-1]))
+    # the bracket is (a / 2^e, b / 2^e]; `above` roots exceed a / 2^e
+    a, b, e = -bound, bound, 0
+
+    def halve(a, b, e, above):
+        # the split point hi - (hi - lo) / 2^s is the midpoint for s = 1; the
+        # count is only sound off the roots, and p has at most deg p of them
+        s = 1
+        while not _value(p, (b << s) - (b - a), e + s):
+            s += 1
+        mid, e = (b << s) - (b - a), e + s
+        n = _sign_changes([_value(q, mid, e) for q in chain]) - at_inf
+        return (mid, b << s, e, n) if n else (a << s, mid, e, above)
+
+    while above > 1 or b - a > 1 << e:
+        a, b, e, above = halve(a, b, e, above)
+    m = b >> e
+    if m << e > a and not _value(p, m, 0):
+        return float(m)
+    while (b - a) / (1 << e) >= tol:
+        a, b, e, above = halve(a, b, e, above)
+    return (a + b) / (1 << (e + 1))
 
 
-def spectral_radius_float(a, tol=1e-12):
-    """Spectral radius via norms of repeated squares (Gelfand), plain floats.
+def spectral_radius_float(a, tol=1e-12, root=None):
+    """Upper bound on the spectral radius by norms of repeated squares, floats.
 
-    Matrices are renormalised to norm 1 before each squaring, with the scale
-    tracked in log space, so entries never overflow even after 2^60 powers.
-    Handles oscillating cases like [[0,1],[1,0]] (radius 1) where a naive
-    power iteration on a vector fails to settle.
+    ||A^(2^j)||^(1/2^j) is at least the spectral radius and does not increase
+    with j (Gelfand).  When the bound comes within tol of `root`, a real
+    eigenvalue found elsewhere, that eigenvalue is certified dominant and the
+    bound is returned at once; otherwise the bound after 60 squarings is
+    returned.  Matrices are renormalised to norm 1 before each squaring, with
+    the scale tracked in log space, so entries never overflow even after 2^60
+    powers.
     """
     import math
 
@@ -454,8 +421,10 @@ def spectral_radius_float(a, tol=1e-12):
     log_scale = math.log(nrm)
     power = 1
     cur = [[x / nrm for x in row] for row in m]
-    est = math.exp(log_scale / power)
+    est = nrm
     for _ in range(60):
+        if root is not None and est <= root + tol * max(1.0, root):
+            break
         cur = square(cur)
         t = inf_norm(cur)
         if t == 0.0:
@@ -463,8 +432,5 @@ def spectral_radius_float(a, tol=1e-12):
         log_scale = 2.0 * log_scale + math.log(t)
         power *= 2
         cur = [[x / t for x in row] for row in cur]
-        new_est = math.exp(log_scale / power)
-        if abs(new_est - est) < tol * max(1.0, abs(new_est)):
-            return new_est
-        est = new_est
+        est = math.exp(log_scale / power)
     return est

@@ -348,7 +348,9 @@ class DegreeReport:
     value: the dynamical degree as a float; exact: the integer value when the
     degree is integral within tolerance; char_poly: primitive integer
     characteristic coefficients, constant term first; method: how the value
-    was found.
+    was found, "exact_roots" for the largest real root of char_poly once the
+    norm-of-powers bound certifies it dominant, "power_iteration" for the
+    value from the norm-of-powers bound when that root is not certified.
     """
 
     __slots__ = ("value", "exact", "char_poly", "method", "tolerance")
@@ -367,40 +369,28 @@ class DegreeReport:
         return "DegreeReport(theta=%r, method=%r)" % (self.theta(), self.method)
 
 
-def _power_iteration(mat, iterations=500):
-    n = len(mat)
-    rows = [[float(x) for x in row] for row in mat]
-    v = [1.0] * n
-    lam = 0.0
-    for _ in range(iterations):
-        w = [sum(rows[i][j] * v[j] for j in range(n)) for i in range(n)]
-        norm = max(abs(x) for x in w) if w else 0.0
-        if norm == 0.0:
-            return 0.0
-        lam = norm
-        v = [x / norm for x in w]
-    return lam
-
-
 def dynamical_degree(mat, tol=1e-9):
-    """Largest real eigenvalue of an exact matrix, cross-checked numerically.
+    """Spectral radius of an exact matrix, certified by its largest real root.
 
     The characteristic polynomial is computed exactly and its largest real
-    root bracketed to high precision; the value must agree with a norm-based
-    spectral radius estimate, otherwise the report falls back to power
-    iteration.
+    root isolated by a Sturm chain.  The norm-of-powers bound of
+    linalg.spectral_radius_float must come down to that root (within 1e-6,
+    relative) for the report to say "exact_roots".  Otherwise the report
+    says "power_iteration" and its value is the norm-of-powers bound itself:
+    no real eigenvalue is dominant, or floats could not pin the bound to it
+    (a defective dominant eigenvalue).
     """
     if not mat or len(mat) != len(mat[0]):
         raise ValueError("dynamical degree needs a nonempty square matrix")
     cp = linalg.char_poly_integer(mat)
     root = linalg.largest_real_root(cp)
-    gel = linalg.spectral_radius_float(mat)
+    gel = linalg.spectral_radius_float(mat, root=root)
     if root is not None and abs(root - gel) <= 1e-6 * max(1.0, abs(gel)):
         method = "exact_roots"
         value = root
     else:
         method = "power_iteration"
-        value = _power_iteration(mat)
+        value = gel
     exact = None
     nearest = round(value)
     if abs(value - nearest) <= tol:

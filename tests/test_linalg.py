@@ -1,5 +1,6 @@
-"""Exact characteristic polynomials against Faddeev-LeVerrier, and the
-fraction-free RowSpace against its Fraction reference."""
+"""Exact characteristic polynomials against Faddeev-LeVerrier, real-root
+isolation against polynomials with known roots, and the fraction-free
+RowSpace against its Fraction reference."""
 
 import math
 import random
@@ -59,6 +60,52 @@ def test_char_poly_identity_42():
     eye = [[int(i == j) for j in range(42)] for i in range(42)]
     assert linalg.char_poly(eye) == char_poly_faddeev(eye)
     assert linalg.char_poly_integer(eye) == [(-1) ** (42 - i) * math.comb(42, i) for i in range(43)]
+
+
+def _integer_poly(roots, quadratics=()):
+    """Primitive integer coefficients, constant first, of the product of
+    x - r over roots and x^2 + c over quadratics."""
+    p = [Fraction(1)]
+    for r in roots:
+        p = [a - r * b for a, b in zip([0] + p, p + [0])]
+    for c in quadratics:
+        p = [a + c * b for a, b in zip([0, 0] + p, p + [0, 0])]
+    den = math.lcm(*(c.denominator for c in p))
+    ints = [int(c * den) for c in p]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def test_largest_real_root_against_known_roots():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        roots = []
+        for _ in range(rng.randint(1, 4)):
+            r = Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 7)))
+            roots += [r] * rng.randint(1, 5)
+        quadratics = [rng.randint(1, 9) for _ in range(rng.randint(0, 2))]
+        got = linalg.largest_real_root(_integer_poly(roots, quadratics))
+        top = max(roots)
+        if top.denominator == 1:
+            assert got == top, (roots, quadratics)
+        else:
+            assert abs(got - top) <= 1e-12, (roots, quadratics)
+    # roots 1 apart under a Cauchy bound near 1e8
+    assert linalg.largest_real_root((100010000, -20001, 1)) == 10001.0
+    assert linalg.largest_real_root(_integer_poly([10000, 10001, 10001])) == 10001.0
+    close = Fraction(1, 3) + Fraction(1, 10**9)
+    assert abs(linalg.largest_real_root(_integer_poly([Fraction(1, 3), close])) - close) <= 1e-12
+    assert abs(linalg.largest_real_root([-2, 0, 1]) - math.sqrt(2)) <= 1e-12
+    for quadratics in ([1], [1, 1, 1], [2, 5]):
+        assert linalg.largest_real_root(_integer_poly([], quadratics)) is None
+    assert linalg.largest_real_root([5]) is None
+
+
+def test_norm_bound_certifies_companion_of_x3_minus_8():
+    # ||A^2||^(1/2) = ||A^4||^(1/4) = 2 sqrt(2), above the spectral radius 2
+    comp = [[0, 0, 8], [1, 0, 0], [0, 1, 0]]
+    assert abs(linalg.spectral_radius_float(comp, root=2.0) - 2) <= 1e-6
+    assert abs(linalg.spectral_radius_float(comp) - 2) <= 1e-6
 
 
 def _entry(rng):

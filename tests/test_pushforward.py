@@ -1,5 +1,6 @@
 """Pushforward matrices, dynamical degrees, and filtration blocks."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,29 @@ def test_degree_falls_back_when_real_root_is_not_dominant():
     rep = dynamical_degree([[Fraction(-2), Fraction(0)], [Fraction(0), Fraction(1)]])
     assert rep.method == "power_iteration"
     assert rep.exact == 2
+
+
+def test_degree_falls_back_when_start_vector_is_an_eigenvector():
+    # eigenvalues 1 and -3; (1, 1) is an eigenvector for 1
+    rep = dynamical_degree([[Fraction(-1), Fraction(2)], [Fraction(2), Fraction(-1)]])
+    assert rep.method == "power_iteration"
+    assert rep.exact == 3
+
+
+def test_degree_falls_back_to_the_norm_bound_on_complex_eigenvalues():
+    # eigenvalues 1 + i and 1 - i, spectral radius sqrt(2)
+    rep = dynamical_degree([[Fraction(1), Fraction(1)], [Fraction(-1), Fraction(1)]])
+    assert rep.method == "power_iteration"
+    assert abs(rep.theta() - math.sqrt(2)) <= 1e-9
+
+
+def test_degree_of_companion_with_equal_norm_squares():
+    # companion matrix of x^3 - 8: ||A^2||^(1/2) = ||A^4||^(1/4) = 2 sqrt(2),
+    # but every eigenvalue has modulus 2
+    rep = dynamical_degree([[Fraction(x) for x in row] for row in ((0, 0, 8), (1, 0, 0), (0, 1, 0))])
+    assert rep.method == "exact_roots"
+    assert rep.exact == 2
+    assert rep.char_poly == (-8, 0, 0, 1)
 
 
 def test_degree_rejects_non_square():
