@@ -30,29 +30,6 @@ from .trees import MarkedTree, ResourceError
 # -- JSON helpers ------------------------------------------------------------
 
 
-def tree_to_json(tree):
-    """Stratum encoding: {"n": N, "parents": [...], "legs": {"1": vertex}}."""
-    return {
-        "n": tree.n,
-        "parents": list(tree.parents),
-        "legs": {str(i + 1): v for i, v in enumerate(tree.legs)},
-    }
-
-
-def tree_from_json(obj):
-    n = obj["n"]
-    parents = tuple(obj["parents"])
-    legs = [None] * n
-    for mark, v in obj["legs"].items():
-        m = int(mark)
-        if not (1 <= m <= n) or legs[m - 1] is not None:
-            raise ValueError("bad leg table entry for mark %r" % mark)
-        legs[m - 1] = v
-    if any(v is None for v in legs):
-        raise ValueError("leg table must cover marks 1..%d" % n)
-    return MarkedTree(n, parents, tuple(legs))
-
-
 def frac_str(x):
     return str(Fraction(x))
 
@@ -123,7 +100,7 @@ def cmd_strata(args):
             "n": args.n,
             "k": args.k,
             "count": len(ts),
-            "strata": [tree_to_json(t) for t in ts],
+            "strata": [t.to_json_dict() for t in ts],
         }
     )
     return 0
@@ -141,7 +118,7 @@ def cmd_homology(args):
         "n": pres.n,
         "k": pres.k,
         "rank": pres.rank,
-        "strata": [tree_to_json(t) for t in pres.strata],
+        "strata": [t.to_json_dict() for t in pres.strata],
         "basis": list(pres.basis),
         "expansions": {
             str(i): {str(pres.basis[j]): frac_str(c) for j, c in e.items()}
@@ -185,7 +162,7 @@ def cmd_hurwitz(args):
     if not args.tau:
         raise ValueError("hurwitz types needs --tau")
     with open(args.tau) as fh:
-        tau = tree_from_json(json.load(fh))
+        tau = MarkedTree.from_json_dict(json.load(fh))
     if tau.n != len(h.b_marks):
         raise ValueError(
             "tau has %d marks, the datum targets %d" % (tau.n, len(h.b_marks))
@@ -195,13 +172,13 @@ def cmd_hurwitz(args):
     expected = hurwitz.count_covers(full, args.limit_tuples)
     _emit(
         {
-            "tau": tree_to_json(tau),
+            "tau": tau.to_json_dict(),
             "expected": expected,
             "total": total,
             "ok": total == expected,
             "types": [
                 {
-                    "source": tree_to_json(t.source_tree),
+                    "source": t.source_tree.to_json_dict(),
                     "nodes": [
                         {"side": sorted(side), "r": r} for side, r in t.node_data
                     ],
@@ -229,8 +206,8 @@ def cmd_pushforward(args):
         "cols": cols,
         "row_marks": list(pm.aprime),
         "col_marks": list(h.b_marks),
-        "row_basis": [tree_to_json(t) for t in pm.target_pres.basis_trees()],
-        "col_basis": [tree_to_json(t) for t in pm.source_pres.basis_trees()],
+        "row_basis": [t.to_json_dict() for t in pm.target_pres.basis_trees()],
+        "col_basis": [t.to_json_dict() for t in pm.source_pres.basis_trees()],
         "matrix": mat_strs(pm.matrix),
         "matrix_float": mat_floats(pm.matrix),
     }

@@ -74,10 +74,9 @@ def realizable(n, k, lam):
 class FiltrationSubspace:
     """A subspace of H_{2k} in quotient-basis coordinates."""
 
-    def __init__(self, pres, label=""):
+    def __init__(self, pres):
         self.pres = pres
-        self.label = label
-        self.space = linalg.RowSpace(pivot="min")
+        self.space = linalg.RowSpace()
 
     def add_generator(self, coords):
         self.space.add(coords)
@@ -101,7 +100,7 @@ def lambda_subspace(n, k, lam, limit_strata=None):
     if sum(lam) != k:
         raise ValueError("lam must be a partition of k")
     pres = homology.homology_basis(n, k, limit_strata)
-    sub = FiltrationSubspace(pres, label="<=%s" % (lam,))
+    sub = FiltrationSubspace(pres)
     for i, t in enumerate(pres.strata):
         if partition_leq(trees.induced_partition(t), lam):
             sub.add_generator(pres.reduce_index_vec({i: 1}))
@@ -112,7 +111,7 @@ def below_subspace(n, k, limit_strata=None):
     """Span of the classes of k-dim strata with >= 2 moduli vertices (the
     part of the filtration strictly below the maximal partition (k))."""
     pres = homology.homology_basis(n, k, limit_strata)
-    sub = FiltrationSubspace(pres, label="<(%d)" % k)
+    sub = FiltrationSubspace(pres)
     for i, t in enumerate(pres.strata):
         if len(trees.induced_partition(t)) >= 2:
             sub.add_generator(pres.reduce_index_vec({i: 1}))

@@ -179,7 +179,7 @@ def reduction_kernel(n, k, eps, limit_strata=None):
         raise ValueError("weight datum is not reduction-minimal")
     W, D = _integer_weights(ws)
     pres = homology.homology_basis(n, k, limit_strata)
-    sub = filtration.FiltrationSubspace(pres, label="ker-reduction")
+    sub = filtration.FiltrationSubspace(pres)
     buckets = {}
     for i, t in enumerate(pres.strata):
         it = _reduction_image_type(t, W, D)

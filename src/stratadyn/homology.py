@@ -21,8 +21,9 @@ Relation route, for every other degree.  The relations live on
 three ways of pairing the four flags two against two give equal class sums
 over all distributions of v's remaining flags, each term being the stratum
 refined at v accordingly (`km_relations`).  The relation rows are eliminated
-with maximal-index pivots, the non-pivot strata are the basis, and every
-pivot stratum is expressed over earlier basis strata.  Divisor classes
+with stratum i in column -i, so each row's minimal pivot column is its
+latest stratum; the non-pivot strata are the basis, and every pivot stratum
+is expressed over earlier basis strata.  Divisor classes
 (k = n-4) stay here: pairing them with the curve basis costs far more than
 their relations do.
 """
@@ -78,13 +79,7 @@ def km_relations(n, k):
                     sums.append(acc)
                 for x in range(3):
                     for y in range(x + 1, 3):
-                        row = dict(sums[x])
-                        for t, c in sums[y].items():
-                            nc = row.get(t, 0) - c
-                            if nc:
-                                row[t] = nc
-                            else:
-                                row.pop(t, None)
+                        row = linalg.axpy(dict(sums[x]), -1, sums[y])
                         if row:
                             rows.append(row)
     # dedup by sign-normalised index vector
@@ -128,18 +123,9 @@ class HomologyPresentation:
         out = {}
         for i, c in vec.items():
             j = self.pos.get(i)
-            row = self.expr[i] if j is None else {j: ONE}
-            if c == 1:
-                for j, e in row.items():
-                    _accumulate(out, j, out.get(j, ZERO) + e)
-            elif c == -1:
-                for j, e in row.items():
-                    _accumulate(out, j, out.get(j, ZERO) - e)
-            else:
+            if c != 1 and c != -1:
                 c = Fraction(c)
-                if c:
-                    for j, e in row.items():
-                        _accumulate(out, j, out.get(j, ZERO) + c * e)
+            linalg.axpy(out, c, self.expr[i] if j is None else {j: ONE})
         return out
 
     def reduce_tree_dict(self, vec):
@@ -158,35 +144,21 @@ class HomologyPresentation:
         return [self.strata[b] for b in self.basis]
 
 
-def _accumulate(out, j, value):
-    """Store out[j] = value, dropping the entry when value is zero."""
-    if value:
-        out[j] = value
-    else:
-        out.pop(j, None)
-
-
 _PRESENTATIONS = {}  # (n, k) -> HomologyPresentation, built once per process
 
 
 def _relation_presentation(n, k, strata):
     """Basis and expressions from the relation rows (see module docstring)."""
-    index = {t: i for i, t in enumerate(strata)}
-    space = linalg.RowSpace(pivot="max")
+    column = {t: -i for i, t in enumerate(strata)}
+    space = linalg.RowSpace()
     for row in km_relations(n, k):
-        space.add({index[t]: Fraction(c) for t, c in row.items()})
+        space.add({column[t]: c for t, c in row.items()})
     rr = space.rref()
-    pivots = set(rr)
-    basis = [i for i in range(len(strata)) if i not in pivots]
-    pos = {b: j for j, b in enumerate(basis)}
+    basis = [i for i in range(len(strata)) if -i not in rr]
+    pos = {-b: j for j, b in enumerate(basis)}
     expr = {}
     for p, row in rr.items():
-        e = {}
-        for col, val in row.items():
-            if col == p:
-                continue
-            e[pos[col]] = -val
-        expr[p] = e
+        expr[-p] = {pos[col]: -val for col, val in row.items() if col != p}
     return basis, expr
 
 
@@ -220,8 +192,8 @@ def _greedy_solve(rows):
         coords = {}
         for c in hits:
             d, red, red_coords = reduced[c]
-            _axpy(rest, -row[c] * (den // d), red)
-            _axpy(coords, row[c] * (den // d), red_coords)
+            linalg.axpy(rest, -row[c] * (den // d), red)
+            linalg.axpy(coords, row[c] * (den // d), red_coords)
         if not rest:
             expr[i] = {j: Fraction(val, den) for j, val in sorted(coords.items())}
             continue
@@ -237,21 +209,11 @@ def _greedy_solve(rows):
                 # subtract f/d times the new row, over the denominator d*scale
                 red = {col: scale * val for col, val in red.items()}
                 red_coords = {j: scale * val for j, val in red_coords.items()}
-                _axpy(red, -f, rest)
-                _axpy(red_coords, -f, coords)
+                linalg.axpy(red, -f, rest)
+                linalg.axpy(red_coords, -f, coords)
                 reduced[c] = _primitive(d * scale, red, red_coords)
         reduced[p] = _primitive(scale, rest, coords)
     return basis, expr
-
-
-def _axpy(acc, f, vec):
-    """acc += f * vec on sparse integer dicts, dropping zeros."""
-    for col, val in vec.items():
-        nv = acc.get(col, 0) + f * val
-        if nv:
-            acc[col] = nv
-        else:
-            del acc[col]
 
 
 def _primitive(den, red, coords):
@@ -408,9 +370,5 @@ def forget_vec(vec, keep):
     for t, c in vec.items():
         img = trees.forget_pushforward(t, keep)
         if img is not None:
-            nv = out.get(img, 0) + c
-            if nv:
-                out[img] = nv
-            else:
-                out.pop(img, None)
+            linalg.axpy(out, 1, {img: c})
     return out

@@ -304,24 +304,22 @@ class CoverClass:
     matchings: per target edge its sorted (child cycle, parent cycle) pairs.
     comps: list of (target vertex, frozenset of sheets) source components.
     comp_marks: per component the tuple of source marks on it.
-    comp_degree: per component its covering degree.
     edges: list of (comp i, comp j, r) source nodes with ramification r.
     """
 
     __slots__ = (
         "tau", "vertex_perms", "labeling", "matchings",
-        "comps", "comp_marks", "comp_degree", "edges", "key",
+        "comps", "comp_marks", "edges", "key",
     )
 
     def __init__(self, tau, vertex_perms, labeling, matchings,
-                 comps, comp_marks, comp_degree, edges, key):
+                 comps, comp_marks, edges, key):
         self.tau = tau
         self.vertex_perms = vertex_perms
         self.labeling = labeling
         self.matchings = matchings
         self.comps = comps
         self.comp_marks = comp_marks
-        self.comp_degree = comp_degree
         self.edges = edges
         self.key = key
 
@@ -378,39 +376,43 @@ def _local_assignments(h, tau, w, limit):
     return out
 
 
+def _bijections(xs, x_len, ys, limit):
+    """Every bijection from xs onto the sequences ys that keeps lengths
+    (x_len(x) == len(y)), as a list of (x, y) pairs: lengths ascending, xs
+    in their given order within a length, the ys of one length running
+    through their permutations.  Ticks once per bijection; [] when the length
+    profiles differ."""
+    by_len_x = {}
+    for x in xs:
+        by_len_x.setdefault(x_len(x), []).append(x)
+    by_len_y = {}
+    for y in ys:
+        by_len_y.setdefault(len(y), []).append(y)
+    if {l: len(v) for l, v in by_len_x.items()} != {l: len(v) for l, v in by_len_y.items()}:
+        return []
+    per_len = [
+        [list(zip(by_len_x[ln], perm)) for perm in itertools.permutations(by_len_y[ln])]
+        for ln in sorted(by_len_x)
+    ]
+    out = []
+    for combo in itertools.product(*per_len):
+        limit.tick()
+        out.append([pair for chunk in combo for pair in chunk])
+    return out
+
+
 def _vertex_labelings(h, tau, w, perms, limit):
     """All ways to attach the marks over w's legs to cycles of the leg
     permutations, length-preserving and bijective per length."""
-    flags = tau.flags_of(w)
     per_flag = []
-    for pos, f in enumerate(flags):
+    for pos, f in enumerate(tau.flags_of(w)):
         if f[0] != "leg":
             continue
-        b = h.b_marks[f[1] - 1]
-        marks = h.marks_over(b)
-        cycs = _cycles(perms[pos])
-        by_len_c = {}
-        for c in cycs:
-            by_len_c.setdefault(len(c), []).append(c)
-        by_len_m = {}
-        for a in marks:
-            by_len_m.setdefault(h.rm[a], []).append(a)
-        if {l: len(v) for l, v in by_len_c.items()} != {l: len(v) for l, v in by_len_m.items()}:
+        marks = h.marks_over(h.b_marks[f[1] - 1])
+        bijections = _bijections(marks, h.rm.__getitem__, _cycles(perms[pos]), limit)
+        if not bijections:
             return []
-        choices_per_len = []
-        for ln in sorted(by_len_m):
-            ms = by_len_m[ln]
-            cs = by_len_c[ln]
-            choices_per_len.append([list(zip(ms, perm)) for perm in itertools.permutations(cs)])
-        flag_choices = []
-        for combo in itertools.product(*choices_per_len):
-            limit.tick()
-            assign = {}
-            for pairs in combo:
-                for a, c in pairs:
-                    assign[a] = (pos, _canon_cycle(c))
-            flag_choices.append(assign)
-        per_flag.append(flag_choices)
+        per_flag.append([{a: (pos, _canon_cycle(c)) for a, c in pairs} for pairs in bijections])
     out = []
     for combo in itertools.product(*per_flag):
         merged = {}
@@ -422,29 +424,10 @@ def _vertex_labelings(h, tau, w, perms, limit):
 
 def _edge_matchings(gc, gp, limit):
     """Length-preserving bijections between the cycles of two permutations."""
-    cyc_c = _cycles(gc)
-    cyc_p = _cycles(gp)
-    by_len_c = {}
-    for c in cyc_c:
-        by_len_c.setdefault(len(c), []).append(c)
-    by_len_p = {}
-    for c in cyc_p:
-        by_len_p.setdefault(len(c), []).append(c)
-    if {l: len(v) for l, v in by_len_c.items()} != {l: len(v) for l, v in by_len_p.items()}:
-        return []
-    per_len = []
-    for ln in sorted(by_len_c):
-        cs = by_len_c[ln]
-        ps = by_len_p[ln]
-        per_len.append([list(zip(cs, perm)) for perm in itertools.permutations(ps)])
-    out = []
-    for combo in itertools.product(*per_len):
-        limit.tick()
-        pairs = []
-        for chunk in combo:
-            pairs.extend((_canon_cycle(a), _canon_cycle(b)) for a, b in chunk)
-        out.append(tuple(sorted(pairs)))
-    return out
+    return [
+        tuple(sorted((_canon_cycle(a), _canon_cycle(b)) for a, b in pairs))
+        for pairs in _bijections(_cycles(gc), len, _cycles(gp), limit)
+    ]
 
 
 class UnionFind:
@@ -663,11 +646,9 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
                 comp_marks = [[] for _ in comps]
                 for a, _pos, cyc, w in marks:
                     comp_marks[comp_at[w][cyc[0]]].append(a)
-                comp_degree = [len(orb) for (_w, orb) in comps]
                 reps[key] = CoverClass(
                     tau, vertex_perms, labeling, matchings,
-                    comps, [tuple(m) for m in comp_marks], comp_degree,
-                    src_edges, key,
+                    comps, [tuple(m) for m in comp_marks], src_edges, key,
                 )
     return [reps[k] for k in sorted(reps)]
 

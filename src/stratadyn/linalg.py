@@ -1,10 +1,12 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts {column index: Fraction or int}, never storing zeros.  A
-RowSpace holds an incrementally reduced set of rows; the pivot of a row is its
-maximal or minimal column depending on orientation.  Max-pivot orientation
-makes the non-pivot columns a greedy prefix basis, which is what the stratum
-quotient uses; min-pivot is ordinary row echelon for subspace comparisons.
+Vectors are dicts {column index: Fraction or int}, never storing zeros, and
+`axpy` is the one update that keeps them so.  A RowSpace holds an
+incrementally reduced set of rows; the pivot of a row is its minimal column,
+so the rows are in ordinary row echelon form.  A caller that wants another
+pivot order numbers its columns accordingly: the stratum quotient puts
+stratum i in column -i, which makes the non-pivot strata a greedy prefix
+basis.
 
 Inside a RowSpace the arithmetic is fraction-free.  Each stored row is a
 primitive integer vector (entries with gcd 1, pivot entry positive), not a
@@ -25,28 +27,43 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def vec_add(a, b, scale=ONE):
-    """a + scale*b as a fresh sparse dict."""
-    out = dict(a)
-    for col, val in b.items():
-        nv = out.get(col, ZERO) + scale * val
-        if nv:
-            out[col] = nv
-        else:
-            out.pop(col, None)
-    return out
+def axpy(acc, f, vec):
+    """acc += f * vec in place, dropping zero entries; returns acc.
+
+    f = 1 and f = -1 add and subtract without multiplying.  The three loops
+    are written out because a shared generator costs up to twice the time on
+    integer vectors.
+    """
+    if f == 1:
+        for col, val in vec.items():
+            nv = acc.get(col, 0) + val
+            if nv:
+                acc[col] = nv
+            else:
+                del acc[col]
+    elif f == -1:
+        for col, val in vec.items():
+            nv = acc.get(col, 0) - val
+            if nv:
+                acc[col] = nv
+            else:
+                del acc[col]
+    elif f:
+        for col, val in vec.items():
+            nv = acc.get(col, 0) + f * val
+            if nv:
+                acc[col] = nv
+            else:
+                del acc[col]
+    return acc
 
 
 class RowSpace:
     """Row space of sparse rational vectors with incremental reduction."""
 
-    def __init__(self, pivot="min"):
-        if pivot not in ("min", "max"):
-            raise ValueError("pivot must be 'min' or 'max'")
-        self.pivot_fn = min if pivot == "min" else max
-        self._min = pivot == "min"
+    def __init__(self):
         # pivot column -> primitive integer row (entries with gcd 1, pivot
-        # entry > 0); every other entry lies beyond the pivot
+        # entry > 0); every other entry lies above the pivot
         self.rows = {}
 
     def dim(self):
@@ -69,17 +86,16 @@ class RowSpace:
 
         For pivot row r with pivot entry a and v's entry c there, v becomes
         (a/g) v - (c/g) r with g = gcd(a, c), and den grows by a/g, so v/den
-        keeps its class.  Pivot hits wait in a sorted list and the innermost
-        is taken first; a row only carries columns beyond its pivot, so a
+        keeps its class.  Pivot hits wait in a sorted list and the least is
+        taken first; a row only carries columns above its pivot, so a
         cleared column is never hit again and a column joins the list when an
         elimination creates it.  The queue is a sorted list because bisect
         is loaded already and heapq is not: importing heapq alone adds about
         0.3 MB to peak memory.
         """
-        s = -1 if self._min else 1  # todo holds s * column, innermost last
-        todo = sorted(s * col for col in v if col in rows)
+        todo = sorted(col for col in v if col in rows)
         while todo:
-            p = s * todo.pop()
+            p = todo.pop(0)
             c = v.get(p)
             if c is None:  # cancelled, or listed twice
                 continue
@@ -97,7 +113,7 @@ class RowSpace:
                 if old is None:
                     v[col] = -c * x
                     if col in rows:
-                        insort(todo, s * col)
+                        insort(todo, col)
                 else:
                     nv = old - c * x
                     if nv:
@@ -120,7 +136,7 @@ class RowSpace:
         v, _ = self._reduce(vec)
         if not v:
             return None
-        p = self.pivot_fn(v)
+        p = min(v)
         self.rows[p] = _primitive(v, p)
         return p
 
@@ -133,12 +149,12 @@ class RowSpace:
         """Fully back-substituted rows as {pivot: row}, each row a dict of
         Fractions with 1 at its pivot; canonical for the space.
 
-        Rows are taken from the far side inward, so the rows already reduced
-        carry no pivot column but their own and back-substitution into a row
-        never creates a new hit.
+        Rows are taken from the largest pivot down, so the rows already
+        reduced carry no pivot column but their own and back-substitution
+        into a row never creates a new hit.
         """
         done = {}
-        for p in sorted(self.rows, reverse=self._min):
+        for p in sorted(self.rows, reverse=True):
             v, _ = self._eliminate(dict(self.rows[p]), 1, done)
             done[p] = _primitive(v, p)
         out = {}
@@ -189,7 +205,7 @@ def solve_exact(rows, rhs):
             raise ValueError("inconsistent system: nonzero rhs over empty rows")
         return {}
     aug_col = max(cols) + 1
-    space = RowSpace(pivot="min")
+    space = RowSpace()
     for r, b in zip(rows, rhs):
         v = dict(r)
         if b:

@@ -250,13 +250,7 @@ def _add_projected_class(col, splitvals, p_a, n_a, keepset, renum, mult):
         if 2 <= len(tr) <= n_a - 2:
             norm = trees.normalize_split(n_a, tr)
             pairs[norm] = pairs.get(norm, ZERO) + Fraction(wgt)
-    coords = homology.solve_class_from_pairings(p_a, pairs)
-    for pos, c in coords.items():
-        nv = col.get(pos, ZERO) + mult * c
-        if nv:
-            col[pos] = nv
-        else:
-            col.pop(pos, None)
+    linalg.axpy(col, mult, homology.solve_class_from_pairings(p_a, pairs))
 
 
 def _add_glued_class(col, splitvals, t_g, v_hat, mod_vertices, p_a, keep, mult,
@@ -280,13 +274,7 @@ def _add_glued_class(col, splitvals, t_g, v_hat, mod_vertices, p_a, keep, mult,
         img = trees.forget_pushforward(big, keep)
         if img is None:
             continue
-        red = homology.class_reduce(p_a, {img: ONE})
-        for p2, c2 in red.items():
-            nv = col.get(p2, ZERO) + mult * c * c2
-            if nv:
-                col[p2] = nv
-            else:
-                col.pop(p2, None)
+        linalg.axpy(col, mult * c, homology.class_reduce(p_a, {img: ONE}))
 
 
 # -- self-correspondence and dynamical degrees --------------------------------
@@ -405,14 +393,7 @@ def dynamical_degree(mat, tol=1e-9):
 def _apply_matrix(mat, vec):
     out = {}
     for j, c in vec.items():
-        for i in range(len(mat)):
-            v = mat[i][j]
-            if v:
-                nv = out.get(i, ZERO) + v * c
-                if nv:
-                    out[i] = nv
-                else:
-                    out.pop(i, None)
+        linalg.axpy(out, c, {i: row[j] for i, row in enumerate(mat) if row[j]})
     return out
 
 

@@ -158,6 +158,7 @@ class MarkedTree:
         return out
 
     def to_json_dict(self):
+        """Stratum encoding: {"n": N, "parents": [...], "legs": {"1": vertex}}."""
         return {
             "n": self.n,
             "parents": list(self.parents),
@@ -166,11 +167,20 @@ class MarkedTree:
 
     @staticmethod
     def from_json_dict(d):
+        """Decode to_json_dict's encoding.  Raises ValueError unless the leg
+        table places each mark 1..n exactly once and the tree is stable."""
         n = int(d["n"])
-        legs = [0] * n
-        for k, v in d["legs"].items():
-            legs[int(k) - 1] = int(v)
-        return MarkedTree(n, tuple(d["parents"]), tuple(legs))
+        legs = [None] * n
+        for mark, v in d["legs"].items():
+            m = int(mark)
+            if not (1 <= m <= n) or legs[m - 1] is not None:
+                raise ValueError("bad leg table entry for mark %r" % mark)
+            legs[m - 1] = v
+        if None in legs:
+            raise ValueError("leg table must cover marks 1..%d" % n)
+        tree = MarkedTree(n, d["parents"], legs)
+        _validate(tree)
+        return tree
 
 
 Stratum = MarkedTree

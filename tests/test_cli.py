@@ -70,7 +70,7 @@ def test_strata_output_roundtrips():
     r = run_cli("strata", "--n", "5", "--k", "1")
     obj = json.loads(r.stdout)
     assert obj["n"] == 5 and obj["k"] == 1 and obj["count"] == 10
-    got = [trees.canonical_form(cli.tree_from_json(o)) for o in obj["strata"]]
+    got = [trees.canonical_form(trees.MarkedTree.from_json_dict(o)) for o in obj["strata"]]
     assert got == list(trees.enumerate_strata(5, 1))
 
 
@@ -152,13 +152,25 @@ def test_pushforward_fig1_matrix():
 def test_hurwitz_types(tmp_path):
     tau = trees.enumerate_strata(4, 0)[0]
     tf = tmp_path / "tau.json"
-    tf.write_text(json.dumps(cli.tree_to_json(tau)))
+    tf.write_text(json.dumps(tau.to_json_dict()))
     r = run_cli("hurwitz", "types", "--data", str(DATA / "fig1.json"), "--tau", str(tf))
     obj = json.loads(r.stdout)
     assert obj["ok"] is True
     assert obj["expected"] == 4 and obj["total"] == 4
     pairs = sorted((t["count"], t["multiplicity"]) for t in obj["types"])
     assert pairs == [(1, 1), (1, 3)]
+
+
+def test_hurwitz_types_rejects_malformed_tau(tmp_path):
+    # no root: vertices 0 and 1 are each other's parent
+    tf = tmp_path / "tau.json"
+    tf.write_text(json.dumps({"n": 4, "parents": [1, 0], "legs": {"1": 0, "2": 0, "3": 1, "4": 1}}))
+    r = run_cli("hurwitz", "types", "--data", str(DATA / "fig1.json"), "--tau", str(tf), check=2)
+    assert json.loads(r.stdout) == {"error": "tree must have exactly one root, found 0"}
+    # a mark missing from the leg table is an error, not a leg on vertex 0
+    tf.write_text(json.dumps({"n": 4, "parents": [-1], "legs": {"1": 0}}))
+    r = run_cli("hurwitz", "types", "--data", str(DATA / "fig1.json"), "--tau", str(tf), check=2)
+    assert json.loads(r.stdout) == {"error": "leg table must cover marks 1..4"}
 
 
 def test_invalid_datum_exits_2(tmp_path):

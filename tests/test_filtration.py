@@ -86,7 +86,7 @@ def test_below_equals_sum_of_nonmaximal_lambdas():
     for n, k in ((6, 2), (7, 2), (7, 3), (8, 4)):
         direct = filtration.below_subspace(n, k)
         pres = homology.homology_basis(n, k)
-        summed = filtration.FiltrationSubspace(pres, label="sum")
+        summed = filtration.FiltrationSubspace(pres)
         for lam in filtration.partitions_of(k):
             if lam == (k,) or not filtration.realizable(n, k, lam):
                 continue
@@ -109,7 +109,7 @@ def test_below_span_independent_of_insertion_order():
     for seed in (72, 27):
         order = list(gens)
         random.Random(seed).shuffle(order)
-        sub = filtration.FiltrationSubspace(pres, label="shuffled")
+        sub = filtration.FiltrationSubspace(pres)
         for g in order:
             sub.add_generator(g)
         quotients.append(filtration.OmegaQuotient(pres, sub))
@@ -142,8 +142,8 @@ def test_omega_projection_linear():
     b = pres.reduce_tree_dict({pres.strata[pres.basis[1]]: 1})
     from stratadyn import linalg
 
-    lhs = om.project(linalg.vec_add(a, b, Fraction(3)))
-    rhs = linalg.vec_add(om.project(a), om.project(b), Fraction(3))
+    lhs = om.project(linalg.axpy(dict(a), Fraction(3), b))
+    rhs = linalg.axpy(om.project(a), Fraction(3), om.project(b))
     assert lhs == rhs
 
 

@@ -153,7 +153,7 @@ def test_pairing_matrix_full_rank():
 
     for n in (5, 6):
         p = homology.homology_basis(n, 1)
-        space = linalg.RowSpace(pivot="min")
+        space = linalg.RowSpace()
         for row in homology.pairing_rows(p):
             space.add(dict(row))
         assert space.dim() == p.rank

@@ -1,6 +1,6 @@
 """Exact characteristic polynomials against Faddeev-LeVerrier, real-root
 isolation against polynomials with known roots, and the fraction-free
-RowSpace against its Fraction reference."""
+RowSpace and the sparse axpy against Fraction references."""
 
 import math
 import random
@@ -134,41 +134,75 @@ def _seeded_vectors(rng, ncols, count):
     return out
 
 
-def _assert_same_residual(space, ref, vec):
-    got = space.residual(vec)
-    assert got == ref.residual(vec)
+def _assert_same_residual(space, ref, vec, flip=dict):
+    """space holds ref's vectors with their columns mapped by flip."""
+    got = space.residual(flip(vec))
+    assert got == flip(ref.residual(vec))
     assert all(type(x) is Fraction for x in got.values())
-    assert space.contains(vec) == ref.contains(vec)
+    assert space.contains(flip(vec)) == ref.contains(vec)
 
 
 @pytest.mark.parametrize("pivot", ["min", "max"])
 def test_rowspace_matches_fraction_reference(pivot):
+    # RowSpace always pivots on the minimal column; over negated columns that
+    # is the reference's maximal pivot, the order the relation route uses
+    sign = -1 if pivot == "max" else 1
+
+    def flip(vec):
+        return {sign * col: x for col, x in vec.items()}
+
     rng = random.Random(61068)
     for _ in range(60):
         ncols = rng.randint(1, 18)
         vecs = _seeded_vectors(rng, ncols, rng.randint(1, 30))
         probes = _seeded_vectors(rng, ncols, 10)
-        space, ref = linalg.RowSpace(pivot), RowSpaceReference(pivot)
+        space, ref = linalg.RowSpace(), RowSpaceReference(pivot)
         for v in vecs:
-            _assert_same_residual(space, ref, v)
-            assert space.add(v) == ref.add(v)
+            _assert_same_residual(space, ref, v, flip)
+            q = ref.add(v)
+            assert space.add(flip(v)) == (None if q is None else sign * q)
             assert space.dim() == ref.dim()
-            assert set(space.rows) == set(ref.rows)
-        assert space.rref() == ref.rref()
-        assert space.canonical_key() == ref.canonical_key()
+            assert set(space.rows) == {sign * q for q in ref.rows}
+        assert space.rref() == {sign * q: flip(row) for q, row in ref.rref().items()}
+        assert space.canonical_key() == tuple(sorted(
+            (sign * q, tuple(sorted((sign * col, x) for col, x in row)))
+            for q, row in ref.canonical_key()
+        ))
         for v in probes + vecs:
-            _assert_same_residual(space, ref, v)
+            _assert_same_residual(space, ref, v, flip)
 
 
 def test_rowspace_rows_are_primitive_integer_vectors():
     rng = random.Random(7)
-    for pivot in ("min", "max"):
-        space = linalg.RowSpace(pivot)
-        space.extend(_seeded_vectors(rng, 12, 40))
-        for p, row in space.rows.items():
-            assert all(type(x) is int and x for x in row.values())
-            assert math.gcd(*row.values()) == 1 and row[p] > 0
-            assert p == space.pivot_fn(row)
+    space = linalg.RowSpace()
+    space.extend(_seeded_vectors(rng, 12, 40))
+    for p, row in space.rows.items():
+        assert all(type(x) is int and x for x in row.values())
+        assert math.gcd(*row.values()) == 1 and row[p] > 0
+        assert p == min(row)
+
+
+def _nonzero(rng):
+    """A sparse vector of ints and Fractions over columns 0..11, maybe empty,
+    storing no zeros."""
+    vec = {c: _entry(rng) for c in rng.sample(range(12), rng.randint(0, 8))}
+    return {c: x for c, x in vec.items() if x}
+
+
+def test_axpy_matches_fraction_reference():
+    rng = random.Random(5150)
+    for _ in range(400):
+        acc, vec = _nonzero(rng), _nonzero(rng)
+        # f from 1, -1, 0, ints and Fractions; the 1/-1 fast paths and the
+        # zero shortcut must agree with plain multiplication
+        f = rng.choice((1, -1, 0, rng.randint(-6, 6), _entry(rng), Fraction(1), Fraction(-1)))
+        want = {c: Fraction(acc.get(c, 0)) + Fraction(f) * Fraction(vec.get(c, 0))
+                for c in set(acc) | set(vec)}
+        want = {c: x for c, x in want.items() if x}
+        out = linalg.axpy(acc, f, vec)
+        assert out is acc
+        assert all(x for x in acc.values())
+        assert acc == want
 
 
 def test_rowspace_explicit_zeros_are_dropped():
