@@ -7,14 +7,16 @@ of all earlier strata, and expresses every other stratum over the basis
 strata before it.  Two routes build it, with the same result wherever both
 apply.
 
-Pairing route, for k = 0 and k = 1 below the top degree.  The intersection
-pairing of H_{2k} with the dual degree is perfect (Keel, Trans. AMS 330,
-1992), so a class is fixed by its pairings with a spanning set of the dual
-degree: a point pairs to 1 with the fundamental class, and a curve pairs
-with the boundary divisors through the four flag blocks at its 4-valent
-vertex (`_curve_row`, at most 7 nonzeros).  Each stratum becomes one short
-integer row; the basis strata are the rows independent of the rows before
-them, and every other row is solved over the basis rows (`_greedy_solve`).
+Pairing route, for k = 0 and k = 1.  The intersection pairing of H_{2k}
+with the dual degree is perfect (Keel, Trans. AMS 330, 1992), so a class is
+fixed by its pairings with a spanning set of the dual degree: a point pairs
+to 1 with the fundamental class, and a curve pairs with the boundary divisors
+through the four flag blocks at its 4-valent vertex (`_curve_row`, at most 7
+nonzeros).  Each curve stratum becomes one short integer row, which also
+carries the stratum's own column; one reduction against the rows of the
+basis strata before it either leaves a split column (a new basis stratum) or
+reads off the stratum's expression.  The presentation keeps that row space,
+and `solve_class_from_pairings` is one more reduction against it.
 
 Relation route, for every other degree.  The relations live on
 (k+1)-dimensional strata: at a vertex v with four distinguished flags, the
@@ -23,9 +25,9 @@ over all distributions of v's remaining flags, each term being the stratum
 refined at v accordingly (`km_relations`).  The relation rows are eliminated
 with stratum i in column -i, so each row's minimal pivot column is its
 latest stratum; the non-pivot strata are the basis, and every pivot stratum
-is expressed over earlier basis strata.  Divisor classes
-(k = n-4) stay here: pairing them with the curve basis costs far more than
-their relations do.
+is expressed over earlier basis strata.  Divisor classes (k = n-4 > 1)
+stay here: pairing them with the curve basis costs far more than their
+relations do.
 """
 
 from __future__ import annotations
@@ -33,12 +35,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 
 from . import linalg, trees
 from .trees import ResourceError
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -111,7 +111,8 @@ class HomologyPresentation:
         self.pos = {b: j for j, b in enumerate(basis)}
         self.expr = expr                        # pivot idx -> {basis pos: Fraction}
         self.rank = len(basis)
-        self._pairing_rows = None
+        # k = 1: the basis strata's pairing rows, set by _presentation
+        self._pairing_space = None
 
     def reduce_index_vec(self, vec):
         """Sparse {stratum index: coeff} -> coordinates {basis pos: Fraction}."""
@@ -153,86 +154,57 @@ def _relation_presentation(n, k, strata):
     space = linalg.RowSpace()
     for row in km_relations(n, k):
         space.add({column[t]: c for t, c in row.items()})
-    rr = space.rref()
-    basis = [i for i in range(len(strata)) if -i not in rr]
+    rows = space.rows
+    basis = [i for i in range(len(strata)) if -i not in rows]
     pos = {-b: j for j, b in enumerate(basis)}
     expr = {}
-    for p, row in rr.items():
-        expr[-p] = {pos[col]: -val for col, val in row.items() if col != p}
+    for p, row in rows.items():
+        a = row[p]
+        expr[-p] = {pos[col]: Fraction(-x, a) for col, x in row.items() if col != p}
     return basis, expr
 
 
 def _pairing_presentation(n, k, strata):
-    """Basis and expressions from pairings with the dual degree, k = 0 or 1."""
+    """Basis and expressions from pairings with the dual degree, k = 0 or 1,
+    and for k = 1 the row space of the basis strata's pairing rows.
+
+    Stratum i's row holds its pairings in the split columns, which lie below
+    every stratum column, and 1 in its own column -i.  A row whose reduction
+    keeps no split column is dependent: the reduction is 1 at -i and minus
+    stratum i's expression over the basis strata elsewhere.  Only the
+    independent rows are stored.
+    """
     if k == 0:
         # every point is the point class; the strata share one read-only dict
-        return [0], dict.fromkeys(range(1, len(strata)), {0: ONE})
-    column = _split_columns(n)
-    return _greedy_solve([_curve_row(t, column) for t in strata])
-
-
-def _greedy_solve(rows):
-    """The greedy-prefix basis of integer rows, and every other row over it.
-
-    Returns (basis, expr): basis lists the indices of the rows independent of
-    the rows before them, and expr maps each other index to its coordinates
-    {basis position: Fraction}.  The basis rows are kept fully reduced, in
-    integers: reduced[c] = (den, red, coords) stands for the combination
-    coords/den of basis rows, which is 1 at pivot column c, red/den off the
-    pivots and 0 at every other pivot.  So a row is reduced in one pass over
-    the pivot columns it meets, with its own entries there as multipliers.
-    """
-    reduced = {}
+        return [0], dict.fromkeys(range(1, len(strata)), {0: ONE}), None
+    column = _pairing_columns(n, len(strata))
+    space = linalg.RowSpace()
     basis = []
+    pos = {}  # column -b of a basis stratum b -> its basis position
     expr = {}
-    for i, row in enumerate(rows):
-        hits = [c for c in row if c in reduced]
-        den = lcm(*(reduced[c][0] for c in hits))
-        rest = {c: den * v for c, v in row.items() if c not in reduced}
-        coords = {}
-        for c in hits:
-            d, red, red_coords = reduced[c]
-            linalg.axpy(rest, -row[c] * (den // d), red)
-            linalg.axpy(coords, row[c] * (den // d), red_coords)
-        if not rest:
-            expr[i] = {j: Fraction(val, den) for j, val in sorted(coords.items())}
-            continue
-        # rest/den = (e_j - coords/den) . basis rows, j the new basis position
-        p = min(rest)
-        scale = rest.pop(p)
-        coords = {j: -val for j, val in coords.items()}
-        coords[len(basis)] = den
-        basis.append(i)
-        for c, (d, red, red_coords) in reduced.items():
-            f = red.pop(p, None)
-            if f is not None:
-                # subtract f/d times the new row, over the denominator d*scale
-                red = {col: scale * val for col, val in red.items()}
-                red_coords = {j: scale * val for j, val in red_coords.items()}
-                linalg.axpy(red, -f, rest)
-                linalg.axpy(red_coords, -f, coords)
-                reduced[c] = _primitive(d * scale, red, red_coords)
-        reduced[p] = _primitive(scale, rest, coords)
-    return basis, expr
-
-
-def _primitive(den, red, coords):
-    """(den, red, coords) divided by their gcd, with den > 0."""
-    g = gcd(den, *red.values(), *coords.values())
-    if den < 0:
-        g = -g
-    if g != 1:
-        red = {col: val // g for col, val in red.items()}
-        coords = {j: val // g for j, val in coords.items()}
-    return den // g, red, coords
+    for i, t in enumerate(strata):
+        row = _curve_row(t, column)
+        row[-i] = 1
+        v, den = space.reduce(row)
+        if min(v) < 1 - len(strata):
+            pos[-i] = len(basis)
+            basis.append(i)
+            space.add(v)
+        else:
+            del v[-i]
+            expr[i] = {pos[col]: Fraction(-x, den) for col, x in v.items()}
+    return basis, expr, space
 
 
 def _presentation(n, k, strata):
-    if k < n - 3 and k <= 1:
-        basis, expr = _pairing_presentation(n, k, strata)
+    if k <= 1:
+        basis, expr, space = _pairing_presentation(n, k, strata)
     else:
         basis, expr = _relation_presentation(n, k, strata)
-    return HomologyPresentation(n, k, strata, basis, expr)
+        space = None
+    pres = HomologyPresentation(n, k, strata, basis, expr)
+    pres._pairing_space = space
+    return pres
 
 
 def homology_basis(n, k, limit_strata=None):
@@ -325,36 +297,52 @@ def pairing_rows(pres):
     """For each split (all_splits order) the pairing row over the basis."""
     if pres.k != 1:
         raise ValueError("pairings live on 1-dimensional stratum classes")
-    if pres._pairing_rows is None:
-        column = _split_columns(pres.n)
-        rows = [{} for _ in column]
-        for j, b in enumerate(pres.basis):
-            for c, val in _curve_row(pres.strata[b], column).items():
-                rows[c][j] = Fraction(val)
-        pres._pairing_rows = rows
-    return pres._pairing_rows
+    column = _split_columns(pres.n)
+    rows = [{} for _ in column]
+    for j, b in enumerate(pres.basis):
+        for c, val in _curve_row(pres.strata[b], column).items():
+            rows[c][j] = Fraction(val)
+    return rows
+
+
+def _pairing_columns(n, count):
+    """Normalised split side -> its column in a pairing row, all below the
+    stratum columns 0, -1, ..., 1 - count."""
+    splits = _split_columns(n)
+    low = -len(splits) - count
+    return {s: low + j for s, j in splits.items()}
 
 
 def solve_class_from_pairings(pres, pairings):
-    """The H_2 class with the given split pairings, in basis coordinates.
+    """The H_2 class with the given split pairings, in coordinates of the
+    k = 1 presentation `pres` that homology_basis returned.
 
-    `pairings` maps normalised split sides to rationals; missing splits are
-    treated as zero.  Raises ValueError when no class matches (inconsistent
-    data) or the pairings fail to pin the class.
+    `pairings` maps split sides to rationals; a side and its complement name
+    the same split, and missing splits are treated as zero.  The vector is
+    reduced against the basis strata's pairing rows: a surviving split column
+    means no class matches, and otherwise the stratum columns hold minus the
+    coordinates.  Raises ValueError on unknown splits, on two values for one
+    split and on inconsistent data.
     """
-    splits = trees.all_splits(pres.n)
-    rows = pairing_rows(pres)
-    rhs = []
-    given = {trees.normalize_split(pres.n, s): Fraction(v) for s, v in pairings.items()}
-    unknown = set(given) - set(splits)
+    if pres.k != 1:
+        raise ValueError("pairings live on 1-dimensional stratum classes")
+    n, count = pres.n, len(pres.strata)
+    column = _pairing_columns(n, count)
+    given = {}
+    for s, val in pairings.items():
+        side = trees.normalize_split(n, s)
+        val = Fraction(val)
+        if given.setdefault(side, val) != val:
+            raise ValueError("pairings give split %s two values: %s and %s"
+                             % (sorted(side), given[side], val))
+    unknown = set(given) - set(column)
     if unknown:
         raise ValueError("pairings mention unknown splits: %r" % sorted(map(sorted, unknown)))
-    for s in splits:
-        rhs.append(given.get(s, ZERO))
-    try:
-        return linalg.solve_exact(rows, rhs)
-    except ValueError as e:
-        raise ValueError("pairing system for n=%d: %s" % (pres.n, e)) from e
+    v, den = pres._pairing_space.reduce({column[s]: val for s, val in given.items()})
+    if v and min(v) < 1 - count:
+        raise ValueError("pairing system for n=%d: inconsistent system: "
+                         "0 = nonzero after elimination" % n)
+    return {pres.pos[-col]: Fraction(-x, den) for col, x in v.items()}
 
 
 # -- pushing classes along forgetful maps -----------------------------------

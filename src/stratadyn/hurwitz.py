@@ -36,6 +36,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from . import trees
 from .trees import ResourceError
@@ -207,20 +208,13 @@ def fully_mark(h):
                 new_a.append(name)
                 f_map[name] = b
                 rm[name] = r
-            deg *= _factorial(count)
+            deg *= factorial(count)
     forget = h.forget_to if h.forget_to is not None else tuple(h.a_marks)
     full = HurwitzData(new_a, h.b_marks, h.d, f_map, h.br, rm, forget, h.identify)
     chk = validate(full)
     if chk.status != "fully_marked":
         raise AssertionError("full marking failed: %s" % chk.reason)
     return full, deg
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # -- permutations ------------------------------------------------------------
@@ -681,7 +675,7 @@ def count_covers_orbit_stabilizer(h, limit_tuples=None):
                 ):
                     stab += 1
             stab_total += stab
-    total = _factorial(d)
+    total = factorial(d)
     if stab_total % total:
         raise AssertionError("stabilizer sum %d not divisible by %d" % (stab_total, total))
     return stab_total // total

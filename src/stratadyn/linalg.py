@@ -1,26 +1,24 @@
 """Sparse exact linear algebra over the rationals.
 
 Vectors are dicts {column index: Fraction or int}, never storing zeros, and
-`axpy` is the one update that keeps them so.  A RowSpace holds an
-incrementally reduced set of rows; the pivot of a row is its minimal column,
-so the rows are in ordinary row echelon form.  A caller that wants another
-pivot order numbers its columns accordingly: the stratum quotient puts
-stratum i in column -i, which makes the non-pivot strata a greedy prefix
-basis.
+`axpy` is the one update that keeps them so.  A RowSpace holds its rows in
+reduced row echelon form: the pivot of a row is its minimal column, and no
+row has an entry at another row's pivot.  A caller that wants another pivot
+order numbers its columns accordingly: the stratum quotient puts stratum i in
+column -i, which makes the non-pivot strata a greedy prefix basis.
 
 Inside a RowSpace the arithmetic is fraction-free.  Each stored row is a
 primitive integer vector (entries with gcd 1, pivot entry positive), not a
-row scaled to pivot 1; an input is cleared to a common denominator and its
-pivot columns are removed by integer cross-multiplication (Bareiss, Math.
-Comp. 22, 1968).  Rationals appear only at the edges: residual and rref
-return Fractions, and both depend only on the space, not on how its rows
-are scaled.
+row scaled to pivot 1, so the stored rows are canonical for the space.  An
+input is cleared to a common denominator and its pivot columns are removed
+by integer cross-multiplication (Bareiss, Math. Comp. 22, 1968); a new row is
+back-substituted into the stored rows the same way.  Rationals appear only
+at the edges: residual and rref return Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from bisect import insort
 from math import gcd, lcm
 
 ZERO = Fraction(0)
@@ -63,106 +61,81 @@ class RowSpace:
 
     def __init__(self):
         # pivot column -> primitive integer row (entries with gcd 1, pivot
-        # entry > 0); every other entry lies above the pivot
+        # entry > 0); every other entry lies above the pivot and off every
+        # other pivot column
         self.rows = {}
 
     def dim(self):
         return len(self.rows)
 
-    def _reduce(self, vec):
+    def reduce(self, vec):
         """(v, den): vec cleared to the common denominator den, then reduced
         to the integer vector v free of pivot columns; vec = v/den modulo the
-        space.  Explicit zero entries of vec are dropped."""
+        space.  Explicit zero entries of vec are dropped.
+
+        A stored row meets no pivot column but its own, so clearing one hit
+        never creates another: v is scaled once by the lcm of the hit rows'
+        pivot entries, and each hit is then one integer axpy.
+        """
         den = 1
         for x in vec.values():
             d = x.denominator
             if d != 1:
                 den = lcm(den, d)
         v = {c: x.numerator * (den // x.denominator) for c, x in vec.items() if x}
-        return self._eliminate(v, den, self.rows)
-
-    def _eliminate(self, v, den, rows):
-        """Clear every pivot column of `rows` from the integer vector v.
-
-        For pivot row r with pivot entry a and v's entry c there, v becomes
-        (a/g) v - (c/g) r with g = gcd(a, c), and den grows by a/g, so v/den
-        keeps its class.  Pivot hits wait in a sorted list and the least is
-        taken first; a row only carries columns above its pivot, so a
-        cleared column is never hit again and a column joins the list when an
-        elimination creates it.  The queue is a sorted list because bisect
-        is loaded already and heapq is not: importing heapq alone adds about
-        0.3 MB to peak memory.
-        """
-        todo = sorted(col for col in v if col in rows)
-        while todo:
-            p = todo.pop(0)
-            c = v.get(p)
-            if c is None:  # cancelled, or listed twice
-                continue
-            row = rows[p]
-            a = row[p]
-            g = gcd(a, c)
-            if g != a:
-                m = a // g
+        rows = self.rows
+        hits = [c for c in v if c in rows]
+        if hits:
+            m = lcm(*(rows[c][c] for c in hits))
+            if m != 1:
                 den *= m
                 v = {col: m * x for col, x in v.items()}
-            c //= g
-            # the pivot entry cancels like any other
-            for col, x in row.items():
-                old = v.get(col)
-                if old is None:
-                    v[col] = -c * x
-                    if col in rows:
-                        insort(todo, col)
-                else:
-                    nv = old - c * x
-                    if nv:
-                        v[col] = nv
-                    else:
-                        del v[col]
+            for c in hits:
+                row = rows[c]
+                axpy(v, -(v[c] // row[c]), row)
         return v, den
 
     def residual(self, vec):
         """vec with every pivot column eliminated (zero iff vec is in the space),
         as {column: Fraction}; it depends on the space, not on its rows."""
-        v, den = self._reduce(vec)
+        v, den = self.reduce(vec)
         return {col: Fraction(x, den) for col, x in v.items()}
 
     def contains(self, vec):
-        return not self._reduce(vec)[0]
+        return not self.reduce(vec)[0]
 
     def add(self, vec):
-        """Insert vec; returns the new pivot column, or None if dependent."""
-        v, _ = self._reduce(vec)
+        """Insert vec; returns the new pivot column, or None if dependent.
+
+        The new row is back-substituted into every stored row that carries
+        its pivot: with pivot entry a and that row's entry c there, the row
+        becomes (a/g) row - (c/g) new, g = gcd(a, c), made primitive again.
+        """
+        v, _ = self.reduce(vec)
         if not v:
             return None
         p = min(v)
-        self.rows[p] = _primitive(v, p)
+        v = _primitive(v, p)
+        a = v[p]
+        rows = self.rows
+        for q, row in rows.items():
+            c = row.get(p)
+            if c is not None:
+                g = gcd(a, c)
+                m = a // g
+                if m != 1:
+                    row = {col: m * x for col, x in row.items()}
+                rows[q] = _primitive(axpy(row, -(c // g), v), q)
+        rows[p] = v
         return p
 
-    def extend(self, vecs):
-        for v in vecs:
-            self.add(v)
-        return self
-
     def rref(self):
-        """Fully back-substituted rows as {pivot: row}, each row a dict of
-        Fractions with 1 at its pivot; canonical for the space.
-
-        Rows are taken from the largest pivot down, so the rows already
-        reduced carry no pivot column but their own and back-substitution
-        into a row never creates a new hit.
-        """
-        done = {}
-        for p in sorted(self.rows, reverse=True):
-            v, _ = self._eliminate(dict(self.rows[p]), 1, done)
-            done[p] = _primitive(v, p)
-        out = {}
-        for p in list(done):
-            v = done.pop(p)  # so the integer and Fraction copies never coexist
-            a = v[p]
-            out[p] = {col: Fraction(x, a) for col, x in v.items()}
-        return out
+        """The rows as {pivot: row}, each row a dict of Fractions with 1 at
+        its pivot; canonical for the space."""
+        return {
+            p: {col: Fraction(x, row[p]) for col, x in row.items()}
+            for p, row in self.rows.items()
+        }
 
     def canonical_key(self):
         """Hashable canonical form of the row space, for equality checks."""

@@ -183,9 +183,6 @@ class MarkedTree:
         return tree
 
 
-Stratum = MarkedTree
-
-
 def trivial_tree(n):
     return MarkedTree(n, (-1,), tuple(0 for _ in range(n)))
 

@@ -97,8 +97,8 @@ def test_below_equals_sum_of_nonmaximal_lambdas():
 
 
 def test_below_span_independent_of_insertion_order():
-    # the echelon rows depend on the insertion order; the rref and the omega
-    # projections must not
+    # the stored rows, the rref and the omega projections are canonical for
+    # the span, so no insertion order shows in them
     pres = homology.homology_basis(7, 2)
     gens = [
         pres.reduce_index_vec({i: 1})
@@ -114,6 +114,7 @@ def test_below_span_independent_of_insertion_order():
             sub.add_generator(g)
         quotients.append(filtration.OmegaQuotient(pres, sub))
     a, b = quotients
+    assert a.below.space.rows == b.below.space.rows
     assert a.below.space.rref() == b.below.space.rref()
     assert a.positions == b.positions
     for i in range(len(pres.strata)):

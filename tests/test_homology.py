@@ -112,14 +112,14 @@ def test_pairing_hand_values():
 
 
 def test_solve_from_pairings_roundtrip():
-    for n in (5, 6):
+    for n in (4, 5, 6, 7):
         p = homology.homology_basis(n, 1)
         splits = trees.all_splits(n)
         rng = random.Random(n)
         for _ in range(10):
             coeffs = {
                 j: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                for j in rng.sample(range(p.rank), 3)
+                for j in rng.sample(range(p.rank), min(3, p.rank))
             }
             coeffs = {j: c for j, c in coeffs.items() if c}
             pair = {}
@@ -148,15 +148,36 @@ def test_solve_from_pairings_rejects_bad_vector():
     assert x != {0: Fraction(1)}
 
 
+def test_solve_from_pairings_rejects_two_values_for_one_split():
+    p = homology.homology_basis(5, 1)
+    t = p.strata[p.basis[0]]
+    pair = {s: homology.intersection_pairing_h2(t, s) for s in trees.all_splits(5)}
+    s = frozenset({2, 3})
+    other = frozenset({1, 4, 5})
+    assert pair[s] == 1
+    # the complement names the same split; it comes first, with another value
+    with pytest.raises(ValueError, match=r"split \[2, 3\] two values"):
+        homology.solve_class_from_pairings(p, {other: 8, **pair})
+    assert homology.solve_class_from_pairings(p, {other: 1, **pair}) == {0: 1}
+
+
 def test_pairing_matrix_full_rank():
     from stratadyn import linalg
 
-    for n in (5, 6):
+    for n in (4, 5, 6, 7):
         p = homology.homology_basis(n, 1)
-        space = linalg.RowSpace()
-        for row in homology.pairing_rows(p):
-            space.add(dict(row))
-        assert space.dim() == p.rank
+        column = homology._split_columns(n)
+        every, basis = linalg.RowSpace(), linalg.RowSpace()
+        for i, t in enumerate(p.strata):
+            every.add(homology._curve_row(t, column))
+            if i in p.pos:
+                basis.add(homology._curve_row(t, column))
+        assert every.dim() == basis.dim() == p.rank
+        # the presentation keeps the basis curves' rows only, each with its
+        # pivot in a split column, below every stratum column
+        kept = p._pairing_space
+        assert kept.dim() == p.rank
+        assert all(col <= -len(p.strata) for col in kept.rows)
 
 
 def test_class_reduce_validates_degree():
@@ -256,8 +277,8 @@ def test_reduced_coordinates_do_not_alias_the_presentation():
 
 
 def test_pairing_presentation_matches_relation_oracle():
-    for n in (4, 5, 6, 7):
-        for k in (0, 1):
+    for n in (3, 4, 5, 6, 7):
+        for k in range(min(1, n - 3) + 1):
             got = homology.homology_basis(n, k)
             want = oracles.relation_presentation(n, k)
             assert got.strata == want.strata, (n, k)

@@ -175,11 +175,24 @@ def test_rowspace_matches_fraction_reference(pivot):
 def test_rowspace_rows_are_primitive_integer_vectors():
     rng = random.Random(7)
     space = linalg.RowSpace()
-    space.extend(_seeded_vectors(rng, 12, 40))
+    for v in _seeded_vectors(rng, 12, 40):
+        space.add(v)
     for p, row in space.rows.items():
         assert all(type(x) is int and x for x in row.values())
         assert math.gcd(*row.values()) == 1 and row[p] > 0
         assert p == min(row)
+
+
+def test_rowspace_rows_are_fully_reduced():
+    # after every insertion, no stored row meets another row's pivot column,
+    # which is what lets RowSpace.reduce clear each pivot hit with one axpy
+    rng = random.Random(1968)
+    for _ in range(40):
+        space = linalg.RowSpace()
+        for v in _seeded_vectors(rng, rng.randint(1, 16), rng.randint(1, 25)):
+            space.add(v)
+            for p, row in space.rows.items():
+                assert not any(col in space.rows for col in row if col != p), (p, row)
 
 
 def _nonzero(rng):
