@@ -212,9 +212,7 @@ def cmd_pushforward(args):
         "matrix_float": mat_floats(pm.matrix),
     }
     if h.identify is not None:
-        sm = pushforward.self_correspondence_matrix(
-            h, 1, args.limit_tuples, args.limit_strata
-        )
+        sm = pushforward._self_matrix(h, pm)
         dump["self_matrix"] = mat_strs(sm)
         dump["self_matrix_float"] = mat_floats(sm)
     if args.out:
@@ -610,7 +608,11 @@ def _common_flags(p, tuples=False):
     p.add_argument("--jobs", type=int, default=1, help="worker count (runs serial)")
     p.add_argument("--limit-strata", type=int, dest="limit_strata")
     if tuples:
-        p.add_argument("--limit-tuples", type=int, dest="limit_tuples")
+        p.add_argument(
+            "--limit-tuples", type=int, dest="limit_tuples",
+            help="cap on the tuples each cover enumeration over one target tree "
+            "tries, counted as if nothing were cached",
+        )
 
 
 def build_parser():

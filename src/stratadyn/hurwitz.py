@@ -28,11 +28,21 @@ orbit representatives along the edges used in tropical Hurwitz counting
 The source curve of a class, from its components' marks and its nodes, is
 built in one place (`_source_tree_of_class`), for cover types and for the
 smoothed classes of the pushforward alike.
+
+The classes over a target tree are kept once per process in `_CLASSES`,
+keyed by every field of the datum and the tree, as `trees._STRATA` keeps
+strata: the datum is validated and the classes built on the first call only,
+and a later call ticks the tuple budget the first one used.  They are kept
+marshalled, and every call reads new CoverClass objects from them.  Counts,
+the degeneration check and the pushforward all read the kept classes.  A
+test that counts work done inside the enumeration must clear `_CLASSES`
+itself.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -505,12 +515,46 @@ def _least_tail(marks, matchings, edge_list, cosets, limit):
     return tuple(enc_label), enc_match
 
 
+# (datum value, tau) -> (marshalled class fields, ticks), kept once per process.
+# Marshalled, an entry is one bytes object about a tenth the size of its
+# classes as objects, and the allocator keeps no small objects alive for it.
+_CLASSES = {}
+_VALUES = {}  # datum value -> the one copy of it the keys of _CLASSES share
+
+
+def _datum_value(h):
+    """Every field of the datum, as a hashable value."""
+    value = (
+        h.a_marks, h.b_marks, h.d,
+        tuple(sorted(h.f_map.items())), tuple(sorted(h.br.items())), tuple(sorted(h.rm.items())),
+        h.forget_to, None if h.identify is None else tuple(sorted(h.identify.items())),
+    )
+    return _VALUES.setdefault(value, value)
+
+
 def enumerate_cover_classes(h, tau, limit_tuples=None):
     """All labeled-cover classes of the datum over the target tree tau.
 
     Requires a fully marked datum; tau is a stratum tree on |B| marks, mark i
     standing for b_marks[i-1].  Returns CoverClass representatives sorted by
     canonical key.
+
+    The result is kept per (datum value, tau), tau itself and not its
+    canonical form since the classes use its vertex numbering.  Every call
+    returns new classes read from the kept fields, so a caller may change
+    them freely.  The datum is validated and the classes built only on a
+    miss, under the caller's `limit_tuples`; a call that raises keeps
+    nothing, and a hit ticks what the miss ticked, so the cap behaves as if
+    nothing were cached.  See _enumerate_cover_classes.
+    """
+    limit = _Limit(limit_tuples)
+    kept = limit.replay(_CLASSES, (_datum_value(h), tau), _enumerate_cover_classes, h, tau)
+    return [CoverClass(tau, *fields) for fields in marshal.loads(kept)]
+
+
+def _enumerate_cover_classes(h, tau, limit):
+    """The fields after tau of the sorted classes of enumerate_cover_classes,
+    one tuple per class, marshalled.
 
     The key is the least encoding (flag permutations, mark labeling, edge
     matchings) over every per-vertex sheet relabeling.  Relabeling vertex w
@@ -535,7 +579,6 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
         raise ValueError("cover enumeration requires a fully marked datum (%s)" % res.status)
     if tau.n != len(h.b_marks):
         raise ValueError("target tree has %d marks, datum has %d" % (tau.n, len(h.b_marks)))
-    limit = _Limit(limit_tuples)
     d = h.d
     all_p, _ = _perm_pool(d)
     num_w = len(tau.parents)
@@ -640,11 +683,11 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
                 comp_marks = [[] for _ in comps]
                 for a, _pos, cyc, w in marks:
                     comp_marks[comp_at[w][cyc[0]]].append(a)
-                reps[key] = CoverClass(
-                    tau, vertex_perms, labeling, matchings,
+                reps[key] = (
+                    vertex_perms, labeling, matchings,
                     comps, [tuple(m) for m in comp_marks], src_edges, key,
                 )
-    return [reps[k] for k in sorted(reps)]
+    return marshal.dumps(tuple(reps[k] for k in sorted(reps)))
 
 
 def count_covers(h, limit_tuples=None):

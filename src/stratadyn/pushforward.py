@@ -304,7 +304,12 @@ def self_correspondence_matrix(h, k, limit_tuples=None, limit_strata=None):
         return ((Fraction(pushforward_h0(h, limit_tuples)),),)
     if k != 1:
         raise ValueError("self-correspondence matrices are available for k in {0, 1}")
-    pm = pushforward_h2(h, limit_tuples, limit_strata)
+    return _self_matrix(h, pushforward_h2(h, limit_tuples, limit_strata))
+
+
+def _self_matrix(h, pm):
+    """The k = 1 self-correspondence matrix: the pushforward pm of h,
+    conjugated into the retained-mark basis by the identify bijection."""
     p_a, p_b = pm.target_pres, pm.source_pres
     if p_a.n != p_b.n:
         raise ValueError(

@@ -211,7 +211,8 @@ def test_data_files_match_builtin_examples():
 
 def test_main_in_process_repeats_match_fresh_processes(capsys):
     # main keeps one parser per process; a refused call must leave it, and
-    # the library caches, as they were for the calls that follow
+    # the library caches, as they were for the calls that follow, and a
+    # capped call must be refused on warm caches as in a fresh process
     assert cli._parser() is cli._parser()
     assert cli.build_parser() is not cli._parser()
     fig1 = str(DATA / "fig1.json")
@@ -226,7 +227,10 @@ def test_main_in_process_repeats_match_fresh_processes(capsys):
         ("strata", "--n", "6", "--k", "2", "--limit-strata", "24"),
         ("strata", "--n", "6", "--k", "2", "--limit-strata", "25"),
         ("dyndeg", "--data", fig1, "--k", "0"),
+        ("dyndeg", "--data", fig1, "--k", "1"),
         ("hurwitz", "count", "--data", fig1),
+        # refused from the cover classes the uncapped count just kept
+        ("hurwitz", "count", "--data", fig1, "--limit-tuples", "5"),
     ]
 
     def in_process(argv):

@@ -5,12 +5,13 @@ here from scratch: all permutation tuples are enumerated without any of the
 library's pruning, and classes are deduplicated by minimal conjugate.
 """
 
+import copy
 import itertools
 
 import pytest
 
 import oracles
-from stratadyn import trees
+from stratadyn import hurwitz, trees
 from stratadyn.hurwitz import (
     HurwitzData,
     _source_tree_of_class,
@@ -311,11 +312,12 @@ def test_limit_tuples_raises():
         count_covers(full, limit_tuples=5)
 
 
-def test_limit_tuples_counts_key_relabelings():
+def test_limit_tuples_counts_key_relabelings(monkeypatch):
     # Over a point stratum of fig1 the enumeration makes 241 ticks: 44 for
     # the local tuples, glued candidates, labelings and matchings, 108 for
     # the conjugacy scan (3! relabelings for each of the 9 local tuples at
     # each of the 2 vertices) and 89 for the relabelings of the key search.
+    monkeypatch.setattr(hurwitz, "_CLASSES", {})
     full, _ = fully_mark(fig1_datum())
     tau = trees.enumerate_strata(4, 0)[0]
     # the budget bounds the relabelings too: a cap that covers everything
@@ -327,6 +329,107 @@ def test_limit_tuples_counts_key_relabelings():
     # first computation ticked, so the figure is exact
     with pytest.raises(ResourceError):
         enumerate_cover_classes(full, tau, limit_tuples=240)
+    # the classes are now kept, and a kept result ticks the same 241
+    assert len(hurwitz._CLASSES) == 1
+    with pytest.raises(ResourceError, match="exceeded 152 tuples"):
+        enumerate_cover_classes(full, tau, limit_tuples=44 + 108)
+    assert len(enumerate_cover_classes(full, tau, limit_tuples=241)) == 2
+    with pytest.raises(ResourceError, match="exceeded 240 tuples"):
+        enumerate_cover_classes(full, tau, limit_tuples=240)
+
+
+# -- the per-process cover memo -----------------------------------------------
+
+
+def _fields(classes):
+    return [tuple(getattr(c, f) for f in c.__slots__) for c in classes]
+
+
+def test_equal_data_share_one_kept_entry(monkeypatch):
+    monkeypatch.setattr(hurwitz, "_CLASSES", {})
+    tau = trees.enumerate_strata(4, 0)[0]
+    full, _ = fully_mark(fig1_datum())
+    first = enumerate_cover_classes(full, tau)
+    # built separately, dict entries in another order: the same value
+    dd = full.to_json_dict()
+    dd["F"] = dict(reversed(list(dd["F"].items())))
+    again = HurwitzData.from_json_dict(dd)
+    assert list(again.f_map) != list(full.f_map)
+    second = enumerate_cover_classes(again, tau)
+    assert len(hurwitz._CLASSES) == 1
+    assert _fields(second) == _fields(first)
+
+
+def test_data_differing_in_one_field_keep_their_own_entries(monkeypatch):
+    monkeypatch.setattr(hurwitz, "_CLASSES", {})
+    tau = trees.enumerate_strata(4, 0)[0]
+    full, _ = fully_mark(fig1_datum())
+    first = enumerate_cover_classes(full, tau)
+    # identify plays no part in the enumeration, yet it is part of the key
+    other = HurwitzData(full.a_marks, full.b_marks, full.d, full.f_map, full.br,
+                        full.rm, full.forget_to, None)
+    second = enumerate_cover_classes(other, tau)
+    assert len(hurwitz._CLASSES) == 2
+    assert _fields(second) == _fields(first)
+    # the same stratum with its vertices numbered the other way round is
+    # another tree, and its classes use that numbering
+    root = tau.parents.index(-1)
+    swap = {root: 1 - root, 1 - root: root}
+    renumbered = trees.MarkedTree(4, (1, -1) if root == 0 else (-1, 0),
+                                  tuple(swap[v] for v in tau.legs))
+    assert renumbered != tau and trees.canonical_form(renumbered) == tau
+    third = enumerate_cover_classes(full, renumbered)
+    assert len(hurwitz._CLASSES) == 3
+    assert len(third) == len(first) and all(c.tau is renumbered for c in third)
+
+
+def test_changing_returned_classes_leaves_the_next_result(monkeypatch):
+    monkeypatch.setattr(hurwitz, "_CLASSES", {})
+    tau = trees.enumerate_strata(4, 0)[0]
+    full, _ = fully_mark(fig1_datum())
+    first = enumerate_cover_classes(full, tau)
+    want = copy.deepcopy(_fields(first))
+    first[0].labeling.clear()
+    first[0].comps.append(None)
+    first[0].edges.clear()
+    first.reverse()
+    first.append(None)
+    second = enumerate_cover_classes(full, tau)
+    assert second is not first and _fields(second) == want
+    second.clear()
+    assert _fields(enumerate_cover_classes(full, tau)) == want
+
+
+def test_capped_call_that_raises_keeps_nothing(monkeypatch):
+    monkeypatch.setattr(hurwitz, "_CLASSES", {})
+    full, _ = fully_mark(fig1_datum())
+    with pytest.raises(ResourceError):
+        count_covers(full, limit_tuples=5)
+    assert hurwitz._CLASSES == {}
+    with pytest.raises(ValueError, match="fully marked"):
+        count_covers(fig1_datum())
+    assert hurwitz._CLASSES == {}
+    # the oracle counts on its own, past the memo
+    assert count_covers_orbit_stabilizer(full) == 4
+    assert hurwitz._CLASSES == {}
+
+
+def test_validate_runs_once_per_miss(monkeypatch):
+    monkeypatch.setattr(hurwitz, "_CLASSES", {})
+    full, _ = fully_mark(fig1_datum())
+    calls = []
+    real = hurwitz.validate
+    monkeypatch.setattr(hurwitz, "validate", lambda h: calls.append(1) or real(h))
+    strata = trees.enumerate_strata(4, 0)
+    for _ in range(3):
+        for tau in strata:
+            report = degeneration_degree_check(full, tau)
+            assert report["ok"] and report["expected"] == 4
+    # three point strata and the smooth target: four misses
+    assert len(hurwitz._CLASSES) == 4
+    assert len(calls) == 4
+    # whose keys share one copy of the datum's value
+    assert len({id(value) for value, _tau in hurwitz._CLASSES}) == 1
 
 
 # -- covers over boundary strata ----------------------------------------------
