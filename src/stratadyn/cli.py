@@ -167,29 +167,8 @@ def cmd_hurwitz(args):
         raise ValueError(
             "tau has %d marks, the datum targets %d" % (tau.n, len(h.b_marks))
         )
-    types = hurwitz.enumerate_cover_types(full, tau, args.limit_tuples)
-    total = sum(t.multiplicity * t.count for t in types)
-    expected = hurwitz.count_covers(full, args.limit_tuples)
-    _emit(
-        {
-            "tau": tau.to_json_dict(),
-            "expected": expected,
-            "total": total,
-            "ok": total == expected,
-            "types": [
-                {
-                    "source": t.source_tree.to_json_dict(),
-                    "nodes": [
-                        {"side": sorted(side), "r": r} for side, r in t.node_data
-                    ],
-                    "multiplicity": t.multiplicity,
-                    "count": t.count,
-                    "codim": t.source_tree.codim(),
-                }
-                for t in types
-            ],
-        }
-    )
+    report = hurwitz.degeneration_degree_check(full, tau, args.limit_tuples)
+    _emit(dict(report, tau=tau.to_json_dict()))
     return 0
 
 

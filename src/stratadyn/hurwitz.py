@@ -25,9 +25,12 @@ vertices, are minimised over a product.  This is the gluing of per-vertex
 orbit representatives along the edges used in tropical Hurwitz counting
 (Cavalieri-Johnson-Markwig, arXiv 0804.0579).
 
-The source curve of a class, from its components' marks and its nodes, is
-built in one place (`_source_tree_of_class`), for cover types and for the
-smoothed classes of the pushforward alike.
+The source curve of a class comes from its node splits: `_node_sides` gives
+each node the split of the marks on its far side, and
+`_source_tree_of_class` builds the canonical tree cut by those splits with
+`trees.tree_from_splits`, for cover types and for the smoothed classes of
+the pushforward alike (Keel, Trans. AMS 330, 1992: a stratum is fixed by its
+splits).
 
 The classes over a target tree are kept once per process in `_CLASSES`,
 keyed by every field of the datum and the tree, as `trees._STRATA` keeps
@@ -751,32 +754,53 @@ class CoverType:
         return (trees.tree_sort_key(self.source_tree), self.node_data)
 
 
-def _source_tree_of_class(n, comp_marks, comp_edges):
-    """A source curve as a stable marked tree plus node data.
+def _node_sides(n, comp_marks, comp_edges):
+    """Each node of a source curve as (normalised split, r).
 
     comp_marks lists the marks (1..n) on each component and comp_edges the
-    (i, j, r) nodes between components.  Returns (tree, ((normalised split
-    side, r), ...)), component i being vertex i of the tree.
+    (i, j, r) nodes between components, which form a tree; a node's split
+    cuts off the marks on its far side.  One pass gathers the marks below
+    each component with the tree rooted at component 0.
     """
-    vertices = [[("leg", mk) for mk in marks] for marks in comp_marks]
+    adj = [[] for _ in comp_marks]
     for i, j, _r in comp_edges:
-        vertices[i].append(("edge", j))
-    t = trees._assemble(n, vertices)
-    node_data = [(trees.normalize_split(n, t.away_marks(i, j)), r) for i, j, r in comp_edges]
-    node_data.sort(key=lambda x: (tuple(sorted(x[0])), x[1]))
-    return t, tuple(node_data)
+        adj[i].append(j)
+        adj[j].append(i)
+    up = [-1] * len(comp_marks)
+    order = [0]
+    for x in order:
+        for y in adj[x]:
+            if y != up[x]:
+                up[y] = x
+                order.append(y)
+    below = [set(marks) for marks in comp_marks]
+    for x in reversed(order[1:]):
+        below[up[x]] |= below[x]
+    return [
+        (trees.normalize_split(n, below[j] if up[j] == i else below[i]), r)
+        for i, j, r in comp_edges
+    ]
+
+
+def _source_tree_of_class(n, nodes):
+    """A source curve as a stable marked tree plus node data.
+
+    nodes lists the (normalised split, r) of each source node (_node_sides).
+    Returns (canonical tree cut by those splits, the nodes sorted).
+    """
+    node_data = tuple(sorted(nodes, key=lambda x: (tuple(sorted(x[0])), x[1])))
+    return trees.tree_from_splits(n, [side for side, _r in node_data]), node_data
 
 
 def enumerate_cover_types(h, tau, limit_tuples=None):
     """Group the labeled-cover classes over tau by isomorphism type."""
     classes = enumerate_cover_classes(h, tau, limit_tuples)
+    n = len(h.a_marks)
     a_index = {a: i + 1 for i, a in enumerate(h.a_marks)}
     buckets = {}
     for cls in classes:
-        t, node_data = _source_tree_of_class(
-            len(h.a_marks), [[a_index[a] for a in marks] for marks in cls.comp_marks], cls.edges
-        )
-        key = (trees.canonical_form(t), node_data)
+        marks = [[a_index[a] for a in comp] for comp in cls.comp_marks]
+        key = _source_tree_of_class(n, _node_sides(n, marks, cls.edges))
         buckets.setdefault(key, []).append(cls)
     out = []
     for (t, node_data) in sorted(buckets, key=lambda k: (trees.tree_sort_key(k[0]), k[1])):
@@ -799,7 +823,13 @@ def degeneration_degree_check(h, tau, limit_tuples=None):
         "total": total,
         "ok": total == expected,
         "types": [
-            {"count": t.count, "multiplicity": t.multiplicity, "codim": t.source_tree.codim()}
+            {
+                "source": t.source_tree.to_json_dict(),
+                "nodes": [{"side": sorted(side), "r": r} for side, r in t.node_data],
+                "count": t.count,
+                "multiplicity": t.multiplicity,
+                "codim": t.source_tree.codim(),
+            }
             for t in types
         ],
     }

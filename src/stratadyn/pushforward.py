@@ -14,6 +14,9 @@ marks, and reduced in the quotient basis.
 Every stratum on the way is built from its split set: a degeneration of tau
 adds the union of two of the four flag blocks at its 4-valent vertex, and
 gluing adds the splits of the small trees (`trees.glue_substitution`).
+Smoothing a refined cover is done on splits too, with no component merging:
+the source curve is cut by the splits of the old nodes, and each new node's
+split names its smoothed vertex and the flag split it pairs with there.
 Source vertices are named by their flag blocks, which are unique per vertex
 even where a component carries no mark.  A vertex class is solved in the
 presentation of its own valence, under the caller's `limit_strata`.
@@ -40,81 +43,47 @@ def pushforward_h0(h, limit_tuples=None):
 # -- degenerating the target at its 4-valent vertex --------------------------
 
 
-def _smooth_refined_class(full, cls, ends, a_index):
+def _smooth_refined_class(cls, ends, a_index):
     """Undo the target refinement on a cover class over the refined tree.
 
-    `ends` is the set of the two endpoints of the new target edge.
-    Components joined by nodes over it merge; old nodes survive.  Returns
-    (type key, contributions, product of new-node ramifications) where
-    contributions maps each merged vertex, named by its flag blocks, to
-    {normalised flag split: weight}, the weight of a node being the product
-    of the other new nodes' ramifications.
+    `ends` is the set of the two endpoints of the new target edge.  Nodes
+    over it are new and smooth away; the others are old, and smoothing
+    leaves their splits as they are, so the old splits alone give the type
+    key.  A new node with split S lies in the one smoothed vertex whose flag
+    blocks each fall inside S or outside it, and splits that vertex's flags
+    into the blocks inside S and the rest.  Returns (type key,
+    contributions, product of new-node ramifications) where contributions
+    maps each smoothed vertex, named by its flag blocks, to {normalised flag
+    split: weight}, the weight of a node being the product of the other new
+    nodes' ramifications.
     """
-    new_nodes = []
+    n = len(a_index)
+    marks = [[a_index[a] for a in comp] for comp in cls.comp_marks]
     old_nodes = []
-    for ci, cj, r in cls.edges:
-        if {cls.comps[ci][0], cls.comps[cj][0]} == ends:
-            new_nodes.append((ci, cj, r))
-        else:
-            old_nodes.append((ci, cj, r))
-
-    # merge components along the new nodes
-    uf = hurwitz.UnionFind(len(cls.comps))
-    for ci, cj, _r in new_nodes:
-        uf.union(ci, cj)
-    roots = sorted({uf.find(i) for i in range(len(cls.comps))})
-    gid = {root: g for g, root in enumerate(roots)}
-    group_of = [gid[uf.find(i)] for i in range(len(cls.comps))]
-
-    group_marks = [set() for _ in roots]
-    for ci, marks in enumerate(cls.comp_marks):
-        for a in marks:
-            group_marks[group_of[ci]].add(a_index[a])
-    group_edges = []
-    for ci, cj, r in old_nodes:
-        gi, gj = group_of[ci], group_of[cj]
-        if gi == gj:
-            raise AssertionError("old node internal to a merged component")
-        group_edges.append((gi, gj, r))
-    sigma, node_data = hurwitz._source_tree_of_class(len(full.a_marks), group_marks, group_edges)
-    key = (trees.canonical_form(sigma), node_data)
+    new_nodes = []
+    for (ci, cj, _r), node in zip(cls.edges, hurwitz._node_sides(n, marks, cls.edges)):
+        is_new = {cls.comps[ci][0], cls.comps[cj][0]} == ends
+        (new_nodes if is_new else old_nodes).append(node)
+    key = hurwitz._source_tree_of_class(n, old_nodes)
+    sigma = key[0]
+    if sigma.codim() != len(old_nodes):
+        raise AssertionError(
+            "the smoothed tree has %d edges for %d old nodes" % (sigma.codim(), len(old_nodes))
+        )
 
     rprod = 1
-    for _ci, _cj, r in new_nodes:
+    for _side, r in new_nodes:
         rprod *= r
 
     contributions = {}
-    for ci, cj, r in new_nodes:
-        g = group_of[ci]
-        # component sides of the cut node within the merged vertex
-        side_comps = {cj}
-        frontier = [cj]
-        while frontier:
-            x = frontier.pop()
-            for di, dj, _r2 in new_nodes:
-                if (di, dj) == (ci, cj) or (dj, di) == (ci, cj):
-                    continue
-                if di == x and dj not in side_comps:
-                    side_comps.add(dj)
-                    frontier.append(dj)
-                elif dj == x and di not in side_comps:
-                    side_comps.add(di)
-                    frontier.append(di)
-        flags = sigma.flags_of(g)
-        leg_pos = {f[1]: i + 1 for i, f in enumerate(flags) if f[0] == "leg"}
-        edge_pos = {f[1]: i + 1 for i, f in enumerate(flags) if f[0] == "edge"}
-        side = set()
-        for comp in side_comps:
-            for a in cls.comp_marks[comp]:
-                side.add(leg_pos[a_index[a]])
-            for di, dj, _r2 in old_nodes:
-                if di == comp:
-                    side.add(edge_pos[group_of[dj]])
-                elif dj == comp:
-                    side.add(edge_pos[group_of[di]])
-        val = len(flags)
-        norm = trees.normalize_split(val, frozenset(side))
-        bucket = contributions.setdefault(frozenset(sigma.flag_marksets(g)), {})
+    for side, r in new_nodes:
+        blocks = next(
+            bl for bl in map(sigma.flag_marksets, range(sigma.num_vertices()))
+            if all(b <= side or b.isdisjoint(side) for b in bl)
+        )
+        inside = {pos for pos, b in enumerate(blocks, start=1) if b <= side}
+        norm = trees.normalize_split(len(blocks), inside)
+        bucket = contributions.setdefault(frozenset(blocks), {})
         bucket[norm] = bucket.get(norm, 0) + rprod // r
     return key, contributions, rprod
 
@@ -144,9 +113,6 @@ class PushforwardMatrix:
 
 def pushforward_h2(h, limit_tuples=None, limit_strata=None):
     """The correspondence on H_2, column by column over target basis strata."""
-    res = hurwitz.validate(h)
-    if not res.ok:
-        raise ValueError("invalid datum: %s" % res.reason)
     full, deg_nu = hurwitz.fully_mark(h)
     n_b = len(full.b_marks)
     if n_b < 4:
@@ -197,7 +163,7 @@ def _push_column(full, tau, p_a, n_a, keep, keepset, renum, deg_nu, limit_tuples
         )
         local_deg = {}
         for cls in hurwitz.enumerate_cover_classes(full, tau_ref, limit_tuples):
-            key, contribs, rprod = _smooth_refined_class(full, cls, ends, a_index)
+            key, contribs, rprod = _smooth_refined_class(cls, ends, a_index)
             if key not in by_key:
                 raise AssertionError("refined cover smooths to an unknown type")
             local_deg[key] = local_deg.get(key, 0) + rprod
@@ -297,9 +263,6 @@ def self_correspondence_matrix(h, k, limit_tuples=None, limit_strata=None):
     """
     if h.identify is None:
         raise ValueError("self-correspondence needs the identify bijection")
-    res = hurwitz.validate(h)
-    if not res.ok:
-        raise ValueError("invalid datum: %s" % res.reason)
     if k == 0:
         return ((Fraction(pushforward_h0(h, limit_tuples)),),)
     if k != 1:

@@ -14,11 +14,13 @@ encodings describe the same stratum iff their canonical forms are equal.
 A stratum is also fixed by its set of pairwise-compatible splits, the mark
 bipartitions cut by its edges (Keel, Trans. AMS 330, 1992).  Derived strata
 (gluing small trees into vertices, forgetting marks) are computed on split
-sets and built by tree_from_splits.  enumerate_strata searches split sets
-as integer bitmasks, growing each set by AND-ing per-split compatibility
-masks, and builds every set it finds with tree_from_splits.  Canonical
-forms take one subtree-size pass to find the centroid and one pass to
-build the subcodes, and validation one pass over parents and legs.
+sets and built by tree_from_splits, and so are the source curves of covers
+(`hurwitz._source_tree_of_class`, from the split of each source node).
+enumerate_strata searches split sets as integer bitmasks, growing each set
+by AND-ing per-split compatibility masks, and builds every set it finds
+with tree_from_splits.  Canonical forms take one subtree-size pass to find
+the centroid and one pass to build the subcodes, and validation one pass
+over parents and legs.
 
 enumerate_strata keeps its full result per (n, k) for the life of the
 process, so each stratum is built once per process however many callers ask
@@ -349,38 +351,6 @@ def all_splits(n):
             out.append(side)
     out.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return out
-
-
-def _assemble(n, vertices):
-    """Build a MarkedTree from per-vertex flag lists.
-
-    A flag is ('leg', mark) or ('edge', other_vertex); edges may be listed on
-    one or both endpoints.
-    """
-    m = len(vertices)
-    adj = [set() for _ in range(m)]
-    legs = [0] * n
-    for vi, flags in enumerate(vertices):
-        for f in flags:
-            if f[0] == "leg":
-                legs[f[1] - 1] = vi
-            else:
-                adj[vi].add(f[1])
-                adj[f[1]].add(vi)
-    parents = [-2] * m
-    parents[0] = -1
-    stack = [0]
-    seen = {0}
-    while stack:
-        x = stack.pop()
-        for u in adj[x]:
-            if u not in seen:
-                seen.add(u)
-                parents[u] = x
-                stack.append(u)
-    if len(seen) != m:
-        raise ValueError("flag lists do not describe a connected tree")
-    return MarkedTree(n, tuple(parents), tuple(legs))
 
 
 def tree_from_splits(n, splits):

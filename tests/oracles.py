@@ -8,9 +8,11 @@ full enumeration instead of meet-in-the-middle; characteristic polynomials
 come from Faddeev-LeVerrier instead of a Hessenberg reduction; row spaces
 are eliminated over Fractions instead of fraction-free integers; stable
 vertices sum Fraction flag weights instead of integer subtree sums; and cover
-counts come from raw tuple enumeration.  Expected values frozen in the
-tests were computed with these oracles (or by hand) before the corresponding
-library code was written.
+counts come from raw tuple enumeration.  The oracles assemble their trees
+themselves, from per-vertex flag lists (`assemble`), rather than through the
+library's split-set builder.  Expected values frozen in the tests were
+computed with these oracles (or by hand) before the corresponding library
+code was written.
 """
 
 from __future__ import annotations
@@ -19,6 +21,38 @@ import itertools
 from fractions import Fraction
 
 from stratadyn import homology, trees
+
+
+def assemble(n, vertices):
+    """Build a MarkedTree from per-vertex flag lists.
+
+    A flag is ('leg', mark) or ('edge', other_vertex); edges may be listed on
+    one or both endpoints.
+    """
+    m = len(vertices)
+    adj = [set() for _ in range(m)]
+    legs = [0] * n
+    for vi, flags in enumerate(vertices):
+        for f in flags:
+            if f[0] == "leg":
+                legs[f[1] - 1] = vi
+            else:
+                adj[vi].add(f[1])
+                adj[f[1]].add(vi)
+    parents = [-2] * m
+    parents[0] = -1
+    stack = [0]
+    seen = {0}
+    while stack:
+        x = stack.pop()
+        for u in adj[x]:
+            if u not in seen:
+                seen.add(u)
+                parents[u] = x
+                stack.append(u)
+    if len(seen) != m:
+        raise ValueError("flag lists do not describe a connected tree")
+    return trees.MarkedTree(n, tuple(parents), tuple(legs))
 
 
 def refine_at(t, v, away):
@@ -44,7 +78,7 @@ def refine_at(t, v, away):
         else:
             vertices[tgt].append(("edge", f[1]))
     vertices[v].append(("edge", m))
-    return trees.canonical_form(trees._assemble(t.n, vertices))
+    return trees.canonical_form(assemble(t.n, vertices))
 
 
 def one_edge_refinements(t):
@@ -287,7 +321,7 @@ def assemble_from_splits(n, splits):
         vertices[i + 1].append(("edge", home(s)))
     for mark in range(1, n + 1):
         vertices[home(frozenset([mark]))].append(("leg", mark))
-    return trees._assemble(n, vertices)
+    return assemble(n, vertices)
 
 
 def enumerate_strata_reference(n, k):
@@ -340,7 +374,7 @@ def relabel_vertices(t, perm):
             vertices[perm[v]].append(("leg", mk))
         for u in adj[v]:
             vertices[perm[v]].append(("edge", perm[u]))
-    return trees._assemble(t.n, vertices)
+    return assemble(t.n, vertices)
 
 
 def forget_by_contraction(t, keep):
@@ -372,7 +406,7 @@ def forget_by_contraction(t, keep):
         else:
             a, b = adj[v]
             vertices[new[a]].append(("edge", new[b]))
-        t = trees._assemble(t.n - 1, vertices)
+        t = assemble(t.n - 1, vertices)
     return trees.canonical_form(t)
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from stratadyn import cli, hassett, trees
+from tests.test_hurwitz import d3_five_datum
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -159,6 +160,31 @@ def test_hurwitz_types(tmp_path):
     assert obj["expected"] == 4 and obj["total"] == 4
     pairs = sorted((t["count"], t["multiplicity"]) for t in obj["types"])
     assert pairs == [(1, 1), (1, 3)]
+
+
+def test_hurwitz_types_bytes_pinned(tmp_path, capsys):
+    # sha256 of the stdout over fig1's three point strata and d3_five_datum's
+    # first three curves, as computed before source curves were built from
+    # node splits: every source tree, node datum and count is in the bytes
+    pinned = {
+        ("fig1", 0): "952e9cd1567c1bc90964f7ba4d887e5d79ccbd6af3ed9f10968cb9da9f0fced6",
+        ("fig1", 1): "f20086abac7fa9594eacbe6ecf6a819ec3160e942a70b893cc045dfdbbb4e043",
+        ("fig1", 2): "31b78088943f347e8148f86485c541d5dcfa69dcd816e0dc35dc70cea472ddaf",
+        ("d3_five", 0): "f738a8ff4085e3f3d1bd7fc986525f76d9f19491fb6b721837b67644d4e9df84",
+        ("d3_five", 1): "25e28efd53c1f2196914b4c6f94a74a5afdc662556491f33738eba8d4f015a22",
+        ("d3_five", 2): "0aaa69406c5908b7376985361d526a900fccc34fd31dd8a359409cf8cfd18c21",
+    }
+    d3_five = tmp_path / "d3_five.json"
+    d3_five.write_text(json.dumps(d3_five_datum().to_json_dict()))
+    data = {"fig1": (DATA / "fig1.json", trees.enumerate_strata(4, 0)),
+            "d3_five": (d3_five, trees.enumerate_strata(5, 1)[:3])}
+    tf = tmp_path / "tau.json"
+    for (name, i), digest in pinned.items():
+        path, strata = data[name]
+        tf.write_text(json.dumps(strata[i].to_json_dict()))
+        assert cli.main(["hurwitz", "types", "--data", str(path), "--tau", str(tf)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, i)
 
 
 def test_hurwitz_types_rejects_malformed_tau(tmp_path):

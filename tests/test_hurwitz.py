@@ -14,6 +14,7 @@ import oracles
 from stratadyn import hurwitz, trees
 from stratadyn.hurwitz import (
     HurwitzData,
+    _node_sides,
     _source_tree_of_class,
     count_covers,
     count_covers_orbit_stabilizer,
@@ -488,8 +489,10 @@ def test_d1_covers_mirror_target_strata():
             classes = enumerate_cover_classes(h, tau)
             assert len(classes) == 1
             marks = [[h.a_marks.index(a) + 1 for a in m] for m in classes[0].comp_marks]
-            src, node_data = _source_tree_of_class(len(h.a_marks), marks, classes[0].edges)
-            assert trees.canonical_form(src) == tau
+            n = len(h.a_marks)
+            src, node_data = _source_tree_of_class(n, _node_sides(n, marks, classes[0].edges))
+            # built canonical from its node splits
+            assert src == tau
             assert all(r == 1 for _side, r in node_data)
 
 

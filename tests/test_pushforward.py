@@ -97,6 +97,48 @@ def test_d3_self_map_reaches_eight_mark_vertex_space():
     assert rep.exact == 3 and rep.method == "exact_roots"
 
 
+def test_d2_five_mark_self_map_matrix():
+    # degree-2 self-map of five marks, simply branched over b1 and b2: the
+    # matrix as computed before the smoothing ran on node splits
+    a = ["a%d" % i for i in range(1, 6)]
+    b = ["b%d" % i for i in range(1, 6)]
+    h = HurwitzData(
+        a_marks=a,
+        b_marks=b,
+        d=2,
+        f_map=dict(zip(a, b)),
+        br={"b1": [2], "b2": [2]},
+        rm={"a1": 2, "a2": 2, "a3": 1, "a4": 1, "a5": 1},
+        forget_to=a,
+        identify=dict(zip(b, a)),
+    )
+    mat = self_correspondence_matrix(h, 1)
+    assert mat == (
+        (2, 0, 0, 0, 0),
+        (0, 2, 0, 0, 0),
+        (0, 0, 2, 0, 0),
+        (1, 1, 1, 1, 0),
+        (0, 0, 0, 0, 2),
+    )
+    rep = dynamical_degree(mat)
+    assert rep.exact == 2 and rep.method == "exact_roots"
+
+
+def test_invalid_datum_is_refused_with_its_reason():
+    # b4 totally ramified: total branching 5, not 2d - 2 = 4
+    dd = fig1_datum().to_json_dict()
+    dd["br"]["b4"] = [3]
+    h = HurwitzData.from_json_dict(dd)
+    reason = r"total branching 5 != 2d-2 = 4"
+    with pytest.raises(ValueError, match=reason):
+        pushforward_h0(h)
+    with pytest.raises(ValueError, match=reason):
+        pushforward_h2(h)
+    for k in (0, 1):
+        with pytest.raises(ValueError, match=reason):
+            self_correspondence_matrix(h, k)
+
+
 def test_strata_budget_bounds_vertex_space():
     with pytest.raises(trees.ResourceError, match=r"\(n=8, k=1\)"):
         self_correspondence_matrix(d3_self_map_datum(), 1, limit_strata=1000)
