@@ -13,15 +13,16 @@ only connected covers whose component graph is a tree (genus zero) count.
 
 A class is keyed by its least encoding (conjugated flag permutations, then
 relabeled mark cycles, then relabeled edge matchings) over all (d!)^|V|
-per-vertex relabelings.  A relabeling of one vertex's sheets conjugates only
-that vertex's flag-permutation tuple, so every class has candidates whose
-vertex tuples are each their own least simultaneous conjugate, and those are
-the only candidates glued.  The permutation part of the key is then the
-candidate's tuples themselves, and only the relabelings fixing them (the
-product of one centraliser per vertex) need be searched for the rest.  Each
-mark's cycle in turn narrows its own vertex's centraliser to the relabelings
-reaching its least image; only the edge matchings, which couple two
-vertices, are minimised over a product.  This is the gluing of per-vertex
+per-vertex relabelings, and only the one candidate equal to its key is
+glued.  A relabeling of one vertex's sheets conjugates only that vertex's
+flag-permutation tuple, so only tuples that are their own least simultaneous
+conjugate are kept, each with its centraliser.  Each mark's cycle likewise
+depends on one vertex's relabeling, so the least labeling is the per-vertex
+least one: at each vertex only the labelings least in their centraliser
+orbit are kept, each with its stabiliser.  The edge matchings, which couple
+two vertices, are then searched over the product of the stabilisers only,
+and not at all when every stabiliser is trivial.  The key is read off the
+candidate, and no class is met twice.  This is the gluing of per-vertex
 orbit representatives along the edges used in tropical Hurwitz counting
 (Cavalieri-Johnson-Markwig, arXiv 0804.0579).
 
@@ -300,11 +301,10 @@ def _canon_cycle(cyc):
 class CoverClass:
     """One labeled-cover class over a target tree, by representative.
 
-    The representative is the first candidate met among those whose vertex
-    tuples are their own least conjugates, so vertex_perms equals the
-    permutation part of key.  The other fields describe that one candidate;
-    another candidate of the class may number its sheets and components
-    differently, so only key and the source curve they build are invariants.
+    The representative is the class's least candidate, so key is
+    (vertex_perms, each mark's (mark, flag position, cycle) in a_marks
+    order, matchings).  Another candidate of the class numbers its sheets
+    and components differently, but builds the same source curve.
 
     vertex_perms: per target vertex its flag-permutation tuple.
     labeling: {mark: (flag position, cycle)} attaching marks to leg cycles.
@@ -487,35 +487,62 @@ def _least_conjugate(perms, all_p):
     return best, coset
 
 
-def _least_tail(marks, matchings, edge_list, cosets, limit):
-    """Least (labeling, matching) encoding over the product of per-vertex
-    relabeling cosets; marks lists (mark, flag position, cycle, vertex).
+def _least_labelings(h, tau, w, perms, centraliser, limit):
+    """The labelings at w (_vertex_labelings) least in their orbit under the
+    centraliser of w's tuple, each as (labeling, its stabiliser there)."""
+    legs = {h.b_marks[f[1] - 1] for f in tau.flags_of(w) if f[0] == "leg"}
+    order = [a for a in h.a_marks if h.f_map[a] in legs]
+    out = []
+    for labeling in _vertex_labelings(h, tau, w, perms, limit):
+        stabiliser = _stabiliser_if_least([labeling[a][1] for a in order], centraliser, limit)
+        if stabiliser is not None:
+            out.append((labeling, stabiliser))
+    return out
 
-    Each labeling entry depends on one vertex's relabeling, so in mark order
-    each entry narrows its vertex's coset to the relabelings reaching its
-    least value; only the matchings, which couple two vertices, are
-    minimised over the product of what remains.
+
+def _stabiliser_if_least(cycles, coset, limit):
+    """The relabelings in coset fixing every cycle, or None when one of them
+    maps the sequence of cycles to a smaller one.
+
+    In turn each cycle narrows the coset to the relabelings reaching its
+    least image; the sequence is least when every cycle is already that
+    image, and is rejected at the first cycle a relabeling makes smaller.
+    The coset's first element is the identity, which maps each cycle to
+    itself and is never evaluated.
     """
-    cosets = list(cosets)
-    enc_label = []
-    for a, pos, cyc, w in marks:
-        limit.tick(len(cosets[w]))
-        images = [(_cycle_image(hh, cyc), hh) for hh in cosets[w]]
-        best = min(img for img, _hh in images)
-        cosets[w] = [hh for img, hh in images if img == best]
-        enc_label.append((a, pos, best))
-    relabelings = list(itertools.product(*cosets))
-    limit.tick(len(relabelings))
-    enc_match = min(
-        tuple(
+    for cyc in cycles:
+        narrowed = coset[:1]
+        for hh in coset[1:]:
+            limit.tick()
+            img = _cycle_image(hh, cyc)
+            if img < cyc:
+                return None
+            if img == cyc:
+                narrowed.append(hh)
+        coset = narrowed
+    return coset
+
+
+def _least_matchings(matchings, edge_list, stabilisers, limit):
+    """Whether no relabeling in the product of the stabilisers makes the
+    edge matchings smaller.  The product's first element is the identity,
+    which is skipped; with every stabiliser trivial, or no edge, nothing is
+    evaluated."""
+    if not matchings:
+        return True
+    relabelings = itertools.product(*stabilisers)
+    next(relabelings)
+    for rls in relabelings:
+        limit.tick()
+        enc = tuple(
             tuple(sorted(
                 (_cycle_image(rls[c], x), _cycle_image(rls[p], y)) for x, y in pairs
             ))
             for (c, p), pairs in zip(edge_list, matchings)
         )
-        for rls in relabelings
-    )
-    return tuple(enc_label), enc_match
+        if enc < matchings:
+            return False
+    return True
 
 
 # (datum value, tau) -> (marshalled class fields, ticks), kept once per process.
@@ -560,22 +587,24 @@ def _enumerate_cover_classes(h, tau, limit):
     one tuple per class, marshalled.
 
     The key is the least encoding (flag permutations, mark labeling, edge
-    matchings) over every per-vertex sheet relabeling.  Relabeling vertex w
-    conjugates w's flag-permutation tuple alone, so each class has candidates
-    in which every vertex tuple is its own least simultaneous conjugate.
-    Each local tuple is scanned once (_least_conjugate); only those equal to
-    their least conjugate are kept, each with its centraliser, and only
-    products of kept tuples are glued.  The permutation part of a key is then
-    the candidate's vertex_perms, and only the product of the centralisers is
-    searched for the least labeling and matching parts (see _least_tail).
-    Keys, and so the classes and their order, equal those of the full search;
-    the representative of a class is the first glued candidate met in
-    enumeration order.
+    matchings) over every per-vertex sheet relabeling, and only the one
+    candidate equal to its key is glued.  Each local tuple is scanned once
+    (_least_conjugate); only those equal to their least conjugate are kept,
+    each with its centraliser.  Per kept tuple, only the labelings least in
+    their centraliser orbit are kept, each with its stabiliser
+    (_least_labelings).  Over a product of these, a matching is kept only
+    when no relabeling in the product of the stabilisers makes it smaller
+    (_least_matchings).  Mark entries and vertex tuples each depend on one
+    vertex's relabeling, so the least encoding is the per-vertex least one
+    and the candidate kept is its class's key: keys, classes and their
+    order equal those of the full search.  A key met twice is a bug and
+    raises AssertionError.
 
     The budget ticks once per flag-permutation combination tried at a
     vertex, per glued candidate, per mark labeling and per edge matching
     built or tried, d! per local tuple for the conjugacy scan, and once per
-    relabeling evaluated in the key search.
+    non-identity relabeling evaluated in the labeling-orbit and stabiliser
+    searches.
     """
     res = validate(h)
     if res.status != "fully_marked":
@@ -587,7 +616,8 @@ def _enumerate_cover_classes(h, tau, limit):
     num_w = len(tau.parents)
     flag_lists = [tau.flags_of(w) for w in range(num_w)]
     # keep each vertex's tuples that are their own least conjugate, with the
-    # centraliser (the coset _least_conjugate returns for such a tuple)
+    # centraliser (the coset _least_conjugate returns for such a tuple, the
+    # identity first as in all_p)
     locals_per_w = []
     centraliser = {}
     for w in range(num_w):
@@ -616,7 +646,7 @@ def _enumerate_cover_classes(h, tau, limit):
         edge_pos.append((posc, posp))
 
     reps = {}
-    labelings = {}  # (vertex, its tuple) -> (_vertex_labelings, ticks)
+    labelings = {}  # (vertex, its tuple) -> (_least_labelings, ticks)
     matchings_of = {}  # (child, parent) edge permutations -> (_edge_matchings, ticks)
 
     for vertex_perms in itertools.product(*locals_per_w):
@@ -629,9 +659,9 @@ def _enumerate_cover_classes(h, tau, limit):
         if not ok:
             continue
         labeling_sets = [
-            limit.replay(labelings, (w, vertex_perms[w]),
-                         _vertex_labelings, h, tau, w, vertex_perms[w])
-            for w in range(num_w)
+            limit.replay(labelings, (w, perms), _least_labelings,
+                         h, tau, w, perms, centraliser[perms])
+            for w, perms in enumerate(vertex_perms)
         ]
         if any(not ls for ls in labeling_sets):
             continue
@@ -641,8 +671,6 @@ def _enumerate_cover_classes(h, tau, limit):
             matching_sets.append(limit.replay(matchings_of, (gc, gp), _edge_matchings, gc, gp))
         if any(not ms for ms in matching_sets):
             continue
-
-        cosets = [centraliser[perms] for perms in vertex_perms]
 
         # source components per vertex, and the component of each sheet
         comps = []
@@ -657,9 +685,10 @@ def _enumerate_cover_classes(h, tau, limit):
 
         for labeling_combo in itertools.product(*labeling_sets):
             labeling = {}
-            for assign in labeling_combo:
+            for assign, _stabiliser in labeling_combo:
                 labeling.update(assign)
-            marks = [(a, *labeling[a], w) for a, w in zip(h.a_marks, mark_vertex)]
+            stabilisers = [stabiliser for _assign, stabiliser in labeling_combo]
+            enc_label = tuple((a, *labeling[a]) for a in h.a_marks)
             for matchings in itertools.product(*matching_sets):
                 limit.tick()
                 # source graph: one edge per matched cycle pair
@@ -680,12 +709,14 @@ def _enumerate_cover_classes(h, tau, limit):
                     continue
                 if len(src_edges) != len(comps) - 1:
                     continue  # disconnected
-                key = (vertex_perms,) + _least_tail(marks, matchings, edge_list, cosets, limit)
-                if key in reps:
+                if not _least_matchings(matchings, edge_list, stabilisers, limit):
                     continue
+                key = (vertex_perms, enc_label, matchings)
+                if key in reps:
+                    raise AssertionError("cover class keyed twice: %r" % (key,))
                 comp_marks = [[] for _ in comps]
-                for a, _pos, cyc, w in marks:
-                    comp_marks[comp_at[w][cyc[0]]].append(a)
+                for a, w in zip(h.a_marks, mark_vertex):
+                    comp_marks[comp_at[w][labeling[a][1][0]]].append(a)
                 reps[key] = (
                     vertex_perms, labeling, matchings,
                     comps, [tuple(m) for m in comp_marks], src_edges, key,

@@ -43,7 +43,7 @@ def pushforward_h0(h, limit_tuples=None):
 # -- degenerating the target at its 4-valent vertex --------------------------
 
 
-def _smooth_refined_class(cls, ends, a_index):
+def _smooth_refined_class(cls, ends, a_index, smoothed):
     """Undo the target refinement on a cover class over the refined tree.
 
     `ends` is the set of the two endpoints of the new target edge.  Nodes
@@ -56,6 +56,11 @@ def _smooth_refined_class(cls, ends, a_index):
     maps each smoothed vertex, named by its flag blocks, to {normalised flag
     split: weight}, the weight of a node being the product of the other new
     nodes' ramifications.
+
+    The classes of one type share their old nodes, so `smoothed` keeps the
+    type key and the flag blocks of each smoothed vertex per set of old
+    nodes, and each smoothed tree is built once.  The count of old nodes is
+    part of that key, so a repeated split still fails the edge count.
     """
     n = len(a_index)
     marks = [[a_index[a] for a in comp] for comp in cls.comp_marks]
@@ -64,12 +69,16 @@ def _smooth_refined_class(cls, ends, a_index):
     for (ci, cj, _r), node in zip(cls.edges, hurwitz._node_sides(n, marks, cls.edges)):
         is_new = {cls.comps[ci][0], cls.comps[cj][0]} == ends
         (new_nodes if is_new else old_nodes).append(node)
-    key = hurwitz._source_tree_of_class(n, old_nodes)
-    sigma = key[0]
-    if sigma.codim() != len(old_nodes):
-        raise AssertionError(
-            "the smoothed tree has %d edges for %d old nodes" % (sigma.codim(), len(old_nodes))
-        )
+    shape = (frozenset(old_nodes), len(old_nodes))
+    if shape not in smoothed:
+        key = hurwitz._source_tree_of_class(n, old_nodes)
+        sigma = key[0]
+        if sigma.codim() != len(old_nodes):
+            raise AssertionError(
+                "the smoothed tree has %d edges for %d old nodes" % (sigma.codim(), len(old_nodes))
+            )
+        smoothed[shape] = key, [sigma.flag_marksets(v) for v in range(sigma.num_vertices())]
+    key, vertex_blocks = smoothed[shape]
 
     rprod = 1
     for _side, r in new_nodes:
@@ -78,8 +87,7 @@ def _smooth_refined_class(cls, ends, a_index):
     contributions = {}
     for side, r in new_nodes:
         blocks = next(
-            bl for bl in map(sigma.flag_marksets, range(sigma.num_vertices()))
-            if all(b <= side or b.isdisjoint(side) for b in bl)
+            bl for bl in vertex_blocks if all(b <= side or b.isdisjoint(side) for b in bl)
         )
         inside = {pos for pos, b in enumerate(blocks, start=1) if b <= side}
         norm = trees.normalize_split(len(blocks), inside)
@@ -154,6 +162,7 @@ def _push_column(full, tau, p_a, n_a, keep, keepset, renum, deg_nu, limit_tuples
     blocks = tau.flag_marksets(w_star)
     base = tau.splits()
     pairings = {}
+    smoothed = {}  # old nodes -> (type key, flag blocks per vertex)
     for i, j in ((1, 2), (1, 3), (2, 3)):
         cut = trees.normalize_split(tau.n, blocks[i] | blocks[j])
         tau_ref = trees.tree_from_splits(tau.n, base | {cut})
@@ -163,7 +172,7 @@ def _push_column(full, tau, p_a, n_a, keep, keepset, renum, deg_nu, limit_tuples
         )
         local_deg = {}
         for cls in hurwitz.enumerate_cover_classes(full, tau_ref, limit_tuples):
-            key, contribs, rprod = _smooth_refined_class(cls, ends, a_index)
+            key, contribs, rprod = _smooth_refined_class(cls, ends, a_index, smoothed)
             if key not in by_key:
                 raise AssertionError("refined cover smooths to an unknown type")
             local_deg[key] = local_deg.get(key, 0) + rprod

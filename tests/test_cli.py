@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from stratadyn import cli, hassett, trees
-from tests.test_hurwitz import d3_five_datum
+from tests.test_hurwitz import d3_five_datum, d4_total_datum
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -185,6 +185,22 @@ def test_hurwitz_types_bytes_pinned(tmp_path, capsys):
         assert cli.main(["hurwitz", "types", "--data", str(path), "--tau", str(tf)]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, i)
+
+
+def test_hurwitz_types_degree_four_bytes_pinned(tmp_path):
+    # the datum and point stratum of the installed-script step in CI; the
+    # sha256 is that of the output as computed before only least labelings
+    # were glued
+    data = tmp_path / "d4.json"
+    data.write_text(json.dumps(d4_total_datum().to_json_dict()))
+    tf = tmp_path / "tau.json"
+    tf.write_text(json.dumps({"n": 4, "parents": [-1, 0], "legs": {"1": 0, "2": 0, "3": 1, "4": 1}}))
+    r = run_cli("hurwitz", "types", "--data", str(data), "--tau", str(tf))
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+        "b63b35c36d89e502243837e06c3eb00a0e0d3ba6b50d2ea8dc522deeabc82ace"
+    )
+    obj = json.loads(r.stdout)
+    assert obj["ok"] is True and obj["expected"] == 144
 
 
 def test_hurwitz_types_rejects_malformed_tau(tmp_path):

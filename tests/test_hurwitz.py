@@ -73,7 +73,8 @@ def d1_datum(n=5):
 def d3_total_datum():
     """Degree-3 datum with total ramification over b1 and b2 and none over
     b3, b4: the local tuples at a vertex carrying b1 or b2 have nontrivial
-    centralisers, so the key search does real work."""
+    centralisers, so the labeling-orbit and stabiliser searches do real
+    work."""
     return HurwitzData(
         a_marks=["a1", "a2", "a3", "a4"],
         b_marks=["b1", "b2", "b3", "b4"],
@@ -81,6 +82,20 @@ def d3_total_datum():
         f_map={"a1": "b1", "a2": "b2", "a3": "b3", "a4": "b4"},
         br={"b1": [3], "b2": [3], "b3": [1, 1, 1], "b4": [1, 1, 1]},
         rm={"a1": 3, "a2": 3, "a3": 1, "a4": 1},
+    )
+
+
+def d4_total_datum():
+    """Degree-4 datum with total ramification over b1 and b2 and none over
+    b3, b4: eight free unramified marks over b3 and b4, so the centralisers
+    of its local tuples act on many labelings."""
+    return HurwitzData(
+        a_marks=["a1", "a2"],
+        b_marks=["b1", "b2", "b3", "b4"],
+        d=4,
+        f_map={"a1": "b1", "a2": "b2"},
+        br={"b1": [4], "b2": [4]},
+        rm={"a1": 4, "a2": 4},
     )
 
 
@@ -314,29 +329,37 @@ def test_limit_tuples_raises():
 
 
 def test_limit_tuples_counts_key_relabelings(monkeypatch):
-    # Over a point stratum of fig1 the enumeration makes 241 ticks: 44 for
-    # the local tuples, glued candidates, labelings and matchings, 108 for
-    # the conjugacy scan (3! relabelings for each of the 9 local tuples at
-    # each of the 2 vertices) and 89 for the relabelings of the key search.
+    # Over a point stratum of fig1 the enumeration makes 167 ticks:
+    # - 44 for the 18 local tuples, 4 glued candidates, 15 labelings and
+    #   matchings built and 7 matchings tried;
+    # - 108 for the conjugacy scan (3! relabelings for each of the 9 local
+    #   tuples at each of the 2 vertices);
+    # - 8 for the labeling-orbit search: at each vertex one kept tuple has
+    #   a centraliser of order 2, whose one non-identity relabeling is
+    #   evaluated on each of the vertex's 4 marks;
+    # - 7 for the stabiliser search: the candidate glued from those two
+    #   tuples has 4 connected matchings, and each is tried against the 3
+    #   other relabelings of the product until one makes it smaller
+    #   (3 + 1 + 2 + 1); the other candidate's stabilisers are trivial.
     monkeypatch.setattr(hurwitz, "_CLASSES", {})
     full, _ = fully_mark(fig1_datum())
     tau = trees.enumerate_strata(4, 0)[0]
     # the budget bounds the relabelings too: a cap that covers everything
-    # but the key search raises
+    # but the labeling-orbit and stabiliser searches raises
     with pytest.raises(ResourceError):
         enumerate_cover_classes(full, tau, limit_tuples=44 + 108)
-    assert len(enumerate_cover_classes(full, tau, limit_tuples=241)) == 2
+    assert len(enumerate_cover_classes(full, tau, limit_tuples=167)) == 2
     # labelings and matchings are memoised per call; a hit ticks what the
     # first computation ticked, so the figure is exact
     with pytest.raises(ResourceError):
-        enumerate_cover_classes(full, tau, limit_tuples=240)
-    # the classes are now kept, and a kept result ticks the same 241
+        enumerate_cover_classes(full, tau, limit_tuples=166)
+    # the classes are now kept, and a kept result ticks the same 167
     assert len(hurwitz._CLASSES) == 1
     with pytest.raises(ResourceError, match="exceeded 152 tuples"):
         enumerate_cover_classes(full, tau, limit_tuples=44 + 108)
-    assert len(enumerate_cover_classes(full, tau, limit_tuples=241)) == 2
-    with pytest.raises(ResourceError, match="exceeded 240 tuples"):
-        enumerate_cover_classes(full, tau, limit_tuples=240)
+    assert len(enumerate_cover_classes(full, tau, limit_tuples=167)) == 2
+    with pytest.raises(ResourceError, match="exceeded 166 tuples"):
+        enumerate_cover_classes(full, tau, limit_tuples=166)
 
 
 # -- the per-process cover memo -----------------------------------------------
@@ -523,6 +546,12 @@ def test_cover_keys_match_brute_oracle():
                 # representatives are glued from least-conjugate tuples only
                 for perms in c.vertex_perms:
                     assert perms == oracles.least_simultaneous_conjugate(perms)
+                # and each is its own class's least encoding
+                assert c.key == (
+                    c.vertex_perms,
+                    tuple((a, *c.labeling[a]) for a in full.a_marks),
+                    c.matchings,
+                )
 
 
 def test_d3_degeneration_over_five_mark_point_stratum():
@@ -531,3 +560,16 @@ def test_d3_degeneration_over_five_mark_point_stratum():
     report = degeneration_degree_check(full, tau)
     assert report["ok"], report
     assert report["expected"] == count_covers_orbit_stabilizer(full)
+
+
+def test_d4_degeneration_over_four_mark_strata():
+    # too large for the brute key oracle; the two counts and the
+    # degeneration check are the independent witnesses here
+    full, deg = fully_mark(d4_total_datum())
+    assert deg == 24 * 24
+    assert count_covers(full) == count_covers_orbit_stabilizer(full) == 144
+    for k in (0, 1):
+        for tau in trees.enumerate_strata(4, k):
+            report = degeneration_degree_check(full, tau)
+            assert report["ok"], report
+            assert report["expected"] == 144
