@@ -354,11 +354,11 @@ class _Limit:
         return hit[0]
 
 
-def _local_assignments(h, tau, w, limit):
-    """All flag-permutation tuples at target vertex w: product in flag order
-    is the identity, leg flags carry their branching cycle type."""
+def _local_assignments(h, flags, limit):
+    """All flag-permutation tuples at a target vertex with flag list `flags`
+    (MarkedTree.flags_of): product in flag order is the identity, leg flags
+    carry their branching cycle type."""
     all_p, by_type = _perm_pool(h.d)
-    flags = tau.flags_of(w)
     opts = []
     for f in flags[:-1]:
         if f[0] == "leg":
@@ -408,11 +408,12 @@ def _bijections(xs, x_len, ys, limit):
     return out
 
 
-def _vertex_labelings(h, tau, w, perms, limit):
-    """All ways to attach the marks over w's legs to cycles of the leg
-    permutations, length-preserving and bijective per length."""
+def _vertex_labelings(h, flags, perms, limit):
+    """All ways to attach the marks over a vertex's legs (its flag list
+    `flags`) to cycles of the leg permutations, length-preserving and
+    bijective per length."""
     per_flag = []
-    for pos, f in enumerate(tau.flags_of(w)):
+    for pos, f in enumerate(flags):
         if f[0] != "leg":
             continue
         marks = h.marks_over(h.b_marks[f[1] - 1])
@@ -487,13 +488,14 @@ def _least_conjugate(perms, all_p):
     return best, coset
 
 
-def _least_labelings(h, tau, w, perms, centraliser, limit):
-    """The labelings at w (_vertex_labelings) least in their orbit under the
-    centraliser of w's tuple, each as (labeling, its stabiliser there)."""
-    legs = {h.b_marks[f[1] - 1] for f in tau.flags_of(w) if f[0] == "leg"}
+def _least_labelings(h, flags, perms, centraliser, limit):
+    """The labelings at a vertex with flag list `flags` (_vertex_labelings)
+    least in their orbit under the centraliser of its tuple, each as
+    (labeling, its stabiliser there)."""
+    legs = {h.b_marks[f[1] - 1] for f in flags if f[0] == "leg"}
     order = [a for a in h.a_marks if h.f_map[a] in legs]
     out = []
-    for labeling in _vertex_labelings(h, tau, w, perms, limit):
+    for labeling in _vertex_labelings(h, flags, perms, limit):
         stabiliser = _stabiliser_if_least([labeling[a][1] for a in order], centraliser, limit)
         if stabiliser is not None:
             out.append((labeling, stabiliser))
@@ -600,6 +602,9 @@ def _enumerate_cover_classes(h, tau, limit):
     order equal those of the full search.  A key met twice is a bug and
     raises AssertionError.
 
+    Each target vertex's flag list is built once and passed to the
+    per-vertex helpers (_local_assignments, _least_labelings).
+
     The budget ticks once per flag-permutation combination tried at a
     vertex, per glued candidate, per mark labeling and per edge matching
     built or tried, d! per local tuple for the conjugacy scan, and once per
@@ -622,7 +627,7 @@ def _enumerate_cover_classes(h, tau, limit):
     centraliser = {}
     for w in range(num_w):
         kept = []
-        for perms in _local_assignments(h, tau, w, limit):
+        for perms in _local_assignments(h, flag_lists[w], limit):
             limit.tick(len(all_p))
             best, coset = _least_conjugate(perms, all_p)
             if best == perms:
@@ -660,7 +665,7 @@ def _enumerate_cover_classes(h, tau, limit):
             continue
         labeling_sets = [
             limit.replay(labelings, (w, perms), _least_labelings,
-                         h, tau, w, perms, centraliser[perms])
+                         h, flag_lists[w], perms, centraliser[perms])
             for w, perms in enumerate(vertex_perms)
         ]
         if any(not ls for ls in labeling_sets):
@@ -740,9 +745,10 @@ def count_covers_orbit_stabilizer(h, limit_tuples=None):
     limit = _Limit(limit_tuples)
     d = h.d
     all_p, _ = _perm_pool(d)
+    flags = tau.flags_of(0)
     stab_total = 0
-    for perms in _local_assignments(h, tau, 0, limit):
-        for labeling in _vertex_labelings(h, tau, 0, perms, limit):
+    for perms in _local_assignments(h, flags, limit):
+        for labeling in _vertex_labelings(h, flags, perms, limit):
             if len(_orbits(perms, d)) != 1:
                 continue
             stab = 0

@@ -13,7 +13,13 @@ marks, and reduced in the quotient basis.
 
 Every stratum on the way is built from its split set: a degeneration of tau
 adds the union of two of the four flag blocks at its 4-valent vertex, and
-gluing adds the splits of the small trees (`trees.glue_substitution`).
+its new edge is found by that split.  Gluing and forgetting run on split
+sets too, with no glued tree built: a glued class gathers the source
+curve's splits and those of the point substitutions once, adds the small
+stratum's splits as unions of flag blocks per basis coordinate
+(`trees.substitution_splits`), projects the set to the retained marks
+(`trees.project_splits`) and builds only the image tree, whose index the
+retained-mark presentation reads off directly.
 Smoothing a refined cover is done on splits too, with no component merging:
 the source curve is cut by the splits of the old nodes, and each new node's
 split names its smoothed vertex and the flag split it pairs with there.
@@ -131,9 +137,8 @@ def pushforward_h2(h, limit_tuples=None, limit_strata=None):
     if n_a < 4:
         raise ValueError("degree-2 pushforward needs at least 4 retained marks")
     a_index = {a: i + 1 for i, a in enumerate(full.a_marks)}
-    keep = [a_index[a] for a in aprime]
-    renum = {mk: i + 1 for i, mk in enumerate(keep)}
-    keepset = set(keep)
+    # retained marks renumbered 1..n_a order-preservingly
+    renum = {a_index[a]: i + 1 for i, a in enumerate(aprime)}
 
     p_b = homology.homology_basis(n_b, 1, limit_strata)
     p_a = homology.homology_basis(n_a, 1, limit_strata)
@@ -141,7 +146,7 @@ def pushforward_h2(h, limit_tuples=None, limit_strata=None):
     columns = []
     for tau in p_b.basis_trees():
         columns.append(_push_column(
-            full, tau, p_a, n_a, keep, keepset, renum, deg_nu, limit_tuples, limit_strata
+            full, tau, p_a, n_a, renum, deg_nu, limit_tuples, limit_strata
         ))
     matrix = tuple(
         tuple(columns[j].get(i, ZERO) for j in range(len(columns)))
@@ -150,8 +155,7 @@ def pushforward_h2(h, limit_tuples=None, limit_strata=None):
     return PushforwardMatrix(matrix, p_b, p_a, aprime, deg_nu)
 
 
-def _push_column(full, tau, p_a, n_a, keep, keepset, renum, deg_nu, limit_tuples,
-                 limit_strata):
+def _push_column(full, tau, p_a, n_a, renum, deg_nu, limit_tuples, limit_strata):
     a_index = {a: i + 1 for i, a in enumerate(full.a_marks)}
     types = hurwitz.enumerate_cover_types(full, tau, limit_tuples)
     by_key = {(t.source_tree, t.node_data): t for t in types}
@@ -166,10 +170,7 @@ def _push_column(full, tau, p_a, n_a, keep, keepset, renum, deg_nu, limit_tuples
     for i, j in ((1, 2), (1, 3), (2, 3)):
         cut = trees.normalize_split(tau.n, blocks[i] | blocks[j])
         tau_ref = trees.tree_from_splits(tau.n, base | {cut})
-        ends = next(
-            {c, p} for c, p in tau_ref.edges()
-            if trees.normalize_split(tau.n, tau_ref.away_marks(p, c)) == cut
-        )
+        ends = _edge_cutting(tau_ref, cut)
         local_deg = {}
         for cls in hurwitz.enumerate_cover_classes(full, tau_ref, limit_tuples):
             key, contribs, rprod = _smooth_refined_class(cls, ends, a_index, smoothed)
@@ -201,13 +202,11 @@ def _push_column(full, tau, p_a, n_a, keep, keepset, renum, deg_nu, limit_tuples
             if splitvals is None:
                 continue
             if t_g.num_vertices() == 1:
-                _add_projected_class(
-                    col, splitvals, p_a, n_a, keepset, renum, t.multiplicity
-                )
+                _add_projected_class(col, splitvals, p_a, n_a, renum, t.multiplicity)
             else:
                 _add_glued_class(
                     col, splitvals, t_g, v_hat, mod_vertices,
-                    p_a, keep, t.multiplicity, limit_strata,
+                    p_a, renum, t.multiplicity, limit_strata,
                 )
     if deg_nu != 1:
         for i in list(col):
@@ -215,41 +214,63 @@ def _push_column(full, tau, p_a, n_a, keep, keepset, renum, deg_nu, limit_tuples
     return {i: c for i, c in col.items() if c}
 
 
-def _add_projected_class(col, splitvals, p_a, n_a, keepset, renum, mult):
+def _edge_cutting(tree, split):
+    """The endpoints {child, parent} of the edge of `tree` that cuts the
+    normalised `split`, read off the splits of every edge at once."""
+    edges = tree.edges()
+    sides = hurwitz._node_sides(tree.n, tree.legs_at(), [(c, p, 1) for c, p in edges])
+    for (c, p), (side, _r) in zip(edges, sides):
+        if side == split:
+            return {c, p}
+    raise AssertionError("no edge of the refined target cuts the split %r" % sorted(split))
+
+
+def _add_projected_class(col, splitvals, p_a, n_a, renum, mult):
     """Single-component source: push the divisor pairings directly down the
     forgetful map and solve in the retained-mark space.  A split of the big
     space pairs through exactly when it traces a genuine split below."""
     pairs = {}
     for side, wgt in splitvals.items():
-        tr = frozenset(renum[mk] for mk in side if mk in keepset)
+        tr = frozenset(renum[mk] for mk in side if mk in renum)
         if 2 <= len(tr) <= n_a - 2:
             norm = trees.normalize_split(n_a, tr)
             pairs[norm] = pairs.get(norm, ZERO) + Fraction(wgt)
     linalg.axpy(col, mult, homology.solve_class_from_pairings(p_a, pairs))
 
 
-def _add_glued_class(col, splitvals, t_g, v_hat, mod_vertices, p_a, keep, mult,
+def _add_glued_class(col, splitvals, t_g, v_hat, mod_vertices, p_a, renum, mult,
                      limit_strata):
     """Solve the vertex class in its own small space, substitute it at the
-    vertex (points everywhere else), forget, and reduce."""
+    vertex (points everywhere else), forget, and reduce, on split sets.
+
+    The host's splits and those of the point substitutions are the same for
+    every basis coordinate of the vertex class, and are gathered once.  Per
+    coordinate the small stratum adds its splits as unions of the flag
+    blocks at the vertex, the whole set is projected to the retained marks
+    (trees.project_splits), and only the image tree is built.
+    """
     small = homology.homology_basis(t_g.valence(v_hat), 1, limit_strata)
     coords = homology.solve_class_from_pairings(
         small, {s: Fraction(w) for s, w in splitvals.items()}
     )
-    subs_base = {
-        u: trees.enumerate_strata(t_g.valence(u), 0)[0]
-        for u in mod_vertices
-        if u != v_hat
-    }
+    n = t_g.n
+    fixed = t_g.splits()
+    for u in mod_vertices:
+        if u != v_hat:
+            point = trees.enumerate_strata(t_g.valence(u), 0)[0]
+            fixed |= trees.substitution_splits(n, t_g.flag_marksets(u), point)
+    blocks = t_g.flag_marksets(v_hat)
     for pos, c in sorted(coords.items()):
         small_tree = small.strata[small.basis[pos]]
-        subs = dict(subs_base)
-        subs[v_hat] = small_tree
-        big = trees.glue_substitution(t_g, subs)
-        img = trees.forget_pushforward(big, keep)
-        if img is None:
+        image = trees.project_splits(
+            n, fixed | trees.substitution_splits(n, blocks, small_tree), renum
+        )
+        if image is None:
             continue
-        linalg.axpy(col, mult * c, homology.class_reduce(p_a, {img: ONE}))
+        i = p_a.index.get(trees.tree_from_splits(len(renum), image))
+        if i is None:
+            raise AssertionError("canonical stratum missing from presentation")
+        linalg.axpy(col, mult * c, p_a.reduce_index_vec({i: ONE}))
 
 
 # -- self-correspondence and dynamical degrees --------------------------------

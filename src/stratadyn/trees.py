@@ -15,7 +15,11 @@ A stratum is also fixed by its set of pairwise-compatible splits, the mark
 bipartitions cut by its edges (Keel, Trans. AMS 330, 1992).  Derived strata
 (gluing small trees into vertices, forgetting marks) are computed on split
 sets and built by tree_from_splits, and so are the source curves of covers
-(`hurwitz._source_tree_of_class`, from the split of each source node).
+(`hurwitz._source_tree_of_class`, from the split of each source node).  The
+split-set cores, substitution_splits and project_splits, are public: the
+pushforward glues and forgets on split sets with them and builds only the
+image tree, and glue_substitution and forget_pushforward are these cores
+plus the trees at either end.
 enumerate_strata searches split sets as integer bitmasks, growing each set
 by AND-ing per-split compatibility masks, and builds every set it finds
 with tree_from_splits.  Canonical forms take one subtree-size pass to find
@@ -473,11 +477,7 @@ def forget_pushforward(tree, keep):
     """Image stratum under forgetting all marks outside `keep`, or None.
 
     Returns the canonical image tree with the kept marks renumbered 1..|keep|
-    order-preservingly, or None when the class dies.  Each split projects to
-    the kept marks, and the projections with both sides of size >= 2 are the
-    image's splits.  Forgetting one mark contracts one edge when the mark sits
-    on a trivalent vertex and lowers the image dimension otherwise, so the
-    class survives exactly when n - |keep| splits are lost.
+    order-preservingly, or None when the class dies (project_splits).
     """
     keep = sorted(set(keep))
     if len(keep) < 3:
@@ -485,16 +485,30 @@ def forget_pushforward(tree, keep):
     if not set(keep) <= set(range(1, tree.n + 1)):
         raise ValueError("keep must be a subset of the marks 1..%d" % tree.n)
     renum = {mk: i for i, mk in enumerate(keep, start=1)}
-    n = len(keep)
-    splits = tree.splits()
+    image = project_splits(tree.n, tree.splits(), renum)
+    return None if image is None else tree_from_splits(len(keep), image)
+
+
+def project_splits(n, splits, renum):
+    """Splits of the image of a stratum of the n-mark space under forgetting
+    the marks outside `renum`, or None when the class dies.
+
+    `renum` maps each kept mark to its number 1..|renum| in the image.  Each
+    split projects to the kept marks, and the projections with both sides of
+    size >= 2 are the image's splits.  Forgetting one mark contracts one edge
+    when the mark sits on a trivalent vertex and lowers the image dimension
+    otherwise, so the class survives exactly when n - |renum| splits are
+    lost.
+    """
+    m = len(renum)
     image = set()
     for s in splits:
         side = frozenset(renum[mk] for mk in s if mk in renum)
-        if 2 <= len(side) <= n - 2:
-            image.add(normalize_split(n, side))
-    if len(splits) - len(image) != tree.n - n:
+        if 2 <= len(side) <= m - 2:
+            image.add(normalize_split(m, side))
+    if len(splits) - len(image) != n - m:
         return None
-    return tree_from_splits(n, image)
+    return image
 
 
 # -- gluing small trees into vertices ----------------------------------------
@@ -503,19 +517,28 @@ def forget_pushforward(tree, keep):
 def glue_substitution(host, subs):
     """Replace each vertex v of `host` by the tree subs[v] on its flag set.
 
-    A small tree has marks 1..valence(v) corresponding positionally to
-    flags_of(host, v), so each of its splits names a union of the flag blocks
-    at v, a new split of the host's marks.  Returns the canonical tree cut by
-    the host's splits and these, with dim = dim(host) - sum of md(host, v) +
-    sum of dim(subs[v]).
+    Returns the canonical tree cut by the host's splits and those of the
+    small trees (substitution_splits), with dim = dim(host) - sum of
+    md(host, v) + sum of dim(subs[v]).
     """
     splits = host.splits()
     for v, small in subs.items():
-        blocks = host.flag_marksets(v)
-        if small.n != len(blocks):
-            raise ValueError(
-                "small tree has %d marks but vertex has valence %d" % (small.n, len(blocks))
-            )
-        for s in small.splits():
-            splits.add(normalize_split(host.n, frozenset().union(*(blocks[i - 1] for i in s))))
+        splits |= substitution_splits(host.n, host.flag_marksets(v), small)
     return tree_from_splits(host.n, splits)
+
+
+def substitution_splits(n, blocks, small):
+    """The new splits of the n marks cut by a small tree glued into a vertex
+    whose flags carry the mark sets `blocks`, in flags_of order.
+
+    The small tree has marks 1..len(blocks) corresponding positionally to
+    the flags, so each of its splits names a union of the flag blocks.
+    """
+    if small.n != len(blocks):
+        raise ValueError(
+            "small tree has %d marks but vertex has valence %d" % (small.n, len(blocks))
+        )
+    return {
+        normalize_split(n, frozenset().union(*(blocks[i - 1] for i in s)))
+        for s in small.splits()
+    }

@@ -410,6 +410,36 @@ def forget_by_contraction(t, keep):
     return trees.canonical_form(t)
 
 
+def glued_class_reference(splitvals, t_g, v_hat, mod_vertices, p_a, keep, mult,
+                          limit_strata=None):
+    """Column of one glued class of the degree-2 pushforward, by whole trees.
+
+    Solves the vertex class in its small space, then for each basis
+    coordinate builds the glued source tree (the small stratum at v_hat,
+    points at the other moduli vertices) with glue_substitution, forgets
+    down to `keep` from that tree's own splits with forget_pushforward, and
+    reduces the image with class_reduce, which validates and canonicalises
+    it again.  pushforward._add_glued_class, which never builds the glued
+    tree, must give the same column.
+    """
+    small = homology.homology_basis(t_g.valence(v_hat), 1, limit_strata)
+    coords = homology.solve_class_from_pairings(
+        small, {s: Fraction(w) for s, w in splitvals.items()}
+    )
+    col = {}
+    for pos, c in sorted(coords.items()):
+        subs = {
+            u: trees.enumerate_strata(t_g.valence(u), 0)[0] for u in mod_vertices if u != v_hat
+        }
+        subs[v_hat] = small.strata[small.basis[pos]]
+        img = trees.forget_pushforward(trees.glue_substitution(t_g, subs), keep)
+        if img is None:
+            continue
+        for i, x in homology.class_reduce(p_a, {img: 1}).items():
+            col[i] = col.get(i, 0) + mult * c * x
+    return {i: x for i, x in col.items() if x}
+
+
 def char_poly_faddeev(a):
     """Characteristic polynomial by Faddeev-LeVerrier: n matrix products
     M_k = A (M_{k-1} + c_{k-1} I) with c_k = -tr(M_k) / k, skipping the

@@ -456,6 +456,29 @@ def test_validate_runs_once_per_miss(monkeypatch):
     assert len({id(value) for value, _tau in hurwitz._CLASSES}) == 1
 
 
+def test_cold_miss_reads_each_flag_list_once(monkeypatch):
+    # the local tuples, labelings and edge positions of one enumeration all
+    # read the flag lists it built, one per target vertex; a kept result
+    # reads none
+    monkeypatch.setattr(hurwitz, "_CLASSES", {})
+    calls = []
+    real = trees.MarkedTree.flags_of
+    monkeypatch.setattr(trees.MarkedTree, "flags_of", lambda t, v: calls.append(v) or real(t, v))
+    full, _ = fully_mark(fig1_datum())
+    cases = [
+        (full, trees.enumerate_strata(4, 0)[0]),
+        (full, trees.trivial_tree(4)),
+        (d1_datum(6), trees.enumerate_strata(6, 0)[0]),
+    ]
+    for h, tau in cases:
+        calls.clear()
+        assert enumerate_cover_classes(h, tau)
+        assert sorted(calls) == list(range(tau.num_vertices()))
+        calls.clear()
+        enumerate_cover_classes(h, tau)
+        assert calls == []
+
+
 # -- covers over boundary strata ----------------------------------------------
 
 

@@ -3,9 +3,10 @@
 import math
 from fractions import Fraction
 
+import oracles
 import pytest
 
-from stratadyn import filtration, homology, linalg, trees
+from stratadyn import filtration, homology, linalg, pushforward, trees
 from stratadyn.hurwitz import HurwitzData
 from stratadyn.pushforward import (
     DegreeReport,
@@ -97,12 +98,11 @@ def test_d3_self_map_reaches_eight_mark_vertex_space():
     assert rep.exact == 3 and rep.method == "exact_roots"
 
 
-def test_d2_five_mark_self_map_matrix():
-    # degree-2 self-map of five marks, simply branched over b1 and b2: the
-    # matrix as computed before the smoothing ran on node splits
+def d2_self_map_datum():
+    """Degree-2 self-map of five marks, simply branched over b1 and b2."""
     a = ["a%d" % i for i in range(1, 6)]
     b = ["b%d" % i for i in range(1, 6)]
-    h = HurwitzData(
+    return HurwitzData(
         a_marks=a,
         b_marks=b,
         d=2,
@@ -112,7 +112,11 @@ def test_d2_five_mark_self_map_matrix():
         forget_to=a,
         identify=dict(zip(b, a)),
     )
-    mat = self_correspondence_matrix(h, 1)
+
+
+def test_d2_five_mark_self_map_matrix():
+    # the matrix as computed before the smoothing ran on node splits
+    mat = self_correspondence_matrix(d2_self_map_datum(), 1)
     assert mat == (
         (2, 0, 0, 0, 0),
         (0, 2, 0, 0, 0),
@@ -122,6 +126,106 @@ def test_d2_five_mark_self_map_matrix():
     )
     rep = dynamical_degree(mat)
     assert rep.exact == 2 and rep.method == "exact_roots"
+
+
+# -- glued classes on split sets --------------------------------------------------
+
+
+def _glued_classes(h):
+    """The arguments after the column of every _add_glued_class call of h's
+    pushforward."""
+    calls = []
+    real = pushforward._add_glued_class
+
+    def record(col, *args):
+        calls.append(args)
+        real(col, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pushforward, "_add_glued_class", record)
+        pushforward_h2(h)
+    return calls
+
+
+# d1_datum(5) is the datum of data/d1_self.json; a datum on four target marks
+# has no glued class (its one curve class is the smooth target, over which
+# every source curve is smooth), so the degree-3 case is on five marks
+@pytest.mark.parametrize("make, count, with_points", [
+    (d2_self_map_datum, 15, 9),
+    (d3_self_map_datum, 11, 11),
+    (d1_datum, 5, 0),
+])
+def test_glued_classes_match_the_whole_tree_route(make, count, with_points):
+    calls = _glued_classes(make())
+    assert len(calls) == count
+    # classes with another moduli vertex, where a point is substituted
+    assert sum(1 for args in calls if set(args[3]) - {args[2]}) == with_points
+    for splitvals, t_g, v_hat, mod_vertices, p_a, renum, mult, limit_strata in calls:
+        got = {}
+        pushforward._add_glued_class(
+            got, splitvals, t_g, v_hat, mod_vertices, p_a, renum, mult, limit_strata
+        )
+        want = oracles.glued_class_reference(
+            splitvals, t_g, v_hat, mod_vertices, p_a, sorted(renum), mult, limit_strata
+        )
+        assert got == want
+
+
+def _a_nonzero_glued_class():
+    """A glued class of the degree-2 self-map with a nonzero column and the
+    least vertex valence among those."""
+    found = []
+    for args in _glued_classes(d2_self_map_datum()):
+        col = {}
+        pushforward._add_glued_class(col, *args)
+        if col:
+            found.append(args)
+    return min(found, key=lambda args: args[1].valence(args[2]))
+
+
+def test_glued_image_missing_from_presentation_raises_as_before():
+    splitvals, t_g, v_hat, mod_vertices, p_a, renum, mult, limit_strata = _a_nonzero_glued_class()
+    empty = homology.HomologyPresentation(p_a.n, 1, [], [], {})
+    msg = "canonical stratum missing from presentation"
+    with pytest.raises(AssertionError, match=msg):
+        oracles.glued_class_reference(
+            splitvals, t_g, v_hat, mod_vertices, empty, sorted(renum), mult, limit_strata
+        )
+    with pytest.raises(AssertionError, match=msg):
+        pushforward._add_glued_class(
+            {}, splitvals, t_g, v_hat, mod_vertices, empty, renum, mult, limit_strata
+        )
+
+
+def test_glued_small_stratum_of_wrong_valence_raises_as_before(monkeypatch):
+    splitvals, t_g, v_hat, mod_vertices, p_a, renum, mult, limit_strata = _a_nonzero_glued_class()
+    val = t_g.valence(v_hat)
+    # the vertex class comes out as a curve of the space with one mark more
+    real_basis = homology.homology_basis
+    monkeypatch.setattr(homology, "homology_basis", lambda n, k, limit=None: real_basis(n + 1, k))
+    monkeypatch.setattr(homology, "solve_class_from_pairings", lambda pres, pairs: {0: Fraction(1)})
+    msg = "small tree has %d marks but vertex has valence %d" % (val + 1, val)
+    with pytest.raises(ValueError, match=msg):
+        oracles.glued_class_reference(
+            splitvals, t_g, v_hat, mod_vertices, p_a, sorted(renum), mult, limit_strata
+        )
+    with pytest.raises(ValueError, match=msg):
+        pushforward._add_glued_class(
+            {}, splitvals, t_g, v_hat, mod_vertices, p_a, renum, mult, limit_strata
+        )
+
+
+def test_boundary_edge_is_found_by_its_split():
+    # and the ten-mark caterpillar, deeper than the enumerated trees
+    caterpillar = trees.tree_from_splits(10, [frozenset(range(k, 11)) for k in range(3, 10)])
+    for t in trees.enumerate_strata(7, 0) + trees.enumerate_strata(6, 1) + [caterpillar]:
+        for c, p in t.edges():
+            side = trees.normalize_split(t.n, t.away_marks(p, c))
+            assert pushforward._edge_cutting(t, side) == {c, p}
+    tau = trees.enumerate_strata(5, 1)[0]
+    missing = next(s for s in trees.all_splits(5) if s not in tau.splits())
+    with pytest.raises(AssertionError, match="no edge of the refined target cuts"):
+        pushforward._edge_cutting(tau, missing)
 
 
 def test_invalid_datum_is_refused_with_its_reason():
