@@ -95,7 +95,12 @@ class FiltrationSubspace:
 
 
 def lambda_subspace(n, k, lam, limit_strata=None):
-    """Span of the classes of strata with partition <= lam."""
+    """Span of the classes of strata with partition <= lam.
+
+    Generators stop once they span all of H_{2k}: the stored rows are
+    canonical for their space and a dependent generator inserts nothing, so
+    the later ones would change no row.
+    """
     lam = tuple(sorted(lam))
     if sum(lam) != k:
         raise ValueError("lam must be a partition of k")
@@ -104,6 +109,8 @@ def lambda_subspace(n, k, lam, limit_strata=None):
     for i, t in enumerate(pres.strata):
         if partition_leq(trees.induced_partition(t), lam):
             sub.add_generator(pres.reduce_index_vec({i: 1}))
+            if sub.dim() == pres.rank:
+                break
     return sub
 
 

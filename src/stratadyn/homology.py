@@ -60,11 +60,10 @@ def km_relations(n, k):
     rows = []
     for sigma in trees.enumerate_strata(n, k + 1):
         base = frozenset(sigma.splits())
-        for v in range(len(sigma.parents)):
-            blocks = sigma.flag_marksets(v)
-            val = len(blocks)
+        for v, val in enumerate(sigma._valences()):
             if val < 4:
                 continue
+            blocks = sigma.flag_marksets(v)
             for quad in itertools.combinations(range(val), 4):
                 rest = [f for f in range(val) if f not in quad]
                 i1, i2, i3, i4 = quad

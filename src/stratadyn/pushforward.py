@@ -217,9 +217,7 @@ def _push_column(full, tau, p_a, n_a, renum, deg_nu, limit_tuples, limit_strata)
 def _edge_cutting(tree, split):
     """The endpoints {child, parent} of the edge of `tree` that cuts the
     normalised `split`, read off the splits of every edge at once."""
-    edges = tree.edges()
-    sides = hurwitz._node_sides(tree.n, tree.legs_at(), [(c, p, 1) for c, p in edges])
-    for (c, p), (side, _r) in zip(edges, sides):
+    for c, p, side in tree.edge_splits():
         if side == split:
             return {c, p}
     raise AssertionError("no edge of the refined target cuts the split %r" % sorted(split))

@@ -21,10 +21,33 @@ pushforward glues and forgets on split sets with them and builds only the
 image tree, and glue_substitution and forget_pushforward are these cores
 plus the trees at either end.
 enumerate_strata searches split sets as integer bitmasks, growing each set
-by AND-ing per-split compatibility masks, and builds every set it finds
-with tree_from_splits.  Canonical forms take one subtree-size pass to find
-the centroid and one pass to build the subcodes, and validation one pass
-over parents and legs.
+by AND-ing per-split compatibility masks.  Validation is one pass over
+parents and legs.  splits(), flags_of and flag_marksets read every edge's
+side from one pass that gathers the marks under each vertex; away_marks and
+adjacency stay as the definitions that pass is checked against.
+
+The canonical encoding is rooted at the centroid (no component of more
+than m/2 vertices once it is removed; two adjacent ones at most) with the
+least subcode "(marks;children's subcodes in order)", and places the
+vertices in preorder with children sorted by subcode.  Every builder takes
+it in two steps.  The downward pass gives each vertex its sorted children,
+its subtree's size and preorder, and a short sibling key: the subcode's
+prefix "(;" * d + "(" + marks + ";", read along the least-child path down
+to the first vertex carrying marks.  The key decides every comparison the
+canonical form makes.  Sibling subtrees carry disjoint marks, so their
+keys differ before either ends: mark lists with different first marks
+differ within both, and where d differs the smaller one puts a digit
+against ";".  The two centroids are adjacent, so their least-child paths
+reach different first marked vertices, or the same one at values of d
+that differ by one.  The finish step walks to the centroid, re-keys only
+the path that gets re-rooted, settles a twin centroid by key, and places
+the vertices by splicing the kept preorders; no subcode is built whole.
+canonical_form and tree_from_splits run both steps once.  enumerate_strata
+runs the downward pass as its search adds each split: splits arrive in
+increasing size, so a new split's children are exactly the current top
+splits it contains, and a subtree's record serves every set that shares
+it.  Only the finish step runs per stratum, and enumeration no longer
+calls tree_from_splits.
 
 enumerate_strata keeps its full result per (n, k) for the life of the
 process, so each stratum is built once per process however many callers ask
@@ -121,7 +144,10 @@ class MarkedTree:
         return len(self.parents) - 1
 
     def away_marks(self, v, u):
-        """Marks reachable from the neighbour u once the edge (v, u) is cut."""
+        """Marks reachable from the neighbour u once the edge (v, u) is cut.
+
+        The definition of an edge's side; splits() and flags_of read every
+        side at once from _below instead."""
         adj = self.adjacency()
         stack = [u]
         seen = {v, u}
@@ -135,9 +161,37 @@ class MarkedTree:
                     stack.append(x)
         return frozenset(m for m, w in enumerate(self.legs, start=1) if w in comp)
 
+    def _below(self):
+        """The marks of each vertex and of every vertex under it, from one
+        pass up the tree: the side an edge cuts off away from the parent."""
+        parents = self.parents
+        kids = [[] for _ in parents]
+        for v, p in enumerate(parents):
+            if p >= 0:
+                kids[p].append(v)
+        order = [parents.index(-1)]
+        for v in order:
+            order += kids[v]
+        below = [set() for _ in parents]
+        for mark, v in enumerate(self.legs, start=1):
+            below[v].add(mark)
+        for v in reversed(order[1:]):
+            below[parents[v]] |= below[v]
+        return [frozenset(b) for b in below]
+
+    def edge_splits(self):
+        """Each edge as (child, parent, split), in edges() order, the split
+        normalised to the side without mark 1."""
+        below = self._below()
+        everything = frozenset(range(1, self.n + 1))
+        return [
+            (c, p, everything - below[c] if 1 in below[c] else below[c])
+            for c, p in self.edges()
+        ]
+
     def splits(self):
         """Splits cut by the edges, normalised to the side without mark 1."""
-        return {normalize_split(self.n, self.away_marks(p, c)) for c, p in self.edges()}
+        return {side for _c, _p, side in self.edge_splits()}
 
     def flags_of(self, v):
         """Deterministic flag list at v: ('leg', mark) then ('edge', u, away).
@@ -147,13 +201,13 @@ class MarkedTree:
         the order used by glue_substitution to match flags with the marks of
         a small tree.
         """
-        flags = []
-        for mark, u in enumerate(self.legs, start=1):
-            if u == v:
-                flags.append(("leg", mark))
-        flags.sort(key=lambda f: f[1])
-        edge_flags = [("edge", u, self.away_marks(v, u)) for u in self.adjacency()[v]]
-        edge_flags.sort(key=lambda f: tuple(sorted(f[2])))
+        below = self._below()
+        flags = [("leg", mark) for mark, u in enumerate(self.legs, start=1) if u == v]
+        edge_flags = [("edge", u, below[u]) for u, p in enumerate(self.parents) if p == v]
+        p = self.parents[v]
+        if p >= 0:
+            edge_flags.append(("edge", p, frozenset(range(1, self.n + 1)) - below[v]))
+        edge_flags.sort(key=lambda f: sorted(f[2]))
         return flags + edge_flags
 
     def flag_marksets(self, v):
@@ -240,80 +294,91 @@ def _validate(tree):
             raise ValueError("vertex %d has valence %d < 3" % (v, valence[v]))
 
 
-def _canonical(n, up, legs_at):
-    """Canonical MarkedTree of a stable tree rooted anywhere.
+def _head(marks):
+    """The opening "(marks;" of the subcode of a vertex carrying `marks`."""
+    return "(%s;" % ",".join(map(str, marks))
 
-    `up` holds parent indices (-1 at the root) and `legs_at` the sorted
-    marks per vertex.  The canonical root is the centroid (no component of
-    more than m/2 vertices once it is removed; two adjacent ones at most)
-    with the least subcode "(marks;children's subcodes in order)", and
-    vertices are placed in preorder with children sorted by subcode.
+
+def _vertex(marks, head, kids):
+    """The downward-pass record of a vertex carrying the sorted `marks`,
+    whose subcode opens with `head` = "(marks;", over its children's records.
+
+    A record is (key, kids, pre, back, marks, head): the sibling key; the
+    children's records sorted by key; the marks of every vertex of the
+    subtree in preorder, children in key order; for each preorder position,
+    how many places back its parent sits (0 at the subtree's top); and the
+    vertex's own marks and head.  The key is the subcode read along the
+    least-child path up to the first mark, "(;" * d + "(" + marks + ";".
     """
-    m = len(up)
-    if m == 1:
-        return MarkedTree(n, (-1,), (0,) * n)
-    kids = [[] for _ in range(m)]
+    kids.sort()
+    pre = [marks]
+    back = [0]
+    for kid in kids:
+        at = len(pre)
+        pre += kid[2]
+        back += kid[3]
+        back[at] = at
+    return (head if marks else head + kids[0][0]), kids, pre, back, marks, head
+
+
+def _downward(up, legs_at):
+    """The downward-pass record of the whole tree with parent indices `up`
+    (-1 at its top) and the sorted marks `legs_at` of each vertex."""
+    kids = [[] for _ in up]
     for v, p in enumerate(up):
         if p >= 0:
             kids[p].append(v)
     order = [up.index(-1)]
     for v in order:
         order += kids[v]
-    size = [1] * m
-    for v in order[:0:-1]:
-        size[up[v]] += size[v]
-    # from the root, step into a child holding more than half the vertices
-    # while there is one; a child holding exactly half is the other centroid
-    c = order[0]
-    while True:
-        heavy = [u for u in kids[c] if 2 * size[u] >= m]
-        if not heavy or 2 * size[heavy[0]] == m:
-            break
-        c = heavy[0]
-    twin = heavy[0] if heavy else -1
-    # subcodes bottom-up; rooting at c reverses the path from c to the old
-    # root, whose vertices then come last, from the old root down to c
-    seq = order[::-1]
-    if c != order[0]:
-        path = [c]
-        while up[path[-1]] >= 0:
-            path.append(up[path[-1]])
-        for below, above in zip(path, path[1:]):
-            kids[above].remove(below)
-            kids[below].append(above)
-        seq = [v for v in seq if v not in path] + path[::-1]
-    labels = [",".join(map(str, marks)) for marks in legs_at]
-    code = [""] * m
-    for v in seq:
-        ks = kids[v]
-        ks.sort(key=code.__getitem__)
-        code[v] = "(%s;%s)" % (labels[v], "".join([code[u] for u in ks]))
-    root = c
-    if twin >= 0:
-        rest = [u for u in kids[c] if u != twin]
-        whole = code[c]
-        code[c] = "(%s;%s)" % (labels[c], "".join([code[u] for u in rest]))
-        ks = kids[twin] + [c]
-        ks.sort(key=code.__getitem__)
-        if "(%s;%s)" % (labels[twin], "".join([code[u] for u in ks])) < whole:
-            root = twin
-            kids[c] = rest
-            kids[twin] = ks
+    rec = [None] * len(up)
+    for v in reversed(order):
+        rec[v] = _vertex(legs_at[v], _head(legs_at[v]), [rec[u] for u in kids[v]])
+    return rec[order[0]]
 
-    # preorder placement, children in subcode order
-    parents = []
+
+def _finish(n, top):
+    """The canonical MarkedTree of the tree under the downward-pass record
+    `top`.
+
+    Walks from the top to the centroid, re-keys the path between them with
+    each vertex hung below the next, settles a twin centroid by key, and
+    places the vertices by splicing the kept preorders.
+    """
+    m = len(top[2])
+    path = [top]
+    while True:
+        heavy = None
+        for kid in path[-1][1]:
+            if 2 * len(kid[2]) >= m:
+                heavy = kid
+                break
+        if heavy is None or 2 * len(heavy[2]) == m:
+            break
+        path.append(heavy)
+    up = None
+    for above, below in zip(path, path[1:]):
+        kids = [u for u in above[1] if u is not below]
+        if up is not None:
+            kids.append(up)
+        up = _vertex(above[4], above[5], kids)
+    c = path[-1]
+    root = c if up is None else _vertex(c[4], c[5], c[1] + [up])
+    if heavy is not None:
+        # the twin's key with the centroid hung below it; a vertex without
+        # marks has at least two children, in either rooting
+        rest = [u for u in root[1] if u is not heavy]
+        hung = root[5] if root[4] else root[5] + rest[0][0]
+        key = heavy[5] if heavy[4] else heavy[5] + min(heavy[1][0][0], hung)
+        if key < root[0]:
+            root = _vertex(heavy[4], heavy[5], heavy[1] + [_vertex(root[4], root[5], rest)])
+    parents = [j - b for j, b in enumerate(root[3])]
+    parents[0] = -1
     legs = [0] * n
-    stack = [root]
-    above = [-1]
-    while stack:
-        v = stack.pop()
-        idx = len(parents)
-        parents.append(above.pop())
-        for mark in legs_at[v]:
-            legs[mark - 1] = idx
-        stack += kids[v][::-1]
-        above += [idx] * len(kids[v])
-    return MarkedTree(n, tuple(parents), tuple(legs))
+    for j, marks in enumerate(root[2]):
+        for mark in marks:
+            legs[mark - 1] = j
+    return MarkedTree(n, parents, legs)
 
 
 def canonical_form(tree):
@@ -324,7 +389,7 @@ def canonical_form(tree):
     canonical form is relabeling-invariant in the vertex indices.
     """
     _validate(tree)
-    return _canonical(tree.n, tree.parents, tree.legs_at())
+    return _finish(tree.n, _downward(tree.parents, tree.legs_at()))
 
 
 def tree_sort_key(tree):
@@ -364,30 +429,63 @@ def tree_from_splits(n, splits):
     Named by their sides without mark 1, they nest or are disjoint: each
     split is a vertex below the smallest split containing it (below the
     vertex of mark 1 when none does), and each mark sits at the smallest
-    split containing it.  Every vertex is then stable.  Returns a canonical
-    MarkedTree.
+    split containing it.  Every vertex is then stable.  The splits are
+    hung in increasing size, as enumerate_strata adds them.  Returns a
+    canonical MarkedTree.
     """
     sides = sorted({normalize_split(n, s) for s in splits}, key=len)
-    parents = [-1] + [0] * len(sides)
-    for i, s in enumerate(sides):
+    labels = _Labels()
+    tops = []
+    for s in sides:
         if not 2 <= len(s) <= n - 2:
             raise ValueError("split %r has a side with fewer than 2 marks" % sorted(s))
-        # a larger compatible side contains s or misses it; checking up to
-        # the first container suffices, the container's own pass covers the rest
-        for j in range(i + 1, len(sides)):
-            if s < sides[j]:
-                parents[i + 1] = j + 1
-                break
-            if s & sides[j]:
-                raise ValueError("split %r is not compatible with the others" % sorted(s))
-    legs = [0] * n
-    for i in reversed(range(len(sides))):
-        for mark in sides[i]:
-            legs[mark - 1] = i + 1
-    legs_at = [[] for _ in parents]
-    for mark, v in enumerate(legs, start=1):
-        legs_at[v].append(mark)
-    return _canonical(n, parents, legs_at)
+        tops = _hang(tops, sum(1 << mark for mark in s), labels)
+    return _finish(n, _top(n, tops, labels))
+
+
+class _Labels(dict):
+    """Mark bitmask -> (its sorted marks, the subcode head "(marks;")."""
+
+    def __missing__(self, mask):
+        marks = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            marks.append(low.bit_length() - 1)
+            rest ^= low
+        self[mask] = label = tuple(marks), _head(marks)
+        return label
+
+
+def _hang(tops, side, labels):
+    """Add the vertex of the split `side`, a mark bitmask at least as large
+    as every split before it, to the forest `tops` of (side, record) pairs
+    of the splits inside no other; its children are the tops it contains,
+    and its marks those of `side` under none of them.  Returns the new tops,
+    and raises ValueError when `side` crosses a top.
+    """
+    inside = []
+    outside = []
+    below = 0
+    for t in tops:
+        common = t[0] & side
+        if common == t[0]:
+            inside.append(t[1])
+            below |= common
+        elif common:
+            raise ValueError("split %r is not compatible with the others" % list(labels[side][0]))
+        else:
+            outside.append(t)
+    outside.append((side, _vertex(*labels[side & ~below], inside)))
+    return outside
+
+
+def _top(n, tops, labels):
+    """The record of the vertex of mark 1, over the tops of a split set."""
+    covered = 0
+    for side, _rec in tops:
+        covered |= side
+    return _vertex(*labels[((1 << n + 1) - 2) & ~covered], [rec for _side, rec in tops])
 
 
 _STRATA = {}  # (n, k) -> tuple of every stratum, enumerated once per process
@@ -421,10 +519,11 @@ def enumerate_strata(n, k, limit=None):
 
 
 def _enumerate(n, k, limit):
-    """The sorted strata of enumerate_strata, each built from its split set."""
+    """The sorted strata of enumerate_strata.  Each chosen split's record is
+    made once as the search adds it, and each full set is finished from the
+    records of its top splits under the vertex of mark 1."""
     codim = n - 3 - k
-    splits = all_splits(n)
-    masks = [sum(1 << mark for mark in s) for s in splits]
+    masks = [sum(1 << mark for mark in s) for s in all_splits(n)]
     # normalised sides never contain mark 1, so two splits are compatible
     # exactly when their sides are nested or disjoint
     compat = [
@@ -432,25 +531,22 @@ def _enumerate(n, k, limit):
         for i, a in enumerate(masks)
     ]
 
+    labels = _Labels()
     out = []
-    chosen = []
 
-    def grow(cand):
-        if len(chosen) == codim:
-            out.append(tree_from_splits(n, chosen))
+    def grow(cand, tops, need):
+        if not need:
+            out.append(_finish(n, _top(n, tops, labels)))
             if limit is not None and len(out) > limit:
                 raise ResourceError("stratum enumeration exceeded limit %d" % limit)
             return
-        need = codim - len(chosen)
         while cand.bit_count() >= need:
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
-            chosen.append(splits[i])
-            grow(cand & compat[i])
-            chosen.pop()
+            grow(cand & compat[i], _hang(tops, masks[i], labels), need - 1)
 
-    grow((1 << len(splits)) - 1)
+    grow((1 << len(masks)) - 1, [], codim)
     seen = set()
     for t in out:
         if t in seen:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 from stratadyn import homology, trees
 
@@ -346,6 +348,33 @@ def enumerate_strata_reference(n, k):
     grow(0)
     out.sort(key=trees.tree_sort_key)
     return out
+
+
+def strata_count_by_rooted_trees(n, k):
+    """The number of k-dim strata of the n-mark space, counted without
+    building any: rooted at mark 1, a stratum is a tree on the leaves
+    2..n with n - 2 - k internal vertices, each with at least two children.
+    r(L, i) counts such trees on L labelled leaves with i internal vertices
+    and f(L, i) forests of them, split by the tree of the least leaf."""
+
+    @lru_cache(maxsize=None)
+    def r(leaves, inner):
+        if leaves == 1:
+            return int(inner == 0)
+        # the root's children are a forest of at least two trees
+        return f(leaves, inner - 1) - r(leaves, inner - 1) if inner > 0 else 0
+
+    @lru_cache(maxsize=None)
+    def f(leaves, inner):
+        if leaves == 0:
+            return int(inner == 0)
+        return sum(
+            comb(leaves - 1, s - 1) * r(s, j) * f(leaves - s, inner - j)
+            for s in range(1, leaves + 1)
+            for j in range(inner + 1)
+        )
+
+    return r(n - 1, n - 2 - k)
 
 
 def random_stable_tree(rng, n, num_edges=None):

@@ -120,6 +120,7 @@ def test_homology_basis_bytes_pinned():
         ("7", "2"): "1fc154c1680d2892fe288fe5e1d01e5a4afaab5c33ecc93a9123a54223514da4",
         ("7", "3"): "0bb79eb2d458bdb47ad9f620121789dac931d39e1c2553607635528cb717c52f",
         ("8", "4"): "9f6eb28bc4c31ed30aaafbd17739aa548d88d38f333bba39d4fe2f48b979c75e",
+        ("8", "0"): "e19550dbd5a5fa63c40bc05ebec8b81a3d4cafbcd328713641ce267d5209b026",
     }
     for (n, k), digest in pinned.items():
         r = run_cli("homology", "basis", "--n", n, "--k", k)

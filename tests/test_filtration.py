@@ -169,3 +169,21 @@ def test_forget_preserves_lambda_pieces():
 def test_lambda_subspace_validates():
     with pytest.raises(ValueError):
         filtration.lambda_subspace(6, 2, (1,))
+
+
+def test_lambda_subspace_equals_the_span_of_every_generator():
+    # lambda_subspace stops adding generators at full rank; the rows, their
+    # order and the canonical key must be those of the span of all of them
+    for n in range(3, 8):
+        for k in range(n - 2):
+            pres = homology.homology_basis(n, k)
+            for lam in filtration.partitions_of(k):
+                if not filtration.realizable(n, k, lam):
+                    continue
+                full = filtration.FiltrationSubspace(pres)
+                for i, t in enumerate(pres.strata):
+                    if filtration.partition_leq(trees.induced_partition(t), lam):
+                        full.add_generator(pres.reduce_index_vec({i: 1}))
+                sub = filtration.lambda_subspace(n, k, lam)
+                assert list(sub.space.rows.items()) == list(full.space.rows.items()), (n, k, lam)
+                assert sub.space.canonical_key() == full.space.canonical_key(), (n, k, lam)

@@ -219,8 +219,8 @@ def test_homology_basis_limit_stops_at_the_cap(monkeypatch):
     monkeypatch.setattr(homology, "_PRESENTATIONS", {})
     monkeypatch.setattr(trees, "_STRATA", {})
     built = []
-    real = trees.tree_from_splits
-    monkeypatch.setattr(trees, "tree_from_splits", lambda *a: built.append(1) or real(*a))
+    real = trees._finish
+    monkeypatch.setattr(trees, "_finish", lambda *a: built.append(1) or real(*a))
     with pytest.raises(trees.ResourceError, match=r"\(n=8, k=1\).*100 strata"):
         homology.homology_basis(8, 1, limit_strata=100)
     assert len(built) == 101
@@ -231,8 +231,8 @@ def test_homology_basis_limit_on_kept_strata_builds_nothing(monkeypatch):
     monkeypatch.setattr(homology, "_PRESENTATIONS", {})
     trees.enumerate_strata(8, 0)
     built = []
-    real = trees.tree_from_splits
-    monkeypatch.setattr(trees, "tree_from_splits", lambda *a: built.append(1) or real(*a))
+    real = trees._finish
+    monkeypatch.setattr(trees, "_finish", lambda *a: built.append(1) or real(*a))
     with pytest.raises(trees.ResourceError, match=r"\(n=8, k=0\).*100 strata"):
         homology.homology_basis(8, 0, limit_strata=100)
     assert built == []

@@ -22,6 +22,7 @@ from oracles import (
     one_edge_refinements,
     random_stable_tree,
     relabel_vertices,
+    strata_count_by_rooted_trees,
     strata_counts_by_refinement,
 )
 
@@ -70,7 +71,7 @@ def test_dim_codim_complementary():
 def test_canonical_form_relabeling_invariance():
     rng = random.Random(20260816)
     for _ in range(1000):
-        n = rng.randint(4, 8)
+        n = rng.randint(4, 12)
         t = random_stable_tree(rng, n)
         perm = list(range(len(t.parents)))
         rng.shuffle(perm)
@@ -83,6 +84,56 @@ def test_enumeration_matches_reference():
     cases = [(n, k) for n in range(4, 8) for k in range(n - 2)] + [(8, 0), (8, 4), (8, 5)]
     for n, k in cases:
         assert trees.enumerate_strata(n, k) == enumerate_strata_reference(n, k), (n, k)
+
+
+def test_enumeration_beyond_the_reference_enumerator():
+    # sizes the pairwise reference search is too slow for; (10, 5) has
+    # two-digit marks, whose subcode labels compare as strings
+    for n, k in [(8, 1), (8, 2), (8, 3), (10, 5)]:
+        strata = trees.enumerate_strata(n, k)
+        assert len(strata) == strata_count_by_rooted_trees(n, k), (n, k)
+        split_sets = set()
+        for t in strata:
+            assert canonical_form_reference(t) == t, t
+            split_sets.add(frozenset(
+                trees.normalize_split(n, t.away_marks(p, c)) for c, p in t.edges()
+            ))
+        assert len(split_sets) == len(strata), (n, k)
+
+
+def test_count_oracle_matches_known_counts():
+    for n, table in KNOWN_COUNTS.items():
+        assert {k: strata_count_by_rooted_trees(n, k) for k in table} == table
+    assert [strata_count_by_rooted_trees(8, k) for k in range(6)] == [
+        10395, 17325, 9450, 1918, 119, 1]
+
+
+def _flags_by_definition(t, v):
+    adj = t.adjacency()
+    legs = [("leg", mark) for mark in sorted(t.legs_at()[v])]
+    edges = sorted((("edge", u, t.away_marks(v, u)) for u in adj[v]),
+                   key=lambda f: sorted(f[2]))
+    return legs + edges
+
+
+def test_edge_sides_match_the_away_marks_definition():
+    rng = random.Random(16)
+    for n in range(3, 8):
+        ts = [t for k in range(n - 2) for t in trees.enumerate_strata(n, k)]
+        ts += [relabel_vertices(t, rng.sample(range(t.num_vertices()), t.num_vertices()))
+               for t in ts[:: max(1, len(ts) // 100)]]
+        for t in ts:
+            edge_splits = [
+                (c, p, trees.normalize_split(n, t.away_marks(p, c))) for c, p in t.edges()
+            ]
+            assert t.edge_splits() == edge_splits, t
+            assert t.splits() == {side for _c, _p, side in edge_splits}, t
+            for v in range(t.num_vertices()):
+                flags = _flags_by_definition(t, v)
+                assert t.flags_of(v) == flags, (t, v)
+                assert t.flag_marksets(v) == [
+                    frozenset([f[1]]) if f[0] == "leg" else f[2] for f in flags
+                ], (t, v)
 
 
 def test_canonical_form_idempotent():
@@ -266,8 +317,8 @@ def test_enumerate_strata_limit_stops_at_the_cap(monkeypatch):
     # even when an earlier test left them in the process cache
     monkeypatch.setattr(trees, "_STRATA", {})
     built = []
-    real = trees.tree_from_splits
-    monkeypatch.setattr(trees, "tree_from_splits", lambda *a: built.append(1) or real(*a))
+    real = trees._finish
+    monkeypatch.setattr(trees, "_finish", lambda *a: built.append(1) or real(*a))
     with pytest.raises(trees.ResourceError, match="limit 100"):
         trees.enumerate_strata(8, 0, limit=100)
     assert len(built) == 101
@@ -277,8 +328,8 @@ def test_enumerate_strata_limit_stops_at_the_cap(monkeypatch):
 def test_enumerate_strata_keeps_each_result_once(monkeypatch):
     monkeypatch.setattr(trees, "_STRATA", {})
     built = []
-    real = trees.tree_from_splits
-    monkeypatch.setattr(trees, "tree_from_splits", lambda *a: built.append(1) or real(*a))
+    real = trees._finish
+    monkeypatch.setattr(trees, "_finish", lambda *a: built.append(1) or real(*a))
     # a capped call that stays under its cap keeps its result
     first = trees.enumerate_strata(6, 1, limit=105)
     assert len(built) == 105
