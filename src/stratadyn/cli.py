@@ -121,8 +121,8 @@ def cmd_homology(args):
         "strata": [t.to_json_dict() for t in pres.strata],
         "basis": list(pres.basis),
         "expansions": {
-            str(i): {str(pres.basis[j]): frac_str(c) for j, c in e.items()}
-            for i, e in sorted(pres.expr.items())
+            str(i): {str(pres.basis[j]): str(Fraction(x, den)) for j, x in row.items()}
+            for i, (den, row) in sorted(pres.int_expr.items())
         },
     }
     if args.out:

@@ -108,7 +108,7 @@ def lambda_subspace(n, k, lam, limit_strata=None):
     sub = FiltrationSubspace(pres)
     for i, t in enumerate(pres.strata):
         if partition_leq(trees.induced_partition(t), lam):
-            sub.add_generator(pres.reduce_index_vec({i: 1}))
+            sub.add_generator(pres.integer_coords({i: 1})[0])
             if sub.dim() == pres.rank:
                 break
     return sub
@@ -121,7 +121,7 @@ def below_subspace(n, k, limit_strata=None):
     sub = FiltrationSubspace(pres)
     for i, t in enumerate(pres.strata):
         if len(trees.induced_partition(t)) >= 2:
-            sub.add_generator(pres.reduce_index_vec({i: 1}))
+            sub.add_generator(pres.integer_coords({i: 1})[0])
     return sub
 
 

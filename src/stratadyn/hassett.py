@@ -184,11 +184,11 @@ def reduction_kernel(n, k, eps, limit_strata=None):
     for i, t in enumerate(pres.strata):
         it = _reduction_image_type(t, W, D)
         if it.dim < k:
-            sub.add_generator(pres.reduce_index_vec({i: 1}))
+            sub.add_generator(pres.integer_coords({i: 1})[0])
         else:
             rep = buckets.get(it)
             if rep is None:
                 buckets[it] = i
             else:
-                sub.add_generator(pres.reduce_index_vec({rep: 1, i: -1}))
+                sub.add_generator(pres.integer_coords({rep: 1, i: -1})[0])
     return sub

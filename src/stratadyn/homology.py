@@ -25,7 +25,8 @@ over all distributions of v's remaining flags, each term being the stratum
 refined at v accordingly (`km_relations`).  The relation rows are eliminated
 with stratum i in column -i, so each row's minimal pivot column is its
 latest stratum; the non-pivot strata are the basis, and every pivot stratum
-is expressed over earlier basis strata.  Divisor classes (k = n-4 > 1)
+is expressed over earlier basis strata by its primitive row, read over the
+row's pivot entry.  Divisor classes (k = n-4 > 1)
 stay here: pairing them with the curve basis costs far more than their
 relations do.
 """
@@ -35,11 +36,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import linalg, trees
 from .trees import ResourceError
-
-ONE = Fraction(1)
 
 
 def km_relations(n, k):
@@ -95,38 +95,74 @@ def km_relations(n, k):
 class HomologyPresentation:
     """Strata and a quotient basis for H_{2k} of the n-mark space.
 
-    The `expr` values are read-only: one dict may stand for several strata.
-    `reduce_index_vec` reads a single stratum of coefficient 1 off directly,
-    as a copy of {pos: 1} or of its `expr` row, and adds or subtracts the
-    rows of coefficients 1 and -1 without multiplying.
+    Each non-basis stratum i keeps its expression over the basis strata as
+    the integer row it was read from, `int_expr[i] = (den, {basis pos: x})`
+    meaning sum x/den times the basis class: the relation route's primitive
+    row with pivot entry den, or the pairing route's reduction with common
+    denominator den.  At k = 0 every stratum shares the one row (1, {0: 1}).
+    Rows are read-only.  `integer_coords` reduces a class in integers, and
+    `reduce_index_vec` divides by one common denominator at the end.
+
+    `expr`, the same table as {pivot idx: {basis pos: Fraction}}, is built on
+    first access.  A presentation given `expr` instead of `int_expr` (as the
+    test oracles build it) keeps that table and clears each row to integers.
     """
 
-    def __init__(self, n, k, strata, basis, expr):
+    def __init__(self, n, k, strata, basis, expr=None, int_expr=None):
         self.n = n
         self.k = k
         self.strata = strata                    # deterministic list of trees
         self.index = {t: i for i, t in enumerate(strata)}
         self.basis = basis                      # stratum indices, increasing
         self.pos = {b: j for j, b in enumerate(basis)}
-        self.expr = expr                        # pivot idx -> {basis pos: Fraction}
+        if int_expr is None:
+            int_expr = {i: _integer_row(e) for i, e in expr.items()}
+        self.int_expr = int_expr                # pivot idx -> (den, {basis pos: int})
+        self._expr = expr
         self.rank = len(basis)
         # k = 1: the basis strata's pairing rows, set by _presentation
         self._pairing_space = None
 
+    @property
+    def expr(self):
+        """pivot idx -> {basis pos: Fraction}, built once from `int_expr`."""
+        if self._expr is None:
+            self._expr = {
+                i: {j: Fraction(x, den) for j, x in row.items()}
+                for i, (den, row) in self.int_expr.items()
+            }
+        return self._expr
+
+    def integer_coords(self, vec):
+        """Sparse {stratum index: coeff} -> (v, L), the coordinates over the
+        basis being v/L with v an integer {basis pos: int} and L > 0.
+
+        L is the lcm of den x coeff denominator over the strata of vec, so
+        every term is an integer multiple of its row, and v is L times the
+        Fraction sum at every step: zeros drop at the same points and the
+        keys come in the same order.
+        """
+        pos, int_expr = self.pos, self.int_expr
+        terms = []
+        big = 1
+        for i, c in vec.items():
+            if not c:
+                continue
+            if not isinstance(c, (int, Fraction)):
+                c = Fraction(c)
+            j = pos.get(i)
+            den, row = int_expr[i] if j is None else (1, {j: 1})
+            big = lcm(big, den * c.denominator)
+            terms.append((c, den, row))
+        v = {}
+        for c, den, row in terms:
+            linalg.axpy(v, c.numerator * (big // (den * c.denominator)), row)
+        return v, big
+
     def reduce_index_vec(self, vec):
         """Sparse {stratum index: coeff} -> coordinates {basis pos: Fraction}."""
-        if len(vec) == 1:
-            ((i, c),) = vec.items()
-            if c == 1:
-                j = self.pos.get(i)
-                return dict(self.expr[i]) if j is None else {j: ONE}
-        out = {}
-        for i, c in vec.items():
-            j = self.pos.get(i)
-            if c != 1 and c != -1:
-                c = Fraction(c)
-            linalg.axpy(out, c, self.expr[i] if j is None else {j: ONE})
-        return out
+        v, big = self.integer_coords(vec)
+        return {j: Fraction(x, big) for j, x in v.items()}
 
     def reduce_tree_dict(self, vec):
         idx_vec = {}
@@ -144,6 +180,13 @@ class HomologyPresentation:
         return [self.strata[b] for b in self.basis]
 
 
+def _integer_row(e):
+    """A {basis pos: rational} row as (den, {basis pos: int}) over the lcm
+    of its denominators."""
+    den = lcm(*(x.denominator for x in e.values()))
+    return den, {j: x.numerator * (den // x.denominator) for j, x in e.items()}
+
+
 _PRESENTATIONS = {}  # (n, k) -> HomologyPresentation, built once per process
 
 
@@ -156,11 +199,11 @@ def _relation_presentation(n, k, strata):
     rows = space.rows
     basis = [i for i in range(len(strata)) if -i not in rows]
     pos = {-b: j for j, b in enumerate(basis)}
-    expr = {}
+    int_expr = {}
     for p, row in rows.items():
         a = row[p]
-        expr[-p] = {pos[col]: Fraction(-x, a) for col, x in row.items() if col != p}
-    return basis, expr
+        int_expr[-p] = (a, {pos[col]: -x for col, x in row.items() if col != p})
+    return basis, int_expr
 
 
 def _pairing_presentation(n, k, strata):
@@ -174,13 +217,13 @@ def _pairing_presentation(n, k, strata):
     independent rows are stored.
     """
     if k == 0:
-        # every point is the point class; the strata share one read-only dict
-        return [0], dict.fromkeys(range(1, len(strata)), {0: ONE}), None
+        # every point is the point class; the strata share one read-only row
+        return [0], dict.fromkeys(range(1, len(strata)), (1, {0: 1})), None
     column = _pairing_columns(n, len(strata))
     space = linalg.RowSpace()
     basis = []
     pos = {}  # column -b of a basis stratum b -> its basis position
-    expr = {}
+    int_expr = {}
     for i, t in enumerate(strata):
         row = _curve_row(t, column)
         row[-i] = 1
@@ -191,17 +234,17 @@ def _pairing_presentation(n, k, strata):
             space.add(v)
         else:
             del v[-i]
-            expr[i] = {pos[col]: Fraction(-x, den) for col, x in v.items()}
-    return basis, expr, space
+            int_expr[i] = (den, {pos[col]: -x for col, x in v.items()})
+    return basis, int_expr, space
 
 
 def _presentation(n, k, strata):
     if k <= 1:
-        basis, expr, space = _pairing_presentation(n, k, strata)
+        basis, int_expr, space = _pairing_presentation(n, k, strata)
     else:
-        basis, expr = _relation_presentation(n, k, strata)
+        basis, int_expr = _relation_presentation(n, k, strata)
         space = None
-    pres = HomologyPresentation(n, k, strata, basis, expr)
+    pres = HomologyPresentation(n, k, strata, basis, int_expr=int_expr)
     pres._pairing_space = space
     return pres
 

@@ -13,7 +13,10 @@ row scaled to pivot 1, so the stored rows are canonical for the space.  An
 input is cleared to a common denominator and its pivot columns are removed
 by integer cross-multiplication (Bareiss, Math. Comp. 22, 1968); a new row is
 back-substituted into the stored rows the same way.  Rationals appear only
-at the edges: residual and rref return Fractions.
+at the edges: residual and rref return Fractions, and `reduce` returns an
+integer vector with its denominator.  Integer inputs make no Fraction at
+all, so the homology presentations keep their expressions as integer rows
+and span subspaces from integer coordinates.
 """
 
 from __future__ import annotations

@@ -208,10 +208,8 @@ def _push_column(full, tau, p_a, n_a, renum, deg_nu, limit_tuples, limit_strata)
                     col, splitvals, t_g, v_hat, mod_vertices,
                     p_a, renum, t.multiplicity, limit_strata,
                 )
-    if deg_nu != 1:
-        for i in list(col):
-            col[i] = col[i] / deg_nu
-    return {i: c for i, c in col.items() if c}
+    # a glued class adds integer rows, so an entry may still be an int here
+    return {i: Fraction(c, deg_nu) for i, c in col.items() if c}
 
 
 def _edge_cutting(tree, split):
@@ -268,7 +266,8 @@ def _add_glued_class(col, splitvals, t_g, v_hat, mod_vertices, p_a, renum, mult,
         i = p_a.index.get(trees.tree_from_splits(len(renum), image))
         if i is None:
             raise AssertionError("canonical stratum missing from presentation")
-        linalg.axpy(col, mult * c, p_a.reduce_index_vec({i: ONE}))
+        v, den = p_a.integer_coords({i: 1})
+        linalg.axpy(col, mult * c / den, v)
 
 
 # -- self-correspondence and dynamical degrees --------------------------------

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from stratadyn import filtration, homology, trees
+import oracles
+from stratadyn import filtration, homology, linalg, trees
 
 
 def test_partition_order_basics():
@@ -187,3 +188,31 @@ def test_lambda_subspace_equals_the_span_of_every_generator():
                 sub = filtration.lambda_subspace(n, k, lam)
                 assert list(sub.space.rows.items()) == list(full.space.rows.items()), (n, k, lam)
                 assert sub.space.canonical_key() == full.space.canonical_key(), (n, k, lam)
+
+
+def _reference_span(pres, vecs):
+    """The span of the Fraction coordinates of vecs, reduced by the oracle."""
+    space = linalg.RowSpace()
+    for vec in vecs:
+        space.add(oracles.reduce_index_vec_reference(pres, vec))
+    return space
+
+
+def test_integer_generators_span_the_fraction_generators():
+    # lambda_subspace and below_subspace add integer coordinates, each the
+    # Fraction coordinates times one denominator
+    for n in (5, 6, 7):
+        for k in range(n - 2):
+            pres = homology.homology_basis(n, k)
+            parts = [trees.induced_partition(t) for t in pres.strata]
+            for lam in filtration.partitions_of(k):
+                if not filtration.realizable(n, k, lam):
+                    continue
+                want = _reference_span(
+                    pres, [{i: 1} for i, p in enumerate(parts) if filtration.partition_leq(p, lam)]
+                )
+                got = filtration.lambda_subspace(n, k, lam)
+                assert got.space.canonical_key() == want.canonical_key(), (n, k, lam)
+            want = _reference_span(pres, [{i: 1} for i, p in enumerate(parts) if len(p) >= 2])
+            got = filtration.below_subspace(n, k)
+            assert got.space.canonical_key() == want.canonical_key(), (n, k)

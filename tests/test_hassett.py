@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from stratadyn import filtration, hassett, trees
-from oracles import brute_minimality_window, stable_vertices_reference
+from stratadyn import filtration, hassett, homology, linalg, trees
+from oracles import brute_minimality_window, reduce_index_vec_reference, stable_vertices_reference
 
 
 def test_validate_weights():
@@ -160,3 +160,24 @@ def test_kernel_strictly_larger_low_k():
     ker = hassett.reduction_kernel(6, 1, hassett.epsilon_dagger(6))
     assert filtration.below_subspace(6, 1).dim() == 0
     assert ker.dim() == 10
+
+
+def test_reduction_kernel_equals_the_span_of_fraction_generators():
+    # the kernel adds integer coordinates; the same generators reduced in
+    # Fractions by the oracle must span the same space
+    for n in (5, 6, 7):
+        eps = hassett.epsilon_dagger(n)
+        for k in range(n - 2):
+            pres = homology.homology_basis(n, k)
+            want = linalg.RowSpace()
+            reps = {}
+            for i, t in enumerate(pres.strata):
+                it = hassett.reduction_image_type(t, eps)
+                if it.dim < k:
+                    want.add(reduce_index_vec_reference(pres, {i: 1}))
+                elif it in reps:
+                    want.add(reduce_index_vec_reference(pres, {reps[it]: 1, i: -1}))
+                else:
+                    reps[it] = i
+            got = hassett.reduction_kernel(n, k, eps)
+            assert got.space.canonical_key() == want.canonical_key(), (n, k)

@@ -244,35 +244,68 @@ def test_presentation_strata_are_the_enumeration():
             assert homology.homology_basis(n, k).strata == trees.enumerate_strata(n, k)
 
 
+# every degree up to seven marks, and at eight marks the k = 0 pairing route
+# (one shared row) and the divisor degree on relations
+REDUCE_SPACES = [(n, k) for n in (5, 6, 7) for k in range(n - 2)] + [(8, 0), (8, 4)]
+
+
+def _reduce_inputs(rng, m):
+    """Single strata, integer coefficients -3..3 with 0, Fraction coefficients
+    with denominators 2..10, one float, and +-1 pairs over m strata."""
+    vecs = [{i: 1} for i in range(m)]
+    vecs += [{i: c} for i in rng.sample(range(m), min(m, 20)) for c in (-3, -1, 0, 2)]
+    for _ in range(40):
+        size = rng.randint(1, min(m, 5))
+        vecs.append({i: rng.randint(-3, 3) for i in rng.sample(range(m), size)})
+    for _ in range(40):
+        size = rng.randint(1, min(m, 5))
+        vecs.append({i: Fraction(rng.randint(-9, 9), rng.randint(2, 10))
+                     for i in rng.sample(range(m), size)})
+    vecs.append(dict(zip(rng.sample(range(m), min(m, 3)), (0.1, 2, Fraction(-2, 3)))))
+    vecs += [{i: 1, j: -1} for i, j in zip(range(m), range(1, m))]
+    vecs += [{i: Fraction(1), j: Fraction(-1)} for i, j in zip(range(m), range(1, m))]
+    return vecs
+
+
 def test_reduce_index_vec_matches_fraction_reference():
     rng = random.Random(8)
-    for n in (5, 6, 7):
-        for k in range(n - 2):
-            pres = homology.homology_basis(n, k)
-            m = len(pres.strata)
-            vecs = [{i: 1} for i in range(m)]
-            vecs += [{i: c} for i in rng.sample(range(m), min(m, 20)) for c in (-3, -1, 0, 2)]
-            for _ in range(40):
-                size = rng.randint(1, min(m, 5))
-                vecs.append({i: rng.randint(-3, 3) for i in rng.sample(range(m), size)})
-            vecs += [{i: Fraction(1), j: Fraction(-1)} for i, j in zip(range(m), range(1, m))]
-            for vec in vecs:
-                got = pres.reduce_index_vec(vec)
-                want = oracles.reduce_index_vec_reference(pres, vec)
-                assert got == want, (n, k, vec)
-                assert list(got) == list(want), (n, k, vec)
-                assert all(type(v) is Fraction for v in got.values()), (n, k, vec)
+    for n, k in REDUCE_SPACES:
+        pres = homology.homology_basis(n, k)
+        for vec in _reduce_inputs(rng, len(pres.strata)):
+            got = pres.reduce_index_vec(vec)
+            want = oracles.reduce_index_vec_reference(pres, vec)
+            assert got == want, (n, k, vec)
+            assert list(got) == list(want), (n, k, vec)
+            assert all(type(v) is Fraction for v in got.values()), (n, k, vec)
+
+
+def test_integer_coords_are_the_reference_over_one_denominator():
+    rng = random.Random(9)
+    for n, k in REDUCE_SPACES:
+        pres = homology.homology_basis(n, k)
+        for vec in _reduce_inputs(rng, len(pres.strata)):
+            v, big = pres.integer_coords(vec)
+            want = oracles.reduce_index_vec_reference(pres, vec)
+            assert type(big) is int and big > 0, (n, k, vec)
+            assert all(type(x) is int for x in v.values()), (n, k, vec)
+            assert list(v) == list(want), (n, k, vec)
+            assert all(Fraction(x, big) == want[j] for j, x in v.items()), (n, k, vec)
 
 
 def test_reduced_coordinates_do_not_alias_the_presentation():
     for n, k in ((6, 0), (6, 1), (6, 2), (7, 2)):
         pres = homology.homology_basis(n, k)
         before = {i: dict(e) for i, e in pres.expr.items()}
+        before_int = {i: (den, dict(row)) for i, (den, row) in pres.int_expr.items()}
         for i in range(len(pres.strata)):
             coords = pres.reduce_index_vec({i: 1})
             coords[0] = Fraction(99)
             coords.pop(1, None)
+            v, _ = pres.integer_coords({i: 1})
+            v[0] = 99
+            v.pop(1, None)
         assert pres.expr == before, (n, k)
+        assert pres.int_expr == before_int, (n, k)
         assert pres.reduce_index_vec({pres.basis[0]: 1}) == {0: 1}
 
 
@@ -284,6 +317,19 @@ def test_pairing_presentation_matches_relation_oracle():
             assert got.strata == want.strata, (n, k)
             assert got.basis == want.basis, (n, k)
             assert got.expr == want.expr, (n, k)
+
+
+def test_relation_route_matches_relation_oracle():
+    # k >= 2 keeps the primitive relation rows; the oracle rebuilds the
+    # presentation in Fractions and is read back through its own rows
+    for n, k in ((6, 2), (7, 2), (7, 3)):
+        got = homology.homology_basis(n, k)
+        want = oracles.relation_presentation(n, k)
+        assert got.strata == want.strata, (n, k)
+        assert got.basis == want.basis, (n, k)
+        assert got.expr == want.expr, (n, k)
+        for i in range(len(got.strata)):
+            assert got.reduce_index_vec({i: 1}) == want.reduce_index_vec({i: 1}), (n, k, i)
 
 
 def test_points_of_eight_marks_are_one_class():

@@ -128,6 +128,23 @@ def test_d2_five_mark_self_map_matrix():
     assert rep.exact == 2 and rep.method == "exact_roots"
 
 
+def d2_six_mark_self_map_datum():
+    """Degree-2 self-map of six marks, simply branched over b1 and b2; its
+    glued classes read six-mark expressions with denominator 2."""
+    a = ["a%d" % i for i in range(1, 7)]
+    b = ["b%d" % i for i in range(1, 7)]
+    return HurwitzData(
+        a_marks=a,
+        b_marks=b,
+        d=2,
+        f_map=dict(zip(a, b)),
+        br={"b1": [2], "b2": [2]},
+        rm={"a1": 2, "a2": 2, "a3": 1, "a4": 1, "a5": 1, "a6": 1},
+        forget_to=a,
+        identify=dict(zip(b, a)),
+    )
+
+
 # -- glued classes on split sets --------------------------------------------------
 
 
@@ -154,6 +171,7 @@ def _glued_classes(h):
     (d2_self_map_datum, 15, 9),
     (d3_self_map_datum, 11, 11),
     (d1_datum, 5, 0),
+    (d2_six_mark_self_map_datum, 44, 32),
 ])
 def test_glued_classes_match_the_whole_tree_route(make, count, with_points):
     calls = _glued_classes(make())
