@@ -22,13 +22,26 @@ Relation route, for every other degree.  The relations live on
 (k+1)-dimensional strata: at a vertex v with four distinguished flags, the
 three ways of pairing the four flags two against two give equal class sums
 over all distributions of v's remaining flags, each term being the stratum
-refined at v accordingly (`km_relations`).  The relation rows are eliminated
-with stratum i in column -i, so each row's minimal pivot column is its
-latest stratum; the non-pivot strata are the basis, and every pivot stratum
-is expressed over earlier basis strata by its primitive row, read over the
-row's pivot entry.  Divisor classes (k = n-4 > 1)
-stay here: pairing them with the curve basis costs far more than their
-relations do.
+refined at v accordingly (the four-point or WDVV relations; Keel, Trans.
+AMS 330, 1992).  `km_relations` keeps only the quadruples through flags 0
+and 1 of each vertex, two differences each (the third is their
+difference), and these span all of them:
+- at a vertex with m flags the rows are the image of the WDVV divisor
+  relations of the m-mark space under refining sigma at v, a linear map;
+- on five flags the quadruples through a fixed pair span every relation, a
+  finite check (the (5,1) rows);
+- pulling back along forgetting all but five flags sends each five-flag
+  relation to the m-flag relation of the same name;
+- so a quadruple without flag 0 is rewritten on the five flags
+  {0, i, j, k, l} over quadruples through {0, i}, and a quadruple with 0
+  but not 1 on {0, 1, i, k, l} over quadruples through {0, 1}.
+The relation rows are eliminated with stratum i in column -i, so each row's
+minimal pivot column is its latest stratum; the non-pivot strata are the
+basis, and every pivot stratum is expressed over earlier basis strata by its
+primitive row, read over the row's pivot entry.  The row space keeps
+canonical rows, so any spanning set in any order gives the same basis and
+rows.  Divisor classes (k = n-4 > 1) stay here: pairing them with the curve
+basis costs far more than their relations do.
 """
 
 from __future__ import annotations
@@ -45,10 +58,18 @@ from .trees import ResourceError
 def km_relations(n, k):
     """The relation vectors among k-dim stratum classes, as {tree: int} dicts.
 
-    Deduplicated (sign-normalised) and deterministically ordered.  For
-    k = n-3 the single fundamental class has no relations.  Refining sigma at
-    v by moving some of its flags onto a new vertex adds one split, the union
-    of the moved flag blocks, so each term is looked up by its split set.
+    At each vertex of valence m >= 4 of each (k+1)-dim stratum sigma, the
+    quadruples (0, 1, i3, i4) of flags in `flags_of` order, each giving the
+    two differences of its first pairing sum with the other two; together
+    they span every four-point relation (module docstring).  For k = n-3
+    the single fundamental class has no relations.  Refining sigma at v by
+    moving some of its flags onto a new vertex adds one split, the union of
+    the moved flag blocks, so each term is looked up by its split set.
+
+    Deduplicated (sign-normalised) and sorted by index tuple read from the
+    latest stratum down: a row's pivot is its latest stratum, so a new
+    pivot seldom lies inside a row already stored, and adding the rows
+    seldom back-substitutes.
     """
     if not (0 <= k <= n - 3):
         raise ValueError("k must be between 0 and n-3")
@@ -64,32 +85,29 @@ def km_relations(n, k):
             if val < 4:
                 continue
             blocks = sigma.flag_marksets(v)
-            for quad in itertools.combinations(range(val), 4):
-                rest = [f for f in range(val) if f not in quad]
-                i1, i2, i3, i4 = quad
+            for i3, i4 in itertools.combinations(range(2, val), 2):
+                rest = [f for f in range(2, val) if f != i3 and f != i4]
                 sums = []
-                for a, b in ((i1, i2), (i1, i3), (i1, i4)):
+                for b in (1, i3, i4):
                     acc = {}
                     for r in range(len(rest) + 1):
                         for d1 in itertools.combinations(rest, r):
-                            side = blocks[a].union(blocks[b], *(blocks[f] for f in d1))
+                            side = blocks[0].union(blocks[b], *(blocks[f] for f in d1))
                             t = by_splits[base | {trees.normalize_split(n, side)}]
                             acc[t] = acc.get(t, 0) + 1
                     sums.append(acc)
-                for x in range(3):
-                    for y in range(x + 1, 3):
-                        row = linalg.axpy(dict(sums[x]), -1, sums[y])
-                        if row:
-                            rows.append(row)
-    # dedup by sign-normalised index vector
+                for y in (1, 2):
+                    row = linalg.axpy(dict(sums[0]), -1, sums[y])
+                    if row:
+                        rows.append(row)
+    # dedup by sign-normalised index vector, then order by latest stratum
     seen = {}
     for row in rows:
         items = sorted((index[t], c) for t, c in row.items())
         if items[0][1] < 0:
             items = [(i, -c) for i, c in items]
         seen.setdefault(tuple(items), row)
-    ordered = [seen[key] for key in sorted(seen)]
-    return ordered
+    return [seen[key] for key in sorted(seen, key=lambda key: key[::-1])]
 
 
 class HomologyPresentation:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from stratadyn import homology, trees
+from stratadyn import homology, linalg, trees
 
 
 def assemble(n, vertices):
@@ -115,6 +115,52 @@ def strata_counts_by_refinement(n):
     return counts
 
 
+def km_relations_reference(n, k):
+    """Every four-point relation among k-dim stratum classes: all quadruples
+    of flags at every vertex of valence >= 4, with all three pairwise
+    differences of their pairing sums.  The library's `km_relations` keeps a
+    spanning subset of these rows."""
+    if not (0 <= k <= n - 3):
+        raise ValueError("k must be between 0 and n-3")
+    if k == n - 3:
+        return []
+    strata = trees.enumerate_strata(n, k)
+    index = {t: i for i, t in enumerate(strata)}
+    by_splits = {frozenset(t.splits()): t for t in strata}
+    rows = []
+    for sigma in trees.enumerate_strata(n, k + 1):
+        base = frozenset(sigma.splits())
+        for v, val in enumerate(sigma._valences()):
+            if val < 4:
+                continue
+            blocks = sigma.flag_marksets(v)
+            for quad in itertools.combinations(range(val), 4):
+                rest = [f for f in range(val) if f not in quad]
+                i1, i2, i3, i4 = quad
+                sums = []
+                for a, b in ((i1, i2), (i1, i3), (i1, i4)):
+                    acc = {}
+                    for r in range(len(rest) + 1):
+                        for d1 in itertools.combinations(rest, r):
+                            side = blocks[a].union(blocks[b], *(blocks[f] for f in d1))
+                            t = by_splits[base | {trees.normalize_split(n, side)}]
+                            acc[t] = acc.get(t, 0) + 1
+                    sums.append(acc)
+                for x in range(3):
+                    for y in range(x + 1, 3):
+                        row = linalg.axpy(dict(sums[x]), -1, sums[y])
+                        if row:
+                            rows.append(row)
+    # dedup by sign-normalised index vector
+    seen = {}
+    for row in rows:
+        items = sorted((index[t], c) for t, c in row.items())
+        if items[0][1] < 0:
+            items = [(i, -c) for i, c in items]
+        seen.setdefault(tuple(items), row)
+    return [seen[key] for key in sorted(seen)]
+
+
 def relation_presentation(n, k):
     """The presentation of H_{2k} from the four-point relations alone: the
     relation rows are eliminated with maximal-index pivots and the non-pivot
@@ -123,7 +169,7 @@ def relation_presentation(n, k):
     strata = trees.enumerate_strata(n, k)
     index = {t: i for i, t in enumerate(strata)}
     rows = []
-    for row in homology.km_relations(n, k):
+    for row in km_relations_reference(n, k):
         rows.append({index[t]: Fraction(c) for t, c in row.items()})
     space = RowSpaceReference(pivot="max")
     for r in rows:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from stratadyn import homology, trees
+from stratadyn import homology, linalg, trees
 
 
 def closed_form_rank(n):
@@ -48,13 +48,15 @@ def test_top_class_no_relations():
 
 def test_km_relation_counts_small():
     # one quadruple of flags on the 4-mark space: three pairings, three
-    # pairwise differences, rank 2, so H_0 has rank 1
-    rels = homology.km_relations(4, 0)
-    assert len(rels) == 3
+    # pairwise differences, rank 2, so H_0 has rank 1; the library keeps two
+    assert len(oracles.km_relations_reference(4, 0)) == 3
+    assert len(homology.km_relations(4, 0)) == 2
     assert homology.homology_basis(4, 0).rank == 1
     # (6,2): relations come from the single 3-dim stratum: C(6,4) quadruples
-    # times three differences
-    assert len(homology.km_relations(6, 2)) == 45
+    # times three differences, of which the library keeps the C(4,2)
+    # quadruples through flags 0 and 1, two differences each
+    assert len(oracles.km_relations_reference(6, 2)) == 45
+    assert len(homology.km_relations(6, 2)) == 12
     p = homology.homology_basis(6, 2)
     assert len(p.strata) == 25 and p.rank == 16
 
@@ -78,12 +80,52 @@ def test_equivalent_pairings_reduce_equal():
 def test_km_relations_orthogonal_to_pairings():
     for n in (5, 6):
         splits = trees.all_splits(n)
-        for row in homology.km_relations(n, 1):
+        for row in oracles.km_relations_reference(n, 1):
             for s in splits:
                 tot = sum(
                     c * homology.intersection_pairing_h2(t, s) for t, c in row.items()
                 )
                 assert tot == 0
+
+
+def _relation_space(n, k, rows):
+    column = {t: -i for i, t in enumerate(trees.enumerate_strata(n, k))}
+    space = linalg.RowSpace()
+    for row in rows:
+        space.add({column[t]: c for t, c in row.items()})
+    return space
+
+
+def _sign_normalised(row, column):
+    items = sorted((column[t], c) for t, c in row.items())
+    if items[0][1] < 0:
+        items = [(i, -c) for i, c in items]
+    return tuple(items)
+
+
+# every degree the relation route presents at n <= 7, and (8,4)
+RELATION_ROUTE = [(n, k) for n in range(5, 8) for k in range(2, n - 2)] + [(8, 4)]
+
+
+def test_km_relations_span_the_reference_relations():
+    # the quadruples through two fixed flags, two differences each, span the
+    # same space as every quadruple with all three differences; (5,1) is the
+    # five-flag case the spanning argument rests on
+    for n, k in RELATION_ROUTE + [(5, 1), (6, 1)]:
+        got = homology.km_relations(n, k)
+        want = oracles.km_relations_reference(n, k)
+        assert _relation_space(n, k, got).equals(_relation_space(n, k, want)), (n, k)
+        index = {t: i for i, t in enumerate(trees.enumerate_strata(n, k))}
+        reference = {_sign_normalised(row, index) for row in want}
+        assert all(_sign_normalised(row, index) in reference for row in got), (n, k)
+
+
+def test_relation_rows_in_any_order_give_the_same_rows():
+    rows = homology.km_relations(7, 2)
+    forward = _relation_space(7, 2, rows)
+    backward = _relation_space(7, 2, rows[::-1])
+    assert forward.rows == backward.rows
+    assert len(forward.rows) == len(trees.enumerate_strata(7, 2)) - 127
 
 
 def test_pairing_hand_values():

@@ -145,6 +145,48 @@ def d2_six_mark_self_map_datum():
     )
 
 
+def marked_datum(d, profiles):
+    """Target marks b1..bN with the given branching profiles; a_i over b_i
+    carries the largest part of its profile, and every a_i is retained."""
+    a = ["a%d" % i for i in range(1, len(profiles) + 1)]
+    b = ["b%d" % i for i in range(1, len(profiles) + 1)]
+    return HurwitzData(
+        a_marks=a,
+        b_marks=b,
+        d=d,
+        f_map=dict(zip(a, b)),
+        br={bi: p for bi, p in zip(b, profiles) if p != (1,) * d},
+        rm={ai: max(p) for ai, p in zip(a, profiles)},
+        forget_to=a,
+    )
+
+
+@pytest.mark.parametrize("d, profiles", [
+    (2, [(2,), (2,)] + [(1, 1)] * 3),
+    (2, [(2,), (2,)] + [(1, 1)] * 4),
+    (3, [(1, 2)] * 4 + [(1, 1, 1)]),
+])
+def test_forgetting_an_unramified_mark_commutes_with_the_pushforward(d, profiles):
+    # b_N is unramified and a_N is one of its d preimages; base change along
+    # forgetting b_N gives pi_{a_N*} P = d P' pi_{b_N*} on H_2, where P' is
+    # the pushforward of the datum without a_N and b_N
+    n = len(profiles)
+    keep = set(range(1, n))
+    big = pushforward_h2(marked_datum(d, profiles))
+    small = pushforward_h2(marked_datum(d, profiles[:-1]))
+    sources = big.source_pres.basis_trees()
+    for j, tau in enumerate(big.target_pres.basis_trees()):
+        column = {t: row[j] for t, row in zip(sources, big.matrix) if row[j]}
+        lhs = small.source_pres.reduce_tree_dict(homology.forget_vec(column, keep))
+        x = small.target_pres.reduce_tree_dict(homology.forget_vec({tau: 1}, keep))
+        rhs = {}
+        for i, row in enumerate(small.matrix):
+            s = d * sum(row[c] * v for c, v in x.items())
+            if s:
+                rhs[i] = s
+        assert lhs == rhs, (n, j)
+
+
 # -- glued classes on split sets --------------------------------------------------
 
 
