@@ -121,8 +121,8 @@ def cmd_homology(args):
         "strata": [t.to_json_dict() for t in pres.strata],
         "basis": list(pres.basis),
         "expansions": {
-            str(i): {str(pres.basis[j]): str(Fraction(x, den)) for j, x in row.items()}
-            for i, (den, row) in sorted(pres.int_expr.items())
+            str(i): {str(pres.basis[j]): str(x) for j, x in pres.reduce_index_vec({i: 1}).items()}
+            for i in range(len(pres.strata)) if i not in pres.pos
         },
     }
     if args.out:

@@ -42,6 +42,11 @@ primitive row, read over the row's pivot entry.  The row space keeps
 canonical rows, so any spanning set in any order gives the same basis and
 rows.  Divisor classes (k = n-4 > 1) stay here: pairing them with the curve
 basis costs far more than their relations do.
+
+homology_basis keeps each presentation per (n, k) for the life of the
+process through `trees.Budget.replay`, as trees keeps strata: a capped call
+ticks once per stratum the presentation enumerates (`trees._strata`), on a
+miss and on a hit alike, so `limit_strata` counts as if nothing were kept.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from functools import lru_cache
 from math import lcm
 
 from . import linalg, trees
-from .trees import ResourceError
 
 
 def km_relations(n, k):
@@ -118,38 +122,21 @@ class HomologyPresentation:
     meaning sum x/den times the basis class: the relation route's primitive
     row with pivot entry den, or the pairing route's reduction with common
     denominator den.  At k = 0 every stratum shares the one row (1, {0: 1}).
-    Rows are read-only.  `integer_coords` reduces a class in integers, and
-    `reduce_index_vec` divides by one common denominator at the end.
-
-    `expr`, the same table as {pivot idx: {basis pos: Fraction}}, is built on
-    first access.  A presentation given `expr` instead of `int_expr` (as the
-    test oracles build it) keeps that table and clears each row to integers.
+    Rows are read-only, and callers read expressions through
+    `integer_coords`, which reduces a class in integers, or
+    `reduce_index_vec`, which divides by one common denominator at the end.
     """
 
-    def __init__(self, n, k, strata, basis, expr=None, int_expr=None):
+    def __init__(self, n, k, strata, basis, int_expr, pairing_space=None):
         self.n = n
         self.k = k
         self.strata = strata                    # deterministic list of trees
         self.index = {t: i for i, t in enumerate(strata)}
         self.basis = basis                      # stratum indices, increasing
         self.pos = {b: j for j, b in enumerate(basis)}
-        if int_expr is None:
-            int_expr = {i: _integer_row(e) for i, e in expr.items()}
         self.int_expr = int_expr                # pivot idx -> (den, {basis pos: int})
-        self._expr = expr
         self.rank = len(basis)
-        # k = 1: the basis strata's pairing rows, set by _presentation
-        self._pairing_space = None
-
-    @property
-    def expr(self):
-        """pivot idx -> {basis pos: Fraction}, built once from `int_expr`."""
-        if self._expr is None:
-            self._expr = {
-                i: {j: Fraction(x, den) for j, x in row.items()}
-                for i, (den, row) in self.int_expr.items()
-            }
-        return self._expr
+        self._pairing_space = pairing_space     # k = 1: the basis strata's pairing rows
 
     def integer_coords(self, vec):
         """Sparse {stratum index: coeff} -> (v, L), the coordinates over the
@@ -198,14 +185,7 @@ class HomologyPresentation:
         return [self.strata[b] for b in self.basis]
 
 
-def _integer_row(e):
-    """A {basis pos: rational} row as (den, {basis pos: int}) over the lcm
-    of its denominators."""
-    den = lcm(*(x.denominator for x in e.values()))
-    return den, {j: x.numerator * (den // x.denominator) for j, x in e.items()}
-
-
-_PRESENTATIONS = {}  # (n, k) -> HomologyPresentation, built once per process
+_PRESENTATIONS = {}  # (n, k) -> (HomologyPresentation, its stratum count), built once per process
 
 
 def _relation_presentation(n, k, strata):
@@ -256,38 +236,29 @@ def _pairing_presentation(n, k, strata):
     return basis, int_expr, space
 
 
-def _presentation(n, k, strata):
+def _presentation(n, k, budget):
+    strata = list(trees._strata(n, k, budget))
     if k <= 1:
         basis, int_expr, space = _pairing_presentation(n, k, strata)
     else:
         basis, int_expr = _relation_presentation(n, k, strata)
         space = None
-    pres = HomologyPresentation(n, k, strata, basis, int_expr=int_expr)
-    pres._pairing_space = space
-    return pres
+    return HomologyPresentation(n, k, strata, basis, int_expr, space)
 
 
 def homology_basis(n, k, limit_strata=None):
     """The cached presentation of H_{2k}; optionally capped by stratum count.
 
-    The cap is checked while the strata are enumerated, so an oversized
-    request stops after limit_strata + 1 trees.
+    The cap ticks once per stratum of the presentation, kept or not, so an
+    oversized request stops after limit_strata + 1 trees, and a kept one
+    longer than the cap raises at once.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
     if not (0 <= k <= n - 3):
         raise ValueError("k must be between 0 and n-3, got k=%d" % k)
-    pres = _PRESENTATIONS.get((n, k))
     over = "presentation for (n=%d, k=%d) needs more than %s strata" % (n, k, limit_strata)
-    if pres is None:
-        try:
-            strata = trees.enumerate_strata(n, k, limit=limit_strata)
-        except ResourceError:
-            raise ResourceError(over) from None
-        pres = _PRESENTATIONS[(n, k)] = _presentation(n, k, strata)
-    elif limit_strata is not None and len(pres.strata) > limit_strata:
-        raise ResourceError(over)
-    return pres
+    return trees.Budget(limit_strata, over).replay(_PRESENTATIONS, (n, k), _presentation, n, k)
 
 
 def class_reduce(pres, vec):

@@ -34,9 +34,10 @@ the pushforward alike (Keel, Trans. AMS 330, 1992: a stratum is fixed by its
 splits).
 
 The classes over a target tree are kept once per process in `_CLASSES`,
-keyed by every field of the datum and the tree, as `trees._STRATA` keeps
-strata: the datum is validated and the classes built on the first call only,
-and a later call ticks the tuple budget the first one used.  They are kept
+keyed by every field of the datum and the tree, through the same
+`trees.Budget.replay` that keeps strata and presentations: the datum is
+validated and the classes built on the first call only, and a later call
+ticks the tuple budget the first one used.  They are kept
 marshalled, and every call reads new CoverClass objects from them.  Counts,
 the degeneration check and the pushforward all read the kept classes.  A
 test that counts work done inside the enumeration must clear `_CLASSES`
@@ -53,7 +54,6 @@ from functools import lru_cache
 from math import factorial
 
 from . import trees
-from .trees import ResourceError
 
 
 class HurwitzData:
@@ -331,29 +331,6 @@ class CoverClass:
         self.key = key
 
 
-class _Limit:
-    def __init__(self, cap):
-        self.cap = cap
-        self.used = 0
-
-    def tick(self, amount=1):
-        self.used += amount
-        if self.cap is not None and self.used > self.cap:
-            raise ResourceError("cover enumeration exceeded %d tuples" % self.cap)
-
-    def replay(self, cache, key, fn, *args):
-        """fn(*args, self) memoised in `cache` under `key`.  A hit ticks what
-        the first call ticked, so the budget counts as if nothing were
-        cached."""
-        hit = cache.get(key)
-        if hit is None:
-            before = self.used
-            hit = cache[key] = (fn(*args, self), self.used - before)
-        else:
-            self.tick(hit[1])
-        return hit[0]
-
-
 def _local_assignments(h, flags, limit):
     """All flag-permutation tuples at a target vertex with flag list `flags`
     (MarkedTree.flags_of): product in flag order is the identity, leg flags
@@ -564,6 +541,10 @@ def _datum_value(h):
     return _VALUES.setdefault(value, value)
 
 
+def _tuple_budget(limit_tuples):
+    return trees.Budget(limit_tuples, "cover enumeration exceeded %s tuples" % limit_tuples)
+
+
 def enumerate_cover_classes(h, tau, limit_tuples=None):
     """All labeled-cover classes of the datum over the target tree tau.
 
@@ -579,7 +560,7 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
     nothing, and a hit ticks what the miss ticked, so the cap behaves as if
     nothing were cached.  See _enumerate_cover_classes.
     """
-    limit = _Limit(limit_tuples)
+    limit = _tuple_budget(limit_tuples)
     kept = limit.replay(_CLASSES, (_datum_value(h), tau), _enumerate_cover_classes, h, tau)
     return [CoverClass(tau, *fields) for fields in marshal.loads(kept)]
 
@@ -742,7 +723,7 @@ def count_covers_orbit_stabilizer(h, limit_tuples=None):
     if res.status != "fully_marked":
         raise ValueError("requires a fully marked datum")
     tau = trees.trivial_tree(len(h.b_marks))
-    limit = _Limit(limit_tuples)
+    limit = _tuple_budget(limit_tuples)
     d = h.d
     all_p, _ = _perm_pool(d)
     flags = tau.flags_of(0)
@@ -776,19 +757,13 @@ class CoverType:
     of labeled-cover classes of this type.
     """
 
-    __slots__ = ("tau", "source_tree", "node_data", "multiplicity", "count", "classes")
+    __slots__ = ("source_tree", "node_data", "multiplicity", "count")
 
-    def __init__(self, tau, source_tree, node_data, multiplicity, count, classes):
-        self.tau = tau
+    def __init__(self, source_tree, node_data, multiplicity, count):
         self.source_tree = source_tree
         self.node_data = node_data
         self.multiplicity = multiplicity
         self.count = count
-        self.classes = classes
-
-    @property
-    def key(self):
-        return (trees.tree_sort_key(self.source_tree), self.node_data)
 
 
 def _node_sides(n, comp_marks, comp_edges):
@@ -838,14 +813,13 @@ def enumerate_cover_types(h, tau, limit_tuples=None):
     for cls in classes:
         marks = [[a_index[a] for a in comp] for comp in cls.comp_marks]
         key = _source_tree_of_class(n, _node_sides(n, marks, cls.edges))
-        buckets.setdefault(key, []).append(cls)
+        buckets[key] = buckets.get(key, 0) + 1
     out = []
     for (t, node_data) in sorted(buckets, key=lambda k: (trees.tree_sort_key(k[0]), k[1])):
-        cl = buckets[(t, node_data)]
         mult = 1
         for _side, r in node_data:
             mult *= r
-        out.append(CoverType(tau, t, node_data, mult, len(cl), cl))
+        out.append(CoverType(t, node_data, mult, buckets[(t, node_data)]))
     return out
 
 

@@ -407,10 +407,10 @@ def filtration_blocks(mat, n, k, limit_strata=None):
         )
     below = filtration.below_subspace(n, k, limit_strata)
     omega = filtration.OmegaQuotient(pres, below)
-    for t in pres.strata:
+    for i, t in enumerate(pres.strata):
         if len(trees.induced_partition(t)) < 2:
             continue
-        g = pres.reduce_tree_dict({t: 1})
+        g = pres.reduce_index_vec({i: 1})
         img = _apply_matrix(mat, g)
         if not below.contains(img):
             raise ValueError(

@@ -52,9 +52,15 @@ calls tree_from_splits.
 enumerate_strata keeps its full result per (n, k) for the life of the
 process, so each stratum is built once per process however many callers ask
 (a presentation, its relations, the vertex spaces of a cover).  Every call
-gets a fresh list over the same immutable trees.  A call with a `limit`
-keeps its result only when it stays under the cap; on a kept (n, k) it
-raises at once when the kept list is longer than the cap.
+gets a fresh list over the same immutable trees.
+
+Every result the package keeps per process answers a capped call through
+one Budget: strata here (one tick per stratum), presentations in homology
+(one tick per stratum they enumerate, through _strata) and cover classes in
+hurwitz (one tick per tuple tried).  Budget.replay computes a miss under
+the caller's budget and keeps it only when the cap holds, and a hit ticks
+what the miss ticked, so a cap counts as if nothing were kept: a kept
+(n, k) longer than the cap raises at once, building nothing.
 """
 
 from __future__ import annotations
@@ -62,6 +68,33 @@ from __future__ import annotations
 
 class ResourceError(RuntimeError):
     """Raised when an enumeration or a presentation exceeds a size limit."""
+
+
+class Budget:
+    """The work one capped call may do: `tick` counts it and raises
+    ResourceError(message) once the count passes `cap` (None: no cap)."""
+
+    def __init__(self, cap, message):
+        self.cap = cap
+        self.message = message
+        self.used = 0
+
+    def tick(self, amount=1):
+        self.used += amount
+        if self.cap is not None and self.used > self.cap:
+            raise ResourceError(self.message)
+
+    def replay(self, cache, key, fn, *args):
+        """fn(*args, self) memoised in `cache` under `key`.  A hit ticks what
+        the first call ticked, so the budget counts as if nothing were
+        cached; a call that raises keeps nothing."""
+        hit = cache.get(key)
+        if hit is None:
+            before = self.used
+            hit = cache[key] = (fn(*args, self), self.used - before)
+        else:
+            self.tick(hit[1])
+        return hit[0]
 
 
 class MarkedTree:
@@ -488,7 +521,7 @@ def _top(n, tops, labels):
     return _vertex(*labels[((1 << n + 1) - 2) & ~covered], [rec for _side, rec in tops])
 
 
-_STRATA = {}  # (n, k) -> tuple of every stratum, enumerated once per process
+_STRATA = {}  # (n, k) -> (tuple of every stratum, its count), kept once per process
 
 
 def enumerate_strata(n, k, limit=None):
@@ -510,41 +543,46 @@ def enumerate_strata(n, k, limit=None):
         raise ValueError("n must be >= 3")
     if not (0 <= k <= n - 3):
         raise ValueError("k must be between 0 and n-3, got %d" % k)
-    kept = _STRATA.get((n, k))
-    if kept is None:
-        kept = _STRATA[(n, k)] = tuple(_enumerate(n, k, limit))
-    elif limit is not None and len(kept) > limit:
-        raise ResourceError("stratum enumeration exceeded limit %d" % limit)
-    return list(kept)
+    return list(_strata(n, k, Budget(limit, "stratum enumeration exceeded limit %s" % limit)))
 
 
-def _enumerate(n, k, limit):
-    """The sorted strata of enumerate_strata.  Each chosen split's record is
-    made once as the search adds it, and each full set is finished from the
-    records of its top splits under the vertex of mark 1."""
+def _strata(n, k, budget):
+    """The kept tuple of the (n, k) strata, ticking `budget` once per
+    stratum whether or not they were kept before."""
+    return budget.replay(_STRATA, (n, k), _enumerate, n, k)
+
+
+def _enumerate(n, k, budget):
+    """The sorted strata of enumerate_strata, ticking `budget` once per
+    stratum built.  Each chosen split's record is made once as the search
+    adds it, and each full set is finished from the records of its top
+    splits under the vertex of mark 1.  A split's compatibility mask is
+    made when the search first picks it, so a capped call that stops early
+    pays for the splits it reached only."""
     codim = n - 3 - k
     masks = [sum(1 << mark for mark in s) for s in all_splits(n)]
-    # normalised sides never contain mark 1, so two splits are compatible
-    # exactly when their sides are nested or disjoint
-    compat = [
-        sum(1 << j for j in range(i + 1, len(masks)) if a & masks[j] in (0, a, masks[j]))
-        for i, a in enumerate(masks)
-    ]
-
+    compat = [None] * len(masks)  # i -> mask of the later splits compatible with i
     labels = _Labels()
     out = []
 
     def grow(cand, tops, need):
         if not need:
             out.append(_finish(n, _top(n, tops, labels)))
-            if limit is not None and len(out) > limit:
-                raise ResourceError("stratum enumeration exceeded limit %d" % limit)
+            budget.tick()
             return
         while cand.bit_count() >= need:
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
-            grow(cand & compat[i], _hang(tops, masks[i], labels), need - 1)
+            mask = compat[i]
+            if mask is None:
+                # normalised sides never contain mark 1, so two splits are
+                # compatible exactly when their sides are nested or disjoint
+                a = masks[i]
+                mask = compat[i] = sum(
+                    1 << j for j in range(i + 1, len(masks)) if a & masks[j] in (0, a, masks[j])
+                )
+            grow(cand & mask, _hang(tops, masks[i], labels), need - 1)
 
     grow((1 << len(masks)) - 1, [], codim)
     seen = set()
@@ -553,7 +591,7 @@ def _enumerate(n, k, limit):
             raise AssertionError("duplicate canonical form in enumeration")
         seen.add(t)
     out.sort(key=tree_sort_key)
-    return out
+    return tuple(out)
 
 
 def count_strata_by_dim(n, limit=None):

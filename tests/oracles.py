@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from stratadyn import homology, linalg, trees
 
@@ -178,26 +178,40 @@ def relation_presentation(n, k):
     pivots = set(rr)
     basis = [i for i in range(len(strata)) if i not in pivots]
     pos = {b: j for j, b in enumerate(basis)}
-    expr = {}
+    int_expr = {}
     for p, row in rr.items():
-        e = {}
-        for col, val in row.items():
-            if col == p:
-                continue
-            e[pos[col]] = -val
-        expr[p] = e
-    return homology.HomologyPresentation(n, k, strata, basis, expr)
+        # the rational row -row[col] over the lcm of its denominators
+        den = lcm(*(val.denominator for col, val in row.items() if col != p))
+        int_expr[p] = den, {
+            pos[col]: -val.numerator * (den // val.denominator)
+            for col, val in row.items() if col != p
+        }
+    return homology.HomologyPresentation(n, k, strata, basis, int_expr)
+
+
+def expressions(pres):
+    """Each non-basis stratum's expression over the basis as rationals,
+    {stratum idx: {basis pos: Fraction}}, read off `int_expr` one entry at a
+    time."""
+    return {
+        i: {j: Fraction(x, den) for j, x in row.items()}
+        for i, (den, row) in pres.int_expr.items()
+    }
 
 
 def reduce_index_vec_reference(pres, vec):
     """HomologyPresentation.reduce_index_vec by plain Fraction expansion:
-    each coefficient times its basis unit or its `expr` row, summed."""
+    each coefficient times its basis unit or its expression row, summed."""
     out = {}
     for i, c in vec.items():
         c = Fraction(c)
         if not c:
             continue
-        row = {pres.pos[i]: Fraction(1)} if i in pres.pos else pres.expr[i]
+        if i in pres.pos:
+            row = {pres.pos[i]: Fraction(1)}
+        else:
+            den, ints = pres.int_expr[i]
+            row = {j: Fraction(x, den) for j, x in ints.items()}
         for j, e in row.items():
             nv = out.get(j, Fraction(0)) + c * e
             if nv:

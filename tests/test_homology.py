@@ -337,7 +337,6 @@ def test_integer_coords_are_the_reference_over_one_denominator():
 def test_reduced_coordinates_do_not_alias_the_presentation():
     for n, k in ((6, 0), (6, 1), (6, 2), (7, 2)):
         pres = homology.homology_basis(n, k)
-        before = {i: dict(e) for i, e in pres.expr.items()}
         before_int = {i: (den, dict(row)) for i, (den, row) in pres.int_expr.items()}
         for i in range(len(pres.strata)):
             coords = pres.reduce_index_vec({i: 1})
@@ -346,7 +345,6 @@ def test_reduced_coordinates_do_not_alias_the_presentation():
             v, _ = pres.integer_coords({i: 1})
             v[0] = 99
             v.pop(1, None)
-        assert pres.expr == before, (n, k)
         assert pres.int_expr == before_int, (n, k)
         assert pres.reduce_index_vec({pres.basis[0]: 1}) == {0: 1}
 
@@ -358,18 +356,18 @@ def test_pairing_presentation_matches_relation_oracle():
             want = oracles.relation_presentation(n, k)
             assert got.strata == want.strata, (n, k)
             assert got.basis == want.basis, (n, k)
-            assert got.expr == want.expr, (n, k)
+            assert oracles.expressions(got) == oracles.expressions(want), (n, k)
 
 
 def test_relation_route_matches_relation_oracle():
-    # k >= 2 keeps the primitive relation rows; the oracle rebuilds the
-    # presentation in Fractions and is read back through its own rows
+    # k >= 2 keeps the primitive relation rows; the oracle eliminates in
+    # Fractions, keeps its own integer rows and is read back through them
     for n, k in ((6, 2), (7, 2), (7, 3)):
         got = homology.homology_basis(n, k)
         want = oracles.relation_presentation(n, k)
         assert got.strata == want.strata, (n, k)
         assert got.basis == want.basis, (n, k)
-        assert got.expr == want.expr, (n, k)
+        assert oracles.expressions(got) == oracles.expressions(want), (n, k)
         for i in range(len(got.strata)):
             assert got.reduce_index_vec({i: 1}) == want.reduce_index_vec({i: 1}), (n, k, i)
 
@@ -377,8 +375,9 @@ def test_relation_route_matches_relation_oracle():
 def test_points_of_eight_marks_are_one_class():
     p = homology.homology_basis(8, 0)
     assert p.basis == [0]
-    assert len(p.expr) == len(p.strata) - 1
-    assert all(e == {0: 1} for e in p.expr.values())
+    assert len(p.int_expr) == len(p.strata) - 1
+    assert all(e == (1, {0: 1}) for e in p.int_expr.values())
+    assert all(p.reduce_index_vec({i: 1}) == {0: 1} for i in range(len(p.strata)))
 
 
 def test_curve_row_matches_pairing_over_every_split():

@@ -1,6 +1,7 @@
 """Pushforward matrices, dynamical degrees, and filtration blocks."""
 
 import math
+import re
 from fractions import Fraction
 
 import oracles
@@ -436,12 +437,15 @@ def test_blocks_report_escaping_generator():
             found = True
             break
     assert found
+    # every coordinate to q: t is the first below generator moved out of the span
     bad = [[Fraction(1) if i == q else Fraction(0) for _ in range(pres.rank)]
            for i in range(pres.rank)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"filtration not preserved: the class of %s escapes"
+                       % re.escape(repr(t))):
         filtration_blocks(bad, 6, 2)
 
 
 def test_blocks_reject_wrong_size():
     with pytest.raises(ValueError):
         filtration_blocks([[Fraction(1)]], 6, 2)
+

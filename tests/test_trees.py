@@ -11,6 +11,7 @@ trees without degree-2 vertices.
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -373,3 +374,13 @@ def test_enumerate_strata_validates_range():
         trees.enumerate_strata(6, 4)
     with pytest.raises(ValueError):
         trees.enumerate_strata(6, -1)
+
+
+def test_enumerate_strata_limit_is_cheap_at_many_marks():
+    # a capped call builds the compatibility of the splits it reaches only,
+    # not the table of all 2^14 splits of fifteen marks against each other
+    start = time.perf_counter()
+    with pytest.raises(trees.ResourceError, match="limit 10"):
+        trees.enumerate_strata(15, 0, limit=10)
+    assert time.perf_counter() - start < 10
+    assert (15, 0) not in trees._STRATA
