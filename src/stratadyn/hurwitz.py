@@ -26,22 +26,24 @@ candidate, and no class is met twice.  This is the gluing of per-vertex
 orbit representatives along the edges used in tropical Hurwitz counting
 (Cavalieri-Johnson-Markwig, arXiv 0804.0579).
 
-The source curve of a class comes from its node splits: `_node_sides` gives
-each node the split of the marks on its far side, and
-`_source_tree_of_class` builds the canonical tree cut by those splits with
-`trees.tree_from_splits`, for cover types and for the smoothed classes of
-the pushforward alike (Keel, Trans. AMS 330, 1992: a stratum is fixed by its
-splits).
+The source curve of a class comes from its node splits.  When a class is
+glued, `_node_sides` gives each of its nodes the split of the marks (as
+a_marks positions) on its far side, its ramification r and the position of
+the target edge it lies over; the class keeps these nodes, sorted, and
+nothing else of its components.  `_source_tree_of_class` builds the
+canonical tree cut by the splits with `trees.tree_from_splits`, once per
+cover type and once per smoothed type of the pushforward (Keel, Trans. AMS
+330, 1992: a stratum is fixed by its splits).
 
 The classes over a target tree are kept once per process in `_CLASSES`,
 keyed by every field of the datum and the tree, through the same
 `trees.Budget.replay` that keeps strata and presentations: the datum is
 validated and the classes built on the first call only, and a later call
-ticks the tuple budget the first one used.  They are kept
-marshalled, and every call reads new CoverClass objects from them.  Counts,
-the degeneration check and the pushforward all read the kept classes.  A
-test that counts work done inside the enumeration must clear `_CLASSES`
-itself.
+ticks the tuple budget the first one used.  They are kept marshalled, as
+one (key, nodes) pair per class, and every call reads new CoverClass
+objects from them.  Counts, the degeneration check and the pushforward all
+read the kept classes.  A test that counts work done inside the
+enumeration must clear `_CLASSES` itself.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import marshal
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from . import trees
 
@@ -301,34 +303,22 @@ def _canon_cycle(cyc):
 class CoverClass:
     """One labeled-cover class over a target tree, by representative.
 
-    The representative is the class's least candidate, so key is
-    (vertex_perms, each mark's (mark, flag position, cycle) in a_marks
-    order, matchings).  Another candidate of the class numbers its sheets
-    and components differently, but builds the same source curve.
+    key is the class's least candidate: (per target vertex its
+    flag-permutation tuple, each mark's (mark, flag position, cycle) in
+    a_marks order, per target edge its sorted (child cycle, parent cycle)
+    matchings).  Another candidate of the class numbers its sheets and
+    components differently, but builds the same source curve.
 
-    vertex_perms: per target vertex its flag-permutation tuple.
-    labeling: {mark: (flag position, cycle)} attaching marks to leg cycles.
-    matchings: per target edge its sorted (child cycle, parent cycle) pairs.
-    comps: list of (target vertex, frozenset of sheets) source components.
-    comp_marks: per component the tuple of source marks on it.
-    edges: list of (comp i, comp j, r) source nodes with ramification r.
+    nodes: per source node (normalised split over a_marks positions, r, its
+    target edge's position in tau.edges()), sorted by split, then r.
     """
 
-    __slots__ = (
-        "tau", "vertex_perms", "labeling", "matchings",
-        "comps", "comp_marks", "edges", "key",
-    )
+    __slots__ = ("tau", "key", "nodes")
 
-    def __init__(self, tau, vertex_perms, labeling, matchings,
-                 comps, comp_marks, edges, key):
+    def __init__(self, tau, key, nodes):
         self.tau = tau
-        self.vertex_perms = vertex_perms
-        self.labeling = labeling
-        self.matchings = matchings
-        self.comps = comps
-        self.comp_marks = comp_marks
-        self.edges = edges
         self.key = key
+        self.nodes = nodes
 
 
 def _local_assignments(h, flags, limit):
@@ -524,7 +514,8 @@ def _least_matchings(matchings, edge_list, stabilisers, limit):
     return True
 
 
-# (datum value, tau) -> (marshalled class fields, ticks), kept once per process.
+# (datum value, tau) -> (marshalled (key, nodes) per class, ticks), kept once
+# per process.
 # Marshalled, an entry is one bytes object about a tenth the size of its
 # classes as objects, and the allocator keeps no small objects alive for it.
 _CLASSES = {}
@@ -554,11 +545,11 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
 
     The result is kept per (datum value, tau), tau itself and not its
     canonical form since the classes use its vertex numbering.  Every call
-    returns new classes read from the kept fields, so a caller may change
-    them freely.  The datum is validated and the classes built only on a
-    miss, under the caller's `limit_tuples`; a call that raises keeps
-    nothing, and a hit ticks what the miss ticked, so the cap behaves as if
-    nothing were cached.  See _enumerate_cover_classes.
+    returns new classes read from the kept (key, nodes) pairs, so a caller
+    may change them freely.  The datum is validated and the classes built
+    only on a miss, under the caller's `limit_tuples`; a call that raises
+    keeps nothing, and a hit ticks what the miss ticked, so the cap behaves
+    as if nothing were cached.  See _enumerate_cover_classes.
     """
     limit = _tuple_budget(limit_tuples)
     kept = limit.replay(_CLASSES, (_datum_value(h), tau), _enumerate_cover_classes, h, tau)
@@ -566,8 +557,8 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
 
 
 def _enumerate_cover_classes(h, tau, limit):
-    """The fields after tau of the sorted classes of enumerate_cover_classes,
-    one tuple per class, marshalled.
+    """The (key, nodes) of the sorted classes of enumerate_cover_classes,
+    one pair per class, marshalled.
 
     The key is the least encoding (flag permutations, mark labeling, edge
     matchings) over every per-vertex sheet relabeling, and only the one
@@ -584,7 +575,9 @@ def _enumerate_cover_classes(h, tau, limit):
     raises AssertionError.
 
     Each target vertex's flag list is built once and passed to the
-    per-vertex helpers (_local_assignments, _least_labelings).
+    per-vertex helpers (_local_assignments, _least_labelings).  A class's
+    nodes are read off its components and source edges once, here
+    (_node_sides).
 
     The budget ticks once per flag-permutation combination tried at a
     vertex, per glued candidate, per mark labeling and per edge matching
@@ -615,6 +608,7 @@ def _enumerate_cover_classes(h, tau, limit):
                 kept.append(perms)
                 centraliser[perms] = coset
         locals_per_w.append(kept)
+    n = len(h.a_marks)
     b_index = {b: i for i, b in enumerate(h.b_marks)}
     mark_vertex = [tau.legs[b_index[h.f_map[a]]] for a in h.a_marks]
 
@@ -658,15 +652,16 @@ def _enumerate_cover_classes(h, tau, limit):
         if any(not ms for ms in matching_sets):
             continue
 
-        # source components per vertex, and the component of each sheet
-        comps = []
+        # source components, one per orbit at each vertex, and the
+        # component of each sheet
+        num_comps = 0
         comp_at = []
         for w in range(num_w):
             at = [0] * d
             for orb in _orbits(vertex_perms[w], d):
                 for s in orb:
-                    at[s] = len(comps)
-                comps.append((w, orb))
+                    at[s] = num_comps
+                num_comps += 1
             comp_at.append(at)
 
         for labeling_combo in itertools.product(*labeling_sets):
@@ -678,14 +673,14 @@ def _enumerate_cover_classes(h, tau, limit):
             for matchings in itertools.product(*matching_sets):
                 limit.tick()
                 # source graph: one edge per matched cycle pair
-                uf = UnionFind(len(comps))
+                uf = UnionFind(num_comps)
                 acyclic = True
                 src_edges = []
-                for (c, p), pairs in zip(edge_list, matchings):
+                for e, ((c, p), pairs) in enumerate(zip(edge_list, matchings)):
                     for cy1, cy2 in pairs:
                         i1 = comp_at[c][cy1[0]]
                         i2 = comp_at[p][cy2[0]]
-                        src_edges.append((i1, i2, len(cy1)))
+                        src_edges.append((i1, i2, len(cy1), e))
                         if not uf.union(i1, i2):
                             acyclic = False
                             break
@@ -693,21 +688,18 @@ def _enumerate_cover_classes(h, tau, limit):
                         break
                 if not acyclic:
                     continue
-                if len(src_edges) != len(comps) - 1:
+                if len(src_edges) != num_comps - 1:
                     continue  # disconnected
                 if not _least_matchings(matchings, edge_list, stabilisers, limit):
                     continue
                 key = (vertex_perms, enc_label, matchings)
                 if key in reps:
                     raise AssertionError("cover class keyed twice: %r" % (key,))
-                comp_marks = [[] for _ in comps]
-                for a, w in zip(h.a_marks, mark_vertex):
-                    comp_marks[comp_at[w][labeling[a][1][0]]].append(a)
-                reps[key] = (
-                    vertex_perms, labeling, matchings,
-                    comps, [tuple(m) for m in comp_marks], src_edges, key,
-                )
-    return marshal.dumps(tuple(reps[k] for k in sorted(reps)))
+                comp_marks = [[] for _ in range(num_comps)]
+                for pos, (a, w) in enumerate(zip(h.a_marks, mark_vertex), start=1):
+                    comp_marks[comp_at[w][labeling[a][1][0]]].append(pos)
+                reps[key] = _node_sides(n, comp_marks, src_edges)
+    return marshal.dumps(tuple((k, reps[k]) for k in sorted(reps)))
 
 
 def count_covers(h, limit_tuples=None):
@@ -767,15 +759,17 @@ class CoverType:
 
 
 def _node_sides(n, comp_marks, comp_edges):
-    """Each node of a source curve as (normalised split, r).
+    """Each node of a source curve as (normalised split, r, e), sorted by
+    split, then r.
 
     comp_marks lists the marks (1..n) on each component and comp_edges the
-    (i, j, r) nodes between components, which form a tree; a node's split
+    (i, j, r, e) nodes between components, r the ramification and e the
+    target edge the node lies over; they form a tree, and a node's split
     cuts off the marks on its far side.  One pass gathers the marks below
     each component with the tree rooted at component 0.
     """
     adj = [[] for _ in comp_marks]
-    for i, j, _r in comp_edges:
+    for i, j, _r, _e in comp_edges:
         adj[i].append(j)
         adj[j].append(i)
     up = [-1] * len(comp_marks)
@@ -788,39 +782,33 @@ def _node_sides(n, comp_marks, comp_edges):
     below = [set(marks) for marks in comp_marks]
     for x in reversed(order[1:]):
         below[up[x]] |= below[x]
-    return [
-        (trees.normalize_split(n, below[j] if up[j] == i else below[i]), r)
-        for i, j, r in comp_edges
+    nodes = [
+        (trees.normalize_split(n, below[j] if up[j] == i else below[i]), r, e)
+        for i, j, r, e in comp_edges
     ]
+    return tuple(sorted(nodes, key=lambda x: (tuple(sorted(x[0])), x[1])))
 
 
-def _source_tree_of_class(n, nodes):
-    """A source curve as a stable marked tree plus node data.
-
-    nodes lists the (normalised split, r) of each source node (_node_sides).
-    Returns (canonical tree cut by those splits, the nodes sorted).
-    """
-    node_data = tuple(sorted(nodes, key=lambda x: (tuple(sorted(x[0])), x[1])))
-    return trees.tree_from_splits(n, [side for side, _r in node_data]), node_data
+def _source_tree_of_class(n, node_data):
+    """A source curve as a stable marked tree: the canonical tree cut by the
+    splits of its (normalised split, r) node data."""
+    return trees.tree_from_splits(n, [side for side, _r in node_data])
 
 
 def enumerate_cover_types(h, tau, limit_tuples=None):
-    """Group the labeled-cover classes over tau by isomorphism type."""
-    classes = enumerate_cover_classes(h, tau, limit_tuples)
+    """Group the labeled-cover classes over tau by isomorphism type: classes
+    with the same node data have the same source tree."""
+    counts = Counter(
+        tuple((side, r) for side, r, _e in cls.nodes)
+        for cls in enumerate_cover_classes(h, tau, limit_tuples)
+    )
     n = len(h.a_marks)
-    a_index = {a: i + 1 for i, a in enumerate(h.a_marks)}
-    buckets = {}
-    for cls in classes:
-        marks = [[a_index[a] for a in comp] for comp in cls.comp_marks]
-        key = _source_tree_of_class(n, _node_sides(n, marks, cls.edges))
-        buckets[key] = buckets.get(key, 0) + 1
-    out = []
-    for (t, node_data) in sorted(buckets, key=lambda k: (trees.tree_sort_key(k[0]), k[1])):
-        mult = 1
-        for _side, r in node_data:
-            mult *= r
-        out.append(CoverType(t, node_data, mult, buckets[(t, node_data)]))
-    return out
+    types = []
+    for node_data, count in counts.items():
+        mult = prod(r for _side, r in node_data)
+        types.append(CoverType(_source_tree_of_class(n, node_data), node_data, mult, count))
+    types.sort(key=lambda t: (trees.tree_sort_key(t.source_tree), t.node_data))
+    return types
 
 
 def degeneration_degree_check(h, tau, limit_tuples=None):

@@ -20,7 +20,8 @@ stratum's splits as unions of flag blocks per basis coordinate
 (`trees.substitution_splits`), projects the set to the retained marks
 (`trees.project_splits`) and builds only the image tree, whose index the
 retained-mark presentation reads off directly.
-Smoothing a refined cover is done on splits too, with no component merging:
+Smoothing a refined cover is done on the nodes its class keeps: the nodes
+over the new target edge, found by its position, are new and the rest old;
 the source curve is cut by the splits of the old nodes, and each new node's
 split names its smoothed vertex and the flag split it pairs with there.
 Source vertices are named by their flag blocks, which are unique per vertex
@@ -49,42 +50,40 @@ def pushforward_h0(h, limit_tuples=None):
 # -- degenerating the target at its 4-valent vertex --------------------------
 
 
-def _smooth_refined_class(cls, ends, a_index, smoothed):
+def _smooth_refined_class(cls, n, edge, smoothed):
     """Undo the target refinement on a cover class over the refined tree.
 
-    `ends` is the set of the two endpoints of the new target edge.  Nodes
-    over it are new and smooth away; the others are old, and smoothing
-    leaves their splits as they are, so the old splits alone give the type
-    key.  A new node with split S lies in the one smoothed vertex whose flag
-    blocks each fall inside S or outside it, and splits that vertex's flags
-    into the blocks inside S and the rest.  Returns (type key,
-    contributions, product of new-node ramifications) where contributions
-    maps each smoothed vertex, named by its flag blocks, to {normalised flag
-    split: weight}, the weight of a node being the product of the other new
-    nodes' ramifications.
+    `edge` is the position of the new target edge in the refined tree's
+    edges().  The class's nodes over it are new and smooth away; the others
+    are old, and smoothing leaves their splits as they are, so the old
+    splits alone give the type key.  A new node with split S lies in the one
+    smoothed vertex whose flag blocks each fall inside S or outside it, and
+    splits that vertex's flags into the blocks inside S and the rest.
+    Returns (type key, contributions, product of new-node ramifications)
+    where contributions maps each smoothed vertex, named by its flag blocks,
+    to {normalised flag split: weight}, the weight of a node being the
+    product of the other new nodes' ramifications.
 
-    The classes of one type share their old nodes, so `smoothed` keeps the
-    type key and the flag blocks of each smoothed vertex per set of old
-    nodes, and each smoothed tree is built once.  The count of old nodes is
-    part of that key, so a repeated split still fails the edge count.
+    The classes of one type share their old nodes, which come sorted, so
+    `smoothed` keeps the type key and the flag blocks of each smoothed
+    vertex per tuple of old nodes, and each smoothed tree is built once.  A
+    repeated split stays in that tuple and still fails the edge count.
     """
-    n = len(a_index)
-    marks = [[a_index[a] for a in comp] for comp in cls.comp_marks]
     old_nodes = []
     new_nodes = []
-    for (ci, cj, _r), node in zip(cls.edges, hurwitz._node_sides(n, marks, cls.edges)):
-        is_new = {cls.comps[ci][0], cls.comps[cj][0]} == ends
-        (new_nodes if is_new else old_nodes).append(node)
-    shape = (frozenset(old_nodes), len(old_nodes))
-    if shape not in smoothed:
-        key = hurwitz._source_tree_of_class(n, old_nodes)
-        sigma = key[0]
+    for side, r, e in cls.nodes:
+        (new_nodes if e == edge else old_nodes).append((side, r))
+    old_nodes = tuple(old_nodes)
+    if old_nodes not in smoothed:
+        sigma = hurwitz._source_tree_of_class(n, old_nodes)
         if sigma.codim() != len(old_nodes):
             raise AssertionError(
                 "the smoothed tree has %d edges for %d old nodes" % (sigma.codim(), len(old_nodes))
             )
-        smoothed[shape] = key, [sigma.flag_marksets(v) for v in range(sigma.num_vertices())]
-    key, vertex_blocks = smoothed[shape]
+        smoothed[old_nodes] = (
+            (sigma, old_nodes), [sigma.flag_marksets(v) for v in range(sigma.num_vertices())]
+        )
+    key, vertex_blocks = smoothed[old_nodes]
 
     rprod = 1
     for _side, r in new_nodes:
@@ -156,7 +155,7 @@ def pushforward_h2(h, limit_tuples=None, limit_strata=None):
 
 
 def _push_column(full, tau, p_a, n_a, renum, deg_nu, limit_tuples, limit_strata):
-    a_index = {a: i + 1 for i, a in enumerate(full.a_marks)}
+    n = len(full.a_marks)
     types = hurwitz.enumerate_cover_types(full, tau, limit_tuples)
     by_key = {(t.source_tree, t.node_data): t for t in types}
 
@@ -170,10 +169,10 @@ def _push_column(full, tau, p_a, n_a, renum, deg_nu, limit_tuples, limit_strata)
     for i, j in ((1, 2), (1, 3), (2, 3)):
         cut = trees.normalize_split(tau.n, blocks[i] | blocks[j])
         tau_ref = trees.tree_from_splits(tau.n, base | {cut})
-        ends = _edge_cutting(tau_ref, cut)
+        edge = _edge_cutting(tau_ref, cut)
         local_deg = {}
         for cls in hurwitz.enumerate_cover_classes(full, tau_ref, limit_tuples):
-            key, contribs, rprod = _smooth_refined_class(cls, ends, a_index, smoothed)
+            key, contribs, rprod = _smooth_refined_class(cls, n, edge, smoothed)
             if key not in by_key:
                 raise AssertionError("refined cover smooths to an unknown type")
             local_deg[key] = local_deg.get(key, 0) + rprod
@@ -213,11 +212,11 @@ def _push_column(full, tau, p_a, n_a, renum, deg_nu, limit_tuples, limit_strata)
 
 
 def _edge_cutting(tree, split):
-    """The endpoints {child, parent} of the edge of `tree` that cuts the
-    normalised `split`, read off the splits of every edge at once."""
-    for c, p, side in tree.edge_splits():
+    """The position in tree.edges() of the edge that cuts the normalised
+    `split`, read off the splits of every edge at once."""
+    for pos, (_c, _p, side) in enumerate(tree.edge_splits()):
         if side == split:
-            return {c, p}
+            return pos
     raise AssertionError("no edge of the refined target cuts the split %r" % sorted(split))
 
 

@@ -14,7 +14,6 @@ import oracles
 from stratadyn import hurwitz, trees
 from stratadyn.hurwitz import (
     HurwitzData,
-    _node_sides,
     _source_tree_of_class,
     count_covers,
     count_covers_orbit_stabilizer,
@@ -413,9 +412,7 @@ def test_changing_returned_classes_leaves_the_next_result(monkeypatch):
     full, _ = fully_mark(fig1_datum())
     first = enumerate_cover_classes(full, tau)
     want = copy.deepcopy(_fields(first))
-    first[0].labeling.clear()
-    first[0].comps.append(None)
-    first[0].edges.clear()
+    first[0].key = first[0].nodes = None
     first.reverse()
     first.append(None)
     second = enumerate_cover_classes(full, tau)
@@ -534,11 +531,9 @@ def test_d1_covers_mirror_target_strata():
         for tau in trees.enumerate_strata(5, k):
             classes = enumerate_cover_classes(h, tau)
             assert len(classes) == 1
-            marks = [[h.a_marks.index(a) + 1 for a in m] for m in classes[0].comp_marks]
-            n = len(h.a_marks)
-            src, node_data = _source_tree_of_class(n, _node_sides(n, marks, classes[0].edges))
+            node_data = [(side, r) for side, r, _e in classes[0].nodes]
             # built canonical from its node splits
-            assert src == tau
+            assert _source_tree_of_class(len(h.a_marks), node_data) == tau
             assert all(r == 1 for _side, r in node_data)
 
 
@@ -563,18 +558,68 @@ def test_cover_keys_match_brute_oracle():
             classes = enumerate_cover_classes(full, tau)
             assert [c.key for c in classes] == sorted(oracles.brute_cover_keys(full, tau))
             for c in classes:
+                vertex_perms, enc_label, matchings = c.key
+                labeling = {a: (pos, cyc) for a, pos, cyc in enc_label}
+                assert [a for a, _pos, _cyc in enc_label] == list(full.a_marks)
+                # each key is its own class's least encoding
                 assert c.key == oracles.brute_cover_key(
-                    full, tau, c.vertex_perms, c.labeling, c.matchings
+                    full, tau, vertex_perms, labeling, matchings
                 )
                 # representatives are glued from least-conjugate tuples only
-                for perms in c.vertex_perms:
+                for perms in vertex_perms:
                     assert perms == oracles.least_simultaneous_conjugate(perms)
-                # and each is its own class's least encoding
-                assert c.key == (
-                    c.vertex_perms,
-                    tuple((a, *c.labeling[a]) for a in full.a_marks),
-                    c.matchings,
-                )
+
+
+def _orbit_count(perms, d):
+    """The number of orbits of the sheets under a tuple of permutations."""
+    seen = set()
+    count = 0
+    for s in range(d):
+        if s in seen:
+            continue
+        count += 1
+        frontier = [s]
+        seen.add(s)
+        while frontier:
+            x = frontier.pop()
+            for g in perms:
+                if g[x] not in seen:
+                    seen.add(g[x])
+                    frontier.append(g[x])
+    return count
+
+
+def test_class_nodes_match_their_key_and_target():
+    # invariants the node splits are not computed from: the sheets over a
+    # target edge are glued by the nodes over it, so their r sum to d; the
+    # source curve is a tree with one component per orbit of a vertex
+    # tuple; and the identity cover's node over edge e cuts tau's split e
+    cases = [
+        (fig1_datum(), trees.enumerate_strata(4, 0) + trees.enumerate_strata(4, 1)),
+        (d2_datum(), trees.enumerate_strata(4, 0) + trees.enumerate_strata(4, 1)),
+        (d3_total_datum(), trees.enumerate_strata(4, 0) + trees.enumerate_strata(4, 1)),
+        (d3_five_datum(), trees.enumerate_strata(5, 1)),
+        (d1_datum(5), trees.enumerate_strata(5, 0) + trees.enumerate_strata(5, 1)),
+    ]
+    for h, strata in cases:
+        full, _ = fully_mark(h)
+        n = len(full.a_marks)
+        for tau in strata:
+            classes = enumerate_cover_classes(full, tau)
+            assert classes
+            for c in classes:
+                r_over = [0] * len(tau.edges())
+                for side, r, e in c.nodes:
+                    assert side == trees.normalize_split(n, side) and r >= 1
+                    r_over[e] += r
+                assert r_over == [full.d] * len(tau.edges())
+                orbits = sum(_orbit_count(perms, full.d) for perms in c.key[0])
+                assert len(c.nodes) == orbits - 1
+                if full.d == 1:
+                    assert sorted((e, side) for side, _r, e in c.nodes) == [
+                        (e, trees.normalize_split(n, tau.away_marks(p, ch)))
+                        for e, (ch, p) in enumerate(tau.edges())
+                    ]
 
 
 def test_d3_degeneration_over_five_mark_point_stratum():

@@ -166,6 +166,9 @@ def marked_datum(d, profiles):
     (2, [(2,), (2,)] + [(1, 1)] * 3),
     (2, [(2,), (2,)] + [(1, 1)] * 4),
     (3, [(1, 2)] * 4 + [(1, 1, 1)]),
+    (2, [(2,), (2,)] + [(1, 1)] * 5),
+    (3, [(3,), (1, 2), (1, 2)] + [(1, 1, 1)] * 3),
+    (3, [(3,), (3,)] + [(1, 1, 1)] * 4),
 ])
 def test_forgetting_an_unramified_mark_commutes_with_the_pushforward(d, profiles):
     # b_N is unramified and a_N is one of its d preimages; base change along
@@ -282,7 +285,7 @@ def test_boundary_edge_is_found_by_its_split():
     for t in trees.enumerate_strata(7, 0) + trees.enumerate_strata(6, 1) + [caterpillar]:
         for c, p in t.edges():
             side = trees.normalize_split(t.n, t.away_marks(p, c))
-            assert pushforward._edge_cutting(t, side) == {c, p}
+            assert t.edges()[pushforward._edge_cutting(t, side)] == (c, p)
     tau = trees.enumerate_strata(5, 1)[0]
     missing = next(s for s in trees.all_splits(5) if s not in tau.splits())
     with pytest.raises(AssertionError, match="no edge of the refined target cuts"):
