@@ -36,14 +36,19 @@ cover type and once per smoothed type of the pushforward (Keel, Trans. AMS
 330, 1992: a stratum is fixed by its splits).
 
 The classes over a target tree are kept once per process in `_CLASSES`,
-keyed by every field of the datum and the tree, through the same
-`trees.Budget.replay` that keeps strata and presentations: the datum is
-validated and the classes built on the first call only, and a later call
-ticks the tuple budget the first one used.  They are kept marshalled, as
-one (key, nodes) pair per class, and every call reads new CoverClass
-objects from them.  Counts, the degeneration check and the pushforward all
-read the kept classes.  A test that counts work done inside the
-enumeration must clear `_CLASSES` itself.
+keyed by the tree and the six fields the enumeration reads (a_marks,
+b_marks, d, f_map, br, rm), through the same `trees.Budget.replay` that
+keeps strata and presentations: the classes are built on the first call
+only, and a later call ticks the tuple budget the first one used.  The
+covers depend on the Hurwitz space alone, so the self-maps of one datum,
+which differ only in forget_to and identify, share them.  Each distinct
+datum is validated once per process, when its key is made (`_VALUES`), and
+a datum that is not fully marked raises every time.  The classes are kept
+marshalled, as one (key, nodes) pair per class, and every call reads new
+CoverClass objects from them.  Counts, the degeneration check and the
+pushforward all read the kept classes.  A test that counts work done inside
+the enumeration, or calls of `validate`, must clear `_CLASSES`, `_VALUES`
+and `_COVERS` itself.
 """
 
 from __future__ import annotations
@@ -496,40 +501,57 @@ def _least_matchings(matchings, edge_list, stabilisers, limit):
     """Whether no relabeling in the product of the stabilisers makes the
     edge matchings smaller.  The product's first element is the identity,
     which is skipped; with every stabiliser trivial, or no edge, nothing is
-    evaluated."""
+    evaluated.  Each relabeling is encoded edge by edge, and the first edge
+    whose image differs decides it: smaller rejects the matchings, larger
+    moves on to the next relabeling."""
     if not matchings:
         return True
     relabelings = itertools.product(*stabilisers)
     next(relabelings)
     for rls in relabelings:
         limit.tick()
-        enc = tuple(
-            tuple(sorted(
+        for (c, p), pairs in zip(edge_list, matchings):
+            enc = tuple(sorted(
                 (_cycle_image(rls[c], x), _cycle_image(rls[p], y)) for x, y in pairs
             ))
-            for (c, p), pairs in zip(edge_list, matchings)
-        )
-        if enc < matchings:
-            return False
+            if enc != pairs:
+                if enc < pairs:
+                    return False
+                break
     return True
 
 
-# (datum value, tau) -> (marshalled (key, nodes) per class, ticks), kept once
+# (cover value, tau) -> (marshalled (key, nodes) per class, ticks), kept once
 # per process.
 # Marshalled, an entry is one bytes object about a tenth the size of its
 # classes as objects, and the allocator keeps no small objects alive for it.
 _CLASSES = {}
-_VALUES = {}  # datum value -> the one copy of it the keys of _CLASSES share
+# datum value of a fully marked datum -> its cover value
+_VALUES = {}
+# cover value -> the one copy of it the keys of _CLASSES and _VALUES share
+_COVERS = {}
 
 
-def _datum_value(h):
-    """Every field of the datum, as a hashable value."""
+def _cover_value(h):
+    """The fields the enumeration reads (a_marks, b_marks, d, f_map, br,
+    rm) as one hashable value, shared by data that differ only in forget_to
+    or identify.
+
+    The datum is validated on the first call with its value (all eight
+    fields), and only a fully marked one is kept; any other raises
+    ValueError on every call, whatever its siblings."""
     value = (
         h.a_marks, h.b_marks, h.d,
         tuple(sorted(h.f_map.items())), tuple(sorted(h.br.items())), tuple(sorted(h.rm.items())),
         h.forget_to, None if h.identify is None else tuple(sorted(h.identify.items())),
     )
-    return _VALUES.setdefault(value, value)
+    cover = _VALUES.get(value)
+    if cover is None:
+        res = validate(h)
+        if res.status != "fully_marked":
+            raise ValueError("cover enumeration requires a fully marked datum (%s)" % res.status)
+        cover = _VALUES[value] = _COVERS.setdefault(value[:6], value[:6])
+    return cover
 
 
 def _tuple_budget(limit_tuples):
@@ -543,16 +565,18 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
     standing for b_marks[i-1].  Returns CoverClass representatives sorted by
     canonical key.
 
-    The result is kept per (datum value, tau), tau itself and not its
-    canonical form since the classes use its vertex numbering.  Every call
-    returns new classes read from the kept (key, nodes) pairs, so a caller
-    may change them freely.  The datum is validated and the classes built
-    only on a miss, under the caller's `limit_tuples`; a call that raises
-    keeps nothing, and a hit ticks what the miss ticked, so the cap behaves
-    as if nothing were cached.  See _enumerate_cover_classes.
+    The result is kept per (cover value, tau): data that differ only in
+    forget_to or identify share it, and tau is itself and not its canonical
+    form since the classes use its vertex numbering.  Every call returns new
+    classes read from the kept (key, nodes) pairs, so a caller may change
+    them freely.  The datum is validated once per distinct value
+    (_cover_value), and the classes are built only on a miss, under the
+    caller's `limit_tuples`; a call that raises keeps no classes, and a hit
+    ticks what the miss ticked, so the cap behaves as if nothing were
+    cached.  See _enumerate_cover_classes.
     """
     limit = _tuple_budget(limit_tuples)
-    kept = limit.replay(_CLASSES, (_datum_value(h), tau), _enumerate_cover_classes, h, tau)
+    kept = limit.replay(_CLASSES, (_cover_value(h), tau), _enumerate_cover_classes, h, tau)
     return [CoverClass(tau, *fields) for fields in marshal.loads(kept)]
 
 
@@ -584,10 +608,10 @@ def _enumerate_cover_classes(h, tau, limit):
     built or tried, d! per local tuple for the conjugacy scan, and once per
     non-identity relabeling evaluated in the labeling-orbit and stabiliser
     searches.
+
+    The datum is fully marked (_cover_value has validated it), and only its
+    cover fields are read.
     """
-    res = validate(h)
-    if res.status != "fully_marked":
-        raise ValueError("cover enumeration requires a fully marked datum (%s)" % res.status)
     if tau.n != len(h.b_marks):
         raise ValueError("target tree has %d marks, datum has %d" % (tau.n, len(h.b_marks)))
     d = h.d

@@ -67,6 +67,18 @@ def test_dyndeg_degree_one_identity():
         assert json.loads(r.stdout) == {"method": "exact_roots", "theta": 1}
 
 
+def test_dyndeg_six_mark_self_map_exact_bytes():
+    # data/d2_self6.json: the seed-1 degree-2 six-mark self-map of the
+    # benchmark's generator; theta_0 = 2^3 and theta_1 an irrational root
+    out = {}
+    for k in ("0", "1"):
+        out[k] = run_cli("dyndeg", "--data", str(DATA / "d2_self6.json"), "--k", k).stdout
+    assert out == {
+        "0": '{"method": "exact_roots", "theta": 8}\n',
+        "1": '{"method": "exact_roots", "theta": 4.551177739724149}\n',
+    }
+
+
 def test_strata_output_roundtrips():
     r = run_cli("strata", "--n", "5", "--k", "1")
     obj = json.loads(r.stdout)

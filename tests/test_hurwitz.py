@@ -111,6 +111,18 @@ def d3_five_datum():
     )
 
 
+def d2_five_datum():
+    """Degree-2 datum on five target marks, simply branched over b1 and b2."""
+    return HurwitzData(
+        a_marks=["a%d" % i for i in range(1, 6)],
+        b_marks=["b%d" % i for i in range(1, 6)],
+        d=2,
+        f_map={"a%d" % i: "b%d" % i for i in range(1, 6)},
+        br={"b1": [2], "b2": [2]},
+        rm={"a1": 2, "a2": 2, "a3": 1, "a4": 1, "a5": 1},
+    )
+
+
 # -- brute-force oracles ------------------------------------------------------
 
 
@@ -327,7 +339,7 @@ def test_limit_tuples_raises():
         count_covers(full, limit_tuples=5)
 
 
-def test_limit_tuples_counts_key_relabelings(monkeypatch):
+def test_limit_tuples_counts_key_relabelings(fresh_covers):
     # Over a point stratum of fig1 the enumeration makes 167 ticks:
     # - 44 for the 18 local tuples, 4 glued candidates, 15 labelings and
     #   matchings built and 7 matchings tried;
@@ -340,7 +352,6 @@ def test_limit_tuples_counts_key_relabelings(monkeypatch):
     #   tuples has 4 connected matchings, and each is tried against the 3
     #   other relabelings of the product until one makes it smaller
     #   (3 + 1 + 2 + 1); the other candidate's stabilisers are trivial.
-    monkeypatch.setattr(hurwitz, "_CLASSES", {})
     full, _ = fully_mark(fig1_datum())
     tau = trees.enumerate_strata(4, 0)[0]
     # the budget bounds the relabelings too: a cap that covers everything
@@ -368,8 +379,7 @@ def _fields(classes):
     return [tuple(getattr(c, f) for f in c.__slots__) for c in classes]
 
 
-def test_equal_data_share_one_kept_entry(monkeypatch):
-    monkeypatch.setattr(hurwitz, "_CLASSES", {})
+def test_equal_data_share_one_kept_entry(fresh_covers):
     tau = trees.enumerate_strata(4, 0)[0]
     full, _ = fully_mark(fig1_datum())
     first = enumerate_cover_classes(full, tau)
@@ -383,17 +393,58 @@ def test_equal_data_share_one_kept_entry(monkeypatch):
     assert _fields(second) == _fields(first)
 
 
-def test_data_differing_in_one_field_keep_their_own_entries(monkeypatch):
-    monkeypatch.setattr(hurwitz, "_CLASSES", {})
+def _with(h, **fields):
+    """h with the given fields replaced."""
+    kw = {f: getattr(h, f) for f in HurwitzData.__slots__}
+    kw.update(fields)
+    return HurwitzData(**kw)
+
+
+def test_data_differing_only_in_identify_or_forget_to_share_one_entry(fresh_covers):
+    # the covers depend on the Hurwitz space alone: every self-map of one
+    # datum reads the classes the first one built
     tau = trees.enumerate_strata(4, 0)[0]
     full, _ = fully_mark(fig1_datum())
     first = enumerate_cover_classes(full, tau)
-    # identify plays no part in the enumeration, yet it is part of the key
-    other = HurwitzData(full.a_marks, full.b_marks, full.d, full.f_map, full.br,
-                        full.rm, full.forget_to, None)
-    second = enumerate_cover_classes(other, tau)
-    assert len(hurwitz._CLASSES) == 2
-    assert _fields(second) == _fields(first)
+    siblings = [
+        _with(full, identify=None),
+        _with(full, forget_to=None, identify=None),
+        _with(full, identify={"b1": "a2", "b2": "a1", "b3": "a4", "b4": "a3"}),
+        _with(full, forget_to=("a(b1,1)", "a2", "a3", "a4"),
+              identify={"b1": "a(b1,1)", "b2": "a2", "b3": "a3", "b4": "a4"}),
+    ]
+    for h in siblings:
+        assert validate(h).status == "fully_marked"
+        assert _fields(enumerate_cover_classes(h, tau)) == _fields(first)
+    assert len(hurwitz._CLASSES) == 1
+    # each datum is kept on its own, and all of them map to the one copy of
+    # the cover value that the kept entry's key holds
+    assert len(hurwitz._VALUES) == 1 + len(siblings)
+    [(cover, _tau)] = hurwitz._CLASSES
+    assert all(value is cover for value in hurwitz._VALUES.values())
+    assert list(hurwitz._COVERS) == [cover]
+
+
+def test_data_differing_in_one_field_keep_their_own_entries(fresh_covers):
+    tau = trees.enumerate_strata(4, 0)[0]
+    full, _ = fully_mark(fig1_datum())
+    first = enumerate_cover_classes(full, tau)
+    # a field the enumeration reads is part of the key: the other preimage
+    # of b1 carries the ramified mark, or a1 and a2 swap their targets
+    rm = dict(full.rm, a1=1, **{"a(b1,1)": 2})
+    f_map = dict(full.f_map, a1="b2", a2="b1")
+    for h in (_with(full, rm=rm), _with(full, f_map=f_map)):
+        assert validate(h).status == "fully_marked"
+        assert enumerate_cover_classes(h, tau)
+    assert len(hurwitz._CLASSES) == 3
+    # so is an unbranched profile written out, though it branches alike
+    d2_full, _ = fully_mark(d2_datum())
+    bare = _with(d2_full, br={b: p for b, p in d2_full.br.items() if p != (1, 1)})
+    assert bare.br != d2_full.br and validate(bare).status == "fully_marked"
+    assert _fields(enumerate_cover_classes(bare, tau)) == _fields(
+        enumerate_cover_classes(d2_full, tau))
+    assert len(hurwitz._CLASSES) == 5
+    assert len(hurwitz._COVERS) == 5
     # the same stratum with its vertices numbered the other way round is
     # another tree, and its classes use that numbering
     root = tau.parents.index(-1)
@@ -402,12 +453,11 @@ def test_data_differing_in_one_field_keep_their_own_entries(monkeypatch):
                                   tuple(swap[v] for v in tau.legs))
     assert renumbered != tau and trees.canonical_form(renumbered) == tau
     third = enumerate_cover_classes(full, renumbered)
-    assert len(hurwitz._CLASSES) == 3
+    assert len(hurwitz._CLASSES) == 6
     assert len(third) == len(first) and all(c.tau is renumbered for c in third)
 
 
-def test_changing_returned_classes_leaves_the_next_result(monkeypatch):
-    monkeypatch.setattr(hurwitz, "_CLASSES", {})
+def test_changing_returned_classes_leaves_the_next_result(fresh_covers):
     tau = trees.enumerate_strata(4, 0)[0]
     full, _ = fully_mark(fig1_datum())
     first = enumerate_cover_classes(full, tau)
@@ -421,8 +471,7 @@ def test_changing_returned_classes_leaves_the_next_result(monkeypatch):
     assert _fields(enumerate_cover_classes(full, tau)) == want
 
 
-def test_capped_call_that_raises_keeps_nothing(monkeypatch):
-    monkeypatch.setattr(hurwitz, "_CLASSES", {})
+def test_capped_call_that_raises_keeps_nothing(fresh_covers):
     full, _ = fully_mark(fig1_datum())
     with pytest.raises(ResourceError):
         count_covers(full, limit_tuples=5)
@@ -433,31 +482,54 @@ def test_capped_call_that_raises_keeps_nothing(monkeypatch):
     # the oracle counts on its own, past the memo
     assert count_covers_orbit_stabilizer(full) == 4
     assert hurwitz._CLASSES == {}
+    # the validated datum is all the capped call kept
+    assert len(hurwitz._VALUES) == 1
 
 
-def test_validate_runs_once_per_miss(monkeypatch):
-    monkeypatch.setattr(hurwitz, "_CLASSES", {})
+def test_datum_that_is_not_fully_marked_raises_beside_a_kept_sibling(fresh_covers):
+    tau = trees.enumerate_strata(4, 0)[0]
     full, _ = fully_mark(fig1_datum())
+    assert enumerate_cover_classes(full, tau)
+    # siblings with the same cover fields as the kept entry
+    broken_identify = _with(full, identify={"b1": "a1", "b2": "a1", "b3": "a3", "b4": "a4"})
+    broken_forget = _with(full, forget_to=("a1", "a1", "a2", "a3"), identify=None)
+    cases = [(broken_identify, "invalid"), (broken_forget, "invalid"), (fig1_datum(), "plain")]
+    for h, status in cases:
+        assert validate(h).status == status
+        message = r"cover enumeration requires a fully marked datum \(%s\)" % status
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                enumerate_cover_classes(h, tau)
+            with pytest.raises(ValueError, match=message):
+                degeneration_degree_check(h, tau)
+    # nothing is kept for them
+    assert len(hurwitz._CLASSES) == 1 and len(hurwitz._VALUES) == 1
+
+
+def test_validate_runs_once_per_distinct_datum(fresh_covers, monkeypatch):
+    full, _ = fully_mark(fig1_datum())
+    sibling = _with(full, identify={"b1": "a2", "b2": "a1", "b3": "a4", "b4": "a3"})
     calls = []
     real = hurwitz.validate
-    monkeypatch.setattr(hurwitz, "validate", lambda h: calls.append(1) or real(h))
+    monkeypatch.setattr(hurwitz, "validate", lambda h: calls.append(h) or real(h))
     strata = trees.enumerate_strata(4, 0)
     for _ in range(3):
-        for tau in strata:
-            report = degeneration_degree_check(full, tau)
-            assert report["ok"] and report["expected"] == 4
-    # three point strata and the smooth target: four misses
+        for h in (full, sibling):
+            for tau in strata:
+                report = degeneration_degree_check(h, tau)
+                assert report["ok"] and report["expected"] == 4
+    # three point strata and the smooth target, shared by the two data
     assert len(hurwitz._CLASSES) == 4
-    assert len(calls) == 4
-    # whose keys share one copy of the datum's value
+    # one validation per datum, the first time its key is made
+    assert calls == [full, sibling]
+    # whose keys share one copy of the cover value
     assert len({id(value) for value, _tau in hurwitz._CLASSES}) == 1
 
 
-def test_cold_miss_reads_each_flag_list_once(monkeypatch):
+def test_cold_miss_reads_each_flag_list_once(fresh_covers, monkeypatch):
     # the local tuples, labelings and edge positions of one enumeration all
     # read the flag lists it built, one per target vertex; a kept result
     # reads none
-    monkeypatch.setattr(hurwitz, "_CLASSES", {})
     calls = []
     real = trees.MarkedTree.flags_of
     monkeypatch.setattr(trees.MarkedTree, "flags_of", lambda t, v: calls.append(v) or real(t, v))
@@ -551,6 +623,9 @@ def test_cover_keys_match_brute_oracle():
         (d2_datum(), trees.enumerate_strata(4, 0)),
         (d3_five_datum(), trees.enumerate_strata(5, 1)[:3]),
         (d3_total_datum(), trees.enumerate_strata(4, 0) + trees.enumerate_strata(4, 1)),
+        # over a two-edge target a relabeling can leave the first edge's
+        # matchings as they are and make the second's smaller
+        (d2_five_datum(), trees.enumerate_strata(5, 0)),
     ]
     for h, strata in cases:
         full, _ = fully_mark(h)

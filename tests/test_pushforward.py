@@ -1,5 +1,6 @@
 """Pushforward matrices, dynamical degrees, and filtration blocks."""
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import oracles
 import pytest
 
-from stratadyn import filtration, homology, linalg, pushforward, trees
+from stratadyn import filtration, homology, hurwitz, linalg, pushforward, trees
 from stratadyn.hurwitz import HurwitzData
 from stratadyn.pushforward import (
     DegreeReport,
@@ -342,6 +343,44 @@ def test_d1_thetas_are_one():
     for k in (0, 1):
         rep = dynamical_degree(self_correspondence_matrix(h, k))
         assert rep.exact == 1 and rep.method == "exact_roots"
+
+
+def d3_four_mark_self_map_datum():
+    """Degree-3 self-map of four marks, branching (3), (1,2), (1,2),
+    (1,1,1)."""
+    a = ["a%d" % i for i in range(1, 5)]
+    b = ["b%d" % i for i in range(1, 5)]
+    return HurwitzData(
+        a_marks=a,
+        b_marks=b,
+        d=3,
+        f_map=dict(zip(a, b)),
+        br={"b1": [3], "b2": [1, 2], "b3": [1, 2]},
+        rm={"a1": 3, "a2": 2, "a3": 2, "a4": 1},
+        forget_to=a,
+        identify=dict(zip(b, a)),
+    )
+
+
+@pytest.mark.parametrize("make", [d2_self_map_datum, d3_four_mark_self_map_datum])
+def test_self_maps_of_one_datum_share_their_covers(make, fresh_covers):
+    # every identification of the retained marks with the targets is one
+    # self-map of the same Hurwitz space, so all of them read the covers the
+    # first one enumerated; each matrix equals the one built from empty memos
+    h = make()
+    data = [
+        HurwitzData(h.a_marks, h.b_marks, h.d, h.f_map, h.br, h.rm, h.forget_to,
+                    dict(zip(h.b_marks, perm)))
+        for perm in itertools.permutations(h.forget_to)
+    ]
+    shared = [self_correspondence_matrix(g, 1) for g in data]
+    kept = len(hurwitz._CLASSES)
+    for g, mat in zip(data, shared):
+        for memo in (hurwitz._CLASSES, hurwitz._VALUES, hurwitz._COVERS):
+            memo.clear()
+        assert self_correspondence_matrix(g, 1) == mat
+        # one identification alone keeps as many entries as all of them
+        assert len(hurwitz._CLASSES) == kept
 
 
 def test_self_matrix_requires_identify():
