@@ -6,6 +6,10 @@ can be obtained by merging lam's parts.  The filtration piece for mu is the
 span of all stratum classes with partition <= mu; the strictly-below space
 for the maximal partition (k) is spanned by the strata with at least two
 moduli vertices, and the omega quotient is H_{2k} modulo that span.
+
+Every span adds its strata's classes in stratum order (`_span`), and
+filtration_dims spans each distinct generator list once: at (7,2) the level
+(1,1) and the strictly-below span are one list of 280 strata.
 """
 
 from __future__ import annotations
@@ -94,35 +98,54 @@ class FiltrationSubspace:
         return self.space.equals(other.space)
 
 
-def lambda_subspace(n, k, lam, limit_strata=None):
-    """Span of the classes of strata with partition <= lam.
+def _span(pres, indices):
+    """The span of the classes of the strata `indices`, added in order.
 
-    Generators stop once they span all of H_{2k}: the stored rows are
-    canonical for their space and a dependent generator inserts nothing, so
-    the later ones would change no row.
+    The stored rows are canonical for their space and a dependent generator
+    inserts nothing, so two kinds of generator are left out: a stratum whose
+    expression uses only basis strata already added lies in the span, and
+    once the span is all of H_{2k} no later generator would change a row.
     """
+    sub = FiltrationSubspace(pres)
+    added = set()  # the basis positions of the basis strata added so far
+    for i in indices:
+        j = pres.pos.get(i)
+        if j is not None:
+            added.add(j)
+        elif pres.int_expr[i][1].keys() <= added:
+            continue
+        sub.add_generator(pres.integer_coords({i: 1})[0])
+        if sub.dim() == pres.rank:
+            break
+    return sub
+
+
+def _lambda_indices(parts, lam):
+    return [i for i, p in enumerate(parts) if partition_leq(p, lam)]
+
+
+def _below_indices(parts):
+    return [i for i, p in enumerate(parts) if len(p) >= 2]
+
+
+def _partitions(pres):
+    return [trees.induced_partition(t) for t in pres.strata]
+
+
+def lambda_subspace(n, k, lam, limit_strata=None):
+    """Span of the classes of strata with partition <= lam."""
     lam = tuple(sorted(lam))
     if sum(lam) != k:
         raise ValueError("lam must be a partition of k")
     pres = homology.homology_basis(n, k, limit_strata)
-    sub = FiltrationSubspace(pres)
-    for i, t in enumerate(pres.strata):
-        if partition_leq(trees.induced_partition(t), lam):
-            sub.add_generator(pres.integer_coords({i: 1})[0])
-            if sub.dim() == pres.rank:
-                break
-    return sub
+    return _span(pres, _lambda_indices(_partitions(pres), lam))
 
 
 def below_subspace(n, k, limit_strata=None):
     """Span of the classes of k-dim strata with >= 2 moduli vertices (the
     part of the filtration strictly below the maximal partition (k))."""
     pres = homology.homology_basis(n, k, limit_strata)
-    sub = FiltrationSubspace(pres)
-    for i, t in enumerate(pres.strata):
-        if len(trees.induced_partition(t)) >= 2:
-            sub.add_generator(pres.integer_coords({i: 1})[0])
-    return sub
+    return _span(pres, _below_indices(_partitions(pres)))
 
 
 class OmegaQuotient:
@@ -156,12 +179,27 @@ def omega_quotient(n, k, limit_strata=None):
     return OmegaQuotient(pres, below_subspace(n, k, limit_strata))
 
 
+def _filtration_spans(n, k, limit_strata=None):
+    """({partition: span} for every realizable partition of k, the
+    strictly-below span), each distinct generator list spanned once."""
+    pres = homology.homology_basis(n, k, limit_strata)
+    parts = _partitions(pres)
+    spans = {}
+
+    def span(indices):
+        key = tuple(indices)
+        if key not in spans:
+            spans[key] = _span(pres, indices)
+        return spans[key]
+
+    levels = {lam: span(_lambda_indices(parts, lam))
+              for lam in partitions_of(k) if realizable(n, k, lam)}
+    return levels, span(_below_indices(parts))
+
+
 def filtration_dims(n, k, limit_strata=None):
     """{partition: dim} for every realizable partition of k, plus the
     strictly-below span and the omega quotient."""
-    out = {}
-    for lam in partitions_of(k):
-        if realizable(n, k, lam):
-            out[lam] = lambda_subspace(n, k, lam, limit_strata).dim()
-    below = below_subspace(n, k, limit_strata)
+    levels, below = _filtration_spans(n, k, limit_strata)
+    out = {lam: sub.dim() for lam, sub in levels.items()}
     return out, below.dim(), OmegaQuotient(below.pres, below).dim()

@@ -7,7 +7,13 @@ no subset of the weights has total in the window (1, T-1], T the full total;
 minimal data collapse every stratum tree to a single stable vertex, and the
 kernel of the induced map on H_{2k} is spanned by strata whose stable vertex
 carries too few moduli together with differences of strata with equal image
-data.
+data (Hassett, Adv. Math. 173, 2003).
+
+One walk up from each mark (`trees.MarkedTree.subtree_masks`) gives every
+subtree's weight sum and mark bitmask, so the stable vertex's flags come out
+as masks.  The kernel buckets strata by the image key (the frozenset of
+those flag masks, the vertex's moduli count), and `reduction_image_type`
+reads its mark sets off the same key.
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ def epsilon_dagger(n):
 def stable_vertices(tree, eps):
     """Vertices whose truncated flag weight sums exceed 2."""
     ws = validate_weights(eps, tree.n)
-    return _stable_vertices(tree, *_integer_weights(ws))
+    return _stable_vertices(tree, *_integer_weights(ws))[0]
 
 
 def _integer_weights(ws):
@@ -89,37 +95,29 @@ def _integer_weights(ws):
 
 
 def _stable_vertices(tree, W, D):
-    """stable_vertices for integer weights W over D: v is stable when the sum
-    over its flags of min(S, D), S the flag's weight, exceeds 2D.
+    """stable_vertices for integer weights W over D, and the tree's
+    subtree_masks: v is stable when the sum over its flags of min(S, D), S
+    the flag's weight, exceeds 2D.
 
-    One pass of subtree sums gives every flag weight: an edge flag towards a
-    child weighs the child's subtree, the one towards the parent the total
-    less v's own subtree, and a leg weighs its mark, never more than D.
+    One pass of subtree sums gives every flag weight and every flag's mark
+    mask: an edge flag towards a child weighs the child's subtree, the one
+    towards the parent the total less v's own subtree, and a leg weighs its
+    mark, never more than D.
     """
+    masks, sub = tree.subtree_masks(W)
     parents = tree.parents
-    m = len(parents)
-    legs_sum = [0] * m
+    total = sub[parents.index(-1)]
+    tot = [0] * len(parents)
     for w, v in zip(W, tree.legs):
-        legs_sum[v] += w
-    children = [[] for _ in range(m)]
+        tot[v] += w  # the leg flags, each at most D
     for v, p in enumerate(parents):
         if p >= 0:
-            children[p].append(v)
-    order = [parents.index(-1)]
-    for v in order:
-        order.extend(children[v])
-    sub = list(legs_sum)
-    for v in reversed(order):
-        p = parents[v]
-        if p >= 0:
-            sub[p] += sub[v]
-    total = sub[order[0]]
-    tot = legs_sum  # the leg flags, each at most D
-    for v, p in enumerate(parents):
-        if p >= 0:
-            tot[p] += min(sub[v], D)
-            tot[v] += min(total - sub[v], D)
-    return [v for v in range(m) if tot[v] > 2 * D]
+            down = sub[v]
+            up = total - down
+            tot[p] += down if down < D else D
+            tot[v] += up if up < D else D
+    twice = 2 * D
+    return [v for v, x in enumerate(tot) if x > twice], masks
 
 
 class ReductionImageType:
@@ -155,16 +153,24 @@ def reduction_image_type(tree, eps):
 
 
 def _reduction_image_type(tree, W, D):
-    stable = _stable_vertices(tree, W, D)
+    blocks, dim = _image_key(tree, W, D)
+    marks = range(1, tree.n + 1)
+    return ReductionImageType([[m for m in marks if b >> m & 1] for b in blocks], dim)
+
+
+def _image_key(tree, W, D):
+    """The image type as (frozenset of the stable vertex's flag masks, its
+    moduli count), read off the one pass of _stable_vertices."""
+    stable, masks = _stable_vertices(tree, W, D)
     if len(stable) != 1:
         raise ValueError(
             "expected exactly one stable vertex (minimal weights), found %d" % len(stable)
         )
-    (v,) = stable
-    blocks = tree.flag_marksets(v)
-    if len(blocks) != tree.valence(v):
+    flags = tree.flag_masks(stable[0], masks)
+    blocks = frozenset(flags)
+    if len(blocks) != len(flags):
         raise AssertionError("flag blocks must be pairwise distinct")
-    return ReductionImageType(blocks, tree.md(v))
+    return blocks, len(flags) - 3
 
 
 def reduction_kernel(n, k, eps, limit_strata=None):
@@ -182,13 +188,17 @@ def reduction_kernel(n, k, eps, limit_strata=None):
     sub = filtration.FiltrationSubspace(pres)
     buckets = {}
     for i, t in enumerate(pres.strata):
-        it = _reduction_image_type(t, W, D)
-        if it.dim < k:
+        key = _image_key(t, W, D)
+        if key[1] < k:
             sub.add_generator(pres.integer_coords({i: 1})[0])
         else:
-            rep = buckets.get(it)
+            rep = buckets.get(key)
             if rep is None:
-                buckets[it] = i
+                buckets[key] = i
             else:
-                sub.add_generator(pres.integer_coords({rep: 1, i: -1})[0])
+                # strata with equal expression rows have one class, and
+                # their zero difference would add nothing
+                row = pres.int_expr.get(i)
+                if row is None or row != pres.int_expr.get(rep):
+                    sub.add_generator(pres.integer_coords({rep: 1, i: -1})[0])
     return sub

@@ -12,11 +12,15 @@ with the dual degree is perfect (Keel, Trans. AMS 330, 1992), so a class is
 fixed by its pairings with a spanning set of the dual degree: a point pairs
 to 1 with the fundamental class, and a curve pairs with the boundary divisors
 through the four flag blocks at its 4-valent vertex (`_curve_row`, at most 7
-nonzeros).  Each curve stratum becomes one short integer row, which also
-carries the stratum's own column; one reduction against the rows of the
-basis strata before it either leaves a split column (a new basis stratum) or
-reads off the stratum's expression.  The presentation keeps that row space,
-and `solve_class_from_pairings` is one more reduction against it.
+nonzeros).  Those blocks fix the class, so the route reduces one row per
+curve class, keyed by the blocks as mark bitmasks (`_curve_key`): 350 rows
+for the 1,260 strata of (7,1), 1,701 for the 17,325 of (8,1).  The row is
+the class's pairings plus 1 in the stratum's own column; one reduction
+against the rows of the basis strata before it either leaves a split column
+(a new basis stratum) or reads off the stratum's expression, which every
+later stratum of that class shares.  A class first met on a basis stratum
+is reduced once more, on its next stratum.  The presentation keeps that row
+space, and `solve_class_from_pairings` is one more reduction against it.
 
 Relation route, for every other degree.  The relations live on
 (k+1)-dimensional strata: at a vertex v with four distinguished flags, the
@@ -122,7 +126,8 @@ class HomologyPresentation:
     meaning sum x/den times the basis class: the relation route's primitive
     row with pivot entry den, or the pairing route's reduction with common
     denominator den.  At k = 0 every stratum shares the one row (1, {0: 1}).
-    Rows are read-only, and callers read expressions through
+    Rows are read-only, and strata of one class may share one; callers
+    read expressions through
     `integer_coords`, which reduces a class in integers, or
     `reduce_index_vec`, which divides by one common denominator at the end.
     """
@@ -213,6 +218,12 @@ def _pairing_presentation(n, k, strata):
     keeps no split column is dependent: the reduction is 1 at -i and minus
     stratum i's expression over the basis strata elsewhere.  Only the
     independent rows are stored.
+
+    A curve's pairings, so its class, depend only on the four flag blocks
+    at its 4-valent vertex, keyed as a frozenset of mark bitmasks.  A
+    stratum whose key an earlier dependent stratum had shares that
+    stratum's read-only expression; one whose key so far only a basis
+    stratum had is reduced, and it is dependent.
     """
     if k == 0:
         # every point is the point class; the strata share one read-only row
@@ -222,7 +233,13 @@ def _pairing_presentation(n, k, strata):
     basis = []
     pos = {}  # column -b of a basis stratum b -> its basis position
     int_expr = {}
+    seen = {}  # curve class key -> its expression, None while only a basis stratum had it
     for i, t in enumerate(strata):
+        key = _curve_key(t)
+        entry = seen.get(key)
+        if entry is not None:
+            int_expr[i] = entry
+            continue
         row = _curve_row(t, column)
         row[-i] = 1
         v, den = space.reduce(row)
@@ -230,9 +247,10 @@ def _pairing_presentation(n, k, strata):
             pos[-i] = len(basis)
             basis.append(i)
             space.add(v)
+            seen[key] = None
         else:
             del v[-i]
-            int_expr[i] = (den, {pos[col]: -x for col, x in v.items()})
+            int_expr[i] = seen[key] = (den, {pos[col]: -x for col, x in v.items()})
     return basis, int_expr, space
 
 
@@ -322,6 +340,14 @@ def _curve_row(tree, column):
     for b in others:
         row[column[trees.normalize_split(tree.n, first | b)]] = 1
     return row
+
+
+def _curve_key(tree):
+    """The four flag blocks at the 4-valent vertex of a 1-dim stratum, as a
+    frozenset of mark bitmasks: equal keys mean equal pairings, so equal
+    classes."""
+    masks, _ = tree.subtree_masks()
+    return frozenset(tree.flag_masks(tree._valences().index(4), masks))
 
 
 def pairing_rows(pres):

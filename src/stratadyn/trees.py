@@ -25,6 +25,10 @@ by AND-ing per-split compatibility masks.  Validation is one pass over
 parents and legs.  splits(), flags_of and flag_marksets read every edge's
 side from one pass that gathers the marks under each vertex; away_marks and
 adjacency stay as the definitions that pass is checked against.
+subtree_masks gives the same sides as mark bitmasks, walking up from each
+mark on any valid encoding, canonical or not, and flag_masks reads a
+vertex's flags off them: the curve classes of the homology pairing route
+and the reduction image types of hassett are keyed by these masks.
 
 The canonical encoding is rooted at the centroid (no component of more
 than m/2 vertices once it is removed; two adjacent ones at most) with the
@@ -211,6 +215,41 @@ class MarkedTree:
         for v in reversed(order[1:]):
             below[parents[v]] |= below[v]
         return [frozenset(b) for b in below]
+
+    def subtree_masks(self, weights=None):
+        """The marks at and under each vertex as bitmasks, bit m for mark
+        m, from one walk up from each mark's vertex to the root, so any
+        valid encoding will do, canonical or not: the side the edge above a
+        vertex cuts off, and every mark at the root.  With per-mark integers
+        `weights` (mark m's at weights[m - 1]) the same walks sum them over
+        each subtree.  Returns (masks, sums), sums None without weights."""
+        parents = self.parents
+        masks = [0] * len(parents)
+        if weights is None:
+            for mark, v in enumerate(self.legs, start=1):
+                bit = 1 << mark
+                while v >= 0:
+                    masks[v] |= bit
+                    v = parents[v]
+            return masks, None
+        sums = [0] * len(parents)
+        for mark, (w, v) in enumerate(zip(weights, self.legs), start=1):
+            bit = 1 << mark
+            while v >= 0:
+                masks[v] |= bit
+                sums[v] += w
+                v = parents[v]
+        return masks, sums
+
+    def flag_masks(self, v, masks):
+        """The mark bitmasks of the flags at v, legs by mark then child
+        edges by index then the parent edge, from the subtree_masks
+        `masks` of this tree; as a set they are flag_marksets(v)."""
+        out = [1 << mark for mark, u in enumerate(self.legs, start=1) if u == v]
+        out += [masks[u] for u, p in enumerate(self.parents) if p == v]
+        if self.parents[v] >= 0:
+            out.append(((1 << self.n + 1) - 2) ^ masks[v])
+        return out
 
     def edge_splits(self):
         """Each edge as (child, parent, split), in edges() order, the split

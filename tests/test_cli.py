@@ -243,6 +243,11 @@ def test_limit_exits_3():
     assert "error" in json.loads(r.stdout)
 
 
+def test_filtration_dims_limit_exits_3_with_the_presentation_error():
+    r = run_cli("filtration", "dims", "--n", "7", "--k", "2", "--limit-strata", "100", check=3)
+    assert r.stdout == '{"error": "presentation for (n=7, k=2) needs more than 100 strata"}\n'
+
+
 def test_unknown_flag_exits_2():
     r = run_cli("homology", "dims", "--n", "6", "--bogus", check=2)
     assert "error" in json.loads(r.stdout)

@@ -216,3 +216,26 @@ def test_integer_generators_span_the_fraction_generators():
             want = _reference_span(pres, [{i: 1} for i, p in enumerate(parts) if len(p) >= 2])
             got = filtration.below_subspace(n, k)
             assert got.space.canonical_key() == want.canonical_key(), (n, k)
+
+
+def test_filtration_dims_spans_each_generator_list_once():
+    # filtration_dims spans a generator list shared by several levels once;
+    # every span it builds has the rows, in order, of the separate calls
+    for n in range(3, 8):
+        for k in range(n - 2):
+            levels, below = filtration._filtration_spans(n, k)
+            for lam, sub in levels.items():
+                want = filtration.lambda_subspace(n, k, lam)
+                assert list(sub.space.rows.items()) == list(want.space.rows.items()), (n, k, lam)
+            want = filtration.below_subspace(n, k)
+            assert list(below.space.rows.items()) == list(want.space.rows.items()), (n, k)
+            dims = {lam: sub.dim() for lam, sub in levels.items()}
+            assert filtration.filtration_dims(n, k) == (dims, below.dim(), below.pres.rank - below.dim())
+    # at (7, 2) the level (1, 1) and the strictly-below span are one list
+    levels, below = filtration._filtration_spans(7, 2)
+    assert levels[(1, 1)] is below
+
+
+def test_filtration_dims_cap_raises_the_presentation_error():
+    with pytest.raises(trees.ResourceError, match=r"^presentation for \(n=7, k=2\) needs more than 100 strata$"):
+        filtration.filtration_dims(7, 2, limit_strata=100)

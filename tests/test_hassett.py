@@ -11,7 +11,12 @@ from fractions import Fraction
 import pytest
 
 from stratadyn import filtration, hassett, homology, linalg, trees
-from oracles import brute_minimality_window, reduce_index_vec_reference, stable_vertices_reference
+from oracles import (
+    brute_minimality_window,
+    reduce_index_vec_reference,
+    relabel_vertices,
+    stable_vertices_reference,
+)
 
 
 def test_validate_weights():
@@ -181,3 +186,40 @@ def test_reduction_kernel_equals_the_span_of_fraction_generators():
                     reps[it] = i
             got = hassett.reduction_kernel(n, k, eps)
             assert got.space.canonical_key() == want.canonical_key(), (n, k)
+
+
+def _buckets(keys):
+    """The strata indices grouped by equal key, as a set of frozensets."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, set()).add(i)
+    return {frozenset(g) for g in groups.values()}
+
+
+def test_image_key_buckets_are_the_image_type_buckets():
+    # the kernel buckets strata by the stable vertex's flag masks; on
+    # canonical strata and on relabelled encodings of them the buckets are
+    # those of reduction_image_type, and both match the Fraction reference
+    rng = random.Random(2203)
+    for n in range(4, 8):
+        eps = hassett.epsilon_dagger(n)
+        W, D = hassett._integer_weights(hassett.validate_weights(eps, n))
+        for k in range(n - 2):
+            strata = trees.enumerate_strata(n, k)
+            perms = [rng.sample(range(t.num_vertices()), t.num_vertices()) for t in strata]
+            relabelled = [relabel_vertices(t, perm) for t, perm in zip(strata, perms)]
+            if k < n - 3:
+                assert any(r != t for r, t in zip(relabelled, strata)), (n, k)
+            want = []
+            for t in strata:
+                (v,) = stable_vertices_reference(t, eps)
+                want.append((frozenset(t.flag_marksets(v)), t.md(v)))
+            for ts in (strata, relabelled):
+                keys = [hassett._image_key(t, W, D) for t in ts]
+                types = [hassett.reduction_image_type(t, eps) for t in ts]
+                assert [(it.blocks, it.dim) for it in types] == want, (n, k)
+                assert _buckets(keys) == _buckets(types) == _buckets(want), (n, k)
+            for t, r, perm in zip(strata, relabelled, perms):
+                got = hassett.stable_vertices(r, eps)
+                assert got == stable_vertices_reference(r, eps), r
+                assert got == sorted(perm[v] for v in hassett.stable_vertices(t, eps)), r

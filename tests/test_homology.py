@@ -5,6 +5,8 @@ middle degree and the full classical tables 1/5/1 (n=5), 1/16/16/1 (n=6),
 1/42/127/42/1 (n=7), which were not computed with this code.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -390,3 +392,34 @@ def test_curve_row_matches_pairing_over_every_split():
                 if val:
                     want[j] = val
             assert homology._curve_row(t, column) == want
+
+
+# S(n, 4), the partitions of n marks into four blocks
+FOUR_BLOCK_PARTITIONS = {5: 10, 6: 65, 7: 350, 8: 1701}
+
+
+def test_curve_classes_are_the_four_block_keys():
+    # a curve's pairings read only the four flag blocks at its 4-valent
+    # vertex, so strata with one key share their class, and a key holds at
+    # most one basis stratum
+    for n, count in FOUR_BLOCK_PARTITIONS.items():
+        pres = homology.homology_basis(n, 1)
+        groups = {}
+        for i, t in enumerate(pres.strata):
+            blocks = t.flag_marksets(t._valences().index(4))
+            key = homology._curve_key(t)
+            assert key == frozenset(sum(1 << mark for mark in b) for b in blocks), (n, i)
+            groups.setdefault(key, []).append(i)
+        assert len(groups) == count, n
+        for first, *rest in groups.values():
+            want = pres.reduce_index_vec({first: 1})
+            assert all(pres.reduce_index_vec({i: 1}) == want for i in rest), (n, first)
+            assert sum(i in pres.pos for i in (first, *rest)) <= 1, (n, first)
+
+
+def test_eight_mark_curve_basis_is_pinned():
+    # the greedy basis of (8, 1) as the one-row-per-stratum route chose it
+    basis = homology.homology_basis(8, 1).basis
+    assert len(basis) == closed_form_rank(8)
+    digest = hashlib.sha256(json.dumps(basis).encode()).hexdigest()
+    assert digest == "d8a7c069dc356f23b73fcd194088a3ba41a698bcc714a79abe8756ee9f8ee604"

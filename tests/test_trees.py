@@ -362,6 +362,29 @@ def test_valences_match_the_per_vertex_definition():
             assert trees.induced_partition(t) == tuple(sorted(parts)), t
 
 
+def _mask(marks):
+    return sum(1 << mark for mark in marks)
+
+
+def test_subtree_masks_match_the_mark_sets_on_any_encoding():
+    # canonical strata and relabelled, non-canonical encodings of them
+    rng = random.Random(22)
+    for n in range(3, 8):
+        ts = [t for k in range(n - 2) for t in trees.enumerate_strata(n, k)]
+        ts += [relabel_vertices(t, rng.sample(range(t.num_vertices()), t.num_vertices()))
+               for t in ts[:: max(1, len(ts) // 50)]]
+        weights = [rng.randint(1, 9) for _ in range(n)]
+        for t in ts:
+            below = t._below()
+            masks, sums = t.subtree_masks(weights)
+            assert masks == [_mask(b) for b in below], t
+            assert sums == [sum(weights[mark - 1] for mark in b) for b in below], t
+            assert t.subtree_masks() == (masks, None), t
+            for v in range(t.num_vertices()):
+                flags = t.flag_masks(v, masks)
+                assert sorted(flags) == sorted(map(_mask, t.flag_marksets(v))), (t, v)
+
+
 def test_tree_from_splits_rejects_unstable_sides():
     with pytest.raises(ValueError):
         trees.tree_from_splits(6, [frozenset({2})])
