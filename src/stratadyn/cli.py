@@ -208,8 +208,7 @@ def cmd_dyndeg(args):
         h, args.k, args.limit_tuples, args.limit_strata
     )
     rep = pushforward.dynamical_degree(mat)
-    theta = rep.exact if rep.exact is not None else rep.value
-    _emit({"theta": theta, "method": rep.method})
+    _emit({"theta": rep.theta(), "method": rep.method})
     return 0
 
 

@@ -148,7 +148,9 @@ class RowSpace:
         )
 
     def equals(self, other):
-        return self.canonical_key() == other.canonical_key()
+        """Whether the two spaces are equal: their primitive, fully reduced
+        rows are canonical for the space, so the stored rows are compared."""
+        return self.rows == other.rows
 
     def is_subspace_of(self, other):
         return all(other.contains(r) for r in self.rows.values())

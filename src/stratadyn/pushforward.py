@@ -178,9 +178,7 @@ def _push_column(full, tau, p_a, n_a, renum, deg_nu, limit_tuples, limit_strata)
             local_deg[key] = local_deg.get(key, 0) + rprod
             tgt = pairings.setdefault(key, {})
             for vertex, bucket in contribs.items():
-                acc = tgt.setdefault(vertex, {})
-                for side, wgt in bucket.items():
-                    acc[side] = acc.get(side, 0) + wgt
+                linalg.axpy(tgt.setdefault(vertex, {}), 1, bucket)
         for key, t in by_key.items():
             if local_deg.get(key, 0) != t.count:
                 raise AssertionError(
@@ -335,14 +333,13 @@ class DegreeReport:
     value from the norm-of-powers bound when that root is not certified.
     """
 
-    __slots__ = ("value", "exact", "char_poly", "method", "tolerance")
+    __slots__ = ("value", "exact", "char_poly", "method")
 
-    def __init__(self, value, exact, char_poly, method, tolerance):
+    def __init__(self, value, exact, char_poly, method):
         self.value = value
         self.exact = exact
         self.char_poly = char_poly
         self.method = method
-        self.tolerance = tolerance
 
     def theta(self):
         return self.exact if self.exact is not None else self.value
@@ -378,7 +375,7 @@ def dynamical_degree(mat, tol=1e-9):
     if abs(value - nearest) <= tol:
         exact = int(nearest)
         value = float(nearest)
-    return DegreeReport(value, exact, tuple(cp), method, tol)
+    return DegreeReport(value, exact, tuple(cp), method)
 
 
 # -- filtration blocks ---------------------------------------------------------

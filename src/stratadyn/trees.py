@@ -22,13 +22,16 @@ image tree, and glue_substitution and forget_pushforward are these cores
 plus the trees at either end.
 enumerate_strata searches split sets as integer bitmasks, growing each set
 by AND-ing per-split compatibility masks.  Validation is one pass over
-parents and legs.  splits(), flags_of and flag_marksets read every edge's
-side from one pass that gathers the marks under each vertex; away_marks and
-adjacency stay as the definitions that pass is checked against.
-subtree_masks gives the same sides as mark bitmasks, walking up from each
-mark on any valid encoding, canonical or not, and flag_masks reads a
-vertex's flags off them: the curve classes of the homology pairing route
-and the reduction image types of hassett are keyed by these masks.
+parents and legs.  Every edge's side comes from one pass, subtree_masks:
+the marks at and under each vertex as bitmasks, walking up from each mark
+on any valid encoding, canonical or not.  edge_splits and splits read their
+sides from it, and flags_of, flag_marksets and flag_masks read one flag
+list per vertex, in the one flag order: legs by mark, then edges by their
+least far-side mark (the far sides at a vertex are disjoint, so this is the
+order of their sorted mark sets).  away_marks and adjacency stay as the
+definitions the pass is checked against.  The curve classes of the homology
+pairing route and the reduction image types of hassett are keyed by these
+masks.
 
 The canonical encoding is rooted at the centroid (no component of more
 than m/2 vertices once it is removed; two adjacent ones at most) with the
@@ -184,7 +187,7 @@ class MarkedTree:
         """Marks reachable from the neighbour u once the edge (v, u) is cut.
 
         The definition of an edge's side; splits() and flags_of read every
-        side at once from _below instead."""
+        side at once from subtree_masks instead."""
         adj = self.adjacency()
         stack = [u]
         seen = {v, u}
@@ -197,24 +200,6 @@ class MarkedTree:
                     comp.add(x)
                     stack.append(x)
         return frozenset(m for m, w in enumerate(self.legs, start=1) if w in comp)
-
-    def _below(self):
-        """The marks of each vertex and of every vertex under it, from one
-        pass up the tree: the side an edge cuts off away from the parent."""
-        parents = self.parents
-        kids = [[] for _ in parents]
-        for v, p in enumerate(parents):
-            if p >= 0:
-                kids[p].append(v)
-        order = [parents.index(-1)]
-        for v in order:
-            order += kids[v]
-        below = [set() for _ in parents]
-        for mark, v in enumerate(self.legs, start=1):
-            below[v].add(mark)
-        for v in reversed(order[1:]):
-            below[parents[v]] |= below[v]
-        return [frozenset(b) for b in below]
 
     def subtree_masks(self, weights=None):
         """The marks at and under each vertex as bitmasks, bit m for mark
@@ -241,23 +226,31 @@ class MarkedTree:
                 v = parents[v]
         return masks, sums
 
+    def _flags(self, v, masks):
+        """The flags at v in the one flag order, as (mark bitmask, far
+        vertex) pairs read from the subtree_masks `masks`: legs by mark (far
+        vertex -1), then edges by their least far-side mark.  The far sides
+        are disjoint, so that mark, the lowest set bit, orders them fully."""
+        out = [(1 << mark, -1) for mark, u in enumerate(self.legs, start=1) if u == v]
+        edges = [(masks[u], u) for u, p in enumerate(self.parents) if p == v]
+        p = self.parents[v]
+        if p >= 0:
+            edges.append((((1 << self.n + 1) - 2) ^ masks[v], p))
+        edges.sort(key=lambda f: f[0] & -f[0])
+        return out + edges
+
     def flag_masks(self, v, masks):
-        """The mark bitmasks of the flags at v, legs by mark then child
-        edges by index then the parent edge, from the subtree_masks
-        `masks` of this tree; as a set they are flag_marksets(v)."""
-        out = [1 << mark for mark, u in enumerate(self.legs, start=1) if u == v]
-        out += [masks[u] for u, p in enumerate(self.parents) if p == v]
-        if self.parents[v] >= 0:
-            out.append(((1 << self.n + 1) - 2) ^ masks[v])
-        return out
+        """The mark bitmasks of the flags at v, in flags_of order, from the
+        subtree_masks `masks` of this tree: flag_marksets(v) as bitmasks."""
+        return [mask for mask, _u in self._flags(v, masks)]
 
     def edge_splits(self):
         """Each edge as (child, parent, split), in edges() order, the split
         normalised to the side without mark 1."""
-        below = self._below()
-        everything = frozenset(range(1, self.n + 1))
+        masks, _ = self.subtree_masks()
+        everything = (1 << self.n + 1) - 2
         return [
-            (c, p, everything - below[c] if 1 in below[c] else below[c])
+            (c, p, frozenset(_marks(everything ^ masks[c] if masks[c] & 2 else masks[c])))
             for c, p in self.edges()
         ]
 
@@ -268,26 +261,19 @@ class MarkedTree:
     def flags_of(self, v):
         """Deterministic flag list at v: ('leg', mark) then ('edge', u, away).
 
-        Legs sorted by mark, then edges sorted by the far-side mark set.  The
-        order depends only on mark labels, not on the vertex indexing, and is
-        the order used by glue_substitution to match flags with the marks of
-        a small tree.
+        The flags come in the one flag order of the module docstring.  It
+        depends only on mark labels, not on the vertex indexing, and is the
+        order used by glue_substitution to match flags with the marks of a
+        small tree.
         """
-        below = self._below()
-        flags = [("leg", mark) for mark, u in enumerate(self.legs, start=1) if u == v]
-        edge_flags = [("edge", u, below[u]) for u, p in enumerate(self.parents) if p == v]
-        p = self.parents[v]
-        if p >= 0:
-            edge_flags.append(("edge", p, frozenset(range(1, self.n + 1)) - below[v]))
-        edge_flags.sort(key=lambda f: sorted(f[2]))
-        return flags + edge_flags
+        return [
+            ("leg", mask.bit_length() - 1) if u < 0 else ("edge", u, frozenset(_marks(mask)))
+            for mask, u in self._flags(v, self.subtree_masks()[0])
+        ]
 
     def flag_marksets(self, v):
         """Mark sets of the flags at v, in flags_of order (legs give {mark})."""
-        out = []
-        for f in self.flags_of(v):
-            out.append(frozenset([f[1]]) if f[0] == "leg" else f[2])
-        return out
+        return [frozenset(_marks(mask)) for mask, _u in self._flags(v, self.subtree_masks()[0])]
 
     def to_json_dict(self):
         """Stratum encoding: {"n": N, "parents": [...], "legs": {"1": vertex}}."""
@@ -515,17 +501,22 @@ def tree_from_splits(n, splits):
     return _finish(n, _top(n, tops, labels))
 
 
+def _marks(mask):
+    """The marks of a mark bitmask (bit m for mark m), in increasing order."""
+    marks = []
+    while mask:
+        low = mask & -mask
+        marks.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(marks)
+
+
 class _Labels(dict):
     """Mark bitmask -> (its sorted marks, the subcode head "(marks;")."""
 
     def __missing__(self, mask):
-        marks = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            marks.append(low.bit_length() - 1)
-            rest ^= low
-        self[mask] = label = tuple(marks), _head(marks)
+        marks = _marks(mask)
+        self[mask] = label = marks, _head(marks)
         return label
 
 

@@ -167,6 +167,21 @@ def test_kernel_strictly_larger_low_k():
     assert ker.dim() == 10
 
 
+def test_equals_agrees_with_the_canonical_keys():
+    # stored rows against the Fraction rref, on every kernel/below pair
+    # with n <= 7, where both answers occur
+    seen = set()
+    for n in (4, 5, 6, 7):
+        eps = hassett.epsilon_dagger(n)
+        for k in range(n - 2):
+            ker = hassett.reduction_kernel(n, k, eps).space
+            bel = filtration.below_subspace(n, k).space
+            same = ker.canonical_key() == bel.canonical_key()
+            assert ker.equals(bel) == bel.equals(ker) == same, (n, k)
+            seen.add(same)
+    assert seen == {True, False}
+
+
 def test_reduction_kernel_equals_the_span_of_fraction_generators():
     # the kernel adds integer coordinates; the same generators reduced in
     # Fractions by the oracle must span the same space

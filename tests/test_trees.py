@@ -367,22 +367,25 @@ def _mask(marks):
 
 
 def test_subtree_masks_match_the_mark_sets_on_any_encoding():
-    # canonical strata and relabelled, non-canonical encodings of them
+    # canonical strata and relabelled, non-canonical encodings of them; a
+    # vertex's subtree is the side the edge to its parent cuts off, by the
+    # away_marks definition, and every mark at the root
     rng = random.Random(22)
     for n in range(3, 8):
         ts = [t for k in range(n - 2) for t in trees.enumerate_strata(n, k)]
         ts += [relabel_vertices(t, rng.sample(range(t.num_vertices()), t.num_vertices()))
                for t in ts[:: max(1, len(ts) // 50)]]
         weights = [rng.randint(1, 9) for _ in range(n)]
+        everything = frozenset(range(1, n + 1))
         for t in ts:
-            below = t._below()
+            below = [everything if p < 0 else t.away_marks(p, v) for v, p in enumerate(t.parents)]
             masks, sums = t.subtree_masks(weights)
             assert masks == [_mask(b) for b in below], t
             assert sums == [sum(weights[mark - 1] for mark in b) for b in below], t
             assert t.subtree_masks() == (masks, None), t
             for v in range(t.num_vertices()):
-                flags = t.flag_masks(v, masks)
-                assert sorted(flags) == sorted(map(_mask, t.flag_marksets(v))), (t, v)
+                # one flag order: position by position, not as sets
+                assert t.flag_masks(v, masks) == list(map(_mask, t.flag_marksets(v))), (t, v)
 
 
 def test_tree_from_splits_rejects_unstable_sides():
