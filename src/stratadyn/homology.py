@@ -67,12 +67,13 @@ def km_relations(n, k):
     """The relation vectors among k-dim stratum classes, as {tree: int} dicts.
 
     At each vertex of valence m >= 4 of each (k+1)-dim stratum sigma, the
-    quadruples (0, 1, i3, i4) of flags in `flags_of` order, each giving the
+    quadruples (0, 1, i3, i4) of flags in `flag_masks` order, each giving the
     two differences of its first pairing sum with the other two; together
     they span every four-point relation (module docstring).  For k = n-3
     the single fundamental class has no relations.  Refining sigma at v by
     moving some of its flags onto a new vertex adds one split, the union of
-    the moved flag blocks, so each term is looked up by its split set.
+    the moved flag blocks (the sum of their disjoint masks), so each term is
+    looked up by its split set.
 
     Deduplicated (sign-normalised) and sorted by index tuple read from the
     latest stratum down: a row's pivot is its latest stratum, so a new
@@ -89,10 +90,11 @@ def km_relations(n, k):
     rows = []
     for sigma in trees.enumerate_strata(n, k + 1):
         base = frozenset(sigma.splits())
+        masks, _ = sigma.subtree_masks()
         for v, val in enumerate(sigma._valences()):
             if val < 4:
                 continue
-            blocks = sigma.flag_marksets(v)
+            blocks = sigma.flag_masks(v, masks)
             for i3, i4 in itertools.combinations(range(2, val), 2):
                 rest = [f for f in range(2, val) if f != i3 and f != i4]
                 sums = []
@@ -100,8 +102,8 @@ def km_relations(n, k):
                     acc = {}
                     for r in range(len(rest) + 1):
                         for d1 in itertools.combinations(rest, r):
-                            side = blocks[0].union(blocks[b], *(blocks[f] for f in d1))
-                            t = by_splits[base | {trees.normalize_split(n, side)}]
+                            side = blocks[0] + blocks[b] + sum(blocks[f] for f in d1)
+                            t = by_splits[base | {trees.split_of(n, side)}]
                             acc[t] = acc.get(t, 0) + 1
                     sums.append(acc)
                 for y in (1, 2):
@@ -302,15 +304,17 @@ def intersection_pairing_h2(tree, side):
     """
     if tree.dim() != 1:
         raise ValueError("pairing requires a 1-dimensional stratum")
-    v4 = tree._valences().index(4)
-    blocks = tree.flag_marksets(v4)
     side = frozenset(side)
-    other = frozenset(range(1, tree.n + 1)) - side
+    if not side <= frozenset(range(1, tree.n + 1)):
+        raise ValueError("split side has marks outside 1..%d" % tree.n)
     if not (2 <= len(side) <= tree.n - 2):
         raise ValueError("not a 2-sided split with both sides of size >= 2")
-    for s in (side, other):
-        if any(s == b for b in blocks):
-            return -1
+    masks, _ = tree.subtree_masks()
+    blocks = tree.flag_masks(tree._valences().index(4), masks)
+    side = sum(1 << mark for mark in side)
+    other = ((1 << tree.n + 1) - 2) ^ side
+    if side in blocks or other in blocks:
+        return -1
     for s in (side, other):
         for b1, b2 in itertools.combinations(blocks, 2):
             if s == b1 | b2:
@@ -331,14 +335,14 @@ def _curve_row(tree, column):
     Only the four flag blocks at the 4-valent vertex matter: -1 on each block
     that is a split, +1 on the three unions of two blocks, 0 elsewhere.
     """
-    v4 = tree._valences().index(4)
-    first, *others = tree.flag_marksets(v4)
+    masks, _ = tree.subtree_masks()
+    first, *others = tree.flag_masks(tree._valences().index(4), masks)
     row = {}
     for b in (first, *others):
-        if len(b) >= 2:
-            row[column[trees.normalize_split(tree.n, b)]] = -1
+        if b & b - 1:
+            row[column[trees.split_of(tree.n, b)]] = -1
     for b in others:
-        row[column[trees.normalize_split(tree.n, first | b)]] = 1
+        row[column[trees.split_of(tree.n, first + b)]] = 1
     return row
 
 

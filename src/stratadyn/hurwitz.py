@@ -326,18 +326,21 @@ class CoverClass:
         self.nodes = nodes
 
 
+def _leg_mark(h, f):
+    """The target mark of the flag with mark bitmask f when it is a leg (one
+    bit), None for an edge (both sides of a split hold at least two marks)."""
+    return None if f & f - 1 else h.b_marks[f.bit_length() - 2]
+
+
 def _local_assignments(h, flags, limit):
-    """All flag-permutation tuples at a target vertex with flag list `flags`
-    (MarkedTree.flags_of): product in flag order is the identity, leg flags
+    """All flag-permutation tuples at a target vertex with flag masks `flags`
+    (MarkedTree.flag_masks): product in flag order is the identity, leg flags
     carry their branching cycle type."""
     all_p, by_type = _perm_pool(h.d)
     opts = []
     for f in flags[:-1]:
-        if f[0] == "leg":
-            b = h.b_marks[f[1] - 1]
-            opts.append(by_type.get(h.branching(b), ()))
-        else:
-            opts.append(all_p)
+        b = _leg_mark(h, f)
+        opts.append(all_p if b is None else by_type.get(h.branching(b), ()))
     out = []
     ident = tuple(range(h.d))
     for combo in itertools.product(*opts):
@@ -346,11 +349,9 @@ def _local_assignments(h, flags, limit):
         for g in combo:
             prod = _compose(prod, g)
         last = _inverse(prod)
-        f = flags[-1]
-        if f[0] == "leg":
-            b = h.b_marks[f[1] - 1]
-            if _cycle_type(last) != h.branching(b):
-                continue
+        b = _leg_mark(h, flags[-1])
+        if b is not None and _cycle_type(last) != h.branching(b):
+            continue
         out.append(combo + (last,))
     return out
 
@@ -381,14 +382,15 @@ def _bijections(xs, x_len, ys, limit):
 
 
 def _vertex_labelings(h, flags, perms, limit):
-    """All ways to attach the marks over a vertex's legs (its flag list
+    """All ways to attach the marks over a vertex's legs (its flag masks
     `flags`) to cycles of the leg permutations, length-preserving and
     bijective per length."""
     per_flag = []
     for pos, f in enumerate(flags):
-        if f[0] != "leg":
+        b = _leg_mark(h, f)
+        if b is None:
             continue
-        marks = h.marks_over(h.b_marks[f[1] - 1])
+        marks = h.marks_over(b)
         bijections = _bijections(marks, h.rm.__getitem__, _cycles(perms[pos]), limit)
         if not bijections:
             return []
@@ -461,10 +463,10 @@ def _least_conjugate(perms, all_p):
 
 
 def _least_labelings(h, flags, perms, centraliser, limit):
-    """The labelings at a vertex with flag list `flags` (_vertex_labelings)
+    """The labelings at a vertex with flag masks `flags` (_vertex_labelings)
     least in their orbit under the centraliser of its tuple, each as
     (labeling, its stabiliser there)."""
-    legs = {h.b_marks[f[1] - 1] for f in flags if f[0] == "leg"}
+    legs = {_leg_mark(h, f) for f in flags}
     order = [a for a in h.a_marks if h.f_map[a] in legs]
     out = []
     for labeling in _vertex_labelings(h, flags, perms, limit):
@@ -617,7 +619,8 @@ def _enumerate_cover_classes(h, tau, limit):
     d = h.d
     all_p, _ = _perm_pool(d)
     num_w = len(tau.parents)
-    flag_lists = [tau.flags_of(w) for w in range(num_w)]
+    masks, _ = tau.subtree_masks()
+    flag_lists = [tau.flag_masks(w, masks) for w in range(num_w)]
     # keep each vertex's tuples that are their own least conjugate, with the
     # centraliser (the coset _least_conjugate returns for such a tuple, the
     # identity first as in all_p)
@@ -636,18 +639,14 @@ def _enumerate_cover_classes(h, tau, limit):
     b_index = {b: i for i, b in enumerate(h.b_marks)}
     mark_vertex = [tau.legs[b_index[h.f_map[a]]] for a in h.a_marks]
 
-    # target edges with their flag positions on each side
-    edge_list = []
-    edge_pos = []
-    for c, p in tau.edges():
-        posc = next(
-            i for i, f in enumerate(flag_lists[c]) if f[0] == "edge" and f[1] == p
-        )
-        posp = next(
-            i for i, f in enumerate(flag_lists[p]) if f[0] == "edge" and f[1] == c
-        )
-        edge_list.append((c, p))
-        edge_pos.append((posc, posp))
+    # target edges with their flag positions on each side: the child sees
+    # every mark outside its subtree, the parent the child's subtree
+    everything = (1 << tau.n + 1) - 2
+    edge_list = tau.edges()
+    edge_pos = [
+        (flag_lists[c].index(everything ^ masks[c]), flag_lists[p].index(masks[c]))
+        for c, p in edge_list
+    ]
 
     reps = {}
     labelings = {}  # (vertex, its tuple) -> (_least_labelings, ticks)
@@ -742,7 +741,7 @@ def count_covers_orbit_stabilizer(h, limit_tuples=None):
     limit = _tuple_budget(limit_tuples)
     d = h.d
     all_p, _ = _perm_pool(d)
-    flags = tau.flags_of(0)
+    flags = tau.flag_masks(0, tau.subtree_masks()[0])
     stab_total = 0
     for perms in _local_assignments(h, flags, limit):
         for labeling in _vertex_labelings(h, flags, perms, limit):

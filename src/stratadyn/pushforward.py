@@ -80,8 +80,9 @@ def _smooth_refined_class(cls, n, edge, smoothed):
             raise AssertionError(
                 "the smoothed tree has %d edges for %d old nodes" % (sigma.codim(), len(old_nodes))
             )
+        masks, _ = sigma.subtree_masks()
         smoothed[old_nodes] = (
-            (sigma, old_nodes), [sigma.flag_marksets(v) for v in range(sigma.num_vertices())]
+            (sigma, old_nodes), [sigma.flag_masks(v, masks) for v in range(sigma.num_vertices())]
         )
     key, vertex_blocks = smoothed[old_nodes]
 
@@ -91,10 +92,9 @@ def _smooth_refined_class(cls, n, edge, smoothed):
 
     contributions = {}
     for side, r in new_nodes:
-        blocks = next(
-            bl for bl in vertex_blocks if all(b <= side or b.isdisjoint(side) for b in bl)
-        )
-        inside = {pos for pos, b in enumerate(blocks, start=1) if b <= side}
+        mask = sum(1 << mark for mark in side)
+        blocks = next(bl for bl in vertex_blocks if all(b & mask in (0, b) for b in bl))
+        inside = {pos for pos, b in enumerate(blocks, start=1) if b & mask}
         norm = trees.normalize_split(len(blocks), inside)
         bucket = contributions.setdefault(frozenset(blocks), {})
         bucket[norm] = bucket.get(norm, 0) + rprod // r
@@ -162,12 +162,12 @@ def _push_column(full, tau, p_a, n_a, renum, deg_nu, limit_tuples, limit_strata)
     # each boundary direction pairs two of the four flag blocks at the
     # 4-valent vertex, adding their union as a split
     w_star = next(v for v in range(tau.num_vertices()) if tau.md(v) == 1)
-    blocks = tau.flag_marksets(w_star)
+    blocks = tau.flag_masks(w_star, tau.subtree_masks()[0])
     base = tau.splits()
     pairings = {}
     smoothed = {}  # old nodes -> (type key, flag blocks per vertex)
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        cut = trees.normalize_split(tau.n, blocks[i] | blocks[j])
+        cut = trees.split_of(tau.n, blocks[i] + blocks[j])
         tau_ref = trees.tree_from_splits(tau.n, base | {cut})
         edge = _edge_cutting(tau_ref, cut)
         local_deg = {}
@@ -194,8 +194,9 @@ def _push_column(full, tau, p_a, n_a, renum, deg_nu, limit_tuples, limit_strata)
             continue
         t_g = t.source_tree
         mod_vertices = [v for v in range(t_g.num_vertices()) if t_g.md(v) > 0]
+        masks, _ = t_g.subtree_masks()
         for v_hat in range(t_g.num_vertices()):
-            splitvals = per_vertex.get(frozenset(t_g.flag_marksets(v_hat)))
+            splitvals = per_vertex.get(frozenset(t_g.flag_masks(v_hat, masks)))
             if splitvals is None:
                 continue
             if t_g.num_vertices() == 1:
@@ -248,11 +249,12 @@ def _add_glued_class(col, splitvals, t_g, v_hat, mod_vertices, p_a, renum, mult,
     )
     n = t_g.n
     fixed = t_g.splits()
+    masks, _ = t_g.subtree_masks()
     for u in mod_vertices:
         if u != v_hat:
             point = trees.enumerate_strata(t_g.valence(u), 0)[0]
-            fixed |= trees.substitution_splits(n, t_g.flag_marksets(u), point)
-    blocks = t_g.flag_marksets(v_hat)
+            fixed |= trees.substitution_splits(n, t_g.flag_masks(u, masks), point)
+    blocks = t_g.flag_masks(v_hat, masks)
     for pos, c in sorted(coords.items()):
         small_tree = small.strata[small.basis[pos]]
         image = trees.project_splits(

@@ -25,13 +25,15 @@ by AND-ing per-split compatibility masks.  Validation is one pass over
 parents and legs.  Every edge's side comes from one pass, subtree_masks:
 the marks at and under each vertex as bitmasks, walking up from each mark
 on any valid encoding, canonical or not.  edge_splits and splits read their
-sides from it, and flags_of, flag_marksets and flag_masks read one flag
-list per vertex, in the one flag order: legs by mark, then edges by their
-least far-side mark (the far sides at a vertex are disjoint, so this is the
-order of their sorted mark sets).  away_marks and adjacency stay as the
-definitions the pass is checked against.  The curve classes of the homology
-pairing route and the reduction image types of hassett are keyed by these
-masks.
+sides from it, and flag_masks, the one flag reader, lists the flags at a
+vertex as mark bitmasks read from it, in the one flag order: legs by mark,
+then edges by their least far-side mark (the far sides at a vertex are
+disjoint, so this is the order of their sorted mark sets).  A caller that
+reads several vertices of one tree makes the pass once and hands its masks
+to flag_masks per vertex; split_of names the split of a mask, such as a
+union of flag blocks.  away_marks and adjacency stay as the definitions the
+pass is checked against.  The curve classes of the homology pairing route
+and the reduction image types of hassett are keyed by these masks.
 
 The canonical encoding is rooted at the centroid (no component of more
 than m/2 vertices once it is removed; two adjacent ones at most) with the
@@ -186,7 +188,7 @@ class MarkedTree:
     def away_marks(self, v, u):
         """Marks reachable from the neighbour u once the edge (v, u) is cut.
 
-        The definition of an edge's side; splits() and flags_of read every
+        The definition of an edge's side; splits() and flag_masks read every
         side at once from subtree_masks instead."""
         adj = self.adjacency()
         stack = [u]
@@ -226,54 +228,28 @@ class MarkedTree:
                 v = parents[v]
         return masks, sums
 
-    def _flags(self, v, masks):
-        """The flags at v in the one flag order, as (mark bitmask, far
-        vertex) pairs read from the subtree_masks `masks`: legs by mark (far
-        vertex -1), then edges by their least far-side mark.  The far sides
-        are disjoint, so that mark, the lowest set bit, orders them fully."""
-        out = [(1 << mark, -1) for mark, u in enumerate(self.legs, start=1) if u == v]
-        edges = [(masks[u], u) for u, p in enumerate(self.parents) if p == v]
-        p = self.parents[v]
-        if p >= 0:
-            edges.append((((1 << self.n + 1) - 2) ^ masks[v], p))
-        edges.sort(key=lambda f: f[0] & -f[0])
-        return out + edges
-
     def flag_masks(self, v, masks):
-        """The mark bitmasks of the flags at v, in flags_of order, from the
-        subtree_masks `masks` of this tree: flag_marksets(v) as bitmasks."""
-        return [mask for mask, _u in self._flags(v, masks)]
+        """The flags at v as mark bitmasks, read from the subtree_masks
+        `masks` of this tree, in the one flag order: legs by mark, then edges
+        by their least far-side mark.  The far sides are disjoint, so that
+        mark, the lowest set bit, orders them fully.  A leg's mask has one
+        bit, an edge's at least two."""
+        out = [1 << mark for mark, u in enumerate(self.legs, start=1) if u == v]
+        edges = [masks[u] for u, p in enumerate(self.parents) if p == v]
+        if self.parents[v] >= 0:
+            edges.append(((1 << self.n + 1) - 2) ^ masks[v])
+        edges.sort(key=lambda mask: mask & -mask)
+        return out + edges
 
     def edge_splits(self):
         """Each edge as (child, parent, split), in edges() order, the split
         normalised to the side without mark 1."""
         masks, _ = self.subtree_masks()
-        everything = (1 << self.n + 1) - 2
-        return [
-            (c, p, frozenset(_marks(everything ^ masks[c] if masks[c] & 2 else masks[c])))
-            for c, p in self.edges()
-        ]
+        return [(c, p, split_of(self.n, masks[c])) for c, p in self.edges()]
 
     def splits(self):
         """Splits cut by the edges, normalised to the side without mark 1."""
         return {side for _c, _p, side in self.edge_splits()}
-
-    def flags_of(self, v):
-        """Deterministic flag list at v: ('leg', mark) then ('edge', u, away).
-
-        The flags come in the one flag order of the module docstring.  It
-        depends only on mark labels, not on the vertex indexing, and is the
-        order used by glue_substitution to match flags with the marks of a
-        small tree.
-        """
-        return [
-            ("leg", mask.bit_length() - 1) if u < 0 else ("edge", u, frozenset(_marks(mask)))
-            for mask, u in self._flags(v, self.subtree_masks()[0])
-        ]
-
-    def flag_marksets(self, v):
-        """Mark sets of the flags at v, in flags_of order (legs give {mark})."""
-        return [frozenset(_marks(mask)) for mask, _u in self._flags(v, self.subtree_masks()[0])]
 
     def to_json_dict(self):
         """Stratum encoding: {"n": N, "parents": [...], "legs": {"1": vertex}}."""
@@ -463,6 +439,14 @@ def normalize_split(n, side):
     if 1 in side:
         side = frozenset(range(1, n + 1)) - side
     return side
+
+
+def split_of(n, mask):
+    """normalize_split of the side given as a mark bitmask (bit m for mark
+    m), as flag_masks and subtree_masks give it."""
+    if mask & 2:
+        mask ^= (1 << n + 1) - 2
+    return frozenset(_marks(mask))
 
 
 def all_splits(n):
@@ -686,23 +670,22 @@ def glue_substitution(host, subs):
     md(host, v) + sum of dim(subs[v]).
     """
     splits = host.splits()
+    masks, _ = host.subtree_masks()
     for v, small in subs.items():
-        splits |= substitution_splits(host.n, host.flag_marksets(v), small)
+        splits |= substitution_splits(host.n, host.flag_masks(v, masks), small)
     return tree_from_splits(host.n, splits)
 
 
 def substitution_splits(n, blocks, small):
     """The new splits of the n marks cut by a small tree glued into a vertex
-    whose flags carry the mark sets `blocks`, in flags_of order.
+    whose flags carry the mark bitmasks `blocks`, in flag_masks order.
 
     The small tree has marks 1..len(blocks) corresponding positionally to
-    the flags, so each of its splits names a union of the flag blocks.
+    the flags, so each of its splits names a union of the flag blocks, the
+    sum of their disjoint masks.
     """
     if small.n != len(blocks):
         raise ValueError(
             "small tree has %d marks but vertex has valence %d" % (small.n, len(blocks))
         )
-    return {
-        normalize_split(n, frozenset().union(*(blocks[i - 1] for i in s)))
-        for s in small.splits()
-    }
+    return {split_of(n, sum(blocks[i - 1] for i in s)) for s in small.splits()}

@@ -1,8 +1,11 @@
 """Shared fixtures."""
 
+import collections
+import sys
+
 import pytest
 
-from stratadyn import hurwitz
+from stratadyn import hurwitz, trees
 
 
 @pytest.fixture
@@ -13,3 +16,27 @@ def fresh_covers(monkeypatch):
     of the rest of the run are back in place after it."""
     for name in ("_CLASSES", "_VALUES", "_COVERS"):
         monkeypatch.setattr(hurwitz, name, {})
+
+
+@pytest.fixture
+def flag_passes(monkeypatch):
+    """Count the subtree_masks passes made for flags, per reader call and
+    tree: a Counter of (reader frame, tree) pairs, identified by object, the
+    reader being the nearest calling frame outside trees.  The passes that
+    edge_splits makes for a tree's splits are not counted.  Readers and
+    trees are kept alive for the test, so no two share an id."""
+    real = trees.MarkedTree.subtree_masks
+    passes = collections.Counter()
+    alive = []
+
+    def counted(tree, *args):
+        frame = sys._getframe(1)
+        if frame.f_code is not trees.MarkedTree.edge_splits.__code__:
+            while frame.f_code.co_filename == trees.__file__:
+                frame = frame.f_back
+            alive.append((frame, tree))
+            passes[id(frame), id(tree)] += 1
+        return real(tree, *args)
+
+    monkeypatch.setattr(trees.MarkedTree, "subtree_masks", counted)
+    return passes

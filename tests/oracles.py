@@ -10,7 +10,9 @@ are eliminated over Fractions instead of fraction-free integers; stable
 vertices sum Fraction flag weights instead of integer subtree sums; and cover
 counts come from raw tuple enumeration.  The oracles assemble their trees
 themselves, from per-vertex flag lists (`assemble`), rather than through the
-library's split-set builder.  Expected values frozen in the tests were
+library's split-set builder, and read a vertex's flags from the adjacency
+and away_marks definitions (`flags_by_definition`) rather than from the
+library's flag reader.  Expected values frozen in the tests were
 computed with these oracles (or by hand) before the corresponding library
 code was written.
 """
@@ -57,12 +59,27 @@ def assemble(n, vertices):
     return trees.MarkedTree(n, tuple(parents), tuple(legs))
 
 
+def flags_by_definition(t, v):
+    """The flags at v of t from the adjacency and away_marks definitions, in
+    the one flag order: ('leg', mark) by mark, then ('edge', neighbour, its
+    far-side marks) by their sorted marks."""
+    legs = [("leg", mark) for mark in sorted(t.legs_at()[v])]
+    edges = sorted((("edge", u, t.away_marks(v, u)) for u in t.adjacency()[v]),
+                   key=lambda f: sorted(f[2]))
+    return legs + edges
+
+
+def flag_marksets_by_definition(t, v):
+    """The mark sets of flags_by_definition(t, v), {mark} for a leg."""
+    return [frozenset([f[1]]) if f[0] == "leg" else f[2] for f in flags_by_definition(t, v)]
+
+
 def refine_at(t, v, away):
     """Split vertex v of t, moving the flags with indices in `away` to a new
     vertex joined to v by a fresh edge.  Independent of glue_substitution."""
     adj = t.adjacency()
     legs_at = t.legs_at()
-    flags = t.flags_of(v)
+    flags = flags_by_definition(t, v)
     m = len(t.parents)
     vertices = [[] for _ in range(m + 1)]
     for u in range(m):
@@ -133,7 +150,7 @@ def km_relations_reference(n, k):
         for v, val in enumerate(sigma._valences()):
             if val < 4:
                 continue
-            blocks = sigma.flag_marksets(v)
+            blocks = flag_marksets_by_definition(sigma, v)
             for quad in itertools.combinations(range(val), 4):
                 rest = [f for f in range(val) if f not in quad]
                 i1, i2, i3, i4 = quad
@@ -565,12 +582,12 @@ def brute_minimality_window(eps):
 
 def stable_vertices_reference(tree, eps):
     """Vertices whose flag weight sums, each truncated at 1, exceed 2,
-    summed as Fractions over flag_marksets."""
+    summed as Fractions over the flag mark sets by definition."""
     ws = [Fraction(w) for w in eps]
     out = []
     for v in range(len(tree.parents)):
         tot = Fraction(0)
-        for ms in tree.flag_marksets(v):
+        for ms in flag_marksets_by_definition(tree, v):
             s = sum(ws[i - 1] for i in ms)
             tot += min(s, Fraction(1))
         if tot > 2:
@@ -668,7 +685,7 @@ def brute_cover_keys(h, tau):
     d = h.d
     sheets = list(itertools.permutations(range(d)))
     num_w = len(tau.parents)
-    flags = [tau.flags_of(w) for w in range(num_w)]
+    flags = [flags_by_definition(tau, w) for w in range(num_w)]
 
     def leg_type_ok(f, g):
         if f[0] != "leg":

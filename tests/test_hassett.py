@@ -13,6 +13,7 @@ import pytest
 from stratadyn import filtration, hassett, homology, linalg, trees
 from oracles import (
     brute_minimality_window,
+    flag_marksets_by_definition,
     reduce_index_vec_reference,
     relabel_vertices,
     stable_vertices_reference,
@@ -228,7 +229,7 @@ def test_image_key_buckets_are_the_image_type_buckets():
             want = []
             for t in strata:
                 (v,) = stable_vertices_reference(t, eps)
-                want.append((frozenset(t.flag_marksets(v)), t.md(v)))
+                want.append((frozenset(flag_marksets_by_definition(t, v)), t.md(v)))
             for ts in (strata, relabelled):
                 keys = [hassett._image_key(t, W, D) for t in ts]
                 types = [hassett.reduction_image_type(t, eps) for t in ts]

@@ -109,6 +109,16 @@ def _sign_normalised(row, column):
 RELATION_ROUTE = [(n, k) for n in range(5, 8) for k in range(2, n - 2)] + [(8, 4)]
 
 
+def test_km_relations_read_each_tree_once_for_its_flags(flag_passes):
+    # every (7,3) stratum is read at each vertex of valence >= 4, several
+    # of them at more than one vertex, with one flag pass per tree
+    homology.km_relations(7, 2)
+    sigmas = trees.enumerate_strata(7, 3)
+    assert max(sum(val >= 4 for val in t._valences()) for t in sigmas) > 1
+    assert sum(flag_passes.values()) == len(sigmas)
+    assert set(flag_passes.values()) == {1}
+
+
 def test_km_relations_span_the_reference_relations():
     # the quadruples through two fixed flags, two differences each, span the
     # same space as every quadruple with all three differences; (5,1) is the
@@ -128,6 +138,22 @@ def test_relation_rows_in_any_order_give_the_same_rows():
     backward = _relation_space(7, 2, rows[::-1])
     assert forward.rows == backward.rows
     assert len(forward.rows) == len(trees.enumerate_strata(7, 2)) - 127
+
+
+def test_pairing_rejects_bad_strata_and_sides():
+    # the (5,1) stratum with blocks {1}, {2}, {3}, {4,5} at its 4-valent
+    # vertex; a side with a mark outside 1..5 names no split, though its
+    # complement in 1..5 may be a union of two blocks
+    t = trees.MarkedTree(5, (-1, 0), (0, 0, 0, 1, 1))
+    assert homology.intersection_pairing_h2(t, {3, 4, 5}) == 1
+    for side in ({1, 2, 9}, {0, 4, 5}, {1, 2, -3}, {2, 3, 6}):
+        with pytest.raises(ValueError, match="outside"):
+            homology.intersection_pairing_h2(t, side)
+    for side in ({1}, {1, 2, 3, 4}, set()):
+        with pytest.raises(ValueError, match="size"):
+            homology.intersection_pairing_h2(t, side)
+    with pytest.raises(ValueError, match="1-dimensional"):
+        homology.intersection_pairing_h2(trees.trivial_tree(5), {1, 2})
 
 
 def test_pairing_hand_values():
@@ -406,7 +432,7 @@ def test_curve_classes_are_the_four_block_keys():
         pres = homology.homology_basis(n, 1)
         groups = {}
         for i, t in enumerate(pres.strata):
-            blocks = t.flag_marksets(t._valences().index(4))
+            blocks = oracles.flag_marksets_by_definition(t, t._valences().index(4))
             key = homology._curve_key(t)
             assert key == frozenset(sum(1 << mark for mark in b) for b in blocks), (n, i)
             groups.setdefault(key, []).append(i)

@@ -531,8 +531,10 @@ def test_cold_miss_reads_each_flag_list_once(fresh_covers, monkeypatch):
     # read the flag lists it built, one per target vertex; a kept result
     # reads none
     calls = []
-    real = trees.MarkedTree.flags_of
-    monkeypatch.setattr(trees.MarkedTree, "flags_of", lambda t, v: calls.append(v) or real(t, v))
+    real = trees.MarkedTree.flag_masks
+    monkeypatch.setattr(
+        trees.MarkedTree, "flag_masks", lambda t, v, masks: calls.append(v) or real(t, v, masks)
+    )
     full, _ = fully_mark(fig1_datum())
     cases = [
         (full, trees.enumerate_strata(4, 0)[0]),

@@ -116,6 +116,14 @@ def d2_self_map_datum():
     )
 
 
+def test_pushforward_reads_each_tree_once_for_its_flags(flag_passes):
+    # the smoothed source curves, the cover types' source curves and the
+    # target vertices each read every vertex of one tree, from one pass
+    pushforward.pushforward_h2(d2_self_map_datum())
+    assert flag_passes
+    assert set(flag_passes.values()) == {1}
+
+
 def test_d2_five_mark_self_map_matrix():
     # the matrix as computed before the smoothing ran on node splits
     mat = self_correspondence_matrix(d2_self_map_datum(), 1)

@@ -19,6 +19,7 @@ from stratadyn import trees
 from oracles import (
     canonical_form_reference,
     enumerate_strata_reference,
+    flag_marksets_by_definition,
     forget_by_contraction,
     one_edge_refinements,
     random_stable_tree,
@@ -109,14 +110,6 @@ def test_count_oracle_matches_known_counts():
         10395, 17325, 9450, 1918, 119, 1]
 
 
-def _flags_by_definition(t, v):
-    adj = t.adjacency()
-    legs = [("leg", mark) for mark in sorted(t.legs_at()[v])]
-    edges = sorted((("edge", u, t.away_marks(v, u)) for u in adj[v]),
-                   key=lambda f: sorted(f[2]))
-    return legs + edges
-
-
 def test_edge_sides_match_the_away_marks_definition():
     rng = random.Random(16)
     for n in range(3, 8):
@@ -129,12 +122,11 @@ def test_edge_sides_match_the_away_marks_definition():
             ]
             assert t.edge_splits() == edge_splits, t
             assert t.splits() == {side for _c, _p, side in edge_splits}, t
+            masks, _ = t.subtree_masks()
             for v in range(t.num_vertices()):
-                flags = _flags_by_definition(t, v)
-                assert t.flags_of(v) == flags, (t, v)
-                assert t.flag_marksets(v) == [
-                    frozenset([f[1]]) if f[0] == "leg" else f[2] for f in flags
-                ], (t, v)
+                # one flag order: position by position, not as sets
+                want = list(map(_mask, flag_marksets_by_definition(t, v)))
+                assert t.flag_masks(v, masks) == want, (t, v)
 
 
 def test_canonical_form_idempotent():
@@ -383,9 +375,6 @@ def test_subtree_masks_match_the_mark_sets_on_any_encoding():
             assert masks == [_mask(b) for b in below], t
             assert sums == [sum(weights[mark - 1] for mark in b) for b in below], t
             assert t.subtree_masks() == (masks, None), t
-            for v in range(t.num_vertices()):
-                # one flag order: position by position, not as sets
-                assert t.flag_masks(v, masks) == list(map(_mask, t.flag_marksets(v))), (t, v)
 
 
 def test_tree_from_splits_rejects_unstable_sides():
