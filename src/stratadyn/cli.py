@@ -368,7 +368,7 @@ def _crit_relation_orthogonality():
                 )
                 assert tot == 0, "a relation pairs to %s against %r at N=%d" % (
                     tot,
-                    sorted(s),
+                    list(trees.marks_of(s)),
                     n,
                 )
                 checked += 1

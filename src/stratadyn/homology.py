@@ -293,8 +293,9 @@ def homology_dims(n, limit_strata=None):
 # -- intersection pairing against boundary divisors -------------------------
 
 
-def intersection_pairing_h2(tree, side):
-    """Pairing of a 1-dim stratum class with the boundary divisor of a split.
+def intersection_pairing_h2(tree, split):
+    """Pairing of a 1-dim stratum class with the boundary divisor of a split,
+    given as the mark bitmask of either side.
 
     The stratum has a unique 4-valent vertex whose flags partition the marks
     into four blocks.  The divisor meets the stratum curve transversally in
@@ -304,14 +305,11 @@ def intersection_pairing_h2(tree, side):
     """
     if tree.dim() != 1:
         raise ValueError("pairing requires a 1-dimensional stratum")
-    side = frozenset(side)
-    if not side <= frozenset(range(1, tree.n + 1)):
-        raise ValueError("split side has marks outside 1..%d" % tree.n)
-    if not (2 <= len(side) <= tree.n - 2):
+    side = trees.split_of(tree.n, split)
+    if not (2 <= side.bit_count() <= tree.n - 2):
         raise ValueError("not a 2-sided split with both sides of size >= 2")
     masks, _ = tree.subtree_masks()
     blocks = tree.flag_masks(tree._valences().index(4), masks)
-    side = sum(1 << mark for mark in side)
     other = ((1 << tree.n + 1) - 2) ^ side
     if side in blocks or other in blocks:
         return -1
@@ -324,7 +322,7 @@ def intersection_pairing_h2(tree, side):
 
 @lru_cache(maxsize=None)
 def _split_columns(n):
-    """Normalised split side -> its position in all_splits(n)."""
+    """Split mask -> its position in all_splits(n)."""
     return {s: j for j, s in enumerate(trees.all_splits(n))}
 
 
@@ -367,8 +365,8 @@ def pairing_rows(pres):
 
 
 def _pairing_columns(n, count):
-    """Normalised split side -> its column in a pairing row, all below the
-    stratum columns 0, -1, ..., 1 - count."""
+    """Split mask -> its column in a pairing row, all below the stratum
+    columns 0, -1, ..., 1 - count."""
     splits = _split_columns(n)
     low = -len(splits) - count
     return {s: low + j for s, j in splits.items()}
@@ -378,12 +376,12 @@ def solve_class_from_pairings(pres, pairings):
     """The H_2 class with the given split pairings, in coordinates of the
     k = 1 presentation `pres` that homology_basis returned.
 
-    `pairings` maps split sides to rationals; a side and its complement name
-    the same split, and missing splits are treated as zero.  The vector is
-    reduced against the basis strata's pairing rows: a surviving split column
-    means no class matches, and otherwise the stratum columns hold minus the
-    coordinates.  Raises ValueError on unknown splits, on two values for one
-    split and on inconsistent data.
+    `pairings` maps split masks of either side to rationals; missing splits
+    are treated as zero.  The vector is reduced against the basis strata's
+    pairing rows: a surviving split column means no class matches, and
+    otherwise the stratum columns hold minus the coordinates.  Raises
+    ValueError on bits outside marks 1..n, on unknown splits, on two values
+    for one split and on inconsistent data.
     """
     if pres.k != 1:
         raise ValueError("pairings live on 1-dimensional stratum classes")
@@ -391,14 +389,15 @@ def solve_class_from_pairings(pres, pairings):
     column = _pairing_columns(n, count)
     given = {}
     for s, val in pairings.items():
-        side = trees.normalize_split(n, s)
+        side = trees.split_of(n, s)
         val = Fraction(val)
         if given.setdefault(side, val) != val:
             raise ValueError("pairings give split %s two values: %s and %s"
-                             % (sorted(side), given[side], val))
+                             % (list(trees.marks_of(side)), given[side], val))
     unknown = set(given) - set(column)
     if unknown:
-        raise ValueError("pairings mention unknown splits: %r" % sorted(map(sorted, unknown)))
+        raise ValueError("pairings mention unknown splits: %r"
+                         % sorted(list(trees.marks_of(s)) for s in unknown))
     v, den = pres._pairing_space.reduce({column[s]: val for s, val in given.items()})
     if v and min(v) < 1 - count:
         raise ValueError("pairing system for n=%d: inconsistent system: "

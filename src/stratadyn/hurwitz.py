@@ -111,6 +111,12 @@ class HurwitzData:
 
     @staticmethod
     def from_json_dict(dd):
+        """Decode to_json_dict's encoding; F, br, rm and identify must be
+        objects (identify may be null), or ValueError is raised."""
+        for name in ("F", "br", "rm", "identify"):
+            value = dd[name] if name in dd else {}
+            if not isinstance(value, dict) and not (name == "identify" and value is None):
+                raise ValueError("%s must be an object keyed by mark" % name)
         return HurwitzData(
             dd["A"],
             dd["B"],
@@ -314,8 +320,8 @@ class CoverClass:
     matchings).  Another candidate of the class numbers its sheets and
     components differently, but builds the same source curve.
 
-    nodes: per source node (normalised split over a_marks positions, r, its
-    target edge's position in tau.edges()), sorted by split, then r.
+    nodes: per source node (split mask over a_marks positions, r, its target
+    edge's position in tau.edges()), sorted by the split's marks, then r.
     """
 
     __slots__ = ("tau", "key", "nodes")
@@ -718,9 +724,9 @@ def _enumerate_cover_classes(h, tau, limit):
                 key = (vertex_perms, enc_label, matchings)
                 if key in reps:
                     raise AssertionError("cover class keyed twice: %r" % (key,))
-                comp_marks = [[] for _ in range(num_comps)]
+                comp_marks = [0] * num_comps
                 for pos, (a, w) in enumerate(zip(h.a_marks, mark_vertex), start=1):
-                    comp_marks[comp_at[w][labeling[a][1][0]]].append(pos)
+                    comp_marks[comp_at[w][labeling[a][1][0]]] |= 1 << pos
                 reps[key] = _node_sides(n, comp_marks, src_edges)
     return marshal.dumps(tuple((k, reps[k]) for k in sorted(reps)))
 
@@ -767,7 +773,7 @@ class CoverType:
     """Isomorphism type of labeled covers over a fixed target tree.
 
     source_tree is the stable tree on the source marks (positions in
-    a_marks); node_data lists (normalised split side, r) per source node;
+    a_marks); node_data lists (split mask, r) per source node, as nodes;
     multiplicity is the product of the node ramifications; count the number
     of labeled-cover classes of this type.
     """
@@ -782,13 +788,13 @@ class CoverType:
 
 
 def _node_sides(n, comp_marks, comp_edges):
-    """Each node of a source curve as (normalised split, r, e), sorted by
-    split, then r.
+    """Each node of a source curve as (split mask, r, e), sorted by the
+    split's marks, then r.
 
-    comp_marks lists the marks (1..n) on each component and comp_edges the
-    (i, j, r, e) nodes between components, r the ramification and e the
-    target edge the node lies over; they form a tree, and a node's split
-    cuts off the marks on its far side.  One pass gathers the marks below
+    comp_marks holds the mask of the marks (1..n) on each component and
+    comp_edges the (i, j, r, e) nodes between components, r the ramification
+    and e the target edge the node lies over; they form a tree, and a node's
+    split cuts off the marks on its far side.  One pass ORs the masks below
     each component with the tree rooted at component 0.
     """
     adj = [[] for _ in comp_marks]
@@ -802,19 +808,19 @@ def _node_sides(n, comp_marks, comp_edges):
             if y != up[x]:
                 up[y] = x
                 order.append(y)
-    below = [set(marks) for marks in comp_marks]
+    below = list(comp_marks)
     for x in reversed(order[1:]):
         below[up[x]] |= below[x]
     nodes = [
-        (trees.normalize_split(n, below[j] if up[j] == i else below[i]), r, e)
+        (trees.split_of(n, below[j] if up[j] == i else below[i]), r, e)
         for i, j, r, e in comp_edges
     ]
-    return tuple(sorted(nodes, key=lambda x: (tuple(sorted(x[0])), x[1])))
+    return tuple(sorted(nodes, key=lambda x: (trees.marks_of(x[0]), x[1])))
 
 
 def _source_tree_of_class(n, node_data):
     """A source curve as a stable marked tree: the canonical tree cut by the
-    splits of its (normalised split, r) node data."""
+    splits of its (split, r) node data."""
     return trees.tree_from_splits(n, [side for side, _r in node_data])
 
 
@@ -847,7 +853,7 @@ def degeneration_degree_check(h, tau, limit_tuples=None):
         "types": [
             {
                 "source": t.source_tree.to_json_dict(),
-                "nodes": [{"side": sorted(side), "r": r} for side, r in t.node_data],
+                "nodes": [{"side": list(trees.marks_of(side)), "r": r} for side, r in t.node_data],
                 "count": t.count,
                 "multiplicity": t.multiplicity,
                 "codim": t.source_tree.codim(),

@@ -25,7 +25,8 @@ over the new target edge, found by its position, are new and the rest old;
 the source curve is cut by the splits of the old nodes, and each new node's
 split names its smoothed vertex and the flag split it pairs with there.
 Source vertices are named by their flag blocks, which are unique per vertex
-even where a component carries no mark.  A vertex class is solved in the
+even where a component carries no mark.  Every split is a `trees.split_of`
+mask, over a_marks or flag positions.  A vertex class is solved in the
 presentation of its own valence, under the caller's `limit_strata`.
 """
 
@@ -61,8 +62,8 @@ def _smooth_refined_class(cls, n, edge, smoothed):
     splits that vertex's flags into the blocks inside S and the rest.
     Returns (type key, contributions, product of new-node ramifications)
     where contributions maps each smoothed vertex, named by its flag blocks,
-    to {normalised flag split: weight}, the weight of a node being the
-    product of the other new nodes' ramifications.
+    to {flag split mask: weight}, the weight of a node being the product of
+    the other new nodes' ramifications.
 
     The classes of one type share their old nodes, which come sorted, so
     `smoothed` keeps the type key and the flag blocks of each smoothed
@@ -91,11 +92,10 @@ def _smooth_refined_class(cls, n, edge, smoothed):
         rprod *= r
 
     contributions = {}
-    for side, r in new_nodes:
-        mask = sum(1 << mark for mark in side)
-        blocks = next(bl for bl in vertex_blocks if all(b & mask in (0, b) for b in bl))
-        inside = {pos for pos, b in enumerate(blocks, start=1) if b & mask}
-        norm = trees.normalize_split(len(blocks), inside)
+    for split, r in new_nodes:
+        blocks = next(bl for bl in vertex_blocks if all(b & split in (0, b) for b in bl))
+        inside = sum(1 << pos for pos, b in enumerate(blocks, start=1) if b & split)
+        norm = trees.split_of(len(blocks), inside)
         bucket = contributions.setdefault(frozenset(blocks), {})
         bucket[norm] = bucket.get(norm, 0) + rprod // r
     return key, contributions, rprod
@@ -144,9 +144,7 @@ def pushforward_h2(h, limit_tuples=None, limit_strata=None):
 
     columns = []
     for tau in p_b.basis_trees():
-        columns.append(_push_column(
-            full, tau, p_a, n_a, renum, deg_nu, limit_tuples, limit_strata
-        ))
+        columns.append(_push_column(full, tau, p_a, renum, deg_nu, limit_tuples, limit_strata))
     matrix = tuple(
         tuple(columns[j].get(i, ZERO) for j in range(len(columns)))
         for i in range(p_a.rank)
@@ -154,7 +152,7 @@ def pushforward_h2(h, limit_tuples=None, limit_strata=None):
     return PushforwardMatrix(matrix, p_b, p_a, aprime, deg_nu)
 
 
-def _push_column(full, tau, p_a, n_a, renum, deg_nu, limit_tuples, limit_strata):
+def _push_column(full, tau, p_a, renum, deg_nu, limit_tuples, limit_strata):
     n = len(full.a_marks)
     types = hurwitz.enumerate_cover_types(full, tau, limit_tuples)
     by_key = {(t.source_tree, t.node_data): t for t in types}
@@ -200,7 +198,7 @@ def _push_column(full, tau, p_a, n_a, renum, deg_nu, limit_tuples, limit_strata)
             if splitvals is None:
                 continue
             if t_g.num_vertices() == 1:
-                _add_projected_class(col, splitvals, p_a, n_a, renum, t.multiplicity)
+                _add_projected_class(col, splitvals, p_a, renum, t.multiplicity)
             else:
                 _add_glued_class(
                     col, splitvals, t_g, v_hat, mod_vertices,
@@ -211,24 +209,23 @@ def _push_column(full, tau, p_a, n_a, renum, deg_nu, limit_tuples, limit_strata)
 
 
 def _edge_cutting(tree, split):
-    """The position in tree.edges() of the edge that cuts the normalised
+    """The position in tree.edges() of the edge that cuts the split mask
     `split`, read off the splits of every edge at once."""
     for pos, (_c, _p, side) in enumerate(tree.edge_splits()):
         if side == split:
             return pos
-    raise AssertionError("no edge of the refined target cuts the split %r" % sorted(split))
+    raise AssertionError("no edge of the refined target cuts %r" % list(trees.marks_of(split)))
 
 
-def _add_projected_class(col, splitvals, p_a, n_a, renum, mult):
+def _add_projected_class(col, splitvals, p_a, renum, mult):
     """Single-component source: push the divisor pairings directly down the
     forgetful map and solve in the retained-mark space.  A split of the big
-    space pairs through exactly when it traces a genuine split below."""
+    space pairs through exactly when it traces a split below (project_split)."""
     pairs = {}
-    for side, wgt in splitvals.items():
-        tr = frozenset(renum[mk] for mk in side if mk in renum)
-        if 2 <= len(tr) <= n_a - 2:
-            norm = trees.normalize_split(n_a, tr)
-            pairs[norm] = pairs.get(norm, ZERO) + Fraction(wgt)
+    for split, wgt in splitvals.items():
+        image = trees.project_split(split, renum)
+        if image:
+            pairs[image] = pairs.get(image, ZERO) + Fraction(wgt)
     linalg.axpy(col, mult, homology.solve_class_from_pairings(p_a, pairs))
 
 

@@ -12,14 +12,16 @@ parent index (-1 for the root), legs[i-1] is the vertex carrying mark i.  Two
 encodings describe the same stratum iff their canonical forms are equal.
 
 A stratum is also fixed by its set of pairwise-compatible splits, the mark
-bipartitions cut by its edges (Keel, Trans. AMS 330, 1992).  Derived strata
-(gluing small trees into vertices, forgetting marks) are computed on split
-sets and built by tree_from_splits, and so are the source curves of covers
-(`hurwitz._source_tree_of_class`, from the split of each source node).  The
-split-set cores, substitution_splits and project_splits, are public: the
-pushforward glues and forgets on split sets with them and builds only the
-image tree, and glue_substitution and forget_pushforward are these cores
-plus the trees at either end.
+bipartitions cut by its edges (Keel, Trans. AMS 330, 1992).  A split is one
+int in every module, the mark bitmask (bit m for mark m) of its side without
+mark 1: split_of, the one normaliser, names it from a mask of either side,
+normalize_split from a mark set, and marks_of reads its marks out.  Derived
+strata (gluing small trees into vertices, forgetting marks) are computed on
+split sets and built by tree_from_splits, and so are the source curves of
+covers (`hurwitz._source_tree_of_class`).  The split-set cores,
+substitution_splits and project_splits, are public: the pushforward glues and
+forgets with them and builds only the image tree, and glue_substitution and
+forget_pushforward are these cores plus the trees at either end.
 enumerate_strata searches split sets as integer bitmasks, growing each set
 by AND-ing per-split compatibility masks.  Validation is one pass over
 parents and legs.  Every edge's side comes from one pass, subtree_masks:
@@ -30,9 +32,8 @@ vertex as mark bitmasks read from it, in the one flag order: legs by mark,
 then edges by their least far-side mark (the far sides at a vertex are
 disjoint, so this is the order of their sorted mark sets).  A caller that
 reads several vertices of one tree makes the pass once and hands its masks
-to flag_masks per vertex; split_of names the split of a mask, such as a
-union of flag blocks.  away_marks and adjacency stay as the definitions the
-pass is checked against.  The curve classes of the homology pairing route
+to flag_masks per vertex.  away_marks and adjacency stay as the definitions
+the pass is checked against.  The curve classes of the homology pairing route
 and the reduction image types of hassett are keyed by these masks.
 
 The canonical encoding is rooted at the centroid (no component of more
@@ -243,12 +244,12 @@ class MarkedTree:
 
     def edge_splits(self):
         """Each edge as (child, parent, split), in edges() order, the split
-        normalised to the side without mark 1."""
+        the mark bitmask of its side without mark 1 (split_of)."""
         masks, _ = self.subtree_masks()
         return [(c, p, split_of(self.n, masks[c])) for c, p in self.edges()]
 
     def splits(self):
-        """Splits cut by the edges, normalised to the side without mark 1."""
+        """The set of splits cut by the edges, as split_of masks."""
         return {side for _c, _p, side in self.edge_splits()}
 
     def to_json_dict(self):
@@ -262,8 +263,10 @@ class MarkedTree:
     @staticmethod
     def from_json_dict(d):
         """Decode to_json_dict's encoding.  Raises ValueError unless the leg
-        table places each mark 1..n exactly once and the tree is stable."""
+        object places each mark 1..n exactly once and the tree is stable."""
         n = int(d["n"])
+        if not isinstance(d["legs"], dict):
+            raise ValueError("legs must be an object {mark: vertex}")
         legs = [None] * n
         for mark, v in d["legs"].items():
             m = int(mark)
@@ -433,59 +436,22 @@ def tree_sort_key(tree):
 # -- splits and enumeration ----------------------------------------------
 
 
-def normalize_split(n, side):
-    """A split as an unordered pair, named by the side without mark 1."""
-    side = frozenset(side)
-    if 1 in side:
-        side = frozenset(range(1, n + 1)) - side
-    return side
+def normalize_split(n, marks):
+    """The split with one side the mark set `marks`, named by split_of."""
+    return split_of(n, sum(1 << mark for mark in set(marks)))
 
 
 def split_of(n, mask):
-    """normalize_split of the side given as a mark bitmask (bit m for mark
-    m), as flag_masks and subtree_masks give it."""
-    if mask & 2:
-        mask ^= (1 << n + 1) - 2
-    return frozenset(_marks(mask))
+    """The split with one side the mark bitmask `mask` (bit m for mark m),
+    named by the mask of its side without mark 1.  Raises ValueError on bit
+    0 or a bit above n."""
+    full = (1 << n + 1) - 2
+    if mask < 0 or mask & ~full:
+        raise ValueError("split mask %#x has bits outside marks 1..%d" % (mask, n))
+    return mask ^ full if mask & 2 else mask
 
 
-def all_splits(n):
-    """All 2-sided splits of {1..n} with both sides of size >= 2.
-
-    Returned as normalised sides, sorted by (size, sorted marks).
-    """
-    rest = list(range(2, n + 1))
-    out = []
-    for bits in range(1 << len(rest)):
-        side = frozenset(rest[i] for i in range(len(rest)) if bits >> i & 1)
-        if 2 <= len(side) <= n - 2:
-            out.append(side)
-    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return out
-
-
-def tree_from_splits(n, splits):
-    """Assemble the stratum whose edges cut exactly the given splits.
-
-    `splits` must be pairwise compatible, with both sides of size >= 2.
-    Named by their sides without mark 1, they nest or are disjoint: each
-    split is a vertex below the smallest split containing it (below the
-    vertex of mark 1 when none does), and each mark sits at the smallest
-    split containing it.  Every vertex is then stable.  The splits are
-    hung in increasing size, as enumerate_strata adds them.  Returns a
-    canonical MarkedTree.
-    """
-    sides = sorted({normalize_split(n, s) for s in splits}, key=len)
-    labels = _Labels()
-    tops = []
-    for s in sides:
-        if not 2 <= len(s) <= n - 2:
-            raise ValueError("split %r has a side with fewer than 2 marks" % sorted(s))
-        tops = _hang(tops, sum(1 << mark for mark in s), labels)
-    return _finish(n, _top(n, tops, labels))
-
-
-def _marks(mask):
+def marks_of(mask):
     """The marks of a mark bitmask (bit m for mark m), in increasing order."""
     marks = []
     while mask:
@@ -495,11 +461,38 @@ def _marks(mask):
     return tuple(marks)
 
 
+def all_splits(n):
+    """All splits of {1..n} with both sides of size >= 2, sorted by (size,
+    sorted marks) of their sides without mark 1."""
+    return sorted((b << 2 for b in range(1 << n - 1) if 2 <= b.bit_count() <= n - 2),
+                  key=lambda s: (s.bit_count(), marks_of(s)))
+
+
+def tree_from_splits(n, splits):
+    """Assemble the stratum whose edges cut exactly the given splits.
+
+    `splits` are masks of either side, pairwise compatible, with both sides
+    of size >= 2.  Named by split_of, they nest or are disjoint: each split
+    is a vertex below the smallest split containing it (below the vertex of
+    mark 1 when none does), and each mark sits at the smallest split
+    containing it.  Every vertex is then stable.  The splits are hung in
+    increasing size, as enumerate_strata adds them.  Returns a canonical
+    MarkedTree, and raises ValueError on any other input.
+    """
+    labels = _Labels()
+    tops = []
+    for s in sorted({split_of(n, s) for s in splits}, key=int.bit_count):
+        if not 2 <= s.bit_count() <= n - 2:
+            raise ValueError("split %r has a side with fewer than 2 marks" % list(marks_of(s)))
+        tops = _hang(tops, s, labels)
+    return _finish(n, _top(n, tops, labels))
+
+
 class _Labels(dict):
     """Mark bitmask -> (its sorted marks, the subcode head "(marks;")."""
 
     def __missing__(self, mask):
-        marks = _marks(mask)
+        marks = marks_of(mask)
         self[mask] = label = marks, _head(marks)
         return label
 
@@ -574,7 +567,7 @@ def _enumerate(n, k, budget):
     made when the search first picks it, so a capped call that stops early
     pays for the splits it reached only."""
     codim = n - 3 - k
-    masks = [sum(1 << mark for mark in s) for s in all_splits(n)]
+    masks = all_splits(n)
     compat = [None] * len(masks)  # i -> mask of the later splits compatible with i
     labels = _Labels()
     out = []
@@ -641,22 +634,27 @@ def project_splits(n, splits, renum):
     """Splits of the image of a stratum of the n-mark space under forgetting
     the marks outside `renum`, or None when the class dies.
 
-    `renum` maps each kept mark to its number 1..|renum| in the image.  Each
-    split projects to the kept marks, and the projections with both sides of
-    size >= 2 are the image's splits.  Forgetting one mark contracts one edge
-    when the mark sits on a trivalent vertex and lowers the image dimension
-    otherwise, so the class survives exactly when n - |renum| splits are
-    lost.
+    The image's splits are the nonzero project_split of each split.
+    Forgetting one mark contracts one edge when the mark sits on a trivalent
+    vertex and lowers the image dimension otherwise, so the class survives
+    exactly when n - |renum| splits are lost.
     """
-    m = len(renum)
-    image = set()
-    for s in splits:
-        side = frozenset(renum[mk] for mk in s if mk in renum)
-        if 2 <= len(side) <= m - 2:
-            image.add(normalize_split(m, side))
-    if len(splits) - len(image) != n - m:
+    image = {project_split(s, renum) for s in splits}
+    image.discard(0)
+    if len(splits) - len(image) != n - len(renum):
         return None
     return image
+
+
+def project_split(split, renum):
+    """The split `split` traces on the marks `renum` keeps, each renumbered
+    renum[mark] in the image, or 0 when a side keeps fewer than 2 marks."""
+    m = len(renum)
+    side = 0
+    for mark in marks_of(split):
+        if mark in renum:
+            side |= 1 << renum[mark]
+    return split_of(m, side) if 2 <= side.bit_count() <= m - 2 else 0
 
 
 # -- gluing small trees into vertices ----------------------------------------
@@ -688,4 +686,4 @@ def substitution_splits(n, blocks, small):
         raise ValueError(
             "small tree has %d marks but vertex has valence %d" % (small.n, len(blocks))
         )
-    return {split_of(n, sum(blocks[i - 1] for i in s)) for s in small.splits()}
+    return {split_of(n, sum(blocks[i - 1] for i in marks_of(s))) for s in small.splits()}

@@ -12,9 +12,11 @@ counts come from raw tuple enumeration.  The oracles assemble their trees
 themselves, from per-vertex flag lists (`assemble`), rather than through the
 library's split-set builder, and read a vertex's flags from the adjacency
 and away_marks definitions (`flags_by_definition`) rather than from the
-library's flag reader.  Expected values frozen in the tests were
-computed with these oracles (or by hand) before the corresponding library
-code was written.
+library's flag reader.  They keep splits as mark sets
+(`all_splits_reference`, `splits_by_definition`) where the library keeps
+bitmasks, and hand a split to the library through `trees.normalize_split`.
+Expected values frozen in the tests were computed with these oracles (or by
+hand) before the corresponding library code was written.
 """
 
 from __future__ import annotations
@@ -143,10 +145,10 @@ def km_relations_reference(n, k):
         return []
     strata = trees.enumerate_strata(n, k)
     index = {t: i for i, t in enumerate(strata)}
-    by_splits = {frozenset(t.splits()): t for t in strata}
+    by_splits = {splits_by_definition(t): t for t in strata}
     rows = []
     for sigma in trees.enumerate_strata(n, k + 1):
-        base = frozenset(sigma.splits())
+        base = splits_by_definition(sigma)
         for v, val in enumerate(sigma._valences()):
             if val < 4:
                 continue
@@ -160,7 +162,7 @@ def km_relations_reference(n, k):
                     for r in range(len(rest) + 1):
                         for d1 in itertools.combinations(rest, r):
                             side = blocks[a].union(blocks[b], *(blocks[f] for f in d1))
-                            t = by_splits[base | {trees.normalize_split(n, side)}]
+                            t = by_splits[base | {side_without_one(n, side)}]
                             acc[t] = acc.get(t, 0) + 1
                     sums.append(acc)
                 for x in range(3):
@@ -312,6 +314,26 @@ class RowSpaceReference:
         return tuple((p, tuple(sorted(rr[p].items()))) for p in sorted(rr))
 
 
+def side_without_one(n, side):
+    """The side of the split cut by the mark set `side` that leaves out
+    mark 1, as a mark set."""
+    side = frozenset(side)
+    return frozenset(range(1, n + 1)) - side if 1 in side else side
+
+
+def splits_by_definition(t):
+    """The splits of t from the away_marks definition, as the mark sets of
+    their sides without mark 1."""
+    return frozenset(side_without_one(t.n, t.away_marks(p, c)) for c, p in t.edges())
+
+
+def all_splits_reference(n):
+    """Every split of the marks 1..n with both sides of size >= 2, as the
+    mark set of its side without mark 1, sorted by (size, sorted marks)."""
+    sides = [frozenset(c) for r in range(2, n - 1) for c in itertools.combinations(range(2, n + 1), r)]
+    return sorted(sides, key=lambda s: (len(s), sorted(s)))
+
+
 def splits_compatible(a, b):
     """Normalised sides never contain mark 1, so two splits are compatible
     exactly when their sides are nested or disjoint."""
@@ -408,7 +430,7 @@ def enumerate_strata_reference(n, k):
     of n-3-k splits grown one split at a time, each set assembled and
     canonicalised by canonical_form_reference, sorted by tree_sort_key."""
     codim = n - 3 - k
-    splits = trees.all_splits(n)
+    splits = all_splits_reference(n)
     out = []
     chosen = []
 
@@ -455,8 +477,9 @@ def strata_count_by_rooted_trees(n, k):
 
 
 def random_stable_tree(rng, n, num_edges=None):
-    """A uniform-ish random stratum: grow a random compatible split set."""
-    splits = trees.all_splits(n)
+    """A uniform-ish random stratum: grow a random compatible split set of
+    mark sets, built through the library's way in from mark sets."""
+    splits = all_splits_reference(n)
     rng.shuffle(splits)
     if num_edges is None:
         num_edges = rng.randint(0, n - 3)
@@ -466,7 +489,7 @@ def random_stable_tree(rng, n, num_edges=None):
             break
         if all(splits_compatible(s, c) for c in chosen):
             chosen.append(s)
-    return trees.tree_from_splits(n, chosen)
+    return trees.tree_from_splits(n, [trees.normalize_split(n, s) for s in chosen])
 
 
 def relabel_vertices(t, perm):

@@ -226,6 +226,10 @@ def test_hurwitz_types_rejects_malformed_tau(tmp_path):
     tf.write_text(json.dumps({"n": 4, "parents": [-1], "legs": {"1": 0}}))
     r = run_cli("hurwitz", "types", "--data", str(DATA / "fig1.json"), "--tau", str(tf), check=2)
     assert json.loads(r.stdout) == {"error": "leg table must cover marks 1..4"}
+    # a leg table that is a list, not an object, is refused the same way
+    tf.write_text(json.dumps({"n": 4, "parents": [-1], "legs": [0, 0, 0, 0]}))
+    r = run_cli("hurwitz", "types", "--data", str(DATA / "fig1.json"), "--tau", str(tf), check=2)
+    assert json.loads(r.stdout) == {"error": "legs must be an object {mark: vertex}"}
 
 
 def test_invalid_datum_exits_2(tmp_path):
@@ -236,6 +240,17 @@ def test_invalid_datum_exits_2(tmp_path):
     r = run_cli("hurwitz", "count", "--data", str(f), check=2)
     assert "error" in json.loads(r.stdout)
     assert r.stderr.strip()
+    # a map of the datum given as a list, not an object, is refused the same way
+    fig1 = json.loads((DATA / "fig1.json").read_text())
+    for name in ("F", "br", "rm", "identify"):
+        f.write_text(json.dumps(dict(fig1, **{name: [["a1", "b1"]]})))
+        r = run_cli("hurwitz", "count", "--data", str(f), check=2)
+        assert json.loads(r.stdout) == {"error": "%s must be an object keyed by mark" % name}
+        assert r.stderr.strip()
+    # and so is a datum that is not an object
+    f.write_text(json.dumps([fig1]))
+    r = run_cli("hurwitz", "count", "--data", str(f), check=2)
+    assert "error" in json.loads(r.stdout)
 
 
 def test_limit_exits_3():

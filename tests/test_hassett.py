@@ -66,7 +66,7 @@ def test_epsilon_dagger_minimal():
 
 def test_stable_vertices_hand_case():
     # split 123|456 at n=6: only the side containing mark 1 is stable
-    t = trees.tree_from_splits(6, [frozenset({4, 5, 6})])
+    t = trees.tree_from_splits(6, [trees.normalize_split(6, {4, 5, 6})])
     e = hassett.epsilon_dagger(6)
     sv = hassett.stable_vertices(t, e)
     assert len(sv) == 1
@@ -104,7 +104,7 @@ def test_stable_vertices_match_fraction_reference():
 
 
 def test_stable_vertices_validates_weights():
-    t = trees.tree_from_splits(6, [frozenset({4, 5, 6})])
+    t = trees.tree_from_splits(6, [trees.normalize_split(6, {4, 5, 6})])
     with pytest.raises(ValueError, match="expected 6 weights, got 5"):
         hassett.stable_vertices(t, hassett.epsilon_dagger(5))
     with pytest.raises(ValueError, match="must lie in"):
@@ -114,7 +114,7 @@ def test_stable_vertices_validates_weights():
 
 
 def test_image_type_blocks():
-    t = trees.tree_from_splits(6, [frozenset({4, 5, 6})])
+    t = trees.tree_from_splits(6, [trees.normalize_split(6, {4, 5, 6})])
     it = hassett.reduction_image_type(t, hassett.epsilon_dagger(6))
     assert it.dim == 1
     assert it.blocks == frozenset(
@@ -128,7 +128,7 @@ def test_image_type_blocks():
 
 def test_image_type_rejects_non_minimal_setup():
     # with non-minimal weights several vertices can be stable
-    t = trees.tree_from_splits(6, [frozenset({4, 5, 6})])
+    t = trees.tree_from_splits(6, [trees.normalize_split(6, {4, 5, 6})])
     with pytest.raises(ValueError):
         hassett.reduction_image_type(t, [1] * 6)
 

@@ -20,6 +20,12 @@ def closed_form_rank(n):
     return (2 ** n - n * n + n - 2) // 2
 
 
+def _mask(marks):
+    """The mark bitmask of a mark set, not normalised: either side of a
+    split names it."""
+    return sum(1 << mark for mark in marks)
+
+
 def test_rank_tables():
     assert homology.homology_dims(5) == {0: 1, 1: 5, 2: 1}
     assert homology.homology_dims(6) == {0: 1, 1: 16, 2: 16, 3: 1}
@@ -145,37 +151,36 @@ def test_pairing_rejects_bad_strata_and_sides():
     # vertex; a side with a mark outside 1..5 names no split, though its
     # complement in 1..5 may be a union of two blocks
     t = trees.MarkedTree(5, (-1, 0), (0, 0, 0, 1, 1))
-    assert homology.intersection_pairing_h2(t, {3, 4, 5}) == 1
-    for side in ({1, 2, 9}, {0, 4, 5}, {1, 2, -3}, {2, 3, 6}):
+    assert homology.intersection_pairing_h2(t, _mask({3, 4, 5})) == 1
+    for mask in (_mask({1, 2, 9}), _mask({0, 4, 5}), -8, _mask({2, 3, 6})):
         with pytest.raises(ValueError, match="outside"):
-            homology.intersection_pairing_h2(t, side)
+            homology.intersection_pairing_h2(t, mask)
     for side in ({1}, {1, 2, 3, 4}, set()):
         with pytest.raises(ValueError, match="size"):
-            homology.intersection_pairing_h2(t, side)
+            homology.intersection_pairing_h2(t, _mask(side))
     with pytest.raises(ValueError, match="1-dimensional"):
-        homology.intersection_pairing_h2(trees.trivial_tree(5), {1, 2})
+        homology.intersection_pairing_h2(trees.trivial_tree(5), _mask({1, 2}))
 
 
 def test_pairing_hand_values():
     # chain with edges cutting {2,3} and {5,6}: middle vertex has blocks
     # {1}, {4}, {2,3}, {5,6}
-    t = trees.tree_from_splits(6, [frozenset({2, 3}), frozenset({5, 6})])
+    t = trees.tree_from_splits(6, [trees.normalize_split(6, s) for s in ({2, 3}, {5, 6})])
     cases = {
-        frozenset({2, 3}): -1,          # one block
-        frozenset({5, 6}): -1,
-        frozenset({2, 3, 5, 6}): 1,     # two blocks
-        frozenset({4, 5, 6}): 1,        # {4} + {5,6}
-        frozenset({2, 3, 4}): 1,
-        frozenset({3, 4}): 0,           # slices a block
-        frozenset({4, 5}): 0,
-        frozenset({2, 3, 5}): 0,
+        (2, 3): -1,          # one block
+        (5, 6): -1,
+        (2, 3, 5, 6): 1,     # two blocks
+        (4, 5, 6): 1,        # {4} + {5,6}
+        (2, 3, 4): 1,
+        (3, 4): 0,           # slices a block
+        (4, 5): 0,
+        (2, 3, 5): 0,
     }
     for s, val in cases.items():
-        assert homology.intersection_pairing_h2(t, s) == val
-    # complements give the same answers
-    full = frozenset(range(1, 7))
+        assert homology.intersection_pairing_h2(t, trees.normalize_split(6, s)) == val
+    # complements, the sides with mark 1, give the same answers
     for s, val in cases.items():
-        assert homology.intersection_pairing_h2(t, full - s) == val
+        assert homology.intersection_pairing_h2(t, _mask(set(range(1, 7)) - set(s))) == val
     # the fundamental class of the 4-mark space meets every boundary point once
     t4 = trees.trivial_tree(4)
     assert [homology.intersection_pairing_h2(t4, s) for s in trees.all_splits(4)] == [1, 1, 1]
@@ -222,13 +227,26 @@ def test_solve_from_pairings_rejects_two_values_for_one_split():
     p = homology.homology_basis(5, 1)
     t = p.strata[p.basis[0]]
     pair = {s: homology.intersection_pairing_h2(t, s) for s in trees.all_splits(5)}
-    s = frozenset({2, 3})
-    other = frozenset({1, 4, 5})
+    s = trees.normalize_split(5, {2, 3})
+    other = _mask({1, 4, 5})
     assert pair[s] == 1
     # the complement names the same split; it comes first, with another value
     with pytest.raises(ValueError, match=r"split \[2, 3\] two values"):
         homology.solve_class_from_pairings(p, {other: 8, **pair})
     assert homology.solve_class_from_pairings(p, {other: 1, **pair}) == {0: 1}
+
+
+def test_solve_from_pairings_rejects_bits_outside_the_marks():
+    # with bit 9 dropped, the side {1, 3, 5, 6, 9} at n = 6 would read as
+    # the split {2, 4} and solve as the true data
+    p = homology.homology_basis(6, 1)
+    t = p.strata[p.basis[0]]
+    pair = {s: homology.intersection_pairing_h2(t, s) for s in trees.all_splits(6)}
+    assert homology.solve_class_from_pairings(p, pair) == {0: 1}
+    s = trees.normalize_split(6, {2, 4})
+    for bad in (_mask({1, 3, 5, 6, 9}), _mask({0, 2, 4}), -s):
+        with pytest.raises(ValueError, match="outside marks 1..6"):
+            homology.solve_class_from_pairings(p, {bad if k == s else k: v for k, v in pair.items()})
 
 
 def test_pairing_matrix_full_rank():
@@ -260,13 +278,13 @@ def test_class_reduce_validates_degree():
 
 def test_forget_vec_basics():
     # drop mark 6: classes with the dropped mark on a moduli vertex die
-    t_dead = trees.tree_from_splits(6, [frozenset({2, 3})])   # dim 2, mark 6 on 5-valent vertex
+    t_dead = trees.tree_from_splits(6, [trees.normalize_split(6, {2, 3})])   # dim 2, mark 6 on 5-valent vertex
     assert homology.forget_vec({t_dead: 1}, [1, 2, 3, 4, 5]) == {}
-    t_live = trees.tree_from_splits(6, [frozenset({2, 3}), frozenset({5, 6})])
+    t_live = trees.tree_from_splits(6, [trees.normalize_split(6, s) for s in ({2, 3}, {5, 6})])
     img = homology.forget_vec({t_live: 1}, [1, 2, 3, 4, 5])
     assert list(img.values()) == [1]
     (it,) = img.keys()
-    assert it.splits() == {frozenset({2, 3})} and it.dim() == 1
+    assert it.splits() == {trees.normalize_split(5, {2, 3})} and it.dim() == 1
 
 
 def test_forget_vec_lands_in_presentation():

@@ -570,16 +570,14 @@ def test_fig1_source_structure_over_b34_split():
     # (a1, a2, a3, a4, a(b1,1), a(b2,1), a(b4,1), a(b4,2)) = 1..8
     full, _ = fully_mark(fig1_datum())
     tau = next(t for t in trees.enumerate_strata(4, 0)
-               if t.splits() == {frozenset({3, 4})})
+               if t.splits() == {trees.normalize_split(4, {3, 4})})
     types = enumerate_cover_types(full, tau)
     t3 = next(t for t in types if t.multiplicity == 3)
     t1 = next(t for t in types if t.multiplicity == 1)
-    assert t3.source_tree.splits() == {frozenset({3, 4, 7, 8})}
-    assert t3.node_data == ((frozenset({3, 4, 7, 8}), 3),)
+    assert t3.source_tree.splits() == {trees.normalize_split(8, {3, 4, 7, 8})}
+    assert t3.node_data == ((trees.normalize_split(8, {3, 4, 7, 8}), 3),)
     assert t1.source_tree.splits() == {
-        frozenset({4, 7}),
-        frozenset({5, 6}),
-        frozenset({3, 5, 6, 8}),
+        trees.normalize_split(8, s) for s in ({4, 7}, {5, 6}, {3, 5, 6, 8})
     }
     assert all(r == 1 for _side, r in t1.node_data)
     assert t1.source_tree.dim() == 2 and t3.source_tree.dim() == 4
@@ -587,16 +585,20 @@ def test_fig1_source_structure_over_b34_split():
 
 def test_d2_degeneration_all_splits():
     full, _ = fully_mark(d2_datum())
+    split_34 = 0
     for tau in trees.enumerate_strata(4, 0):
         report = degeneration_degree_check(full, tau)
         assert report["ok"], report
         assert report["expected"] == 2
         types = enumerate_cover_types(full, tau)
         got = sorted((t.count, t.multiplicity) for t in types)
-        if tau.splits() == {frozenset({3, 4})}:
+        if tau.splits() == {trees.normalize_split(4, {3, 4})}:
+            split_34 += 1
             assert got == [(1, 1), (1, 1)]
         else:
             assert got == [(1, 2)]
+    # one of the three point strata cuts {3, 4}
+    assert split_34 == 1
 
 
 def test_d1_covers_mirror_target_strata():
@@ -687,7 +689,7 @@ def test_class_nodes_match_their_key_and_target():
             for c in classes:
                 r_over = [0] * len(tau.edges())
                 for side, r, e in c.nodes:
-                    assert side == trees.normalize_split(n, side) and r >= 1
+                    assert side == trees.split_of(n, side) and r >= 1
                     r_over[e] += r
                 assert r_over == [full.d] * len(tau.edges())
                 orbits = sum(_orbit_count(perms, full.d) for perms in c.key[0])

@@ -290,7 +290,9 @@ def test_glued_small_stratum_of_wrong_valence_raises_as_before(monkeypatch):
 
 def test_boundary_edge_is_found_by_its_split():
     # and the ten-mark caterpillar, deeper than the enumerated trees
-    caterpillar = trees.tree_from_splits(10, [frozenset(range(k, 11)) for k in range(3, 10)])
+    caterpillar = trees.tree_from_splits(
+        10, [trees.normalize_split(10, range(k, 11)) for k in range(3, 10)]
+    )
     for t in trees.enumerate_strata(7, 0) + trees.enumerate_strata(6, 1) + [caterpillar]:
         for c, p in t.edges():
             side = trees.normalize_split(t.n, t.away_marks(p, c))

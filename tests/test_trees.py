@@ -17,6 +17,7 @@ import pytest
 
 from stratadyn import trees
 from oracles import (
+    all_splits_reference,
     canonical_form_reference,
     enumerate_strata_reference,
     flag_marksets_by_definition,
@@ -24,6 +25,7 @@ from oracles import (
     one_edge_refinements,
     random_stable_tree,
     relabel_vertices,
+    splits_by_definition,
     strata_count_by_rooted_trees,
     strata_counts_by_refinement,
 )
@@ -97,9 +99,7 @@ def test_enumeration_beyond_the_reference_enumerator():
         split_sets = set()
         for t in strata:
             assert canonical_form_reference(t) == t, t
-            split_sets.add(frozenset(
-                trees.normalize_split(n, t.away_marks(p, c)) for c, p in t.edges()
-            ))
+            split_sets.add(splits_by_definition(t))
         assert len(split_sets) == len(strata), (n, k)
 
 
@@ -171,10 +171,11 @@ def test_splits_roundtrip():
 def test_tree_from_splits_rejects_incompatible():
     # {2,3} and {3,4} overlap without nesting
     with pytest.raises(ValueError):
-        trees.tree_from_splits(6, [frozenset({2, 3}), frozenset({3, 4})])
+        trees.tree_from_splits(6, [trees.normalize_split(6, {2, 3}), trees.normalize_split(6, {3, 4})])
     # overlapping sides that would each still leave a stable vertex
     with pytest.raises(ValueError):
-        trees.tree_from_splits(8, [frozenset({2, 3, 4}), frozenset({4, 5, 6})])
+        trees.tree_from_splits(8, [trees.normalize_split(8, {2, 3, 4}),
+                                   trees.normalize_split(8, {4, 5, 6})])
 
 
 def test_induced_partition():
@@ -193,7 +194,7 @@ def test_induced_partition():
 
 
 def test_forget_trivalent_keeps_dim():
-    t = trees.tree_from_splits(6, [frozenset({3, 4})])  # dim 2
+    t = trees.tree_from_splits(6, [trees.normalize_split(6, {3, 4})])  # dim 2
     img = trees.forget_pushforward(t, [1, 2, 3, 4, 5])  # mark 6 sits on the big vertex
     assert img is None  # 5-valent vertex loses a leg: class dies
     img2 = trees.forget_pushforward(t, [1, 2, 4, 5, 6])  # drop mark 3 (trivalent side)
@@ -204,7 +205,7 @@ def test_forget_trivalent_keeps_dim():
 
 def test_forget_renumbering():
     # splits {{5,6}} on 6 marks, drop mark 2: kept 1,3,4,5,6 -> 1,2,3,4,5
-    t = trees.tree_from_splits(6, [frozenset({5, 6})])
+    t = trees.tree_from_splits(6, [trees.normalize_split(6, {5, 6})])
     # mark 2 sits on the 5-valent vertex: class dies
     assert trees.forget_pushforward(t, [1, 3, 4, 5, 6]) is None
     # drop mark 5 instead (on the trivalent vertex): split {5,6} contracts
@@ -212,10 +213,10 @@ def test_forget_renumbering():
     assert img == trees.trivial_tree(5)
     # now a dim-preserving case with an honest split left over:
     # 3-vertex chain, middle 4-valent; drop a leg of a trivalent end
-    t2 = trees.tree_from_splits(6, [frozenset({2, 3}), frozenset({5, 6})])
+    t2 = trees.tree_from_splits(6, [trees.normalize_split(6, s) for s in ({2, 3}, {5, 6})])
     img2 = trees.forget_pushforward(t2, [1, 2, 3, 4, 5])  # drop 6
     assert img2.n == 5 and img2.dim() == t2.dim() == 1
-    assert img2.splits() == {frozenset({2, 3})}
+    assert img2.splits() == {trees.normalize_split(5, {2, 3})}
 
 
 def test_forget_composition_order_independent():
@@ -256,17 +257,17 @@ def test_glue_identity():
 def test_glue_adds_expected_split():
     # host: one edge cutting {5,6}; big vertex has flags
     # legs 1,2,3,4 then the edge (away side {5,6}) -> small marks 1..5
-    host = trees.tree_from_splits(6, [frozenset({5, 6})])
+    host = trees.tree_from_splits(6, [trees.normalize_split(6, {5, 6})])
     big = next(v for v in range(len(host.parents)) if host.valence(v) == 5)
-    small = trees.tree_from_splits(5, [frozenset({2, 3})])  # small split {2,3}
+    small = trees.tree_from_splits(5, [trees.normalize_split(5, {2, 3})])  # small split {2,3}
     glued = trees.glue_substitution(host, {big: small})
     # small marks 2,3 are host legs 2,3, so the new edge cuts {2,3}
-    assert glued.splits() == {frozenset({5, 6}), frozenset({2, 3})}
+    assert glued.splits() == {trees.normalize_split(6, s) for s in ({5, 6}, {2, 3})}
     assert glued.dim() == host.dim() - host.md(big) + small.dim()
     # and substituting the small split {4,5} maps to legs 4 + away {5,6}
-    small2 = trees.tree_from_splits(5, [frozenset({4, 5})])
+    small2 = trees.tree_from_splits(5, [trees.normalize_split(5, {4, 5})])
     glued2 = trees.glue_substitution(host, {big: small2})
-    assert glued2.splits() == {frozenset({5, 6}), frozenset({4, 5, 6})}
+    assert glued2.splits() == {trees.normalize_split(6, s) for s in ({5, 6}, {4, 5, 6})}
 
 
 def test_glue_refinements_match_oracle():
@@ -282,9 +283,9 @@ def test_glue_refinements_match_oracle():
 
 def test_glue_two_vertices_matches_sequential():
     # host with two 5-valent vertices; substitute splits at both at once
-    host = trees.tree_from_splits(8, [frozenset({5, 6, 7, 8})])
+    host = trees.tree_from_splits(8, [trees.normalize_split(8, {5, 6, 7, 8})])
     assert all(host.valence(v) == 5 for v in range(2))
-    sm = trees.tree_from_splits(5, [frozenset({2, 3})])
+    sm = trees.tree_from_splits(5, [trees.normalize_split(5, {2, 3})])
     got = trees.glue_substitution(host, {0: sm, 1: sm})
     assert got.dim() == host.dim() - 2 * 2 + 2 * 1
     step1 = trees.glue_substitution(host, {0: sm})
@@ -378,10 +379,37 @@ def test_subtree_masks_match_the_mark_sets_on_any_encoding():
 
 
 def test_tree_from_splits_rejects_unstable_sides():
-    with pytest.raises(ValueError):
-        trees.tree_from_splits(6, [frozenset({2})])
-    with pytest.raises(ValueError):
-        trees.tree_from_splits(6, [frozenset({2, 3, 4, 5, 6})])
+    with pytest.raises(ValueError, match="fewer than 2 marks"):
+        trees.tree_from_splits(6, [trees.normalize_split(6, {2})])
+    with pytest.raises(ValueError, match="fewer than 2 marks"):
+        trees.tree_from_splits(6, [trees.normalize_split(6, {2, 3, 4, 5, 6})])
+
+
+def test_tree_from_splits_rejects_bits_outside_the_marks():
+    # bit 0 and the bits above n name no mark; dropping bit 0 would read
+    # {0, 2} as the side {2} of an unstable tree
+    for mask in (_mask({0, 2}), _mask({0, 2, 3}), _mask({2, 7}), _mask({3, 4, 9}), -4):
+        with pytest.raises(ValueError, match="outside marks 1..6"):
+            trees.tree_from_splits(6, [mask])
+    # either side of a split names it
+    assert trees.tree_from_splits(6, [_mask({1, 4, 5, 6})]) == trees.tree_from_splits(
+        6, [_mask({2, 3})]
+    )
+
+
+def test_normalize_split_is_the_mask_of_the_side_without_mark_1():
+    assert trees.normalize_split(6, {2, 3}) == trees.normalize_split(6, [1, 4, 5, 6]) == 0b1100
+    assert trees.normalize_split(6, {4, 5, 6}) == trees.split_of(6, _mask({4, 5, 6}))
+    assert trees.marks_of(trees.normalize_split(8, {1, 2, 3})) == (4, 5, 6, 7, 8)
+    for marks in ({0, 2}, {2, 7}, {3, 4, 9}):
+        with pytest.raises(ValueError, match="outside marks 1..6"):
+            trees.normalize_split(6, marks)
+
+
+def test_all_splits_are_the_masks_of_the_mark_set_reference():
+    # masks of the sides without mark 1, in (size, sorted marks) order
+    for n in range(4, 9):
+        assert trees.all_splits(n) == [_mask(s) for s in all_splits_reference(n)], n
 
 
 def test_enumerate_strata_validates_range():
