@@ -242,7 +242,7 @@ def _pairing_presentation(n, k, strata):
         if entry is not None:
             int_expr[i] = entry
             continue
-        row = _curve_row(t, column)
+        row = _curve_row(n, key, column)
         row[-i] = 1
         v, den = space.reduce(row)
         if min(v) < 1 - len(strata):
@@ -326,21 +326,23 @@ def _split_columns(n):
     return {s: j for j, s in enumerate(trees.all_splits(n))}
 
 
-def _curve_row(tree, column):
-    """Pairings of a 1-dim stratum with every boundary divisor, as a sparse
-    {column[split]: int} row; equal to intersection_pairing_h2 split by split.
+def _curve_row(n, blocks, column):
+    """Pairings of a 1-dim stratum of the n-mark space with every boundary
+    divisor, as a sparse {column[split]: int} row, from the four flag blocks
+    at its 4-valent vertex (its _curve_key); equal to intersection_pairing_h2
+    split by split.
 
-    Only the four flag blocks at the 4-valent vertex matter: -1 on each block
-    that is a split, +1 on the three unions of two blocks, 0 elsewhere.
+    -1 on each block that is a split, +1 on the three unions of two blocks,
+    0 elsewhere.  The unions of any one block with the other three are those
+    three splits, once split_of names them, so any block can come first.
     """
-    masks, _ = tree.subtree_masks()
-    first, *others = tree.flag_masks(tree._valences().index(4), masks)
+    first, *others = blocks
     row = {}
-    for b in (first, *others):
+    for b in blocks:
         if b & b - 1:
-            row[column[trees.split_of(tree.n, b)]] = -1
+            row[column[trees.split_of(n, b)]] = -1
     for b in others:
-        row[column[trees.split_of(tree.n, first + b)]] = 1
+        row[column[trees.split_of(n, first + b)]] = 1
     return row
 
 
@@ -359,7 +361,7 @@ def pairing_rows(pres):
     column = _split_columns(pres.n)
     rows = [{} for _ in column]
     for j, b in enumerate(pres.basis):
-        for c, val in _curve_row(pres.strata[b], column).items():
+        for c, val in _curve_row(pres.n, _curve_key(pres.strata[b]), column).items():
             rows[c][j] = Fraction(val)
     return rows
 

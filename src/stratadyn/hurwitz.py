@@ -30,10 +30,10 @@ The source curve of a class comes from its node splits.  When a class is
 glued, `_node_sides` gives each of its nodes the split of the marks (as
 a_marks positions) on its far side, its ramification r and the position of
 the target edge it lies over; the class keeps these nodes, sorted, and
-nothing else of its components.  `_source_tree_of_class` builds the
+nothing else of its components.  `enumerate_cover_types` builds the
 canonical tree cut by the splits with `trees.tree_from_splits`, once per
-cover type and once per smoothed type of the pushforward (Keel, Trans. AMS
-330, 1992: a stratum is fixed by its splits).
+cover type (Keel, Trans. AMS 330, 1992: a stratum is fixed by its splits),
+and the pushforward reads each type's curve from there.
 
 The classes over a target tree are kept once per process in `_CLASSES`,
 keyed by the tree and the six fields the enumeration reads (a_marks,
@@ -818,15 +818,10 @@ def _node_sides(n, comp_marks, comp_edges):
     return tuple(sorted(nodes, key=lambda x: (trees.marks_of(x[0]), x[1])))
 
 
-def _source_tree_of_class(n, node_data):
-    """A source curve as a stable marked tree: the canonical tree cut by the
-    splits of its (split, r) node data."""
-    return trees.tree_from_splits(n, [side for side, _r in node_data])
-
-
 def enumerate_cover_types(h, tau, limit_tuples=None):
     """Group the labeled-cover classes over tau by isomorphism type: classes
-    with the same node data have the same source tree."""
+    with the same node data have the same source tree, the canonical tree cut
+    by the node splits.  Two nodes of one curve never share a split."""
     counts = Counter(
         tuple((side, r) for side, r, _e in cls.nodes)
         for cls in enumerate_cover_classes(h, tau, limit_tuples)
@@ -834,8 +829,13 @@ def enumerate_cover_types(h, tau, limit_tuples=None):
     n = len(h.a_marks)
     types = []
     for node_data, count in counts.items():
+        source = trees.tree_from_splits(n, [side for side, _r in node_data])
+        if source.codim() < len(node_data):
+            raise AssertionError(
+                "the source tree has %d edges for %d nodes" % (source.codim(), len(node_data))
+            )
         mult = prod(r for _side, r in node_data)
-        types.append(CoverType(_source_tree_of_class(n, node_data), node_data, mult, count))
+        types.append(CoverType(source, node_data, mult, count))
     types.sort(key=lambda t: (trees.tree_sort_key(t.source_tree), t.node_data))
     return types
 

@@ -21,11 +21,13 @@ stratum's splits as unions of flag blocks per basis coordinate
 (`trees.project_splits`) and builds only the image tree, whose index the
 retained-mark presentation reads off directly.
 Smoothing a refined cover is done on the nodes its class keeps: the nodes
-over the new target edge, found by its position, are new and the rest old;
-the source curve is cut by the splits of the old nodes, and each new node's
-split names its smoothed vertex and the flag split it pairs with there.
-Source vertices are named by their flag blocks, which are unique per vertex
-even where a component carries no mark.  Every split is a `trees.split_of`
+over the new target edge, found by its position, are new and the rest old.
+The old nodes are the node data of the cover type over tau that the class
+smooths to, so its source curve is that type's, built once per column by
+`hurwitz.enumerate_cover_types` and read for its flag blocks once.  Each new
+node's split picks the one source vertex whose flag blocks each fall inside
+or outside it, and the flag split it pairs with there; the pairings are kept
+per vertex index and glued in vertex order.  Every split is a `trees.split_of`
 mask, over a_marks or flag positions.  A vertex class is solved in the
 presentation of its own valence, under the caller's `limit_strata`.
 """
@@ -33,6 +35,7 @@ presentation of its own valence, under the caller's `limit_strata`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from . import filtration, homology, hurwitz, linalg, trees
 from .linalg import ONE, ZERO
@@ -46,59 +49,6 @@ def pushforward_h0(h, limit_tuples=None):
     if c % deg_nu:
         raise AssertionError("cover count %d not divisible by marking degree %d" % (c, deg_nu))
     return c // deg_nu
-
-
-# -- degenerating the target at its 4-valent vertex --------------------------
-
-
-def _smooth_refined_class(cls, n, edge, smoothed):
-    """Undo the target refinement on a cover class over the refined tree.
-
-    `edge` is the position of the new target edge in the refined tree's
-    edges().  The class's nodes over it are new and smooth away; the others
-    are old, and smoothing leaves their splits as they are, so the old
-    splits alone give the type key.  A new node with split S lies in the one
-    smoothed vertex whose flag blocks each fall inside S or outside it, and
-    splits that vertex's flags into the blocks inside S and the rest.
-    Returns (type key, contributions, product of new-node ramifications)
-    where contributions maps each smoothed vertex, named by its flag blocks,
-    to {flag split mask: weight}, the weight of a node being the product of
-    the other new nodes' ramifications.
-
-    The classes of one type share their old nodes, which come sorted, so
-    `smoothed` keeps the type key and the flag blocks of each smoothed
-    vertex per tuple of old nodes, and each smoothed tree is built once.  A
-    repeated split stays in that tuple and still fails the edge count.
-    """
-    old_nodes = []
-    new_nodes = []
-    for side, r, e in cls.nodes:
-        (new_nodes if e == edge else old_nodes).append((side, r))
-    old_nodes = tuple(old_nodes)
-    if old_nodes not in smoothed:
-        sigma = hurwitz._source_tree_of_class(n, old_nodes)
-        if sigma.codim() != len(old_nodes):
-            raise AssertionError(
-                "the smoothed tree has %d edges for %d old nodes" % (sigma.codim(), len(old_nodes))
-            )
-        masks, _ = sigma.subtree_masks()
-        smoothed[old_nodes] = (
-            (sigma, old_nodes), [sigma.flag_masks(v, masks) for v in range(sigma.num_vertices())]
-        )
-    key, vertex_blocks = smoothed[old_nodes]
-
-    rprod = 1
-    for _side, r in new_nodes:
-        rprod *= r
-
-    contributions = {}
-    for split, r in new_nodes:
-        blocks = next(bl for bl in vertex_blocks if all(b & split in (0, b) for b in bl))
-        inside = sum(1 << pos for pos, b in enumerate(blocks, start=1) if b & split)
-        norm = trees.split_of(len(blocks), inside)
-        bucket = contributions.setdefault(frozenset(blocks), {})
-        bucket[norm] = bucket.get(norm, 0) + rprod // r
-    return key, contributions, rprod
 
 
 # -- the degree-2 pushforward matrix ------------------------------------------
@@ -153,55 +103,62 @@ def pushforward_h2(h, limit_tuples=None, limit_strata=None):
 
 
 def _push_column(full, tau, p_a, renum, deg_nu, limit_tuples, limit_strata):
-    n = len(full.a_marks)
-    types = hurwitz.enumerate_cover_types(full, tau, limit_tuples)
-    by_key = {(t.source_tree, t.node_data): t for t in types}
+    types = {t.node_data: t for t in hurwitz.enumerate_cover_types(full, tau, limit_tuples)}
+    views = {}  # node data -> the flag blocks of each source vertex
+    for node_data, t in types.items():
+        masks, _ = t.source_tree.subtree_masks()
+        views[node_data] = [
+            t.source_tree.flag_masks(v, masks) for v in range(t.source_tree.num_vertices())
+        ]
 
     # each boundary direction pairs two of the four flag blocks at the
     # 4-valent vertex, adding their union as a split
     w_star = next(v for v in range(tau.num_vertices()) if tau.md(v) == 1)
     blocks = tau.flag_masks(w_star, tau.subtree_masks()[0])
     base = tau.splits()
-    pairings = {}
-    smoothed = {}  # old nodes -> (type key, flag blocks per vertex)
+    pairings = {}  # node data -> {source vertex: {flag split: weight}}
     for i, j in ((1, 2), (1, 3), (2, 3)):
         cut = trees.split_of(tau.n, blocks[i] + blocks[j])
         tau_ref = trees.tree_from_splits(tau.n, base | {cut})
         edge = _edge_cutting(tau_ref, cut)
         local_deg = {}
         for cls in hurwitz.enumerate_cover_classes(full, tau_ref, limit_tuples):
-            key, contribs, rprod = _smooth_refined_class(cls, n, edge, smoothed)
-            if key not in by_key:
+            old = []
+            new = []
+            for side, r, e in cls.nodes:
+                (new if e == edge else old).append((side, r))
+            old = tuple(old)
+            if old not in types:
                 raise AssertionError("refined cover smooths to an unknown type")
-            local_deg[key] = local_deg.get(key, 0) + rprod
-            tgt = pairings.setdefault(key, {})
-            for vertex, bucket in contribs.items():
-                linalg.axpy(tgt.setdefault(vertex, {}), 1, bucket)
-        for key, t in by_key.items():
-            if local_deg.get(key, 0) != t.count:
+            rprod = prod(r for _side, r in new)
+            local_deg[old] = local_deg.get(old, 0) + rprod
+            buckets = pairings.setdefault(old, {})
+            for split, r in new:
+                # the one source vertex whose flag blocks each fall inside
+                # the new node's split or outside it
+                v, vb = next((v, vb) for v, vb in enumerate(views[old])
+                             if all(b & split in (0, b) for b in vb))
+                inside = sum(1 << pos for pos, b in enumerate(vb, start=1) if b & split)
+                norm = trees.split_of(len(vb), inside)
+                bucket = buckets.setdefault(v, {})
+                bucket[norm] = bucket.get(norm, 0) + rprod // r
+        for node_data, t in types.items():
+            if local_deg.get(node_data, 0) != t.count:
                 raise AssertionError(
                     "local degree %d != class count %d over a boundary direction"
-                    % (local_deg.get(key, 0), t.count)
+                    % (local_deg.get(node_data, 0), t.count)
                 )
 
     col = {}
-    for t in types:
-        key = (t.source_tree, t.node_data)
-        per_vertex = pairings.get(key, {})
-        if not per_vertex:
-            continue
-        t_g = t.source_tree
-        mod_vertices = [v for v in range(t_g.num_vertices()) if t_g.md(v) > 0]
-        masks, _ = t_g.subtree_masks()
-        for v_hat in range(t_g.num_vertices()):
-            splitvals = per_vertex.get(frozenset(t_g.flag_masks(v_hat, masks)))
-            if splitvals is None:
-                continue
-            if t_g.num_vertices() == 1:
+    for node_data, t in types.items():
+        vertex_blocks = views[node_data]
+        mod_vertices = [v for v, vb in enumerate(vertex_blocks) if len(vb) > 3]
+        for v_hat, splitvals in sorted(pairings.get(node_data, {}).items()):
+            if len(vertex_blocks) == 1:
                 _add_projected_class(col, splitvals, p_a, renum, t.multiplicity)
             else:
                 _add_glued_class(
-                    col, splitvals, t_g, v_hat, mod_vertices,
+                    col, splitvals, t.source_tree, v_hat, mod_vertices,
                     p_a, renum, t.multiplicity, limit_strata,
                 )
     # a glued class adds integer rows, so an entry may still be an int here

@@ -18,7 +18,7 @@ mark 1: split_of, the one normaliser, names it from a mask of either side,
 normalize_split from a mark set, and marks_of reads its marks out.  Derived
 strata (gluing small trees into vertices, forgetting marks) are computed on
 split sets and built by tree_from_splits, and so are the source curves of
-covers (`hurwitz._source_tree_of_class`).  The split-set cores,
+covers (`hurwitz.enumerate_cover_types`).  The split-set cores,
 substitution_splits and project_splits, are public: the pushforward glues and
 forgets with them and builds only the image tree, and glue_substitution and
 forget_pushforward are these cores plus the trees at either end.

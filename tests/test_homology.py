@@ -111,6 +111,14 @@ def _sign_normalised(row, column):
     return tuple(items)
 
 
+def test_curve_presentation_reads_each_stratum_once_for_its_flags(monkeypatch, flag_passes):
+    # a curve's row is built from the flag blocks of its class key
+    monkeypatch.setattr(homology, "_PRESENTATIONS", {})
+    pres = homology.homology_basis(6, 1)
+    assert sum(flag_passes.values()) == len(pres.strata)
+    assert set(flag_passes.values()) == {1}
+
+
 # every degree the relation route presents at n <= 7, and (8,4)
 RELATION_ROUTE = [(n, k) for n in range(5, 8) for k in range(2, n - 2)] + [(8, 4)]
 
@@ -257,9 +265,10 @@ def test_pairing_matrix_full_rank():
         column = homology._split_columns(n)
         every, basis = linalg.RowSpace(), linalg.RowSpace()
         for i, t in enumerate(p.strata):
-            every.add(homology._curve_row(t, column))
+            row = homology._curve_row(n, homology._curve_key(t), column)
+            every.add(row)
             if i in p.pos:
-                basis.add(homology._curve_row(t, column))
+                basis.add(row)
         assert every.dim() == basis.dim() == p.rank
         # the presentation keeps the basis curves' rows only, each with its
         # pivot in a split column, below every stratum column
@@ -435,7 +444,10 @@ def test_curve_row_matches_pairing_over_every_split():
                 val = homology.intersection_pairing_h2(t, s)
                 if val:
                     want[j] = val
-            assert homology._curve_row(t, column) == want
+            # any of the four blocks can come first
+            blocks = sorted(homology._curve_key(t))
+            for k in range(4):
+                assert homology._curve_row(n, blocks[k:] + blocks[:k], column) == want
 
 
 # S(n, 4), the partitions of n marks into four blocks

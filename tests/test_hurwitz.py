@@ -14,7 +14,6 @@ import oracles
 from stratadyn import hurwitz, trees
 from stratadyn.hurwitz import (
     HurwitzData,
-    _source_tree_of_class,
     count_covers,
     count_covers_orbit_stabilizer,
     degeneration_degree_check,
@@ -609,8 +608,20 @@ def test_d1_covers_mirror_target_strata():
             assert len(classes) == 1
             node_data = [(side, r) for side, r, _e in classes[0].nodes]
             # built canonical from its node splits
-            assert _source_tree_of_class(len(h.a_marks), node_data) == tau
+            assert trees.tree_from_splits(len(h.a_marks), [side for side, _r in node_data]) == tau
             assert all(r == 1 for _side, r in node_data)
+
+
+def test_cover_types_refuse_a_repeated_node_split(monkeypatch):
+    # two nodes of one source curve never cut the same split
+    real = hurwitz.enumerate_cover_classes
+
+    def doubled(*args):
+        return [hurwitz.CoverClass(c.tau, c.key, c.nodes[:1] + c.nodes) for c in real(*args)]
+
+    monkeypatch.setattr(hurwitz, "enumerate_cover_classes", doubled)
+    with pytest.raises(AssertionError, match="the source tree has 2 edges for 3 nodes"):
+        enumerate_cover_types(d1_datum(5), trees.enumerate_strata(5, 0)[0])
 
 
 def test_degeneration_check_deep_stratum():

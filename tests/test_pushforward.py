@@ -89,13 +89,13 @@ def test_d3_self_map_reaches_eight_mark_vertex_space():
     # matrix and degree as computed by this code; the local-degree checks
     # inside pushforward_h2 hold on every column
     mat = self_correspondence_matrix(d3_self_map_datum(), 1)
-    assert [[int(x) for x in row] for row in mat] == [
-        [3, 1, 1, 0, 1],
-        [0, 3, 1, 0, 0],
-        [0, 0, 2, 0, 0],
-        [0, 1, 1, 3, 1],
-        [0, -1, -1, 0, 2],
-    ]
+    assert mat == (
+        (3, 1, 1, 0, 1),
+        (0, 3, 1, 0, 0),
+        (0, 0, 2, 0, 0),
+        (0, 1, 1, 3, 1),
+        (0, -1, -1, 0, 2),
+    )
     rep = dynamical_degree(mat)
     assert rep.exact == 3 and rep.method == "exact_roots"
 
@@ -117,11 +117,38 @@ def d2_self_map_datum():
 
 
 def test_pushforward_reads_each_tree_once_for_its_flags(flag_passes):
-    # the smoothed source curves, the cover types' source curves and the
-    # target vertices each read every vertex of one tree, from one pass
+    # the cover types' source curves and the target vertices each read
+    # every vertex of one tree, from one pass
     pushforward.pushforward_h2(d2_self_map_datum())
     assert flag_passes
     assert set(flag_passes.values()) == {1}
+
+
+def _types_edited(monkeypatch, edit):
+    """Have pushforward read the cover types over each target through `edit`."""
+    real = hurwitz.enumerate_cover_types
+    monkeypatch.setattr(hurwitz, "enumerate_cover_types", lambda *args: edit(real(*args)))
+
+
+def test_column_refuses_a_refined_cover_of_an_unknown_type(monkeypatch):
+    _types_edited(monkeypatch, lambda types: types[1:])
+    with pytest.raises(AssertionError, match="refined cover smooths to an unknown type"):
+        pushforward_h2(d2_self_map_datum())
+
+
+def test_column_refuses_a_local_degree_off_the_class_count(monkeypatch):
+    h = d2_self_map_datum()
+    tau = homology.homology_basis(5, 1).basis_trees()[0]
+    count = hurwitz.enumerate_cover_types(hurwitz.fully_mark(h)[0], tau)[0].count
+
+    def raise_one(types):
+        types[0].count += 1
+        return types
+
+    _types_edited(monkeypatch, raise_one)
+    msg = "local degree %d != class count %d over a boundary direction" % (count, count + 1)
+    with pytest.raises(AssertionError, match=msg):
+        pushforward_h2(h)
 
 
 def test_d2_five_mark_self_map_matrix():
