@@ -12,8 +12,7 @@ data (Hassett, Adv. Math. 173, 2003).
 One walk up from each mark (`trees.MarkedTree.subtree_masks`) gives every
 subtree's weight sum and mark bitmask, so the stable vertex's flags come out
 as masks.  The kernel buckets strata by the image key (the frozenset of
-those flag masks, the vertex's moduli count), and `reduction_image_type`
-reads its mark sets off the same key.
+those flag masks, the vertex's moduli count).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import bisect
 from fractions import Fraction
 from math import lcm
 
-from . import filtration, homology
+from . import filtration, homology, trees
 
 ONE = Fraction(1)
 
@@ -81,7 +80,9 @@ def epsilon_dagger(n):
 
 
 def stable_vertices(tree, eps):
-    """Vertices whose truncated flag weight sums exceed 2."""
+    """Vertices whose truncated flag weight sums exceed 2.  Raises
+    ValueError on a malformed tree or invalid weights."""
+    trees._validate(tree)
     ws = validate_weights(eps, tree.n)
     return _stable_vertices(tree, *_integer_weights(ws))[0]
 
@@ -118,44 +119,6 @@ def _stable_vertices(tree, W, D):
             tot[v] += up if up < D else D
     twice = 2 * D
     return [v for v, x in enumerate(tot) if x > twice], masks
-
-
-class ReductionImageType:
-    """Image data of a stratum under a minimal-weight reduction: the set
-    partition of the marks by the stable vertex's flags, and the image
-    dimension (that vertex's moduli count)."""
-
-    __slots__ = ("blocks", "dim")
-
-    def __init__(self, blocks, dim):
-        self.blocks = frozenset(frozenset(b) for b in blocks)
-        self.dim = int(dim)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ReductionImageType)
-            and self.blocks == other.blocks
-            and self.dim == other.dim
-        )
-
-    def __hash__(self):
-        return hash((self.blocks, self.dim))
-
-    def __repr__(self):
-        bs = sorted(tuple(sorted(b)) for b in self.blocks)
-        return "ReductionImageType(blocks=%r, dim=%d)" % (bs, self.dim)
-
-
-def reduction_image_type(tree, eps):
-    """Image type of a stratum under the reduction for minimal weights."""
-    ws = validate_weights(eps, tree.n)
-    return _reduction_image_type(tree, *_integer_weights(ws))
-
-
-def _reduction_image_type(tree, W, D):
-    blocks, dim = _image_key(tree, W, D)
-    marks = range(1, tree.n + 1)
-    return ReductionImageType([[m for m in marks if b >> m & 1] for b in blocks], dim)
 
 
 def _image_key(tree, W, D):

@@ -47,6 +47,10 @@ canonical rows, so any spanning set in any order gives the same basis and
 rows.  Divisor classes (k = n-4 > 1) stay here: pairing them with the curve
 basis costs far more than their relations do.
 
+A presentation looks its strata up by split set (`trees.split_set`), so a
+class given on trees in any encoding, or as the split sets of glued and
+forgotten strata, is reduced with no canonical tree built.
+
 homology_basis keeps each presentation per (n, k) for the life of the
 process through `trees.Budget.replay`, as trees keeps strata: a capped call
 ticks once per stratum the presentation enumerates (`trees._strata`), on a
@@ -57,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from . import linalg, trees
@@ -132,13 +136,18 @@ class HomologyPresentation:
     read expressions through
     `integer_coords`, which reduces a class in integers, or
     `reduce_index_vec`, which divides by one common denominator at the end.
+
+    A stratum is looked up by its split set: `index` maps each stratum's
+    split set to its index and is built the first time it is read, so a
+    presentation nobody looks up in pays nothing for it, and
+    `stratum_index` is the one lookup.  `reduce_tree_dict` takes trees in
+    any valid encoding and builds no canonical tree.
     """
 
     def __init__(self, n, k, strata, basis, int_expr, pairing_space=None):
         self.n = n
         self.k = k
         self.strata = strata                    # deterministic list of trees
-        self.index = {t: i for i, t in enumerate(strata)}
         self.basis = basis                      # stratum indices, increasing
         self.pos = {b: j for j, b in enumerate(basis)}
         self.int_expr = int_expr                # pivot idx -> (den, {basis pos: int})
@@ -176,15 +185,27 @@ class HomologyPresentation:
         v, big = self.integer_coords(vec)
         return {j: Fraction(x, big) for j, x in v.items()}
 
+    @cached_property
+    def index(self):
+        """Split set (trees.split_set) -> stratum index, built when first read."""
+        return {frozenset(t.splits()): i for i, t in enumerate(self.strata)}
+
+    def stratum_index(self, splits):
+        """The index of the stratum cut by the split_of masks `splits`."""
+        i = self.index.get(frozenset(splits))
+        if i is None:
+            raise AssertionError("canonical stratum missing from presentation")
+        return i
+
     def reduce_tree_dict(self, vec):
+        """Sparse {tree: coeff}, any valid encodings -> coordinates
+        {basis pos: Fraction}, each tree looked up by its split set."""
         idx_vec = {}
         for t, c in vec.items():
-            if t.n != self.n or t.dim() != self.k:
+            splits = trees.split_set(t)
+            if t.n != self.n or len(splits) != self.n - 3 - self.k:
                 raise ValueError("vector contains a stratum of the wrong space or degree")
-            tc = trees.canonical_form(t)
-            i = self.index.get(tc)
-            if i is None:
-                raise AssertionError("canonical stratum missing from presentation")
+            i = self.stratum_index(splits)
             idx_vec[i] = idx_vec.get(i, 0) + c
         return self.reduce_index_vec(idx_vec)
 
@@ -303,6 +324,7 @@ def intersection_pairing_h2(tree, split):
     (+1), contains it with self-intersection -1 when a side is a single
     block, and is disjoint otherwise (0).
     """
+    trees._validate(tree)
     if tree.dim() != 1:
         raise ValueError("pairing requires a 1-dimensional stratum")
     side = trees.split_of(tree.n, split)

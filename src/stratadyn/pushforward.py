@@ -14,12 +14,14 @@ marks, and reduced in the quotient basis.
 Every stratum on the way is built from its split set: a degeneration of tau
 adds the union of two of the four flag blocks at its 4-valent vertex, and
 its new edge is found by that split.  Gluing and forgetting run on split
-sets too, with no glued tree built: a glued class gathers the source
+sets too, with no tree built: a glued class gathers the source
 curve's splits and those of the point substitutions once, adds the small
 stratum's splits as unions of flag blocks per basis coordinate
 (`trees.substitution_splits`), projects the set to the retained marks
-(`trees.project_splits`) and builds only the image tree, whose index the
-retained-mark presentation reads off directly.
+(`trees.project_splits`) and looks the image up in the retained-mark
+presentation by that split set (`stratum_index`), building no tree.  The
+self-correspondence matrix renames each basis stratum's marks the same
+way, as a projection that forgets no mark, and looks it up likewise.
 Smoothing a refined cover is done on the nodes its class keeps: the nodes
 over the new target edge, found by its position, are new and the rest old.
 The old nodes are the node data of the cover type over tau that the class
@@ -195,7 +197,7 @@ def _add_glued_class(col, splitvals, t_g, v_hat, mod_vertices, p_a, renum, mult,
     every basis coordinate of the vertex class, and are gathered once.  Per
     coordinate the small stratum adds its splits as unions of the flag
     blocks at the vertex, the whole set is projected to the retained marks
-    (trees.project_splits), and only the image tree is built.
+    (trees.project_splits), and the image is looked up by that split set.
     """
     small = homology.homology_basis(t_g.valence(v_hat), 1, limit_strata)
     coords = homology.solve_class_from_pairings(
@@ -216,22 +218,11 @@ def _add_glued_class(col, splitvals, t_g, v_hat, mod_vertices, p_a, renum, mult,
         )
         if image is None:
             continue
-        i = p_a.index.get(trees.tree_from_splits(len(renum), image))
-        if i is None:
-            raise AssertionError("canonical stratum missing from presentation")
-        v, den = p_a.integer_coords({i: 1})
+        v, den = p_a.integer_coords({p_a.stratum_index(image): 1})
         linalg.axpy(col, mult * c / den, v)
 
 
 # -- self-correspondence and dynamical degrees --------------------------------
-
-
-def _relabel_tree(tree, perm):
-    """Relabel marks by the bijection perm (old mark -> new mark)."""
-    legs = [0] * tree.n
-    for mk, v in enumerate(tree.legs, start=1):
-        legs[perm[mk] - 1] = v
-    return trees.canonical_form(trees.MarkedTree(tree.n, tree.parents, tuple(legs)))
 
 
 def self_correspondence_matrix(h, k, limit_tuples=None, limit_strata=None):
@@ -268,8 +259,9 @@ def _self_matrix(h, pm):
     rank = p_a.rank
     out = [[ZERO] * rank for _ in range(rank)]
     for j, t in enumerate(p_a.basis_trees()):
-        t_b = _relabel_tree(t, b_of_a)
-        coords = homology.class_reduce(p_b, {t_b: ONE})
+        # a relabelling is a forgetful map that forgets no mark
+        splits_b = trees.project_splits(p_a.n, t.splits(), b_of_a)
+        coords = p_b.reduce_index_vec({p_b.stratum_index(splits_b): ONE})
         for c, w in coords.items():
             for i in range(rank):
                 v = pm.matrix[i][c]

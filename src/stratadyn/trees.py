@@ -9,7 +9,8 @@ least 3.  A vertex v carries md(v) = valence(v) - 3 moduli, so
 
 Trees are stored as (n, parents, legs): vertices are 0..m-1, parents[i] is the
 parent index (-1 for the root), legs[i-1] is the vertex carrying mark i.  Two
-encodings describe the same stratum iff their canonical forms are equal.
+encodings describe the same stratum iff their split sets are equal, and so
+iff their canonical forms are.
 
 A stratum is also fixed by its set of pairwise-compatible splits, the mark
 bipartitions cut by its edges (Keel, Trans. AMS 330, 1992).  A split is one
@@ -19,9 +20,10 @@ normalize_split from a mark set, and marks_of reads its marks out.  Derived
 strata (gluing small trees into vertices, forgetting marks) are computed on
 split sets and built by tree_from_splits, and so are the source curves of
 covers (`hurwitz.enumerate_cover_types`).  The split-set cores,
-substitution_splits and project_splits, are public: the pushforward glues and
-forgets with them and builds only the image tree, and glue_substitution and
-forget_pushforward are these cores plus the trees at either end.
+substitution_splits and project_splits, are public: the pushforward glues,
+forgets and relabels marks with them and looks the image up by its split
+set, building no tree, and glue_substitution and forget_pushforward are
+these cores plus the trees at either end.
 enumerate_strata searches split sets as integer bitmasks, growing each set
 by AND-ing per-split compatibility masks.  Validation is one pass over
 parents and legs.  Every edge's side comes from one pass, subtree_masks:
@@ -39,11 +41,13 @@ and the reduction image types of hassett are keyed by these masks.
 The canonical encoding is rooted at the centroid (no component of more
 than m/2 vertices once it is removed; two adjacent ones at most) with the
 least subcode "(marks;children's subcodes in order)", and places the
-vertices in preorder with children sorted by subcode.  Every builder takes
-it in two steps.  The downward pass gives each vertex its sorted children,
-its subtree's size and preorder, and a short sibling key: the subcode's
-prefix "(;" * d + "(" + marks + ";", read along the least-child path down
-to the first vertex carrying marks.  The key decides every comparison the
+vertices in preorder with children sorted by subcode.  One builder makes
+it, from splits, in two steps.  The downward pass hangs the splits in
+increasing size, so a new split's children are exactly the current top
+splits it contains, and gives each vertex its sorted children, its
+subtree's size and preorder, and a short sibling key: the subcode's prefix
+"(;" * d + "(" + marks + ";", read along the least-child path down to the
+first vertex carrying marks.  The key decides every comparison the
 canonical form makes.  Sibling subtrees carry disjoint marks, so their
 keys differ before either ends: mark lists with different first marks
 differ within both, and where d differs the smaller one puts a digit
@@ -52,12 +56,14 @@ reach different first marked vertices, or the same one at values of d
 that differ by one.  The finish step walks to the centroid, re-keys only
 the path that gets re-rooted, settles a twin centroid by key, and places
 the vertices by splicing the kept preorders; no subcode is built whole.
-canonical_form and tree_from_splits run both steps once.  enumerate_strata
-runs the downward pass as its search adds each split: splits arrive in
-increasing size, so a new split's children are exactly the current top
-splits it contains, and a subtree's record serves every set that shares
-it.  Only the finish step runs per stratum, and enumeration no longer
-calls tree_from_splits.
+tree_from_splits runs both steps once, and canonical_form is
+tree_from_splits of the tree's split set.  enumerate_strata runs the
+downward pass as its search adds each split, so a subtree's record serves
+every set that shares it, and only the finish step runs per stratum.
+
+split_set, the validated frozenset of a tree's splits, is the one key of a
+stratum: a lookup of a stratum (a presentation's index, the pushforward's
+images) reads its split set and builds no tree.
 
 enumerate_strata keeps its full result per (n, k) for the life of the
 process, so each stratum is built once per process however many callers ask
@@ -331,11 +337,6 @@ def _validate(tree):
             raise ValueError("vertex %d has valence %d < 3" % (v, valence[v]))
 
 
-def _head(marks):
-    """The opening "(marks;" of the subcode of a vertex carrying `marks`."""
-    return "(%s;" % ",".join(map(str, marks))
-
-
 def _vertex(marks, head, kids):
     """The downward-pass record of a vertex carrying the sorted `marks`,
     whose subcode opens with `head` = "(marks;", over its children's records.
@@ -356,22 +357,6 @@ def _vertex(marks, head, kids):
         back += kid[3]
         back[at] = at
     return (head if marks else head + kids[0][0]), kids, pre, back, marks, head
-
-
-def _downward(up, legs_at):
-    """The downward-pass record of the whole tree with parent indices `up`
-    (-1 at its top) and the sorted marks `legs_at` of each vertex."""
-    kids = [[] for _ in up]
-    for v, p in enumerate(up):
-        if p >= 0:
-            kids[p].append(v)
-    order = [up.index(-1)]
-    for v in order:
-        order += kids[v]
-    rec = [None] * len(up)
-    for v in reversed(order):
-        rec[v] = _vertex(legs_at[v], _head(legs_at[v]), [rec[u] for u in kids[v]])
-    return rec[order[0]]
 
 
 def _finish(n, top):
@@ -418,15 +403,24 @@ def _finish(n, top):
     return MarkedTree(n, parents, legs)
 
 
+def split_set(tree):
+    """The key of the stratum `tree` encodes: the frozenset of its splits,
+    as split_of masks.  Two encodings, canonical or not, describe the same
+    stratum iff their split sets are equal.  Raises ValueError on unstable
+    or malformed input, before any walk over the parent pointers."""
+    _validate(tree)
+    return frozenset(tree.splits())
+
+
 def canonical_form(tree):
     """Canonical encoding of a stratum: centroid-rooted, children code-sorted.
 
-    Raises ValueError on unstable or malformed input.  Two trees encode the
-    same stratum iff their canonical forms are equal componentwise; the
+    It is the tree cut by the split set, built by tree_from_splits.  Raises
+    ValueError on unstable or malformed input.  Two trees encode the same
+    stratum iff their canonical forms are equal componentwise; the
     canonical form is relabeling-invariant in the vertex indices.
     """
-    _validate(tree)
-    return _finish(tree.n, _downward(tree.parents, tree.legs_at()))
+    return tree_from_splits(tree.n, split_set(tree))
 
 
 def tree_sort_key(tree):
@@ -493,7 +487,7 @@ class _Labels(dict):
 
     def __missing__(self, mask):
         marks = marks_of(mask)
-        self[mask] = label = marks, _head(marks)
+        self[mask] = label = marks, "(%s;" % ",".join(map(str, marks))
         return label
 
 
@@ -601,11 +595,6 @@ def _enumerate(n, k, budget):
     return tuple(out)
 
 
-def count_strata_by_dim(n, limit=None):
-    """dict k -> number of iso classes of k-dim strata (exhaustive)."""
-    return {k: len(enumerate_strata(n, k, limit=limit)) for k in range(0, n - 2)}
-
-
 def induced_partition(tree):
     """Partition of dim(tree): the positive per-vertex moduli counts, sorted."""
     return tuple(sorted(val - 3 for val in tree._valences() if val > 3))
@@ -619,6 +608,7 @@ def forget_pushforward(tree, keep):
 
     Returns the canonical image tree with the kept marks renumbered 1..|keep|
     order-preservingly, or None when the class dies (project_splits).
+    Raises ValueError on a bad `keep` or a malformed tree (split_set).
     """
     keep = sorted(set(keep))
     if len(keep) < 3:
@@ -626,7 +616,7 @@ def forget_pushforward(tree, keep):
     if not set(keep) <= set(range(1, tree.n + 1)):
         raise ValueError("keep must be a subset of the marks 1..%d" % tree.n)
     renum = {mk: i for i, mk in enumerate(keep, start=1)}
-    image = project_splits(tree.n, tree.splits(), renum)
+    image = project_splits(tree.n, split_set(tree), renum)
     return None if image is None else tree_from_splits(len(keep), image)
 
 

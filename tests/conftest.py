@@ -1,6 +1,8 @@
 """Shared fixtures."""
 
 import collections
+import contextlib
+import signal
 import sys
 
 import pytest
@@ -40,3 +42,25 @@ def flag_passes(monkeypatch):
 
     monkeypatch.setattr(trees.MarkedTree, "subtree_masks", counted)
     return passes
+
+
+@pytest.fixture
+def within():
+    """within(seconds): a context manager whose body raises TimeoutError once
+    it has run `seconds`, through SIGALRM, so a call that loops forever
+    fails its test instead of holding the run."""
+
+    @contextlib.contextmanager
+    def limit(seconds):
+        def expire(_signum, _frame):
+            raise TimeoutError("still running after %d s" % seconds)
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
+    return limit

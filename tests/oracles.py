@@ -506,6 +506,15 @@ def relabel_vertices(t, perm):
     return assemble(t.n, vertices)
 
 
+def relabel_marks(t, perm):
+    """Rebuild t with mark m renamed perm[m], perm a bijection of 1..n (the
+    renamed stratum, in t's vertex encoding, so not canonical in general)."""
+    legs = [0] * t.n
+    for mk, v in enumerate(t.legs, start=1):
+        legs[perm[mk] - 1] = v
+    return trees.MarkedTree(t.n, t.parents, tuple(legs))
+
+
 def forget_by_contraction(t, keep):
     """Image stratum under forgetting the marks outside `keep`, or None.
 

@@ -113,24 +113,41 @@ def test_stable_vertices_validates_weights():
         hassett.stable_vertices(t, [Fraction(1, 3)] * 6)
 
 
+def test_stable_vertices_of_a_cyclic_tree_raise_instead_of_hanging(within):
+    # no root: 0 and 1 point at each other, and a walk up never ends
+    cyclic = trees.MarkedTree(5, (1, 0), (0, 0, 0, 1, 1))
+    with within(5):
+        with pytest.raises(ValueError, match="exactly one root"):
+            hassett.stable_vertices(cyclic, hassett.epsilon_dagger(5))
+
+
+def _image_type(t, eps):
+    """The kernel's image key of t with its flag masks read out as mark sets
+    (trees.marks_of): (frozenset of the stable vertex's flag mark sets, its
+    moduli count)."""
+    W, D = hassett._integer_weights(hassett.validate_weights(eps, t.n))
+    blocks, dim = hassett._image_key(t, W, D)
+    return frozenset(frozenset(trees.marks_of(b)) for b in blocks), dim
+
+
 def test_image_type_blocks():
     t = trees.tree_from_splits(6, [trees.normalize_split(6, {4, 5, 6})])
-    it = hassett.reduction_image_type(t, hassett.epsilon_dagger(6))
-    assert it.dim == 1
-    assert it.blocks == frozenset(
+    blocks, dim = _image_type(t, hassett.epsilon_dagger(6))
+    assert dim == 1
+    assert blocks == frozenset(
         {frozenset({1}), frozenset({2}), frozenset({3}), frozenset({4, 5, 6})}
     )
     # the trivial tree maps to itself: all blocks singletons, full dimension
     t0 = trees.trivial_tree(6)
-    it0 = hassett.reduction_image_type(t0, hassett.epsilon_dagger(6))
-    assert it0.dim == 3 and len(it0.blocks) == 6
+    blocks0, dim0 = _image_type(t0, hassett.epsilon_dagger(6))
+    assert dim0 == 3 and len(blocks0) == 6
 
 
 def test_image_type_rejects_non_minimal_setup():
     # with non-minimal weights several vertices can be stable
     t = trees.tree_from_splits(6, [trees.normalize_split(6, {4, 5, 6})])
-    with pytest.raises(ValueError):
-        hassett.reduction_image_type(t, [1] * 6)
+    with pytest.raises(ValueError, match="exactly one stable vertex"):
+        _image_type(t, [1] * 6)
 
 
 def test_reduction_kernel_rejects_non_minimal():
@@ -193,8 +210,9 @@ def test_reduction_kernel_equals_the_span_of_fraction_generators():
             want = linalg.RowSpace()
             reps = {}
             for i, t in enumerate(pres.strata):
-                it = hassett.reduction_image_type(t, eps)
-                if it.dim < k:
+                (v,) = stable_vertices_reference(t, eps)
+                it = (frozenset(flag_marksets_by_definition(t, v)), t.md(v))
+                if it[1] < k:
                     want.add(reduce_index_vec_reference(pres, {i: 1}))
                 elif it in reps:
                     want.add(reduce_index_vec_reference(pres, {reps[it]: 1, i: -1}))
@@ -214,8 +232,8 @@ def _buckets(keys):
 
 def test_image_key_buckets_are_the_image_type_buckets():
     # the kernel buckets strata by the stable vertex's flag masks; on
-    # canonical strata and on relabelled encodings of them the buckets are
-    # those of reduction_image_type, and both match the Fraction reference
+    # canonical strata and on relabelled encodings of them the masks, read
+    # out as mark sets, and their buckets match the Fraction reference
     rng = random.Random(2203)
     for n in range(4, 8):
         eps = hassett.epsilon_dagger(n)
@@ -232,8 +250,9 @@ def test_image_key_buckets_are_the_image_type_buckets():
                 want.append((frozenset(flag_marksets_by_definition(t, v)), t.md(v)))
             for ts in (strata, relabelled):
                 keys = [hassett._image_key(t, W, D) for t in ts]
-                types = [hassett.reduction_image_type(t, eps) for t in ts]
-                assert [(it.blocks, it.dim) for it in types] == want, (n, k)
+                types = [(frozenset(frozenset(trees.marks_of(b)) for b in blocks), dim)
+                         for blocks, dim in keys]
+                assert types == want, (n, k)
                 assert _buckets(keys) == _buckets(types) == _buckets(want), (n, k)
             for t, r, perm in zip(strata, relabelled, perms):
                 got = hassett.stable_vertices(r, eps)

@@ -279,10 +279,55 @@ def test_pairing_matrix_full_rank():
 
 def test_class_reduce_validates_degree():
     p = homology.homology_basis(5, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="wrong space or degree"):
         p.reduce_tree_dict({trees.trivial_tree(5): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="wrong space or degree"):
         p.reduce_tree_dict({trees.trivial_tree(4): 1})
+    # a malformed tree is refused before its degree is read
+    with pytest.raises(ValueError, match="mark 5 attached to missing vertex 7"):
+        homology.class_reduce(p, {trees.MarkedTree(5, (-1,), (0, 0, 0, 0, 7)): 1})
+
+
+def test_relabelled_encodings_reduce_by_split_set_building_no_tree(monkeypatch):
+    # every stratum with n <= 7, its vertices renumbered and its marks
+    # permuted, reduces to the coordinates of the canonical stratum the
+    # reference canonical form names, and no lookup finishes a tree
+    rng = random.Random(2719)
+    cases = []
+    for n in range(4, 8):
+        for k in range(n - 2):
+            pres = homology.homology_basis(n, k)
+            index = {t: i for i, t in enumerate(pres.strata)}
+            for t in pres.strata:
+                r = oracles.relabel_vertices(t, rng.sample(range(t.num_vertices()), t.num_vertices()))
+                r = oracles.relabel_marks(r, dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n))))
+                want = pres.reduce_index_vec({index[oracles.canonical_form_reference(r)]: 1})
+                cases.append((pres, r, want))
+    built = []
+    real = trees._finish
+    monkeypatch.setattr(trees, "_finish", lambda *a: built.append(1) or real(*a))
+    for pres, r, want in cases:
+        assert homology.class_reduce(pres, {r: 1}) == want, r
+    assert built == []
+
+
+def test_presentation_index_is_built_when_first_read():
+    pres = homology.HomologyPresentation(5, 1, trees.enumerate_strata(5, 1), [], {})
+    assert "index" not in vars(pres)
+    assert pres.index == {trees.split_set(t): i for i, t in enumerate(pres.strata)}
+    assert vars(pres)["index"] is pres.index
+    with pytest.raises(AssertionError, match="canonical stratum missing from presentation"):
+        pres.stratum_index(set())
+
+
+def test_cyclic_trees_raise_instead_of_hanging(within):
+    # parent pointers 0 -> 1 -> 2 -> 0 never reach a root
+    cyclic = trees.MarkedTree(4, (1, 2, 0), (0, 0, 1, 2))
+    with within(5):
+        with pytest.raises(ValueError, match="exactly one root"):
+            homology.intersection_pairing_h2(cyclic, 0b1100)
+        with pytest.raises(ValueError, match="exactly one root"):
+            homology.forget_vec({trees.MarkedTree(5, (1, 0), (0, 0, 0, 1, 1)): 1}, [1, 2, 3, 4])
 
 
 def test_forget_vec_basics():

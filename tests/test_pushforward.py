@@ -1,5 +1,6 @@
 """Pushforward matrices, dynamical degrees, and filtration blocks."""
 
+import collections
 import itertools
 import math
 import re
@@ -281,6 +282,48 @@ def _a_nonzero_glued_class():
         if col:
             found.append(args)
     return min(found, key=lambda args: args[1].valence(args[2]))
+
+
+def test_self_matrix_and_glued_classes_build_no_canonical_tree(monkeypatch):
+    # the self matrix renames each basis curve's marks on its split set, and
+    # a glued class looks its image up by split set: no canonical_form call,
+    # and no tree_from_splits call inside _add_glued_class
+    h = d2_six_mark_self_map_datum()
+    pm = pushforward_h2(h)
+    real_canonical, real_build = trees.canonical_form, trees.tree_from_splits
+    real_glued = pushforward._add_glued_class
+    counts = collections.Counter()
+    gluing = []
+
+    def canonical(tree):
+        counts["canonical_form"] += 1
+        return real_canonical(tree)
+
+    def build(n, splits):
+        if gluing:
+            counts["tree_from_splits in _add_glued_class"] += 1
+        return real_build(n, splits)
+
+    def glued(*args):
+        counts["_add_glued_class"] += 1
+        gluing.append(1)
+        try:
+            real_glued(*args)
+        finally:
+            gluing.pop()
+
+    monkeypatch.setattr(trees, "canonical_form", canonical)
+    monkeypatch.setattr(trees, "tree_from_splits", build)
+    monkeypatch.setattr(pushforward, "_add_glued_class", glued)
+    mat = self_correspondence_matrix(h, 1)
+    assert counts == {"_add_glued_class": 44}
+    # the matrix of the pushforward with each basis tree's marks renamed
+    p_a, p_b = pm.target_pres, pm.source_pres
+    b_of_a = {pm.aprime.index(h.identify[b]) + 1: i for i, b in enumerate(h.b_marks, start=1)}
+    for j, t in enumerate(p_a.basis_trees()):
+        coords = homology.class_reduce(p_b, {oracles.relabel_marks(t, b_of_a): 1})
+        for i in range(p_a.rank):
+            assert mat[i][j] == sum(w * pm.matrix[i][c] for c, w in coords.items()), (i, j)
 
 
 def test_glued_image_missing_from_presentation_raises_as_before():

@@ -40,18 +40,23 @@ KNOWN_COUNTS = {
 KNOWN_TOTALS = {4: 4, 5: 26, 6: 236, 7: 2752, 8: 39208}
 
 
+def _counts_by_dim(n):
+    """dict k -> number of k-dim strata, from the enumeration."""
+    return {k: len(trees.enumerate_strata(n, k)) for k in range(n - 2)}
+
+
 def test_counts_match_hand_values():
     for n, table in KNOWN_COUNTS.items():
-        assert trees.count_strata_by_dim(n) == table
+        assert _counts_by_dim(n) == table
 
 
 def test_counts_match_refinement_oracle():
     for n in range(4, 8):
-        assert trees.count_strata_by_dim(n) == strata_counts_by_refinement(n)
+        assert _counts_by_dim(n) == strata_counts_by_refinement(n)
 
 
 def test_counts_n8():
-    got = trees.count_strata_by_dim(8)
+    got = _counts_by_dim(8)
     assert got[0] == 10395          # 11!!
     assert got[1] == 17325
     assert got[4] == 2 ** 7 - 9     # one-edge strata
@@ -60,7 +65,7 @@ def test_counts_n8():
 
 
 def test_counts_n8_refinement_oracle():
-    assert trees.count_strata_by_dim(8) == strata_counts_by_refinement(8)
+    assert _counts_by_dim(8) == strata_counts_by_refinement(8)
 
 
 def test_dim_codim_complementary():
@@ -158,6 +163,32 @@ def test_canonical_form_rejects_unstable():
     for bad, message in malformed:
         with pytest.raises(ValueError, match=message):
             trees.canonical_form(bad)
+
+
+def test_split_set_is_the_key_of_the_stratum():
+    # relabelled encodings share the split set of their canonical stratum,
+    # and the canonical form is the tree built from it
+    rng = random.Random(2711)
+    for _ in range(300):
+        n = rng.randint(4, 10)
+        t = random_stable_tree(rng, n)
+        r = relabel_vertices(t, rng.sample(range(t.num_vertices()), t.num_vertices()))
+        key = trees.split_set(r)
+        assert isinstance(key, frozenset)
+        assert key == trees.split_set(t) == frozenset(t.splits())
+        assert trees.tree_from_splits(n, key) == trees.canonical_form(r) == t
+    with pytest.raises(ValueError, match="valence 2 < 3"):
+        trees.split_set(trees.MarkedTree(5, (-1, 0, 1), (0, 0, 0, 2, 2)))
+
+
+def test_cyclic_parents_raise_instead_of_hanging(within):
+    # no root: 0 and 1 point at each other, and a walk up never ends
+    cyclic = trees.MarkedTree(5, (1, 0), (0, 0, 0, 1, 1))
+    with within(5):
+        with pytest.raises(ValueError, match="exactly one root"):
+            trees.forget_pushforward(cyclic, [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="exactly one root"):
+            trees.split_set(cyclic)
 
 
 def test_splits_roundtrip():
