@@ -13,7 +13,7 @@ fixed by its pairings with a spanning set of the dual degree: a point pairs
 to 1 with the fundamental class, and a curve pairs with the boundary divisors
 through the four flag blocks at its 4-valent vertex (`_curve_row`, at most 7
 nonzeros).  Those blocks fix the class, so the route reduces one row per
-curve class, keyed by the blocks as mark bitmasks (`_curve_key`): 350 rows
+curve class, keyed by the blocks as mark bitmasks (`curve_blocks`): 350 rows
 for the 1,260 strata of (7,1), 1,701 for the 17,325 of (8,1).  The row is
 the class's pairings plus 1 in the stratum's own column; one reduction
 against the rows of the basis strata before it either leaves a split column
@@ -243,10 +243,10 @@ def _pairing_presentation(n, k, strata):
     independent rows are stored.
 
     A curve's pairings, so its class, depend only on the four flag blocks
-    at its 4-valent vertex, keyed as a frozenset of mark bitmasks.  A
-    stratum whose key an earlier dependent stratum had shares that
-    stratum's read-only expression; one whose key so far only a basis
-    stratum had is reduced, and it is dependent.
+    at its 4-valent vertex, keyed as their tuple in flag order
+    (curve_blocks).  A stratum whose key an earlier dependent stratum had
+    shares that stratum's read-only expression; one whose key so far only a
+    basis stratum had is reduced, and it is dependent.
     """
     if k == 0:
         # every point is the point class; the strata share one read-only row
@@ -258,7 +258,7 @@ def _pairing_presentation(n, k, strata):
     int_expr = {}
     seen = {}  # curve class key -> its expression, None while only a basis stratum had it
     for i, t in enumerate(strata):
-        key = _curve_key(t)
+        key = curve_blocks(t)
         entry = seen.get(key)
         if entry is not None:
             int_expr[i] = entry
@@ -314,6 +314,16 @@ def homology_dims(n, limit_strata=None):
 # -- intersection pairing against boundary divisors -------------------------
 
 
+def curve_blocks(tree):
+    """The four flag blocks at the 4-valent vertex of a 1-dim stratum, as a
+    tuple of mark bitmasks in flag order (MarkedTree.flag_masks).  The order
+    is read off the blocks themselves, so the tuple is the same for every
+    encoding of every stratum with those blocks: equal tuples mean equal
+    pairings, so equal classes."""
+    masks, _ = tree.subtree_masks()
+    return tuple(tree.flag_masks(tree._valences().index(4), masks))
+
+
 def intersection_pairing_h2(tree, split):
     """Pairing of a 1-dim stratum class with the boundary divisor of a split,
     given as the mark bitmask of either side.
@@ -330,8 +340,7 @@ def intersection_pairing_h2(tree, split):
     side = trees.split_of(tree.n, split)
     if not (2 <= side.bit_count() <= tree.n - 2):
         raise ValueError("not a 2-sided split with both sides of size >= 2")
-    masks, _ = tree.subtree_masks()
-    blocks = tree.flag_masks(tree._valences().index(4), masks)
+    blocks = curve_blocks(tree)
     other = ((1 << tree.n + 1) - 2) ^ side
     if side in blocks or other in blocks:
         return -1
@@ -351,7 +360,7 @@ def _split_columns(n):
 def _curve_row(n, blocks, column):
     """Pairings of a 1-dim stratum of the n-mark space with every boundary
     divisor, as a sparse {column[split]: int} row, from the four flag blocks
-    at its 4-valent vertex (its _curve_key); equal to intersection_pairing_h2
+    at its 4-valent vertex (curve_blocks); equal to intersection_pairing_h2
     split by split.
 
     -1 on each block that is a split, +1 on the three unions of two blocks,
@@ -368,14 +377,6 @@ def _curve_row(n, blocks, column):
     return row
 
 
-def _curve_key(tree):
-    """The four flag blocks at the 4-valent vertex of a 1-dim stratum, as a
-    frozenset of mark bitmasks: equal keys mean equal pairings, so equal
-    classes."""
-    masks, _ = tree.subtree_masks()
-    return frozenset(tree.flag_masks(tree._valences().index(4), masks))
-
-
 def pairing_rows(pres):
     """For each split (all_splits order) the pairing row over the basis."""
     if pres.k != 1:
@@ -383,7 +384,7 @@ def pairing_rows(pres):
     column = _split_columns(pres.n)
     rows = [{} for _ in column]
     for j, b in enumerate(pres.basis):
-        for c, val in _curve_row(pres.n, _curve_key(pres.strata[b]), column).items():
+        for c, val in _curve_row(pres.n, curve_blocks(pres.strata[b]), column).items():
             rows[c][j] = Fraction(val)
     return rows
 

@@ -26,14 +26,15 @@ candidate, and no class is met twice.  This is the gluing of per-vertex
 orbit representatives along the edges used in tropical Hurwitz counting
 (Cavalieri-Johnson-Markwig, arXiv 0804.0579).
 
-The source curve of a class comes from its node splits.  When a class is
-glued, `_node_sides` gives each of its nodes the split of the marks (as
-a_marks positions) on its far side, its ramification r and the position of
-the target edge it lies over; the class keeps these nodes, sorted, and
-nothing else of its components.  `enumerate_cover_types` builds the
-canonical tree cut by the splits with `trees.tree_from_splits`, once per
-cover type (Keel, Trans. AMS 330, 1992: a stratum is fixed by its splits),
-and the pushforward reads each type's curve from there.
+A class is its (key, nodes) pair.  When a class is glued, `_node_sides`
+gives each of its nodes the split of the marks (as a_marks positions) on
+its far side, its ramification r and the split of the target edge it lies
+over, as `trees.split_of` masks; the class keeps these nodes, sorted, and
+nothing else of its components, so they do not depend on how tau's
+vertices are numbered.  `enumerate_cover_types` builds the canonical tree
+cut by the node splits with `trees.tree_from_splits`, once per cover type
+(Keel, Trans. AMS 330, 1992: a stratum is fixed by its splits), and the
+pushforward reads each type's curve from there.
 
 The classes over a target tree are kept once per process in `_CLASSES`,
 keyed by the tree and the six fields the enumeration reads (a_marks,
@@ -44,11 +45,11 @@ covers depend on the Hurwitz space alone, so the self-maps of one datum,
 which differ only in forget_to and identify, share them.  Each distinct
 datum is validated once per process, when its key is made (`_VALUES`), and
 a datum that is not fully marked raises every time.  The classes are kept
-marshalled, as one (key, nodes) pair per class, and every call reads new
-CoverClass objects from them.  Counts, the degeneration check and the
-pushforward all read the kept classes.  A test that counts work done inside
-the enumeration, or calls of `validate`, must clear `_CLASSES`, `_VALUES`
-and `_COVERS` itself.
+marshalled, and every call returns a new list of the (key, nodes) pairs
+read from them.  Counts, the degeneration check and the pushforward all
+read the kept classes.  A test that counts work done inside the
+enumeration, or calls of `validate`, must clear `_CLASSES`, `_VALUES` and
+`_COVERS` itself.
 """
 
 from __future__ import annotations
@@ -311,27 +312,6 @@ def _canon_cycle(cyc):
 # -- labeled covers over a stratum tree --------------------------------------
 
 
-class CoverClass:
-    """One labeled-cover class over a target tree, by representative.
-
-    key is the class's least candidate: (per target vertex its
-    flag-permutation tuple, each mark's (mark, flag position, cycle) in
-    a_marks order, per target edge its sorted (child cycle, parent cycle)
-    matchings).  Another candidate of the class numbers its sheets and
-    components differently, but builds the same source curve.
-
-    nodes: per source node (split mask over a_marks positions, r, its target
-    edge's position in tau.edges()), sorted by the split's marks, then r.
-    """
-
-    __slots__ = ("tau", "key", "nodes")
-
-    def __init__(self, tau, key, nodes):
-        self.tau = tau
-        self.key = key
-        self.nodes = nodes
-
-
 def _leg_mark(h, f):
     """The target mark of the flag with mark bitmask f when it is a leg (one
     bit), None for an edge (both sides of a split hold at least two marks)."""
@@ -570,27 +550,33 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
     """All labeled-cover classes of the datum over the target tree tau.
 
     Requires a fully marked datum; tau is a stratum tree on |B| marks, mark i
-    standing for b_marks[i-1].  Returns CoverClass representatives sorted by
-    canonical key.
+    standing for b_marks[i-1].  Returns one (key, nodes) pair per class,
+    sorted by key.  key is the class's least candidate: (per target vertex
+    its flag-permutation tuple, each mark's (mark, flag position, cycle) in
+    a_marks order, per target edge its sorted (child cycle, parent cycle)
+    matchings); another candidate of the class numbers its sheets and
+    components differently, but builds the same source curve.  nodes lists
+    each source node as (split mask over a_marks positions, r, split mask
+    of the target edge it lies over), sorted by the first split's marks,
+    then r (_node_sides).
 
     The result is kept per (cover value, tau): data that differ only in
     forget_to or identify share it, and tau is itself and not its canonical
-    form since the classes use its vertex numbering.  Every call returns new
-    classes read from the kept (key, nodes) pairs, so a caller may change
-    them freely.  The datum is validated once per distinct value
-    (_cover_value), and the classes are built only on a miss, under the
-    caller's `limit_tuples`; a call that raises keeps no classes, and a hit
-    ticks what the miss ticked, so the cap behaves as if nothing were
-    cached.  See _enumerate_cover_classes.
+    form since the keys use its vertex numbering.  Every call returns a new
+    list read from the kept pairs, so a caller may change it freely.  The
+    datum is validated once per distinct value (_cover_value), and the
+    classes are built only on a miss, under the caller's `limit_tuples`; a
+    call that raises keeps no classes, and a hit ticks what the miss ticked,
+    so the cap behaves as if nothing were cached.  See
+    _enumerate_cover_classes.
     """
     limit = _tuple_budget(limit_tuples)
     kept = limit.replay(_CLASSES, (_cover_value(h), tau), _enumerate_cover_classes, h, tau)
-    return [CoverClass(tau, *fields) for fields in marshal.loads(kept)]
+    return list(marshal.loads(kept))
 
 
 def _enumerate_cover_classes(h, tau, limit):
-    """The (key, nodes) of the sorted classes of enumerate_cover_classes,
-    one pair per class, marshalled.
+    """The (key, nodes) pairs of enumerate_cover_classes, marshalled.
 
     The key is the least encoding (flag permutations, mark labeling, edge
     matchings) over every per-vertex sheet relabeling, and only the one
@@ -607,8 +593,9 @@ def _enumerate_cover_classes(h, tau, limit):
     raises AssertionError.
 
     Each target vertex's flag list is built once and passed to the
-    per-vertex helpers (_local_assignments, _least_labelings).  A class's
-    nodes are read off its components and source edges once, here
+    per-vertex helpers (_local_assignments, _least_labelings), and each
+    target edge's split is read from the same subtree_masks pass.  A
+    class's nodes are read off its components and source edges once, here
     (_node_sides).
 
     The budget ticks once per flag-permutation combination tried at a
@@ -645,14 +632,16 @@ def _enumerate_cover_classes(h, tau, limit):
     b_index = {b: i for i, b in enumerate(h.b_marks)}
     mark_vertex = [tau.legs[b_index[h.f_map[a]]] for a in h.a_marks]
 
-    # target edges with their flag positions on each side: the child sees
-    # every mark outside its subtree, the parent the child's subtree
+    # target edges with their flag positions on each side (the child sees
+    # every mark outside its subtree, the parent the child's subtree) and
+    # their splits
     everything = (1 << tau.n + 1) - 2
     edge_list = tau.edges()
     edge_pos = [
         (flag_lists[c].index(everything ^ masks[c]), flag_lists[p].index(masks[c]))
         for c, p in edge_list
     ]
+    edge_split = [trees.split_of(tau.n, masks[c]) for c, _p in edge_list]
 
     reps = {}
     labelings = {}  # (vertex, its tuple) -> (_least_labelings, ticks)
@@ -705,7 +694,7 @@ def _enumerate_cover_classes(h, tau, limit):
                 uf = UnionFind(num_comps)
                 acyclic = True
                 src_edges = []
-                for e, ((c, p), pairs) in enumerate(zip(edge_list, matchings)):
+                for (c, p), e, pairs in zip(edge_list, edge_split, matchings):
                     for cy1, cy2 in pairs:
                         i1 = comp_at[c][cy1[0]]
                         i2 = comp_at[p][cy2[0]]
@@ -739,10 +728,9 @@ def count_covers(h, limit_tuples=None):
 
 def count_covers_orbit_stabilizer(h, limit_tuples=None):
     """Smooth-target count again, via the stabilizer sum over raw
-    configurations; independent of the canonical-key dedup."""
-    res = validate(h)
-    if res.status != "fully_marked":
-        raise ValueError("requires a fully marked datum")
+    configurations; independent of the canonical-key dedup.  The datum is
+    checked as the enumeration checks it (_cover_value), once per value."""
+    _cover_value(h)
     tau = trees.trivial_tree(len(h.b_marks))
     limit = _tuple_budget(limit_tuples)
     d = h.d
@@ -793,9 +781,10 @@ def _node_sides(n, comp_marks, comp_edges):
 
     comp_marks holds the mask of the marks (1..n) on each component and
     comp_edges the (i, j, r, e) nodes between components, r the ramification
-    and e the target edge the node lies over; they form a tree, and a node's
-    split cuts off the marks on its far side.  One pass ORs the masks below
-    each component with the tree rooted at component 0.
+    and e the split of the target edge the node lies over, passed through;
+    they form a tree, and a node's split cuts off the marks on its far
+    side.  One pass ORs the masks below each component with the tree rooted
+    at component 0.
     """
     adj = [[] for _ in comp_marks]
     for i, j, _r, _e in comp_edges:
@@ -823,8 +812,8 @@ def enumerate_cover_types(h, tau, limit_tuples=None):
     with the same node data have the same source tree, the canonical tree cut
     by the node splits.  Two nodes of one curve never share a split."""
     counts = Counter(
-        tuple((side, r) for side, r, _e in cls.nodes)
-        for cls in enumerate_cover_classes(h, tau, limit_tuples)
+        tuple((side, r) for side, r, _e in nodes)
+        for _key, nodes in enumerate_cover_classes(h, tau, limit_tuples)
     )
     n = len(h.a_marks)
     types = []

@@ -12,18 +12,21 @@ class is glued back together, pushed along the forgetful map to the retained
 marks, and reduced in the quotient basis.
 
 Every stratum on the way is built from its split set: a degeneration of tau
-adds the union of two of the four flag blocks at its 4-valent vertex, and
-its new edge is found by that split.  Gluing and forgetting run on split
-sets too, with no tree built: a glued class gathers the source
-curve's splits and those of the point substitutions once, adds the small
-stratum's splits as unions of flag blocks per basis coordinate
-(`trees.substitution_splits`), projects the set to the retained marks
-(`trees.project_splits`) and looks the image up in the retained-mark
-presentation by that split set (`stratum_index`), building no tree.  The
-self-correspondence matrix renames each basis stratum's marks the same
-way, as a projection that forgets no mark, and looks it up likewise.
-Smoothing a refined cover is done on the nodes its class keeps: the nodes
-over the new target edge, found by its position, are new and the rest old.
+adds the union of two of the four flag blocks at its 4-valent vertex
+(`homology.curve_blocks`), and names its new edge by that split.  Gluing
+and forgetting run on split sets too, with no tree built: a glued class
+gathers the source curve's splits (the type's node splits) and those of
+the point substitutions at the other moduli vertices once, from the flag
+blocks the column read for its cover type, adds the small stratum's splits
+as unions of flag blocks per basis coordinate (`trees.substitution_splits`),
+projects the set to the retained marks (`trees.project_splits`) and looks
+the image up in the retained-mark presentation by that split set
+(`stratum_index`), building no tree.  The self-correspondence matrix
+renames each basis stratum's marks the same way, as a projection that
+forgets no mark, and looks it up likewise.
+Smoothing a refined cover is done on the nodes its class keeps: each node
+names the split of the target edge it lies over, so the nodes over the new
+target edge, named by the split just added, are new and the rest old.
 The old nodes are the node data of the cover type over tau that the class
 smooths to, so its source curve is that type's, built once per column by
 `hurwitz.enumerate_cover_types` and read for its flag blocks once.  Each new
@@ -115,20 +118,18 @@ def _push_column(full, tau, p_a, renum, deg_nu, limit_tuples, limit_strata):
 
     # each boundary direction pairs two of the four flag blocks at the
     # 4-valent vertex, adding their union as a split
-    w_star = next(v for v in range(tau.num_vertices()) if tau.md(v) == 1)
-    blocks = tau.flag_masks(w_star, tau.subtree_masks()[0])
+    blocks = homology.curve_blocks(tau)
     base = tau.splits()
     pairings = {}  # node data -> {source vertex: {flag split: weight}}
     for i, j in ((1, 2), (1, 3), (2, 3)):
         cut = trees.split_of(tau.n, blocks[i] + blocks[j])
         tau_ref = trees.tree_from_splits(tau.n, base | {cut})
-        edge = _edge_cutting(tau_ref, cut)
         local_deg = {}
-        for cls in hurwitz.enumerate_cover_classes(full, tau_ref, limit_tuples):
+        for _key, nodes in hurwitz.enumerate_cover_classes(full, tau_ref, limit_tuples):
             old = []
             new = []
-            for side, r, e in cls.nodes:
-                (new if e == edge else old).append((side, r))
+            for side, r, e in nodes:
+                (new if e == cut else old).append((side, r))
             old = tuple(old)
             if old not in types:
                 raise AssertionError("refined cover smooths to an unknown type")
@@ -154,26 +155,13 @@ def _push_column(full, tau, p_a, renum, deg_nu, limit_tuples, limit_strata):
     col = {}
     for node_data, t in types.items():
         vertex_blocks = views[node_data]
-        mod_vertices = [v for v, vb in enumerate(vertex_blocks) if len(vb) > 3]
         for v_hat, splitvals in sorted(pairings.get(node_data, {}).items()):
             if len(vertex_blocks) == 1:
                 _add_projected_class(col, splitvals, p_a, renum, t.multiplicity)
             else:
-                _add_glued_class(
-                    col, splitvals, t.source_tree, v_hat, mod_vertices,
-                    p_a, renum, t.multiplicity, limit_strata,
-                )
+                _add_glued_class(col, splitvals, t, vertex_blocks, v_hat, p_a, renum, limit_strata)
     # a glued class adds integer rows, so an entry may still be an int here
     return {i: Fraction(c, deg_nu) for i, c in col.items() if c}
-
-
-def _edge_cutting(tree, split):
-    """The position in tree.edges() of the edge that cuts the split mask
-    `split`, read off the splits of every edge at once."""
-    for pos, (_c, _p, side) in enumerate(tree.edge_splits()):
-        if side == split:
-            return pos
-    raise AssertionError("no edge of the refined target cuts %r" % list(trees.marks_of(split)))
 
 
 def _add_projected_class(col, splitvals, p_a, renum, mult):
@@ -188,29 +176,30 @@ def _add_projected_class(col, splitvals, p_a, renum, mult):
     linalg.axpy(col, mult, homology.solve_class_from_pairings(p_a, pairs))
 
 
-def _add_glued_class(col, splitvals, t_g, v_hat, mod_vertices, p_a, renum, mult,
-                     limit_strata):
-    """Solve the vertex class in its own small space, substitute it at the
-    vertex (points everywhere else), forget, and reduce, on split sets.
+def _add_glued_class(col, splitvals, t, vertex_blocks, v_hat, p_a, renum, limit_strata):
+    """Solve the vertex class of cover type t at its source vertex v_hat in
+    its own small space, substitute it there (points at every other moduli
+    vertex), forget, and reduce, on split sets.
 
-    The host's splits and those of the point substitutions are the same for
-    every basis coordinate of the vertex class, and are gathered once.  Per
-    coordinate the small stratum adds its splits as unions of the flag
-    blocks at the vertex, the whole set is projected to the retained marks
+    vertex_blocks holds the flag blocks of each source vertex, as the column
+    read them from the type's source curve.  The curve's splits, which are
+    the type's node splits, and those of the point substitutions are the
+    same for every basis coordinate of the vertex class, and are gathered
+    once.  Per coordinate the small stratum adds its splits as unions of the
+    flag blocks at v_hat, the whole set is projected to the retained marks
     (trees.project_splits), and the image is looked up by that split set.
     """
-    small = homology.homology_basis(t_g.valence(v_hat), 1, limit_strata)
+    blocks = vertex_blocks[v_hat]
+    small = homology.homology_basis(len(blocks), 1, limit_strata)
     coords = homology.solve_class_from_pairings(
         small, {s: Fraction(w) for s, w in splitvals.items()}
     )
-    n = t_g.n
-    fixed = t_g.splits()
-    masks, _ = t_g.subtree_masks()
-    for u in mod_vertices:
-        if u != v_hat:
-            point = trees.enumerate_strata(t_g.valence(u), 0)[0]
-            fixed |= trees.substitution_splits(n, t_g.flag_masks(u, masks), point)
-    blocks = t_g.flag_masks(v_hat, masks)
+    n = t.source_tree.n
+    fixed = {side for side, _r in t.node_data}
+    for u, flags in enumerate(vertex_blocks):
+        if u != v_hat and len(flags) > 3:
+            point = trees.enumerate_strata(len(flags), 0)[0]
+            fixed |= trees.substitution_splits(n, flags, point)
     for pos, c in sorted(coords.items()):
         small_tree = small.strata[small.basis[pos]]
         image = trees.project_splits(
@@ -219,7 +208,7 @@ def _add_glued_class(col, splitvals, t_g, v_hat, mod_vertices, p_a, renum, mult,
         if image is None:
             continue
         v, den = p_a.integer_coords({p_a.stratum_index(image): 1})
-        linalg.axpy(col, mult * c / den, v)
+        linalg.axpy(col, t.multiplicity * c / den, v)
 
 
 # -- self-correspondence and dynamical degrees --------------------------------

@@ -265,7 +265,7 @@ def test_pairing_matrix_full_rank():
         column = homology._split_columns(n)
         every, basis = linalg.RowSpace(), linalg.RowSpace()
         for i, t in enumerate(p.strata):
-            row = homology._curve_row(n, homology._curve_key(t), column)
+            row = homology._curve_row(n, homology.curve_blocks(t), column)
             every.add(row)
             if i in p.pos:
                 basis.add(row)
@@ -490,7 +490,7 @@ def test_curve_row_matches_pairing_over_every_split():
                 if val:
                     want[j] = val
             # any of the four blocks can come first
-            blocks = sorted(homology._curve_key(t))
+            blocks = sorted(homology.curve_blocks(t))
             for k in range(4):
                 assert homology._curve_row(n, blocks[k:] + blocks[:k], column) == want
 
@@ -508,8 +508,9 @@ def test_curve_classes_are_the_four_block_keys():
         groups = {}
         for i, t in enumerate(pres.strata):
             blocks = oracles.flag_marksets_by_definition(t, t._valences().index(4))
-            key = homology._curve_key(t)
-            assert key == frozenset(sum(1 << mark for mark in b) for b in blocks), (n, i)
+            # in flag order, which the blocks themselves fix
+            key = homology.curve_blocks(t)
+            assert key == tuple(sum(1 << mark for mark in b) for b in blocks), (n, i)
             groups.setdefault(key, []).append(i)
         assert len(groups) == count, n
         for first, *rest in groups.values():

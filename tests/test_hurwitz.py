@@ -7,6 +7,8 @@ library's pruning, and classes are deduplicated by minimal conjugate.
 
 import copy
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,8 @@ from stratadyn.hurwitz import (
     validate,
 )
 from stratadyn.trees import ResourceError
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def fig1_datum():
@@ -375,7 +379,7 @@ def test_limit_tuples_counts_key_relabelings(fresh_covers):
 
 
 def _fields(classes):
-    return [tuple(getattr(c, f) for f in c.__slots__) for c in classes]
+    return [tuple(c) for c in classes]
 
 
 def test_equal_data_share_one_kept_entry(fresh_covers):
@@ -453,7 +457,7 @@ def test_data_differing_in_one_field_keep_their_own_entries(fresh_covers):
     assert renumbered != tau and trees.canonical_form(renumbered) == tau
     third = enumerate_cover_classes(full, renumbered)
     assert len(hurwitz._CLASSES) == 6
-    assert len(third) == len(first) and all(c.tau is renumbered for c in third)
+    assert len(third) == len(first)
 
 
 def test_changing_returned_classes_leaves_the_next_result(fresh_covers):
@@ -461,7 +465,7 @@ def test_changing_returned_classes_leaves_the_next_result(fresh_covers):
     full, _ = fully_mark(fig1_datum())
     first = enumerate_cover_classes(full, tau)
     want = copy.deepcopy(_fields(first))
-    first[0].key = first[0].nodes = None
+    first[0] = (None, None)
     first.reverse()
     first.append(None)
     second = enumerate_cover_classes(full, tau)
@@ -501,6 +505,9 @@ def test_datum_that_is_not_fully_marked_raises_beside_a_kept_sibling(fresh_cover
                 enumerate_cover_classes(h, tau)
             with pytest.raises(ValueError, match=message):
                 degeneration_degree_check(h, tau)
+            # the orbit-stabiliser count checks the datum the same way
+            with pytest.raises(ValueError, match=message):
+                count_covers_orbit_stabilizer(h)
     # nothing is kept for them
     assert len(hurwitz._CLASSES) == 1 and len(hurwitz._VALUES) == 1
 
@@ -514,6 +521,8 @@ def test_validate_runs_once_per_distinct_datum(fresh_covers, monkeypatch):
     strata = trees.enumerate_strata(4, 0)
     for _ in range(3):
         for h in (full, sibling):
+            # the orbit-stabiliser count checks the datum through its key too
+            assert count_covers_orbit_stabilizer(h) == 4
             for tau in strata:
                 report = degeneration_degree_check(h, tau)
                 assert report["ok"] and report["expected"] == 4
@@ -606,10 +615,28 @@ def test_d1_covers_mirror_target_strata():
         for tau in trees.enumerate_strata(5, k):
             classes = enumerate_cover_classes(h, tau)
             assert len(classes) == 1
-            node_data = [(side, r) for side, r, _e in classes[0].nodes]
+            [(_key, nodes)] = classes
+            node_data = [(side, r) for side, r, _e in nodes]
             # built canonical from its node splits
             assert trees.tree_from_splits(len(h.a_marks), [side for side, _r in node_data]) == tau
             assert all(r == 1 for _side, r in node_data)
+
+
+def test_class_nodes_do_not_depend_on_the_vertex_numbering(fresh_covers):
+    # a node names its target edge by the edge's split, which both
+    # encodings of the stratum cut
+    h = HurwitzData.from_json_dict(json.loads((DATA / "d1_self.json").read_text()))
+    tau = trees.enumerate_strata(5, 0)[0]
+    last = tau.num_vertices() - 1
+    backwards = trees.MarkedTree(
+        tau.n, tuple(-1 if p < 0 else last - p for p in reversed(tau.parents)),
+        tuple(last - v for v in tau.legs),
+    )
+    assert backwards != tau and trees.split_set(backwards) == trees.split_set(tau)
+    got = [sorted(node for _key, nodes in enumerate_cover_classes(h, t) for node in nodes)
+           for t in (tau, backwards)]
+    assert got[0] == got[1]
+    assert len(hurwitz._CLASSES) == 2
 
 
 def test_cover_types_refuse_a_repeated_node_split(monkeypatch):
@@ -617,7 +644,7 @@ def test_cover_types_refuse_a_repeated_node_split(monkeypatch):
     real = hurwitz.enumerate_cover_classes
 
     def doubled(*args):
-        return [hurwitz.CoverClass(c.tau, c.key, c.nodes[:1] + c.nodes) for c in real(*args)]
+        return [(key, nodes[:1] + nodes) for key, nodes in real(*args)]
 
     monkeypatch.setattr(hurwitz, "enumerate_cover_classes", doubled)
     with pytest.raises(AssertionError, match="the source tree has 2 edges for 3 nodes"):
@@ -646,13 +673,13 @@ def test_cover_keys_match_brute_oracle():
         full, _ = fully_mark(h)
         for tau in strata:
             classes = enumerate_cover_classes(full, tau)
-            assert [c.key for c in classes] == sorted(oracles.brute_cover_keys(full, tau))
-            for c in classes:
-                vertex_perms, enc_label, matchings = c.key
+            assert [key for key, _nodes in classes] == sorted(oracles.brute_cover_keys(full, tau))
+            for key, _nodes in classes:
+                vertex_perms, enc_label, matchings = key
                 labeling = {a: (pos, cyc) for a, pos, cyc in enc_label}
                 assert [a for a, _pos, _cyc in enc_label] == list(full.a_marks)
                 # each key is its own class's least encoding
-                assert c.key == oracles.brute_cover_key(
+                assert key == oracles.brute_cover_key(
                     full, tau, vertex_perms, labeling, matchings
                 )
                 # representatives are glued from least-conjugate tuples only
@@ -697,19 +724,22 @@ def test_class_nodes_match_their_key_and_target():
         for tau in strata:
             classes = enumerate_cover_classes(full, tau)
             assert classes
-            for c in classes:
-                r_over = [0] * len(tau.edges())
-                for side, r, e in c.nodes:
+            for key, nodes in classes:
+                # each target edge by its split, read by definition
+                r_over = {
+                    trees.normalize_split(tau.n, tau.away_marks(p, ch)): 0
+                    for ch, p in tau.edges()
+                }
+                for side, r, e in nodes:
                     assert side == trees.split_of(n, side) and r >= 1
                     r_over[e] += r
-                assert r_over == [full.d] * len(tau.edges())
-                orbits = sum(_orbit_count(perms, full.d) for perms in c.key[0])
-                assert len(c.nodes) == orbits - 1
+                assert list(r_over.values()) == [full.d] * len(tau.edges())
+                orbits = sum(_orbit_count(perms, full.d) for perms in key[0])
+                assert len(nodes) == orbits - 1
                 if full.d == 1:
-                    assert sorted((e, side) for side, _r, e in c.nodes) == [
-                        (e, trees.normalize_split(n, tau.away_marks(p, ch)))
-                        for e, (ch, p) in enumerate(tau.edges())
-                    ]
+                    assert sorted((e, side) for side, _r, e in nodes) == sorted(
+                        (e, e) for e in r_over
+                    )
 
 
 def test_d3_degeneration_over_five_mark_point_stratum():
