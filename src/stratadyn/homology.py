@@ -95,7 +95,7 @@ def km_relations(n, k):
     for sigma in trees.enumerate_strata(n, k + 1):
         base = frozenset(sigma.splits())
         masks, _ = sigma.subtree_masks()
-        for v, val in enumerate(sigma._valences()):
+        for v, val in enumerate(sigma.valences()):
             if val < 4:
                 continue
             blocks = sigma.flag_masks(v, masks)
@@ -321,7 +321,7 @@ def curve_blocks(tree):
     encoding of every stratum with those blocks: equal tuples mean equal
     pairings, so equal classes."""
     masks, _ = tree.subtree_masks()
-    return tuple(tree.flag_masks(tree._valences().index(4), masks))
+    return tuple(tree.flag_masks(tree.valences().index(4), masks))
 
 
 def intersection_pairing_h2(tree, split):

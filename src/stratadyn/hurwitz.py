@@ -112,20 +112,27 @@ class HurwitzData:
 
     @staticmethod
     def from_json_dict(dd):
-        """Decode to_json_dict's encoding; F, br, rm and identify must be
-        objects (identify may be null), or ValueError is raised."""
+        """Decode to_json_dict's encoding.  Raises ValueError unless F, br,
+        rm and identify are objects (identify may be null), A, B, forget_to
+        (unless null) and each br entry arrays, and d, the br parts and the
+        rm values JSON integers."""
+        if not isinstance(dd, dict):
+            raise ValueError("a datum must be an object")
         for name in ("F", "br", "rm", "identify"):
             value = dd[name] if name in dd else {}
             if not isinstance(value, dict) and not (name == "identify" and value is None):
                 raise ValueError("%s must be an object keyed by mark" % name)
+        forget_to = dd.get("forget_to")
+        br = dd.get("br", {})
         return HurwitzData(
-            dd["A"],
-            dd["B"],
-            dd["d"],
+            trees._json_array(dd["A"], "A"),
+            trees._json_array(dd["B"], "B"),
+            trees._json_int(dd["d"], "d"),
             dd["F"],
-            dd.get("br", {}),
-            dd["rm"],
-            dd.get("forget_to"),
+            {b: [trees._json_int(x, "a part of br[%s]" % b)
+                 for x in trees._json_array(parts, "br[%s]" % b)] for b, parts in br.items()},
+            {a: trees._json_int(r, "rm[%s]" % a) for a, r in dd["rm"].items()},
+            None if forget_to is None else trees._json_array(forget_to, "forget_to"),
             dd.get("identify"),
         )
 
@@ -214,7 +221,9 @@ def fully_mark(h):
 
     Over each target mark the missing parts of br(b) get fresh marks named
     a(b,r), primed on repetition; the degree of the labeling cover is the
-    product over (b, r) of (number of added marks with that pair)!.
+    product over (b, r) of (number of added marks with that pair)!.  Only
+    the input is validated: the cover enumeration validates the datum it
+    is given (_cover_value) and refuses one that is not fully marked.
     """
     res = validate(h)
     if not res.ok:
@@ -238,11 +247,7 @@ def fully_mark(h):
                 rm[name] = r
             deg *= factorial(count)
     forget = h.forget_to if h.forget_to is not None else tuple(h.a_marks)
-    full = HurwitzData(new_a, h.b_marks, h.d, f_map, h.br, rm, forget, h.identify)
-    chk = validate(full)
-    if chk.status != "fully_marked":
-        raise AssertionError("full marking failed: %s" % chk.reason)
-    return full, deg
+    return HurwitzData(new_a, h.b_marks, h.d, f_map, h.br, rm, forget, h.identify), deg
 
 
 # -- permutations ------------------------------------------------------------

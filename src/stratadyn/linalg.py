@@ -140,13 +140,6 @@ class RowSpace:
             for p, row in self.rows.items()
         }
 
-    def canonical_key(self):
-        """Hashable canonical form of the row space, for equality checks."""
-        rr = self.rref()
-        return tuple(
-            (p, tuple(sorted(rr[p].items()))) for p in sorted(rr)
-        )
-
     def equals(self, other):
         """Whether the two spaces are equal: their primitive, fully reduced
         rows are canonical for the space, so the stored rows are compared."""
@@ -285,24 +278,32 @@ def char_poly_integer(a):
     return _primitive_ints(char_poly(a))
 
 
-def _poly_rem(a, b):
-    """Remainder of a divided by b, exact Fraction arithmetic."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while b and b[-1] == 0:
-        b.pop()
-    while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        q = a[-1] / b[-1]
-        off = len(a) - len(b)
-        for i in range(len(b) - 1):
-            a[off + i] -= q * b[i]
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _sturm_chain(p):
+    """The Sturm chain p, p', -rem(p, p'), ... of an integer polynomial p
+    of degree at least 1, each member after p' made primitive.
+
+    Each remainder is a negated pseudo-remainder: a is scaled by
+    |lc(b)|^(deg a - deg b + 1) > 0 before it is divided by b, so every
+    step stays in the integers, and the scale, being positive, leaves the
+    signs the chain counts as they are.
+    """
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while True:
+        a, b = chain[-2], chain[-1]
+        lead = b[-1]
+        scale = abs(lead)
+        r = list(a)
+        for off in range(len(a) - len(b), -1, -1):
+            # kill the leading term: scale * r - sign(lead) * r[-1] * x^off * b
+            q = r.pop() if lead > 0 else -r.pop()
+            r = [scale * c for c in r]
+            for i, c in enumerate(b[:-1]):
+                r[off + i] -= q * c
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            return chain
+        chain.append(_primitive_ints([-c for c in r]))
 
 
 def _value(q, m, e):
@@ -333,7 +334,7 @@ def largest_real_root(coeffs, tol=1e-12):
     Exact isolation by the Sturm chain p, p', -rem(p, p'), ...: the number of
     distinct real roots above a point x that is not a root is the drop in
     sign changes along the chain from x to +infinity.  The chain is built
-    once, scaled to integers by positive factors, and evaluated at dyadic
+    once by integer pseudo-remainders (_sturm_chain) and evaluated at dyadic
     points in integer arithmetic.  Bisection starts from the Cauchy bound and
     keeps the largest root in the bracket (lo, hi].  Once the bracket holds
     only that root and is at most 1 wide, an integer root in it is returned
@@ -345,12 +346,7 @@ def largest_real_root(coeffs, tol=1e-12):
         p.pop()
     if len(p) < 2:
         return None
-    chain = [p, [i * c for i, c in enumerate(p)][1:]]
-    while True:
-        r = _poly_rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(_primitive_ints([-c for c in r]))
+    chain = _sturm_chain(p)
     at_inf = _sign_changes([q[-1] for q in chain])
     # at -infinity an odd-degree member has the sign opposite to its leading one
     above = _sign_changes([q[-1] if len(q) % 2 else -q[-1] for q in chain]) - at_inf

@@ -3,9 +3,11 @@
 A stratum of the moduli space of stable genus-zero curves with marks 1..n is
 encoded by its dual tree: vertices are components, edges are nodes, legs are
 marks.  Stability means every vertex has valence (legs + incident edges) at
-least 3.  A vertex v carries md(v) = valence(v) - 3 moduli, so
+least 3.  A vertex of valence val carries val - 3 moduli, so
 
-    dim = sum of md(v),   codim = number of edges,   dim + codim = n - 3.
+    dim = sum of (val - 3),   codim = number of edges,   dim + codim = n - 3,
+
+and valences() reads every vertex's valence in one pass.
 
 Trees are stored as (n, parents, legs): vertices are 0..m-1, parents[i] is the
 parent index (-1 for the root), legs[i-1] is the vertex carrying mark i.  Two
@@ -16,10 +18,10 @@ A stratum is also fixed by its set of pairwise-compatible splits, the mark
 bipartitions cut by its edges (Keel, Trans. AMS 330, 1992).  A split is one
 int in every module, the mark bitmask (bit m for mark m) of its side without
 mark 1: split_of, the one normaliser, names it from a mask of either side,
-normalize_split from a mark set, and marks_of reads its marks out.  Derived
-strata (gluing small trees into vertices, forgetting marks) are computed on
-split sets and built by tree_from_splits, and so are the source curves of
-covers (`hurwitz.enumerate_cover_types`).  The split-set cores,
+and marks_of reads its marks out.  Derived strata (gluing small trees into
+vertices, forgetting marks) are computed on split sets and built by
+tree_from_splits, and so are the source curves of covers
+(`hurwitz.enumerate_cover_types`).  The split-set cores,
 substitution_splits and project_splits, are public: the pushforward glues,
 forgets and relabels marks with them and looks the image up by its split
 set, building no tree, and glue_substitution and forget_pushforward are
@@ -28,15 +30,16 @@ enumerate_strata searches split sets as integer bitmasks, growing each set
 by AND-ing per-split compatibility masks.  Validation is one pass over
 parents and legs.  Every edge's side comes from one pass, subtree_masks:
 the marks at and under each vertex as bitmasks, walking up from each mark
-on any valid encoding, canonical or not.  edge_splits and splits read their
-sides from it, and flag_masks, the one flag reader, lists the flags at a
+on any valid encoding, canonical or not.  splits reads the edges' sides
+from it, and flag_masks, the one flag reader, lists the flags at a
 vertex as mark bitmasks read from it, in the one flag order: legs by mark,
 then edges by their least far-side mark (the far sides at a vertex are
 disjoint, so this is the order of their sorted mark sets).  A caller that
 reads several vertices of one tree makes the pass once and hands its masks
-to flag_masks per vertex.  away_marks and adjacency stay as the definitions
-the pass is checked against.  The curve classes of the homology pairing route
-and the reduction image types of hassett are keyed by these masks.
+to flag_masks per vertex.  The tests check the pass against readers by
+definition (adjacency, the marks beyond an edge) kept with their oracles.
+The curve classes of the homology pairing route and the reduction image
+types of hassett are keyed by these masks.
 
 The canonical encoding is rooted at the centroid (no component of more
 than m/2 vertices once it is removed; two adjacent ones at most) with the
@@ -80,6 +83,8 @@ what the miss ticked, so a cap counts as if nothing were kept: a kept
 """
 
 from __future__ import annotations
+
+import json
 
 
 class ResourceError(RuntimeError):
@@ -150,30 +155,12 @@ class MarkedTree:
     def num_vertices(self):
         return len(self.parents)
 
-    def adjacency(self):
-        adj = [[] for _ in self.parents]
-        for i, p in enumerate(self.parents):
-            if p >= 0:
-                adj[i].append(p)
-                adj[p].append(i)
-        return adj
-
-    def legs_at(self):
-        at = [[] for _ in self.parents]
-        for mark, v in enumerate(self.legs, start=1):
-            at[v].append(mark)
-        return at
-
     def edges(self):
         """Edges as (child, parent) pairs, one per non-root vertex."""
         return [(i, p) for i, p in enumerate(self.parents) if p >= 0]
 
-    def valence(self, v):
-        deg = sum(1 for p in self.parents if p == v) + (1 if self.parents[v] >= 0 else 0)
-        return deg + sum(1 for u in self.legs if u == v)
-
-    def _valences(self):
-        """valence(v) for every vertex v, from one pass over parents and legs."""
+    def valences(self):
+        """The valence of every vertex, from one pass over parents and legs."""
         val = [0] * len(self.parents)
         for i, p in enumerate(self.parents):
             if p >= 0:
@@ -183,32 +170,11 @@ class MarkedTree:
             val[v] += 1
         return val
 
-    def md(self, v):
-        return self.valence(v) - 3
-
     def dim(self):
-        return sum(self._valences()) - 3 * len(self.parents)
+        return sum(self.valences()) - 3 * len(self.parents)
 
     def codim(self):
         return len(self.parents) - 1
-
-    def away_marks(self, v, u):
-        """Marks reachable from the neighbour u once the edge (v, u) is cut.
-
-        The definition of an edge's side; splits() and flag_masks read every
-        side at once from subtree_masks instead."""
-        adj = self.adjacency()
-        stack = [u]
-        seen = {v, u}
-        comp = {u}
-        while stack:
-            w = stack.pop()
-            for x in adj[w]:
-                if x not in seen:
-                    seen.add(x)
-                    comp.add(x)
-                    stack.append(x)
-        return frozenset(m for m, w in enumerate(self.legs, start=1) if w in comp)
 
     def subtree_masks(self, weights=None):
         """The marks at and under each vertex as bitmasks, bit m for mark
@@ -248,15 +214,11 @@ class MarkedTree:
         edges.sort(key=lambda mask: mask & -mask)
         return out + edges
 
-    def edge_splits(self):
-        """Each edge as (child, parent, split), in edges() order, the split
-        the mark bitmask of its side without mark 1 (split_of)."""
-        masks, _ = self.subtree_masks()
-        return [(c, p, split_of(self.n, masks[c])) for c, p in self.edges()]
-
     def splits(self):
-        """The set of splits cut by the edges, as split_of masks."""
-        return {side for _c, _p, side in self.edge_splits()}
+        """The set of splits cut by the edges, as split_of masks of the side
+        below each edge."""
+        masks, _ = self.subtree_masks()
+        return {split_of(self.n, masks[c]) for c, p in enumerate(self.parents) if p >= 0}
 
     def to_json_dict(self):
         """Stratum encoding: {"n": N, "parents": [...], "legs": {"1": vertex}}."""
@@ -268,9 +230,12 @@ class MarkedTree:
 
     @staticmethod
     def from_json_dict(d):
-        """Decode to_json_dict's encoding.  Raises ValueError unless the leg
-        object places each mark 1..n exactly once and the tree is stable."""
-        n = int(d["n"])
+        """Decode to_json_dict's encoding.  Raises ValueError unless n, the
+        parents array's entries and the leg object's vertices are JSON
+        integers, the leg object places each mark 1..n exactly once and the
+        tree is stable."""
+        n = _json_int(d["n"], "n")
+        parents = [_json_int(p, "a parent") for p in _json_array(d["parents"], "parents")]
         if not isinstance(d["legs"], dict):
             raise ValueError("legs must be an object {mark: vertex}")
         legs = [None] * n
@@ -278,12 +243,27 @@ class MarkedTree:
             m = int(mark)
             if not (1 <= m <= n) or legs[m - 1] is not None:
                 raise ValueError("bad leg table entry for mark %r" % mark)
-            legs[m - 1] = v
+            legs[m - 1] = _json_int(v, "the vertex of mark %s" % mark)
         if None in legs:
             raise ValueError("leg table must cover marks 1..%d" % n)
-        tree = MarkedTree(n, d["parents"], legs)
+        tree = MarkedTree(n, parents, legs)
         _validate(tree)
         return tree
+
+
+def _json_int(value, what):
+    """value when it is a JSON integer, which a bool, a float or a string
+    is not; ValueError naming `what` otherwise."""
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, got %s" % (what, json.dumps(value)))
+    return value
+
+
+def _json_array(value, what):
+    """value when it is a JSON array; ValueError naming `what` otherwise."""
+    if type(value) is not list:
+        raise ValueError("%s must be an array, got %s" % (what, json.dumps(value)))
+    return value
 
 
 def trivial_tree(n):
@@ -428,11 +408,6 @@ def tree_sort_key(tree):
 
 
 # -- splits and enumeration ----------------------------------------------
-
-
-def normalize_split(n, marks):
-    """The split with one side the mark set `marks`, named by split_of."""
-    return split_of(n, sum(1 << mark for mark in set(marks)))
 
 
 def split_of(n, mask):
@@ -597,7 +572,7 @@ def _enumerate(n, k, budget):
 
 def induced_partition(tree):
     """Partition of dim(tree): the positive per-vertex moduli counts, sorted."""
-    return tuple(sorted(val - 3 for val in tree._valences() if val > 3))
+    return tuple(sorted(val - 3 for val in tree.valences() if val > 3))
 
 
 # -- forgetting marks ------------------------------------------------------

@@ -25,7 +25,7 @@ def flag_passes(monkeypatch):
     """Count the subtree_masks passes made for flags, per reader call and
     tree: a Counter of (reader frame, tree) pairs, identified by object, the
     reader being the nearest calling frame outside trees.  The passes that
-    edge_splits makes for a tree's splits are not counted.  Readers and
+    splits makes for a tree's splits are not counted.  Readers and
     trees are kept alive for the test, so no two share an id."""
     real = trees.MarkedTree.subtree_masks
     passes = collections.Counter()
@@ -33,7 +33,7 @@ def flag_passes(monkeypatch):
 
     def counted(tree, *args):
         frame = sys._getframe(1)
-        if frame.f_code is not trees.MarkedTree.edge_splits.__code__:
+        if frame.f_code is not trees.MarkedTree.splits.__code__:
             while frame.f_code.co_filename == trees.__file__:
                 frame = frame.f_back
             alive.append((frame, tree))

@@ -12,9 +12,12 @@ counts come from raw tuple enumeration.  The oracles assemble their trees
 themselves, from per-vertex flag lists (`assemble`), rather than through the
 library's split-set builder, and read a vertex's flags from the adjacency
 and away_marks definitions (`flags_by_definition`) rather than from the
-library's flag reader.  They keep splits as mark sets
-(`all_splits_reference`, `splits_by_definition`) where the library keeps
-bitmasks, and hand a split to the library through `trees.normalize_split`.
+library's flag reader; these readers by definition (`adjacency`, `legs_at`,
+`valence`, `away_marks`) read the parent pointers and never the library's
+subtree_masks pass.  They keep splits as mark sets (`all_splits_reference`,
+`splits_by_definition`) where the library keeps bitmasks, and hand a split
+to the library through `normalize_split`.  Sturm chains come from Fraction
+remainders (`sturm_chain_reference`) instead of integer pseudo-remainders.
 Expected values frozen in the tests were computed with these oracles (or by
 hand) before the corresponding library code was written.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from stratadyn import homology, linalg, trees
 
@@ -65,8 +68,8 @@ def flags_by_definition(t, v):
     """The flags at v of t from the adjacency and away_marks definitions, in
     the one flag order: ('leg', mark) by mark, then ('edge', neighbour, its
     far-side marks) by their sorted marks."""
-    legs = [("leg", mark) for mark in sorted(t.legs_at()[v])]
-    edges = sorted((("edge", u, t.away_marks(v, u)) for u in t.adjacency()[v]),
+    legs = [("leg", mark) for mark in legs_at(t)[v]]
+    edges = sorted((("edge", u, away_marks(t, v, u)) for u in adjacency(t)[v]),
                    key=lambda f: sorted(f[2]))
     return legs + edges
 
@@ -79,15 +82,15 @@ def flag_marksets_by_definition(t, v):
 def refine_at(t, v, away):
     """Split vertex v of t, moving the flags with indices in `away` to a new
     vertex joined to v by a fresh edge.  Independent of glue_substitution."""
-    adj = t.adjacency()
-    legs_at = t.legs_at()
+    adj = adjacency(t)
+    at = legs_at(t)
     flags = flags_by_definition(t, v)
     m = len(t.parents)
     vertices = [[] for _ in range(m + 1)]
     for u in range(m):
         if u == v:
             continue
-        for mk in legs_at[u]:
+        for mk in at[u]:
             vertices[u].append(("leg", mk))
         for w in adj[u]:
             if w != v:
@@ -106,7 +109,7 @@ def one_edge_refinements(t):
     """All strata obtained from t by splitting one vertex once."""
     out = set()
     for v in range(len(t.parents)):
-        val = t.valence(v)
+        val = valence(t, v)
         if val < 4:
             continue
         idxs = list(range(val))
@@ -149,7 +152,7 @@ def km_relations_reference(n, k):
     rows = []
     for sigma in trees.enumerate_strata(n, k + 1):
         base = splits_by_definition(sigma)
-        for v, val in enumerate(sigma._valences()):
+        for v, val in enumerate(sigma.valences()):
             if val < 4:
                 continue
             blocks = flag_marksets_by_definition(sigma, v)
@@ -309,10 +312,6 @@ class RowSpaceReference:
             done[p] = row
         return done
 
-    def canonical_key(self):
-        rr = self.rref()
-        return tuple((p, tuple(sorted(rr[p].items()))) for p in sorted(rr))
-
 
 def side_without_one(n, side):
     """The side of the split cut by the mark set `side` that leaves out
@@ -321,10 +320,58 @@ def side_without_one(n, side):
     return frozenset(range(1, n + 1)) - side if 1 in side else side
 
 
+def adjacency(t):
+    """The neighbours of each vertex of t, read from the parent pointers."""
+    adj = [[] for _ in t.parents]
+    for i, p in enumerate(t.parents):
+        if p >= 0:
+            adj[i].append(p)
+            adj[p].append(i)
+    return adj
+
+
+def legs_at(t):
+    """The marks at each vertex of t, in increasing order."""
+    at = [[] for _ in t.parents]
+    for mark, v in enumerate(t.legs, start=1):
+        at[v].append(mark)
+    return at
+
+
+def valence(t, v):
+    """The legs and edges at the vertex v of t, counted one vertex at a
+    time."""
+    deg = sum(1 for p in t.parents if p == v) + (1 if t.parents[v] >= 0 else 0)
+    return deg + sum(1 for u in t.legs if u == v)
+
+
+def away_marks(t, v, u):
+    """The marks reachable from the neighbour u of v once the edge (v, u)
+    is cut: the definition of an edge's side, by a search over adjacency."""
+    adj = adjacency(t)
+    stack = [u]
+    seen = {v, u}
+    comp = {u}
+    while stack:
+        w = stack.pop()
+        for x in adj[w]:
+            if x not in seen:
+                seen.add(x)
+                comp.add(x)
+                stack.append(x)
+    return frozenset(m for m, w in enumerate(t.legs, start=1) if w in comp)
+
+
+def normalize_split(n, marks):
+    """The split with one side the mark set `marks`, as the library's
+    split_of mask; the way a mark set is handed to the library."""
+    return trees.split_of(n, sum(1 << mark for mark in set(marks)))
+
+
 def splits_by_definition(t):
     """The splits of t from the away_marks definition, as the mark sets of
     their sides without mark 1."""
-    return frozenset(side_without_one(t.n, t.away_marks(p, c)) for c, p in t.edges())
+    return frozenset(side_without_one(t.n, away_marks(t, p, c)) for c, p in t.edges())
 
 
 def all_splits_reference(n):
@@ -362,8 +409,8 @@ def canonical_form_reference(tree):
     m = len(tree.parents)
     if m == 1:
         return trees.MarkedTree(tree.n, (-1,), tuple(0 for _ in range(tree.n)))
-    adj = tree.adjacency()
-    legs_at = tree.legs_at()
+    adj = adjacency(tree)
+    at = legs_at(tree)
 
     best = None
     cents = []
@@ -376,7 +423,7 @@ def canonical_form_reference(tree):
             cents.append(v)
 
     def subcode(v, parent, cache):
-        marks = ",".join(str(x) for x in sorted(legs_at[v]))
+        marks = ",".join(str(x) for x in sorted(at[v]))
         kids = sorted(subcode(u, v, cache) for u in adj[v] if u != parent)
         c = "(" + marks + ";" + "".join(kids) + ")"
         cache[(v, parent)] = c
@@ -397,7 +444,7 @@ def canonical_form_reference(tree):
         idx = counter[0]
         counter[0] += 1
         parents.append(parent_new)
-        for mark in legs_at[v]:
+        for mark in at[v]:
             legs[mark - 1] = idx
         kids = sorted((u for u in adj[v] if u != parent_old), key=lambda u: cache[(u, v)])
         for u in kids:
@@ -478,7 +525,7 @@ def strata_count_by_rooted_trees(n, k):
 
 def random_stable_tree(rng, n, num_edges=None):
     """A uniform-ish random stratum: grow a random compatible split set of
-    mark sets, built through the library's way in from mark sets."""
+    mark sets, handed to the library through normalize_split."""
     splits = all_splits_reference(n)
     rng.shuffle(splits)
     if num_edges is None:
@@ -489,17 +536,17 @@ def random_stable_tree(rng, n, num_edges=None):
             break
         if all(splits_compatible(s, c) for c in chosen):
             chosen.append(s)
-    return trees.tree_from_splits(n, [trees.normalize_split(n, s) for s in chosen])
+    return trees.tree_from_splits(n, [normalize_split(n, s) for s in chosen])
 
 
 def relabel_vertices(t, perm):
     """Rebuild t with vertex indices permuted (same stratum, new encoding)."""
-    adj = t.adjacency()
-    legs_at = t.legs_at()
+    adj = adjacency(t)
+    at = legs_at(t)
     m = len(t.parents)
     vertices = [[] for _ in range(m)]
     for v in range(m):
-        for mk in legs_at[v]:
+        for mk in at[v]:
             vertices[perm[v]].append(("leg", mk))
         for u in adj[v]:
             vertices[perm[v]].append(("edge", perm[u]))
@@ -528,18 +575,18 @@ def forget_by_contraction(t, keep):
     keep = set(keep)
     for drop in sorted(set(range(1, t.n + 1)) - keep, reverse=True):
         v = t.legs[drop - 1]
-        if t.valence(v) >= 4:
+        if valence(t, v) >= 4:
             return None
-        adj = t.adjacency()
-        legs_at = t.legs_at()
+        adj = adjacency(t)
+        at = legs_at(t)
         others = [u for u in range(len(t.parents)) if u != v]
         new = {u: i for i, u in enumerate(others)}
         vertices = [[] for _ in others]
         for u in others:
-            vertices[new[u]] += [("leg", mk if mk < drop else mk - 1) for mk in legs_at[u]]
+            vertices[new[u]] += [("leg", mk if mk < drop else mk - 1) for mk in at[u]]
             vertices[new[u]] += [("edge", new[w]) for w in adj[u] if w != v]
         if len(adj[v]) == 1:
-            (mk,) = [mk for mk in legs_at[v] if mk != drop]
+            (mk,) = [mk for mk in at[v] if mk != drop]
             vertices[new[adj[v][0]]].append(("leg", mk if mk < drop else mk - 1))
         else:
             a, b = adj[v]
@@ -560,14 +607,14 @@ def glued_class_reference(splitvals, t_g, v_hat, mod_vertices, p_a, keep, mult,
     it again.  pushforward._add_glued_class, which never builds the glued
     tree, must give the same column.
     """
-    small = homology.homology_basis(t_g.valence(v_hat), 1, limit_strata)
+    small = homology.homology_basis(valence(t_g, v_hat), 1, limit_strata)
     coords = homology.solve_class_from_pairings(
         small, {s: Fraction(w) for s, w in splitvals.items()}
     )
     col = {}
     for pos, c in sorted(coords.items()):
         subs = {
-            u: trees.enumerate_strata(t_g.valence(u), 0)[0] for u in mod_vertices if u != v_hat
+            u: trees.enumerate_strata(valence(t_g, u), 0)[0] for u in mod_vertices if u != v_hat
         }
         subs[v_hat] = small.strata[small.basis[pos]]
         img = trees.forget_pushforward(trees.glue_substitution(t_g, subs), keep)
@@ -598,6 +645,41 @@ def char_poly_faddeev(a):
         for i in range(n):
             m[i][i] += c
     return coeffs
+
+
+def poly_rem(a, b):
+    """Remainder of a divided by b, exact Fraction arithmetic."""
+    a = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+    while b and b[-1] == 0:
+        b.pop()
+    while len(a) >= len(b):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        q = a[-1] / b[-1]
+        off = len(a) - len(b)
+        for i in range(len(b) - 1):
+            a[off + i] -= q * b[i]
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def sturm_chain_reference(p):
+    """The Sturm chain p, p', -rem(p, p'), ... of an integer polynomial by
+    Fraction remainders (poly_rem), each member after p' scaled by a
+    positive rational to integers with gcd 1."""
+    chain = [list(p), [i * c for i, c in enumerate(p)][1:]]
+    while True:
+        r = poly_rem(chain[-2], chain[-1])
+        if not r:
+            return chain
+        den = lcm(*(c.denominator for c in r))
+        ints = [-int(c * den) for c in r]
+        g = gcd(*ints)
+        chain.append([c // g for c in ints])
 
 
 def brute_minimality_window(eps):

@@ -253,6 +253,42 @@ def test_invalid_datum_exits_2(tmp_path):
     assert "error" in json.loads(r.stdout)
 
 
+def test_datum_numbers_and_arrays_are_not_coerced(tmp_path):
+    # each of these was once read as something else: degree 3, a part 2,
+    # degree 1, four one-letter marks
+    f = tmp_path / "bad.json"
+    fig1 = json.loads((DATA / "fig1.json").read_text())
+    for change, error in (
+        ({"d": 3.9}, "d must be an integer, got 3.9"),
+        ({"br": dict(fig1["br"], b1=[1, 2.7])}, "a part of br[b1] must be an integer, got 2.7"),
+        ({"d": True}, "d must be an integer, got true"),
+        ({"B": "bcde"}, 'B must be an array, got "bcde"'),
+        ({"rm": dict(fig1["rm"], a1="2")}, 'rm[a1] must be an integer, got "2"'),
+        ({"br": dict(fig1["br"], b1="12")}, 'br[b1] must be an array, got "12"'),
+        ({"forget_to": "a1"}, 'forget_to must be an array, got "a1"'),
+    ):
+        f.write_text(json.dumps(dict(fig1, **change)))
+        r = run_cli("hurwitz", "count", "--data", str(f), check=2)
+        assert json.loads(r.stdout) == {"error": error}, change
+        assert r.stderr.strip()
+
+
+def test_tau_numbers_and_arrays_are_not_coerced(tmp_path):
+    # the first was once read as the n = 4 tree with parents [-1, 0]
+    tf = tmp_path / "tau.json"
+    legs = {"1": 0, "2": 0, "3": 1, "4": 1}
+    for tau, error in (
+        ({"n": 4.6, "parents": [-1, 0.7], "legs": legs}, "n must be an integer, got 4.6"),
+        ({"n": 4, "parents": [-1, 0.7], "legs": legs}, "a parent must be an integer, got 0.7"),
+        ({"n": 4, "parents": [-1, 0], "legs": dict(legs, **{"3": True})},
+         "the vertex of mark 3 must be an integer, got true"),
+        ({"n": 4, "parents": "-1", "legs": legs}, 'parents must be an array, got "-1"'),
+    ):
+        tf.write_text(json.dumps(tau))
+        r = run_cli("hurwitz", "types", "--data", str(DATA / "fig1.json"), "--tau", str(tf), check=2)
+        assert json.loads(r.stdout) == {"error": error}, tau
+
+
 def test_limit_exits_3():
     r = run_cli("homology", "dims", "--n", "7", "--limit-strata", "100", check=3)
     assert "error" in json.loads(r.stdout)

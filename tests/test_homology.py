@@ -79,7 +79,7 @@ def test_five_one_presentation_shape():
 def test_equivalent_pairings_reduce_equal():
     # the three pairings of marks 1..4 on the 4-mark space are homologous
     sides = [{1, 2}, {1, 3}, {1, 4}]
-    ts = [trees.tree_from_splits(4, [trees.normalize_split(4, s)]) for s in sides]
+    ts = [trees.tree_from_splits(4, [oracles.normalize_split(4, s)]) for s in sides]
     p = homology.homology_basis(4, 0)
     reds = [p.reduce_tree_dict({t: 1}) for t in ts]
     assert reds[0] == reds[1] == reds[2]
@@ -128,7 +128,7 @@ def test_km_relations_read_each_tree_once_for_its_flags(flag_passes):
     # of them at more than one vertex, with one flag pass per tree
     homology.km_relations(7, 2)
     sigmas = trees.enumerate_strata(7, 3)
-    assert max(sum(val >= 4 for val in t._valences()) for t in sigmas) > 1
+    assert max(sum(val >= 4 for val in t.valences()) for t in sigmas) > 1
     assert sum(flag_passes.values()) == len(sigmas)
     assert set(flag_passes.values()) == {1}
 
@@ -173,7 +173,7 @@ def test_pairing_rejects_bad_strata_and_sides():
 def test_pairing_hand_values():
     # chain with edges cutting {2,3} and {5,6}: middle vertex has blocks
     # {1}, {4}, {2,3}, {5,6}
-    t = trees.tree_from_splits(6, [trees.normalize_split(6, s) for s in ({2, 3}, {5, 6})])
+    t = trees.tree_from_splits(6, [oracles.normalize_split(6, s) for s in ({2, 3}, {5, 6})])
     cases = {
         (2, 3): -1,          # one block
         (5, 6): -1,
@@ -185,7 +185,7 @@ def test_pairing_hand_values():
         (2, 3, 5): 0,
     }
     for s, val in cases.items():
-        assert homology.intersection_pairing_h2(t, trees.normalize_split(6, s)) == val
+        assert homology.intersection_pairing_h2(t, oracles.normalize_split(6, s)) == val
     # complements, the sides with mark 1, give the same answers
     for s, val in cases.items():
         assert homology.intersection_pairing_h2(t, _mask(set(range(1, 7)) - set(s))) == val
@@ -235,7 +235,7 @@ def test_solve_from_pairings_rejects_two_values_for_one_split():
     p = homology.homology_basis(5, 1)
     t = p.strata[p.basis[0]]
     pair = {s: homology.intersection_pairing_h2(t, s) for s in trees.all_splits(5)}
-    s = trees.normalize_split(5, {2, 3})
+    s = oracles.normalize_split(5, {2, 3})
     other = _mask({1, 4, 5})
     assert pair[s] == 1
     # the complement names the same split; it comes first, with another value
@@ -251,7 +251,7 @@ def test_solve_from_pairings_rejects_bits_outside_the_marks():
     t = p.strata[p.basis[0]]
     pair = {s: homology.intersection_pairing_h2(t, s) for s in trees.all_splits(6)}
     assert homology.solve_class_from_pairings(p, pair) == {0: 1}
-    s = trees.normalize_split(6, {2, 4})
+    s = oracles.normalize_split(6, {2, 4})
     for bad in (_mask({1, 3, 5, 6, 9}), _mask({0, 2, 4}), -s):
         with pytest.raises(ValueError, match="outside marks 1..6"):
             homology.solve_class_from_pairings(p, {bad if k == s else k: v for k, v in pair.items()})
@@ -332,13 +332,13 @@ def test_cyclic_trees_raise_instead_of_hanging(within):
 
 def test_forget_vec_basics():
     # drop mark 6: classes with the dropped mark on a moduli vertex die
-    t_dead = trees.tree_from_splits(6, [trees.normalize_split(6, {2, 3})])   # dim 2, mark 6 on 5-valent vertex
+    t_dead = trees.tree_from_splits(6, [oracles.normalize_split(6, {2, 3})])   # dim 2, mark 6 on 5-valent vertex
     assert homology.forget_vec({t_dead: 1}, [1, 2, 3, 4, 5]) == {}
-    t_live = trees.tree_from_splits(6, [trees.normalize_split(6, s) for s in ({2, 3}, {5, 6})])
+    t_live = trees.tree_from_splits(6, [oracles.normalize_split(6, s) for s in ({2, 3}, {5, 6})])
     img = homology.forget_vec({t_live: 1}, [1, 2, 3, 4, 5])
     assert list(img.values()) == [1]
     (it,) = img.keys()
-    assert it.splits() == {trees.normalize_split(5, {2, 3})} and it.dim() == 1
+    assert it.splits() == {oracles.normalize_split(5, {2, 3})} and it.dim() == 1
 
 
 def test_forget_vec_lands_in_presentation():
@@ -507,7 +507,7 @@ def test_curve_classes_are_the_four_block_keys():
         pres = homology.homology_basis(n, 1)
         groups = {}
         for i, t in enumerate(pres.strata):
-            blocks = oracles.flag_marksets_by_definition(t, t._valences().index(4))
+            blocks = oracles.flag_marksets_by_definition(t, t.valences().index(4))
             # in flag order, which the blocks themselves fix
             key = homology.curve_blocks(t)
             assert key == tuple(sum(1 << mark for mark in b) for b in blocks), (n, i)

@@ -304,6 +304,18 @@ def test_fully_mark_idempotent_on_full_data():
     assert deg == 1 and again.a_marks == full.a_marks
 
 
+def test_fully_mark_validates_its_input_once(monkeypatch):
+    calls = []
+    real = hurwitz.validate
+    monkeypatch.setattr(hurwitz, "validate", lambda h: calls.append(h) or real(h))
+    for make in (fig1_datum, d2_datum):
+        h = make()
+        calls.clear()
+        full, _ = fully_mark(h)
+        assert calls == [h]
+        assert real(full).status == "fully_marked"
+
+
 def test_json_roundtrip():
     for h in (fig1_datum(), d2_datum(), d1_datum()):
         back = HurwitzData.from_json_dict(h.to_json_dict())
@@ -578,14 +590,14 @@ def test_fig1_source_structure_over_b34_split():
     # (a1, a2, a3, a4, a(b1,1), a(b2,1), a(b4,1), a(b4,2)) = 1..8
     full, _ = fully_mark(fig1_datum())
     tau = next(t for t in trees.enumerate_strata(4, 0)
-               if t.splits() == {trees.normalize_split(4, {3, 4})})
+               if t.splits() == {oracles.normalize_split(4, {3, 4})})
     types = enumerate_cover_types(full, tau)
     t3 = next(t for t in types if t.multiplicity == 3)
     t1 = next(t for t in types if t.multiplicity == 1)
-    assert t3.source_tree.splits() == {trees.normalize_split(8, {3, 4, 7, 8})}
-    assert t3.node_data == ((trees.normalize_split(8, {3, 4, 7, 8}), 3),)
+    assert t3.source_tree.splits() == {oracles.normalize_split(8, {3, 4, 7, 8})}
+    assert t3.node_data == ((oracles.normalize_split(8, {3, 4, 7, 8}), 3),)
     assert t1.source_tree.splits() == {
-        trees.normalize_split(8, s) for s in ({4, 7}, {5, 6}, {3, 5, 6, 8})
+        oracles.normalize_split(8, s) for s in ({4, 7}, {5, 6}, {3, 5, 6, 8})
     }
     assert all(r == 1 for _side, r in t1.node_data)
     assert t1.source_tree.dim() == 2 and t3.source_tree.dim() == 4
@@ -600,7 +612,7 @@ def test_d2_degeneration_all_splits():
         assert report["expected"] == 2
         types = enumerate_cover_types(full, tau)
         got = sorted((t.count, t.multiplicity) for t in types)
-        if tau.splits() == {trees.normalize_split(4, {3, 4})}:
+        if tau.splits() == {oracles.normalize_split(4, {3, 4})}:
             split_34 += 1
             assert got == [(1, 1), (1, 1)]
         else:
@@ -727,7 +739,7 @@ def test_class_nodes_match_their_key_and_target():
             for key, nodes in classes:
                 # each target edge by its split, read by definition
                 r_over = {
-                    trees.normalize_split(tau.n, tau.away_marks(p, ch)): 0
+                    oracles.normalize_split(tau.n, oracles.away_marks(tau, p, ch)): 0
                     for ch, p in tau.edges()
                 }
                 for side, r, e in nodes:

@@ -3,13 +3,17 @@ isolation against polynomials with known roots, and the fraction-free
 RowSpace and the sparse axpy against Fraction references."""
 
 import math
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from stratadyn import linalg
-from oracles import RowSpaceReference, char_poly_faddeev
+from stratadyn import hurwitz, linalg, pushforward
+from oracles import RowSpaceReference, char_poly_faddeev, sturm_chain_reference
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def _unit_upper_inverse(p):
@@ -101,6 +105,28 @@ def test_largest_real_root_against_known_roots():
     assert linalg.largest_real_root([5]) is None
 
 
+def test_sturm_chain_equals_the_fraction_remainder_chain():
+    # integer pseudo-remainders against Fraction remainders, member by
+    # member: on characteristic polynomials of random integer matrices, on
+    # their squares (every root repeated, so the chain ends in a gcd of
+    # positive degree) and on the six-mark self-map's curve-class matrix
+    rng = random.Random(20261019)
+    polys = []
+    for i in range(300):
+        n = rng.randint(1, 12)
+        p = linalg.char_poly_integer([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
+        if i % 3 == 0:
+            p = [sum(p[j] * p[d - j] for j in range(max(0, d - n), min(d, n) + 1))
+                 for d in range(2 * n + 1)]
+        polys.append(p)
+    h = hurwitz.HurwitzData.from_json_dict(json.loads((DATA / "d2_self6.json").read_text()))
+    mat = pushforward.self_correspondence_matrix(h, 1)
+    polys.append(linalg.char_poly_integer(mat))
+    assert len(polys[-1]) == len(mat) + 1 > 10
+    for p in polys:
+        assert linalg._sturm_chain(p) == sturm_chain_reference(p), p
+
+
 def test_norm_bound_certifies_companion_of_x3_minus_8():
     # ||A^2||^(1/2) = ||A^4||^(1/4) = 2 sqrt(2), above the spectral radius 2
     comp = [[0, 0, 8], [1, 0, 0], [0, 1, 0]]
@@ -164,10 +190,6 @@ def test_rowspace_matches_fraction_reference(pivot):
             assert space.dim() == ref.dim()
             assert set(space.rows) == {sign * q for q in ref.rows}
         assert space.rref() == {sign * q: flip(row) for q, row in ref.rref().items()}
-        assert space.canonical_key() == tuple(sorted(
-            (sign * q, tuple(sorted((sign * col, x) for col, x in row)))
-            for q, row in ref.canonical_key()
-        ))
         for v in probes + vecs:
             _assert_same_residual(space, ref, v, flip)
 

@@ -347,7 +347,7 @@ def test_glued_image_missing_from_presentation_raises_as_before():
 def test_glued_small_stratum_of_wrong_valence_raises_as_before(monkeypatch):
     args = _a_nonzero_glued_class()
     t, v_hat = args[1], args[3]
-    val = t.source_tree.valence(v_hat)
+    val = oracles.valence(t.source_tree, v_hat)
     # the vertex class comes out as a curve of the space with one mark more
     real_basis = homology.homology_basis
     monkeypatch.setattr(homology, "homology_basis", lambda n, k, limit=None: real_basis(n + 1, k))

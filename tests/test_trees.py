@@ -21,13 +21,16 @@ from oracles import (
     canonical_form_reference,
     enumerate_strata_reference,
     flag_marksets_by_definition,
+    away_marks,
     forget_by_contraction,
+    normalize_split,
     one_edge_refinements,
     random_stable_tree,
     relabel_vertices,
     splits_by_definition,
     strata_count_by_rooted_trees,
     strata_counts_by_refinement,
+    valence,
 )
 
 
@@ -122,11 +125,8 @@ def test_edge_sides_match_the_away_marks_definition():
         ts += [relabel_vertices(t, rng.sample(range(t.num_vertices()), t.num_vertices()))
                for t in ts[:: max(1, len(ts) // 100)]]
         for t in ts:
-            edge_splits = [
-                (c, p, trees.normalize_split(n, t.away_marks(p, c))) for c, p in t.edges()
-            ]
-            assert t.edge_splits() == edge_splits, t
-            assert t.splits() == {side for _c, _p, side in edge_splits}, t
+            splits = {normalize_split(n, away_marks(t, p, c)) for c, p in t.edges()}
+            assert t.splits() == splits, t
             masks, _ = t.subtree_masks()
             for v in range(t.num_vertices()):
                 # one flag order: position by position, not as sets
@@ -202,11 +202,11 @@ def test_splits_roundtrip():
 def test_tree_from_splits_rejects_incompatible():
     # {2,3} and {3,4} overlap without nesting
     with pytest.raises(ValueError):
-        trees.tree_from_splits(6, [trees.normalize_split(6, {2, 3}), trees.normalize_split(6, {3, 4})])
+        trees.tree_from_splits(6, [normalize_split(6, {2, 3}), normalize_split(6, {3, 4})])
     # overlapping sides that would each still leave a stable vertex
     with pytest.raises(ValueError):
-        trees.tree_from_splits(8, [trees.normalize_split(8, {2, 3, 4}),
-                                   trees.normalize_split(8, {4, 5, 6})])
+        trees.tree_from_splits(8, [normalize_split(8, {2, 3, 4}),
+                                   normalize_split(8, {4, 5, 6})])
 
 
 def test_induced_partition():
@@ -225,7 +225,7 @@ def test_induced_partition():
 
 
 def test_forget_trivalent_keeps_dim():
-    t = trees.tree_from_splits(6, [trees.normalize_split(6, {3, 4})])  # dim 2
+    t = trees.tree_from_splits(6, [normalize_split(6, {3, 4})])  # dim 2
     img = trees.forget_pushforward(t, [1, 2, 3, 4, 5])  # mark 6 sits on the big vertex
     assert img is None  # 5-valent vertex loses a leg: class dies
     img2 = trees.forget_pushforward(t, [1, 2, 4, 5, 6])  # drop mark 3 (trivalent side)
@@ -236,7 +236,7 @@ def test_forget_trivalent_keeps_dim():
 
 def test_forget_renumbering():
     # splits {{5,6}} on 6 marks, drop mark 2: kept 1,3,4,5,6 -> 1,2,3,4,5
-    t = trees.tree_from_splits(6, [trees.normalize_split(6, {5, 6})])
+    t = trees.tree_from_splits(6, [normalize_split(6, {5, 6})])
     # mark 2 sits on the 5-valent vertex: class dies
     assert trees.forget_pushforward(t, [1, 3, 4, 5, 6]) is None
     # drop mark 5 instead (on the trivalent vertex): split {5,6} contracts
@@ -244,10 +244,10 @@ def test_forget_renumbering():
     assert img == trees.trivial_tree(5)
     # now a dim-preserving case with an honest split left over:
     # 3-vertex chain, middle 4-valent; drop a leg of a trivalent end
-    t2 = trees.tree_from_splits(6, [trees.normalize_split(6, s) for s in ({2, 3}, {5, 6})])
+    t2 = trees.tree_from_splits(6, [normalize_split(6, s) for s in ({2, 3}, {5, 6})])
     img2 = trees.forget_pushforward(t2, [1, 2, 3, 4, 5])  # drop 6
     assert img2.n == 5 and img2.dim() == t2.dim() == 1
-    assert img2.splits() == {trees.normalize_split(5, {2, 3})}
+    assert img2.splits() == {normalize_split(5, {2, 3})}
 
 
 def test_forget_composition_order_independent():
@@ -281,24 +281,24 @@ def test_forget_matches_contraction_oracle():
 
 def test_glue_identity():
     for t in trees.enumerate_strata(6, 1):
-        v4 = next(v for v in range(len(t.parents)) if t.valence(v) == 4)
+        v4 = next(v for v in range(len(t.parents)) if valence(t, v) == 4)
         assert trees.glue_substitution(t, {v4: trees.trivial_tree(4)}) == t
 
 
 def test_glue_adds_expected_split():
     # host: one edge cutting {5,6}; big vertex has flags
     # legs 1,2,3,4 then the edge (away side {5,6}) -> small marks 1..5
-    host = trees.tree_from_splits(6, [trees.normalize_split(6, {5, 6})])
-    big = next(v for v in range(len(host.parents)) if host.valence(v) == 5)
-    small = trees.tree_from_splits(5, [trees.normalize_split(5, {2, 3})])  # small split {2,3}
+    host = trees.tree_from_splits(6, [normalize_split(6, {5, 6})])
+    big = next(v for v in range(len(host.parents)) if valence(host, v) == 5)
+    small = trees.tree_from_splits(5, [normalize_split(5, {2, 3})])  # small split {2,3}
     glued = trees.glue_substitution(host, {big: small})
     # small marks 2,3 are host legs 2,3, so the new edge cuts {2,3}
-    assert glued.splits() == {trees.normalize_split(6, s) for s in ({5, 6}, {2, 3})}
-    assert glued.dim() == host.dim() - host.md(big) + small.dim()
+    assert glued.splits() == {normalize_split(6, s) for s in ({5, 6}, {2, 3})}
+    assert glued.dim() == host.dim() - (valence(host, big) - 3) + small.dim()
     # and substituting the small split {4,5} maps to legs 4 + away {5,6}
-    small2 = trees.tree_from_splits(5, [trees.normalize_split(5, {4, 5})])
+    small2 = trees.tree_from_splits(5, [normalize_split(5, {4, 5})])
     glued2 = trees.glue_substitution(host, {big: small2})
-    assert glued2.splits() == {trees.normalize_split(6, s) for s in ({5, 6}, {4, 5, 6})}
+    assert glued2.splits() == {normalize_split(6, s) for s in ({5, 6}, {4, 5, 6})}
 
 
 def test_glue_refinements_match_oracle():
@@ -314,14 +314,14 @@ def test_glue_refinements_match_oracle():
 
 def test_glue_two_vertices_matches_sequential():
     # host with two 5-valent vertices; substitute splits at both at once
-    host = trees.tree_from_splits(8, [trees.normalize_split(8, {5, 6, 7, 8})])
-    assert all(host.valence(v) == 5 for v in range(2))
-    sm = trees.tree_from_splits(5, [trees.normalize_split(5, {2, 3})])
+    host = trees.tree_from_splits(8, [normalize_split(8, {5, 6, 7, 8})])
+    assert all(valence(host, v) == 5 for v in range(2))
+    sm = trees.tree_from_splits(5, [normalize_split(5, {2, 3})])
     got = trees.glue_substitution(host, {0: sm, 1: sm})
     assert got.dim() == host.dim() - 2 * 2 + 2 * 1
     step1 = trees.glue_substitution(host, {0: sm})
     # after canonicalisation, find the remaining 5-valent vertex and glue there
-    v5 = next(v for v in range(step1.num_vertices()) if step1.valence(v) == 5)
+    v5 = next(v for v in range(step1.num_vertices()) if valence(step1, v) == 5)
     step2 = trees.glue_substitution(step1, {v5: sm})
     assert got == step2
 
@@ -380,9 +380,10 @@ def test_valences_match_the_per_vertex_definition():
                for t in ts[:: max(1, len(ts) // 50)]]
         for t in ts:
             m = t.num_vertices()
-            assert t._valences() == [t.valence(v) for v in range(m)], t
-            assert t.dim() == sum(t.md(v) for v in range(m)), t
-            parts = [t.md(v) for v in range(m) if t.md(v) > 0]
+            val = [valence(t, v) for v in range(m)]
+            assert t.valences() == val, t
+            assert t.dim() == sum(x - 3 for x in val), t
+            parts = [x - 3 for x in val if x > 3]
             assert trees.induced_partition(t) == tuple(sorted(parts)), t
 
 
@@ -402,7 +403,7 @@ def test_subtree_masks_match_the_mark_sets_on_any_encoding():
         weights = [rng.randint(1, 9) for _ in range(n)]
         everything = frozenset(range(1, n + 1))
         for t in ts:
-            below = [everything if p < 0 else t.away_marks(p, v) for v, p in enumerate(t.parents)]
+            below = [everything if p < 0 else away_marks(t, p, v) for v, p in enumerate(t.parents)]
             masks, sums = t.subtree_masks(weights)
             assert masks == [_mask(b) for b in below], t
             assert sums == [sum(weights[mark - 1] for mark in b) for b in below], t
@@ -411,9 +412,9 @@ def test_subtree_masks_match_the_mark_sets_on_any_encoding():
 
 def test_tree_from_splits_rejects_unstable_sides():
     with pytest.raises(ValueError, match="fewer than 2 marks"):
-        trees.tree_from_splits(6, [trees.normalize_split(6, {2})])
+        trees.tree_from_splits(6, [normalize_split(6, {2})])
     with pytest.raises(ValueError, match="fewer than 2 marks"):
-        trees.tree_from_splits(6, [trees.normalize_split(6, {2, 3, 4, 5, 6})])
+        trees.tree_from_splits(6, [normalize_split(6, {2, 3, 4, 5, 6})])
 
 
 def test_tree_from_splits_rejects_bits_outside_the_marks():
@@ -429,12 +430,12 @@ def test_tree_from_splits_rejects_bits_outside_the_marks():
 
 
 def test_normalize_split_is_the_mask_of_the_side_without_mark_1():
-    assert trees.normalize_split(6, {2, 3}) == trees.normalize_split(6, [1, 4, 5, 6]) == 0b1100
-    assert trees.normalize_split(6, {4, 5, 6}) == trees.split_of(6, _mask({4, 5, 6}))
-    assert trees.marks_of(trees.normalize_split(8, {1, 2, 3})) == (4, 5, 6, 7, 8)
+    assert normalize_split(6, {2, 3}) == normalize_split(6, [1, 4, 5, 6]) == 0b1100
+    assert normalize_split(6, {4, 5, 6}) == normalize_split(6, {1, 2, 3}) == _mask({4, 5, 6})
+    assert trees.marks_of(normalize_split(8, {1, 2, 3})) == (4, 5, 6, 7, 8)
     for marks in ({0, 2}, {2, 7}, {3, 4, 9}):
         with pytest.raises(ValueError, match="outside marks 1..6"):
-            trees.normalize_split(6, marks)
+            normalize_split(6, marks)
 
 
 def test_all_splits_are_the_masks_of_the_mark_set_reference():
