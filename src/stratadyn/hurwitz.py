@@ -734,7 +734,10 @@ def count_covers(h, limit_tuples=None):
 def count_covers_orbit_stabilizer(h, limit_tuples=None):
     """Smooth-target count again, via the stabilizer sum over raw
     configurations; independent of the canonical-key dedup.  The datum is
-    checked as the enumeration checks it (_cover_value), once per value."""
+    checked as the enumeration checks it (_cover_value), once per value.
+    Each flag-permutation tuple is tested for transitivity and its
+    centraliser found once, by a scan of every relabeling; a labeling's
+    stabiliser is the part of that centraliser fixing each labelled cycle."""
     _cover_value(h)
     tau = trees.trivial_tree(len(h.b_marks))
     limit = _tuple_budget(limit_tuples)
@@ -743,16 +746,15 @@ def count_covers_orbit_stabilizer(h, limit_tuples=None):
     flags = tau.flag_masks(0, tau.subtree_masks()[0])
     stab_total = 0
     for perms in _local_assignments(h, flags, limit):
-        for labeling in _vertex_labelings(h, flags, perms, limit):
-            if len(_orbits(perms, d)) != 1:
-                continue
-            stab = 0
-            for hh in all_p:
-                if all(_conj(hh, g) == g for g in perms) and all(
-                    _cycle_image(hh, cyc) == cyc for (_pos, cyc) in labeling.values()
-                ):
-                    stab += 1
-            stab_total += stab
+        labelings = _vertex_labelings(h, flags, perms, limit)
+        if not labelings or len(_orbits(perms, d)) != 1:
+            continue
+        centraliser = [hh for hh in all_p if all(_conj(hh, g) == g for g in perms)]
+        for labeling in labelings:
+            stab_total += sum(
+                1 for hh in centraliser
+                if all(_cycle_image(hh, cyc) == cyc for (_pos, cyc) in labeling.values())
+            )
     total = factorial(d)
     if stab_total % total:
         raise AssertionError("stabilizer sum %d not divisible by %d" % (stab_total, total))

@@ -79,9 +79,36 @@ class PushforwardMatrix:
         return (len(self.matrix), len(self.matrix[0]) if self.matrix else 0)
 
 
+# (cover value, forget_to, marking degree, limit_tuples, limit_strata) -> the
+# PushforwardMatrix, kept once per process and shared read-only
+_PUSHFORWARDS = {}
+
+
 def pushforward_h2(h, limit_tuples=None, limit_strata=None):
-    """The correspondence on H_2, column by column over target basis strata."""
+    """The correspondence on H_2, column by column over target basis strata.
+
+    The matrix is kept per process under the fully marked datum's cover
+    value (hurwitz._cover_value), its forget_to, the marking degree and both
+    caps.  identify is not in the key, so every identification of one datum
+    shares one matrix; the marking degree is, since a datum and its
+    explicitly fully marked twin share the cover value but not the degree.
+    A capped call finds only an entry made under the same caps, which a
+    recomputation would reproduce, or recomputes through the cover and
+    presentation memos, which replay their ticks; so the caps raise as if
+    nothing were kept, and a call that raises keeps nothing.  Every caller
+    gets the same object and must not change it.
+    """
     full, deg_nu = hurwitz.fully_mark(h)
+    key = (hurwitz._cover_value(full), full.forget_to, deg_nu, limit_tuples, limit_strata)
+    pm = _PUSHFORWARDS.get(key)
+    if pm is None:
+        pm = _PUSHFORWARDS[key] = _pushforward_h2(full, deg_nu, limit_tuples, limit_strata)
+    return pm
+
+
+def _pushforward_h2(full, deg_nu, limit_tuples, limit_strata):
+    """The PushforwardMatrix of pushforward_h2, built column by column for
+    the fully marked datum `full` of marking degree deg_nu."""
     n_b = len(full.b_marks)
     if n_b < 4:
         raise ValueError("degree-2 pushforward needs at least 4 target marks")
@@ -285,23 +312,31 @@ class DegreeReport:
         return "DegreeReport(theta=%r, method=%r)" % (self.theta(), self.method)
 
 
+# how close, relative, the norm-of-powers bound must come to the largest real
+# root to certify it dominant
+ACCEPT_TOL = 1e-6
+
+
 def dynamical_degree(mat, tol=1e-9):
     """Spectral radius of an exact matrix, certified by its largest real root.
 
     The characteristic polynomial is computed exactly and its largest real
     root isolated by a Sturm chain.  The norm-of-powers bound of
-    linalg.spectral_radius_float must come down to that root (within 1e-6,
-    relative) for the report to say "exact_roots".  Otherwise the report
-    says "power_iteration" and its value is the norm-of-powers bound itself:
-    no real eigenvalue is dominant, or floats could not pin the bound to it
-    (a defective dominant eigenvalue).
+    linalg.spectral_radius_float must come down to that root (within
+    ACCEPT_TOL, relative) for the report to say "exact_roots".  Otherwise
+    the report says "power_iteration" and its value is the norm-of-powers
+    bound itself: no real eigenvalue is dominant, or floats could not pin
+    the bound to it (a defective dominant eigenvalue).  The squarings stop
+    at the first bound within ACCEPT_TOL of the root: the bound does not
+    increase as they go on, so a later one would be accepted too, and a
+    bound that never comes that close is the one after all 60 squarings.
     """
     if not mat or len(mat) != len(mat[0]):
         raise ValueError("dynamical degree needs a nonempty square matrix")
     cp = linalg.char_poly_integer(mat)
     root = linalg.largest_real_root(cp)
-    gel = linalg.spectral_radius_float(mat, root=root)
-    if root is not None and abs(root - gel) <= 1e-6 * max(1.0, abs(gel)):
+    gel = linalg.spectral_radius_float(mat, tol=ACCEPT_TOL, root=root)
+    if root is not None and abs(root - gel) <= ACCEPT_TOL * max(1.0, abs(gel)):
         method = "exact_roots"
         value = root
     else:

@@ -232,16 +232,18 @@ class MarkedTree:
     def from_json_dict(d):
         """Decode to_json_dict's encoding.  Raises ValueError unless n, the
         parents array's entries and the leg object's vertices are JSON
-        integers, the leg object places each mark 1..n exactly once and the
-        tree is stable."""
+        integers, the leg object's keys are marks 1..n spelled as str(m)
+        does (so not " 1", "+2", "03" or "1_0"), it places each mark exactly
+        once and the tree is stable."""
         n = _json_int(d["n"], "n")
         parents = [_json_int(p, "a parent") for p in _json_array(d["parents"], "parents")]
         if not isinstance(d["legs"], dict):
             raise ValueError("legs must be an object {mark: vertex}")
+        marks = {str(m): m for m in range(1, n + 1)}
         legs = [None] * n
         for mark, v in d["legs"].items():
-            m = int(mark)
-            if not (1 <= m <= n) or legs[m - 1] is not None:
+            m = marks.get(mark)
+            if m is None or legs[m - 1] is not None:
                 raise ValueError("bad leg table entry for mark %r" % mark)
             legs[m - 1] = _json_int(v, "the vertex of mark %s" % mark)
         if None in legs:

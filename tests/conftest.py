@@ -7,7 +7,15 @@ import sys
 
 import pytest
 
-from stratadyn import hurwitz, trees
+from stratadyn import hurwitz, pushforward, trees
+
+
+@pytest.fixture(autouse=True)
+def fresh_pushforwards(monkeypatch):
+    """Empty the per-process pushforward memo for every test, so a test that
+    patches or counts the work inside pushforward_h2 sees that work done; the
+    memo of the rest of the run is back in place after it."""
+    monkeypatch.setattr(pushforward, "_PUSHFORWARDS", {})
 
 
 @pytest.fixture

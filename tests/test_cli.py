@@ -289,6 +289,15 @@ def test_tau_numbers_and_arrays_are_not_coerced(tmp_path):
         assert json.loads(r.stdout) == {"error": error}, tau
 
 
+def test_tau_leg_keys_must_be_marks_spelled_as_str_does(tmp_path):
+    # this leg table once passed as marks 1..4
+    tf = tmp_path / "tau.json"
+    tf.write_text(json.dumps({"n": 4, "parents": [-1, 0], "legs": {" 1": 0, "+2": 0, "03": 1, "4": 1}}))
+    r = run_cli("hurwitz", "types", "--data", str(DATA / "fig1.json"), "--tau", str(tf), check=2)
+    assert json.loads(r.stdout) == {"error": "bad leg table entry for mark ' 1'"}
+    assert r.stderr.strip()
+
+
 def test_limit_exits_3():
     r = run_cli("homology", "dims", "--n", "7", "--limit-strata", "100", check=3)
     assert "error" in json.loads(r.stdout)

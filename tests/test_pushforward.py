@@ -2,9 +2,11 @@
 
 import collections
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import oracles
 import pytest
@@ -20,6 +22,8 @@ from stratadyn.pushforward import (
     self_correspondence_matrix,
 )
 from tests.test_hurwitz import d1_datum, d2_datum, fig1_datum
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 # -- degree 0 -------------------------------------------------------------------
@@ -322,6 +326,8 @@ def test_self_matrix_and_glued_classes_build_no_canonical_tree(monkeypatch):
     monkeypatch.setattr(trees, "canonical_form", canonical)
     monkeypatch.setattr(trees, "tree_from_splits", build)
     monkeypatch.setattr(pushforward, "_add_glued_class", glued)
+    # the counted call builds its pushforward again
+    pushforward._PUSHFORWARDS.clear()
     mat = self_correspondence_matrix(h, 1)
     assert counts == {"_add_glued_class": 44}
     # the matrix of the pushforward with each basis tree's marks renamed
@@ -442,11 +448,59 @@ def test_self_maps_of_one_datum_share_their_covers(make, fresh_covers):
     shared = [self_correspondence_matrix(g, 1) for g in data]
     kept = len(hurwitz._CLASSES)
     for g, mat in zip(data, shared):
-        for memo in (hurwitz._CLASSES, hurwitz._VALUES, hurwitz._COVERS):
+        for memo in (hurwitz._CLASSES, hurwitz._VALUES, hurwitz._COVERS,
+                     pushforward._PUSHFORWARDS):
             memo.clear()
         assert self_correspondence_matrix(g, 1) == mat
         # one identification alone keeps as many entries as all of them
         assert len(hurwitz._CLASSES) == kept
+
+
+def test_identifications_of_one_datum_share_one_pushforward():
+    h = d2_self_map_datum()
+    reversed_h = HurwitzData(h.a_marks, h.b_marks, h.d, h.f_map, h.br, h.rm, h.forget_to,
+                             dict(zip(h.b_marks, reversed(h.forget_to))))
+    mats = [self_correspondence_matrix(g, 1) for g in (h, reversed_h)]
+    assert mats[0] != mats[1]
+    assert len(pushforward._PUSHFORWARDS) == 1
+    assert pushforward_h2(h) is pushforward_h2(reversed_h)
+    # each matrix equals the one built from an empty memo
+    for g, mat in zip((h, reversed_h), mats):
+        pushforward._PUSHFORWARDS.clear()
+        assert self_correspondence_matrix(g, 1) == mat
+
+
+def test_a_fully_marked_twin_keeps_its_own_pushforward():
+    # fully marking adds the two unmarked unramified points over b4, so the
+    # marking degree is 2; the twin names every added mark itself, has the
+    # same fully marked datum and marking degree 1
+    h = marked_datum(3, [(3,), (1, 2), (1, 2), (1, 1, 1)])
+    full, deg_nu = hurwitz.fully_mark(h)
+    twin = HurwitzData(full.a_marks, full.b_marks, full.d, full.f_map, full.br, full.rm,
+                       full.forget_to)
+    assert (deg_nu, hurwitz.fully_mark(twin)[1]) == (2, 1)
+    assert hurwitz.fully_mark(twin)[0].to_json_dict() == full.to_json_dict()
+    pm, pm_twin = pushforward_h2(h), pushforward_h2(twin)
+    assert len(pushforward._PUSHFORWARDS) == 2
+    assert any(any(row) for row in pm.matrix)
+    assert pm_twin.matrix == tuple(tuple(2 * x for x in row) for row in pm.matrix)
+    pushforward._PUSHFORWARDS.clear()
+    assert pushforward_h2(twin).matrix == pm_twin.matrix
+    assert pushforward_h2(h).matrix == pm.matrix
+
+
+def test_capped_calls_after_an_uncapped_one_raise_as_before():
+    h = d3_self_map_datum()
+    mat = self_correspondence_matrix(h, 1)
+    for _ in range(2):
+        with pytest.raises(trees.ResourceError, match=r"^cover enumeration exceeded 50 tuples$"):
+            pushforward_h2(h, limit_tuples=50)
+        with pytest.raises(trees.ResourceError, match=r"\(n=8, k=1\)"):
+            self_correspondence_matrix(h, 1, limit_strata=1000)
+    # a call that raises keeps nothing; one under caps it fits keeps its own
+    assert len(pushforward._PUSHFORWARDS) == 1
+    assert self_correspondence_matrix(h, 1, limit_strata=10 ** 6) == mat
+    assert len(pushforward._PUSHFORWARDS) == 2
 
 
 def test_self_matrix_requires_identify():
@@ -500,6 +554,52 @@ def test_degree_of_companion_with_equal_norm_squares():
     assert rep.method == "exact_roots"
     assert rep.exact == 2
     assert rep.char_poly == (-8, 0, 0, 1)
+
+
+def _data_datum(name):
+    return HurwitzData.from_json_dict(json.loads((DATA / ("%s.json" % name)).read_text()))
+
+
+# (value, exact, char_poly, method) as reported when the squarings went on to
+# 1e-12 of the root, far past acceptance
+@pytest.mark.parametrize("make, report", [
+    (lambda: self_correspondence_matrix(_data_datum("fig1"), 0),
+     (4.0, 4, (-4, 1), "exact_roots")),
+    (lambda: self_correspondence_matrix(_data_datum("fig1"), 1),
+     (1.0, 1, (-1, 1), "exact_roots")),
+    (lambda: self_correspondence_matrix(_data_datum("d1_self"), 1),
+     (1.0, 1, (-1, 5, -10, 10, -5, 1), "exact_roots")),
+    (lambda: self_correspondence_matrix(_data_datum("d2_self6"), 1),
+     (4.551177739724149, None,
+      (67108864, -33554432, -4194304, 2097152, -786432, -1507328, 262144, 57344, -8192,
+       512, 5248, -896, -96, 8, 2, -5, 1), "exact_roots")),
+    (lambda: self_correspondence_matrix(d3_self_map_datum(), 1),
+     (3.0, 3, (-108, 216, -171, 67, -13, 1), "exact_roots")),
+    # one Jordan block for 2: the bound stalls above acceptance
+    (lambda: [[Fraction(1), Fraction(1, 2)], [Fraction(-2), Fraction(3)]],
+     (2.0000022744932826, None, (4, -4, 1), "power_iteration")),
+    # the rotation has no real eigenvalue
+    (lambda: [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]],
+     (1.0, 1, (1, 0, 1), "power_iteration")),
+])
+def test_degree_reports_do_not_depend_on_where_the_squarings_stop(make, report):
+    rep = dynamical_degree(make())
+    assert (rep.value, rep.exact, rep.char_poly, rep.method) == report
+
+
+def test_squarings_stop_at_the_acceptance_tolerance(monkeypatch):
+    # spectral_radius_float takes one math.exp per squaring; they stop at
+    # the first bound within pushforward.ACCEPT_TOL of the root (42 of them
+    # to reach 1e-12), and run all 60 when none comes that close
+    mat = self_correspondence_matrix(_data_datum("d2_self6"), 1)
+    real = math.exp
+    calls = []
+    monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or real(x))
+    assert dynamical_degree(mat).method == "exact_roots"
+    assert len(calls) == 22
+    calls.clear()
+    dynamical_degree([[Fraction(1), Fraction(1, 2)], [Fraction(-2), Fraction(3)]])
+    assert len(calls) == 60
 
 
 def test_degree_rejects_non_square():

@@ -11,6 +11,7 @@ trees without degree-2 vertices.
 import itertools
 import json
 import random
+import re
 import time
 
 import pytest
@@ -330,6 +331,19 @@ def test_json_roundtrip():
     for t in trees.enumerate_strata(5, 1):
         blob = json.dumps(t.to_json_dict(), sort_keys=True)
         assert trees.MarkedTree.from_json_dict(json.loads(blob)) == t
+
+
+@pytest.mark.parametrize("spelling, mark", [
+    (" 1", 1), ("1 ", 1), ("+2", 2), ("03", 3), ("1_0", 10), ("\u0664", 4), ("2.0", 2), ("11", 10),
+])
+def test_json_leg_keys_are_marks_spelled_as_str_does(spelling, mark):
+    # int() reads each of the first six as the mark beside it
+    legs = {str(m): 0 if m <= 5 else 1 for m in range(1, 11)}
+    tree = {"n": 10, "parents": [-1, 0], "legs": legs}
+    assert trees.MarkedTree.from_json_dict(tree).legs == (0,) * 5 + (1,) * 5
+    legs[spelling] = legs.pop(str(mark))
+    with pytest.raises(ValueError, match=r"^bad leg table entry for mark %s$" % re.escape(repr(spelling))):
+        trees.MarkedTree.from_json_dict(tree)
 
 
 def test_enumerate_strata_limit():
