@@ -16,7 +16,9 @@ relabeled mark cycles, then relabeled edge matchings) over all (d!)^|V|
 per-vertex relabelings, and only the one candidate equal to its key is
 glued.  A relabeling of one vertex's sheets conjugates only that vertex's
 flag-permutation tuple, so only tuples that are their own least simultaneous
-conjugate are kept, each with its centraliser.  Each mark's cycle likewise
+conjugate are kept, each with its centraliser; such a tuple starts with the
+least permutation of its class, so only those tuples are built, and each is
+scanned over that permutation's centraliser.  Each mark's cycle likewise
 depends on one vertex's relabeling, so the least labeling is the per-vertex
 least one: at each vertex only the labelings least in their centraliser
 orbit are kept, each with its stabiliser.  The edge matchings, which couple
@@ -255,12 +257,47 @@ def fully_mark(h):
 
 @lru_cache(maxsize=None)
 def _perm_pool(d):
-    """(all permutations of range(d), {cycle type: tuple of perms})."""
+    """(all permutations of range(d), {cycle type: tuple of perms}), both in
+    lexicographic order."""
     all_p = tuple(itertools.permutations(range(d)))
     by_type = {}
     for p in all_p:
         by_type.setdefault(_cycle_type(p), []).append(p)
     return all_p, {t: tuple(v) for t, v in by_type.items()}
+
+
+def _class_size(d, ctype):
+    """The number of permutations of range(d) with cycle type ctype:
+    d!/z, z = prod over lengths i of i^m * m! (m cycles of length i)."""
+    return factorial(d) // prod(i ** m * factorial(m) for i, m in Counter(ctype).items())
+
+
+@lru_cache(maxsize=None)
+def _centraliser(g):
+    """The permutations commuting with g, in lexicographic order (the
+    identity first), built from g's cycles: each maps every cycle onto a
+    cycle of the same length, rotated.  Kept per g; the callers pass only
+    the least permutation of each cycle type, so once per (d, cycle type)."""
+    by_len = {}
+    for cyc in _cycles(g):
+        by_len.setdefault(len(cyc), []).append(cyc)
+    per_len = [
+        [
+            [(x, onto[(t + shift) % ln]) for cyc, onto, shift in zip(cycs, targets, shifts)
+             for t, x in enumerate(cyc)]
+            for targets in itertools.permutations(cycs)
+            for shifts in itertools.product(range(ln), repeat=len(cycs))
+        ]
+        for ln, cycs in by_len.items()
+    ]
+    out = []
+    for combo in itertools.product(*per_len):
+        hh = [0] * len(g)
+        for chunk in combo:
+            for x, y in chunk:
+                hh[x] = y
+        out.append(tuple(hh))
+    return tuple(sorted(out))
 
 
 def _cycles(p):
@@ -314,6 +351,26 @@ def _canon_cycle(cyc):
     return tuple(cyc[k:] + cyc[:k])
 
 
+class _CycleImages(dict):
+    """cycle -> its image under one relabeling hh (_cycle_image), each
+    computed on its first read.
+
+    A cycle is kept under a copy of the tuple read, so the table holds no
+    reference to the caller's cycles: marshal flags an object for sharing
+    by its reference count, and the marshalled classes would otherwise
+    depend on which cycles a table had met."""
+
+    __slots__ = ("hh",)
+
+    def __init__(self, hh):
+        super().__init__()
+        self.hh = hh
+
+    def __missing__(self, cyc):
+        img = self[tuple(list(cyc))] = _cycle_image(self.hh, cyc)
+        return img
+
+
 # -- labeled covers over a stratum tree --------------------------------------
 
 
@@ -323,28 +380,107 @@ def _leg_mark(h, f):
     return None if f & f - 1 else h.b_marks[f.bit_length() - 2]
 
 
-def _local_assignments(h, flags, limit):
-    """All flag-permutation tuples at a target vertex with flag masks `flags`
-    (MarkedTree.flag_masks): product in flag order is the identity, leg flags
-    carry their branching cycle type."""
-    all_p, by_type = _perm_pool(h.d)
-    opts = []
+def _combinations(h, flags):
+    """The number of flag-permutation combinations at a target vertex with
+    flag masks `flags`: one permutation per flag but the last, of its
+    branching cycle type on a leg and any on an edge.  Counted from class
+    sizes, so no permutation is listed."""
+    d = h.d
+    count = 1
     for f in flags[:-1]:
         b = _leg_mark(h, f)
-        opts.append(all_p if b is None else by_type.get(h.branching(b), ()))
+        count *= factorial(d) if b is None else _class_size(d, h.branching(b))
+    return count
+
+
+def _completions(h, flags, opts, first):
+    """The tuples (first, *combo, last) over every combo in the product of
+    opts, the options of flags[1:-1], whose product in flag order is the
+    identity and whose last permutation has its flag's cycle type."""
+    b = _leg_mark(h, flags[-1])
     out = []
-    ident = tuple(range(h.d))
     for combo in itertools.product(*opts):
-        limit.tick()
-        prod = ident
+        prod = first
         for g in combo:
             prod = _compose(prod, g)
         last = _inverse(prod)
-        b = _leg_mark(h, flags[-1])
         if b is not None and _cycle_type(last) != h.branching(b):
             continue
-        out.append(combo + (last,))
+        out.append((first, *combo, last))
     return out
+
+
+def _flag_options(h, flags):
+    """Each flag's permutations: its branching class on a leg, all of S_d
+    on an edge, in lexicographic order."""
+    all_p, by_type = _perm_pool(h.d)
+    return [all_p if b is None else by_type[h.branching(b)]
+            for b in (_leg_mark(h, f) for f in flags)]
+
+
+def _local_assignments(h, flags, limit):
+    """All flag-permutation tuples at a target vertex with flag masks `flags`
+    (MarkedTree.flag_masks): product in flag order is the identity, leg flags
+    carry their branching cycle type.  Ticks once per combination tried
+    (_combinations), all before any permutation is listed."""
+    limit.tick(_combinations(h, flags))
+    opts = _flag_options(h, flags[:-1])
+    return [perms for first in opts[0] for perms in _completions(h, flags, opts[1:], first)]
+
+
+def _least_tuples(h, flags, limit):
+    """The flag-permutation tuples at a target vertex (_local_assignments)
+    that are their own least simultaneous conjugate, each with its
+    centraliser in lexicographic order, the identity first; in the order
+    _local_assignments lists them.
+
+    A tuple's least conjugate starts with the least permutation L of its
+    first permutation's class, and the relabelings reaching L are C(L), the
+    centraliser of L.  So a kept tuple starts with L, and its least conjugate
+    and centraliser come from a scan of C(L) (_centraliser) alone: the
+    tuple is kept when no element of C(L) makes it smaller, and its
+    centraliser is the elements of C(L) that fix it.  Only the tuples
+    starting with some L are built.
+
+    Conjugating a whole tuple carries the tuples starting with g one to one
+    onto those starting with any conjugate of g, so a scan of every tuple
+    over all of S_d would meet |class(L)| tuples for each one built here.
+    Each built tuple ticks what those scans would: d! * |class(L)|.  The
+    budget so counts more than is done, and still bounds it."""
+    d = h.d
+    _all_p, by_type = _perm_pool(d)
+    opts = _flag_options(h, flags[:-1])
+    b = _leg_mark(h, flags[0])
+    types = by_type if b is None else [h.branching(b)]
+    out = []
+    for least, ctype in sorted((by_type[t][0], t) for t in types):
+        centraliser = _centraliser(least)
+        scans = factorial(d) * _class_size(d, ctype)
+        for perms in _completions(h, flags, opts[1:], least):
+            limit.tick(scans)
+            coset = _centraliser_if_least(perms, centraliser)
+            if coset is not None:
+                out.append((perms, coset))
+    return out
+
+
+def _centraliser_if_least(perms, centraliser):
+    """The elements of `centraliser` (that of perms[0], the identity first)
+    fixing every permutation of perms, or None when one of them conjugates
+    the tuple to a smaller one.  Each relabeling is compared permutation by
+    permutation, and the first one it moves decides it."""
+    coset = [centraliser[0]]
+    rest = perms[1:]
+    for hh in centraliser[1:]:
+        for g in rest:
+            img = _conj(hh, g)
+            if img != g:
+                if img < g:
+                    return None
+                break
+        else:
+            coset.append(hh)
+    return coset
 
 
 def _bijections(xs, x_len, ys, limit):
@@ -438,32 +574,18 @@ def _orbits(perms, d):
     return [frozenset(v) for v in sorted(groups.values())]
 
 
-def _least_conjugate(perms, all_p):
-    """The least simultaneous conjugate of a flag-permutation tuple, and the
-    relabelings reaching it (one coset of the tuple's centraliser)."""
-    best = None
-    coset = []
-    for hh in all_p:
-        enc = tuple(_conj(hh, g) for g in perms)
-        if best is None or enc < best:
-            best = enc
-            coset = [hh]
-        elif enc == best:
-            coset.append(hh)
-    return best, coset
-
-
 def _least_labelings(h, flags, perms, centraliser, limit):
     """The labelings at a vertex with flag masks `flags` (_vertex_labelings)
     least in their orbit under the centraliser of its tuple, each as
-    (labeling, its stabiliser there)."""
+    (labeling, its stabiliser there), the stabiliser as one _CycleImages
+    table per element, in the same order."""
     legs = {_leg_mark(h, f) for f in flags}
     order = [a for a in h.a_marks if h.f_map[a] in legs]
     out = []
     for labeling in _vertex_labelings(h, flags, perms, limit):
         stabiliser = _stabiliser_if_least([labeling[a][1] for a in order], centraliser, limit)
         if stabiliser is not None:
-            out.append((labeling, stabiliser))
+            out.append((labeling, [_CycleImages(hh) for hh in stabiliser]))
     return out
 
 
@@ -492,11 +614,14 @@ def _stabiliser_if_least(cycles, coset, limit):
 
 def _least_matchings(matchings, edge_list, stabilisers, limit):
     """Whether no relabeling in the product of the stabilisers makes the
-    edge matchings smaller.  The product's first element is the identity,
-    which is skipped; with every stabiliser trivial, or no edge, nothing is
-    evaluated.  Each relabeling is encoded edge by edge, and the first edge
-    whose image differs decides it: smaller rejects the matchings, larger
-    moves on to the next relabeling."""
+    edge matchings smaller.  Each stabiliser is a list of _CycleImages
+    tables, one per element, so a cycle's image under an element is
+    computed once for every matching and labeling combination that reads
+    it.  The product's first element is the identity, which is skipped;
+    with every stabiliser trivial, or no edge, nothing is evaluated.  Each
+    relabeling is encoded edge by edge, and the first edge whose image
+    differs decides it: smaller rejects the matchings, larger moves on to
+    the next relabeling."""
     if not matchings:
         return True
     relabelings = itertools.product(*stabilisers)
@@ -504,9 +629,8 @@ def _least_matchings(matchings, edge_list, stabilisers, limit):
     for rls in relabelings:
         limit.tick()
         for (c, p), pairs in zip(edge_list, matchings):
-            enc = tuple(sorted(
-                (_cycle_image(rls[c], x), _cycle_image(rls[p], y)) for x, y in pairs
-            ))
+            at_c, at_p = rls[c], rls[p]
+            enc = tuple(sorted((at_c[x], at_p[y]) for x, y in pairs))
             if enc != pairs:
                 if enc < pairs:
                     return False
@@ -585,9 +709,9 @@ def _enumerate_cover_classes(h, tau, limit):
 
     The key is the least encoding (flag permutations, mark labeling, edge
     matchings) over every per-vertex sheet relabeling, and only the one
-    candidate equal to its key is glued.  Each local tuple is scanned once
-    (_least_conjugate); only those equal to their least conjugate are kept,
-    each with its centraliser.  Per kept tuple, only the labelings least in
+    candidate equal to its key is glued.  Only the local tuples equal to
+    their least conjugate are kept, each with its centraliser
+    (_least_tuples).  Per kept tuple, only the labelings least in
     their centraliser orbit are kept, each with its stabiliser
     (_least_labelings).  Over a product of these, a matching is kept only
     when no relabeling in the product of the stabilisers makes it smaller
@@ -598,16 +722,20 @@ def _enumerate_cover_classes(h, tau, limit):
     raises AssertionError.
 
     Each target vertex's flag list is built once and passed to the
-    per-vertex helpers (_local_assignments, _least_labelings), and each
+    per-vertex helpers (_least_tuples, _least_labelings), and each
     target edge's split is read from the same subtree_masks pass.  A
     class's nodes are read off its components and source edges once, here
     (_node_sides).
 
-    The budget ticks once per flag-permutation combination tried at a
-    vertex, per glued candidate, per mark labeling and per edge matching
-    built or tried, d! per local tuple for the conjugacy scan, and once per
-    non-identity relabeling evaluated in the labeling-orbit and stabiliser
-    searches.
+    The budget ticks once per flag-permutation combination at a vertex,
+    all of them before any permutation is listed (_combinations), per glued
+    candidate, per mark labeling and per edge matching built or tried, d!
+    per local tuple for the conjugacy scan, and once per non-identity
+    relabeling evaluated in the labeling-orbit and stabiliser searches.
+    The combinations and scans are those of a search over every local tuple
+    and all of S_d, though only the tuples starting with a least
+    permutation are built and scanned, over its centraliser (_least_tuples):
+    the budget counts more than is done, and so still bounds it.
 
     The datum is fully marked (_cover_value has validated it), and only its
     cover fields are read.
@@ -615,24 +743,19 @@ def _enumerate_cover_classes(h, tau, limit):
     if tau.n != len(h.b_marks):
         raise ValueError("target tree has %d marks, datum has %d" % (tau.n, len(h.b_marks)))
     d = h.d
-    all_p, _ = _perm_pool(d)
     num_w = len(tau.parents)
     masks, _ = tau.subtree_masks()
     flag_lists = [tau.flag_masks(w, masks) for w in range(num_w)]
+    for flags in flag_lists:
+        limit.tick(_combinations(h, flags))
     # keep each vertex's tuples that are their own least conjugate, with the
-    # centraliser (the coset _least_conjugate returns for such a tuple, the
-    # identity first as in all_p)
+    # centraliser
     locals_per_w = []
     centraliser = {}
-    for w in range(num_w):
-        kept = []
-        for perms in _local_assignments(h, flag_lists[w], limit):
-            limit.tick(len(all_p))
-            best, coset = _least_conjugate(perms, all_p)
-            if best == perms:
-                kept.append(perms)
-                centraliser[perms] = coset
-        locals_per_w.append(kept)
+    for flags in flag_lists:
+        kept = _least_tuples(h, flags, limit)
+        centraliser.update(kept)
+        locals_per_w.append([perms for perms, _coset in kept])
     n = len(h.a_marks)
     b_index = {b: i for i, b in enumerate(h.b_marks)}
     mark_vertex = [tau.legs[b_index[h.f_map[a]]] for a in h.a_marks]
@@ -742,10 +865,11 @@ def count_covers_orbit_stabilizer(h, limit_tuples=None):
     tau = trees.trivial_tree(len(h.b_marks))
     limit = _tuple_budget(limit_tuples)
     d = h.d
-    all_p, _ = _perm_pool(d)
     flags = tau.flag_masks(0, tau.subtree_masks()[0])
+    local = _local_assignments(h, flags, limit)
+    all_p, _ = _perm_pool(d)
     stab_total = 0
-    for perms in _local_assignments(h, flags, limit):
+    for perms in local:
         labelings = _vertex_labelings(h, flags, perms, limit)
         if not labelings or len(_orbits(perms, d)) != 1:
             continue

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -399,10 +400,9 @@ def spectral_radius_float(a, tol=1e-12, root=None):
         return max(sum(abs(x) for x in row) for row in mm)
 
     def square(mm):
-        return [
-            [sum(mm[i][t] * mm[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        # each entry sums row[t] * col[t] for t = 0..n-1, in that order
+        cols = list(zip(*mm))
+        return [[sum(map(mul, row, col)) for col in cols] for row in mm]
 
     nrm = inf_norm(m)
     if nrm == 0.0:

@@ -746,14 +746,21 @@ def _bijections(sources, cycles, size):
     ]
 
 
-def least_simultaneous_conjugate(perms):
+def least_conjugate(perms):
     """The least tuple (r g r^-1 for g in perms) over every sheet
-    relabelling r."""
+    relabelling r, by a scan of all of S_d, and the relabellings reaching
+    it (one coset of the tuple's centraliser) in lexicographic order."""
     d = len(perms[0])
-    return min(
-        tuple(tuple(r[g[r.index(i)]] for i in range(d)) for g in perms)
-        for r in itertools.permutations(range(d))
-    )
+    best = None
+    coset = []
+    for r in itertools.permutations(range(d)):
+        enc = tuple(tuple(r[g[r.index(i)]] for i in range(d)) for g in perms)
+        if best is None or enc < best:
+            best = enc
+            coset = [r]
+        elif enc == best:
+            coset.append(r)
+    return best, coset
 
 
 def brute_cover_key(h, tau, vertex_perms, labeling, matchings):

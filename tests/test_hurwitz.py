@@ -8,6 +8,7 @@ library's pruning, and classes are deduplicated by minimal conjugate.
 import copy
 import itertools
 import json
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,61 @@ def d3_five_datum():
         br={"b%d" % i: [1, 2] for i in range(1, 5)},
         rm={"a1": 2, "a2": 2, "a3": 2, "a4": 2, "a5": 1},
     )
+
+
+def d3_kind_datum(kind, n_b):
+    """A degree-3 datum over n_b target marks with the benchmark's profiles
+    of `kind`: simple (four simple branch values), total (two total) or
+    mixed (one total, two simple); one source mark of the largest
+    ramification over each target."""
+    profiles = {
+        "simple": [(1, 2)] * 4 + [(1, 1, 1)] * (n_b - 4),
+        "total": [(3,), (3,)] + [(1, 1, 1)] * (n_b - 2),
+        "mixed": [(3,), (1, 2), (1, 2)] + [(1, 1, 1)] * (n_b - 3),
+    }[kind]
+    b_marks = ["b%d" % i for i in range(1, n_b + 1)]
+    a_marks = ["a%d" % i for i in range(1, n_b + 1)]
+    return HurwitzData(
+        a_marks=a_marks,
+        b_marks=b_marks,
+        d=3,
+        f_map=dict(zip(a_marks, b_marks)),
+        br={b: p for b, p in zip(b_marks, profiles) if p != (1, 1, 1)},
+        rm={a: max(p) for a, p in zip(a_marks, profiles)},
+    )
+
+
+def d3_self5_datum():
+    """The degree-3 five-mark self-map: total ramification over b1, simple
+    over b4 and b5."""
+    return HurwitzData(
+        a_marks=["a1", "a2", "a3", "a4", "a5"],
+        b_marks=["b1", "b2", "b3", "b4", "b5"],
+        d=3,
+        f_map={"a%d" % i: "b%d" % i for i in range(1, 6)},
+        br={"b1": [3], "b4": [1, 2], "b5": [1, 2]},
+        rm={"a1": 3, "a2": 1, "a3": 1, "a4": 2, "a5": 2},
+        forget_to=["a1", "a2", "a3", "a4", "a5"],
+        identify={"b%d" % i: "a%d" % i for i in range(1, 6)},
+    )
+
+
+def degree_nine_datum():
+    """Degree 9 over three target marks, totally ramified over b1 and b2:
+    S_9 has 362,880 permutations."""
+    return HurwitzData(
+        a_marks=["a1", "a2"],
+        b_marks=["b1", "b2", "b3"],
+        d=9,
+        f_map={"a1": "b1", "a2": "b2"},
+        br={"b1": [9], "b2": [9]},
+        rm={"a1": 9, "a2": 9},
+    )
+
+
+def every_target(n):
+    """The smooth target and every boundary stratum of the n-mark space."""
+    return [trees.trivial_tree(n)] + [t for k in range(n - 3) for t in trees.enumerate_strata(n, k)]
 
 
 def d2_five_datum():
@@ -385,6 +441,80 @@ def test_limit_tuples_counts_key_relabelings(fresh_covers):
     assert len(enumerate_cover_classes(full, tau, limit_tuples=167)) == 2
     with pytest.raises(ResourceError, match="exceeded 166 tuples"):
         enumerate_cover_classes(full, tau, limit_tuples=166)
+
+
+def test_tuple_cap_raises_before_the_permutations_are_listed(fresh_covers, monkeypatch):
+    # each vertex's combinations are counted from class sizes and ticked
+    # before S_d is listed, so a cap far below them raises at once
+    def unlisted(d):
+        raise AssertionError("listed the %d! permutations" % d)
+
+    monkeypatch.setattr(hurwitz, "_perm_pool", unlisted)
+    h, _ = fully_mark(degree_nine_datum())
+    with pytest.raises(ResourceError, match="exceeded 10 tuples"):
+        count_covers(h, limit_tuples=10)
+    with pytest.raises(ResourceError, match="exceeded 10 tuples"):
+        count_covers_orbit_stabilizer(h, limit_tuples=10)
+    full, _ = fully_mark(fig1_datum())
+    with pytest.raises(ResourceError, match="exceeded 5 tuples"):
+        enumerate_cover_classes(full, trees.enumerate_strata(4, 0)[0], limit_tuples=5)
+
+
+def test_centralisers_from_cycles_match_a_scan_of_s_d():
+    # every permutation commuting with g, in lexicographic order; at d = 6
+    # the cycles of (2, 2, 2) do not produce them in that order
+    for d in range(1, 7):
+        for g in itertools.permutations(range(d)):
+            want = tuple(h for h in itertools.permutations(range(d)) if _conj(h, g) == g)
+            assert hurwitz._centraliser(g) == want
+            assert len(want) * hurwitz._class_size(d, _ctype(g)) == factorial(d)
+
+
+def test_least_tuples_match_the_full_scan():
+    # at every vertex of every target, the tuples built from the least
+    # permutation of each class, and their centralisers read off C(L), are
+    # those a scan of every local tuple over all of S_d keeps; and the
+    # budget ticks what that scan would
+    data = [fig1_datum(), d2_datum(), d1_datum(5), d4_total_datum()] + [
+        d3_kind_datum(kind, n_b) for kind in ("simple", "total", "mixed") for n_b in (4, 5)
+    ]
+    for h in data:
+        full, _ = fully_mark(h)
+        for tau in every_target(len(full.b_marks)):
+            masks, _ = tau.subtree_masks()
+            for w in range(tau.num_vertices()):
+                flags = tau.flag_masks(w, masks)
+                scanned = hurwitz._tuple_budget(None)
+                local = hurwitz._local_assignments(full, flags, scanned)
+                want = []
+                for perms in local:
+                    best, coset = oracles.least_conjugate(perms)
+                    if best == perms:
+                        want.append((perms, coset))
+                budget = hurwitz._tuple_budget(None)
+                budget.tick(hurwitz._combinations(full, flags))
+                assert hurwitz._least_tuples(full, flags, budget) == want
+                assert budget.used == scanned.used + factorial(full.d) * len(local)
+
+
+def test_tick_totals_over_every_target_are_pinned(fresh_covers):
+    # the budget each kept entry replays, over the smooth target and every
+    # boundary stratum, as the search over every local tuple and all of S_d
+    # ticked it
+    cases = [
+        (d3_self5_datum(), [
+            94, 394, 176, 176, 178, 152, 152, 178, 220, 220, 152, 152, 220,
+            220, 387, 387, 239, 108, 108, 129, 108, 108, 129, 305, 154, 154,
+        ]),
+        (d4_total_datum(), [5127, 7920, 640, 640]),
+    ]
+    for h, ticks in cases:
+        full, _ = fully_mark(h)
+        taus = every_target(len(full.b_marks))
+        for tau in taus:
+            enumerate_cover_classes(full, tau)
+        cover = hurwitz._cover_value(full)
+        assert [hurwitz._CLASSES[cover, tau][1] for tau in taus] == ticks
 
 
 # -- the per-process cover memo -----------------------------------------------
@@ -680,6 +810,17 @@ def test_cover_keys_match_brute_oracle():
         # over a two-edge target a relabeling can leave the first edge's
         # matchings as they are and make the second's smaller
         (d2_five_datum(), trees.enumerate_strata(5, 0)),
+        # degree 4 over the smooth target only: over a point stratum the
+        # oracle takes about 90 s per datum
+        (d4_total_datum(), [trees.trivial_tree(4)]),
+        (HurwitzData(
+            a_marks=["a1", "a2", "a3", "a4"],
+            b_marks=["b1", "b2", "b3", "b4"],
+            d=4,
+            f_map={"a%d" % i: "b%d" % i for i in range(1, 5)},
+            br={"b1": [1, 3], "b2": [1, 3], "b3": [1, 1, 2], "b4": [1, 1, 2]},
+            rm={"a1": 3, "a2": 3, "a3": 2, "a4": 2},
+        ), [trees.trivial_tree(4)]),
     ]
     for h, strata in cases:
         full, _ = fully_mark(h)
@@ -696,7 +837,7 @@ def test_cover_keys_match_brute_oracle():
                 )
                 # representatives are glued from least-conjugate tuples only
                 for perms in vertex_perms:
-                    assert perms == oracles.least_simultaneous_conjugate(perms)
+                    assert perms == oracles.least_conjugate(perms)[0]
 
 
 def _orbit_count(perms, d):
