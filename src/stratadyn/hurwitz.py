@@ -449,14 +449,14 @@ def _least_tuples(h, flags, limit):
     budget so counts more than is done, and still bounds it."""
     d = h.d
     _all_p, by_type = _perm_pool(d)
-    opts = _flag_options(h, flags[:-1])
+    opts = _flag_options(h, flags[1:-1])
     b = _leg_mark(h, flags[0])
     types = by_type if b is None else [h.branching(b)]
     out = []
     for least, ctype in sorted((by_type[t][0], t) for t in types):
         centraliser = _centraliser(least)
         scans = factorial(d) * _class_size(d, ctype)
-        for perms in _completions(h, flags, opts[1:], least):
+        for perms in _completions(h, flags, opts, least):
             limit.tick(scans)
             coset = _centraliser_if_least(perms, centraliser)
             if coset is not None:
