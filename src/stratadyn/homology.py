@@ -48,8 +48,8 @@ rows.  Divisor classes (k = n-4 > 1) stay here: pairing them with the curve
 basis costs far more than their relations do.
 
 A presentation looks its strata up by split set (`trees.split_set`), so a
-class given on trees in any encoding, or as the split sets of glued and
-forgotten strata, is reduced with no canonical tree built.
+class given on trees in any encoding, or as the split sets of strata whose
+marks were renamed, is reduced with no canonical tree built.
 
 homology_basis keeps each presentation per (n, k) for the life of the
 process through `trees.Budget.replay`, as trees keeps strata: a capped call

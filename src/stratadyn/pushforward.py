@@ -5,25 +5,34 @@ target-mark space to classes of the retained-mark space.  In homological
 degree 0 it multiplies by the cover count over a generic point.  In degree 2
 one column is computed per 1-dimensional stratum tau of the target space:
 labeled covers over tau are grouped by type; each type is a one-parameter
-family of source curves, paired against boundary divisors by degenerating
-tau at its 4-valent vertex and reading off which source nodes appear; the
-pairings pin the family's curve class one source vertex at a time, and the
-class is glued back together, pushed along the forgetful map to the retained
-marks, and reduced in the quotient basis.
+family of source curves that moves at one source vertex v_hat at a time,
+paired against the boundary divisors of v_hat's vertex space by
+degenerating tau at its 4-valent vertex and reading off which source nodes
+appear.  The family's class is pushed along phi, which glues the vertex
+space into the source curve (points at every other vertex) and forgets down
+to the retained marks.  A curve class is fixed by its pairings with the
+boundary divisors, and (phi_* C).D_S = C.phi^* D_S, the projection formula:
+- forgetting pulls D_S back to the sum of D_T over the splits T that trace
+  S on the retained marks (`trees.project_split`);
+- gluing at v_hat, with flag blocks b_1..b_m, pulls D_T back to D_sigma
+  when T is the union of the blocks in sigma (2 <= |sigma| <= m - 2), to
+  -psi_i when T is the node split of block i, and to 0 otherwise, since no
+  other component moves;
+- psi_i is the sum of D_sigma over the sigma that hold i but neither j nor
+  k, for any j, k other than i (Keel, Trans. AMS 330, 1992; Kock, "Notes
+  on psi classes", 2001).
+So the column's pairing vector on the retained marks is one sum over cover
+types and source vertices, weighted by the type's multiplicity, and the
+column is one `homology.solve_class_from_pairings` in the retained-mark
+presentation, over the marking degree.  A pushforward builds the target and
+the retained presentations and no other.
 
-Every stratum on the way is built from its split set: a degeneration of tau
+Every stratum on the way is named by its split set: a degeneration of tau
 adds the union of two of the four flag blocks at its 4-valent vertex
-(`homology.curve_blocks`), and names its new edge by that split.  Gluing
-and forgetting run on split sets too, with no tree built: a glued class
-gathers the source curve's splits (the type's node splits) and those of
-the point substitutions at the other moduli vertices once, from the flag
-blocks the column read for its cover type, adds the small stratum's splits
-as unions of flag blocks per basis coordinate (`trees.substitution_splits`),
-projects the set to the retained marks (`trees.project_splits`) and looks
-the image up in the retained-mark presentation by that split set
-(`stratum_index`), building no tree.  The self-correspondence matrix
-renames each basis stratum's marks the same way, as a projection that
-forgets no mark, and looks it up likewise.
+(`homology.curve_blocks`), and names its new edge by that split.  The
+self-correspondence matrix renames each basis stratum's marks as a
+projection that forgets no mark (`trees.project_splits`) and looks the
+image up in the presentation by its split set, building no tree.
 Smoothing a refined cover is done on the nodes its class keeps: each node
 names the split of the target edge it lies over, so the nodes over the new
 target edge, named by the split just added, are new and the rest old.
@@ -32,9 +41,8 @@ smooths to, so its source curve is that type's, built once per column by
 `hurwitz.enumerate_cover_types` and read for its flag blocks once.  Each new
 node's split picks the one source vertex whose flag blocks each fall inside
 or outside it, and the flag split it pairs with there; the pairings are kept
-per vertex index and glued in vertex order.  Every split is a `trees.split_of`
-mask, over a_marks or flag positions.  A vertex class is solved in the
-presentation of its own valence, under the caller's `limit_strata`.
+per source vertex.  Every split is a `trees.split_of` mask, over a_marks or
+flag positions.
 """
 
 from __future__ import annotations
@@ -126,7 +134,7 @@ def _pushforward_h2(full, deg_nu, limit_tuples, limit_strata):
 
     columns = []
     for tau in p_b.basis_trees():
-        columns.append(_push_column(full, tau, p_a, renum, deg_nu, limit_tuples, limit_strata))
+        columns.append(_push_column(full, tau, p_a, renum, deg_nu, limit_tuples))
     matrix = tuple(
         tuple(columns[j].get(i, ZERO) for j in range(len(columns)))
         for i in range(p_a.rank)
@@ -134,7 +142,33 @@ def _pushforward_h2(full, deg_nu, limit_tuples, limit_strata):
     return PushforwardMatrix(matrix, p_b, p_a, aprime, deg_nu)
 
 
-def _push_column(full, tau, p_a, renum, deg_nu, limit_tuples, limit_strata):
+def _push_column(full, tau, p_a, renum, deg_nu, limit_tuples):
+    """The column of tau: its pairings on the retained marks, summed by the
+    projection formula (module docstring), solved once and over deg_nu."""
+    pairs = {}
+    for t, vertex_blocks, by_vertex in _column_pairings(full, tau, limit_tuples):
+        mult = t.multiplicity
+        for v_hat, splitvals in by_vertex.items():
+            blocks = vertex_blocks[v_hat]
+            for split, w in splitvals.items():
+                side = sum(blocks[p - 1] for p in trees.marks_of(split))
+                image = trees.project_split(side, renum)
+                if image:
+                    pairs[image] = pairs.get(image, 0) + mult * w
+            for i, b in enumerate(blocks, start=1):
+                image = trees.project_split(b, renum)
+                if image:
+                    j, k = [p for p in (1, 2, 3) if p != i][:2]
+                    psi = _psi_pairing(len(blocks), splitvals, i, j, k)
+                    pairs[image] = pairs.get(image, 0) - mult * psi
+    coords = homology.solve_class_from_pairings(p_a, pairs)
+    return {i: c / deg_nu for i, c in coords.items()}
+
+
+def _column_pairings(full, tau, limit_tuples):
+    """Each cover type over tau as (type, the flag blocks of each source
+    vertex, {source vertex: {flag split: weight}}), the pairings read off
+    the covers over the three degenerations of tau."""
     types = {t.node_data: t for t in hurwitz.enumerate_cover_types(full, tau, limit_tuples)}
     views = {}  # node data -> the flag blocks of each source vertex
     for node_data, t in types.items():
@@ -178,64 +212,17 @@ def _push_column(full, tau, p_a, renum, deg_nu, limit_tuples, limit_strata):
                     "local degree %d != class count %d over a boundary direction"
                     % (local_deg.get(node_data, 0), t.count)
                 )
-
-    col = {}
-    for node_data, t in types.items():
-        vertex_blocks = views[node_data]
-        for v_hat, splitvals in sorted(pairings.get(node_data, {}).items()):
-            if len(vertex_blocks) == 1:
-                _add_projected_class(col, splitvals, p_a, renum, t.multiplicity)
-            else:
-                _add_glued_class(col, splitvals, t, vertex_blocks, v_hat, p_a, renum, limit_strata)
-    # a glued class adds integer rows, so an entry may still be an int here
-    return {i: Fraction(c, deg_nu) for i, c in col.items() if c}
+    return [(t, views[node_data], pairings.get(node_data, {}))
+            for node_data, t in types.items()]
 
 
-def _add_projected_class(col, splitvals, p_a, renum, mult):
-    """Single-component source: push the divisor pairings directly down the
-    forgetful map and solve in the retained-mark space.  A split of the big
-    space pairs through exactly when it traces a split below (project_split)."""
-    pairs = {}
-    for split, wgt in splitvals.items():
-        image = trees.project_split(split, renum)
-        if image:
-            pairs[image] = pairs.get(image, ZERO) + Fraction(wgt)
-    linalg.axpy(col, mult, homology.solve_class_from_pairings(p_a, pairs))
-
-
-def _add_glued_class(col, splitvals, t, vertex_blocks, v_hat, p_a, renum, limit_strata):
-    """Solve the vertex class of cover type t at its source vertex v_hat in
-    its own small space, substitute it there (points at every other moduli
-    vertex), forget, and reduce, on split sets.
-
-    vertex_blocks holds the flag blocks of each source vertex, as the column
-    read them from the type's source curve.  The curve's splits, which are
-    the type's node splits, and those of the point substitutions are the
-    same for every basis coordinate of the vertex class, and are gathered
-    once.  Per coordinate the small stratum adds its splits as unions of the
-    flag blocks at v_hat, the whole set is projected to the retained marks
-    (trees.project_splits), and the image is looked up by that split set.
-    """
-    blocks = vertex_blocks[v_hat]
-    small = homology.homology_basis(len(blocks), 1, limit_strata)
-    coords = homology.solve_class_from_pairings(
-        small, {s: Fraction(w) for s, w in splitvals.items()}
-    )
-    n = t.source_tree.n
-    fixed = {side for side, _r in t.node_data}
-    for u, flags in enumerate(vertex_blocks):
-        if u != v_hat and len(flags) > 3:
-            point = trees.enumerate_strata(len(flags), 0)[0]
-            fixed |= trees.substitution_splits(n, flags, point)
-    for pos, c in sorted(coords.items()):
-        small_tree = small.strata[small.basis[pos]]
-        image = trees.project_splits(
-            n, fixed | trees.substitution_splits(n, blocks, small_tree), renum
-        )
-        if image is None:
-            continue
-        v, den = p_a.integer_coords({p_a.stratum_index(image): 1})
-        linalg.axpy(col, t.multiplicity * c / den, v)
+def _psi_pairing(m, splitvals, i, j, k):
+    """psi_i paired with the curve class of the m-flag space whose split
+    pairings are `splitvals`: the sum of the pairings of the splits whose
+    side through i holds neither j nor k, for any j, k other than i."""
+    full = (1 << m + 1) - 2
+    away = 1 << j | 1 << k
+    return sum(w for s, w in splitvals.items() if not (s if s >> i & 1 else full ^ s) & away)
 
 
 # -- self-correspondence and dynamical degrees --------------------------------

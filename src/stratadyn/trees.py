@@ -22,10 +22,10 @@ and marks_of reads its marks out.  Derived strata (gluing small trees into
 vertices, forgetting marks) are computed on split sets and built by
 tree_from_splits, and so are the source curves of covers
 (`hurwitz.enumerate_cover_types`).  The split-set cores,
-substitution_splits and project_splits, are public: the pushforward glues,
-forgets and relabels marks with them and looks the image up by its split
-set, building no tree, and glue_substitution and forget_pushforward are
-these cores plus the trees at either end.
+substitution_splits and project_splits, are public: glue_substitution and
+forget_pushforward are them plus the trees at either end, and the
+pushforward traces divisor pairings (project_split) and relabels marks
+(project_splits) on split sets, building no tree.
 enumerate_strata searches split sets as integer bitmasks, growing each set
 by AND-ing per-split compatibility masks.  Validation is one pass over
 parents and legs.  Every edge's side comes from one pass, subtree_masks:
@@ -70,7 +70,7 @@ images) reads its split set and builds no tree.
 
 enumerate_strata keeps its full result per (n, k) for the life of the
 process, so each stratum is built once per process however many callers ask
-(a presentation, its relations, the vertex spaces of a cover).  Every call
+(a presentation, its relations, the `strata` command).  Every call
 gets a fresh list over the same immutable trees.
 
 Every result the package keeps per process answers a capped call through

@@ -604,8 +604,9 @@ def glued_class_reference(splitvals, t_g, v_hat, mod_vertices, p_a, keep, mult,
     points at the other moduli vertices) with glue_substitution, forgets
     down to `keep` from that tree's own splits with forget_pushforward, and
     reduces the image with class_reduce, which validates and canonicalises
-    it again.  pushforward._add_glued_class, which never builds the glued
-    tree, must give the same column.
+    it again.  Summed over a column's cover types and source vertices and
+    divided by the marking degree, it must give the pushforward's column,
+    which builds no vertex space and no glued tree.
     """
     small = homology.homology_basis(valence(t_g, v_hat), 1, limit_strata)
     coords = homology.solve_class_from_pairings(

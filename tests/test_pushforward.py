@@ -61,8 +61,8 @@ def test_d1_h2_matrix_is_identity():
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_d1_self_matrix_identity(n):
-    # n >= 6 exercises the glued path; at n = 7 some basis curves have a
-    # source vertex without marks
+    # every source curve has a node, whose flag block pairs through psi; at
+    # n = 7 some basis curves have a source vertex without marks
     mat = self_correspondence_matrix(d1_datum(n), 1)
     rank = homology.homology_basis(n, 1).rank
     assert len(mat) == rank
@@ -171,8 +171,8 @@ def test_d2_five_mark_self_map_matrix():
 
 
 def d2_six_mark_self_map_datum():
-    """Degree-2 self-map of six marks, simply branched over b1 and b2; its
-    glued classes read six-mark expressions with denominator 2."""
+    """Degree-2 self-map of six marks, simply branched over b1 and b2; 44
+    of its vertex classes sit on source curves with a node."""
     a = ["a%d" % i for i in range(1, 7)]
     b = ["b%d" % i for i in range(1, 7)]
     return HurwitzData(
@@ -232,32 +232,7 @@ def test_forgetting_an_unramified_mark_commutes_with_the_pushforward(d, profiles
         assert lhs == rhs, (n, j)
 
 
-# -- glued classes on split sets --------------------------------------------------
-
-
-def _glued_classes(h):
-    """The arguments after the column of every _add_glued_class call of h's
-    pushforward."""
-    calls = []
-    real = pushforward._add_glued_class
-
-    def record(col, *args):
-        calls.append(args)
-        real(col, *args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pushforward, "_add_glued_class", record)
-        pushforward_h2(h)
-    return calls
-
-
-def _reference_args(splitvals, t, vertex_blocks, v_hat, p_a, renum, limit_strata):
-    """The oracles.glued_class_reference arguments of one glued class: the
-    cover type's source tree and multiplicity, and the source vertices with
-    moduli."""
-    mod_vertices = [v for v, flags in enumerate(vertex_blocks) if len(flags) > 3]
-    return (splitvals, t.source_tree, v_hat, mod_vertices, p_a, sorted(renum),
-            t.multiplicity, limit_strata)
+# -- the column by the projection formula -----------------------------------------
 
 
 # d1_datum(5) is the datum of data/d1_self.json; a datum on four target marks
@@ -269,67 +244,81 @@ def _reference_args(splitvals, t, vertex_blocks, v_hat, p_a, renum, limit_strata
     (d1_datum, 5, 0),
     (d2_six_mark_self_map_datum, 44, 32),
 ])
-def test_glued_classes_match_the_whole_tree_route(make, count, with_points, flag_passes):
-    calls = _glued_classes(make())
-    assert len(calls) == count
-    # classes with another moduli vertex, where a point is substituted
-    assert sum(1 for args in calls if set(_reference_args(*args)[3]) - {args[3]}) == with_points
-    for args in calls:
-        got = {}
-        flag_passes.clear()
-        pushforward._add_glued_class(got, *args)
-        # it reads the flag blocks the column read for the cover type
-        assert not flag_passes
-        assert got == oracles.glued_class_reference(*_reference_args(*args))
-
-
-def _a_nonzero_glued_class():
-    """A glued class of the degree-2 self-map with a nonzero column and the
-    least vertex valence among those."""
-    found = []
-    for args in _glued_classes(d2_self_map_datum()):
-        col = {}
-        pushforward._add_glued_class(col, *args)
-        if col:
-            found.append(args)
-    return min(found, key=lambda args: len(args[2][args[3]]))
-
-
-def test_self_matrix_and_glued_classes_build_no_canonical_tree(monkeypatch):
-    # the self matrix renames each basis curve's marks on its split set, and
-    # a glued class looks its image up by split set: no canonical_form call,
-    # and no tree_from_splits call inside _add_glued_class
-    h = d2_six_mark_self_map_datum()
+def test_columns_match_the_glued_class_reference(make, count, with_points):
+    # each column is the sum, over its cover types and their source vertices,
+    # of the vertex class solved in its own space, glued in by whole trees
+    # with points at the other moduli vertices, forgotten and reduced, over
+    # the marking degree
+    h = make()
+    full, deg_nu = hurwitz.fully_mark(h)
     pm = pushforward_h2(h)
-    real_canonical, real_build = trees.canonical_form, trees.tree_from_splits
-    real_glued = pushforward._add_glued_class
-    counts = collections.Counter()
-    gluing = []
+    keep = [full.a_marks.index(a) + 1 for a in pm.aprime]
+    glued = points = 0
+    for j, tau in enumerate(pm.source_pres.basis_trees()):
+        want = {}
+        for t, vertex_blocks, by_vertex in pushforward._column_pairings(full, tau, None):
+            mod_vertices = [v for v, flags in enumerate(vertex_blocks) if len(flags) > 3]
+            for v_hat, splitvals in by_vertex.items():
+                glued += len(vertex_blocks) > 1
+                points += bool(set(mod_vertices) - {v_hat})
+                linalg.axpy(want, 1, oracles.glued_class_reference(
+                    splitvals, t.source_tree, v_hat, mod_vertices, pm.target_pres, keep,
+                    t.multiplicity))
+        column = {i: row[j] for i, row in enumerate(pm.matrix) if row[j]}
+        assert {i: x / deg_nu for i, x in want.items()} == column, j
+    # vertex classes on a source curve with a node, and those among them
+    # with another moduli vertex, where the reference substitutes a point
+    assert (glued, points) == (count, with_points)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_psi_pairing_is_one_on_the_legs_of_the_four_valent_vertex(m):
+    # psi_i pairs to 1 with a curve stratum when leg i sits on its 4-valent
+    # vertex and to 0 otherwise; summing the pairings of the divisors whose
+    # side through i misses j and k gives that for every choice of j and k
+    splits = trees.all_splits(m)
+    full = (1 << m + 1) - 2
+    for tree in trees.enumerate_strata(m, 1):
+        pairings = {}
+        for s in splits:
+            w = homology.intersection_pairing_h2(tree, s)
+            if w:
+                pairings[s] = w
+        four = tree.valences().index(4)
+        for i in range(1, m + 1):
+            want = int(tree.legs[i - 1] == four)
+            for j, k in itertools.combinations([p for p in range(1, m + 1) if p != i], 2):
+                by_sides = sum(w for s, w in pairings.items()
+                               if not {j, k} & set(trees.marks_of(s if s >> i & 1 else full ^ s)))
+                assert by_sides == want, (tree, i, j, k)
+                assert pushforward._psi_pairing(m, pairings, i, j, k) == want, (tree, i, j, k)
+
+
+@pytest.mark.parametrize("make, n", [(d3_self_map_datum, 5), (d2_six_mark_self_map_datum, 6)])
+def test_pushforward_builds_only_the_target_and_retained_presentations(make, n, monkeypatch):
+    # a column solves one pairing vector in the retained-mark presentation,
+    # so no vertex space is built; the self matrix renames each basis
+    # curve's marks on its split set, so no canonical_form call
+    h = make()
+    real_basis, real_canonical = homology.homology_basis, trees.canonical_form
+    calls = collections.Counter()
+
+    def basis(marks, k, limit_strata=None):
+        calls[marks, k] += 1
+        return real_basis(marks, k, limit_strata)
 
     def canonical(tree):
-        counts["canonical_form"] += 1
+        calls["canonical_form"] += 1
         return real_canonical(tree)
 
-    def build(n, splits):
-        if gluing:
-            counts["tree_from_splits in _add_glued_class"] += 1
-        return real_build(n, splits)
-
-    def glued(*args):
-        counts["_add_glued_class"] += 1
-        gluing.append(1)
-        try:
-            real_glued(*args)
-        finally:
-            gluing.pop()
-
+    monkeypatch.setattr(homology, "homology_basis", basis)
     monkeypatch.setattr(trees, "canonical_form", canonical)
-    monkeypatch.setattr(trees, "tree_from_splits", build)
-    monkeypatch.setattr(pushforward, "_add_glued_class", glued)
-    # the counted call builds its pushforward again
-    pushforward._PUSHFORWARDS.clear()
+    pm = pushforward_h2(h)
+    # the target presentation (n_b, 1) and the retained one (n_a, 1)
+    assert calls == {(n, 1): 2}
+    calls.clear()
     mat = self_correspondence_matrix(h, 1)
-    assert counts == {"_add_glued_class": 44}
+    assert not calls
     # the matrix of the pushforward with each basis tree's marks renamed
     p_a, p_b = pm.target_pres, pm.source_pres
     b_of_a = {pm.aprime.index(h.identify[b]) + 1: i for i, b in enumerate(h.b_marks, start=1)}
@@ -337,32 +326,6 @@ def test_self_matrix_and_glued_classes_build_no_canonical_tree(monkeypatch):
         coords = homology.class_reduce(p_b, {oracles.relabel_marks(t, b_of_a): 1})
         for i in range(p_a.rank):
             assert mat[i][j] == sum(w * pm.matrix[i][c] for c, w in coords.items()), (i, j)
-
-
-def test_glued_image_missing_from_presentation_raises_as_before():
-    splitvals, t, vertex_blocks, v_hat, p_a, renum, limit_strata = _a_nonzero_glued_class()
-    empty = homology.HomologyPresentation(p_a.n, 1, [], [], {})
-    args = (splitvals, t, vertex_blocks, v_hat, empty, renum, limit_strata)
-    msg = "canonical stratum missing from presentation"
-    with pytest.raises(AssertionError, match=msg):
-        oracles.glued_class_reference(*_reference_args(*args))
-    with pytest.raises(AssertionError, match=msg):
-        pushforward._add_glued_class({}, *args)
-
-
-def test_glued_small_stratum_of_wrong_valence_raises_as_before(monkeypatch):
-    args = _a_nonzero_glued_class()
-    t, v_hat = args[1], args[3]
-    val = oracles.valence(t.source_tree, v_hat)
-    # the vertex class comes out as a curve of the space with one mark more
-    real_basis = homology.homology_basis
-    monkeypatch.setattr(homology, "homology_basis", lambda n, k, limit=None: real_basis(n + 1, k))
-    monkeypatch.setattr(homology, "solve_class_from_pairings", lambda pres, pairs: {0: Fraction(1)})
-    msg = "small tree has %d marks but vertex has valence %d" % (val + 1, val)
-    with pytest.raises(ValueError, match=msg):
-        oracles.glued_class_reference(*_reference_args(*args))
-    with pytest.raises(ValueError, match=msg):
-        pushforward._add_glued_class({}, *args)
 
 
 def test_invalid_datum_is_refused_with_its_reason():
@@ -380,9 +343,16 @@ def test_invalid_datum_is_refused_with_its_reason():
             self_correspondence_matrix(h, k)
 
 
-def test_strata_budget_bounds_vertex_space():
+def test_strata_budget_bounds_the_target_space(monkeypatch):
+    # the eight-mark target presentation is over the cap, and it is built
+    # before any cover is enumerated
+    def enumerate_nothing(*args):
+        raise AssertionError("covers enumerated before the target presentation")
+
+    monkeypatch.setattr(hurwitz, "enumerate_cover_types", enumerate_nothing)
+    monkeypatch.setattr(hurwitz, "enumerate_cover_classes", enumerate_nothing)
     with pytest.raises(trees.ResourceError, match=r"\(n=8, k=1\)"):
-        self_correspondence_matrix(d3_self_map_datum(), 1, limit_strata=1000)
+        self_correspondence_matrix(_data_datum("d2_self8"), 1, limit_strata=1000)
 
 
 def test_h2_rejects_too_few_retained_marks():
@@ -495,8 +465,9 @@ def test_capped_calls_after_an_uncapped_one_raise_as_before():
     for _ in range(2):
         with pytest.raises(trees.ResourceError, match=r"^cover enumeration exceeded 50 tuples$"):
             pushforward_h2(h, limit_tuples=50)
-        with pytest.raises(trees.ResourceError, match=r"\(n=8, k=1\)"):
-            self_correspondence_matrix(h, 1, limit_strata=1000)
+        # five marks have 10 curve strata
+        with pytest.raises(trees.ResourceError, match=r"\(n=5, k=1\)"):
+            self_correspondence_matrix(h, 1, limit_strata=9)
     # a call that raises keeps nothing; one under caps it fits keeps its own
     assert len(pushforward._PUSHFORWARDS) == 1
     assert self_correspondence_matrix(h, 1, limit_strata=10 ** 6) == mat

@@ -302,6 +302,15 @@ def test_glue_adds_expected_split():
     assert glued2.splits() == {normalize_split(6, s) for s in ({5, 6}, {4, 5, 6})}
 
 
+def test_glue_refuses_a_small_tree_of_the_wrong_size():
+    # a small tree names unions of the vertex's flags by position, so it
+    # must have one mark per flag
+    host = trees.tree_from_splits(6, [normalize_split(6, {5, 6})])
+    big = next(v for v in range(len(host.parents)) if valence(host, v) == 5)
+    with pytest.raises(ValueError, match="small tree has 6 marks but vertex has valence 5"):
+        trees.glue_substitution(host, {big: trees.trivial_tree(6)})
+
+
 def test_glue_refinements_match_oracle():
     # gluing every 2-vertex small tree into a vertex reproduces exactly the
     # one-edge refinements at that vertex
