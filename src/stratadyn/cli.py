@@ -42,8 +42,23 @@ def mat_floats(mat):
     return [[float(x) for x in row] for row in mat]
 
 
+def _json_fraction(value, what):
+    """value as a Fraction when it is a fraction string or a JSON integer,
+    which a bool, a float, an array or an object is not; ValueError naming
+    `what` otherwise."""
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is str:
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError("%s must be a fraction string or an integer, got %s" % (what, json.dumps(value)))
+
+
 def matrix_from_json(obj):
-    """Accept a bare 2-d array or a dump with a matrix field.
+    """Accept a bare 2-d array or a dump with a matrix field: an array of
+    rows of one length, each an array of fraction strings or JSON integers.
 
     Dumps written by the pushforward command carry both the rectangular
     matrix and, when the datum closes up into a self-map, the square
@@ -54,7 +69,14 @@ def matrix_from_json(obj):
         obj = obj.get("self_matrix", obj.get("matrix"))
         if obj is None:
             raise ValueError("matrix file needs a 'matrix' field")
-    return tuple(tuple(Fraction(x) for x in row) for row in obj)
+    mat = tuple(
+        tuple(_json_fraction(x, "a matrix entry") for x in trees._json_array(row, "a matrix row"))
+        for row in trees._json_array(obj, "the matrix")
+    )
+    lengths = sorted({len(row) for row in mat})
+    if len(lengths) > 1:
+        raise ValueError("the matrix rows must have one length, got lengths %s" % lengths)
+    return mat
 
 
 def _emit(obj):
@@ -77,11 +99,13 @@ def load_hurwitz(path):
 
 
 def load_weights(source, n):
+    """The built-in `dagger` weights, or a JSON array of fraction strings or
+    JSON integers read from the file `source`."""
     if source == "dagger":
         return hassett.epsilon_dagger(n)
     with open(source) as fh:
         obj = json.load(fh)
-    return tuple(Fraction(x) for x in obj)
+    return tuple(_json_fraction(x, "a weight") for x in trees._json_array(obj, "the weights"))
 
 
 def partition_key(lam):

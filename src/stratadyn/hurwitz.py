@@ -28,14 +28,18 @@ candidate, and no class is met twice.  This is the gluing of per-vertex
 orbit representatives along the edges used in tropical Hurwitz counting
 (Cavalieri-Johnson-Markwig, arXiv 0804.0579).
 
-A class is its (key, nodes) pair.  When a class is glued, `_node_sides`
-gives each of its nodes the split of the marks (as a_marks positions) on
-its far side, its ramification r and the split of the target edge it lies
-over, as `trees.split_of` masks; the class keeps these nodes, sorted, and
-nothing else of its components, so they do not depend on how tau's
-vertices are numbered.  `enumerate_cover_types` builds the canonical tree
-cut by the node splits with `trees.tree_from_splits`, once per cover type
-(Keel, Trans. AMS 330, 1992: a stratum is fixed by its splits), and the
+A candidate's source graph (one component per orbit at each target vertex,
+one edge per matched cycle pair) is walked once, by `_tree_walk`: with one
+edge fewer than components, it is a tree when the walk reaches every
+component.  A class is its (key, nodes) pair.  When a class is glued,
+`_node_sides` ORs the marks up that walk and gives each of its nodes the
+split of the marks (as a_marks positions) on its far side, its
+ramification r and the split of the target edge it lies over, as
+`trees.split_of` masks; the class keeps these nodes, sorted, and nothing
+else of its components, so they do not depend on how tau's vertices are
+numbered.  `enumerate_cover_types` builds the canonical tree cut by the
+node splits with `trees.tree_from_splits`, once per cover type (Keel,
+Trans. AMS 330, 1992: a stratum is fixed by its splits), and the
 pushforward reads each type's curve from there.
 
 The classes over a target tree are kept once per process in `_CLASSES`,
@@ -301,6 +305,8 @@ def _centraliser(g):
 
 
 def _cycles(p):
+    """The cycles of p, each starting at its least sheet, in the order of
+    those sheets: the scan meets each cycle first at its minimum."""
     seen = [False] * len(p)
     out = []
     for i in range(len(p)):
@@ -344,11 +350,6 @@ def _cycle_image(hh, cyc):
     img = [hh[x] for x in cyc]
     k = img.index(min(img))
     return tuple(img[k:] + img[:k])
-
-
-def _canon_cycle(cyc):
-    k = cyc.index(min(cyc))
-    return tuple(cyc[k:] + cyc[:k])
 
 
 class _CycleImages(dict):
@@ -521,7 +522,7 @@ def _vertex_labelings(h, flags, perms, limit):
         bijections = _bijections(marks, h.rm.__getitem__, _cycles(perms[pos]), limit)
         if not bijections:
             return []
-        per_flag.append([{a: (pos, _canon_cycle(c)) for a, c in pairs} for pairs in bijections])
+        per_flag.append([{a: (pos, c) for a, c in pairs} for pairs in bijections])
     out = []
     for combo in itertools.product(*per_flag):
         merged = {}
@@ -533,45 +534,49 @@ def _vertex_labelings(h, flags, perms, limit):
 
 def _edge_matchings(gc, gp, limit):
     """Length-preserving bijections between the cycles of two permutations."""
-    return [
-        tuple(sorted((_canon_cycle(a), _canon_cycle(b)) for a, b in pairs))
-        for pairs in _bijections(_cycles(gc), len, _cycles(gp), limit)
-    ]
-
-
-class UnionFind:
-    """Disjoint sets over range(n), with path halving on find."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b):
-        """Put a's root under b's root; False when they share a root already."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
+    return [tuple(sorted(pairs)) for pairs in _bijections(_cycles(gc), len, _cycles(gp), limit)]
 
 
 def _orbits(perms, d):
-    uf = UnionFind(d)
-    for g in perms:
-        for i in range(d):
-            uf.union(i, g[i])
-    groups = {}
-    for i in range(d):
-        groups.setdefault(uf.find(i), []).append(i)
-    return [frozenset(v) for v in sorted(groups.values())]
+    """(the orbit of each sheet, the number of orbits) of the group the
+    permutations generate, orbits numbered by their least sheets."""
+    at = [-1] * d
+    count = 0
+    for s in range(d):
+        if at[s] < 0:
+            at[s] = count
+            reached = [s]
+            for x in reached:
+                for g in perms:
+                    y = g[x]
+                    if at[y] < 0:
+                        at[y] = count
+                        reached.append(y)
+            count += 1
+    return at, count
+
+
+def _tree_walk(num, edges):
+    """(up, order) of a walk from vertex 0 over the graph on range(num) with
+    the (i, j, r, e) edges when the graph is a tree, None otherwise: up[x] is
+    the vertex x was reached from (-1 for vertex 0), and order lists the
+    vertices as reached.  With num - 1 edges the graph is a tree exactly when
+    the walk reaches every vertex, so a cycle needs no test of its own."""
+    if len(edges) != num - 1:
+        return None
+    adj = [[] for _ in range(num)]
+    for i, j, _r, _e in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    up = [None] * num
+    up[0] = -1
+    order = [0]
+    for x in order:
+        for y in adj[x]:
+            if up[y] is None:
+                up[y] = x
+                order.append(y)
+    return (up, order) if len(order) == num else None
 
 
 def _least_labelings(h, flags, perms, centraliser, limit):
@@ -723,9 +728,10 @@ def _enumerate_cover_classes(h, tau, limit):
 
     Each target vertex's flag list is built once and passed to the
     per-vertex helpers (_least_tuples, _least_labelings), and each
-    target edge's split is read from the same subtree_masks pass.  A
-    class's nodes are read off its components and source edges once, here
-    (_node_sides).
+    target edge's split is read from the same subtree_masks pass.  Each
+    candidate's source graph is walked once (_tree_walk): the edge count
+    and the walk are the tree test, made before the matching search, and a
+    kept class's nodes are read along the same walk (_node_sides).
 
     The budget ticks once per flag-permutation combination at a vertex,
     all of them before any permutation is listed (_combinations), per glued
@@ -802,13 +808,10 @@ def _enumerate_cover_classes(h, tau, limit):
         # component of each sheet
         num_comps = 0
         comp_at = []
-        for w in range(num_w):
-            at = [0] * d
-            for orb in _orbits(vertex_perms[w], d):
-                for s in orb:
-                    at[s] = num_comps
-                num_comps += 1
-            comp_at.append(at)
+        for perms in vertex_perms:
+            at, count = _orbits(perms, d)
+            comp_at.append([num_comps + i for i in at])
+            num_comps += count
 
         for labeling_combo in itertools.product(*labeling_sets):
             labeling = {}
@@ -819,23 +822,14 @@ def _enumerate_cover_classes(h, tau, limit):
             for matchings in itertools.product(*matching_sets):
                 limit.tick()
                 # source graph: one edge per matched cycle pair
-                uf = UnionFind(num_comps)
-                acyclic = True
-                src_edges = []
-                for (c, p), e, pairs in zip(edge_list, edge_split, matchings):
-                    for cy1, cy2 in pairs:
-                        i1 = comp_at[c][cy1[0]]
-                        i2 = comp_at[p][cy2[0]]
-                        src_edges.append((i1, i2, len(cy1), e))
-                        if not uf.union(i1, i2):
-                            acyclic = False
-                            break
-                    if not acyclic:
-                        break
-                if not acyclic:
-                    continue
-                if len(src_edges) != num_comps - 1:
-                    continue  # disconnected
+                src_edges = [
+                    (comp_at[c][cy1[0]], comp_at[p][cy2[0]], len(cy1), e)
+                    for (c, p), e, pairs in zip(edge_list, edge_split, matchings)
+                    for cy1, cy2 in pairs
+                ]
+                walk = _tree_walk(num_comps, src_edges)
+                if walk is None:
+                    continue  # disconnected or with a cycle
                 if not _least_matchings(matchings, edge_list, stabilisers, limit):
                     continue
                 key = (vertex_perms, enc_label, matchings)
@@ -844,7 +838,7 @@ def _enumerate_cover_classes(h, tau, limit):
                 comp_marks = [0] * num_comps
                 for pos, (a, w) in enumerate(zip(h.a_marks, mark_vertex), start=1):
                     comp_marks[comp_at[w][labeling[a][1][0]]] |= 1 << pos
-                reps[key] = _node_sides(n, comp_marks, src_edges)
+                reps[key] = _node_sides(n, comp_marks, src_edges, walk)
     return marshal.dumps(tuple((k, reps[k]) for k in sorted(reps)))
 
 
@@ -871,7 +865,7 @@ def count_covers_orbit_stabilizer(h, limit_tuples=None):
     stab_total = 0
     for perms in local:
         labelings = _vertex_labelings(h, flags, perms, limit)
-        if not labelings or len(_orbits(perms, d)) != 1:
+        if not labelings or _orbits(perms, d)[1] != 1:
             continue
         centraliser = [hh for hh in all_p if all(_conj(hh, g) == g for g in perms)]
         for labeling in labelings:
@@ -906,28 +900,18 @@ class CoverType:
         self.count = count
 
 
-def _node_sides(n, comp_marks, comp_edges):
+def _node_sides(n, comp_marks, comp_edges, walk):
     """Each node of a source curve as (split mask, r, e), sorted by the
     split's marks, then r.
 
     comp_marks holds the mask of the marks (1..n) on each component and
     comp_edges the (i, j, r, e) nodes between components, r the ramification
     and e the split of the target edge the node lies over, passed through;
-    they form a tree, and a node's split cuts off the marks on its far
-    side.  One pass ORs the masks below each component with the tree rooted
-    at component 0.
+    they form a tree, and walk is its (up, order) from _tree_walk.  A node's
+    split cuts off the marks on its far side: the masks below each component
+    are ORed up the walk, last reached first.
     """
-    adj = [[] for _ in comp_marks]
-    for i, j, _r, _e in comp_edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    up = [-1] * len(comp_marks)
-    order = [0]
-    for x in order:
-        for y in adj[x]:
-            if y != up[x]:
-                up[y] = x
-                order.append(y)
+    up, order = walk
     below = list(comp_marks)
     for x in reversed(order[1:]):
         below[up[x]] |= below[x]

@@ -104,6 +104,55 @@ def test_hassett_kernel_weight_file(tmp_path):
     assert json.loads(r.stdout) == {"kernel_dim": 10, "equals_lambda_less": True}
 
 
+def test_weights_must_be_fraction_strings_or_integers(tmp_path):
+    # the first two once exited 0, reading an object's keys as the weights
+    # and a float as its binary fraction; true was read as weight 1
+    wf = tmp_path / "weights.json"
+    dagger = ["40001/100000"] * 5
+    for weights, error in (
+        ({w: 0 for w in ("40001/100000", "40001/100001", "40001/100002", "40001/100003",
+                         "40001/100004")},
+         'the weights must be an array, got {"40001/100000": 0, "40001/100001": 0, '
+         '"40001/100002": 0, "40001/100003": 0, "40001/100004": 0}'),
+        (dagger[:4] + [0.400002], "a weight must be a fraction string or an integer, got 0.400002"),
+        ([True] + dagger[1:], "a weight must be a fraction string or an integer, got true"),
+        (dagger[:4] + ["1/0"], 'a weight must be a fraction string or an integer, got "1/0"'),
+    ):
+        wf.write_text(json.dumps(weights))
+        r = run_cli("hassett", "kernel", "--n", "5", "--k", "1", "--weights", str(wf), check=2)
+        assert json.loads(r.stdout) == {"error": error}, weights
+        assert r.stderr.strip()
+    # JSON integers and fraction strings are read
+    wf.write_text(json.dumps(dagger))
+    r = run_cli("hassett", "kernel", "--n", "5", "--k", "1", "--weights", str(wf))
+    assert json.loads(r.stdout) == {"equals_lambda_less": True, "kernel_dim": 0}
+
+
+def test_matrix_entries_must_be_fraction_strings_or_integers(tmp_path):
+    # the first once printed an omega block holding 0.1's binary fraction,
+    # and the second was read as a 5 x 1 matrix of digits
+    mf = tmp_path / "matrix.json"
+    ident = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
+    for matrix, error in (
+        ([[True, 0.1, 0, 0, 0]] + ident[1:],
+         "a matrix entry must be a fraction string or an integer, got true"),
+        ({"matrix": "12345"}, 'the matrix must be an array, got "12345"'),
+        ({"self_matrix": ["10000"] + ident[1:]}, 'a matrix row must be an array, got "10000"'),
+        ([["1", "1/2", "0", "0", 0.5]] + ident[1:],
+         "a matrix entry must be a fraction string or an integer, got 0.5"),
+        # a ragged matrix was once called 5x5
+        (ident[:2] + [[0, 0, 1]] + ident[3:],
+         "the matrix rows must have one length, got lengths [3, 5]"),
+    ):
+        mf.write_text(json.dumps(matrix))
+        r = run_cli("blocks", "--matrix", str(mf), "--n", "5", "--k", "1", check=2)
+        assert json.loads(r.stdout) == {"error": error}, matrix
+        assert r.stderr.strip()
+    mf.write_text(json.dumps({"matrix": [[str(x) for x in row] for row in ident[:4]] + [ident[4]]}))
+    r = run_cli("blocks", "--matrix", str(mf), "--n", "5", "--k", "1")
+    assert json.loads(r.stdout)["omega_block"] == [[str(x) for x in row] for row in ident]
+
+
 def test_homology_basis_out(tmp_path):
     out = tmp_path / "presentation.json"
     r = run_cli("homology", "basis", "--n", "5", "--k", "1", "--out", str(out))

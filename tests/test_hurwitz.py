@@ -470,6 +470,84 @@ def test_centralisers_from_cycles_match_a_scan_of_s_d():
             assert len(want) * hurwitz._class_size(d, _ctype(g)) == factorial(d)
 
 
+def _orbits_by_closure(perms, d):
+    """Each sheet's orbit index and the orbit count, by definition: a
+    sheet's orbit is the least set holding it that every permutation maps
+    into itself, and orbits are numbered in the order of their least
+    sheets."""
+    orbit_of = []
+    for s in range(d):
+        orbit = {s}
+        while True:
+            grown = orbit | {g[x] for g in perms for x in orbit}
+            if grown == orbit:
+                break
+            orbit = grown
+        orbit_of.append(min(orbit))
+    firsts = sorted(set(orbit_of))
+    return [firsts.index(m) for m in orbit_of], len(firsts)
+
+
+def test_orbits_match_the_closure_on_every_built_tuple():
+    # every local tuple the enumeration builds, at every vertex of every
+    # target; they have from one orbit to four
+    data = [fig1_datum(), d4_total_datum()] + [
+        d3_kind_datum(kind, 5) for kind in ("simple", "total", "mixed")
+    ]
+    counts = set()
+    for h in data:
+        full, _ = fully_mark(h)
+        for tau in every_target(len(full.b_marks)):
+            masks, _ = tau.subtree_masks()
+            for w in range(tau.num_vertices()):
+                flags = tau.flag_masks(w, masks)
+                for perms, _coset in hurwitz._least_tuples(full, flags, hurwitz._tuple_budget(None)):
+                    at, count = hurwitz._orbits(perms, full.d)
+                    assert (at, count) == _orbits_by_closure(perms, full.d), perms
+                    counts.add(count)
+    assert counts == {1, 2, 3, 4}
+
+
+def _prufer_tree(seq, num):
+    """The labelled tree on range(num) with Prufer sequence seq."""
+    degree = [1] * num
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    for x in seq:
+        leaf = min(v for v in range(num) if degree[v] == 1)
+        edges.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    edges.append(tuple(v for v in range(num) if degree[v] == 1))
+    return edges
+
+
+def test_tree_walk_accepts_exactly_the_labelled_trees():
+    # num - 1 edges with one repeated: disconnected, though no walk meets a
+    # cycle
+    assert hurwitz._tree_walk(3, [(0, 1, 1, 6), (1, 0, 1, 6)]) is None
+    assert hurwitz._tree_walk(4, [(0, 1, 1, 6), (2, 3, 1, 6), (0, 1, 2, 6)]) is None
+    assert hurwitz._tree_walk(2, []) is None
+    assert hurwitz._tree_walk(1, []) == ([-1], [0])
+    for num in range(2, 6):
+        pairs = list(itertools.combinations(range(num), 2))
+        trees_ = {
+            frozenset(frozenset(e) for e in _prufer_tree(seq, num))
+            for seq in itertools.product(range(num), repeat=num - 2)
+        }
+        assert len(trees_) == num ** (num - 2)  # Cayley
+        for chosen in itertools.combinations(pairs, num - 1):
+            walk = hurwitz._tree_walk(num, [(j, i, 1, 0) for i, j in chosen])
+            if frozenset(frozenset(e) for e in chosen) not in trees_:
+                assert walk is None, chosen
+                continue
+            up, order = walk
+            assert sorted(order) == list(range(num)) and order[0] == 0 and up[0] == -1
+            assert {frozenset((x, up[x])) for x in order[1:]} == {frozenset(e) for e in chosen}
+            assert all(order.index(up[x]) < order.index(x) for x in order[1:])
+
+
 def test_least_tuples_match_the_full_scan():
     # at every vertex of every target, the tuples built from the least
     # permutation of each class, and their centralisers read off C(L), are
@@ -840,25 +918,6 @@ def test_cover_keys_match_brute_oracle():
                     assert perms == oracles.least_conjugate(perms)[0]
 
 
-def _orbit_count(perms, d):
-    """The number of orbits of the sheets under a tuple of permutations."""
-    seen = set()
-    count = 0
-    for s in range(d):
-        if s in seen:
-            continue
-        count += 1
-        frontier = [s]
-        seen.add(s)
-        while frontier:
-            x = frontier.pop()
-            for g in perms:
-                if g[x] not in seen:
-                    seen.add(g[x])
-                    frontier.append(g[x])
-    return count
-
-
 def test_class_nodes_match_their_key_and_target():
     # invariants the node splits are not computed from: the sheets over a
     # target edge are glued by the nodes over it, so their r sum to d; the
@@ -887,7 +946,7 @@ def test_class_nodes_match_their_key_and_target():
                     assert side == trees.split_of(n, side) and r >= 1
                     r_over[e] += r
                 assert list(r_over.values()) == [full.d] * len(tau.edges())
-                orbits = sum(_orbit_count(perms, full.d) for perms in key[0])
+                orbits = sum(_orbits_by_closure(perms, full.d)[1] for perms in key[0])
                 assert len(nodes) == orbits - 1
                 if full.d == 1:
                     assert sorted((e, side) for side, _r, e in nodes) == sorted(
