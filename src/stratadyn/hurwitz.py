@@ -39,8 +39,9 @@ ramification r and the split of the target edge it lies over, as
 else of its components, so they do not depend on how tau's vertices are
 numbered.  `enumerate_cover_types` builds the canonical tree cut by the
 node splits with `trees.tree_from_splits`, once per cover type (Keel,
-Trans. AMS 330, 1992: a stratum is fixed by its splits), and the
-pushforward reads each type's curve from there.
+Trans. AMS 330, 1992: a stratum is fixed by its splits), for the
+degeneration report; the pushforward reads the classes' nodes alone, over
+one-edge targets.
 
 The classes over a target tree are kept once per process in `_CLASSES`,
 keyed by the tree and the six fields the enumeration reads (a_marks,

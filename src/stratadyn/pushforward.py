@@ -3,46 +3,33 @@
 The correspondence of a Hurwitz datum sends boundary-stratum classes of the
 target-mark space to classes of the retained-mark space.  In homological
 degree 0 it multiplies by the cover count over a generic point.  In degree 2
-one column is computed per 1-dimensional stratum tau of the target space:
-labeled covers over tau are grouped by type; each type is a one-parameter
-family of source curves that moves at one source vertex v_hat at a time,
-paired against the boundary divisors of v_hat's vertex space by
-degenerating tau at its 4-valent vertex and reading off which source nodes
-appear.  The family's class is pushed along phi, which glues the vertex
-space into the source curve (points at every other vertex) and forgets down
-to the retained marks.  A curve class is fixed by its pairings with the
-boundary divisors, and (phi_* C).D_S = C.phi^* D_S, the projection formula:
-- forgetting pulls D_S back to the sum of D_T over the splits T that trace
-  S on the retained marks (`trees.project_split`);
-- gluing at v_hat, with flag blocks b_1..b_m, pulls D_T back to D_sigma
-  when T is the union of the blocks in sigma (2 <= |sigma| <= m - 2), to
-  -psi_i when T is the node split of block i, and to 0 otherwise, since no
-  other component moves;
-- psi_i is the sum of D_sigma over the sigma that hold i but neither j nor
-  k, for any j, k other than i (Keel, Trans. AMS 330, 1992; Kock, "Notes
-  on psi classes", 2001).
-So the column's pairing vector on the retained marks is one sum over cover
-types and source vertices, weighted by the type's multiplicity, and the
-column is one `homology.solve_class_from_pairings` in the retained-mark
-presentation, over the marking degree.  A pushforward builds the target and
-the retained presentations and no other.
+it is read through its adjoint on divisors.  A curve class is fixed by its
+pairings with the boundary divisors D_S (Keel, Trans. AMS 330, 1992), and
+(H_* C).D_S = C.H^* D_S, where H^* = pi_B* pi_A'^* pulls a divisor back
+along the retained-mark map and pushes it down to the target-mark space.
+pi_A'^* D_S lies over the target boundary, so H^* D_S is a sum of c(S, T)
+D_T over the one-edge target strata T, read off the labeled covers over T:
+- over T's one edge, a class has nodes sigma of ramification r_sigma, and
+  its rprod is the product of every r_sigma;
+- near the class each node's smoothing parameter s_sigma has s_sigma^r_sigma
+  = t, the target's, and on a curve crossing D_T once the locus s_sigma = 0
+  has degree rprod / r_sigma;
+- that locus lies in pi_A'^* D_S when sigma's split traces S on the
+  retained marks (`trees.project_split`),
+so c(S, T) sums rprod / r_sigma over those nodes of every class over T,
+over the marking degree deg_nu.  Summed over the classes, rprod is the
+local degree of the cover space over D_T, the cover count of a smooth
+target, and each T is checked for it.  The pullback table is built once per
+matrix; column j pairs the basis curve C_j with each D_T from C_j's four
+flag blocks (`homology._curve_row`, at most 7 nonzeros), sums c(S, T)
+(C_j.D_T) into the pairings of the retained splits S, and is one
+`homology.solve_class_from_pairings` in the retained-mark presentation.  A
+pushforward builds the target and retained curve presentations and the
+target's one-edge strata, and no other.
 
-Every stratum on the way is named by its split set: a degeneration of tau
-adds the union of two of the four flag blocks at its 4-valent vertex
-(`homology.curve_blocks`), and names its new edge by that split.  The
-self-correspondence matrix renames each basis stratum's marks as a
+The self-correspondence matrix renames each basis stratum's marks as a
 projection that forgets no mark (`trees.project_splits`) and looks the
 image up in the presentation by its split set, building no tree.
-Smoothing a refined cover is done on the nodes its class keeps: each node
-names the split of the target edge it lies over, so the nodes over the new
-target edge, named by the split just added, are new and the rest old.
-The old nodes are the node data of the cover type over tau that the class
-smooths to, so its source curve is that type's, built once per column by
-`hurwitz.enumerate_cover_types` and read for its flag blocks once.  Each new
-node's split picks the one source vertex whose flag blocks each fall inside
-or outside it, and the flag split it pairs with there; the pairings are kept
-per source vertex.  Every split is a `trees.split_of` mask, over a_marks or
-flag positions.
 """
 
 from __future__ import annotations
@@ -93,7 +80,7 @@ _PUSHFORWARDS = {}
 
 
 def pushforward_h2(h, limit_tuples=None, limit_strata=None):
-    """The correspondence on H_2, column by column over target basis strata.
+    """The correspondence on H_2, one column per target basis curve.
 
     The matrix is kept per process under the fully marked datum's cover
     value (hurwitz._cover_value), its forget_to, the marking degree and both
@@ -101,8 +88,8 @@ def pushforward_h2(h, limit_tuples=None, limit_strata=None):
     shares one matrix; the marking degree is, since a datum and its
     explicitly fully marked twin share the cover value but not the degree.
     A capped call finds only an entry made under the same caps, which a
-    recomputation would reproduce, or recomputes through the cover and
-    presentation memos, which replay their ticks; so the caps raise as if
+    recomputation would reproduce, or recomputes through the cover, strata
+    and presentation memos, which replay their ticks; so the caps raise as if
     nothing were kept, and a call that raises keeps nothing.  Every caller
     gets the same object and must not change it.
     """
@@ -115,8 +102,9 @@ def pushforward_h2(h, limit_tuples=None, limit_strata=None):
 
 
 def _pushforward_h2(full, deg_nu, limit_tuples, limit_strata):
-    """The PushforwardMatrix of pushforward_h2, built column by column for
-    the fully marked datum `full` of marking degree deg_nu."""
+    """The PushforwardMatrix of pushforward_h2 for the fully marked datum
+    `full` of marking degree deg_nu: the divisor pullbacks over the one-edge
+    targets, then one solve per basis curve (module docstring)."""
     n_b = len(full.b_marks)
     if n_b < 4:
         raise ValueError("degree-2 pushforward needs at least 4 target marks")
@@ -131,98 +119,41 @@ def _pushforward_h2(full, deg_nu, limit_tuples, limit_strata):
 
     p_b = homology.homology_basis(n_b, 1, limit_strata)
     p_a = homology.homology_basis(n_a, 1, limit_strata)
+    divisors = trees.enumerate_strata(n_b, n_b - 4, limit_strata)
+
+    # the divisor's pairing column -> {retained split S: deg_nu * c(S, T)}
+    column = homology._split_columns(n_b)
+    pullbacks = {}
+    count = hurwitz.count_covers(full, limit_tuples)
+    for t in divisors:
+        (split,) = t.splits()
+        pullback = pullbacks[column[split]] = {}
+        local_deg = 0
+        for _key, nodes in hurwitz.enumerate_cover_classes(full, t, limit_tuples):
+            rprod = prod(r for _side, r, _e in nodes)
+            local_deg += rprod
+            for side, r, _e in nodes:
+                image = trees.project_split(side, renum)
+                if image:
+                    pullback[image] = pullback.get(image, 0) + rprod // r
+        if local_deg != count:
+            raise AssertionError(
+                "local degree %d over the divisor of %s != cover count %d"
+                % (local_deg, list(trees.marks_of(split)), count)
+            )
 
     columns = []
     for tau in p_b.basis_trees():
-        columns.append(_push_column(full, tau, p_a, renum, deg_nu, limit_tuples))
+        pairs = {}
+        for col, w in homology._curve_row(n_b, homology.curve_blocks(tau), column).items():
+            linalg.axpy(pairs, w, pullbacks[col])
+        coords = homology.solve_class_from_pairings(p_a, pairs)
+        columns.append({i: c / deg_nu for i, c in coords.items()})
     matrix = tuple(
         tuple(columns[j].get(i, ZERO) for j in range(len(columns)))
         for i in range(p_a.rank)
     )
     return PushforwardMatrix(matrix, p_b, p_a, aprime, deg_nu)
-
-
-def _push_column(full, tau, p_a, renum, deg_nu, limit_tuples):
-    """The column of tau: its pairings on the retained marks, summed by the
-    projection formula (module docstring), solved once and over deg_nu."""
-    pairs = {}
-    for t, vertex_blocks, by_vertex in _column_pairings(full, tau, limit_tuples):
-        mult = t.multiplicity
-        for v_hat, splitvals in by_vertex.items():
-            blocks = vertex_blocks[v_hat]
-            for split, w in splitvals.items():
-                side = sum(blocks[p - 1] for p in trees.marks_of(split))
-                image = trees.project_split(side, renum)
-                if image:
-                    pairs[image] = pairs.get(image, 0) + mult * w
-            for i, b in enumerate(blocks, start=1):
-                image = trees.project_split(b, renum)
-                if image:
-                    j, k = [p for p in (1, 2, 3) if p != i][:2]
-                    psi = _psi_pairing(len(blocks), splitvals, i, j, k)
-                    pairs[image] = pairs.get(image, 0) - mult * psi
-    coords = homology.solve_class_from_pairings(p_a, pairs)
-    return {i: c / deg_nu for i, c in coords.items()}
-
-
-def _column_pairings(full, tau, limit_tuples):
-    """Each cover type over tau as (type, the flag blocks of each source
-    vertex, {source vertex: {flag split: weight}}), the pairings read off
-    the covers over the three degenerations of tau."""
-    types = {t.node_data: t for t in hurwitz.enumerate_cover_types(full, tau, limit_tuples)}
-    views = {}  # node data -> the flag blocks of each source vertex
-    for node_data, t in types.items():
-        masks, _ = t.source_tree.subtree_masks()
-        views[node_data] = [
-            t.source_tree.flag_masks(v, masks) for v in range(t.source_tree.num_vertices())
-        ]
-
-    # each boundary direction pairs two of the four flag blocks at the
-    # 4-valent vertex, adding their union as a split
-    blocks = homology.curve_blocks(tau)
-    base = tau.splits()
-    pairings = {}  # node data -> {source vertex: {flag split: weight}}
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        cut = trees.split_of(tau.n, blocks[i] + blocks[j])
-        tau_ref = trees.tree_from_splits(tau.n, base | {cut})
-        local_deg = {}
-        for _key, nodes in hurwitz.enumerate_cover_classes(full, tau_ref, limit_tuples):
-            old = []
-            new = []
-            for side, r, e in nodes:
-                (new if e == cut else old).append((side, r))
-            old = tuple(old)
-            if old not in types:
-                raise AssertionError("refined cover smooths to an unknown type")
-            rprod = prod(r for _side, r in new)
-            local_deg[old] = local_deg.get(old, 0) + rprod
-            buckets = pairings.setdefault(old, {})
-            for split, r in new:
-                # the one source vertex whose flag blocks each fall inside
-                # the new node's split or outside it
-                v, vb = next((v, vb) for v, vb in enumerate(views[old])
-                             if all(b & split in (0, b) for b in vb))
-                inside = sum(1 << pos for pos, b in enumerate(vb, start=1) if b & split)
-                norm = trees.split_of(len(vb), inside)
-                bucket = buckets.setdefault(v, {})
-                bucket[norm] = bucket.get(norm, 0) + rprod // r
-        for node_data, t in types.items():
-            if local_deg.get(node_data, 0) != t.count:
-                raise AssertionError(
-                    "local degree %d != class count %d over a boundary direction"
-                    % (local_deg.get(node_data, 0), t.count)
-                )
-    return [(t, views[node_data], pairings.get(node_data, {}))
-            for node_data, t in types.items()]
-
-
-def _psi_pairing(m, splitvals, i, j, k):
-    """psi_i paired with the curve class of the m-flag space whose split
-    pairings are `splitvals`: the sum of the pairings of the splits whose
-    side through i holds neither j nor k, for any j, k other than i."""
-    full = (1 << m + 1) - 2
-    away = 1 << j | 1 << k
-    return sum(w for s, w in splitvals.items() if not (s if s >> i & 1 else full ^ s) & away)
 
 
 # -- self-correspondence and dynamical degrees --------------------------------

@@ -20,12 +20,13 @@ int in every module, the mark bitmask (bit m for mark m) of its side without
 mark 1: split_of, the one normaliser, names it from a mask of either side,
 and marks_of reads its marks out.  Derived strata (gluing small trees into
 vertices, forgetting marks) are computed on split sets and built by
-tree_from_splits, and so are the source curves of covers
-(`hurwitz.enumerate_cover_types`).  The split-set cores,
-substitution_splits and project_splits, are public: glue_substitution and
-forget_pushforward are them plus the trees at either end, and the
-pushforward traces divisor pairings (project_split) and relabels marks
-(project_splits) on split sets, building no tree.
+tree_from_splits, and so are the source curves of the cover types of the
+degeneration report (`hurwitz.enumerate_cover_types`).  The split-set
+cores, substitution_splits and project_splits, are public:
+glue_substitution and forget_pushforward are them plus the trees at either
+end, and the pushforward traces cover nodes to retained-mark divisors
+(project_split) and relabels marks (project_splits) on split sets,
+building no tree.
 enumerate_strata searches split sets as integer bitmasks, growing each set
 by AND-ing per-split compatibility masks.  Validation is one pass over
 parents and legs.  Every edge's side comes from one pass, subtree_masks:

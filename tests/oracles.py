@@ -5,7 +5,11 @@ regenerated by one-edge refinement sequences instead of split systems, or by
 a pairwise compatibility search instead of bitmasks; canonical forms come
 from a centroid search from every vertex; subset conditions are checked by
 full enumeration instead of meet-in-the-middle; characteristic polynomials
-come from Faddeev-LeVerrier instead of a Hessenberg reduction; row spaces
+come from Faddeev-LeVerrier instead of a Hessenberg reduction; curve-class
+pushforward columns come from the covers over the three degenerations of
+each basis curve, grouped by cover type and paired through psi classes
+(`pushforward_matrix_reference`), instead of from divisor pullbacks over
+one-edge targets; row spaces
 are eliminated over Fractions instead of fraction-free integers; stable
 vertices sum Fraction flag weights instead of integer subtree sums; and cover
 counts come from raw tuple enumeration.  The oracles assemble their trees
@@ -27,9 +31,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
-from stratadyn import homology, linalg, trees
+from stratadyn import homology, hurwitz, linalg, trees
 
 
 def assemble(n, vertices):
@@ -624,6 +628,160 @@ def glued_class_reference(splitvals, t_g, v_hat, mod_vertices, p_a, keep, mult,
         for i, x in homology.class_reduce(p_a, {img: 1}).items():
             col[i] = col.get(i, 0) + mult * c * x
     return {i: x for i, x in col.items() if x}
+
+
+def pushforward_matrix_reference(h, limit_tuples=None):
+    """The curve-class pushforward matrix of h, column by column by the
+    projection formula over cover types.
+
+    Each target basis curve tau is degenerated three ways at its 4-valent
+    vertex, and the covers over each degeneration smooth back to a cover
+    type over tau on their old nodes (column_pairings_reference).  Each
+    type is a family of source curves moving at one source vertex v_hat at
+    a time; pushed along phi, which glues v_hat's vertex space into the
+    source curve and forgets down to the retained marks, a flag split of
+    the vertex space pairs at the split its union of flag blocks traces on
+    the retained marks, and a flag block that traces a split there pairs
+    minus psi of its flag (psi_pairing).  The pairings, weighted by the
+    type's multiplicity and summed over types and source vertices, fix the
+    column, solved once in the retained-mark presentation and over the
+    marking degree.
+    """
+    full, deg_nu = hurwitz.fully_mark(h)
+    aprime = [a for a in full.a_marks if a in set(full.forget_to)]
+    renum = {full.a_marks.index(a) + 1: i for i, a in enumerate(aprime, start=1)}
+    p_b = homology.homology_basis(len(full.b_marks), 1)
+    p_a = homology.homology_basis(len(aprime), 1)
+    columns = []
+    for tau in p_b.basis_trees():
+        pairs = {}
+        for t, vertex_blocks, by_vertex in column_pairings_reference(full, tau, limit_tuples):
+            mult = t.multiplicity
+            for v_hat, splitvals in by_vertex.items():
+                blocks = vertex_blocks[v_hat]
+                for split, w in splitvals.items():
+                    side = sum(blocks[p - 1] for p in trees.marks_of(split))
+                    image = trees.project_split(side, renum)
+                    if image:
+                        pairs[image] = pairs.get(image, 0) + mult * w
+                for i, b in enumerate(blocks, start=1):
+                    image = trees.project_split(b, renum)
+                    if image:
+                        j, k = [p for p in (1, 2, 3) if p != i][:2]
+                        psi = psi_pairing(len(blocks), splitvals, i, j, k)
+                        pairs[image] = pairs.get(image, 0) - mult * psi
+        coords = homology.solve_class_from_pairings(p_a, pairs)
+        columns.append({i: c / deg_nu for i, c in coords.items()})
+    return tuple(
+        tuple(col.get(i, Fraction(0)) for col in columns) for i in range(p_a.rank)
+    )
+
+
+def column_pairings_reference(full, tau, limit_tuples=None):
+    """Each cover type over tau as (type, the flag blocks of each source
+    vertex, {source vertex: {flag split: weight}}), the pairings read off
+    the covers over the three degenerations of tau.
+
+    A refined cover's nodes over the new target edge, named by the split the
+    degeneration added, are new and the rest old; the old nodes are the node
+    data of the type it smooths to.  Each new node's split picks the one
+    source vertex whose flag blocks each fall inside or outside it, and the
+    flag split it pairs with there, with weight the product of the class's
+    new ramifications over the node's own.  Raises AssertionError when a
+    refined cover smooths to no type over tau, or when a type's local degree
+    over a degeneration is not its class count.
+    """
+    types = {t.node_data: t for t in hurwitz.enumerate_cover_types(full, tau, limit_tuples)}
+    views = {}  # node data -> the flag blocks of each source vertex
+    for node_data, t in types.items():
+        masks, _ = t.source_tree.subtree_masks()
+        views[node_data] = [
+            t.source_tree.flag_masks(v, masks) for v in range(t.source_tree.num_vertices())
+        ]
+
+    # each boundary direction pairs two of the four flag blocks at the
+    # 4-valent vertex, adding their union as a split
+    blocks = homology.curve_blocks(tau)
+    base = tau.splits()
+    pairings = {}  # node data -> {source vertex: {flag split: weight}}
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        cut = trees.split_of(tau.n, blocks[i] + blocks[j])
+        tau_ref = trees.tree_from_splits(tau.n, base | {cut})
+        local_deg = {}
+        for _key, nodes in hurwitz.enumerate_cover_classes(full, tau_ref, limit_tuples):
+            old = []
+            new = []
+            for side, r, e in nodes:
+                (new if e == cut else old).append((side, r))
+            old = tuple(old)
+            if old not in types:
+                raise AssertionError("refined cover smooths to an unknown type")
+            rprod = prod(r for _side, r in new)
+            local_deg[old] = local_deg.get(old, 0) + rprod
+            buckets = pairings.setdefault(old, {})
+            for split, r in new:
+                v, vb = next((v, vb) for v, vb in enumerate(views[old])
+                             if all(b & split in (0, b) for b in vb))
+                inside = sum(1 << pos for pos, b in enumerate(vb, start=1) if b & split)
+                norm = trees.split_of(len(vb), inside)
+                bucket = buckets.setdefault(v, {})
+                bucket[norm] = bucket.get(norm, 0) + rprod // r
+        for node_data, t in types.items():
+            if local_deg.get(node_data, 0) != t.count:
+                raise AssertionError(
+                    "local degree %d != class count %d over a boundary direction"
+                    % (local_deg.get(node_data, 0), t.count)
+                )
+    return [(t, views[node_data], pairings.get(node_data, {}))
+            for node_data, t in types.items()]
+
+
+def psi_pairing(m, splitvals, i, j, k):
+    """psi_i paired with the curve class of the m-flag space whose split
+    pairings are `splitvals`: the sum of the pairings of the splits whose
+    side through i holds neither j nor k, for any j, k other than i (Keel,
+    Trans. AMS 330, 1992; Kock, "Notes on psi classes", 2001)."""
+    full = (1 << m + 1) - 2
+    away = 1 << j | 1 << k
+    return sum(w for s, w in splitvals.items() if not (s if s >> i & 1 else full ^ s) & away)
+
+
+def portrait_datum(p, m):
+    """The Thurston pullback correspondence of f = z^2 + c with 0 of period
+    p (m = 1), or of its second iterate (m = 2), on the post-critical marks
+    inf, x_0 = 0, ..., x_(p-1) of both sides (Douady-Hubbard, Acta Math.
+    171, 1993; Koch, Adv. Math. 248, 2013).
+
+    f has degree 2, sends inf to inf and x_i to x_(i+1 mod p), is ramified
+    at inf and at x_0 and so branched over inf and over x_1 = c.  f^2 has
+    degree 4, sends x_i to x_(i+2 mod p) and y = -x_(p-1) to x_1, and is
+    totally ramified at inf, ramified at x_0 over x_2 and at x_(p-1) and y
+    over x_1.  Source marks are named a_*, target marks b_*; every mark but
+    y is retained, and each target mark is identified with the source mark
+    of its name.
+    """
+    if m not in (1, 2):
+        raise ValueError("only f and f^2 are built, got m=%r" % m)
+    x = ["x%d" % i for i in range(p)]
+    names = ["inf"] + x
+    image = {"inf": "inf", **{x[i]: x[(i + m) % p] for i in range(p)}}
+    if m == 1:
+        br = {"inf": [2], x[1]: [2]}
+        rm = {"inf": 2, x[0]: 2}
+    else:
+        image["y"] = x[1]
+        br = {"inf": [4], x[1]: [2, 2], x[2]: [1, 1, 2]}
+        rm = {"inf": 4, x[0]: 2, x[p - 1]: 2, "y": 2}
+    return hurwitz.HurwitzData(
+        a_marks=["a_" + s for s in image],
+        b_marks=["b_" + s for s in names],
+        d=2 ** m,
+        f_map={"a_" + s: "b_" + t for s, t in image.items()},
+        br={"b_" + t: parts for t, parts in br.items()},
+        rm={"a_" + s: rm.get(s, 1) for s in image},
+        forget_to=["a_" + s for s in names],
+        identify={"b_" + s: "a_" + s for s in names},
+    )
 
 
 def char_poly_faddeev(a):

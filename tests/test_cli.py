@@ -357,6 +357,15 @@ def test_filtration_dims_limit_exits_3_with_the_presentation_error():
     assert r.stdout == '{"error": "presentation for (n=7, k=2) needs more than 100 strata"}\n'
 
 
+def test_pushforward_limit_strata_bounds_the_one_edge_targets():
+    # four target marks have one curve stratum but three one-edge strata
+    # (points), over which the pushforward enumerates its covers
+    r = run_cli("pushforward", "--data", str(DATA / "fig1.json"), "--limit-strata", "2", check=3)
+    assert r.stdout == '{"error": "stratum enumeration exceeded limit 2"}\n'
+    r = run_cli("pushforward", "--data", str(DATA / "fig1.json"), "--limit-strata", "3")
+    assert json.loads(r.stdout)["matrix"] == [["1"]]
+
+
 def test_unknown_flag_exits_2():
     r = run_cli("homology", "dims", "--n", "6", "--bogus", check=2)
     assert "error" in json.loads(r.stdout)

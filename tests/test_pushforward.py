@@ -122,37 +122,34 @@ def d2_self_map_datum():
 
 
 def test_pushforward_reads_each_tree_once_for_its_flags(flag_passes):
-    # the cover types' source curves and the target vertices each read
-    # every vertex of one tree, from one pass
+    # the basis curves and the target vertices each read every vertex of
+    # one tree, from one pass
     pushforward.pushforward_h2(d2_self_map_datum())
     assert flag_passes
     assert set(flag_passes.values()) == {1}
 
 
-def _types_edited(monkeypatch, edit):
-    """Have pushforward read the cover types over each target through `edit`."""
-    real = hurwitz.enumerate_cover_types
-    monkeypatch.setattr(hurwitz, "enumerate_cover_types", lambda *args: edit(real(*args)))
-
-
-def test_column_refuses_a_refined_cover_of_an_unknown_type(monkeypatch):
-    _types_edited(monkeypatch, lambda types: types[1:])
-    with pytest.raises(AssertionError, match="refined cover smooths to an unknown type"):
-        pushforward_h2(d2_self_map_datum())
-
-
-def test_column_refuses_a_local_degree_off_the_class_count(monkeypatch):
+def test_pushforward_refuses_a_local_degree_off_the_cover_count(monkeypatch):
+    # over each one-edge target the classes, weighted by the product of
+    # their ramifications, count the covers of a smooth target; dropping a
+    # class over the boundary (not over the smooth target, which
+    # count_covers reads) breaks that
     h = d2_self_map_datum()
-    tau = homology.homology_basis(5, 1).basis_trees()[0]
-    count = hurwitz.enumerate_cover_types(hurwitz.fully_mark(h)[0], tau)[0].count
+    full = hurwitz.fully_mark(h)[0]
+    real = hurwitz.enumerate_cover_classes
+    count = hurwitz.count_covers(full)
+    first = trees.enumerate_strata(5, 1)[0]
+    (split,) = first.splits()
+    dropped = math.prod(r for _side, r, _e in real(full, first)[0][1])
 
-    def raise_one(types):
-        types[0].count += 1
-        return types
+    def drop_one(datum, tau, limit_tuples=None):
+        classes = real(datum, tau, limit_tuples)
+        return classes[1:] if tau.num_vertices() > 1 else classes
 
-    _types_edited(monkeypatch, raise_one)
-    msg = "local degree %d != class count %d over a boundary direction" % (count, count + 1)
-    with pytest.raises(AssertionError, match=msg):
+    monkeypatch.setattr(hurwitz, "enumerate_cover_classes", drop_one)
+    msg = "local degree %d over the divisor of %s != cover count %d" % (
+        count - dropped, list(trees.marks_of(split)), count)
+    with pytest.raises(AssertionError, match=re.escape(msg)):
         pushforward_h2(h)
 
 
@@ -232,6 +229,29 @@ def test_forgetting_an_unramified_mark_commutes_with_the_pushforward(d, profiles
         assert lhs == rhs, (n, j)
 
 
+# -- the matrix against the column route of cover types ----------------------------
+
+
+@pytest.mark.parametrize("make, deg_nu", [
+    (fig1_datum, 1),
+    (lambda: d1_datum(5), 1),
+    (d2_self_map_datum, 1),
+    (d2_six_mark_self_map_datum, 1),
+    (d3_self_map_datum, 4),
+    # the degree-3 six-mark self-map of the CI pins
+    (lambda: marked_datum(3, [(3,), (1, 2), (1, 2)] + [(1, 1, 1)] * 3), 8),
+    # the benchmark generator's d3-total datum on five marks
+    (lambda: marked_datum(3, [(3,), (3,)] + [(1, 1, 1)] * 3), 8),
+], ids=["fig1", "d1_self", "d2_self5", "d2_self6", "d3_self5", "d3six", "d3_total5"])
+def test_divisor_route_matches_the_column_route_of_cover_types(make, deg_nu):
+    # divisor pullbacks over one-edge targets give the matrix that the
+    # three degenerations of each basis curve, its cover types and their
+    # psi pairings give
+    h = make()
+    assert hurwitz.fully_mark(h)[1] == deg_nu
+    assert pushforward_h2(h).matrix == oracles.pushforward_matrix_reference(h)
+
+
 # -- the column by the projection formula -----------------------------------------
 
 
@@ -256,7 +276,7 @@ def test_columns_match_the_glued_class_reference(make, count, with_points):
     glued = points = 0
     for j, tau in enumerate(pm.source_pres.basis_trees()):
         want = {}
-        for t, vertex_blocks, by_vertex in pushforward._column_pairings(full, tau, None):
+        for t, vertex_blocks, by_vertex in oracles.column_pairings_reference(full, tau):
             mod_vertices = [v for v, flags in enumerate(vertex_blocks) if len(flags) > 3]
             for v_hat, splitvals in by_vertex.items():
                 glued += len(vertex_blocks) > 1
@@ -291,7 +311,7 @@ def test_psi_pairing_is_one_on_the_legs_of_the_four_valent_vertex(m):
                 by_sides = sum(w for s, w in pairings.items()
                                if not {j, k} & set(trees.marks_of(s if s >> i & 1 else full ^ s)))
                 assert by_sides == want, (tree, i, j, k)
-                assert pushforward._psi_pairing(m, pairings, i, j, k) == want, (tree, i, j, k)
+                assert oracles.psi_pairing(m, pairings, i, j, k) == want, (tree, i, j, k)
 
 
 @pytest.mark.parametrize("make, n", [(d3_self_map_datum, 5), (d2_six_mark_self_map_datum, 6)])
@@ -472,6 +492,16 @@ def test_capped_calls_after_an_uncapped_one_raise_as_before():
     assert len(pushforward._PUSHFORWARDS) == 1
     assert self_correspondence_matrix(h, 1, limit_strata=10 ** 6) == mat
     assert len(pushforward._PUSHFORWARDS) == 2
+
+
+def test_second_iterate_of_the_period_four_portrait_is_the_square():
+    # (f^2)_* = f_* f_* on the curve classes of five marks, for z^2 + c with
+    # 0 of period 4; theta_k of f^2 is then the square of f's
+    f, f2 = (oracles.portrait_datum(4, m) for m in (1, 2))
+    mat, mat2 = (self_correspondence_matrix(h, 1) for h in (f, f2))
+    assert [list(row) for row in mat2] == linalg.mat_mul(mat, mat)
+    assert [dynamical_degree(m).exact for m in (mat, mat2)] == [2, 4]
+    assert [dynamical_degree(self_correspondence_matrix(h, 0)).exact for h in (f, f2)] == [4, 16]
 
 
 def test_self_matrix_requires_identify():
