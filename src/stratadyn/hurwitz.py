@@ -31,17 +31,17 @@ orbit representatives along the edges used in tropical Hurwitz counting
 A candidate's source graph (one component per orbit at each target vertex,
 one edge per matched cycle pair) is walked once, by `_tree_walk`: with one
 edge fewer than components, it is a tree when the walk reaches every
-component.  A class is its (key, nodes) pair.  When a class is glued,
-`_node_sides` ORs the marks up that walk and gives each of its nodes the
-split of the marks (as a_marks positions) on its far side, its
-ramification r and the split of the target edge it lies over, as
-`trees.split_of` masks; the class keeps these nodes, sorted, and nothing
-else of its components, so they do not depend on how tau's vertices are
-numbered.  `enumerate_cover_types` builds the canonical tree cut by the
-node splits with `trees.tree_from_splits`, once per cover type (Keel,
-Trans. AMS 330, 1992: a stratum is fixed by its splits), for the
-degeneration report; the pushforward reads the classes' nodes alone, over
-one-edge targets.
+component.  When a class is glued, `_node_sides` ORs the marks up that walk
+and gives each of its nodes the split of the marks (as a_marks positions)
+on its far side, its ramification r and the split of the target edge it
+lies over, as `trees.split_of` masks; the class keeps these nodes, sorted,
+and nothing else of its components, so they do not depend on how tau's
+vertices are numbered.  Classes with the same nodes are kept as one
+(nodes, count) pair; their keys live only while they are built.
+`enumerate_cover_types` builds the canonical tree cut by the node splits
+with `trees.tree_from_splits`, once per cover type (Keel, Trans. AMS 330,
+1992: a stratum is fixed by its splits), for the degeneration report; the
+pushforward reads the pairs alone, over one-edge targets.
 
 The classes over a target tree are kept once per process in `_CLASSES`,
 keyed by the tree and the six fields the enumeration reads (a_marks,
@@ -51,18 +51,15 @@ only, and a later call ticks the tuple budget the first one used.  The
 covers depend on the Hurwitz space alone, so the self-maps of one datum,
 which differ only in forget_to and identify, share them.  Each distinct
 datum is validated once per process, when its key is made (`_VALUES`), and
-a datum that is not fully marked raises every time.  The classes are kept
-marshalled, and every call returns a new list of the (key, nodes) pairs
-read from them.  Counts, the degeneration check and the pushforward all
-read the kept classes.  A test that counts work done inside the
-enumeration, or calls of `validate`, must clear `_CLASSES`, `_VALUES` and
-`_COVERS` itself.
+a datum that is not fully marked raises every time.  Counts, the
+degeneration check and the pushforward all read the one kept tuple of
+pairs.  A test that counts work done inside the enumeration, or calls of
+`validate`, must clear `_CLASSES` and `_VALUES` itself.
 """
 
 from __future__ import annotations
 
 import itertools
-import marshal
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -355,12 +352,7 @@ def _cycle_image(hh, cyc):
 
 class _CycleImages(dict):
     """cycle -> its image under one relabeling hh (_cycle_image), each
-    computed on its first read.
-
-    A cycle is kept under a copy of the tuple read, so the table holds no
-    reference to the caller's cycles: marshal flags an object for sharing
-    by its reference count, and the marshalled classes would otherwise
-    depend on which cycles a table had met."""
+    computed on its first read."""
 
     __slots__ = ("hh",)
 
@@ -369,7 +361,7 @@ class _CycleImages(dict):
         self.hh = hh
 
     def __missing__(self, cyc):
-        img = self[tuple(list(cyc))] = _cycle_image(self.hh, cyc)
+        img = self[cyc] = _cycle_image(self.hh, cyc)
         return img
 
 
@@ -644,15 +636,11 @@ def _least_matchings(matchings, edge_list, stabilisers, limit):
     return True
 
 
-# (cover value, tau) -> (marshalled (key, nodes) per class, ticks), kept once
-# per process.
-# Marshalled, an entry is one bytes object about a tenth the size of its
-# classes as objects, and the allocator keeps no small objects alive for it.
+# (cover value, tau) -> ((nodes, count) per distinct node tuple, ticks), kept
+# once per process
 _CLASSES = {}
 # datum value of a fully marked datum -> its cover value
 _VALUES = {}
-# cover value -> the one copy of it the keys of _CLASSES and _VALUES share
-_COVERS = {}
 
 
 def _cover_value(h):
@@ -673,7 +661,7 @@ def _cover_value(h):
         res = validate(h)
         if res.status != "fully_marked":
             raise ValueError("cover enumeration requires a fully marked datum (%s)" % res.status)
-        cover = _VALUES[value] = _COVERS.setdefault(value[:6], value[:6])
+        cover = _VALUES[value] = value[:6]
     return cover
 
 
@@ -682,36 +670,45 @@ def _tuple_budget(limit_tuples):
 
 
 def enumerate_cover_classes(h, tau, limit_tuples=None):
-    """All labeled-cover classes of the datum over the target tree tau.
+    """The labeled-cover classes of the datum over the target tree tau,
+    grouped by their nodes.
 
     Requires a fully marked datum; tau is a stratum tree on |B| marks, mark i
-    standing for b_marks[i-1].  Returns one (key, nodes) pair per class,
-    sorted by key.  key is the class's least candidate: (per target vertex
-    its flag-permutation tuple, each mark's (mark, flag position, cycle) in
-    a_marks order, per target edge its sorted (child cycle, parent cycle)
-    matchings); another candidate of the class numbers its sheets and
-    components differently, but builds the same source curve.  nodes lists
-    each source node as (split mask over a_marks positions, r, split mask
-    of the target edge it lies over), sorted by the first split's marks,
-    then r (_node_sides).
+    standing for b_marks[i-1].  Returns a tuple of (nodes, count) pairs
+    sorted by nodes, one per distinct node tuple, count the number of
+    classes with those nodes.  nodes lists each source node as (split mask
+    over a_marks positions, r, split mask of the target edge it lies over),
+    sorted (_node_sides).
 
     The result is kept per (cover value, tau): data that differ only in
     forget_to or identify share it, and tau is itself and not its canonical
-    form since the keys use its vertex numbering.  Every call returns a new
-    list read from the kept pairs, so a caller may change it freely.  The
-    datum is validated once per distinct value (_cover_value), and the
-    classes are built only on a miss, under the caller's `limit_tuples`; a
-    call that raises keeps no classes, and a hit ticks what the miss ticked,
-    so the cap behaves as if nothing were cached.  See
-    _enumerate_cover_classes.
+    form since the keyed builder numbers its vertices.  Every call returns
+    the kept tuple.  The datum is validated once per distinct value
+    (_cover_value), and the classes are built only on a miss, under the
+    caller's `limit_tuples`; a call that raises keeps no classes, and a hit
+    ticks what the miss ticked, so the cap behaves as if nothing were
+    cached.  See _enumerate_cover_classes.
     """
     limit = _tuple_budget(limit_tuples)
-    kept = limit.replay(_CLASSES, (_cover_value(h), tau), _enumerate_cover_classes, h, tau)
-    return list(marshal.loads(kept))
+    return limit.replay(_CLASSES, (_cover_value(h), tau), _node_counts, h, tau)
+
+
+def _node_counts(h, tau, limit):
+    """The (nodes, count) pairs of _enumerate_cover_classes' classes."""
+    counts = Counter(nodes for _key, nodes in _enumerate_cover_classes(h, tau, limit))
+    return tuple(sorted(counts.items()))
 
 
 def _enumerate_cover_classes(h, tau, limit):
-    """The (key, nodes) pairs of enumerate_cover_classes, marshalled.
+    """All labeled-cover classes of the datum over tau, as one (key, nodes)
+    pair per class, sorted by key.
+
+    key is the class's least candidate: (per target vertex its
+    flag-permutation tuple, each mark's (mark, flag position, cycle) in
+    a_marks order, per target edge its sorted (child cycle, parent cycle)
+    matchings); another candidate of the class numbers its sheets and
+    components differently, but builds the same source curve.  nodes are
+    those of enumerate_cover_classes.
 
     The key is the least encoding (flag permutations, mark labeling, edge
     matchings) over every per-vertex sheet relabeling, and only the one
@@ -840,13 +837,13 @@ def _enumerate_cover_classes(h, tau, limit):
                 for pos, (a, w) in enumerate(zip(h.a_marks, mark_vertex), start=1):
                     comp_marks[comp_at[w][labeling[a][1][0]]] |= 1 << pos
                 reps[key] = _node_sides(n, comp_marks, src_edges, walk)
-    return marshal.dumps(tuple((k, reps[k]) for k in sorted(reps)))
+    return [(k, reps[k]) for k in sorted(reps)]
 
 
 def count_covers(h, limit_tuples=None):
     """Number of labeled covers of a smooth generic target (full datum)."""
     classes = enumerate_cover_classes(h, trees.trivial_tree(len(h.b_marks)), limit_tuples)
-    return len(classes)
+    return sum(count for _nodes, count in classes)
 
 
 def count_covers_orbit_stabilizer(h, limit_tuples=None):
@@ -902,8 +899,7 @@ class CoverType:
 
 
 def _node_sides(n, comp_marks, comp_edges, walk):
-    """Each node of a source curve as (split mask, r, e), sorted by the
-    split's marks, then r.
+    """Each node of a source curve as (split mask, r, e), sorted.
 
     comp_marks holds the mask of the marks (1..n) on each component and
     comp_edges the (i, j, r, e) nodes between components, r the ramification
@@ -920,20 +916,21 @@ def _node_sides(n, comp_marks, comp_edges, walk):
         (trees.split_of(n, below[j] if up[j] == i else below[i]), r, e)
         for i, j, r, e in comp_edges
     ]
-    return tuple(sorted(nodes, key=lambda x: (trees.marks_of(x[0]), x[1])))
+    return tuple(sorted(nodes))
 
 
 def enumerate_cover_types(h, tau, limit_tuples=None):
     """Group the labeled-cover classes over tau by isomorphism type: classes
     with the same node data have the same source tree, the canonical tree cut
-    by the node splits.  Two nodes of one curve never share a split."""
-    counts = Counter(
-        tuple((side, r) for side, r, _e in nodes)
-        for _key, nodes in enumerate_cover_classes(h, tau, limit_tuples)
-    )
+    by the node splits.  Two nodes of one curve never share a split.  A
+    type's node data are ordered by the marks of each split."""
+    counts = Counter()
+    for nodes, count in enumerate_cover_classes(h, tau, limit_tuples):
+        counts[tuple((side, r) for side, r, _e in nodes)] += count
     n = len(h.a_marks)
     types = []
-    for node_data, count in counts.items():
+    for projected, count in counts.items():
+        node_data = tuple(sorted(projected, key=lambda x: trees.marks_of(x[0])))
         source = trees.tree_from_splits(n, [side for side, _r in node_data])
         if source.codim() < len(node_data):
             raise AssertionError(

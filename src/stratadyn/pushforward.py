@@ -16,13 +16,14 @@ D_T over the one-edge target strata T, read off the labeled covers over T:
   has degree rprod / r_sigma;
 - that locus lies in pi_A'^* D_S when sigma's split traces S on the
   retained marks (`trees.project_split`),
-so c(S, T) sums rprod / r_sigma over those nodes of every class over T,
-over the marking degree deg_nu.  Summed over the classes, rprod is the
-local degree of the cover space over D_T, the cover count of a smooth
-target, and each T is checked for it.  The pullback table is built once per
-matrix; column j pairs the basis curve C_j with each D_T from C_j's four
-flag blocks (`homology._curve_row`, at most 7 nonzeros), sums c(S, T)
-(C_j.D_T) into the pairings of the retained splits S, and is one
+so c(S, T) sums rprod / r_sigma over those nodes of every class over T
+(read once per node tuple, times its class count), over the marking degree
+deg_nu.  Summed over the classes, rprod is the local degree of the cover
+space over D_T, the cover count of a smooth target, and each T is checked
+for it.  The pullback table is built once per matrix; column j pairs the
+basis curve C_j with each D_T from C_j's four flag blocks
+(`homology._curve_row`, at most 7 nonzeros), sums c(S, T) (C_j.D_T) into
+the pairings of the retained splits S, and is one
 `homology.solve_class_from_pairings` in the retained-mark presentation.  A
 pushforward builds the target and retained curve presentations and the
 target's one-edge strata, and no other.
@@ -124,22 +125,22 @@ def _pushforward_h2(full, deg_nu, limit_tuples, limit_strata):
     # the divisor's pairing column -> {retained split S: deg_nu * c(S, T)}
     column = homology._split_columns(n_b)
     pullbacks = {}
-    count = hurwitz.count_covers(full, limit_tuples)
+    covers = hurwitz.count_covers(full, limit_tuples)
     for t in divisors:
         (split,) = t.splits()
         pullback = pullbacks[column[split]] = {}
         local_deg = 0
-        for _key, nodes in hurwitz.enumerate_cover_classes(full, t, limit_tuples):
+        for nodes, count in hurwitz.enumerate_cover_classes(full, t, limit_tuples):
             rprod = prod(r for _side, r, _e in nodes)
-            local_deg += rprod
+            local_deg += count * rprod
             for side, r, _e in nodes:
                 image = trees.project_split(side, renum)
                 if image:
-                    pullback[image] = pullback.get(image, 0) + rprod // r
-        if local_deg != count:
+                    pullback[image] = pullback.get(image, 0) + count * (rprod // r)
+        if local_deg != covers:
             raise AssertionError(
                 "local degree %d over the divisor of %s != cover count %d"
-                % (local_deg, list(trees.marks_of(split)), count)
+                % (local_deg, list(trees.marks_of(split)), covers)
             )
 
     columns = []

@@ -20,11 +20,11 @@ def fresh_pushforwards(monkeypatch):
 
 @pytest.fixture
 def fresh_covers(monkeypatch):
-    """Empty per-process cover memos for one test: the kept classes, the
-    validated data and the shared cover values.  Counts of enumeration work
-    and of `validate` calls then read this test's calls only, and the memos
-    of the rest of the run are back in place after it."""
-    for name in ("_CLASSES", "_VALUES", "_COVERS"):
+    """Empty per-process cover memos for one test: the kept classes and the
+    validated data.  Counts of enumeration work and of `validate` calls then
+    read this test's calls only, and the memos of the rest of the run are
+    back in place after it."""
+    for name in ("_CLASSES", "_VALUES"):
         monkeypatch.setattr(hurwitz, name, {})
 
 

@@ -687,11 +687,14 @@ def column_pairings_reference(full, tau, limit_tuples=None):
     data of the type it smooths to.  Each new node's split picks the one
     source vertex whose flag blocks each fall inside or outside it, and the
     flag split it pairs with there, with weight the product of the class's
-    new ramifications over the node's own.  Raises AssertionError when a
+    new ramifications over the node's own, times the number of classes with
+    the class's nodes.  Raises AssertionError when a
     refined cover smooths to no type over tau, or when a type's local degree
     over a degeneration is not its class count.
     """
-    types = {t.node_data: t for t in hurwitz.enumerate_cover_types(full, tau, limit_tuples)}
+    # keyed by the node data in the order of the nodes of a class
+    types = {tuple(sorted(t.node_data)): t
+             for t in hurwitz.enumerate_cover_types(full, tau, limit_tuples)}
     views = {}  # node data -> the flag blocks of each source vertex
     for node_data, t in types.items():
         masks, _ = t.source_tree.subtree_masks()
@@ -708,7 +711,7 @@ def column_pairings_reference(full, tau, limit_tuples=None):
         cut = trees.split_of(tau.n, blocks[i] + blocks[j])
         tau_ref = trees.tree_from_splits(tau.n, base | {cut})
         local_deg = {}
-        for _key, nodes in hurwitz.enumerate_cover_classes(full, tau_ref, limit_tuples):
+        for nodes, count in hurwitz.enumerate_cover_classes(full, tau_ref, limit_tuples):
             old = []
             new = []
             for side, r, e in nodes:
@@ -717,7 +720,7 @@ def column_pairings_reference(full, tau, limit_tuples=None):
             if old not in types:
                 raise AssertionError("refined cover smooths to an unknown type")
             rprod = prod(r for _side, r in new)
-            local_deg[old] = local_deg.get(old, 0) + rprod
+            local_deg[old] = local_deg.get(old, 0) + count * rprod
             buckets = pairings.setdefault(old, {})
             for split, r in new:
                 v, vb = next((v, vb) for v, vb in enumerate(views[old])
@@ -725,7 +728,7 @@ def column_pairings_reference(full, tau, limit_tuples=None):
                 inside = sum(1 << pos for pos, b in enumerate(vb, start=1) if b & split)
                 norm = trees.split_of(len(vb), inside)
                 bucket = buckets.setdefault(v, {})
-                bucket[norm] = bucket.get(norm, 0) + rprod // r
+                bucket[norm] = bucket.get(norm, 0) + count * (rprod // r)
         for node_data, t in types.items():
             if local_deg.get(node_data, 0) != t.count:
                 raise AssertionError(

@@ -5,10 +5,10 @@ here from scratch: all permutation tuples are enumerated without any of the
 library's pruning, and classes are deduplicated by minimal conjugate.
 """
 
-import copy
 import itertools
 import json
-from math import factorial
+from collections import Counter
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -595,6 +595,31 @@ def test_tick_totals_over_every_target_are_pinned(fresh_covers):
         assert [hurwitz._CLASSES[cover, tau][1] for tau in taus] == ticks
 
 
+@pytest.mark.parametrize("make", [
+    fig1_datum,
+    lambda: HurwitzData.from_json_dict(json.loads((DATA / "d2_self6.json").read_text())),
+    d3_self5_datum,
+], ids=["fig1", "d2_self6", "d3_self5"])
+def test_kept_pairs_group_the_keyed_classes_by_their_nodes(make, fresh_covers):
+    # over every target each node tuple is kept once, with the number of
+    # keyed classes that have it; weighted by their ramifications the
+    # classes count the covers of a smooth target, and the grouping ticks
+    # nothing beyond what the keyed builder ticks
+    full, _ = fully_mark(make())
+    cover = hurwitz._cover_value(full)
+    covers = count_covers_orbit_stabilizer(full)
+    for tau in every_target(len(full.b_marks)):
+        budget = hurwitz._tuple_budget(None)
+        keyed = hurwitz._enumerate_cover_classes(full, tau, budget)
+        pairs = enumerate_cover_classes(full, tau)
+        assert pairs == tuple(sorted(Counter(nodes for _key, nodes in keyed).items()))
+        assert sum(count for _nodes, count in pairs) == len(keyed)
+        assert sum(count * prod(r for _s, r, _e in nodes) for nodes, count in pairs) == covers
+        assert hurwitz._CLASSES[cover, tau][1] == budget.used
+    smooth = enumerate_cover_classes(full, trees.trivial_tree(len(full.b_marks)))
+    assert sum(count for _nodes, count in smooth) == covers
+
+
 # -- the per-process cover memo -----------------------------------------------
 
 
@@ -640,12 +665,11 @@ def test_data_differing_only_in_identify_or_forget_to_share_one_entry(fresh_cove
         assert validate(h).status == "fully_marked"
         assert _fields(enumerate_cover_classes(h, tau)) == _fields(first)
     assert len(hurwitz._CLASSES) == 1
-    # each datum is kept on its own, and all of them map to the one copy of
-    # the cover value that the kept entry's key holds
+    # each datum is kept on its own, and all of them map to the cover value
+    # of the kept entry's key
     assert len(hurwitz._VALUES) == 1 + len(siblings)
     [(cover, _tau)] = hurwitz._CLASSES
-    assert all(value is cover for value in hurwitz._VALUES.values())
-    assert list(hurwitz._COVERS) == [cover]
+    assert all(value == cover for value in hurwitz._VALUES.values())
 
 
 def test_data_differing_in_one_field_keep_their_own_entries(fresh_covers):
@@ -667,7 +691,6 @@ def test_data_differing_in_one_field_keep_their_own_entries(fresh_covers):
     assert _fields(enumerate_cover_classes(bare, tau)) == _fields(
         enumerate_cover_classes(d2_full, tau))
     assert len(hurwitz._CLASSES) == 5
-    assert len(hurwitz._COVERS) == 5
     # the same stratum with its vertices numbered the other way round is
     # another tree, and its classes use that numbering
     root = tau.parents.index(-1)
@@ -680,18 +703,22 @@ def test_data_differing_in_one_field_keep_their_own_entries(fresh_covers):
     assert len(third) == len(first)
 
 
-def test_changing_returned_classes_leaves_the_next_result(fresh_covers):
+def test_returned_classes_are_immutable_and_equal_on_the_next_call(fresh_covers):
     tau = trees.enumerate_strata(4, 0)[0]
     full, _ = fully_mark(fig1_datum())
     first = enumerate_cover_classes(full, tau)
-    want = copy.deepcopy(_fields(first))
-    first[0] = (None, None)
-    first.reverse()
-    first.append(None)
-    second = enumerate_cover_classes(full, tau)
-    assert second is not first and _fields(second) == want
-    second.clear()
-    assert _fields(enumerate_cover_classes(full, tau)) == want
+    # a tuple of (nodes, count) pairs, nodes a tuple of int triples, so no
+    # caller can change what the next one reads
+    assert type(first) is tuple
+    for nodes, count in first:
+        assert type(nodes) is tuple and type(count) is int
+        assert all(type(node) is tuple and all(type(x) is int for x in node) for node in nodes)
+    with pytest.raises(TypeError):
+        first[0] = (None, None)
+    assert enumerate_cover_classes(full, tau) is first
+    # and a rebuild from an empty memo gives the same pairs
+    hurwitz._CLASSES.clear()
+    assert enumerate_cover_classes(full, tau) == first
 
 
 def test_capped_call_that_raises_keeps_nothing(fresh_covers):
@@ -750,8 +777,6 @@ def test_validate_runs_once_per_distinct_datum(fresh_covers, monkeypatch):
     assert len(hurwitz._CLASSES) == 4
     # one validation per datum, the first time its key is made
     assert calls == [full, sibling]
-    # whose keys share one copy of the cover value
-    assert len({id(value) for value, _tau in hurwitz._CLASSES}) == 1
 
 
 def test_cold_miss_reads_each_flag_list_once(fresh_covers, monkeypatch):
@@ -834,8 +859,8 @@ def test_d1_covers_mirror_target_strata():
     for k in (0, 1):
         for tau in trees.enumerate_strata(5, k):
             classes = enumerate_cover_classes(h, tau)
-            assert len(classes) == 1
-            [(_key, nodes)] = classes
+            [(nodes, count)] = classes
+            assert count == 1
             node_data = [(side, r) for side, r, _e in nodes]
             # built canonical from its node splits
             assert trees.tree_from_splits(len(h.a_marks), [side for side, _r in node_data]) == tau
@@ -853,7 +878,7 @@ def test_class_nodes_do_not_depend_on_the_vertex_numbering(fresh_covers):
         tuple(last - v for v in tau.legs),
     )
     assert backwards != tau and trees.split_set(backwards) == trees.split_set(tau)
-    got = [sorted(node for _key, nodes in enumerate_cover_classes(h, t) for node in nodes)
+    got = [sorted(node for nodes, _count in enumerate_cover_classes(h, t) for node in nodes)
            for t in (tau, backwards)]
     assert got[0] == got[1]
     assert len(hurwitz._CLASSES) == 2
@@ -864,7 +889,7 @@ def test_cover_types_refuse_a_repeated_node_split(monkeypatch):
     real = hurwitz.enumerate_cover_classes
 
     def doubled(*args):
-        return [(key, nodes[:1] + nodes) for key, nodes in real(*args)]
+        return [(nodes[:1] + nodes, count) for nodes, count in real(*args)]
 
     monkeypatch.setattr(hurwitz, "enumerate_cover_classes", doubled)
     with pytest.raises(AssertionError, match="the source tree has 2 edges for 3 nodes"):
@@ -903,7 +928,7 @@ def test_cover_keys_match_brute_oracle():
     for h, strata in cases:
         full, _ = fully_mark(h)
         for tau in strata:
-            classes = enumerate_cover_classes(full, tau)
+            classes = hurwitz._enumerate_cover_classes(full, tau, hurwitz._tuple_budget(None))
             assert [key for key, _nodes in classes] == sorted(oracles.brute_cover_keys(full, tau))
             for key, _nodes in classes:
                 vertex_perms, enc_label, matchings = key
@@ -934,7 +959,7 @@ def test_class_nodes_match_their_key_and_target():
         full, _ = fully_mark(h)
         n = len(full.a_marks)
         for tau in strata:
-            classes = enumerate_cover_classes(full, tau)
+            classes = hurwitz._enumerate_cover_classes(full, tau, hurwitz._tuple_budget(None))
             assert classes
             for key, nodes in classes:
                 # each target edge by its split, read by definition

@@ -131,16 +131,17 @@ def test_pushforward_reads_each_tree_once_for_its_flags(flag_passes):
 
 def test_pushforward_refuses_a_local_degree_off_the_cover_count(monkeypatch):
     # over each one-edge target the classes, weighted by the product of
-    # their ramifications, count the covers of a smooth target; dropping a
-    # class over the boundary (not over the smooth target, which
-    # count_covers reads) breaks that
+    # their ramifications, count the covers of a smooth target; dropping the
+    # classes of one node tuple over the boundary (not over the smooth
+    # target, which count_covers reads) breaks that
     h = d2_self_map_datum()
     full = hurwitz.fully_mark(h)[0]
     real = hurwitz.enumerate_cover_classes
     count = hurwitz.count_covers(full)
     first = trees.enumerate_strata(5, 1)[0]
     (split,) = first.splits()
-    dropped = math.prod(r for _side, r, _e in real(full, first)[0][1])
+    nodes, classes = real(full, first)[0]
+    dropped = classes * math.prod(r for _side, r, _e in nodes)
 
     def drop_one(datum, tau, limit_tuples=None):
         classes = real(datum, tau, limit_tuples)
@@ -250,6 +251,44 @@ def test_divisor_route_matches_the_column_route_of_cover_types(make, deg_nu):
     h = make()
     assert hurwitz.fully_mark(h)[1] == deg_nu
     assert pushforward_h2(h).matrix == oracles.pushforward_matrix_reference(h)
+
+
+@pytest.mark.parametrize("make", [
+    fig1_datum,
+    d2_six_mark_self_map_datum,
+    lambda: marked_datum(3, [(3,), (1, 2), (1, 2)] + [(1, 1, 1)] * 3),
+], ids=["fig1", "d2_self6", "d3six"])
+def test_column_route_is_adjoint_to_the_divisor_pullback(make):
+    # (H_* C_j).D_S = C_j.(H^* D_S) split by split: each column of the
+    # column route, paired with every retained divisor D_S, against
+    # H^* D_S = sum over one-edge targets T of c(S, T) D_T, with deg_nu
+    # c(S, T) summed here over the grouped classes over T
+    h = make()
+    full, deg_nu = hurwitz.fully_mark(h)
+    matrix = oracles.pushforward_matrix_reference(h)
+    aprime = [a for a in full.a_marks if a in full.forget_to]
+    renum = {full.a_marks.index(a) + 1: i for i, a in enumerate(aprime, start=1)}
+    n_a, n_b = len(aprime), len(full.b_marks)
+    pullback = collections.Counter()  # (S, T's split) -> deg_nu * c(S, T)
+    for t in trees.enumerate_strata(n_b, n_b - 4):
+        (split_t,) = t.splits()
+        for nodes, count in hurwitz.enumerate_cover_classes(full, t):
+            rprod = math.prod(r for _side, r, _e in nodes)
+            for side, r, _e in nodes:
+                image = trees.project_split(side, renum)
+                if image:
+                    pullback[image, split_t] += count * (rprod // r)
+    sources = homology.homology_basis(n_a, 1).basis_trees()
+    nonzero = 0
+    for j, c_j in enumerate(homology.homology_basis(n_b, 1).basis_trees()):
+        for split in trees.all_splits(n_a):
+            lhs = sum(row[j] * homology.intersection_pairing_h2(src, split)
+                      for row, src in zip(matrix, sources))
+            rhs = sum(w * homology.intersection_pairing_h2(c_j, split_t)
+                      for (image, split_t), w in pullback.items() if image == split)
+            assert lhs == Fraction(rhs, deg_nu), (j, trees.marks_of(split))
+            nonzero += lhs != 0
+    assert nonzero
 
 
 # -- the column by the projection formula -----------------------------------------
@@ -438,8 +477,7 @@ def test_self_maps_of_one_datum_share_their_covers(make, fresh_covers):
     shared = [self_correspondence_matrix(g, 1) for g in data]
     kept = len(hurwitz._CLASSES)
     for g, mat in zip(data, shared):
-        for memo in (hurwitz._CLASSES, hurwitz._VALUES, hurwitz._COVERS,
-                     pushforward._PUSHFORWARDS):
+        for memo in (hurwitz._CLASSES, hurwitz._VALUES, pushforward._PUSHFORWARDS):
             memo.clear()
         assert self_correspondence_matrix(g, 1) == mat
         # one identification alone keeps as many entries as all of them
