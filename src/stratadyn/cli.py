@@ -180,8 +180,7 @@ def cmd_hurwitz(args):
     h = load_hurwitz(args.data)
     full, deg_nu = hurwitz.fully_mark(h)
     if args.action == "count":
-        c = hurwitz.count_covers(full, args.limit_tuples)
-        _emit({"deg_pi_B": c // deg_nu, "deg_nu": deg_nu})
+        _emit({"deg_pi_B": pushforward.pushforward_h0(h, args.limit_tuples), "deg_nu": deg_nu})
         return 0
     if not args.tau:
         raise ValueError("hurwitz types needs --tau")

@@ -11,22 +11,21 @@ glued by a length-preserving bijection of cycles.  Two covers are the same
 labeled cover when per-vertex sheet relabelings carry one to the other, and
 only connected covers whose component graph is a tree (genus zero) count.
 
-A class is keyed by its least encoding (conjugated flag permutations, then
-relabeled mark cycles, then relabeled edge matchings) over all (d!)^|V|
-per-vertex relabelings, and only the one candidate equal to its key is
-glued.  A relabeling of one vertex's sheets conjugates only that vertex's
-flag-permutation tuple, so only tuples that are their own least simultaneous
-conjugate are kept, each with its centraliser; such a tuple starts with the
-least permutation of its class, so only those tuples are built, and each is
-scanned over that permutation's centraliser.  Each mark's cycle likewise
-depends on one vertex's relabeling, so the least labeling is the per-vertex
-least one: at each vertex only the labelings least in their centraliser
-orbit are kept, each with its stabiliser.  The edge matchings, which couple
-two vertices, are then searched over the product of the stabilisers only,
-and not at all when every stabiliser is trivial.  The key is read off the
-candidate, and no class is met twice.  This is the gluing of per-vertex
-orbit representatives along the edges used in tropical Hurwitz counting
-(Cavalieri-Johnson-Markwig, arXiv 0804.0579).
+A class is glued from its least candidate only: the least encoding
+(conjugated flag permutations, then relabeled mark cycles, then relabeled
+edge matchings) over all (d!)^|V| per-vertex relabelings.  A relabeling of
+one vertex's sheets conjugates only that vertex's flag-permutation tuple,
+so only tuples that are their own least simultaneous conjugate are kept,
+each with its centraliser; such a tuple starts with the least permutation
+of its class, so only those tuples are built, and each is scanned over
+that permutation's centraliser.  Each mark's cycle likewise depends on one
+vertex's relabeling, so the least labeling is the per-vertex least one: at
+each vertex only the labelings least in their centraliser orbit are kept,
+each with its stabiliser.  The edge matchings, which couple two vertices,
+are then searched over the product of the stabilisers only, and not at all
+when every stabiliser is trivial, so no class is met twice.  This is the
+gluing of per-vertex orbit representatives along the edges used in
+tropical Hurwitz counting (Cavalieri-Johnson-Markwig, arXiv 0804.0579).
 
 A candidate's source graph (one component per orbit at each target vertex,
 one edge per matched cycle pair) is walked once, by `_tree_walk`: with one
@@ -36,12 +35,12 @@ and gives each of its nodes the split of the marks (as a_marks positions)
 on its far side, its ramification r and the split of the target edge it
 lies over, as `trees.split_of` masks; the class keeps these nodes, sorted,
 and nothing else of its components, so they do not depend on how tau's
-vertices are numbered.  Classes with the same nodes are kept as one
-(nodes, count) pair; their keys live only while they are built.
-`enumerate_cover_types` builds the canonical tree cut by the node splits
-with `trees.tree_from_splits`, once per cover type (Keel, Trans. AMS 330,
-1992: a stratum is fixed by its splits), for the degeneration report; the
-pushforward reads the pairs alone, over one-edge targets.
+vertices are numbered.  Classes with the same nodes are counted as one
+(nodes, count) pair as they are glued.  `enumerate_cover_types` builds
+the canonical tree cut by the node splits with `trees.tree_from_splits`,
+once per cover type (Keel, Trans. AMS 330, 1992: a stratum is fixed by its
+splits), for the degeneration report; the pushforward reads the pairs
+alone, over one-edge targets.
 
 The classes over a target tree are kept once per process in `_CLASSES`,
 keyed by the tree and the six fields the enumeration reads (a_marks,
@@ -116,14 +115,18 @@ class HurwitzData:
 
     @staticmethod
     def from_json_dict(dd):
-        """Decode to_json_dict's encoding.  Raises ValueError unless F, br,
-        rm and identify are objects (identify may be null), A, B, forget_to
-        (unless null) and each br entry arrays, and d, the br parts and the
-        rm values JSON integers."""
+        """Decode to_json_dict's encoding.  Raises ValueError naming the
+        first of A, B, d, F and rm that is missing, and unless F, br, rm and
+        identify are objects (identify may be null), A, B, forget_to (unless
+        null) and each br entry arrays, and d, the br parts and the rm values
+        JSON integers."""
         if not isinstance(dd, dict):
             raise ValueError("a datum must be an object")
+        for name in ("A", "B", "d", "F", "rm"):
+            if name not in dd:
+                raise ValueError("a datum needs the field %s" % name)
         for name in ("F", "br", "rm", "identify"):
-            value = dd[name] if name in dd else {}
+            value = dd.get(name, {})
             if not isinstance(value, dict) and not (name == "identify" and value is None):
                 raise ValueError("%s must be an object keyed by mark" % name)
         forget_to = dd.get("forget_to")
@@ -682,7 +685,7 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
 
     The result is kept per (cover value, tau): data that differ only in
     forget_to or identify share it, and tau is itself and not its canonical
-    form since the keyed builder numbers its vertices.  Every call returns
+    form since the builder numbers its vertices.  Every call returns
     the kept tuple.  The datum is validated once per distinct value
     (_cover_value), and the classes are built only on a miss, under the
     caller's `limit_tuples`; a call that raises keeps no classes, and a hit
@@ -690,39 +693,25 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
     cached.  See _enumerate_cover_classes.
     """
     limit = _tuple_budget(limit_tuples)
-    return limit.replay(_CLASSES, (_cover_value(h), tau), _node_counts, h, tau)
-
-
-def _node_counts(h, tau, limit):
-    """The (nodes, count) pairs of _enumerate_cover_classes' classes."""
-    counts = Counter(nodes for _key, nodes in _enumerate_cover_classes(h, tau, limit))
-    return tuple(sorted(counts.items()))
+    return limit.replay(_CLASSES, (_cover_value(h), tau), _enumerate_cover_classes, h, tau)
 
 
 def _enumerate_cover_classes(h, tau, limit):
-    """All labeled-cover classes of the datum over tau, as one (key, nodes)
-    pair per class, sorted by key.
+    """The (nodes, count) pairs of enumerate_cover_classes, counted as each
+    class is glued.
 
-    key is the class's least candidate: (per target vertex its
-    flag-permutation tuple, each mark's (mark, flag position, cycle) in
-    a_marks order, per target edge its sorted (child cycle, parent cycle)
-    matchings); another candidate of the class numbers its sheets and
-    components differently, but builds the same source curve.  nodes are
-    those of enumerate_cover_classes.
-
-    The key is the least encoding (flag permutations, mark labeling, edge
-    matchings) over every per-vertex sheet relabeling, and only the one
-    candidate equal to its key is glued.  Only the local tuples equal to
-    their least conjugate are kept, each with its centraliser
-    (_least_tuples).  Per kept tuple, only the labelings least in
-    their centraliser orbit are kept, each with its stabiliser
+    A class is glued from its least candidate only: the least encoding
+    (per target vertex its flag-permutation tuple, each mark's flag
+    position and cycle, per target edge its sorted (child cycle, parent
+    cycle) matchings) over every per-vertex sheet relabeling.  Only the
+    local tuples equal to their least conjugate are kept, each with its
+    centraliser (_least_tuples).  Per kept tuple, only the labelings least
+    in their centraliser orbit are kept, each with its stabiliser
     (_least_labelings).  Over a product of these, a matching is kept only
     when no relabeling in the product of the stabilisers makes it smaller
     (_least_matchings).  Mark entries and vertex tuples each depend on one
-    vertex's relabeling, so the least encoding is the per-vertex least one
-    and the candidate kept is its class's key: keys, classes and their
-    order equal those of the full search.  A key met twice is a bug and
-    raises AssertionError.
+    vertex's relabeling, so the least encoding is the per-vertex least one:
+    each class is glued exactly once, as by the full search.
 
     Each target vertex's flag list is built once and passed to the
     per-vertex helpers (_least_tuples, _least_labelings), and each
@@ -775,7 +764,7 @@ def _enumerate_cover_classes(h, tau, limit):
     ]
     edge_split = [trees.split_of(tau.n, masks[c]) for c, _p in edge_list]
 
-    reps = {}
+    counts = Counter()
     labelings = {}  # (vertex, its tuple) -> (_least_labelings, ticks)
     matchings_of = {}  # (child, parent) edge permutations -> (_edge_matchings, ticks)
 
@@ -816,7 +805,6 @@ def _enumerate_cover_classes(h, tau, limit):
             for assign, _stabiliser in labeling_combo:
                 labeling.update(assign)
             stabilisers = [stabiliser for _assign, stabiliser in labeling_combo]
-            enc_label = tuple((a, *labeling[a]) for a in h.a_marks)
             for matchings in itertools.product(*matching_sets):
                 limit.tick()
                 # source graph: one edge per matched cycle pair
@@ -830,14 +818,11 @@ def _enumerate_cover_classes(h, tau, limit):
                     continue  # disconnected or with a cycle
                 if not _least_matchings(matchings, edge_list, stabilisers, limit):
                     continue
-                key = (vertex_perms, enc_label, matchings)
-                if key in reps:
-                    raise AssertionError("cover class keyed twice: %r" % (key,))
                 comp_marks = [0] * num_comps
                 for pos, (a, w) in enumerate(zip(h.a_marks, mark_vertex), start=1):
                     comp_marks[comp_at[w][labeling[a][1][0]]] |= 1 << pos
-                reps[key] = _node_sides(n, comp_marks, src_edges, walk)
-    return [(k, reps[k]) for k in sorted(reps)]
+                counts[_node_sides(n, comp_marks, src_edges, walk)] += 1
+    return tuple(sorted(counts.items()))
 
 
 def count_covers(h, limit_tuples=None):
@@ -848,7 +833,7 @@ def count_covers(h, limit_tuples=None):
 
 def count_covers_orbit_stabilizer(h, limit_tuples=None):
     """Smooth-target count again, via the stabilizer sum over raw
-    configurations; independent of the canonical-key dedup.  The datum is
+    configurations; independent of the least-candidate search.  The datum is
     checked as the enumeration checks it (_cover_value), once per value.
     Each flag-permutation tuple is tested for transitivity and its
     centraliser found once, by a scan of every relabeling; a labeling's

@@ -29,6 +29,7 @@ hand) before the corresponding library code was written.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
@@ -925,13 +926,15 @@ def least_conjugate(perms):
     return best, coset
 
 
-def brute_cover_key(h, tau, vertex_perms, labeling, matchings):
-    """The canonical key of one labeled cover: the least full encoding
-    (conjugated flag permutations, relabelled mark cycles, relabelled edge
-    matchings) over every relabelling in (d!)^|V|, one sheet permutation per
-    target vertex."""
+def cover_orbit(h, tau, vertex_perms, labeling, matchings):
+    """The encodings (conjugated flag permutations, relabelled mark cycles,
+    relabelled edge matchings) of one labeled cover under every relabelling
+    in (d!)^|V|, one sheet permutation per target vertex: its class.  The
+    identity relabelling gives the cover's own encoding, its flag
+    permutations, each mark's (mark, flag position, cycle) in a_marks order
+    and each edge's sorted matchings."""
     mark_vertex = {a: tau.legs[h.b_marks.index(h.f_map[a])] for a in h.a_marks}
-    best = None
+    orbit = set()
     for rls in itertools.product(itertools.permutations(range(h.d)), repeat=len(vertex_perms)):
         def image(w, cyc):
             return _min_first([rls[w][x] for x in cyc])
@@ -949,21 +952,24 @@ def brute_cover_key(h, tau, vertex_perms, labeling, matchings):
             tuple(sorted((image(c, x), image(p, y)) for x, y in pairs))
             for (c, p), pairs in zip(tau.edges(), matchings)
         )
-        enc = (tuple(enc_perms), enc_label, enc_match)
-        if best is None or enc < best:
-            best = enc
-    return best
+        orbit.add((tuple(enc_perms), enc_label, enc_match))
+    return orbit
 
 
-def brute_cover_keys(h, tau):
-    """Keys of every labeled-cover class of a fully marked datum over tau.
+def brute_cover_nodes(h, tau):
+    """The labeled-cover classes of a fully marked datum over tau, as a
+    Counter of their sorted (split, r, e) nodes.
 
     Enumerates every candidate without pruning: at each vertex every tuple of
     flag permutations whose product in flag order is the identity and whose
     leg permutations have the branching cycle type, every length-preserving
     attachment of the marks to leg cycles and every length-preserving
     matching of cycles across each edge.  Candidates whose component graph is
-    not a tree are dropped; the rest are keyed by brute_cover_key.
+    not a tree are dropped.  The first candidate met of each class counts it,
+    with its nodes, and marks its whole orbit (cover_orbit) as seen.  A
+    node's split is read by a search of the component graph with that
+    node's link cut (_far_marks), r is the length of its matched cycles and
+    e the split of the target edge it lies over.
     """
     d = h.d
     sheets = list(itertools.permutations(range(d)))
@@ -997,7 +1003,11 @@ def brute_cover_keys(h, tau):
     def flag_pos(w, u):
         return next(i for i, f in enumerate(flags[w]) if f[0] == "edge" and f[1] == u)
 
-    keys = set()
+    n = len(h.a_marks)
+    mark_vertex = {a: tau.legs[h.b_marks.index(h.f_map[a])] for a in h.a_marks}
+    edge_splits = [normalize_split(tau.n, away_marks(tau, p, c)) for c, p in edges]
+    seen = set()
+    counts = Counter()
     for vertex_perms in itertools.product(*local):
         # components: orbits of the sheets under each vertex's permutations
         comp = {}
@@ -1042,18 +1052,49 @@ def brute_cover_keys(h, tau):
             for c, p in edges
         ]
         for matchings in itertools.product(*per_edge_matchings):
-            links = [
-                (comp[(c, x[0])], comp[(p, y[0])])
-                for (c, p), pairs in zip(edges, matchings) for x, y in pairs
+            nodes = [
+                (comp[(c, x[0])], comp[(p, y[0])], len(x), e)
+                for (c, p), e, pairs in zip(edges, edge_splits, matchings) for x, y in pairs
             ]
+            links = [(i, j) for i, j, _r, _e in nodes]
             if len(links) != n_comps - 1 or not _connected(n_comps, links):
                 continue
             for parts in itertools.product(*per_vertex_labelings):
                 labeling = {}
                 for part in parts:
                     labeling.update(part)
-                keys.add(brute_cover_key(h, tau, vertex_perms, labeling, matchings))
-    return keys
+                own = (
+                    vertex_perms,
+                    tuple((a, *labeling[a]) for a in h.a_marks),
+                    tuple(matchings),
+                )
+                if own in seen:
+                    continue
+                seen |= cover_orbit(h, tau, vertex_perms, labeling, matchings)
+                marks_on = {}
+                for pos, a in enumerate(h.a_marks, start=1):
+                    marks_on.setdefault(comp[(mark_vertex[a], labeling[a][1][0])], set()).add(pos)
+                counts[tuple(sorted(
+                    (normalize_split(n, _far_marks(links, cut, marks_on)), r, e)
+                    for cut, (_i, _j, r, e) in enumerate(nodes)
+                ))] += 1
+    return counts
+
+
+def _far_marks(links, cut, marks_on):
+    """The marks on the components reached from the second end of
+    links[cut] once that link is cut."""
+    reach = {links[cut][1]}
+    frontier = [links[cut][1]]
+    while frontier:
+        x = frontier.pop()
+        for k, (i, j) in enumerate(links):
+            if k != cut and x in (i, j):
+                y = j if x == i else i
+                if y not in reach:
+                    reach.add(y)
+                    frontier.append(y)
+    return set().union(*(marks_on.get(x, ()) for x in reach))
 
 
 def _connected(n, links):

@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from stratadyn import cli, hassett, trees
 from tests.test_hurwitz import d3_five_datum, d4_total_datum
 
@@ -300,6 +302,17 @@ def test_invalid_datum_exits_2(tmp_path):
     f.write_text(json.dumps([fig1]))
     r = run_cli("hurwitz", "count", "--data", str(f), check=2)
     assert "error" in json.loads(r.stdout)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "d", "F", "rm"])
+def test_missing_datum_field_is_named(tmp_path, name):
+    # once shown as the bare key, {"error": "'A'"}
+    f = tmp_path / "bad.json"
+    fig1 = json.loads((DATA / "fig1.json").read_text())
+    f.write_text(json.dumps({k: v for k, v in fig1.items() if k != name}))
+    r = run_cli("hurwitz", "count", "--data", str(f), check=2)
+    assert json.loads(r.stdout) == {"error": "a datum needs the field %s" % name}
+    assert r.stderr.strip()
 
 
 def test_datum_numbers_and_arrays_are_not_coerced(tmp_path):

@@ -7,7 +7,6 @@ library's pruning, and classes are deduplicated by minimal conjugate.
 
 import itertools
 import json
-from collections import Counter
 from math import factorial, prod
 from pathlib import Path
 
@@ -602,18 +601,17 @@ def test_tick_totals_over_every_target_are_pinned(fresh_covers):
 ], ids=["fig1", "d2_self6", "d3_self5"])
 def test_kept_pairs_group_the_keyed_classes_by_their_nodes(make, fresh_covers):
     # over every target each node tuple is kept once, with the number of
-    # keyed classes that have it; weighted by their ramifications the
-    # classes count the covers of a smooth target, and the grouping ticks
-    # nothing beyond what the keyed builder ticks
+    # classes the brute oracle groups under it; weighted by their
+    # ramifications the classes count the covers of a smooth target, and
+    # the kept entry ticks what a direct builder call ticks
     full, _ = fully_mark(make())
     cover = hurwitz._cover_value(full)
     covers = count_covers_orbit_stabilizer(full)
     for tau in every_target(len(full.b_marks)):
         budget = hurwitz._tuple_budget(None)
-        keyed = hurwitz._enumerate_cover_classes(full, tau, budget)
+        built = hurwitz._enumerate_cover_classes(full, tau, budget)
         pairs = enumerate_cover_classes(full, tau)
-        assert pairs == tuple(sorted(Counter(nodes for _key, nodes in keyed).items()))
-        assert sum(count for _nodes, count in pairs) == len(keyed)
+        assert pairs == built == tuple(sorted(oracles.brute_cover_nodes(full, tau).items()))
         assert sum(count * prod(r for _s, r, _e in nodes) for nodes, count in pairs) == covers
         assert hurwitz._CLASSES[cover, tau][1] == budget.used
     smooth = enumerate_cover_classes(full, trees.trivial_tree(len(full.b_marks)))
@@ -914,7 +912,7 @@ def test_cover_keys_match_brute_oracle():
         # matchings as they are and make the second's smaller
         (d2_five_datum(), trees.enumerate_strata(5, 0)),
         # degree 4 over the smooth target only: over a point stratum the
-        # oracle takes about 90 s per datum
+        # oracle takes about 7 s per datum
         (d4_total_datum(), [trees.trivial_tree(4)]),
         (HurwitzData(
             a_marks=["a1", "a2", "a3", "a4"],
@@ -928,26 +926,23 @@ def test_cover_keys_match_brute_oracle():
     for h, strata in cases:
         full, _ = fully_mark(h)
         for tau in strata:
+            # each class glued once: a class met twice or missed shows as a
+            # count off the oracle's
             classes = hurwitz._enumerate_cover_classes(full, tau, hurwitz._tuple_budget(None))
-            assert [key for key, _nodes in classes] == sorted(oracles.brute_cover_keys(full, tau))
-            for key, _nodes in classes:
-                vertex_perms, enc_label, matchings = key
-                labeling = {a: (pos, cyc) for a, pos, cyc in enc_label}
-                assert [a for a, _pos, _cyc in enc_label] == list(full.a_marks)
-                # each key is its own class's least encoding
-                assert key == oracles.brute_cover_key(
-                    full, tau, vertex_perms, labeling, matchings
-                )
-                # representatives are glued from least-conjugate tuples only
-                for perms in vertex_perms:
+            assert classes == tuple(sorted(oracles.brute_cover_nodes(full, tau).items()))
+            # representatives are glued from least-conjugate tuples only
+            masks, _ = tau.subtree_masks()
+            for w in range(tau.num_vertices()):
+                flags = tau.flag_masks(w, masks)
+                for perms, _coset in hurwitz._least_tuples(full, flags, hurwitz._tuple_budget(None)):
                     assert perms == oracles.least_conjugate(perms)[0]
 
 
 def test_class_nodes_match_their_key_and_target():
     # invariants the node splits are not computed from: the sheets over a
     # target edge are glued by the nodes over it, so their r sum to d; the
-    # source curve is a tree with one component per orbit of a vertex
-    # tuple; and the identity cover's node over edge e cuts tau's split e
+    # nodes are those the brute oracle reads off each class's source curve;
+    # and the identity cover's node over edge e cuts tau's split e
     cases = [
         (fig1_datum(), trees.enumerate_strata(4, 0) + trees.enumerate_strata(4, 1)),
         (d2_datum(), trees.enumerate_strata(4, 0) + trees.enumerate_strata(4, 1)),
@@ -961,7 +956,8 @@ def test_class_nodes_match_their_key_and_target():
         for tau in strata:
             classes = hurwitz._enumerate_cover_classes(full, tau, hurwitz._tuple_budget(None))
             assert classes
-            for key, nodes in classes:
+            assert classes == tuple(sorted(oracles.brute_cover_nodes(full, tau).items()))
+            for nodes, _count in classes:
                 # each target edge by its split, read by definition
                 r_over = {
                     oracles.normalize_split(tau.n, oracles.away_marks(tau, p, ch)): 0
@@ -971,8 +967,6 @@ def test_class_nodes_match_their_key_and_target():
                     assert side == trees.split_of(n, side) and r >= 1
                     r_over[e] += r
                 assert list(r_over.values()) == [full.d] * len(tau.edges())
-                orbits = sum(_orbits_by_closure(perms, full.d)[1] for perms in key[0])
-                assert len(nodes) == orbits - 1
                 if full.d == 1:
                     assert sorted((e, side) for side, _r, e in nodes) == sorted(
                         (e, e) for e in r_over
