@@ -332,23 +332,25 @@ def intersection_pairing_h2(tree, split):
     into four blocks.  The divisor meets the stratum curve transversally in
     one point when one side of the split is a union of exactly two blocks
     (+1), contains it with self-intersection -1 when a side is a single
-    block, and is disjoint otherwise (0).
+    block, and is disjoint otherwise (0).  The value is read from the
+    curve's row of pairings with every divisor (`_curve_row`), kept per tree.
     """
-    trees._validate(tree)
-    if tree.dim() != 1:
-        raise ValueError("pairing requires a 1-dimensional stratum")
+    row = _pairing_row(tree)
     side = trees.split_of(tree.n, split)
     if not (2 <= side.bit_count() <= tree.n - 2):
         raise ValueError("not a 2-sided split with both sides of size >= 2")
-    blocks = curve_blocks(tree)
-    other = ((1 << tree.n + 1) - 2) ^ side
-    if side in blocks or other in blocks:
-        return -1
-    for s in (side, other):
-        for b1, b2 in itertools.combinations(blocks, 2):
-            if s == b1 | b2:
-                return 1
-    return 0
+    return row.get(_split_columns(tree.n)[side], 0)
+
+
+@lru_cache(maxsize=None)
+def _pairing_row(tree):
+    """The validated 1-dim stratum's pairings with every boundary divisor,
+    {all_splits position: int}, built once per tree; a tree that raises is
+    not kept, so it raises again on every call."""
+    trees._validate(tree)
+    if tree.dim() != 1:
+        raise ValueError("pairing requires a 1-dimensional stratum")
+    return _curve_row(tree.n, curve_blocks(tree), _split_columns(tree.n))
 
 
 @lru_cache(maxsize=None)
@@ -360,8 +362,8 @@ def _split_columns(n):
 def _curve_row(n, blocks, column):
     """Pairings of a 1-dim stratum of the n-mark space with every boundary
     divisor, as a sparse {column[split]: int} row, from the four flag blocks
-    at its 4-valent vertex (curve_blocks); equal to intersection_pairing_h2
-    split by split.
+    at its 4-valent vertex (curve_blocks); the one statement of the
+    pairing, which intersection_pairing_h2 reads.
 
     -1 on each block that is a split, +1 on the three unions of two blocks,
     0 elsewhere.  The unions of any one block with the other three are those
@@ -402,11 +404,12 @@ def solve_class_from_pairings(pres, pairings):
     k = 1 presentation `pres` that homology_basis returned.
 
     `pairings` maps split masks of either side to rationals; missing splits
-    are treated as zero.  The vector is reduced against the basis strata's
-    pairing rows: a surviving split column means no class matches, and
-    otherwise the stratum columns hold minus the coordinates.  Raises
-    ValueError on bits outside marks 1..n, on unknown splits, on two values
-    for one split and on inconsistent data.
+    are treated as zero.  Integer values stay integers and every other value
+    becomes a Fraction, so integer data is reduced in integers.  The vector
+    is reduced against the basis strata's pairing rows: a surviving split
+    column means no class matches, and otherwise the stratum columns hold
+    minus the coordinates.  Raises ValueError on bits outside marks 1..n, on
+    unknown splits, on two values for one split and on inconsistent data.
     """
     if pres.k != 1:
         raise ValueError("pairings live on 1-dimensional stratum classes")
@@ -415,7 +418,8 @@ def solve_class_from_pairings(pres, pairings):
     given = {}
     for s, val in pairings.items():
         side = trees.split_of(n, s)
-        val = Fraction(val)
+        if type(val) is not int:
+            val = Fraction(val)
         if given.setdefault(side, val) != val:
             raise ValueError("pairings give split %s two values: %s and %s"
                              % (list(trees.marks_of(side)), given[side], val))

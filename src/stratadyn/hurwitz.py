@@ -199,14 +199,16 @@ def validate(h):
             "invalid", "total branching %d != 2d-2 = %d" % (total, 2 * h.d - 2)
         )
     fully = True
+    over = _ramifications(h)
     for b in h.b_marks:
-        have = Counter(h.rm[a] for a in h.marks_over(b))
-        want = Counter(h.branching(b))
-        if have - want:
+        want = h.branching(b)
+        missing = _missing_parts(over[b], want)
+        if missing is None:
             return ValidationResult(
-                "invalid", "marks over %s exceed its branching: %r vs %r" % (b, dict(have), dict(want))
+                "invalid", "marks over %s exceed its branching: %r vs %r"
+                % (b, dict(Counter(over[b])), dict(Counter(want)))
             )
-        if want - have:
+        if missing:
             fully = False
     if h.forget_to is not None:
         if len(set(h.forget_to)) != len(h.forget_to) or not set(h.forget_to) <= set(h.a_marks):
@@ -239,12 +241,11 @@ def fully_mark(h):
     f_map = dict(h.f_map)
     rm = dict(h.rm)
     deg = 1
+    over = _ramifications(h)
     for b in h.b_marks:
-        have = Counter(h.rm[a] for a in h.marks_over(b))
-        want = Counter(h.branching(b))
-        missing = want - have
-        for r in sorted(missing):
-            count = missing[r]
+        missing = _missing_parts(over[b], h.branching(b))
+        for r, group in itertools.groupby(missing):
+            count = len(list(group))
             for j in range(count):
                 name = "a(%s,%d)" % (b, r) + "'" * j
                 if name in new_a or name in h.b_marks:
@@ -255,6 +256,31 @@ def fully_mark(h):
             deg *= factorial(count)
     forget = h.forget_to if h.forget_to is not None else tuple(h.a_marks)
     return HurwitzData(new_a, h.b_marks, h.d, f_map, h.br, rm, forget, h.identify), deg
+
+
+def _ramifications(h):
+    """{target mark: the ramifications of the source marks over it, in
+    a_marks order}, gathered in one pass over the source marks."""
+    over = {b: [] for b in h.b_marks}
+    for a in h.a_marks:
+        over[h.f_map[a]].append(h.rm[a])
+    return over
+
+
+def _missing_parts(have, want):
+    """The parts of the ascending partition `want` that the ramifications
+    `have` leave unmatched, ascending, or None when `have` is not a
+    submultiset of `want`.  Both are walked as sorted lists: a ramification
+    below the next unmatched part matches no later part."""
+    have = sorted(have)
+    missing = []
+    i = 0
+    for part in want:
+        if i < len(have) and have[i] == part:
+            i += 1
+        else:
+            missing.append(part)
+    return missing if i == len(have) else None
 
 
 # -- permutations ------------------------------------------------------------

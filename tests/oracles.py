@@ -22,6 +22,10 @@ subtree_masks pass.  They keep splits as mark sets (`all_splits_reference`,
 `splits_by_definition`) where the library keeps bitmasks, and hand a split
 to the library through `normalize_split`.  Sturm chains come from Fraction
 remainders (`sturm_chain_reference`) instead of integer pseudo-remainders.
+A curve's pairing with a divisor tests the split against the four flag
+blocks (`pairing_by_blocks`) instead of reading a row kept per curve, and a
+datum's ramifications are compared with its branching as Counters
+(`validate_reference`, `fully_mark_reference`) instead of as sorted lists.
 Expected values frozen in the tests were computed with these oracles (or by
 hand) before the corresponding library code was written.
 """
@@ -32,7 +36,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from stratadyn import homology, hurwitz, linalg, trees
 
@@ -246,6 +250,28 @@ def reduce_index_vec_reference(pres, vec):
             else:
                 out.pop(j, None)
     return out
+
+
+def pairing_by_blocks(tree, split):
+    """homology.intersection_pairing_h2 as it read one split at a time,
+    before it read one row per curve: -1 when a side of the split is one of
+    the four flag blocks at the 4-valent vertex, +1 when a side is the union
+    of two of them, 0 otherwise."""
+    trees._validate(tree)
+    if tree.dim() != 1:
+        raise ValueError("pairing requires a 1-dimensional stratum")
+    side = trees.split_of(tree.n, split)
+    if not (2 <= side.bit_count() <= tree.n - 2):
+        raise ValueError("not a 2-sided split with both sides of size >= 2")
+    blocks = homology.curve_blocks(tree)
+    other = ((1 << tree.n + 1) - 2) ^ side
+    if side in blocks or other in blocks:
+        return -1
+    for s in (side, other):
+        for b1, b2 in itertools.combinations(blocks, 2):
+            if s == b1 | b2:
+                return 1
+    return 0
 
 
 class RowSpaceReference:
@@ -748,6 +774,85 @@ def psi_pairing(m, splitvals, i, j, k):
     full = (1 << m + 1) - 2
     away = 1 << j | 1 << k
     return sum(w for s, w in splitvals.items() if not (s if s >> i & 1 else full ^ s) & away)
+
+
+def validate_reference(h):
+    """hurwitz.validate as it compared Counters, before it gathered the
+    ramifications in one pass and walked them as sorted lists."""
+    if len(set(h.a_marks)) != len(h.a_marks):
+        return hurwitz.ValidationResult("invalid", "duplicate source marks")
+    if len(set(h.b_marks)) != len(h.b_marks):
+        return hurwitz.ValidationResult("invalid", "duplicate target marks")
+    if set(h.a_marks) & set(h.b_marks):
+        return hurwitz.ValidationResult("invalid", "source and target marks must be disjoint")
+    if h.d < 1:
+        return hurwitz.ValidationResult("invalid", "degree must be positive")
+    if len(h.b_marks) < 3:
+        return hurwitz.ValidationResult("invalid", "need at least 3 target marks")
+    if set(h.f_map) != set(h.a_marks):
+        return hurwitz.ValidationResult("invalid", "F must be defined exactly on the source marks")
+    for a, b in h.f_map.items():
+        if b not in h.b_marks:
+            return hurwitz.ValidationResult("invalid", "F(%s)=%s is not a target mark" % (a, b))
+    for b in h.br:
+        if b not in h.b_marks:
+            return hurwitz.ValidationResult("invalid", "branching over unknown mark %s" % b)
+    for b in h.b_marks:
+        parts = h.branching(b)
+        if sum(parts) != h.d or any(p < 1 for p in parts):
+            return hurwitz.ValidationResult("invalid", "br(%s)=%r is not a partition of %d" % (b, parts, h.d))
+    if set(h.rm) != set(h.a_marks):
+        return hurwitz.ValidationResult("invalid", "rm must be defined exactly on the source marks")
+    total = sum(h.d - len(h.branching(b)) for b in h.b_marks)
+    if total != 2 * h.d - 2:
+        return hurwitz.ValidationResult(
+            "invalid", "total branching %d != 2d-2 = %d" % (total, 2 * h.d - 2)
+        )
+    fully = True
+    for b in h.b_marks:
+        have = Counter(h.rm[a] for a in h.marks_over(b))
+        want = Counter(h.branching(b))
+        if have - want:
+            return hurwitz.ValidationResult(
+                "invalid", "marks over %s exceed its branching: %r vs %r" % (b, dict(have), dict(want))
+            )
+        if want - have:
+            fully = False
+    if h.forget_to is not None:
+        if len(set(h.forget_to)) != len(h.forget_to) or not set(h.forget_to) <= set(h.a_marks):
+            return hurwitz.ValidationResult("invalid", "forget_to must be distinct source marks")
+    if h.identify is not None:
+        kept = set(h.forget_to) if h.forget_to is not None else set(h.a_marks)
+        if set(h.identify) != set(h.b_marks):
+            return hurwitz.ValidationResult("invalid", "identify must be defined exactly on the target marks")
+        vals = list(h.identify.values())
+        if len(set(vals)) != len(vals) or not set(vals) <= kept:
+            return hurwitz.ValidationResult("invalid", "identify must be a bijection onto the retained marks")
+        if len(vals) != len(kept):
+            return hurwitz.ValidationResult("invalid", "identify must cover all retained marks")
+    return hurwitz.ValidationResult("fully_marked" if fully else "plain")
+
+
+def fully_mark_reference(h):
+    """hurwitz.fully_mark on a valid datum by Counters: the missing parts
+    over each target mark are br(b) minus the source marks' ramifications
+    as multisets.  Returns (the to_json_dict of the marked datum, degree)."""
+    new_a = list(h.a_marks)
+    f_map = dict(h.f_map)
+    rm = dict(h.rm)
+    deg = 1
+    for b in h.b_marks:
+        missing = Counter(h.branching(b)) - Counter(h.rm[a] for a in h.marks_over(b))
+        for r in sorted(missing):
+            for j in range(missing[r]):
+                name = "a(%s,%d)" % (b, r) + "'" * j
+                new_a.append(name)
+                f_map[name] = b
+                rm[name] = r
+            deg *= factorial(missing[r])
+    forget = h.forget_to if h.forget_to is not None else tuple(h.a_marks)
+    full = hurwitz.HurwitzData(new_a, h.b_marks, h.d, f_map, h.br, rm, forget, h.identify)
+    return full.to_json_dict(), deg
 
 
 def portrait_datum(p, m):

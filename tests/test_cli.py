@@ -304,6 +304,16 @@ def test_invalid_datum_exits_2(tmp_path):
     assert "error" in json.loads(r.stdout)
 
 
+def test_marks_exceeding_the_branching_exit_2_with_the_multisets(tmp_path):
+    # two marks over b1, ramified 2 and 1, where br(b1) = [2] has one part
+    f = tmp_path / "exceed.json"
+    f.write_text('{"A":["a1","a2"],"B":["b1","b2","b3"],"d":2,"F":{"a1":"b1","a2":"b1"},'
+                 '"br":{"b1":[2],"b2":[2]},"rm":{"a1":2,"a2":1}}')
+    r = run_cli("hurwitz", "count", "--data", str(f), check=2)
+    assert r.stdout == ('{"error": "invalid correspondence datum: marks over b1 exceed its '
+                        'branching: {2: 1, 1: 1} vs {2: 1}"}\n')
+
+
 @pytest.mark.parametrize("name", ["A", "B", "d", "F", "rm"])
 def test_missing_datum_field_is_named(tmp_path, name):
     # once shown as the bare key, {"error": "'A'"}

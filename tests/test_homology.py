@@ -481,18 +481,73 @@ def test_points_of_eight_marks_are_one_class():
 
 
 def test_curve_row_matches_pairing_over_every_split():
+    # the oracle tests each split against the four blocks, so the row the
+    # pairing reads is checked against an independent statement of it
     for n in (5, 6, 7):
         column = homology._split_columns(n)
         for t in trees.enumerate_strata(n, 1):
+            # one non-canonical encoding of the stratum, its legs on renamed vertices
+            m = len(t.parents)
+            other = oracles.relabel_vertices(t, [m - 1 - v for v in range(m)])
+            assert other != t and trees.split_set(other) == trees.split_set(t)
             want = {}
             for s, j in column.items():
-                val = homology.intersection_pairing_h2(t, s)
+                val = oracles.pairing_by_blocks(t, s)
+                assert homology.intersection_pairing_h2(t, s) == val, (t, s)
+                assert homology.intersection_pairing_h2(other, s) == val, (other, s)
+                assert oracles.pairing_by_blocks(other, s) == val, (other, s)
                 if val:
                     want[j] = val
+            assert homology._curve_row(n, homology.curve_blocks(other), column) == want
             # any of the four blocks can come first
             blocks = sorted(homology.curve_blocks(t))
             for k in range(4):
                 assert homology._curve_row(n, blocks[k:] + blocks[:k], column) == want
+
+
+def _nine_mark_curve(*sides):
+    """The nine-mark curve cut by the splits with these sides, in a
+    non-canonical encoding (vertex indices reversed), so no other test pairs
+    the same tree and its pairing row is not kept before the test runs."""
+    t = trees.tree_from_splits(9, [oracles.normalize_split(9, s) for s in sides])
+    m = len(t.parents)
+    other = oracles.relabel_vertices(t, [m - 1 - v for v in range(m)])
+    assert other.dim() == 1 and other != trees.canonical_form(other)
+    return other
+
+
+def test_pairing_errors_raise_on_every_call_and_keep_no_row():
+    # the row memo keeps no exception: each call validates afresh
+    cyclic = trees.MarkedTree(4, (1, 2, 0), (0, 0, 1, 2))
+    before = homology._pairing_row.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exactly one root"):
+            homology.intersection_pairing_h2(cyclic, 0b1100)
+        with pytest.raises(ValueError, match="1-dimensional"):
+            homology.intersection_pairing_h2(trees.trivial_tree(5), _mask({1, 2}))
+    assert homology._pairing_row.cache_info().currsize == before
+
+
+def test_pairing_keeps_one_row_per_curve():
+    t = _nine_mark_curve({2, 3}, {2, 3, 4}, {5, 6}, {5, 6, 7}, {8, 9})
+    before = homology._pairing_row.cache_info().currsize
+    for s in trees.all_splits(9):
+        assert homology.intersection_pairing_h2(t, s) == oracles.pairing_by_blocks(t, s)
+    assert homology._pairing_row.cache_info().currsize == before + 1
+
+
+def test_bad_split_raises_after_the_curve_was_paired():
+    t = _nine_mark_curve({2, 3}, {4, 5}, {2, 3, 4, 5}, {6, 7}, {6, 7, 8})
+    good = oracles.normalize_split(9, {2, 3})
+    assert homology.intersection_pairing_h2(t, good) == oracles.pairing_by_blocks(t, good)
+    # each with the message the per-split pairing gave
+    for mask, match in ((_mask({1, 2, 10}), "outside"), (_mask({0, 4, 5}), "outside"),
+                        (_mask({1}), "size"), (_mask(set(range(1, 10))), "size")):
+        with pytest.raises(ValueError, match=match) as got:
+            homology.intersection_pairing_h2(t, mask)
+        with pytest.raises(ValueError) as want:
+            oracles.pairing_by_blocks(t, mask)
+        assert str(got.value) == str(want.value)
 
 
 # S(n, 4), the partitions of n marks into four blocks

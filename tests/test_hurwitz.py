@@ -371,6 +371,49 @@ def test_fully_mark_validates_its_input_once(monkeypatch):
         assert real(full).status == "fully_marked"
 
 
+def _corruptions(h):
+    """Single-field corruptions of h: each rm raised past its part, each br
+    with one part dropped, each source mark moved to each other target and
+    each mark listed twice."""
+    def with_(**fields):
+        dd = dict(h.to_json_dict(), **fields)
+        return HurwitzData(dd["A"], dd["B"], dd["d"], dd["F"], dd["br"], dd["rm"],
+                           dd.get("forget_to"), dd.get("identify"))
+    for a in h.a_marks:
+        yield with_(rm=dict(h.rm, **{a: max(h.branching(h.f_map[a])) + 1}))
+        for b in h.b_marks:
+            if b != h.f_map[a]:
+                yield with_(F=dict(h.f_map, **{a: b}))
+    for b in h.b_marks:
+        parts = list(h.branching(b))
+        for i in range(len(parts)):
+            yield with_(br=dict(h.br, **{b: parts[:i] + parts[i + 1:]}))
+    for i in range(len(h.a_marks)):
+        yield with_(A=list(h.a_marks) + [h.a_marks[i]])
+    for i in range(len(h.b_marks)):
+        yield with_(B=list(h.b_marks) + [h.b_marks[i]])
+
+
+def test_validate_and_fully_mark_match_the_counter_oracles():
+    data = [fig1_datum(), d2_datum(), d1_datum()]
+    data += [HurwitzData.from_json_dict(json.loads(f.read_text()))
+             for f in sorted(DATA.glob("*.json"))]
+    for h in (fig1_datum(), d2_datum()):
+        data += _corruptions(h)
+    seen = set()
+    for h in data:
+        res, ref = validate(h), oracles.validate_reference(h)
+        assert (res.status, res.reason) == (ref.status, ref.reason), h.to_json_dict()
+        seen.add(res.status if res.ok else next(
+            (w for w in ("exceed", "partition", "duplicate") if w in res.reason), res.reason))
+        if res.ok:
+            full, deg = fully_mark(h)
+            assert (full.to_json_dict(), deg) == oracles.fully_mark_reference(h)
+    # valid data of both kinds, marks over their branching, and the earlier
+    # checks a dropped part or a duplicated mark trips
+    assert {"plain", "fully_marked", "exceed", "partition", "duplicate"} <= seen
+
+
 def test_json_roundtrip():
     for h in (fig1_datum(), d2_datum(), d1_datum()):
         back = HurwitzData.from_json_dict(h.to_json_dict())
