@@ -7,6 +7,10 @@ span of all stratum classes with partition <= mu; the strictly-below space
 for the maximal partition (k) is spanned by the strata with at least two
 moduli vertices, and the omega quotient is H_{2k} modulo that span.
 
+A subspace is a row space (`linalg.RowSpace`) in quotient-basis
+coordinates, {basis position: coefficient} over the presentation's basis
+strata.
+
 Every span adds its strata's classes in stratum order (`_span`), and
 filtration_dims spans each distinct generator list once: at (7,2) the level
 (1,1) and the strictly-below span are one list of 280 strata.
@@ -14,12 +18,10 @@ filtration_dims spans each distinct generator list once: at (7,2) the level
 
 from __future__ import annotations
 
-from fractions import Fraction
+from bisect import bisect_left
 from functools import lru_cache
 
 from . import homology, linalg, trees
-
-ZERO = Fraction(0)
 
 
 def partitions_of(k):
@@ -75,27 +77,13 @@ def realizable(n, k, lam):
     return len(lam) <= n - k - 2
 
 
-class FiltrationSubspace:
-    """A subspace of H_{2k} in quotient-basis coordinates."""
+class FiltrationSubspace(linalg.RowSpace):
+    """A subspace of H_{2k}: a row space in quotient-basis coordinates."""
 
-    def __init__(self, pres):
-        self.pres = pres
-        self.space = linalg.RowSpace()
-
-    def add_generator(self, coords):
-        self.space.add(coords)
-
-    def dim(self):
-        return self.space.dim()
-
-    def contains(self, coords):
-        return self.space.contains(coords)
-
-    def is_subspace_of(self, other):
-        return self.space.is_subspace_of(other.space)
-
-    def equals(self, other):
-        return self.space.equals(other.space)
+    # a no-op override: perfbench/tracing.py wraps `contains` from this
+    # class's own __dict__, and its smoke test requires every listed name to
+    # be found; the subclass can go when `tracing.WRAPPED` drops the name
+    contains = linalg.RowSpace.contains
 
 
 def _span(pres, indices):
@@ -106,7 +94,7 @@ def _span(pres, indices):
     expression uses only basis strata already added lies in the span, and
     once the span is all of H_{2k} no later generator would change a row.
     """
-    sub = FiltrationSubspace(pres)
+    sub = FiltrationSubspace()
     added = set()  # the basis positions of the basis strata added so far
     for i in indices:
         j = pres.pos.get(i)
@@ -114,7 +102,7 @@ def _span(pres, indices):
             added.add(j)
         elif pres.int_expr[i][1].keys() <= added:
             continue
-        sub.add_generator(pres.integer_coords({i: 1})[0])
+        sub.add(pres.integer_coords({i: 1})[0])
         if sub.dim() == pres.rank:
             break
     return sub
@@ -135,7 +123,7 @@ def _partitions(pres):
 def lambda_subspace(n, k, lam, limit_strata=None):
     """Span of the classes of strata with partition <= lam."""
     lam = tuple(sorted(lam))
-    if sum(lam) != k:
+    if sum(lam) != k or any(p < 1 for p in lam):
         raise ValueError("lam must be a partition of k")
     pres = homology.homology_basis(n, k, limit_strata)
     return _span(pres, _lambda_indices(_partitions(pres), lam))
@@ -156,27 +144,22 @@ class OmegaQuotient:
     the subspace rows and reads off the surviving coordinates.
     """
 
-    def __init__(self, pres, below):
-        self.pres = pres
+    def __init__(self, below, rank):
         self.below = below
-        pivots = set(below.space.rows)
-        self.positions = [j for j in range(pres.rank) if j not in pivots]
-        self.posmap = {p: i for i, p in enumerate(self.positions)}
+        self.positions = [j for j in range(rank) if j not in below.rows]
 
     def dim(self):
         return len(self.positions)
 
     def project(self, coords):
-        res = self.below.space.residual(coords)
-        out = {}
-        for p, c in res.items():
-            out[self.posmap[p]] = c
-        return out
+        # a residual's columns are non-pivots, so each is found in positions
+        res = self.below.residual(coords)
+        return {bisect_left(self.positions, p): c for p, c in res.items()}
 
 
 def omega_quotient(n, k, limit_strata=None):
     pres = homology.homology_basis(n, k, limit_strata)
-    return OmegaQuotient(pres, below_subspace(n, k, limit_strata))
+    return OmegaQuotient(below_subspace(n, k, limit_strata), pres.rank)
 
 
 def _filtration_spans(n, k, limit_strata=None):
@@ -202,4 +185,5 @@ def filtration_dims(n, k, limit_strata=None):
     strictly-below span and the omega quotient."""
     levels, below = _filtration_spans(n, k, limit_strata)
     out = {lam: sub.dim() for lam, sub in levels.items()}
-    return out, below.dim(), OmegaQuotient(below.pres, below).dim()
+    rank = homology.homology_basis(n, k, limit_strata).rank
+    return out, below.dim(), rank - below.dim()

@@ -21,7 +21,7 @@ import bisect
 from fractions import Fraction
 from math import lcm
 
-from . import filtration, homology, trees
+from . import homology, linalg, trees
 
 ONE = Fraction(1)
 
@@ -148,12 +148,12 @@ def reduction_kernel(n, k, eps, limit_strata=None):
         raise ValueError("weight datum is not reduction-minimal")
     W, D = _integer_weights(ws)
     pres = homology.homology_basis(n, k, limit_strata)
-    sub = filtration.FiltrationSubspace(pres)
+    sub = linalg.RowSpace()
     buckets = {}
     for i, t in enumerate(pres.strata):
         key = _image_key(t, W, D)
         if key[1] < k:
-            sub.add_generator(pres.integer_coords({i: 1})[0])
+            sub.add(pres.integer_coords({i: 1})[0])
         else:
             rep = buckets.get(key)
             if rep is None:
@@ -163,5 +163,5 @@ def reduction_kernel(n, k, eps, limit_strata=None):
                 # their zero difference would add nothing
                 row = pres.int_expr.get(i)
                 if row is None or row != pres.int_expr.get(rep):
-                    sub.add_generator(pres.integer_coords({rep: 1, i: -1})[0])
+                    sub.add(pres.integer_coords({rep: 1, i: -1})[0])
     return sub

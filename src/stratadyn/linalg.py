@@ -329,7 +329,12 @@ def _sign_changes(values):
     return changes
 
 
-def largest_real_root(coeffs, tol=1e-12):
+# the bracket width at which largest_real_root stops bisecting a root that
+# is not an integer
+ROOT_TOL = 1e-12
+
+
+def largest_real_root(coeffs):
     """Largest real root of an integer polynomial, or None if it has none.
 
     Exact isolation by the Sturm chain p, p', -rem(p, p'), ...: the number of
@@ -339,8 +344,9 @@ def largest_real_root(coeffs, tol=1e-12):
     points in integer arithmetic.  Bisection starts from the Cauchy bound and
     keeps the largest root in the bracket (lo, hi].  Once the bracket holds
     only that root and is at most 1 wide, an integer root in it is returned
-    exactly; otherwise bisection runs until the bracket is narrower than tol.
-    Repeated roots need no special case: the chain counts distinct roots.
+    exactly; otherwise bisection runs until the bracket is narrower than
+    ROOT_TOL.  Repeated roots need no special case: the chain counts
+    distinct roots.
     """
     p = list(coeffs)
     while p and p[-1] == 0:
@@ -373,7 +379,7 @@ def largest_real_root(coeffs, tol=1e-12):
     m = b >> e
     if m << e > a and not _value(p, m, 0):
         return float(m)
-    while (b - a) / (1 << e) >= tol:
+    while (b - a) / (1 << e) >= ROOT_TOL:
         a, b, e, above = halve(a, b, e, above)
     return (a + b) / (1 << (e + 1))
 

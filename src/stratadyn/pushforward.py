@@ -209,7 +209,7 @@ class DegreeReport:
     """Spectral data of a pushforward matrix.
 
     value: the dynamical degree as a float; exact: the integer value when the
-    degree is integral within tolerance; char_poly: primitive integer
+    degree is integral within INTEGER_TOL; char_poly: primitive integer
     characteristic coefficients, constant term first; method: how the value
     was found, "exact_roots" for the largest real root of char_poly once the
     norm-of-powers bound certifies it dominant, "power_iteration" for the
@@ -235,8 +235,11 @@ class DegreeReport:
 # root to certify it dominant
 ACCEPT_TOL = 1e-6
 
+# how close the degree must come to an integer to be reported as that integer
+INTEGER_TOL = 1e-9
 
-def dynamical_degree(mat, tol=1e-9):
+
+def dynamical_degree(mat):
     """Spectral radius of an exact matrix, certified by its largest real root.
 
     The characteristic polynomial is computed exactly and its largest real
@@ -263,7 +266,7 @@ def dynamical_degree(mat, tol=1e-9):
         value = gel
     exact = None
     nearest = round(value)
-    if abs(value - nearest) <= tol:
+    if abs(value - nearest) <= INTEGER_TOL:
         exact = int(nearest)
         value = float(nearest)
     return DegreeReport(value, exact, tuple(cp), method)
@@ -293,7 +296,7 @@ def filtration_blocks(mat, n, k, limit_strata=None):
             % (len(mat), len(mat[0]) if mat else 0, n, pres.rank)
         )
     below = filtration.below_subspace(n, k, limit_strata)
-    omega = filtration.OmegaQuotient(pres, below)
+    omega = filtration.OmegaQuotient(below, pres.rank)
     for i, t in enumerate(pres.strata):
         if len(trees.induced_partition(t)) < 2:
             continue
@@ -303,7 +306,7 @@ def filtration_blocks(mat, n, k, limit_strata=None):
             raise ValueError(
                 "filtration not preserved: the class of %r escapes the span" % (t,)
             )
-    rr = below.space.rref()
+    rr = below.rref()
     pivots = sorted(rr)
     lam_rows = [rr[p] for p in pivots]
     lam_dim = len(pivots)

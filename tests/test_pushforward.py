@@ -661,6 +661,56 @@ def test_blocks_identity_6_2():
                 assert b[i][j] == (1 if i == j else 0)
 
 
+def _relabel_matrix(n, k, perm):
+    """The matrix on H_{2k} of the n-mark space of relabelling mark m as
+    perm[m - 1], built as _self_matrix builds its relabelling."""
+    pres = homology.homology_basis(n, k)
+    renum = {m: perm[m - 1] for m in range(1, n + 1)}
+    mat = [[Fraction(0)] * pres.rank for _ in range(pres.rank)]
+    for j, t in enumerate(pres.basis_trees()):
+        splits = trees.project_splits(n, t.splits(), renum)
+        for i, c in pres.reduce_index_vec({pres.stratum_index(splits): 1}).items():
+            mat[i][j] = c
+    return mat
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# two relabellings per space, a transposition and a cycle through every mark
+_RELABELLINGS = {
+    (6, 2): ((2, 1, 3, 4, 5, 6), (2, 3, 4, 5, 6, 1)),
+    (7, 3): ((1, 2, 3, 4, 5, 7, 6), (3, 4, 5, 6, 7, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(_RELABELLINGS))
+def test_blocks_of_a_product_are_the_products_of_the_blocks(n, k):
+    # the strictly-below span is invariant under relabelling, so the blocks
+    # are the actions on it and on the quotient, and they compose
+    a, b = (_relabel_matrix(n, k, perm) for perm in _RELABELLINGS[(n, k)])
+    ab = filtration_blocks(linalg.mat_mul(a, b), n, k)
+    ba, bb = filtration_blocks(a, n, k), filtration_blocks(b, n, k)
+    assert ab["lambda_dim"] > 0 and ab["omega_dim"] > 0
+    for name in ("lambda_block", "omega_block"):
+        want = linalg.mat_mul(ba[name], bb[name])
+        assert ab[name] == tuple(tuple(row) for row in want), name
+
+
+@pytest.mark.parametrize("n,k", sorted(_RELABELLINGS))
+def test_char_poly_factors_over_the_blocks(n, k):
+    for perm in _RELABELLINGS[(n, k)]:
+        mat = _relabel_matrix(n, k, perm)
+        blocks = filtration_blocks(mat, n, k)
+        lam, om = (linalg.char_poly(blocks[name]) for name in ("lambda_block", "omega_block"))
+        assert linalg.char_poly(mat) == _poly_mul(lam, om), perm
+
+
 def test_blocks_k1_single_block():
     h = d1_datum(5)
     mat = self_correspondence_matrix(h, 1)
@@ -672,7 +722,7 @@ def test_blocks_k1_single_block():
 def test_blocks_report_escaping_generator():
     pres = homology.homology_basis(6, 2)
     below = filtration.below_subspace(6, 2)
-    omega = filtration.OmegaQuotient(pres, below)
+    omega = filtration.OmegaQuotient(below, pres.rank)
     q = omega.positions[0]
     # premise: some multi-vertex stratum class has nonzero coordinate sum
     found = False
