@@ -40,7 +40,11 @@ def partitions_of(k):
 
 @lru_cache(maxsize=None)
 def partition_leq(lam, mu):
-    """lam <= mu iff mu's parts arise by grouping (summing) lam's parts."""
+    """lam <= mu iff mu's parts arise by grouping (summing) lam's parts.
+    Raises ValueError unless every part of both is at least 1: with a part
+    0 the order is not antisymmetric."""
+    if any(p < 1 for p in lam) or any(p < 1 for p in mu):
+        raise ValueError("partition parts must be >= 1, got %r and %r" % (lam, mu))
     lam = tuple(sorted(lam))
     mu = tuple(sorted(mu))
     if sum(lam) != sum(mu):

@@ -182,8 +182,7 @@ class HomologyPresentation:
 
     def reduce_index_vec(self, vec):
         """Sparse {stratum index: coeff} -> coordinates {basis pos: Fraction}."""
-        v, big = self.integer_coords(vec)
-        return {j: Fraction(x, big) for j, x in v.items()}
+        return linalg.fractions_over(*self.integer_coords(vec))
 
     @cached_property
     def index(self):
@@ -431,7 +430,7 @@ def solve_class_from_pairings(pres, pairings):
     if v and min(v) < 1 - count:
         raise ValueError("pairing system for n=%d: inconsistent system: "
                          "0 = nonzero after elimination" % n)
-    return {pres.pos[-col]: Fraction(-x, den) for col, x in v.items()}
+    return linalg.fractions_over({pres.pos[-col]: -x for col, x in v.items()}, den)
 
 
 # -- pushing classes along forgetful maps -----------------------------------

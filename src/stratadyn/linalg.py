@@ -17,16 +17,35 @@ at the edges: residual and rref return Fractions, and `reduce` returns an
 integer vector with its denominator.  Integer inputs make no Fraction at
 all, so the homology presentations keep their expressions as integer rows
 and span subspaces from integer coordinates.
+
+`fractions_over` is the one conversion of an integer vector over a
+denominator into Fractions, for residual, rref and the homology read path.
+It shares one immutable Fraction per (numerator, denominator) pair for the
+life of the process (`_fraction`, an unbounded `functools.lru_cache`), so a
+value met again costs a lookup instead of a constructor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+@lru_cache(maxsize=None)
+def _fraction(x, den):
+    """Fraction(x, den), one shared object per pair of ints."""
+    return Fraction(x, den)
+
+
+def fractions_over(v, den):
+    """The integer vector v divided by the nonzero int den, as
+    {column: Fraction} in v's order; equal pairs share one Fraction."""
+    return {col: _fraction(x, den) for col, x in v.items()}
 
 
 def axpy(acc, f, vec):
@@ -102,8 +121,7 @@ class RowSpace:
     def residual(self, vec):
         """vec with every pivot column eliminated (zero iff vec is in the space),
         as {column: Fraction}; it depends on the space, not on its rows."""
-        v, den = self.reduce(vec)
-        return {col: Fraction(x, den) for col, x in v.items()}
+        return fractions_over(*self.reduce(vec))
 
     def contains(self, vec):
         return not self.reduce(vec)[0]
@@ -136,10 +154,7 @@ class RowSpace:
     def rref(self):
         """The rows as {pivot: row}, each row a dict of Fractions with 1 at
         its pivot; canonical for the space."""
-        return {
-            p: {col: Fraction(x, row[p]) for col, x in row.items()}
-            for p, row in self.rows.items()
-        }
+        return {p: fractions_over(row, row[p]) for p, row in self.rows.items()}
 
     def equals(self, other):
         """Whether the two spaces are equal: their primitive, fully reduced

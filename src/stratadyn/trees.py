@@ -28,8 +28,12 @@ end, and the pushforward traces cover nodes to retained-mark divisors
 (project_split) and relabels marks (project_splits) on split sets,
 building no tree.
 enumerate_strata searches split sets as integer bitmasks, growing each set
-by AND-ing per-split compatibility masks.  Validation is one pass over
-parents and legs.  Every edge's side comes from one pass, subtree_masks:
+by AND-ing per-split compatibility masks.  Validation is one pass,
+_validate: the parent pointers are checked once per distinct tuple and kept
+with an order of the vertices from the leaves up (_parent_order), then one
+pass over the legs checks them, counts valences and sets each mark's bit,
+and the bits are ORed up the edges; split_set reads its splits from that
+pass.  Every other reader of an edge's side uses one pass, subtree_masks:
 the marks at and under each vertex as bitmasks, walking up from each mark
 on any valid encoding, canonical or not.  splits reads the edges' sides
 from it, and flag_masks, the one flag reader, lists the flags at a
@@ -86,6 +90,7 @@ what the miss ticked, so a cap counts as if nothing were kept: a kept
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 
 class ResourceError(RuntimeError):
@@ -274,17 +279,53 @@ def trivial_tree(n):
 
 
 def _validate(tree):
-    """Raise ValueError unless tree is a stable tree with legs 1..n placed."""
+    """Raise ValueError unless tree is a stable tree with legs 1..n placed;
+    return its subtree masks (as subtree_masks) and its non-root vertices,
+    each listed after every vertex below it.
+
+    The one validating pass.  The parent pointers are checked once per
+    distinct tuple (_parent_order), and every relabelling of a stratum's
+    marks shares them.  One pass over the legs then checks them, counts
+    valences and sets each mark's bit at its vertex, and the bits are ORed
+    up the edges in that order, so no walk runs from each mark to the root.
+    """
     parents = tree.parents
     m = len(parents)
     if m < 1:
         raise ValueError("tree needs at least one vertex")
-    if tree.n < 3:
-        raise ValueError("need at least 3 marks, got %d" % tree.n)
+    n = tree.n
+    if n < 3:
+        raise ValueError("need at least 3 marks, got %d" % n)
+    order, edges = _parent_order(parents)
+    if len(tree.legs) != n:
+        raise ValueError("legs tuple must have length n")
+    valence = list(edges)
+    masks = [0] * m
+    for mark, v in enumerate(tree.legs, start=1):
+        if not (0 <= v < m):
+            raise ValueError("mark %d attached to missing vertex %d" % (mark, v))
+        valence[v] += 1
+        masks[v] |= 1 << mark
+    for v in range(m):
+        if valence[v] < 3:
+            raise ValueError("vertex %d has valence %d < 3" % (v, valence[v]))
+    for v in order:
+        masks[parents[v]] |= masks[v]
+    return masks, order
+
+
+@lru_cache(maxsize=None)
+def _parent_order(parents):
+    """The checked parent pointers of a tree: (its non-root vertices, each
+    after every vertex below it; each vertex's count of edges).  Raises
+    ValueError unless there is one root and every other pointer is in
+    range, not to itself and on a path to the root; a tuple that raises is
+    not kept, so it raises on every call."""
+    m = len(parents)
     roots = [i for i, p in enumerate(parents) if p == -1]
     if len(roots) != 1:
         raise ValueError("tree must have exactly one root, found %d" % len(roots))
-    valence = [0] * m
+    edges = [0] * m
     for i, p in enumerate(parents):
         if p == -1:
             continue
@@ -292,32 +333,27 @@ def _validate(tree):
             raise ValueError("parent index %d out of range at vertex %d" % (p, i))
         if p == i:
             raise ValueError("vertex %d is its own parent" % i)
-        valence[i] += 1
-        valence[p] += 1
-    # walk up from each vertex, marking the path (1) until it meets a vertex
-    # known to reach the root (2); meeting the path itself is a cycle
-    state = [0] * m
-    state[roots[0]] = 2
+        edges[i] += 1
+        edges[p] += 1
+    # walk up from each vertex, marking the path (-1) until it meets a
+    # vertex of known depth; meeting the path itself is a cycle
+    depth = [None] * m
+    depth[roots[0]] = 0
     for i in range(m):
         path = []
         v = i
-        while not state[v]:
-            state[v] = 1
+        while depth[v] is None:
+            depth[v] = -1
             path.append(v)
             v = parents[v]
-        if state[v] == 1:
+        if depth[v] < 0:
             raise ValueError("parent pointers contain a cycle through %d" % i)
-        for v in path:
-            state[v] = 2
-    if len(tree.legs) != tree.n:
-        raise ValueError("legs tuple must have length n")
-    for mark, v in enumerate(tree.legs, start=1):
-        if not (0 <= v < m):
-            raise ValueError("mark %d attached to missing vertex %d" % (mark, v))
-        valence[v] += 1
-    for v in range(m):
-        if valence[v] < 3:
-            raise ValueError("vertex %d has valence %d < 3" % (v, valence[v]))
+        d = depth[v]
+        for v in reversed(path):
+            d += 1
+            depth[v] = d
+    order = sorted((v for v in range(m) if parents[v] != -1), key=depth.__getitem__, reverse=True)
+    return tuple(order), tuple(edges)
 
 
 def _vertex(marks, head, kids):
@@ -390,9 +426,11 @@ def split_set(tree):
     """The key of the stratum `tree` encodes: the frozenset of its splits,
     as split_of masks.  Two encodings, canonical or not, describe the same
     stratum iff their split sets are equal.  Raises ValueError on unstable
-    or malformed input, before any walk over the parent pointers."""
-    _validate(tree)
-    return frozenset(tree.splits())
+    or malformed input.  Reads the splits off the one validating pass
+    (_validate), so the tree is walked once."""
+    masks, order = _validate(tree)
+    n = tree.n
+    return frozenset([split_of(n, masks[v]) for v in order])
 
 
 def canonical_form(tree):

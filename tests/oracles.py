@@ -22,6 +22,9 @@ subtree_masks pass.  They keep splits as mark sets (`all_splits_reference`,
 `splits_by_definition`) where the library keeps bitmasks, and hand a split
 to the library through `normalize_split`.  Sturm chains come from Fraction
 remainders (`sturm_chain_reference`) instead of integer pseudo-remainders.
+A tree's split set is validated by the walk over its parent pointers that
+trees._validate made before it kept them per tuple, then read from a walk up
+from each mark (`split_set_reference`), instead of from one memoised pass.
 A curve's pairing with a divisor tests the split against the four flag
 blocks (`pairing_by_blocks`) instead of reading a row kept per curve, and a
 datum's ramifications are compared with its branching as Counters
@@ -250,6 +253,61 @@ def reduce_index_vec_reference(pres, vec):
             else:
                 out.pop(j, None)
     return out
+
+
+def validate_tree_reference(tree):
+    """trees._validate as it was before it memoised the parent pointers:
+    raise ValueError unless tree is a stable tree with legs 1..n placed."""
+    parents = tree.parents
+    m = len(parents)
+    if m < 1:
+        raise ValueError("tree needs at least one vertex")
+    if tree.n < 3:
+        raise ValueError("need at least 3 marks, got %d" % tree.n)
+    roots = [i for i, p in enumerate(parents) if p == -1]
+    if len(roots) != 1:
+        raise ValueError("tree must have exactly one root, found %d" % len(roots))
+    valence = [0] * m
+    for i, p in enumerate(parents):
+        if p == -1:
+            continue
+        if not (0 <= p < m):
+            raise ValueError("parent index %d out of range at vertex %d" % (p, i))
+        if p == i:
+            raise ValueError("vertex %d is its own parent" % i)
+        valence[i] += 1
+        valence[p] += 1
+    # walk up from each vertex, marking the path (1) until it meets a vertex
+    # known to reach the root (2); meeting the path itself is a cycle
+    state = [0] * m
+    state[roots[0]] = 2
+    for i in range(m):
+        path = []
+        v = i
+        while not state[v]:
+            state[v] = 1
+            path.append(v)
+            v = parents[v]
+        if state[v] == 1:
+            raise ValueError("parent pointers contain a cycle through %d" % i)
+        for v in path:
+            state[v] = 2
+    if len(tree.legs) != tree.n:
+        raise ValueError("legs tuple must have length n")
+    for mark, v in enumerate(tree.legs, start=1):
+        if not (0 <= v < m):
+            raise ValueError("mark %d attached to missing vertex %d" % (mark, v))
+        valence[v] += 1
+    for v in range(m):
+        if valence[v] < 3:
+            raise ValueError("vertex %d has valence %d < 3" % (v, valence[v]))
+
+
+def split_set_reference(tree):
+    """trees.split_set as two walks: the validation above, then the splits
+    read from a walk up from each mark (MarkedTree.splits)."""
+    validate_tree_reference(tree)
+    return frozenset(tree.splits())
 
 
 def pairing_by_blocks(tree, split):

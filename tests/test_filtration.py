@@ -37,6 +37,15 @@ def test_partition_order_is_reflexive_and_antisymmetric():
                 )
 
 
+def test_partition_order_rejects_parts_below_one():
+    # with a part 0, (0, 2) and (2,) would each be below the other; the
+    # cache keeps no exception, so every call raises
+    for lam, mu in (((0, 2), (2,)), ((2,), (0, 2)), ((-1, 3), (2,)), ((2,), (-1, 3))):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="partition parts must be >= 1"):
+                filtration.partition_leq(lam, mu)
+
+
 def test_realizable():
     # p parts need at least k + p + 2 marks
     assert filtration.realizable(6, 2, (1, 1))

@@ -434,6 +434,28 @@ def test_integer_coords_are_the_reference_over_one_denominator():
             assert all(Fraction(x, big) == want[j] for j, x in v.items()), (n, k, vec)
 
 
+def test_reads_equal_the_fraction_of_each_entry():
+    # reduce_index_vec and solve_class_from_pairings share one Fraction per
+    # value; each coordinate is still the Fraction of its integer entry
+    for k in (1, 2):
+        pres = homology.homology_basis(7, k)
+        for i in range(len(pres.strata)):
+            v, big = pres.integer_coords({i: 1})
+            got = pres.reduce_index_vec({i: 1})
+            assert got == {j: Fraction(x, big) for j, x in v.items()}, (k, i)
+            assert list(got) == list(v), (k, i)
+            assert all(type(q) is Fraction for q in got.values()), (k, i)
+    pres = homology.homology_basis(7, 1)
+    column = homology._pairing_columns(7, len(pres.strata))
+    for j, b in enumerate(pres.basis):
+        curve = pres.strata[b]
+        pairings = {s: homology.intersection_pairing_h2(curve, s) for s in trees.all_splits(7)}
+        v, den = pres._pairing_space.reduce({column[s]: x for s, x in pairings.items() if x})
+        got = homology.solve_class_from_pairings(pres, pairings)
+        assert got == {pres.pos[-col]: Fraction(-x, den) for col, x in v.items()} == {j: 1}, j
+        assert all(type(q) is Fraction for q in got.values()), j
+
+
 def test_reduced_coordinates_do_not_alias_the_presentation():
     for n, k in ((6, 0), (6, 1), (6, 2), (7, 2)):
         pres = homology.homology_basis(n, k)

@@ -224,6 +224,21 @@ def _nonzero(rng):
     return {c: x for c, x in vec.items() if x}
 
 
+def test_fractions_over_is_the_fraction_of_each_entry():
+    # negative numerators, denominators above 1, and numerators sharing a
+    # factor with the denominator, which Fraction reduces
+    v = {3: -4, 0: 6, 7: -9, 2: 1, 5: 12}
+    for den in (1, 2, 3, 6, 9, -4):
+        got = linalg.fractions_over(v, den)
+        assert got == {col: Fraction(x, den) for col, x in v.items()}, den
+        assert list(got) == list(v), den
+        assert all(type(q) is Fraction for q in got.values()), den
+        # equal entries over one denominator are one shared object
+        again = linalg.fractions_over(dict(reversed(list(v.items()))), den)
+        assert all(again[col] is got[col] for col in v), den
+    assert linalg.fractions_over({}, 5) == {}
+
+
 def test_axpy_matches_fraction_reference():
     rng = random.Random(5150)
     for _ in range(400):

@@ -27,7 +27,9 @@ from oracles import (
     normalize_split,
     one_edge_refinements,
     random_stable_tree,
+    relabel_marks,
     relabel_vertices,
+    split_set_reference,
     splits_by_definition,
     strata_count_by_rooted_trees,
     strata_counts_by_refinement,
@@ -180,6 +182,58 @@ def test_split_set_is_the_key_of_the_stratum():
         assert trees.tree_from_splits(n, key) == trees.canonical_form(r) == t
     with pytest.raises(ValueError, match="valence 2 < 3"):
         trees.split_set(trees.MarkedTree(5, (-1, 0, 1), (0, 0, 0, 2, 2)))
+
+
+def _outcome(fn, tree):
+    """fn(tree), or the type and message of what it raised."""
+    try:
+        return fn(tree)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_split_set_is_the_two_walk_reference():
+    # every stratum of n = 4..7 in its canonical encoding, its marks renamed
+    # and its vertices renumbered
+    rng = random.Random(2731)
+    for n in range(4, 8):
+        for k in range(n - 2):
+            for t in trees.enumerate_strata(n, k):
+                m = t.num_vertices()
+                renamed = relabel_marks(t, dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n))))
+                renumbered = relabel_vertices(t, rng.sample(range(m), m))
+                for r in (t, renamed, renumbered):
+                    assert trees.split_set(r) == split_set_reference(r), r
+
+
+def test_split_set_raises_the_reference_errors_and_keeps_no_bad_parents():
+    # one field corrupted at a time, on a six-mark caterpillar: each raises
+    # the reference's error on two calls in a row, and the parent-pointer
+    # memo keeps nothing for a tuple that raised
+    base = trees.MarkedTree(6, (1, -1, 1, 2), (0, 0, 1, 2, 3, 3))
+    corrupted = {
+        "two roots": trees.MarkedTree(6, (1, -1, -1, 2), base.legs),
+        "no root": trees.MarkedTree(6, (1, 2, 1, 2), base.legs),
+        "parent out of range": trees.MarkedTree(6, (1, -1, 1, 7), base.legs),
+        "negative parent": trees.MarkedTree(6, (1, -1, 1, -2), base.legs),
+        "self-parent": trees.MarkedTree(6, (1, -1, 2, 2), base.legs),
+        "2-cycle": trees.MarkedTree(6, (2, -1, 0, 2), base.legs),
+        "3-cycle": trees.MarkedTree(6, (2, -1, 3, 0), base.legs),
+        "legs one short": trees.MarkedTree(6, base.parents, base.legs[:-1]),
+        "leg on a missing vertex": trees.MarkedTree(6, base.parents, (0, 0, 1, 2, 3, 4)),
+        "valence 2": trees.MarkedTree(6, base.parents, (0, 0, 0, 2, 3, 3)),
+        "n = 2": trees.MarkedTree(2, (-1,), (0, 0)),
+        "no vertex": trees.MarkedTree(4, (), (0, 0, 0, 0)),
+    }
+    assert trees.split_set(base) == split_set_reference(base)
+    memo = trees._parent_order.cache_info
+    for name, bad in corrupted.items():
+        want = _outcome(split_set_reference, bad)
+        assert want[0] is ValueError, name
+        size = memo().currsize
+        for _ in range(2):
+            assert _outcome(trees.split_set, bad) == want, name
+        assert memo().currsize == size, name
 
 
 def test_cyclic_parents_raise_instead_of_hanging(within):
