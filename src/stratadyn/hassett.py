@@ -9,10 +9,11 @@ kernel of the induced map on H_{2k} is spanned by strata whose stable vertex
 carries too few moduli together with differences of strata with equal image
 data (Hassett, Adv. Math. 173, 2003).
 
-One walk up from each mark (`trees.MarkedTree.subtree_masks`) gives every
-subtree's weight sum and mark bitmask, so the stable vertex's flags come out
-as masks.  The kernel buckets strata by the image key (the frozenset of
-those flag masks, the vertex's moduli count).
+The one validating pass (`trees._validate`) gives every subtree's mark
+bitmask and an order of the vertices from the leaves up, along which the
+weights are summed, so the stable vertex's flags come out as masks.  The
+kernel buckets strata by the image key (the frozenset of those flag masks,
+the vertex's moduli count).
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ def epsilon_dagger(n):
 def stable_vertices(tree, eps):
     """Vertices whose truncated flag weight sums exceed 2.  Raises
     ValueError on a malformed tree or invalid weights."""
-    trees._validate(tree)
+    walk = trees._validate(tree)
     ws = validate_weights(eps, tree.n)
-    return _stable_vertices(tree, *_integer_weights(ws))[0]
+    return _stable_vertices(tree, walk, *_integer_weights(ws))[0]
 
 
 def _integer_weights(ws):
@@ -95,28 +96,32 @@ def _integer_weights(ws):
     return tuple(w.numerator * (den // w.denominator) for w in ws), den
 
 
-def _stable_vertices(tree, W, D):
+def _stable_vertices(tree, walk, W, D):
     """stable_vertices for integer weights W over D, and the tree's
-    subtree_masks: v is stable when the sum over its flags of min(S, D), S
-    the flag's weight, exceeds 2D.
+    subtree masks: v is stable when the sum over its flags of min(S, D), S
+    the flag's weight, exceeds 2D.  walk is the tree's validating pass
+    (trees._validate): its subtree masks and its non-root vertices from the
+    leaves up.
 
-    One pass of subtree sums gives every flag weight and every flag's mark
-    mask: an edge flag towards a child weighs the child's subtree, the one
-    towards the parent the total less v's own subtree, and a leg weighs its
-    mark, never more than D.
+    The weights are summed up the edges in that order, so every flag weight
+    comes from one pass: an edge flag towards a child weighs the child's
+    subtree, the one towards the parent the total less v's own subtree, and
+    a leg weighs its mark, never more than D.
     """
-    masks, sub = tree.subtree_masks(W)
+    masks, order = walk
     parents = tree.parents
-    total = sub[parents.index(-1)]
-    tot = [0] * len(parents)
+    sub = [0] * len(parents)
     for w, v in zip(W, tree.legs):
-        tot[v] += w  # the leg flags, each at most D
-    for v, p in enumerate(parents):
-        if p >= 0:
-            down = sub[v]
-            up = total - down
-            tot[p] += down if down < D else D
-            tot[v] += up if up < D else D
+        sub[v] += w
+    tot = list(sub)  # the leg flags, each at most D
+    for v in order:
+        sub[parents[v]] += sub[v]
+    total = sub[parents.index(-1)]
+    for v in order:
+        down = sub[v]
+        up = total - down
+        tot[parents[v]] += down if down < D else D
+        tot[v] += up if up < D else D
     twice = 2 * D
     return [v for v, x in enumerate(tot) if x > twice], masks
 
@@ -124,7 +129,7 @@ def _stable_vertices(tree, W, D):
 def _image_key(tree, W, D):
     """The image type as (frozenset of the stable vertex's flag masks, its
     moduli count), read off the one pass of _stable_vertices."""
-    stable, masks = _stable_vertices(tree, W, D)
+    stable, masks = _stable_vertices(tree, trees._validate(tree), W, D)
     if len(stable) != 1:
         raise ValueError(
             "expected exactly one stable vertex (minimal weights), found %d" % len(stable)

@@ -54,6 +54,21 @@ a datum that is not fully marked raises every time.  Counts, the
 degeneration check and the pushforward all read the one kept tuple of
 pairs.  A test that counts work done inside the enumeration, or calls of
 `validate`, must clear `_CLASSES` and `_VALUES` itself.
+
+The classes are enumerated once per orbit of targets under the datum's
+mark symmetries.  Each target mark is coloured by its branching and the
+sorted ramifications over it (`_colours`); a permutation pi_B of the
+target marks that keeps colours, with the pi_A that carries each fibre
+onto the image fibre in (ramification, a_marks position) order, keeps F,
+br and rm, so it carries the classes over a tree one to one onto those
+over its image, each node (side, r, e) to (pi_A side, r, pi_B e).  On a
+miss `trees.orbit_representative` validates the tree (`trees._validate`)
+and relabels it to one canonical tree of its orbit, no search over the
+group made.  The representative's pairs are enumerated, or replayed when
+kept, relabelled and kept under the tree too, with the representative's
+ticks.  That is what a direct enumeration over the tree ticks on the data
+the tests pin, though the flag order can move a few ticks either way (f^2
+of the period-5 portrait: two of its 25 one-edge targets, by about 1%).
 """
 
 from __future__ import annotations
@@ -710,16 +725,84 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
     sorted (_node_sides).
 
     The result is kept per (cover value, tau): data that differ only in
-    forget_to or identify share it, and tau is itself and not its canonical
-    form since the builder numbers its vertices.  Every call returns
-    the kept tuple.  The datum is validated once per distinct value
-    (_cover_value), and the classes are built only on a miss, under the
-    caller's `limit_tuples`; a call that raises keeps no classes, and a hit
-    ticks what the miss ticked, so the cap behaves as if nothing were
-    cached.  See _enumerate_cover_classes.
+    forget_to or identify share it.  Every call returns the kept tuple.
+    The datum is validated once per distinct value (_cover_value), and tau
+    on each miss, before any cover work; a malformed tree raises the
+    validating pass's ValueError and keeps nothing.  On a miss the classes
+    are those over tau's orbit representative under the colour-keeping
+    relabellings of the target marks (_orbit_classes), enumerated under the
+    caller's `limit_tuples` or replayed when kept, then relabelled; both
+    the representative and tau are kept, tau with the representative's
+    ticks.  A call that raises keeps no classes, and a hit ticks what the
+    miss ticked, so the cap behaves as if nothing were cached.  See
+    _enumerate_cover_classes.
     """
     limit = _tuple_budget(limit_tuples)
-    return limit.replay(_CLASSES, (_cover_value(h), tau), _enumerate_cover_classes, h, tau)
+    cover = _cover_value(h)
+    return limit.replay(_CLASSES, (cover, tau), _orbit_classes, h, cover, tau)
+
+
+def _orbit_classes(h, cover, tau, limit):
+    """The pairs of enumerate_cover_classes over tau, read off its orbit
+    representative's (see the module docstring): trees.orbit_representative
+    validates tau first, then the representative's pairs, kept under
+    (cover, representative), are enumerated or replayed under `limit` and
+    relabelled, each node (side, r, e) to (pi_A side, r, pi_B e)."""
+    if tau.n != len(h.b_marks):
+        raise ValueError("target tree has %d marks, datum has %d" % (tau.n, len(h.b_marks)))
+    rep, to_rep = trees.orbit_representative(tau, _colours(h))
+    if rep == tau:
+        return _enumerate_cover_classes(h, tau, limit)
+    pairs = limit.replay(_CLASSES, (cover, rep), _enumerate_cover_classes, h, rep)
+    # pi_B and pi_A as tables from the representative's marks and positions
+    b_to = [0] * (tau.n + 1)
+    a_to = [0] * (len(h.a_marks) + 1)
+    fibres = _fibres(h)
+    for mark, image in enumerate(to_rep, start=1):
+        b_to[image] = mark
+        for x, y in zip(fibres[image - 1], fibres[mark - 1]):
+            a_to[x] = y
+    sides = _Relabelled(len(h.a_marks), a_to)
+    edges = _Relabelled(tau.n, b_to)
+    return tuple(sorted(
+        (tuple(sorted((sides[side], r, edges[e]) for side, r, e in nodes)), count)
+        for nodes, count in pairs
+    ))
+
+
+def _colours(h):
+    """Each target mark's colour: its branching and the sorted
+    ramifications of the source marks over it."""
+    over = _ramifications(h)
+    return [(h.branching(b), tuple(sorted(over[b]))) for b in h.b_marks]
+
+
+def _fibres(h):
+    """The a_marks positions (from 1) over each target mark, in
+    (ramification, position) order."""
+    fibres = {b: [] for b in h.b_marks}
+    for pos, a in enumerate(h.a_marks, start=1):
+        fibres[h.f_map[a]].append((h.rm[a], pos))
+    return [[pos for _r, pos in sorted(fibres[b])] for b in h.b_marks]
+
+
+class _Relabelled(dict):
+    """split -> the split its marks cut once mark m is renamed to[m], each
+    computed on its first read."""
+
+    __slots__ = ("n", "to")
+
+    def __init__(self, n, to):
+        super().__init__()
+        self.n = n
+        self.to = to
+
+    def __missing__(self, split):
+        mask = 0
+        for mark in trees.marks_of(split):
+            mask |= 1 << self.to[mark]
+        image = self[split] = trees.split_of(self.n, mask)
+        return image
 
 
 def _enumerate_cover_classes(h, tau, limit):
@@ -756,11 +839,10 @@ def _enumerate_cover_classes(h, tau, limit):
     permutation are built and scanned, over its centraliser (_least_tuples):
     the budget counts more than is done, and so still bounds it.
 
-    The datum is fully marked (_cover_value has validated it), and only its
-    cover fields are read.
+    The datum is fully marked (_cover_value has validated it), tau is a
+    valid tree on its target marks (_orbit_classes has checked it), and
+    only the datum's cover fields are read.
     """
-    if tau.n != len(h.b_marks):
-        raise ValueError("target tree has %d marks, datum has %d" % (tau.n, len(h.b_marks)))
     d = h.d
     num_w = len(tau.parents)
     masks, _ = tau.subtree_masks()

@@ -73,6 +73,13 @@ split_set, the validated frozenset of a tree's splits, is the one key of a
 stratum: a lookup of a stratum (a presentation's index, the pushforward's
 images) reads its split set and builds no tree.
 
+orbit_representative picks one stratum per orbit under the mark
+permutations that keep a colouring of the marks, by the same centroid
+rooting with subtrees coded by their legs' colours: each colour's marks go
+to the legs in code order, so no permutation is searched.  The cover
+enumeration (`hurwitz.enumerate_cover_classes`) enumerates over the
+representative and relabels.
+
 enumerate_strata keeps its full result per (n, k) for the life of the
 process, so each stratum is built once per process however many callers ask
 (a presentation, its relations, the `strata` command).  Every call
@@ -446,6 +453,80 @@ def canonical_form(tree):
 
 def tree_sort_key(tree):
     return (tree.n, len(tree.parents), tree.parents, tree.legs)
+
+
+def orbit_representative(tree, colours):
+    """One tree per orbit of strata under the mark permutations that keep
+    `colours` (mark m's at colours[m - 1]), and the relabelling carrying
+    `tree` onto it: (rep, to_rep), mark m of tree becoming mark
+    to_rep[m - 1] of rep.
+
+    The tree is rooted at its centroid (of two, the one of lesser code),
+    each subtree coded by its legs' sorted colours and its children's sorted
+    codes.  Each colour's marks are handed out least first in code order:
+    the vertices in preorder, children by code, each vertex's legs by
+    colour.  rep is the tree cut by the relabelled splits
+    (tree_from_splits).  A code fixes its subtree up to the relabellings
+    kept, so siblings or legs that tie can go in either order and rep
+    depends on the orbit alone; no permutation is searched.  Raises
+    ValueError on a malformed tree (_validate).
+    """
+    masks, order = _validate(tree)
+    parents = tree.parents
+    m = len(parents)
+    adj = [[] for _ in range(m)]
+    size = [1] * m
+    heaviest = [0] * m  # the largest subtree below v
+    for v in order:
+        p = parents[v]
+        adj[v].append(p)
+        adj[p].append(v)
+        size[p] += size[v]
+        heaviest[p] = max(heaviest[p], size[v])
+    legs_at = [[] for _ in range(m)]
+    for mark, v in enumerate(tree.legs, start=1):
+        legs_at[v].append(mark)
+
+    def rooted(root):
+        """(the code of the tree rooted at root, each vertex's children in
+        code order, root)."""
+        up = [None] * m
+        up[root] = -1
+        seq = [root]
+        for x in seq:
+            for y in adj[x]:
+                if up[y] is None:
+                    up[y] = x
+                    seq.append(y)
+        code = [None] * m
+        kids = [[] for _ in range(m)]
+        for x in reversed(seq):
+            kids[x].sort(key=code.__getitem__)
+            code[x] = (sorted(colours[mark - 1] for mark in legs_at[x]),
+                       [code[y] for y in kids[x]])
+            if up[x] >= 0:
+                kids[up[x]].append(x)
+        return code[root], kids, root
+
+    _code, kids, root = min(rooted(v) for v in range(m)
+                            if 2 * max(heaviest[v], m - size[v]) <= m)
+    pool = {}
+    for mark in range(tree.n, 0, -1):
+        pool.setdefault(colours[mark - 1], []).append(mark)
+    to_rep = [0] * tree.n
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        for mark in sorted(legs_at[x], key=lambda mark: colours[mark - 1]):
+            to_rep[mark - 1] = pool[colours[mark - 1]].pop()
+        stack += reversed(kids[x])
+    moved = []
+    for v in order:
+        mask = 0
+        for mark in marks_of(masks[v]):
+            mask |= 1 << to_rep[mark - 1]
+        moved.append(mask)
+    return tree_from_splits(tree.n, moved), tuple(to_rep)
 
 
 # -- splits and enumeration ----------------------------------------------

@@ -11,8 +11,10 @@ each basis curve, grouped by cover type and paired through psi classes
 (`pushforward_matrix_reference`), instead of from divisor pullbacks over
 one-edge targets; row spaces
 are eliminated over Fractions instead of fraction-free integers; stable
-vertices sum Fraction flag weights instead of integer subtree sums; and cover
-counts come from raw tuple enumeration.  The oracles assemble their trees
+vertices sum Fraction flag weights instead of integer subtree sums, or
+integer sums from a walk up from each mark (`stable_vertices_two_walks`)
+instead of along the validating pass; and cover counts come from raw tuple
+enumeration.  The oracles assemble their trees
 themselves, from per-vertex flag lists (`assemble`), rather than through the
 library's split-set builder, and read a vertex's flags from the adjacency
 and away_marks definitions (`flags_by_definition`) rather than from the
@@ -1033,6 +1035,26 @@ def stable_vertices_reference(tree, eps):
         if tot > 2:
             out.append(v)
     return out
+
+
+def stable_vertices_two_walks(tree, W, D):
+    """hassett._stable_vertices as it was before it read the validating
+    pass: the weighted subtree sums come from a second walk up from each
+    mark (`MarkedTree.subtree_masks`).  Returns (stable vertices, masks)."""
+    masks, sub = tree.subtree_masks(W)
+    parents = tree.parents
+    total = sub[parents.index(-1)]
+    tot = [0] * len(parents)
+    for w, v in zip(W, tree.legs):
+        tot[v] += w  # the leg flags, each at most D
+    for v, p in enumerate(parents):
+        if p >= 0:
+            down = sub[v]
+            up = total - down
+            tot[p] += down if down < D else D
+            tot[v] += up if up < D else D
+    twice = 2 * D
+    return [v for v, x in enumerate(tot) if x > twice], masks
 
 
 # -- labeled covers by exhaustive search ---------------------------------------

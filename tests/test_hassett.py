@@ -19,6 +19,7 @@ from oracles import (
     reduce_index_vec_reference,
     relabel_vertices,
     stable_vertices_reference,
+    stable_vertices_two_walks,
     valence,
 )
 
@@ -103,6 +104,29 @@ def test_stable_vertices_match_fraction_reference():
             got = hassett.stable_vertices(t, e)
             assert got == stable_vertices_reference(t, e)
             several += len(got) > 1
+    assert several
+
+
+def test_stable_vertices_sum_along_the_validating_pass_as_two_walks_did():
+    # one pass of the validated tree gives the stable vertices and masks
+    # the old second walk up from each mark gave, on every stratum of
+    # n = 5..7, in its canonical encoding and with its vertices renumbered,
+    # under the minimal dagger weights and a datum with several stable
+    # vertices
+    rng = random.Random(57)
+    several = 0
+    for n in (5, 6, 7):
+        heavy = (Fraction(9, 10),) * 3 + (Fraction(1, 5),) * (n - 3)
+        assert not hassett.is_minimal(heavy)
+        for eps in (hassett.epsilon_dagger(n), heavy):
+            W, D = hassett._integer_weights(hassett.validate_weights(eps, n))
+            for k in range(n - 2):
+                for t in trees.enumerate_strata(n, k):
+                    m = t.num_vertices()
+                    for tree in (t, relabel_vertices(t, rng.sample(range(m), m))):
+                        got = hassett._stable_vertices(tree, trees._validate(tree), W, D)
+                        assert got == stable_vertices_two_walks(tree, W, D), tree
+                        several += len(got[0]) > 1
     assert several
 
 

@@ -7,6 +7,7 @@ library's pruning, and classes are deduplicated by minimal conjugate.
 
 import itertools
 import json
+import random
 from math import factorial, prod
 from pathlib import Path
 
@@ -637,16 +638,20 @@ def test_tick_totals_over_every_target_are_pinned(fresh_covers):
         assert [hurwitz._CLASSES[cover, tau][1] for tau in taus] == ticks
 
 
+def d2_self6_datum():
+    return HurwitzData.from_json_dict(json.loads((DATA / "d2_self6.json").read_text()))
+
+
 @pytest.mark.parametrize("make", [
-    fig1_datum,
-    lambda: HurwitzData.from_json_dict(json.loads((DATA / "d2_self6.json").read_text())),
-    d3_self5_datum,
-], ids=["fig1", "d2_self6", "d3_self5"])
+    fig1_datum, d2_datum, d3_self5_datum, d4_total_datum, d2_five_datum, d2_self6_datum,
+], ids=["fig1", "d2", "d3_self5", "d4_total", "d2_five", "d2_self6"])
 def test_kept_pairs_group_the_keyed_classes_by_their_nodes(make, fresh_covers):
     # over every target each node tuple is kept once, with the number of
     # classes the brute oracle groups under it; weighted by their
     # ramifications the classes count the covers of a smooth target, and
-    # the kept entry ticks what a direct builder call ticks
+    # the kept entry ticks what a direct builder call ticks.  Most targets
+    # are not their own orbit representative, so their pairs are the
+    # representative's relabelled
     full, _ = fully_mark(make())
     cover = hurwitz._cover_value(full)
     covers = count_covers_orbit_stabilizer(full)
@@ -659,6 +664,116 @@ def test_kept_pairs_group_the_keyed_classes_by_their_nodes(make, fresh_covers):
         assert hurwitz._CLASSES[cover, tau][1] == budget.used
     smooth = enumerate_cover_classes(full, trees.trivial_tree(len(full.b_marks)))
     assert sum(count for _nodes, count in smooth) == covers
+
+
+def _colour_keeping_relabelling(rng, colours):
+    """A random permutation of the marks 1..len(colours) that keeps each
+    mark's colour, as a list indexed by mark (entry 0 unused)."""
+    perm = [0] * (len(colours) + 1)
+    by_colour = {}
+    for mark, colour in enumerate(colours, start=1):
+        by_colour.setdefault(colour, []).append(mark)
+    for marks in by_colour.values():
+        for mark, image in zip(marks, rng.sample(marks, len(marks))):
+            perm[mark] = image
+    return perm
+
+
+@pytest.mark.parametrize("make", [d3_self5_datum, d2_self6_datum], ids=["d3_self5", "d2_self6"])
+def test_orbit_representative_is_constant_on_orbits(make):
+    # three random colour-keeping relabellings of every target have its
+    # representative, and the representative is the target relabelled by a
+    # colour-keeping permutation
+    full, _ = fully_mark(make())
+    colours = hurwitz._colours(full)
+    rng = random.Random(45)
+    reps = set()
+    for tau in every_target(len(full.b_marks)):
+        rep, to_rep = trees.orbit_representative(tau, colours)
+        reps.add(rep)
+        assert sorted(to_rep) == list(range(1, tau.n + 1))
+        assert all(colours[image - 1] == colours[mark - 1]
+                   for mark, image in enumerate(to_rep, start=1))
+        moved = oracles.relabel_marks(tau, (0,) + to_rep)
+        assert trees.split_set(moved) == trees.split_set(rep)
+        for _ in range(3):
+            other = oracles.relabel_marks(tau, _colour_keeping_relabelling(rng, colours))
+            assert trees.orbit_representative(other, colours)[0] == rep
+    # fewer orbits than targets
+    assert len(reps) < len(every_target(len(full.b_marks)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: d3_kind_datum("mixed", 7), lambda: oracles.portrait_datum(5, 2),
+], ids=["d3seven", "p5f2"])
+def test_relabelled_pairs_over_one_edge_targets_match_a_direct_enumeration(make, fresh_covers):
+    # the CI's seven-mark degree-3 self-map and f^2 of the period-5
+    # portrait: every kept entry equals the builder's pairs over its own
+    # target, and replays the ticks of its representative's direct call
+    full, _ = fully_mark(make())
+    cover = hurwitz._cover_value(full)
+    colours = hurwitz._colours(full)
+    n = len(full.b_marks)
+    ticks = {}  # representative -> the ticks of a direct call over it
+    for tau in trees.enumerate_strata(n, n - 4):
+        pairs = enumerate_cover_classes(full, tau)
+        budget = hurwitz._tuple_budget(None)
+        assert pairs == hurwitz._enumerate_cover_classes(full, tau, budget)
+        rep, _to_rep = trees.orbit_representative(tau, colours)
+        if rep == tau:
+            ticks[rep] = budget.used
+    for tau in trees.enumerate_strata(n, n - 4):
+        rep, _to_rep = trees.orbit_representative(tau, colours)
+        assert hurwitz._CLASSES[cover, tau][1] == ticks[rep]
+
+
+@pytest.mark.parametrize("make, n_b, targets, enumerations", [
+    (lambda: d3_kind_datum("simple", 5), 5, 10, 2),
+    (lambda: HurwitzData.from_json_dict(json.loads((DATA / "d2_self8.json").read_text())),
+     8, 119, 8),
+], ids=["d3five", "d2_self8"])
+def test_one_edge_targets_enumerate_once_per_orbit(make, n_b, targets, enumerations,
+                                                    fresh_covers, monkeypatch):
+    # the benchmark's degree-3 five-mark datum and the eight-mark self-map
+    real = hurwitz._enumerate_cover_classes
+    calls = []
+    monkeypatch.setattr(hurwitz, "_enumerate_cover_classes",
+                        lambda h, tau, limit: calls.append(tau) or real(h, tau, limit))
+    full, _ = fully_mark(make())
+    one_edge = trees.enumerate_strata(n_b, n_b - 4)
+    assert len(one_edge) == targets
+    for _ in range(2):
+        for tau in one_edge:
+            enumerate_cover_classes(full, tau)
+    assert len(calls) == len(set(calls)) == enumerations
+    assert len(hurwitz._CLASSES) == targets
+
+
+def test_malformed_targets_raise_before_any_cover_work(fresh_covers, within):
+    # each tree fails the validating pass, with its message, before a
+    # representative is built or a cover enumerated, and nothing is kept
+    full, _ = fully_mark(fig1_datum())
+    assert enumerate_cover_classes(full, trees.trivial_tree(4))
+    kept = dict(hurwitz._CLASSES)
+    cases = [
+        (trees.MarkedTree(4, (-1, 2, 1), (0, 1, 2, 2)), "parent pointers contain a cycle through 1"),
+        (trees.MarkedTree(4, (1, 2, 0), (0, 0, 1, 2)), "tree must have exactly one root, found 0"),
+        (trees.MarkedTree(4, (-1, 0), (0, 0, 0, 1)), "vertex 1 has valence 2 < 3"),
+        (trees.MarkedTree(4, (-1,), (0, 0, 0, 3)), "mark 4 attached to missing vertex 3"),
+    ]
+    with within(10):
+        for tau, message in cases:
+            for _ in range(2):
+                for call in (enumerate_cover_classes, degeneration_degree_check):
+                    with pytest.raises(ValueError) as err:
+                        call(full, tau)
+                    assert str(err.value) == message
+    assert hurwitz._CLASSES == kept
+    # a target on another number of marks says so, as before
+    with pytest.raises(ValueError) as err:
+        enumerate_cover_classes(full, trees.trivial_tree(5))
+    assert str(err.value) == "target tree has 5 marks, datum has 4"
+    assert hurwitz._CLASSES == kept
 
 
 # -- the per-process cover memo -----------------------------------------------

@@ -536,3 +536,32 @@ def test_enumerate_strata_limit_is_cheap_at_many_marks():
         trees.enumerate_strata(15, 0, limit=10)
     assert time.perf_counter() - start < 10
     assert (15, 0) not in trees._STRATA
+
+
+@pytest.mark.parametrize("colours", [
+    (0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1), (2, 0, 1, 0, 1, 0), (0, 1, 2, 3, 4, 5),
+])
+def test_orbit_representative_picks_one_stratum_per_orbit(colours):
+    # the orbits of the six-mark strata under every colour-keeping
+    # permutation, found by applying each: each orbit has one
+    # representative, in it, and the mark map carries the tree onto it
+    n = len(colours)
+    perms = [p for p in itertools.permutations(range(1, n + 1))
+             if all(colours[p[m - 1] - 1] == colours[m - 1] for m in range(1, n + 1))]
+    orbits, reps = set(), set()
+    for k in range(n - 2):
+        for t in trees.enumerate_strata(n, k):
+            orbit = {trees.split_set(relabel_marks(t, (0,) + p)) for p in perms}
+            rep, to_rep = trees.orbit_representative(t, colours)
+            orbits.add(frozenset(orbit))
+            reps.add(rep)
+            assert rep == trees.canonical_form(rep)
+            assert trees.split_set(rep) in orbit
+            assert trees.split_set(relabel_marks(t, (0,) + to_rep)) == trees.split_set(rep)
+            for p in perms[:: max(1, len(perms) // 7)]:
+                assert trees.orbit_representative(relabel_marks(t, (0,) + p), colours)[0] == rep
+    assert len(reps) == len(orbits)
+    # with every mark its own colour, each stratum is its own orbit
+    if len(set(colours)) == n:
+        assert all(trees.orbit_representative(t, colours) == (t, tuple(range(1, n + 1)))
+                   for t in trees.enumerate_strata(n, 0))
