@@ -610,7 +610,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _common_flags(p, tuples=False):
-    p.add_argument("--jobs", type=int, default=1, help="worker count (runs serial)")
     p.add_argument("--limit-strata", type=int, dest="limit_strata")
     if tuples:
         p.add_argument(
@@ -681,7 +680,6 @@ def build_parser():
     p.set_defaults(func=cmd_blocks)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--jobs", type=int, default=1, help="worker count (runs serial)")
     p.set_defaults(func=cmd_selftest)
 
     return parser
@@ -696,8 +694,6 @@ def _parser():
 def main(argv=None):
     parser = _parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be >= 1")
     for name in ("limit_strata", "limit_tuples"):
         v = getattr(args, name, None)
         if v is not None and v < 1:

@@ -77,7 +77,8 @@ def km_relations(n, k):
     the single fundamental class has no relations.  Refining sigma at v by
     moving some of its flags onto a new vertex adds one split, the union of
     the moved flag blocks (the sum of their disjoint masks), so each term is
-    looked up by its split set.
+    looked up by its split set.  Sigma's splits and flags are read from one
+    walk of it (trees._validate).
 
     Deduplicated (sign-normalised) and sorted by index tuple read from the
     latest stratum down: a row's pivot is its latest stratum, so a new
@@ -90,11 +91,11 @@ def km_relations(n, k):
         return []
     strata = trees.enumerate_strata(n, k)
     index = {t: i for i, t in enumerate(strata)}
-    by_splits = {frozenset(t.splits()): t for t in strata}
+    by_splits = {trees.split_set(t): t for t in strata}
     rows = []
     for sigma in trees.enumerate_strata(n, k + 1):
-        base = frozenset(sigma.splits())
-        masks, _ = sigma.subtree_masks()
+        masks, order = trees._validate(sigma)
+        base = frozenset([trees.split_of(n, masks[v]) for v in order])
         for v, val in enumerate(sigma.valences()):
             if val < 4:
                 continue
@@ -187,7 +188,7 @@ class HomologyPresentation:
     @cached_property
     def index(self):
         """Split set (trees.split_set) -> stratum index, built when first read."""
-        return {frozenset(t.splits()): i for i, t in enumerate(self.strata)}
+        return {trees.split_set(t): i for i, t in enumerate(self.strata)}
 
     def stratum_index(self, splits):
         """The index of the stratum cut by the split_of masks `splits`."""
@@ -318,9 +319,14 @@ def curve_blocks(tree):
     tuple of mark bitmasks in flag order (MarkedTree.flag_masks).  The order
     is read off the blocks themselves, so the tuple is the same for every
     encoding of every stratum with those blocks: equal tuples mean equal
-    pairings, so equal classes."""
-    masks, _ = tree.subtree_masks()
-    return tuple(tree.flag_masks(tree.valences().index(4), masks))
+    pairings, so equal classes.  The blocks are read from the validating
+    pass (trees._validate), which raises ValueError on a malformed tree; a
+    tree that is not 1-dimensional raises too."""
+    masks, _ = trees._validate(tree)
+    val = tree.valences()
+    if sum(val) - 3 * len(val) != 1:
+        raise ValueError("pairing requires a 1-dimensional stratum")
+    return tuple(tree.flag_masks(val.index(4), masks))
 
 
 def intersection_pairing_h2(tree, split):
@@ -343,12 +349,10 @@ def intersection_pairing_h2(tree, split):
 
 @lru_cache(maxsize=None)
 def _pairing_row(tree):
-    """The validated 1-dim stratum's pairings with every boundary divisor,
-    {all_splits position: int}, built once per tree; a tree that raises is
-    not kept, so it raises again on every call."""
-    trees._validate(tree)
-    if tree.dim() != 1:
-        raise ValueError("pairing requires a 1-dimensional stratum")
+    """The 1-dim stratum's pairings with every boundary divisor,
+    {all_splits position: int}, built once per tree from its validated
+    flag blocks (curve_blocks); a tree that raises is not kept, so it
+    raises again on every call."""
     return _curve_row(tree.n, curve_blocks(tree), _split_columns(tree.n))
 
 

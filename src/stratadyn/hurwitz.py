@@ -822,12 +822,13 @@ def _enumerate_cover_classes(h, tau, limit):
     vertex's relabeling, so the least encoding is the per-vertex least one:
     each class is glued exactly once, as by the full search.
 
-    Each target vertex's flag list is built once and passed to the
-    per-vertex helpers (_least_tuples, _least_labelings), and each
-    target edge's split is read from the same subtree_masks pass.  Each
-    candidate's source graph is walked once (_tree_walk): the edge count
-    and the walk are the tree test, made before the matching search, and a
-    kept class's nodes are read along the same walk (_node_sides).
+    Each target vertex's flag list is read from one walk of tau
+    (trees._validate) and passed to the per-vertex helpers (_least_tuples,
+    _least_labelings), and each target edge's split is read from the same
+    walk.  Each candidate's source graph is walked once (_tree_walk): the
+    edge count and the walk are the tree test, made before the matching
+    search, and a kept class's nodes are read along the same walk
+    (_node_sides).
 
     The budget ticks once per flag-permutation combination at a vertex,
     all of them before any permutation is listed (_combinations), per glued
@@ -845,7 +846,7 @@ def _enumerate_cover_classes(h, tau, limit):
     """
     d = h.d
     num_w = len(tau.parents)
-    masks, _ = tau.subtree_masks()
+    masks, _ = trees._validate(tau)
     flag_lists = [tau.flag_masks(w, masks) for w in range(num_w)]
     for flags in flag_lists:
         limit.tick(_combinations(h, flags))
@@ -950,7 +951,7 @@ def count_covers_orbit_stabilizer(h, limit_tuples=None):
     tau = trees.trivial_tree(len(h.b_marks))
     limit = _tuple_budget(limit_tuples)
     d = h.d
-    flags = tau.flag_masks(0, tau.subtree_masks()[0])
+    flags = tau.flag_masks(0, trees._validate(tau)[0])
     local = _local_assignments(h, flags, limit)
     all_p, _ = _perm_pool(d)
     stab_total = 0

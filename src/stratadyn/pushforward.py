@@ -127,7 +127,7 @@ def _pushforward_h2(full, deg_nu, limit_tuples, limit_strata):
     pullbacks = {}
     covers = hurwitz.count_covers(full, limit_tuples)
     for t in divisors:
-        (split,) = t.splits()
+        (split,) = trees.split_set(t)
         pullback = pullbacks[column[split]] = {}
         local_deg = 0
         for nodes, count in hurwitz.enumerate_cover_classes(full, t, limit_tuples):
@@ -195,7 +195,7 @@ def _self_matrix(h, pm):
     out = [[ZERO] * rank for _ in range(rank)]
     for j, t in enumerate(p_a.basis_trees()):
         # a relabelling is a forgetful map that forgets no mark
-        splits_b = trees.project_splits(p_a.n, t.splits(), b_of_a)
+        splits_b = trees.project_splits(p_a.n, trees.split_set(t), b_of_a)
         coords = p_b.reduce_index_vec({p_b.stratum_index(splits_b): ONE})
         for c, w in coords.items():
             for i in range(rank):

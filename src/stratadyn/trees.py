@@ -28,23 +28,25 @@ end, and the pushforward traces cover nodes to retained-mark divisors
 (project_split) and relabels marks (project_splits) on split sets,
 building no tree.
 enumerate_strata searches split sets as integer bitmasks, growing each set
-by AND-ing per-split compatibility masks.  Validation is one pass,
-_validate: the parent pointers are checked once per distinct tuple and kept
-with an order of the vertices from the leaves up (_parent_order), then one
-pass over the legs checks them, counts valences and sets each mark's bit,
-and the bits are ORed up the edges; split_set reads its splits from that
-pass.  Every other reader of an edge's side uses one pass, subtree_masks:
-the marks at and under each vertex as bitmasks, walking up from each mark
-on any valid encoding, canonical or not.  splits reads the edges' sides
-from it, and flag_masks, the one flag reader, lists the flags at a
-vertex as mark bitmasks read from it, in the one flag order: legs by mark,
-then edges by their least far-side mark (the far sides at a vertex are
-disjoint, so this is the order of their sorted mark sets).  A caller that
-reads several vertices of one tree makes the pass once and hands its masks
-to flag_masks per vertex.  The tests check the pass against readers by
-definition (adjacency, the marks beyond an edge) kept with their oracles.
-The curve classes of the homology pairing route and the reduction image
-types of hassett are keyed by these masks.
+by AND-ing per-split compatibility masks.  A tree is read through one
+pass, _validate, which also checks it: the parent pointers are checked
+once per distinct tuple and kept with an order of the vertices from the
+leaves up (_parent_order), then one pass over the legs checks them and
+sets each mark's bit, the vertices with fewer than 3 edges count their
+legs from those bits, and the bits are ORed up the edges into the marks
+at and under each vertex, on any valid encoding, canonical or not.  Every
+reader of an edge's side reads these masks, so a malformed tree raises
+the pass's error wherever it is read.  split_set, the one split reader,
+names the edges' sides from them, and flag_masks, the one flag reader,
+lists the flags at a vertex as mark bitmasks read from them, in the one
+flag order: legs by mark, then edges by their least far-side mark (the
+far sides at a vertex are disjoint, so this is the order of their sorted
+mark sets).  A caller that reads a tree's splits and flags, or several
+of its vertices, makes the pass once and reads them all from its masks.
+The tests check the pass against readers by definition (adjacency, the
+marks beyond an edge) kept with their oracles.  The curve classes of the
+homology pairing route and the reduction image types of hassett are keyed
+by these masks.
 
 The canonical encoding is rooted at the centroid (no component of more
 than m/2 vertices once it is removed; two adjacent ones at most) with the
@@ -189,49 +191,18 @@ class MarkedTree:
     def codim(self):
         return len(self.parents) - 1
 
-    def subtree_masks(self, weights=None):
-        """The marks at and under each vertex as bitmasks, bit m for mark
-        m, from one walk up from each mark's vertex to the root, so any
-        valid encoding will do, canonical or not: the side the edge above a
-        vertex cuts off, and every mark at the root.  With per-mark integers
-        `weights` (mark m's at weights[m - 1]) the same walks sum them over
-        each subtree.  Returns (masks, sums), sums None without weights."""
-        parents = self.parents
-        masks = [0] * len(parents)
-        if weights is None:
-            for mark, v in enumerate(self.legs, start=1):
-                bit = 1 << mark
-                while v >= 0:
-                    masks[v] |= bit
-                    v = parents[v]
-            return masks, None
-        sums = [0] * len(parents)
-        for mark, (w, v) in enumerate(zip(weights, self.legs), start=1):
-            bit = 1 << mark
-            while v >= 0:
-                masks[v] |= bit
-                sums[v] += w
-                v = parents[v]
-        return masks, sums
-
     def flag_masks(self, v, masks):
-        """The flags at v as mark bitmasks, read from the subtree_masks
-        `masks` of this tree, in the one flag order: legs by mark, then edges
-        by their least far-side mark.  The far sides are disjoint, so that
-        mark, the lowest set bit, orders them fully.  A leg's mask has one
-        bit, an edge's at least two."""
+        """The flags at v as mark bitmasks, read from the subtree masks
+        `masks` of this tree (_validate), in the one flag order: legs by
+        mark, then edges by their least far-side mark.  The far sides are
+        disjoint, so that mark, the lowest set bit, orders them fully.  A
+        leg's mask has one bit, an edge's at least two."""
         out = [1 << mark for mark, u in enumerate(self.legs, start=1) if u == v]
         edges = [masks[u] for u, p in enumerate(self.parents) if p == v]
         if self.parents[v] >= 0:
             edges.append(((1 << self.n + 1) - 2) ^ masks[v])
         edges.sort(key=lambda mask: mask & -mask)
         return out + edges
-
-    def splits(self):
-        """The set of splits cut by the edges, as split_of masks of the side
-        below each edge."""
-        masks, _ = self.subtree_masks()
-        return {split_of(self.n, masks[c]) for c, p in enumerate(self.parents) if p >= 0}
 
     def to_json_dict(self):
         """Stratum encoding: {"n": N, "parents": [...], "legs": {"1": vertex}}."""
@@ -243,11 +214,17 @@ class MarkedTree:
 
     @staticmethod
     def from_json_dict(d):
-        """Decode to_json_dict's encoding.  Raises ValueError unless n, the
-        parents array's entries and the leg object's vertices are JSON
-        integers, the leg object's keys are marks 1..n spelled as str(m)
-        does (so not " 1", "+2", "03" or "1_0"), it places each mark exactly
-        once and the tree is stable."""
+        """Decode to_json_dict's encoding.  Raises ValueError naming the
+        first of n, parents and legs that is missing, and unless d is an
+        object, n, the parents array's entries and the leg object's vertices
+        are JSON integers, the leg object's keys are marks 1..n spelled as
+        str(m) does (so not " 1", "+2", "03" or "1_0"), it places each mark
+        exactly once and the tree is stable."""
+        if not isinstance(d, dict):
+            raise ValueError("a stratum must be an object")
+        for name in ("n", "parents", "legs"):
+            if name not in d:
+                raise ValueError("a stratum needs the field %s" % name)
         n = _json_int(d["n"], "n")
         parents = [_json_int(p, "a parent") for p in _json_array(d["parents"], "parents")]
         if not isinstance(d["legs"], dict):
@@ -287,14 +264,19 @@ def trivial_tree(n):
 
 def _validate(tree):
     """Raise ValueError unless tree is a stable tree with legs 1..n placed;
-    return its subtree masks (as subtree_masks) and its non-root vertices,
-    each listed after every vertex below it.
+    return (masks, order): the marks at and under each vertex as bitmasks,
+    bit m for mark m, on any valid encoding, canonical or not (the side the
+    edge above a vertex cuts off, and every mark at the root), and its
+    non-root vertices, each listed after every vertex below it.
 
-    The one validating pass.  The parent pointers are checked once per
-    distinct tuple (_parent_order), and every relabelling of a stratum's
-    marks shares them.  One pass over the legs then checks them, counts
-    valences and sets each mark's bit at its vertex, and the bits are ORed
-    up the edges in that order, so no walk runs from each mark to the root.
+    The one validating pass, and the one walk that builds subtree masks:
+    every reader of an edge's side or a vertex's flags reads them here, so
+    a malformed tree raises this pass's error.  The parent pointers are
+    checked once per distinct tuple (_parent_order), and every relabelling
+    of a stratum's marks shares them.  One pass over the legs then checks
+    them and sets each mark's bit at its vertex, the vertices with fewer
+    than 3 edges count their legs from those bits, and the bits are ORed up
+    the edges in that order, so no walk runs from each mark to the root.
     """
     parents = tree.parents
     m = len(parents)
@@ -303,19 +285,18 @@ def _validate(tree):
     n = tree.n
     if n < 3:
         raise ValueError("need at least 3 marks, got %d" % n)
-    order, edges = _parent_order(parents)
+    order, short = _parent_order(parents)
     if len(tree.legs) != n:
         raise ValueError("legs tuple must have length n")
-    valence = list(edges)
     masks = [0] * m
     for mark, v in enumerate(tree.legs, start=1):
         if not (0 <= v < m):
             raise ValueError("mark %d attached to missing vertex %d" % (mark, v))
-        valence[v] += 1
         masks[v] |= 1 << mark
-    for v in range(m):
-        if valence[v] < 3:
-            raise ValueError("vertex %d has valence %d < 3" % (v, valence[v]))
+    for v, need in short:
+        if masks[v].bit_count() < need:
+            valence = 3 - need + masks[v].bit_count()
+            raise ValueError("vertex %d has valence %d < 3" % (v, valence))
     for v in order:
         masks[parents[v]] |= masks[v]
     return masks, order
@@ -324,7 +305,8 @@ def _validate(tree):
 @lru_cache(maxsize=None)
 def _parent_order(parents):
     """The checked parent pointers of a tree: (its non-root vertices, each
-    after every vertex below it; each vertex's count of edges).  Raises
+    after every vertex below it; each vertex with fewer than 3 edges, in
+    order, with the count of legs it needs to be stable).  Raises
     ValueError unless there is one root and every other pointer is in
     range, not to itself and on a path to the root; a tuple that raises is
     not kept, so it raises on every call."""
@@ -360,7 +342,7 @@ def _parent_order(parents):
             d += 1
             depth[v] = d
     order = sorted((v for v in range(m) if parents[v] != -1), key=depth.__getitem__, reverse=True)
-    return tuple(order), tuple(edges)
+    return tuple(order), tuple((v, 3 - e) for v, e in enumerate(edges) if e < 3)
 
 
 def _vertex(marks, head, kids):
@@ -754,8 +736,8 @@ def glue_substitution(host, subs):
     small trees (substitution_splits), with dim = dim(host) - sum of
     md(host, v) + sum of dim(subs[v]).
     """
-    splits = host.splits()
-    masks, _ = host.subtree_masks()
+    masks, order = _validate(host)
+    splits = {split_of(host.n, masks[v]) for v in order}
     for v, small in subs.items():
         splits |= substitution_splits(host.n, host.flag_masks(v, masks), small)
     return tree_from_splits(host.n, splits)
@@ -773,4 +755,4 @@ def substitution_splits(n, blocks, small):
         raise ValueError(
             "small tree has %d marks but vertex has valence %d" % (small.n, len(blocks))
         )
-    return {split_of(n, sum(blocks[i - 1] for i in marks_of(s))) for s in small.splits()}
+    return {split_of(n, sum(blocks[i - 1] for i in marks_of(s))) for s in split_set(small)}

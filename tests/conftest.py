@@ -30,25 +30,26 @@ def fresh_covers(monkeypatch):
 
 @pytest.fixture
 def flag_passes(monkeypatch):
-    """Count the subtree_masks passes made for flags, per reader call and
-    tree: a Counter of (reader frame, tree) pairs, identified by object, the
-    reader being the nearest calling frame outside trees.  The passes that
-    splits makes for a tree's splits are not counted.  Readers and
-    trees are kept alive for the test, so no two share an id."""
-    real = trees.MarkedTree.subtree_masks
+    """Count every walk of a tree, per reader call and tree: a Counter of
+    (reader frame, tree) pairs, identified by object, the reader being the
+    nearest calling frame outside trees.  The validating pass
+    (trees._validate) is the one walk that builds a tree's subtree masks,
+    for its splits (split_set) and its flags alike, so each of them is
+    counted.  Readers and trees are kept alive for the test, so no two
+    share an id."""
+    real = trees._validate
     passes = collections.Counter()
     alive = []
 
-    def counted(tree, *args):
+    def counted(tree):
         frame = sys._getframe(1)
-        if frame.f_code is not trees.MarkedTree.splits.__code__:
-            while frame.f_code.co_filename == trees.__file__:
-                frame = frame.f_back
-            alive.append((frame, tree))
-            passes[id(frame), id(tree)] += 1
-        return real(tree, *args)
+        while frame.f_code.co_filename == trees.__file__:
+            frame = frame.f_back
+        alive.append((frame, tree))
+        passes[id(frame), id(tree)] += 1
+        return real(tree)
 
-    monkeypatch.setattr(trees.MarkedTree, "subtree_masks", counted)
+    monkeypatch.setattr(trees, "_validate", counted)
     return passes
 
 

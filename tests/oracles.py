@@ -20,13 +20,15 @@ library's split-set builder, and read a vertex's flags from the adjacency
 and away_marks definitions (`flags_by_definition`) rather than from the
 library's flag reader; these readers by definition (`adjacency`, `legs_at`,
 `valence`, `away_marks`) read the parent pointers and never the library's
-subtree_masks pass.  They keep splits as mark sets (`all_splits_reference`,
-`splits_by_definition`) where the library keeps bitmasks, and hand a split
-to the library through `normalize_split`.  Sturm chains come from Fraction
-remainders (`sturm_chain_reference`) instead of integer pseudo-remainders.
+validating pass (`trees._validate`).  They keep splits as mark sets
+(`all_splits_reference`, `splits_by_definition`) where the library keeps
+bitmasks, and hand a split to the library through `normalize_split`.
+Sturm chains come from Fraction remainders (`sturm_chain_reference`)
+instead of integer pseudo-remainders.
 A tree's split set is validated by the walk over its parent pointers that
-trees._validate made before it kept them per tuple, then read from a walk up
-from each mark (`split_set_reference`), instead of from one memoised pass.
+trees._validate made before it kept them per tuple, then read from the
+away_marks definition (`split_set_reference`), instead of from one memoised
+pass.
 A curve's pairing with a divisor tests the split against the four flag
 blocks (`pairing_by_blocks`) instead of reading a row kept per curve, and a
 datum's ramifications are compared with its branching as Counters
@@ -307,9 +309,9 @@ def validate_tree_reference(tree):
 
 def split_set_reference(tree):
     """trees.split_set as two walks: the validation above, then the splits
-    read from a walk up from each mark (MarkedTree.splits)."""
+    read from the away_marks definition (splits_by_definition)."""
     validate_tree_reference(tree)
-    return frozenset(tree.splits())
+    return frozenset(normalize_split(tree.n, side) for side in splits_by_definition(tree))
 
 
 def pairing_by_blocks(tree, split):
@@ -784,7 +786,7 @@ def column_pairings_reference(full, tau, limit_tuples=None):
              for t in hurwitz.enumerate_cover_types(full, tau, limit_tuples)}
     views = {}  # node data -> the flag blocks of each source vertex
     for node_data, t in types.items():
-        masks, _ = t.source_tree.subtree_masks()
+        masks, _ = trees._validate(t.source_tree)
         views[node_data] = [
             t.source_tree.flag_masks(v, masks) for v in range(t.source_tree.num_vertices())
         ]
@@ -792,7 +794,7 @@ def column_pairings_reference(full, tau, limit_tuples=None):
     # each boundary direction pairs two of the four flag blocks at the
     # 4-valent vertex, adding their union as a split
     blocks = homology.curve_blocks(tau)
-    base = tau.splits()
+    base = trees.split_set(tau)
     pairings = {}  # node data -> {source vertex: {flag split: weight}}
     for i, j in ((1, 2), (1, 3), (2, 3)):
         cut = trees.split_of(tau.n, blocks[i] + blocks[j])
@@ -1039,10 +1041,16 @@ def stable_vertices_reference(tree, eps):
 
 def stable_vertices_two_walks(tree, W, D):
     """hassett._stable_vertices as it was before it read the validating
-    pass: the weighted subtree sums come from a second walk up from each
-    mark (`MarkedTree.subtree_masks`).  Returns (stable vertices, masks)."""
-    masks, sub = tree.subtree_masks(W)
+    pass: the subtree masks and weighted subtree sums come from a second
+    walk, up from each mark to the root.  Returns (stable vertices, masks)."""
     parents = tree.parents
+    masks = [0] * len(parents)
+    sub = [0] * len(parents)
+    for mark, (w, v) in enumerate(zip(W, tree.legs), start=1):
+        while v >= 0:
+            masks[v] |= 1 << mark
+            sub[v] += w
+            v = parents[v]
     total = sub[parents.index(-1)]
     tot = [0] * len(parents)
     for w, v in zip(W, tree.legs):

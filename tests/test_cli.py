@@ -281,6 +281,15 @@ def test_hurwitz_types_rejects_malformed_tau(tmp_path):
     tf.write_text(json.dumps({"n": 4, "parents": [-1], "legs": [0, 0, 0, 0]}))
     r = run_cli("hurwitz", "types", "--data", str(DATA / "fig1.json"), "--tau", str(tf), check=2)
     assert json.loads(r.stdout) == {"error": "legs must be an object {mark: vertex}"}
+    # a missing field is named, where it once showed as the bare key "'legs'"
+    tf.write_text(json.dumps({"n": 4, "parents": [-1]}))
+    r = run_cli("hurwitz", "types", "--data", str(DATA / "fig1.json"), "--tau", str(tf), check=2)
+    assert json.loads(r.stdout) == {"error": "a stratum needs the field legs"}
+    # and a stratum that is not an object is refused by name, not by a
+    # failed list index
+    tf.write_text(json.dumps([{"n": 4, "parents": [-1], "legs": {"1": 0, "2": 0, "3": 0, "4": 0}}]))
+    r = run_cli("hurwitz", "types", "--data", str(DATA / "fig1.json"), "--tau", str(tf), check=2)
+    assert json.loads(r.stdout) == {"error": "a stratum must be an object"}
 
 
 def test_invalid_datum_exits_2(tmp_path):
@@ -394,10 +403,12 @@ def test_unknown_flag_exits_2():
     assert "error" in json.loads(r.stdout)
 
 
-def test_jobs_flag_accepted_but_serial():
-    r = run_cli("homology", "dims", "--n", "5", "--jobs", "4")
-    assert json.loads(r.stdout)["k_dims"]["1"] == 5
-    run_cli("homology", "dims", "--n", "5", "--jobs", "0", check=2)
+def test_jobs_flag_is_refused():
+    # --jobs was accepted and ignored (every command runs serial); it is
+    # now an unknown option, on the subcommands and on selftest alike
+    for argv in (("homology", "dims", "--n", "5"), ("selftest",)):
+        r = run_cli(*argv, "--jobs", "1", check=2)
+        assert json.loads(r.stdout) == {"error": "unrecognized arguments: --jobs 1"}, argv
 
 
 def test_data_files_match_builtin_examples():
@@ -421,7 +432,7 @@ def test_main_in_process_repeats_match_fresh_processes(capsys):
         ("homology", "dims", "--n", "5"),
         ("homology", "dims", "--n", "6", "--bogus"),
         ("strata", "--n", "5", "--k", "1"),
-        ("homology", "dims", "--n", "5", "--jobs", "0"),
+        ("homology", "dims", "--n", "5", "--jobs", "4"),
         ("filtration", "dims", "--n", "6", "--k", "2"),
         ("homology", "dims", "--n", "7", "--limit-strata", "100"),
         ("homology", "dims", "--n", "6"),

@@ -5,6 +5,7 @@ middle degree and the full classical tables 1/5/1 (n=5), 1/16/16/1 (n=6),
 1/42/127/42/1 (n=7), which were not computed with this code.
 """
 
+import collections
 import hashlib
 import json
 import random
@@ -124,13 +125,18 @@ RELATION_ROUTE = [(n, k) for n in range(5, 8) for k in range(2, n - 2)] + [(8, 4
 
 
 def test_km_relations_read_each_tree_once_for_its_flags(flag_passes):
-    # every (7,3) stratum is read at each vertex of valence >= 4, several
-    # of them at more than one vertex, with one flag pass per tree
+    # every (7,3) stratum is read for its splits and at each vertex of
+    # valence >= 4, several of them at more than one vertex: one walk per
+    # tree reads them all.  Every walk is counted, so the (7,2) strata,
+    # walked once each for their split sets, are counted too
     homology.km_relations(7, 2)
     sigmas = trees.enumerate_strata(7, 3)
     assert max(sum(val >= 4 for val in t.valences()) for t in sigmas) > 1
-    assert sum(flag_passes.values()) == len(sigmas)
-    assert set(flag_passes.values()) == {1}
+    walks = collections.Counter()
+    for (_reader, tree), count in flag_passes.items():
+        walks[tree] += count
+    assert [walks[id(t)] for t in sigmas] == [1] * len(sigmas)
+    assert sum(walks.values()) == len(sigmas) + len(trees.enumerate_strata(7, 2))
 
 
 def test_km_relations_span_the_reference_relations():
@@ -338,7 +344,7 @@ def test_forget_vec_basics():
     img = homology.forget_vec({t_live: 1}, [1, 2, 3, 4, 5])
     assert list(img.values()) == [1]
     (it,) = img.keys()
-    assert it.splits() == {oracles.normalize_split(5, {2, 3})} and it.dim() == 1
+    assert trees.split_set(it) == {oracles.normalize_split(5, {2, 3})} and it.dim() == 1
 
 
 def test_forget_vec_lands_in_presentation():
@@ -538,13 +544,17 @@ def _nine_mark_curve(*sides):
     return other
 
 
-def test_pairing_errors_raise_on_every_call_and_keep_no_row():
-    # the row memo keeps no exception: each call validates afresh
+def test_pairing_errors_raise_on_every_call_and_keep_no_row(within):
+    # the row memo keeps no exception: each call validates afresh; the
+    # curve blocks read the validating pass, where they once walked the
+    # cycle from each mark forever
     cyclic = trees.MarkedTree(4, (1, 2, 0), (0, 0, 1, 2))
     before = homology._pairing_row.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ValueError, match="exactly one root"):
             homology.intersection_pairing_h2(cyclic, 0b1100)
+        with within(5), pytest.raises(ValueError, match="exactly one root"):
+            homology.curve_blocks(cyclic)
         with pytest.raises(ValueError, match="1-dimensional"):
             homology.intersection_pairing_h2(trees.trivial_tree(5), _mask({1, 2}))
     assert homology._pairing_row.cache_info().currsize == before

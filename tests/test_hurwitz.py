@@ -541,7 +541,7 @@ def test_orbits_match_the_closure_on_every_built_tuple():
     for h in data:
         full, _ = fully_mark(h)
         for tau in every_target(len(full.b_marks)):
-            masks, _ = tau.subtree_masks()
+            masks, _ = trees._validate(tau)
             for w in range(tau.num_vertices()):
                 flags = tau.flag_masks(w, masks)
                 for perms, _coset in hurwitz._least_tuples(full, flags, hurwitz._tuple_budget(None)):
@@ -602,7 +602,7 @@ def test_least_tuples_match_the_full_scan():
     for h in data:
         full, _ = fully_mark(h)
         for tau in every_target(len(full.b_marks)):
-            masks, _ = tau.subtree_masks()
+            masks, _ = trees._validate(tau)
             for w in range(tau.num_vertices()):
                 flags = tau.flag_masks(w, masks)
                 scanned = hurwitz._tuple_budget(None)
@@ -979,13 +979,13 @@ def test_fig1_source_structure_over_b34_split():
     # (a1, a2, a3, a4, a(b1,1), a(b2,1), a(b4,1), a(b4,2)) = 1..8
     full, _ = fully_mark(fig1_datum())
     tau = next(t for t in trees.enumerate_strata(4, 0)
-               if t.splits() == {oracles.normalize_split(4, {3, 4})})
+               if trees.split_set(t) == {oracles.normalize_split(4, {3, 4})})
     types = enumerate_cover_types(full, tau)
     t3 = next(t for t in types if t.multiplicity == 3)
     t1 = next(t for t in types if t.multiplicity == 1)
-    assert t3.source_tree.splits() == {oracles.normalize_split(8, {3, 4, 7, 8})}
+    assert trees.split_set(t3.source_tree) == {oracles.normalize_split(8, {3, 4, 7, 8})}
     assert t3.node_data == ((oracles.normalize_split(8, {3, 4, 7, 8}), 3),)
-    assert t1.source_tree.splits() == {
+    assert trees.split_set(t1.source_tree) == {
         oracles.normalize_split(8, s) for s in ({4, 7}, {5, 6}, {3, 5, 6, 8})
     }
     assert all(r == 1 for _side, r in t1.node_data)
@@ -1001,7 +1001,7 @@ def test_d2_degeneration_all_splits():
         assert report["expected"] == 2
         types = enumerate_cover_types(full, tau)
         got = sorted((t.count, t.multiplicity) for t in types)
-        if tau.splits() == {oracles.normalize_split(4, {3, 4})}:
+        if trees.split_set(tau) == {oracles.normalize_split(4, {3, 4})}:
             split_34 += 1
             assert got == [(1, 1), (1, 1)]
         else:
@@ -1089,7 +1089,7 @@ def test_cover_keys_match_brute_oracle():
             classes = hurwitz._enumerate_cover_classes(full, tau, hurwitz._tuple_budget(None))
             assert classes == tuple(sorted(oracles.brute_cover_nodes(full, tau).items()))
             # representatives are glued from least-conjugate tuples only
-            masks, _ = tau.subtree_masks()
+            masks, _ = trees._validate(tau)
             for w in range(tau.num_vertices()):
                 flags = tau.flag_masks(w, masks)
                 for perms, _coset in hurwitz._least_tuples(full, flags, hurwitz._tuple_budget(None)):

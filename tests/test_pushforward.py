@@ -139,7 +139,7 @@ def test_pushforward_refuses_a_local_degree_off_the_cover_count(monkeypatch):
     real = hurwitz.enumerate_cover_classes
     count = hurwitz.count_covers(full)
     first = trees.enumerate_strata(5, 1)[0]
-    (split,) = first.splits()
+    (split,) = trees.split_set(first)
     nodes, classes = real(full, first)[0]
     dropped = classes * math.prod(r for _side, r, _e in nodes)
 
@@ -271,7 +271,7 @@ def test_column_route_is_adjoint_to_the_divisor_pullback(make):
     n_a, n_b = len(aprime), len(full.b_marks)
     pullback = collections.Counter()  # (S, T's split) -> deg_nu * c(S, T)
     for t in trees.enumerate_strata(n_b, n_b - 4):
-        (split_t,) = t.splits()
+        (split_t,) = trees.split_set(t)
         for nodes, count in hurwitz.enumerate_cover_classes(full, t):
             rprod = math.prod(r for _side, r, _e in nodes)
             for side, r, _e in nodes:
@@ -668,7 +668,7 @@ def _relabel_matrix(n, k, perm):
     renum = {m: perm[m - 1] for m in range(1, n + 1)}
     mat = [[Fraction(0)] * pres.rank for _ in range(pres.rank)]
     for j, t in enumerate(pres.basis_trees()):
-        splits = trees.project_splits(n, t.splits(), renum)
+        splits = trees.project_splits(n, trees.split_set(t), renum)
         for i, c in pres.reduce_index_vec({pres.stratum_index(splits): 1}).items():
             mat[i][j] = c
     return mat

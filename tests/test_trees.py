@@ -129,8 +129,8 @@ def test_edge_sides_match_the_away_marks_definition():
                for t in ts[:: max(1, len(ts) // 100)]]
         for t in ts:
             splits = {normalize_split(n, away_marks(t, p, c)) for c, p in t.edges()}
-            assert t.splits() == splits, t
-            masks, _ = t.subtree_masks()
+            assert trees.split_set(t) == splits, t
+            masks, _ = trees._validate(t)
             for v in range(t.num_vertices()):
                 # one flag order: position by position, not as sets
                 want = list(map(_mask, flag_marksets_by_definition(t, v)))
@@ -178,7 +178,7 @@ def test_split_set_is_the_key_of_the_stratum():
         r = relabel_vertices(t, rng.sample(range(t.num_vertices()), t.num_vertices()))
         key = trees.split_set(r)
         assert isinstance(key, frozenset)
-        assert key == trees.split_set(t) == frozenset(t.splits())
+        assert key == trees.split_set(t) == split_set_reference(t)
         assert trees.tree_from_splits(n, key) == trees.canonical_form(r) == t
     with pytest.raises(ValueError, match="valence 2 < 3"):
         trees.split_set(trees.MarkedTree(5, (-1, 0, 1), (0, 0, 0, 2, 2)))
@@ -237,19 +237,25 @@ def test_split_set_raises_the_reference_errors_and_keeps_no_bad_parents():
 
 
 def test_cyclic_parents_raise_instead_of_hanging(within):
-    # no root: 0 and 1 point at each other, and a walk up never ends
+    # no root: 0 and 1 point at each other, and a walk up never ends; the
+    # gluing readers walked it from each mark before they read the
+    # validating pass
     cyclic = trees.MarkedTree(5, (1, 0), (0, 0, 0, 1, 1))
     with within(5):
         with pytest.raises(ValueError, match="exactly one root"):
             trees.forget_pushforward(cyclic, [1, 2, 3, 4])
         with pytest.raises(ValueError, match="exactly one root"):
             trees.split_set(cyclic)
+        with pytest.raises(ValueError, match="exactly one root"):
+            trees.glue_substitution(cyclic, {})
+        with pytest.raises(ValueError, match="exactly one root"):
+            trees.substitution_splits(6, [1 << mark for mark in range(2, 7)], cyclic)
 
 
 def test_splits_roundtrip():
     for k in (0, 1, 2):
         for t in trees.enumerate_strata(6, k):
-            s = t.splits()
+            s = trees.split_set(t)
             assert len(s) == t.codim()
             assert trees.tree_from_splits(6, s) == t
 
@@ -302,7 +308,7 @@ def test_forget_renumbering():
     t2 = trees.tree_from_splits(6, [normalize_split(6, s) for s in ({2, 3}, {5, 6})])
     img2 = trees.forget_pushforward(t2, [1, 2, 3, 4, 5])  # drop 6
     assert img2.n == 5 and img2.dim() == t2.dim() == 1
-    assert img2.splits() == {normalize_split(5, {2, 3})}
+    assert trees.split_set(img2) == {normalize_split(5, {2, 3})}
 
 
 def test_forget_composition_order_independent():
@@ -348,12 +354,12 @@ def test_glue_adds_expected_split():
     small = trees.tree_from_splits(5, [normalize_split(5, {2, 3})])  # small split {2,3}
     glued = trees.glue_substitution(host, {big: small})
     # small marks 2,3 are host legs 2,3, so the new edge cuts {2,3}
-    assert glued.splits() == {normalize_split(6, s) for s in ({5, 6}, {2, 3})}
+    assert trees.split_set(glued) == {normalize_split(6, s) for s in ({5, 6}, {2, 3})}
     assert glued.dim() == host.dim() - (valence(host, big) - 3) + small.dim()
     # and substituting the small split {4,5} maps to legs 4 + away {5,6}
     small2 = trees.tree_from_splits(5, [normalize_split(5, {4, 5})])
     glued2 = trees.glue_substitution(host, {big: small2})
-    assert glued2.splits() == {normalize_split(6, s) for s in ({5, 6}, {4, 5, 6})}
+    assert trees.split_set(glued2) == {normalize_split(6, s) for s in ({5, 6}, {4, 5, 6})}
 
 
 def test_glue_refuses_a_small_tree_of_the_wrong_size():
@@ -468,23 +474,24 @@ def _mask(marks):
     return sum(1 << mark for mark in marks)
 
 
-def test_subtree_masks_match_the_mark_sets_on_any_encoding():
+def test_validate_masks_match_the_mark_sets_on_any_encoding():
     # canonical strata and relabelled, non-canonical encodings of them; a
     # vertex's subtree is the side the edge to its parent cuts off, by the
-    # away_marks definition, and every mark at the root
+    # away_marks definition, and every mark at the root; the order lists
+    # each non-root vertex once, after every vertex below it
     rng = random.Random(22)
     for n in range(3, 8):
         ts = [t for k in range(n - 2) for t in trees.enumerate_strata(n, k)]
         ts += [relabel_vertices(t, rng.sample(range(t.num_vertices()), t.num_vertices()))
                for t in ts[:: max(1, len(ts) // 50)]]
-        weights = [rng.randint(1, 9) for _ in range(n)]
         everything = frozenset(range(1, n + 1))
         for t in ts:
             below = [everything if p < 0 else away_marks(t, p, v) for v, p in enumerate(t.parents)]
-            masks, sums = t.subtree_masks(weights)
+            masks, order = trees._validate(t)
             assert masks == [_mask(b) for b in below], t
-            assert sums == [sum(weights[mark - 1] for mark in b) for b in below], t
-            assert t.subtree_masks() == (masks, None), t
+            assert sorted(order) == [v for v, p in enumerate(t.parents) if p >= 0], t
+            at = {v: i for i, v in enumerate(order)}
+            assert all(at[v] < at[p] for v, p in enumerate(t.parents) if p in at), t
 
 
 def test_tree_from_splits_rejects_unstable_sides():
