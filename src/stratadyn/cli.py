@@ -457,6 +457,8 @@ def _crit_cover_counts():
     full2, deg_nu2 = hurwitz.fully_mark(_d2_data())
     c2 = hurwitz.count_covers(full2)
     assert c2 == 2, "the labeled degree-2 count is %d, want 2 (not 4)" % c2
+    s2 = hurwitz.count_covers_orbit_stabilizer(full2)
+    assert s2 == 2, "the degree-2 stabilizer count is %d, want 2" % s2
     assert deg_nu2 == 2
 
     dt = time.perf_counter() - t0

@@ -321,11 +321,19 @@ def curve_blocks(tree):
     encoding of every stratum with those blocks: equal tuples mean equal
     pairings, so equal classes.  The blocks are read from the validating
     pass (trees._validate), which raises ValueError on a malformed tree; a
-    tree that is not 1-dimensional raises too."""
+    tree that is not 1-dimensional raises too.
+
+    A valid tree with m vertices on n marks has dimension n - 2 - m, so it
+    is 1-dimensional when m = n - 3, and then every vertex is 3-valent but
+    one.  That vertex is found from the edge counts the pass keeps per
+    parent tuple (trees._parent_order) and one count of the legs."""
     masks, _ = trees._validate(tree)
-    val = tree.valences()
-    if sum(val) - 3 * len(val) != 1:
+    parents = tree.parents
+    if len(parents) != tree.n - 3:
         raise ValueError("pairing requires a 1-dimensional stratum")
+    val = list(trees._parent_order(parents)[2])
+    for v in tree.legs:
+        val[v] += 1
     return tuple(tree.flag_masks(val.index(4), masks))
 
 

@@ -62,10 +62,12 @@ target marks that keeps colours, with the pi_A that carries each fibre
 onto the image fibre in (ramification, a_marks position) order, keeps F,
 br and rm, so it carries the classes over a tree one to one onto those
 over its image, each node (side, r, e) to (pi_A side, r, pi_B e).  On a
-miss `trees.orbit_representative` validates the tree (`trees._validate`)
-and relabels it to one canonical tree of its orbit, no search over the
-group made.  The representative's pairs are enumerated, or replayed when
-kept, relabelled and kept under the tree too, with the representative's
+miss the tree is validated (`trees._validate`) and relabelled to one
+canonical tree of its orbit (`trees._orbit_representative`, from that
+pass), no search over the group made.  A tree that is its own
+representative is enumerated from the same pass, so it is walked once.
+Any other's representative pairs are enumerated, or replayed when kept,
+relabelled and kept under the tree too, with the representative's
 ticks.  That is what a direct enumeration over the tree ticks on the data
 the tests pin, though the flag order can move a few ticks either way (f^2
 of the period-5 portrait: two of its 25 one-edge targets, by about 1%).
@@ -744,15 +746,17 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
 
 def _orbit_classes(h, cover, tau, limit):
     """The pairs of enumerate_cover_classes over tau, read off its orbit
-    representative's (see the module docstring): trees.orbit_representative
-    validates tau first, then the representative's pairs, kept under
+    representative's (see the module docstring): tau is validated first,
+    and when it is its own representative its pairs are enumerated from
+    that pass's masks; otherwise the representative's pairs, kept under
     (cover, representative), are enumerated or replayed under `limit` and
     relabelled, each node (side, r, e) to (pi_A side, r, pi_B e)."""
     if tau.n != len(h.b_marks):
         raise ValueError("target tree has %d marks, datum has %d" % (tau.n, len(h.b_marks)))
-    rep, to_rep = trees.orbit_representative(tau, _colours(h))
+    masks, order = trees._validate(tau)
+    rep, to_rep = trees._orbit_representative(tau, _colours(h), masks, order)
     if rep == tau:
-        return _enumerate_cover_classes(h, tau, limit)
+        return _enumerate_cover_classes(h, tau, limit, masks)
     pairs = limit.replay(_CLASSES, (cover, rep), _enumerate_cover_classes, h, rep)
     # pi_B and pi_A as tables from the representative's marks and positions
     b_to = [0] * (tau.n + 1)
@@ -805,7 +809,7 @@ class _Relabelled(dict):
         return image
 
 
-def _enumerate_cover_classes(h, tau, limit):
+def _enumerate_cover_classes(h, tau, limit, masks=None):
     """The (nodes, count) pairs of enumerate_cover_classes, counted as each
     class is glued.
 
@@ -823,12 +827,12 @@ def _enumerate_cover_classes(h, tau, limit):
     each class is glued exactly once, as by the full search.
 
     Each target vertex's flag list is read from one walk of tau
-    (trees._validate) and passed to the per-vertex helpers (_least_tuples,
-    _least_labelings), and each target edge's split is read from the same
-    walk.  Each candidate's source graph is walked once (_tree_walk): the
-    edge count and the walk are the tree test, made before the matching
-    search, and a kept class's nodes are read along the same walk
-    (_node_sides).
+    (trees._validate, or the subtree `masks` of a caller's walk) and passed
+    to the per-vertex helpers (_least_tuples, _least_labelings), and each
+    target edge's split is read from the same walk.  Each candidate's
+    source graph is walked once (_tree_walk): the edge count and the walk
+    are the tree test, made before the matching search, and a kept class's
+    nodes are read along the same walk (_node_sides).
 
     The budget ticks once per flag-permutation combination at a vertex,
     all of them before any permutation is listed (_combinations), per glued
@@ -846,7 +850,8 @@ def _enumerate_cover_classes(h, tau, limit):
     """
     d = h.d
     num_w = len(tau.parents)
-    masks, _ = trees._validate(tau)
+    if masks is None:
+        masks, _ = trees._validate(tau)
     flag_lists = [tau.flag_masks(w, masks) for w in range(num_w)]
     for flags in flag_lists:
         limit.tick(_combinations(h, flags))
@@ -942,29 +947,76 @@ def count_covers(h, limit_tuples=None):
 
 def count_covers_orbit_stabilizer(h, limit_tuples=None):
     """Smooth-target count again, via the stabilizer sum over raw
-    configurations; independent of the least-candidate search.  The datum is
-    checked as the enumeration checks it (_cover_value), once per value.
-    Each flag-permutation tuple is tested for transitivity and its
-    centraliser found once, by a scan of every relabeling; a labeling's
-    stabiliser is the part of that centraliser fixing each labelled cycle."""
+    configurations: the sum over transitive flag-permutation tuples and
+    their mark labelings of each labeling's stabiliser in the tuple's
+    centraliser, over d!.  Independent of the least-candidate search; the
+    datum is checked as the enumeration checks it (_cover_value), once per
+    value.
+
+    No labeling is listed.  On the smooth target every flag is a leg, and a
+    labeling is a length-keeping bijection from the marks over each leg
+    onto all the cycles of its permutation, so every cycle carries a mark
+    and every labeling's stabiliser is the set of centraliser elements that
+    fix each cycle.  A tuple has prod over legs of prod over lengths l of
+    m_l! labelings (m_l cycles of length l): every tuple gives each leg its
+    branching type, and the datum is fully marked, so the ramifications of
+    the marks over a leg are that type, and the count is one constant of
+    the datum.
+
+    The centraliser of a transitive tuple is semiregular, so an element is
+    fixed by its image c(0) of sheet 0.  One walk of sheet 0's orbit tests
+    transitivity and gives the at most d candidates, each read along the
+    walk (c(g x) = g c(x)) and kept when it commutes with every
+    permutation; no scan of S_d is made.  A kept element maps each cycle
+    onto a cycle of the same permutation, so it fixes the cycle when it
+    keeps the cycle's first sheet in it.
+
+    The budget ticks as the labeling lists did: once per flag-permutation
+    combination (_local_assignments), then per tuple, leg by leg, once per
+    bijection of the leg's marks onto its cycles."""
     _cover_value(h)
     tau = trees.trivial_tree(len(h.b_marks))
     limit = _tuple_budget(limit_tuples)
     d = h.d
     flags = tau.flag_masks(0, trees._validate(tau)[0])
     local = _local_assignments(h, flags, limit)
-    all_p, _ = _perm_pool(d)
+    # each leg's bijection count: prod over lengths l of m_l!
+    per_leg = [prod(factorial(m) for m in Counter(h.branching(_leg_mark(h, f))).values())
+               for f in flags]
+    labelings = prod(per_leg)
+    cycles_of = {}  # permutation -> its cycles, each as (first sheet, sheets)
     stab_total = 0
     for perms in local:
-        labelings = _vertex_labelings(h, flags, perms, limit)
-        if not labelings or _orbits(perms, d)[1] != 1:
+        for count in per_leg:
+            limit.tick(count)
+        # walk sheet 0's orbit: each sheet y after it with the sheet x and
+        # permutation g that reached it, y = g x
+        reached = [0]
+        came = [None] * d
+        came[0] = ()
+        for x in reached:
+            for g in perms:
+                y = g[x]
+                if came[y] is None:
+                    came[y] = (x, g)
+                    reached.append(y)
+        if len(reached) != d:
             continue
-        centraliser = [hh for hh in all_p if all(_conj(hh, g) == g for g in perms)]
-        for labeling in labelings:
-            stab_total += sum(
-                1 for hh in centraliser
-                if all(_cycle_image(hh, cyc) == cyc for (_pos, cyc) in labeling.values())
-            )
+        cycles = []
+        for g in perms:
+            if g not in cycles_of:
+                cycles_of[g] = [(cyc[0], frozenset(cyc)) for cyc in _cycles(g)]
+            cycles += cycles_of[g]
+        fixing = 1  # the identity, c(0) = 0
+        for image in range(1, d):
+            c = [image] * d
+            for y in reached[1:]:
+                x, g = came[y]
+                c[y] = g[c[x]]
+            if (all(c[g[x]] == g[c[x]] for g in perms for x in range(d))
+                    and all(c[first] in cyc for first, cyc in cycles)):
+                fixing += 1
+        stab_total += labelings * fixing
     total = factorial(d)
     if stab_total % total:
         raise AssertionError("stabilizer sum %d not divisible by %d" % (stab_total, total))

@@ -285,7 +285,7 @@ def _validate(tree):
     n = tree.n
     if n < 3:
         raise ValueError("need at least 3 marks, got %d" % n)
-    order, short = _parent_order(parents)
+    order, short, _edges = _parent_order(parents)
     if len(tree.legs) != n:
         raise ValueError("legs tuple must have length n")
     masks = [0] * m
@@ -306,10 +306,10 @@ def _validate(tree):
 def _parent_order(parents):
     """The checked parent pointers of a tree: (its non-root vertices, each
     after every vertex below it; each vertex with fewer than 3 edges, in
-    order, with the count of legs it needs to be stable).  Raises
-    ValueError unless there is one root and every other pointer is in
-    range, not to itself and on a path to the root; a tuple that raises is
-    not kept, so it raises on every call."""
+    order, with the count of legs it needs to be stable; every vertex's
+    edge count).  Raises ValueError unless there is one root and every
+    other pointer is in range, not to itself and on a path to the root; a
+    tuple that raises is not kept, so it raises on every call."""
     m = len(parents)
     roots = [i for i, p in enumerate(parents) if p == -1]
     if len(roots) != 1:
@@ -342,7 +342,7 @@ def _parent_order(parents):
             d += 1
             depth[v] = d
     order = sorted((v for v in range(m) if parents[v] != -1), key=depth.__getitem__, reverse=True)
-    return tuple(order), tuple((v, 3 - e) for v, e in enumerate(edges) if e < 3)
+    return tuple(order), tuple((v, 3 - e) for v, e in enumerate(edges) if e < 3), tuple(edges)
 
 
 def _vertex(marks, head, kids):
@@ -453,7 +453,13 @@ def orbit_representative(tree, colours):
     depends on the orbit alone; no permutation is searched.  Raises
     ValueError on a malformed tree (_validate).
     """
-    masks, order = _validate(tree)
+    return _orbit_representative(tree, colours, *_validate(tree))
+
+
+def _orbit_representative(tree, colours, masks, order):
+    """orbit_representative of a tree already through the validating pass,
+    read from that pass's (masks, order), so a caller that goes on to read
+    the tree's flags walks it once."""
     parents = tree.parents
     m = len(parents)
     adj = [[] for _ in range(m)]

@@ -33,6 +33,10 @@ A curve's pairing with a divisor tests the split against the four flag
 blocks (`pairing_by_blocks`) instead of reading a row kept per curve, and a
 datum's ramifications are compared with its branching as Counters
 (`validate_reference`, `fully_mark_reference`) instead of as sorted lists.
+The smooth-target stabiliser sum lists every labelling of every tuple and
+finds each transitive tuple's centraliser by a scan of S_d
+(`count_covers_orbit_stabilizer_reference`), instead of counting the
+labellings and reading the centraliser off sheet 0's image.
 Expected values frozen in the tests were computed with these oracles (or by
 hand) before the corresponding library code was written.
 """
@@ -1066,6 +1070,37 @@ def stable_vertices_two_walks(tree, W, D):
 
 
 # -- labeled covers by exhaustive search ---------------------------------------
+
+
+def count_covers_orbit_stabilizer_reference(h, limit_tuples=None):
+    """Smooth-target count again, via the stabilizer sum over raw
+    configurations; independent of the least-candidate search.  The datum is
+    checked as the enumeration checks it (_cover_value), once per value.
+    Each flag-permutation tuple is tested for transitivity and its
+    centraliser found once, by a scan of every relabeling; a labeling's
+    stabiliser is the part of that centraliser fixing each labelled cycle."""
+    hurwitz._cover_value(h)
+    tau = trees.trivial_tree(len(h.b_marks))
+    limit = hurwitz._tuple_budget(limit_tuples)
+    d = h.d
+    flags = tau.flag_masks(0, trees._validate(tau)[0])
+    local = hurwitz._local_assignments(h, flags, limit)
+    all_p, _ = hurwitz._perm_pool(d)
+    stab_total = 0
+    for perms in local:
+        labelings = hurwitz._vertex_labelings(h, flags, perms, limit)
+        if not labelings or hurwitz._orbits(perms, d)[1] != 1:
+            continue
+        centraliser = [hh for hh in all_p if all(hurwitz._conj(hh, g) == g for g in perms)]
+        for labeling in labelings:
+            stab_total += sum(
+                1 for hh in centraliser
+                if all(hurwitz._cycle_image(hh, cyc) == cyc for (_pos, cyc) in labeling.values())
+            )
+    total = factorial(d)
+    if stab_total % total:
+        raise AssertionError("stabilizer sum %d not divisible by %d" % (stab_total, total))
+    return stab_total // total
 
 
 def _min_first(cyc):

@@ -503,6 +503,29 @@ def test_tuple_cap_raises_before_the_permutations_are_listed(fresh_covers, monke
         enumerate_cover_classes(full, trees.enumerate_strata(4, 0)[0], limit_tuples=5)
 
 
+@pytest.mark.parametrize("make", [
+    fig1_datum, d2_datum, d3_self5_datum, d2_five_datum, lambda: d2_self6_datum(), d3_five_datum,
+], ids=["fig1", "d2", "d3_self5", "d2_five", "d2_self6", "d3five"])
+def test_stabiliser_sum_matches_the_labelling_lists(make, monkeypatch):
+    # the counted labellings and the centraliser read off sheet 0's image
+    # give the value and the ticks of the oracle that lists every labelling
+    # and scans S_d for each tuple's centraliser; a cap one below the ticks
+    # raises in both, and a cap at them does not
+    real = hurwitz._tuple_budget
+    budgets = []
+    monkeypatch.setattr(hurwitz, "_tuple_budget",
+                        lambda cap: budgets.append(real(cap)) or budgets[-1])
+    full, _ = fully_mark(make())
+    want = oracles.count_covers_orbit_stabilizer_reference(full)
+    used = budgets[-1].used
+    assert count_covers_orbit_stabilizer(full) == want
+    assert budgets[-1].used == used
+    for count in (count_covers_orbit_stabilizer, oracles.count_covers_orbit_stabilizer_reference):
+        with pytest.raises(ResourceError, match="exceeded %d tuples" % (used - 1)):
+            count(full, limit_tuples=used - 1)
+        assert count(full, limit_tuples=used) == want
+
+
 def test_centralisers_from_cycles_match_a_scan_of_s_d():
     # every permutation commuting with g, in lexicographic order; at d = 6
     # the cycles of (2, 2, 2) do not produce them in that order
@@ -727,6 +750,21 @@ def test_relabelled_pairs_over_one_edge_targets_match_a_direct_enumeration(make,
         assert hurwitz._CLASSES[cover, tau][1] == ticks[rep]
 
 
+@pytest.mark.parametrize("make, covers", [
+    (lambda: d3_kind_datum("mixed", 7), 1296),
+    (lambda: oracles.portrait_datum(5, 2), 27648),
+    (lambda: HurwitzData.from_json_dict(json.loads((DATA / "d2_self8.json").read_text())), 32),
+    (lambda: oracles.portrait_datum(4, 1), 4),
+    (lambda: oracles.portrait_datum(5, 1), 8),
+    (lambda: oracles.portrait_datum(4, 2), 1152),
+], ids=["d3seven", "p5f2", "d2_self8", "p4f1", "p5f1", "p4f2"])
+def test_stabiliser_sum_matches_the_class_count_on_larger_data(make, covers):
+    # the CI's seven-mark and portrait data, the eight-mark self-map and
+    # the portraits of periods 4 and 5
+    full, _ = fully_mark(make())
+    assert count_covers(full) == count_covers_orbit_stabilizer(full) == covers
+
+
 @pytest.mark.parametrize("make, n_b, targets, enumerations", [
     (lambda: d3_kind_datum("simple", 5), 5, 10, 2),
     (lambda: HurwitzData.from_json_dict(json.loads((DATA / "d2_self8.json").read_text())),
@@ -738,7 +776,7 @@ def test_one_edge_targets_enumerate_once_per_orbit(make, n_b, targets, enumerati
     real = hurwitz._enumerate_cover_classes
     calls = []
     monkeypatch.setattr(hurwitz, "_enumerate_cover_classes",
-                        lambda h, tau, limit: calls.append(tau) or real(h, tau, limit))
+                        lambda h, tau, limit, *masks: calls.append(tau) or real(h, tau, limit, *masks))
     full, _ = fully_mark(make())
     one_edge = trees.enumerate_strata(n_b, n_b - 4)
     assert len(one_edge) == targets
@@ -957,6 +995,23 @@ def test_cold_miss_reads_each_flag_list_once(fresh_covers, monkeypatch):
         calls.clear()
         enumerate_cover_classes(h, tau)
         assert calls == []
+
+
+def test_a_target_that_is_its_own_representative_is_walked_once(fresh_covers, monkeypatch):
+    # fig1's first point stratum is its orbit's representative: its
+    # enumeration reads the masks of the validating pass that found it so;
+    # the other two are walked once each and replay its kept classes
+    real = trees._validate
+    walks = []
+    monkeypatch.setattr(trees, "_validate", lambda tree: walks.append(tree) or real(tree))
+    full, _ = fully_mark(fig1_datum())
+    strata = trees.enumerate_strata(4, 0)
+    colours = hurwitz._colours(full)
+    assert [trees.orbit_representative(tau, colours)[0] == tau for tau in strata] == [True, False, False]
+    for tau in strata:
+        walks.clear()
+        enumerate_cover_classes(full, tau)
+        assert walks == [tau]
 
 
 # -- covers over boundary strata ----------------------------------------------
