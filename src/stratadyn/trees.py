@@ -63,13 +63,19 @@ keys differ before either ends: mark lists with different first marks
 differ within both, and where d differs the smaller one puts a digit
 against ";".  The two centroids are adjacent, so their least-child paths
 reach different first marked vertices, or the same one at values of d
-that differ by one.  The finish step walks to the centroid, re-keys only
-the path that gets re-rooted, settles a twin centroid by key, and places
-the vertices by splicing the kept preorders; no subcode is built whole.
+that differ by one.  The finishing step, _finish, takes the records of
+the top splits, those inside no other, which hang below the vertex of
+mark 1: it finds the centroid from their subtree sizes before building
+anything, builds a record only for each vertex on the path it re-roots
+and for the root, settles a twin centroid by key, and places the vertices
+by splicing the kept preorders.  No subcode is built whole, and no
+record only to be thrown away: the vertex of mark 1 is built once, hung
+below the path or as the root.  It makes the MarkedTree from the int
+tuples it built, coercing and validating nothing again.
 tree_from_splits runs both steps once, and canonical_form is
 tree_from_splits of the tree's split set.  enumerate_strata runs the
 downward pass as its search adds each split, so a subtree's record serves
-every set that shares it, and only the finish step runs per stratum.
+every set that shares it, and only the finishing step runs per stratum.
 
 split_set, the validated frozenset of a tree's splits, is the one key of a
 stratum: a lookup of a stratum (a presentation's index, the pushforward's
@@ -100,6 +106,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from operator import index, sub
 
 
 class ResourceError(RuntimeError):
@@ -141,14 +148,18 @@ class MarkedTree:
     n : number of marks; marks are 1..n.
     parents : tuple of parent indices, -1 for the single root.
     legs : tuple of length n, legs[i-1] = vertex index carrying mark i.
+
+    Each is read as ints by operator.index, so a float or a string raises
+    TypeError instead of being truncated or parsed.  The tree is not
+    validated here (_validate).
     """
 
     __slots__ = ("n", "parents", "legs", "_hash")
 
     def __init__(self, n, parents, legs):
-        self.n = int(n)
-        self.parents = tuple(map(int, parents))
-        self.legs = tuple(map(int, legs))
+        self.n = index(n)
+        self.parents = tuple(map(index, parents))
+        self.legs = tuple(map(index, legs))
         self._hash = hash((self.n, self.parents, self.legs))
 
     def __eq__(self, other):
@@ -241,6 +252,18 @@ class MarkedTree:
         tree = MarkedTree(n, parents, legs)
         _validate(tree)
         return tree
+
+
+def _marked_tree(n, parents, legs):
+    """The MarkedTree of the int `n` and int tuples `parents` and `legs`,
+    taken as they are: _finish builds them, so nothing is coerced or
+    validated again."""
+    tree = object.__new__(MarkedTree)
+    tree.n = n
+    tree.parents = parents
+    tree.legs = legs
+    tree._hash = hash((n, parents, legs))
+    return tree
 
 
 def _json_int(value, what):
@@ -367,48 +390,52 @@ def _vertex(marks, head, kids):
     return (head if marks else head + kids[0][0]), kids, pre, back, marks, head
 
 
-def _finish(n, top):
-    """The canonical MarkedTree of the tree under the downward-pass record
-    `top`.
+def _finish(n, tops, labels):
+    """The canonical MarkedTree of the tree whose splits inside no other are
+    `tops`, (side, record) pairs of the downward pass, under the vertex of
+    mark 1.
 
-    Walks from the top to the centroid, re-keys the path between them with
-    each vertex hung below the next, settles a twin centroid by key, and
-    places the vertices by splicing the kept preorders.
+    Walks from the vertex of mark 1 to the centroid by the tops' subtree
+    sizes, builds a record only for each vertex it re-roots, hung below
+    the next, settles a twin centroid by key, and places the vertices by
+    splicing the kept preorders under the root.
     """
-    m = len(top[2])
-    path = [top]
+    covered = 0
+    m = 1
+    for side, rec in tops:
+        covered |= side
+        m += len(rec[2])
+    marks, head = labels[((1 << n + 1) - 2) & ~covered]
+    kids = [rec for _side, rec in tops]
     while True:
         heavy = None
-        for kid in path[-1][1]:
+        for kid in kids:
             if 2 * len(kid[2]) >= m:
                 heavy = kid
                 break
         if heavy is None or 2 * len(heavy[2]) == m:
             break
-        path.append(heavy)
-    up = None
-    for above, below in zip(path, path[1:]):
-        kids = [u for u in above[1] if u is not below]
-        if up is not None:
-            kids.append(up)
-        up = _vertex(above[4], above[5], kids)
-    c = path[-1]
-    root = c if up is None else _vertex(c[4], c[5], c[1] + [up])
+        # the walk moves into the child holding more than half; the vertex
+        # it leaves, hung below that child, holds less, so it never turns back
+        up = _vertex(marks, head, [u for u in kids if u is not heavy])
+        marks, head, kids = heavy[4], heavy[5], heavy[1] + [up]
     if heavy is not None:
-        # the twin's key with the centroid hung below it; a vertex without
-        # marks has at least two children, in either rooting
-        rest = [u for u in root[1] if u is not heavy]
-        hung = root[5] if root[4] else root[5] + rest[0][0]
+        # a twin centroid: the one of lesser key is the root.  A vertex
+        # without marks has at least two children, in either rooting
+        rest = [u for u in kids if u is not heavy]
+        hung = head if marks else head + min(u[0] for u in rest)
         key = heavy[5] if heavy[4] else heavy[5] + min(heavy[1][0][0], hung)
-        if key < root[0]:
-            root = _vertex(heavy[4], heavy[5], heavy[1] + [_vertex(root[4], root[5], rest)])
-    parents = [j - b for j, b in enumerate(root[3])]
-    parents[0] = -1
+        if key < (head if marks else head + min(u[0] for u in kids)):
+            kids = heavy[1] + [_vertex(marks, head, rest)]
+            marks, head = heavy[4], heavy[5]
+    root = _vertex(marks, head, kids)
+    back = root[3]
+    back[0] = 1  # the root's own list: its parent reads -1
     legs = [0] * n
-    for j, marks in enumerate(root[2]):
-        for mark in marks:
+    for j, at in enumerate(root[2]):
+        for mark in at:
             legs[mark - 1] = j
-    return MarkedTree(n, parents, legs)
+    return _marked_tree(n, tuple(map(sub, range(m), back)), tuple(legs))
 
 
 def split_set(tree):
@@ -564,7 +591,7 @@ def tree_from_splits(n, splits):
         if not 2 <= s.bit_count() <= n - 2:
             raise ValueError("split %r has a side with fewer than 2 marks" % list(marks_of(s)))
         tops = _hang(tops, s, labels)
-    return _finish(n, _top(n, tops, labels))
+    return _finish(n, tops, labels)
 
 
 class _Labels(dict):
@@ -597,14 +624,6 @@ def _hang(tops, side, labels):
             outside.append(t)
     outside.append((side, _vertex(*labels[side & ~below], inside)))
     return outside
-
-
-def _top(n, tops, labels):
-    """The record of the vertex of mark 1, over the tops of a split set."""
-    covered = 0
-    for side, _rec in tops:
-        covered |= side
-    return _vertex(*labels[((1 << n + 1) - 2) & ~covered], [rec for _side, rec in tops])
 
 
 _STRATA = {}  # (n, k) -> (tuple of every stratum, its count), kept once per process
@@ -653,7 +672,7 @@ def _enumerate(n, k, budget):
 
     def grow(cand, tops, need):
         if not need:
-            out.append(_finish(n, _top(n, tops, labels)))
+            out.append(_finish(n, tops, labels))
             budget.tick()
             return
         while cand.bit_count() >= need:
@@ -671,13 +690,19 @@ def _enumerate(n, k, budget):
             grow(cand & mask, _hang(tops, masks[i], labels), need - 1)
 
     grow((1 << len(masks)) - 1, [], codim)
-    seen = set()
-    for t in out:
-        if t in seen:
-            raise AssertionError("duplicate canonical form in enumeration")
-        seen.add(t)
-    out.sort(key=tree_sort_key)
+    if len(set(out)) != len(out):
+        raise AssertionError("duplicate canonical form in enumeration")
+    out.sort(key=_stratum_key)
     return tuple(out)
+
+
+def _stratum_key(tree):
+    """The order of (tree.parents, tree.legs), and so of tree_sort_key,
+    among the strata of one (n, k), as bytes that sort by memcmp.  They
+    all have the m = n - 2 - k vertices, the root first, and every entry
+    after the root's -1 is a vertex below m, one byte each: an enumeration
+    with m > 256 puts 256 splits in every stratum and never finishes."""
+    return bytes(tree.parents[1:] + tree.legs)
 
 
 def induced_partition(tree):

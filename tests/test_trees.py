@@ -19,6 +19,7 @@ import pytest
 from stratadyn import trees
 from oracles import (
     all_splits_reference,
+    assemble_from_splits,
     canonical_form_reference,
     enumerate_strata_reference,
     flag_marksets_by_definition,
@@ -166,6 +167,105 @@ def test_canonical_form_rejects_unstable():
     for bad, message in malformed:
         with pytest.raises(ValueError, match=message):
             trees.canonical_form(bad)
+
+
+def test_constructor_refuses_what_is_not_an_integer():
+    # int() would truncate 0.9 and 1.7 to the tree (-1, 0), (0, 0, 1, 1),
+    # read n = 4.9 as 4 and parse "-1"
+    for n, parents, legs in [
+        (4, (-1, 0.9), (0, 0, 1.7, 1)),
+        (4.9, (-1, 0), (0, 0, 1, 1)),
+        (4, ("-1", "0"), (0, 0, 1, 1)),
+        (4, (-1, 0), ("0", 0, 1, 1)),
+        ("4", (-1, 0), (0, 0, 1, 1)),
+    ]:
+        with pytest.raises(TypeError):
+            trees.MarkedTree(n, parents, legs)
+    # integers of another type are taken as the ints they are
+    odd = trees.MarkedTree(True + 3, [-1, False], iter((0, 0, True, True)))
+    t = trees.MarkedTree(4, (-1, 0), (0, 0, 1, 1))
+    assert odd == t and hash(odd) == hash(t) and repr(odd) == repr(t)
+    assert odd.to_json_dict() == t.to_json_dict()
+    assert all(type(x) is int for x in (odd.n,) + odd.parents + odd.legs)
+
+
+def test_finished_trees_are_the_public_constructors():
+    # the finishing step makes its trees without coercing or validating
+    cases = [(n, k) for n in range(3, 8) for k in range(n - 2)] + [(8, 0)]
+    for n, k in cases:
+        strata = trees.enumerate_strata(n, k)
+        built = [trees.tree_from_splits(n, trees.split_set(t)) for t in strata[::50]]
+        for t in strata + built:
+            u = trees.MarkedTree(t.n, t.parents, t.legs)
+            assert t == u and hash(t) == hash(u) and repr(t) == repr(u), t
+            assert type(t.n) is int and type(t.parents) is tuple and type(t.legs) is tuple
+            assert all(type(x) is int for x in t.parents + t.legs), t
+        assert strata == [trees.MarkedTree(t.n, t.parents, t.legs) for t in strata]
+
+
+def _twin_outcome(t):
+    """For a canonical tree with two centroids, (whether the root is on
+    the far side of the middle edge from mark 1's vertex, whether mark 1's
+    vertex is a centroid, whether either centroid carries marks); None for
+    one centroid."""
+    m = len(t.parents)
+    size = [1] * m
+    for v in range(m - 1, 0, -1):  # preorder: each parent before its children
+        size[t.parents[v]] += size[v]
+    twin = next((v for v in range(1, m) if t.parents[v] == 0 and 2 * size[v] == m), None)
+    if twin is None:
+        return None
+    one = t.legs[0]
+    marked = any(v in (0, twin) for v in t.legs)
+    return twin <= one < twin + size[twin], one in (0, twin), marked
+
+
+# (n, the sides of the splits as mark sets, the root's marks, the outcome)
+TWIN_CASES = [
+    # a caterpillar whose middle vertices carry 3 and 4, mark 1 beyond them
+    (6, [{1, 2}, {5, 6}, {4, 5, 6}], (3,), (False, False, True)),
+    (6, [{1, 2}, {5, 6}, {3, 5, 6}], (3,), (True, False, True)),
+    # mark 1 on a twin
+    (6, [{2, 3}, {5, 6}, {4, 5, 6}], (1,), (False, True, True)),
+    # "(10;" sorts before "(1;": the twin carrying mark 10 is the root
+    (10, [{2, 3}, {4, 5}, {6, 7}, {8, 9}, {6, 7, 8, 9, 10}], (10,), (True, True, True)),
+    (10, [{1, 2, 4}, {1, 2, 4, 10}, {5, 6, 7, 8, 9}], (10,), (False, False, True)),
+    (10, [{1, 2, 4}, {1, 2, 3, 4}, {5, 6, 7, 8, 9}], (10,), (True, False, True)),
+    # twins without marks: each is keyed by its least child
+    (8, [{1, 2}, {3, 4}, {5, 6}, {7, 8}, {5, 6, 7, 8}], (), (False, False, False)),
+    (12, [{1, 2}, {5, 6}, {1, 2, 5, 6}, {7, 8}, {3, 4}, {9, 10}, {11, 12},
+          {9, 10, 11, 12}, {3, 4, 9, 10, 11, 12}], (), (True, False, False)),
+]
+
+
+@pytest.mark.parametrize("n, sides, root_marks, outcome", TWIN_CASES)
+def test_twin_centroid_is_settled_by_the_reference_subcode(n, sides, root_marks, outcome):
+    splits = [normalize_split(n, s) for s in sides]
+    t = trees.tree_from_splits(n, splits)
+    want = canonical_form_reference(
+        assemble_from_splits(n, [frozenset(trees.marks_of(s)) for s in splits]))
+    assert t == want
+    assert tuple(m for m, v in enumerate(t.legs, start=1) if v == 0) == root_marks
+    assert _twin_outcome(t) == outcome
+
+
+def test_twin_centroid_outcomes_all_occur_in_the_enumeration():
+    # every stratum with two centroids up to eight marks, rebuilt from its
+    # splits, is its reference canonical form; each outcome occurs but the
+    # twin of mark 1 winning, whose key must sort before "(1": below ten
+    # marks it starts "(2" or later, or "(;"
+    seen = set()
+    for n in range(4, 9):
+        for k in range(n - 2):
+            for t in trees.enumerate_strata(n, k):
+                outcome = _twin_outcome(t)
+                if outcome is not None:
+                    seen.add(outcome)
+                    assert trees.tree_from_splits(n, trees.split_set(t)) == t
+                    assert canonical_form_reference(t) == t, t
+    assert {(swapped, at_one) for swapped, at_one, _marked in seen} == {
+        (False, False), (False, True), (True, False)}
+    assert {marked for _s, _a, marked in seen} == {False, True}
 
 
 def test_split_set_is_the_key_of_the_stratum():
