@@ -81,9 +81,11 @@ def km_relations(n, k):
     walk of it (trees._validate).
 
     Deduplicated (sign-normalised) and sorted by index tuple read from the
-    latest stratum down: a row's pivot is its latest stratum, so a new
-    pivot seldom lies inside a row already stored, and adding the rows
-    seldom back-substitutes.
+    latest stratum down: a row's pivot is its latest stratum.  Adding the
+    rows in this order still back-substitutes often: at (7,2) the 532 rows
+    give 363 pivots and back-substitute into stored rows 1,411 times.  The
+    reversed order takes 11,275 back-substitutions and a shuffled one
+    19,180, and the RowSpace build 2.9 and 14 times as long.
     """
     if not (0 <= k <= n - 3):
         raise ValueError("k must be between 0 and n-3")

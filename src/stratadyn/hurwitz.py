@@ -52,8 +52,10 @@ which differ only in forget_to and identify, share them.  Each distinct
 datum is validated once per process, when its key is made (`_VALUES`), and
 a datum that is not fully marked raises every time.  Counts, the
 degeneration check and the pushforward all read the one kept tuple of
-pairs.  A test that counts work done inside the enumeration, or calls of
-`validate`, must clear `_CLASSES` and `_VALUES` itself.
+pairs.  The cover types over a target are kept the same way, beside
+its classes, in `_TYPES`.  A test that counts work done inside the
+enumeration, or calls of `validate`, must clear `_CLASSES`, `_TYPES` and
+`_VALUES` itself.
 
 The classes are enumerated once per orbit of targets under the datum's
 mark symmetries.  Each target mark is coloured by its branching and the
@@ -685,6 +687,9 @@ def _least_matchings(matchings, edge_list, stabilisers, limit):
 # (cover value, tau) -> ((nodes, count) per distinct node tuple, ticks), kept
 # once per process
 _CLASSES = {}
+# (cover value, tau) -> (the sorted CoverType tuple over tau, ticks), kept
+# beside the classes; cleared wherever _CLASSES is
+_TYPES = {}
 # datum value of a fully marked datum -> its cover value
 _VALUES = {}
 
@@ -739,8 +744,12 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
     miss ticked, so the cap behaves as if nothing were cached.  See
     _enumerate_cover_classes.
     """
-    limit = _tuple_budget(limit_tuples)
-    cover = _cover_value(h)
+    return _classes(h, _cover_value(h), tau, _tuple_budget(limit_tuples))
+
+
+def _classes(h, cover, tau, limit):
+    """The kept pairs of enumerate_cover_classes over tau, enumerated or
+    replayed under the caller's budget `limit`."""
     return limit.replay(_CLASSES, (cover, tau), _orbit_classes, h, cover, tau)
 
 
@@ -1069,9 +1078,22 @@ def enumerate_cover_types(h, tau, limit_tuples=None):
     """Group the labeled-cover classes over tau by isomorphism type: classes
     with the same node data have the same source tree, the canonical tree cut
     by the node splits.  Two nodes of one curve never share a split.  A
-    type's node data are ordered by the marks of each split."""
+    type's node data are ordered by the marks of each split.
+
+    The types are kept per (cover value, tau) in `_TYPES`, beside the
+    classes and through the same Budget.replay, so data that share their
+    covers build each source tree once, and a hit ticks what the miss
+    ticked.  Every call returns a fresh list over the kept tuple."""
+    limit = _tuple_budget(limit_tuples)
+    cover = _cover_value(h)
+    return list(limit.replay(_TYPES, (cover, tau), _cover_types, h, cover, tau))
+
+
+def _cover_types(h, cover, tau, limit):
+    """The sorted CoverType tuple of enumerate_cover_types, from the kept
+    classes over tau (_classes) under `limit`."""
     counts = Counter()
-    for nodes, count in enumerate_cover_classes(h, tau, limit_tuples):
+    for nodes, count in _classes(h, cover, tau, limit):
         counts[tuple((side, r) for side, r, _e in nodes)] += count
     n = len(h.a_marks)
     types = []
@@ -1085,7 +1107,7 @@ def enumerate_cover_types(h, tau, limit_tuples=None):
         mult = prod(r for _side, r in node_data)
         types.append(CoverType(source, node_data, mult, count))
     types.sort(key=lambda t: (trees.tree_sort_key(t.source_tree), t.node_data))
-    return types
+    return tuple(types)
 
 
 def degeneration_degree_check(h, tau, limit_tuples=None):

@@ -23,13 +23,31 @@ denominator into Fractions, for residual, rref and the homology read path.
 It shares one immutable Fraction per (numerator, denominator) pair for the
 life of the process (`_fraction`, an unbounded `functools.lru_cache`), so a
 value met again costs a lookup instead of a constructor.
+
+The spectral step works on whole integers and word primes.
+`char_poly_integer` scales the matrix by the lcm D of its denominators,
+takes the Hessenberg form and characteristic polynomial of the integer
+matrix modulo primes below 2^62 (`_char_poly_mod`), and joins the residues
+by Chinese remaindering.  Each coefficient is a signed sum of principal
+minors of one size, and Hadamard's inequality bounds each minor by the
+product of its rows' 2-norms, so every coefficient is at most
+prod(2 + isqrt(|row_i|^2)) in absolute value; primes are taken until their
+product exceeds twice that bound, and the symmetric residues are then the
+coefficients c_i themselves.  The result is the primitive form of
+c_i D^i.  A prime cannot be unlucky: the Hessenberg reduction is a
+similarity over the field of p elements whatever pivots it meets.  The
+primes, the largest first, are found by a deterministic Miller-Rabin test
+the first time a bound needs them and kept (`_PRIMES`); nothing is found at
+import.  The Fraction `char_poly` computes the same polynomial and stays as
+its oracle.  `largest_real_root` isolates the largest real root of the
+result by bisection on a Sturm chain.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 ZERO = Fraction(0)
@@ -235,6 +253,8 @@ def char_poly(a):
     time (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9).
     Both steps take O(n^3) Fraction operations.  Returns coefficients
     [c_0, ..., c_n] with p(x) = sum c_i x^i and c_n = 1, all Fractions.
+    The spectral step reads char_poly_integer, the same steps modulo word
+    primes; this is its oracle.
     """
     n = len(a)
     h = [[Fraction(x) for x in row] for row in a]
@@ -289,9 +309,134 @@ def _primitive_ints(cs):
     return [c // g for c in ints] if g > 1 else ints
 
 
+# the word primes of the modular route, largest first below 2^62, found on
+# first use and kept for the life of the process
+_PRIMES = []
+
+
+def _is_prime(m):
+    """Whether the odd m > 37 is prime: Miller-Rabin on the first twelve
+    prime bases, which is exact for m < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if any(m % q == 0 for q in bases):
+        return False
+    d, s = m - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for q in bases:
+        x = pow(q, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(i):
+    """The i-th largest prime below 2^62, counting from 0."""
+    while len(_PRIMES) <= i:
+        m = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
+        while not _is_prime(m):
+            m -= 2
+        _PRIMES.append(m)
+    return _PRIMES[i]
+
+
+def _char_poly_mod(b, p):
+    """det(xI - b) mod the prime p for an integer matrix b, as residues in
+    [0, p), lowest first.
+
+    The steps of char_poly over the field of p elements.  The row
+    operations that clear column j below the subdiagonal all subtract
+    multiples u_i of row j + 1, and their inverse column operations
+    commute, so these are made at once: column j + 1 gains sum u_i column
+    i.  A row operation leaves its entries unreduced, so each stays below
+    (n + 1) p^2 in absolute value; column j is reduced before its pivot is
+    sought, row j + 1 before it is subtracted, and the whole form before
+    the expansion.
+    """
+    n = len(b)
+    h = [[x % p for x in row] for row in b]
+    for j in range(n - 2):
+        for i in range(j + 1, n):
+            h[i][j] %= p
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = pow(h[j + 1][j], -1, p)
+        top = h[j + 1][j + 1:] = [x % p for x in h[j + 1][j + 1:]]
+        us = [0] * (n - j - 2)
+        for i in range(j + 2, n):
+            hi = h[i]
+            if hi[j]:
+                u = us[i - j - 2] = hi[j] * inv % p
+                hi[j] = 0
+                hi[j + 1:] = [x - u * y for x, y in zip(hi[j + 1:], top)]
+        if any(us):
+            for row in h:
+                row[j + 1] = (row[j + 1] + sum(map(mul, us, row[j + 2:]))) % p
+    h = [[x % p for x in row] for row in h]
+    # q[m] = det(xI - H[:m, :m]) mod p, lowest coefficient first
+    q = [[1]]
+    for m in range(1, n + 1):
+        prev = q[m - 1]
+        diag = h[m - 1][m - 1]
+        cur = [0] + prev
+        cur[:m] = [x - diag * c for x, c in zip(cur, prev)]
+        down = 1
+        for i in range(m - 1, 0, -1):
+            down = down * h[i][i - 1] % p
+            if not down:
+                break
+            t = h[i - 1][m - 1] * down % p
+            if t:
+                below = q[i - 1]
+                cur[:i] = [x - t * c for x, c in zip(cur, below)]
+        q.append([x % p for x in cur])
+    return q[n]
+
+
 def char_poly_integer(a):
-    """char_poly with denominators cleared to primitive integer coefficients."""
-    return _primitive_ints(char_poly(a))
+    """The characteristic polynomial of a rational matrix as primitive
+    integer coefficients, constant term first: char_poly's, with its
+    denominators cleared, by the modular route of the module docstring."""
+    n = len(a)
+    den = lcm(*(x.denominator for row in a for x in row))
+    b = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    # each coefficient of det(xI - b) sums the principal minors of one
+    # size, each at most the product of its rows' 2-norms (Hadamard), so
+    # all together at most the product of (1 + norm) over the rows
+    bound = prod(2 + isqrt(sum(x * x for x in row)) for row in b)
+    coeffs = [0] * (n + 1)
+    modulus = 1
+    i = 0
+    while modulus <= 2 * bound:
+        p = _prime(i)
+        i += 1
+        # Chinese remainders: keep every coefficient's residue mod modulus
+        # and bring in its residue mod p
+        scale = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((r - c) * scale % p)
+                  for c, r in zip(coeffs, _char_poly_mod(b, p))]
+        modulus *= p
+    half = modulus >> 1
+    # the characteristic polynomial of a = b / den is det(den x I - b) / den^n
+    power = 1
+    out = []
+    for c in coeffs:
+        out.append((c - modulus if c > half else c) * power)
+        power *= den
+    g = gcd(*out)
+    return [c // g for c in out] if g > 1 else out
 
 
 def _sturm_chain(p):
@@ -320,6 +465,46 @@ def _sturm_chain(p):
         if not r:
             return chain
         chain.append(_primitive_ints([-c for c in r]))
+
+
+def _squarefree_part(p, g):
+    """p / g for an integer polynomial p and g = gcd(p, p') up to a
+    scalar.  g is made primitive first, so the quotient has integer
+    coefficients (Gauss's lemma) and long division takes exact integer
+    steps."""
+    g = _primitive_ints(g)
+    r = list(p)
+    q = [0] * (len(p) - len(g) + 1)
+    lead = g[-1]
+    for off in range(len(q) - 1, -1, -1):
+        c = q[off] = r[off + len(g) - 1] // lead
+        if c:
+            for i, x in enumerate(g):
+                r[off + i] -= c * x
+    return q
+
+
+def _fujiwara_exponent(p):
+    """The least f with 2^(f - 1) at least every term of Fujiwara's bound
+    2 max(|c_(d-i) / c_d|^(1/i) for i < d, |c_0 / (2 c_d)|^(1/d)) on the
+    moduli of the roots of the integer polynomial p of degree d, so that
+    every root has |x| <= 2^f; None when every root is 0."""
+    d = len(p) - 1
+    lead = abs(p[-1])
+    least = []
+    for i in range(1, d + 1):
+        c = abs(p[d - i])
+        if not c:
+            continue
+        # the least k with c <= lead * 2^k, then the least g with g i >= k
+        # (g d + 1 >= k for the constant term)
+        k = c.bit_length() - lead.bit_length() - 1
+        while not (c <= lead << k if k >= 0 else c << -k <= lead):
+            k += 1
+        if i == d:
+            k -= 1
+        least.append(-(-k // i))
+    return max(least) + 1 if least else None
 
 
 def _value(q, m, e):
@@ -362,6 +547,16 @@ def largest_real_root(coeffs):
     exactly; otherwise bisection runs until the bracket is narrower than
     ROOT_TOL.  Repeated roots need no special case: the chain counts
     distinct roots.
+
+    Two shortcuts leave every bracket, so the returned float, as the chain
+    alone gives them.  A midpoint above 2^f, Fujiwara's bound
+    (_fujiwara_exponent), is no root and has no root above it, so it is
+    taken as the new hi with nothing evaluated.  Once the bracket holds a
+    single root, the count above a midpoint is read from the sign of the
+    squarefree part p / gcd(p, p') alone, built then from the chain's last
+    member, which is that gcd up to a scalar: every root of the part is
+    simple and none lies above the bracket's, so the part has the sign of
+    its leading coefficient above the root and the other sign below it.
     """
     p = list(coeffs)
     while p and p[-1] == 0:
@@ -376,17 +571,29 @@ def largest_real_root(coeffs):
         return None
     # every root has |x| < 1 + max |c_i / c_d|
     bound = 1 - (-max(abs(c) for c in p[:-1]) // abs(p[-1]))
+    f = _fujiwara_exponent(p)
     # the bracket is (a / 2^e, b / 2^e]; `above` roots exceed a / 2^e
     a, b, e = -bound, bound, 0
+    part = None
 
     def halve(a, b, e, above):
+        nonlocal part
+        # 2^f scaled to the midpoint's denominator 2^(e + 1), rounded down
+        if a + b > (0 if f is None or f + e + 1 < 0 else 1 << f + e + 1):
+            return a << 1, a + b, e + 1, above
+        if above == 1 and part is None:
+            part = _squarefree_part(p, chain[-1])
+        zeros = p if part is None else part
         # the split point hi - (hi - lo) / 2^s is the midpoint for s = 1; the
         # count is only sound off the roots, and p has at most deg p of them
         s = 1
-        while not _value(p, (b << s) - (b - a), e + s):
+        while not _value(zeros, (b << s) - (b - a), e + s):
             s += 1
         mid, e = (b << s) - (b - a), e + s
-        n = _sign_changes([_value(q, mid, e) for q in chain]) - at_inf
+        if part is None:
+            n = _sign_changes([_value(q, mid, e) for q in chain]) - at_inf
+        else:
+            n = int((_value(part, mid, e) < 0) != (part[-1] < 0))
         return (mid, b << s, e, n) if n else (a << s, mid, e, above)
 
     while above > 1 or b - a > 1 << e:

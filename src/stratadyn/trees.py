@@ -421,10 +421,16 @@ def _finish(n, tops, labels):
         marks, head, kids = heavy[4], heavy[5], heavy[1] + [up]
     if heavy is not None:
         # a twin centroid: the one of lesser key is the root.  A vertex
-        # without marks has at least two children, in either rooting
+        # without marks has at least two children, in either rooting.  A key
+        # is "(;" * depth + "(" + marks + ";", and a mark sorts before ";",
+        # so a deeper key is the greater.  Hung below its twin, this vertex
+        # keys no less than it does as the root (its children less the
+        # twin); where that key would be the twin's least child, the twin's
+        # key, one level deeper than it or than a greater child, exceeds
+        # this vertex's with or without it, and the twin loses.  So the
+        # twin's key over its own children decides
         rest = [u for u in kids if u is not heavy]
-        hung = head if marks else head + min(u[0] for u in rest)
-        key = heavy[5] if heavy[4] else heavy[5] + min(heavy[1][0][0], hung)
+        key = heavy[5] if heavy[4] else heavy[5] + heavy[1][0][0]
         if key < (head if marks else head + min(u[0] for u in kids)):
             kids = heavy[1] + [_vertex(marks, head, rest)]
             marks, head = heavy[4], heavy[5]

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from stratadyn import hurwitz, pushforward, trees
+from oracles import char_poly_faddeev
+from stratadyn import hurwitz, linalg, pushforward, trees
 
 
 @pytest.fixture(autouse=True)
@@ -20,11 +21,11 @@ def fresh_pushforwards(monkeypatch):
 
 @pytest.fixture
 def fresh_covers(monkeypatch):
-    """Empty per-process cover memos for one test: the kept classes and the
-    validated data.  Counts of enumeration work and of `validate` calls then
-    read this test's calls only, and the memos of the rest of the run are
-    back in place after it."""
-    for name in ("_CLASSES", "_VALUES"):
+    """Empty per-process cover memos for one test: the kept classes, the
+    kept cover types and the validated data.  Counts of enumeration work and
+    of `validate` calls then read this test's calls only, and the memos of
+    the rest of the run are back in place after it."""
+    for name in ("_CLASSES", "_TYPES", "_VALUES"):
         monkeypatch.setattr(hurwitz, name, {})
 
 
@@ -73,3 +74,19 @@ def within():
             signal.signal(signal.SIGALRM, old)
 
     return limit
+
+
+@pytest.fixture(autouse=True)
+def char_polys_checked(monkeypatch):
+    """Check every characteristic polynomial a test asks of the modular
+    route (linalg.char_poly_integer) against both Fraction routes: the
+    Hessenberg char_poly and Faddeev-LeVerrier."""
+    real = linalg.char_poly_integer
+
+    def checked(a):
+        got = real(a)
+        assert got == linalg._primitive_ints(linalg.char_poly(a)), a
+        assert got == linalg._primitive_ints(char_poly_faddeev(a)), a
+        return got
+
+    monkeypatch.setattr(linalg, "char_poly_integer", checked)

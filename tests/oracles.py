@@ -24,7 +24,10 @@ validating pass (`trees._validate`).  They keep splits as mark sets
 (`all_splits_reference`, `splits_by_definition`) where the library keeps
 bitmasks, and hand a split to the library through `normalize_split`.
 Sturm chains come from Fraction remainders (`sturm_chain_reference`)
-instead of integer pseudo-remainders.
+instead of integer pseudo-remainders, and the largest real root bisects
+from the Cauchy bound counting on the whole chain at every point
+(`largest_real_root_reference`) instead of skipping the points above
+Fujiwara's bound and counting on the squarefree part once one root is left.
 A tree's split set is validated by the walk over its parent pointers that
 trees._validate made before it kept them per tuple, then read from the
 away_marks definition (`split_set_reference`), instead of from one memoised
@@ -960,22 +963,23 @@ def portrait_datum(p, m):
 
 
 def char_poly_faddeev(a):
-    """Characteristic polynomial by Faddeev-LeVerrier: n matrix products
-    M_k = A (M_{k-1} + c_{k-1} I) with c_k = -tr(M_k) / k, skipping the
-    zero entries of A.  Coefficients [c_0, ..., c_n], lowest first, c_n = 1,
-    all Fractions."""
+    """Characteristic polynomial by Faddeev-LeVerrier, in integers: n matrix
+    products M_k = B (M_{k-1} + c_{k-1} I) with c_k = -tr(M_k) / k, over
+    B = D A for D the lcm of A's denominators, skipping the zero entries of
+    B.  Every c_k of the integer matrix B is an integer, and A's is
+    c_k / D^k.  Coefficients [c_0, ..., c_n], lowest first, c_n = 1, all
+    Fractions."""
     n = len(a)
+    den = lcm(*(Fraction(x).denominator for row in a for x in row))
+    nonzero = [[(t, int(Fraction(x) * den)) for t, x in enumerate(row) if x] for row in a]
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    nonzero = [[(t, Fraction(x)) for t, x in enumerate(row) if x] for row in a]
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        m = [
-            [sum((x * m[t][j] for t, x in nonzero[i]), start=Fraction(0)) for j in range(n)]
-            for i in range(n)
-        ]
-        c = -sum((m[i][i] for i in range(n)), start=Fraction(0)) / k
-        coeffs[n - k] = c
+        m = [[sum(x * m[t][j] for t, x in nonzero[i]) for j in range(n)] for i in range(n)]
+        c, rem = divmod(-sum(m[i][i] for i in range(n)), k)
+        assert rem == 0, "a trace of B's powers not divisible by k"
+        coeffs[n - k] = Fraction(c, den ** k)
         for i in range(n):
             m[i][i] += c
     return coeffs
@@ -1015,6 +1019,53 @@ def sturm_chain_reference(p):
         g = gcd(*ints)
         chain.append([c // g for c in ints])
 
+
+
+def largest_real_root_reference(coeffs):
+    """The largest real root of an integer polynomial, or None, by the
+    bisection linalg.largest_real_root shortcuts: from the Cauchy bound,
+    every point counted on the whole Sturm chain (sturm_chain_reference),
+    an integer root returned exactly once the bracket holds one root and is
+    at most 1 wide, and otherwise the midpoint of the first bracket
+    narrower than ROOT_TOL.  Brackets are (a / 2^e, b / 2^e] in integers."""
+
+    def value(q, m, e):
+        # 2^(e deg q) q(m / 2^e)
+        return sum(c * m ** i << e * (len(q) - 1 - i) for i, c in enumerate(q))
+
+    def changes(values):
+        signs = [v > 0 for v in values if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    p = list(coeffs)
+    while p and p[-1] == 0:
+        p.pop()
+    if len(p) < 2:
+        return None
+    chain = sturm_chain_reference(p)
+    at_inf = changes([q[-1] for q in chain])
+    above = changes([q[-1] if len(q) % 2 else -q[-1] for q in chain]) - at_inf
+    if not above:
+        return None
+    bound = 1 - (-max(abs(c) for c in p[:-1]) // abs(p[-1]))
+    a, b, e = -bound, bound, 0
+
+    def halve(a, b, e, above):
+        s = 1
+        while not value(p, (b << s) - (b - a), e + s):
+            s += 1
+        mid, e = (b << s) - (b - a), e + s
+        n = changes([value(q, mid, e) for q in chain]) - at_inf
+        return (mid, b << s, e, n) if n else (a << s, mid, e, above)
+
+    while above > 1 or b - a > 1 << e:
+        a, b, e, above = halve(a, b, e, above)
+    m = b >> e
+    if m << e > a and not value(p, m, 0):
+        return float(m)
+    while (b - a) / (1 << e) >= linalg.ROOT_TOL:
+        a, b, e, above = halve(a, b, e, above)
+    return (a + b) / (1 << (e + 1))
 
 def brute_minimality_window(eps):
     """Direct check of the reduction-minimality criterion: no proper subset

@@ -1095,16 +1095,62 @@ def test_class_nodes_do_not_depend_on_the_vertex_numbering(fresh_covers):
     assert len(hurwitz._CLASSES) == 2
 
 
-def test_cover_types_refuse_a_repeated_node_split(monkeypatch):
-    # two nodes of one source curve never cut the same split
-    real = hurwitz.enumerate_cover_classes
+def test_cover_types_refuse_a_repeated_node_split(monkeypatch, fresh_covers):
+    # two nodes of one source curve never cut the same split; the types are
+    # built from the classes _classes reads, on a miss of _TYPES
+    real = hurwitz._classes
 
     def doubled(*args):
         return [(nodes[:1] + nodes, count) for nodes, count in real(*args)]
 
-    monkeypatch.setattr(hurwitz, "enumerate_cover_classes", doubled)
+    monkeypatch.setattr(hurwitz, "_classes", doubled)
+    tau = trees.enumerate_strata(5, 0)[0]
     with pytest.raises(AssertionError, match="the source tree has 2 edges for 3 nodes"):
-        enumerate_cover_types(d1_datum(5), trees.enumerate_strata(5, 0)[0])
+        enumerate_cover_types(d1_datum(5), tau)
+    # the types that raised are not kept; the classes they read are
+    assert hurwitz._TYPES == {} and (hurwitz._cover_value(d1_datum(5)), tau) in hurwitz._CLASSES
+
+
+def _type_fields(types):
+    return [(t.source_tree, t.node_data, t.multiplicity, t.count) for t in types]
+
+
+def test_kept_cover_types_tick_what_their_miss_ticked(fresh_covers, monkeypatch):
+    # the types over a target are kept beside its classes: a hit ticks what
+    # the miss ticked, so a cap one below that count raises and a cap at it
+    # passes, on a miss and on a hit alike, and nothing is kept on a raise
+    full, _ = fully_mark(d3_self5_datum())
+    cover = hurwitz._cover_value(full)
+    tau = trees.enumerate_strata(5, 1)[3]
+    types = enumerate_cover_types(full, tau)
+    used = hurwitz._TYPES[cover, tau][1]
+    assert used == hurwitz._CLASSES[cover, tau][1] > 1
+    assert type(types) is list and type(hurwitz._TYPES[cover, tau][0]) is tuple
+    # a hit: a fresh list over the kept tuple, as the cap allows
+    again = enumerate_cover_types(full, tau, used)
+    assert again == types and again is not types
+    again.clear()
+    assert enumerate_cover_types(full, tau) == types
+    with pytest.raises(ResourceError):
+        enumerate_cover_types(full, tau, used - 1)
+    # a miss of the types over kept classes, then a miss of both
+    for memos in ((hurwitz._TYPES,), (hurwitz._TYPES, hurwitz._CLASSES)):
+        for memo in memos:
+            memo.clear()
+        with pytest.raises(ResourceError):
+            enumerate_cover_types(full, tau, used - 1)
+        assert hurwitz._TYPES == {}
+        assert _type_fields(enumerate_cover_types(full, tau, used)) == _type_fields(types)
+        assert hurwitz._TYPES[cover, tau][1] == used
+    # a self-map of the same covers, identified otherwise, builds no type
+    built = []
+    real = hurwitz.CoverType
+    monkeypatch.setattr(hurwitz, "CoverType", lambda *a: built.append(a) or real(*a))
+    twin = HurwitzData(full.a_marks, full.b_marks, full.d, full.f_map, full.br, full.rm,
+                       full.forget_to, dict(zip(full.b_marks, reversed(full.forget_to))))
+    report = degeneration_degree_check(twin, tau)
+    assert report["ok"] and built == []
+    assert report == degeneration_degree_check(full, tau)
 
 
 def test_degeneration_check_deep_stratum():

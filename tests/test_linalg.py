@@ -11,7 +11,12 @@ from pathlib import Path
 import pytest
 
 from stratadyn import hurwitz, linalg, pushforward
-from oracles import RowSpaceReference, char_poly_faddeev, sturm_chain_reference
+from oracles import (
+    RowSpaceReference,
+    char_poly_faddeev,
+    largest_real_root_reference,
+    sturm_chain_reference,
+)
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -66,6 +71,39 @@ def test_char_poly_identity_42():
     assert linalg.char_poly_integer(eye) == [(-1) ** (42 - i) * math.comb(42, i) for i in range(43)]
 
 
+def _both_fraction_routes(a):
+    """The characteristic polynomial of a by Hessenberg over Fractions and
+    by Faddeev-LeVerrier, each as primitive integers."""
+    return (linalg._primitive_ints(linalg.char_poly(a)),
+            linalg._primitive_ints(char_poly_faddeev(a)))
+
+
+def test_char_poly_integer_matches_both_fraction_routes():
+    assert linalg.char_poly_integer([]) == [1]
+    for _, a in _seeded_matrices():
+        got = linalg.char_poly_integer(a)
+        assert (got, got) == _both_fraction_routes(a), a
+        assert all(type(c) is int for c in got)
+
+
+def test_char_poly_integer_takes_primes_until_the_hadamard_bound(monkeypatch):
+    # entries near 2^40 give coefficients of more than 62 bits, so one word
+    # prime cannot hold them; the primes are the largest below 2^62, in order
+    rng = random.Random(62)
+    a = [[rng.randint(-2 ** 40, 2 ** 40) for _ in range(6)] for _ in range(6)]
+    real = linalg._char_poly_mod
+    primes = []
+    monkeypatch.setattr(linalg, "_char_poly_mod", lambda b, p: primes.append(p) or real(b, p))
+    got = linalg.char_poly_integer(a)
+    assert (got, got) == _both_fraction_routes(a)
+    assert max(abs(c) for c in got).bit_length() > 62
+    assert len(primes) >= 2 and primes == [linalg._prime(i) for i in range(len(primes))]
+    assert all(p < 2 ** 62 for p in primes) and primes == sorted(primes, reverse=True)
+    # a denominator scales coefficient i by D^i before the gcd comes out
+    third = [[Fraction(x, 3) for x in row] for row in a]
+    assert linalg.char_poly_integer(third) == _both_fraction_routes(third)[0]
+
+
 def _integer_poly(roots, quadratics=()):
     """Primitive integer coefficients, constant first, of the product of
     x - r over roots and x^2 + c over quadratics."""
@@ -103,6 +141,53 @@ def test_largest_real_root_against_known_roots():
     for quadratics in ([1], [1, 1, 1], [2, 5]):
         assert linalg.largest_real_root(_integer_poly([], quadratics)) is None
     assert linalg.largest_real_root([5]) is None
+
+
+def _root_battery():
+    """Integer polynomials of degrees 1 to 12: products of linear factors
+    with repeated and rational roots and of x^2 + c, some with no real
+    root, roots at the Fujiwara bound, and integer roots near 10^4."""
+    rng = random.Random(20261021)
+    polys = []
+    for _ in range(400):
+        roots, quadratics = [], []
+        degree = rng.randint(1, 12)
+        while len(roots) + 2 * len(quadratics) < degree:
+            r = rng.random()
+            if r < 0.15 and len(roots) + 2 * len(quadratics) + 2 <= degree:
+                quadratics.append(rng.randint(1, 30))
+            elif r < 0.35 and roots:
+                roots.append(rng.choice(roots))
+            else:
+                roots.append(Fraction(rng.randint(-60, 60), rng.choice((1, 1, 2, 3, 5, 7, 64))))
+        polys.append(_integer_poly(roots, quadratics))
+    for f in range(-3, 12):
+        polys.append(_integer_poly([Fraction(2) ** f]))
+        polys.append(_integer_poly([Fraction(2) ** f, -Fraction(2) ** f]))
+        polys.append(_integer_poly([Fraction(2) ** f] * 3 + [1]))
+    for top in range(9995, 10006):
+        polys.append(_integer_poly([top, top - 1, top - 1, Fraction(top, 3)], [7]))
+        polys.append(_integer_poly([top] * 2 + [top - 2]))
+    polys += [_integer_poly([], [c]) for c in (1, 2, 9)] + [_integer_poly([], [1, 4, 4, 6])]
+    polys += [[0, 0, 0, 1], [0, 0, 5], [-2, 0, 1], [5, -7, 0, 0, 3], (100010000, -20001, 1)]
+    return polys
+
+
+def test_largest_real_root_equals_the_whole_chain_bisection():
+    # the Fujiwara skip and the squarefree count leave every bracket as the
+    # whole chain gives it, so the very same float comes back
+    for p in _root_battery():
+        got = linalg.largest_real_root(p)
+        assert repr(got) == repr(largest_real_root_reference(p)), p
+
+
+def test_fujiwara_exponent_bounds_every_root():
+    # x - 2^f has its root on the bound 2^f; the roots of x^2 - 4^f lie
+    # at half the bound 2^(f + 1); 3x^2, whose roots are all 0, has none
+    for f in (-4, -1, 0, 1, 3, 10):
+        assert linalg._fujiwara_exponent(_integer_poly([Fraction(2) ** f])) == f
+        assert linalg._fujiwara_exponent(_integer_poly([Fraction(2) ** f, -Fraction(2) ** f])) == f + 1
+    assert linalg._fujiwara_exponent([0, 0, 3]) is None
 
 
 def test_sturm_chain_equals_the_fraction_remainder_chain():
