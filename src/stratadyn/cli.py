@@ -563,7 +563,7 @@ def _crit_determinism():
     first = snapshot()
     # the second snapshot computes the pushforward and its covers again
     # instead of reading the first one's from the memos
-    for memo in (pushforward._PUSHFORWARDS, hurwitz._CLASSES, hurwitz._TYPES, hurwitz._VALUES):
+    for memo in (pushforward._PUSHFORWARDS, hurwitz._CLASSES, hurwitz._TYPES):
         memo.clear()
     second = snapshot()
     assert first == second, "repeated computation rendered different bytes"

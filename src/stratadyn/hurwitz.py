@@ -48,14 +48,16 @@ b_marks, d, f_map, br, rm), through the same `trees.Budget.replay` that
 keeps strata and presentations: the classes are built on the first call
 only, and a later call ticks the tuple budget the first one used.  The
 covers depend on the Hurwitz space alone, so the self-maps of one datum,
-which differ only in forget_to and identify, share them.  Each distinct
-datum is validated once per process, when its key is made (`_VALUES`), and
-a datum that is not fully marked raises every time.  Counts, the
-degeneration check and the pushforward all read the one kept tuple of
-pairs.  The cover types over a target are kept the same way, beside
-its classes, in `_TYPES`.  A test that counts work done inside the
-enumeration, or calls of `validate`, must clear `_CLASSES`, `_TYPES` and
-`_VALUES` itself.
+which differ only in forget_to and identify, share them.  A datum is a
+read-only value that keeps its cover value, and fully_mark's result, on
+itself: `fully_mark` validates its input once and hands back one marked
+datum that carries its cover value from the start, and any other datum is
+validated once, on its first enumeration, so one that is not fully marked
+raises every time.  Counts, the degeneration check and the pushforward
+all read the one kept tuple of pairs.  The cover types over a target are
+kept the same way, beside its classes, in `_TYPES`.  A test that counts
+work done inside the enumeration must clear `_CLASSES` and `_TYPES`
+itself.
 
 The classes are enumerated once per orbit of targets under the datum's
 mark symmetries.  Each target mark is coloured by its branching and the
@@ -82,12 +84,14 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from operator import index
+from types import MappingProxyType
 
 from . import trees
 
 
 class HurwitzData:
-    """Immutable branched-cover datum.
+    """A branched-cover datum, read-only.
 
     a_marks, b_marks: tuples of distinct string labels.
     d: covering degree.
@@ -97,19 +101,29 @@ class HurwitzData:
     forget_to: optional tuple of retained source marks.
     identify: optional {b: a} bijection onto the retained marks, for
         composing the correspondence with itself.
+
+    The mappings are read-only views (types.MappingProxyType).  d, the br
+    parts and the rm values are read as ints by operator.index, so a float
+    or a string raises TypeError instead of being truncated.  Two slots are
+    filled on first need: `_cover`, the datum's cover value once it is
+    known to be fully marked (_cover_value), and `_marked`, fully_mark's
+    (datum, degree).
     """
 
-    __slots__ = ("a_marks", "b_marks", "d", "f_map", "br", "rm", "forget_to", "identify")
+    __slots__ = ("a_marks", "b_marks", "d", "f_map", "br", "rm", "forget_to", "identify",
+                 "_cover", "_marked")
 
     def __init__(self, a_marks, b_marks, d, f_map, br, rm, forget_to=None, identify=None):
         self.a_marks = tuple(str(a) for a in a_marks)
         self.b_marks = tuple(str(b) for b in b_marks)
-        self.d = int(d)
-        self.f_map = {str(a): str(b) for a, b in f_map.items()}
-        self.br = {str(b): tuple(sorted(int(x) for x in parts)) for b, parts in br.items()}
-        self.rm = {str(a): int(r) for a, r in rm.items()}
+        self.d = index(d)
+        self.f_map = MappingProxyType({str(a): str(b) for a, b in f_map.items()})
+        self.br = MappingProxyType({str(b): tuple(sorted(map(index, parts))) for b, parts in br.items()})
+        self.rm = MappingProxyType({str(a): index(r) for a, r in rm.items()})
         self.forget_to = None if forget_to is None else tuple(str(a) for a in forget_to)
-        self.identify = None if identify is None else {str(b): str(a) for b, a in identify.items()}
+        self.identify = None if identify is None else MappingProxyType(
+            {str(b): str(a) for b, a in identify.items()})
+        self._cover = self._marked = None
 
     def branching(self, b):
         return self.br.get(b, tuple([1] * self.d))
@@ -249,10 +263,16 @@ def fully_mark(h):
 
     Over each target mark the missing parts of br(b) get fresh marks named
     a(b,r), primed on repetition; the degree of the labeling cover is the
-    product over (b, r) of (number of added marks with that pair)!.  Only
-    the input is validated: the cover enumeration validates the datum it
-    is given (_cover_value) and refuses one that is not fully marked.
+    product over (b, r) of (number of added marks with that pair)!.
+
+    The first call validates h, builds the marked datum and keeps the pair
+    on h, and every later call returns that same pair.  The marked datum
+    carries its cover value from the start (_cover_value): it is fully
+    marked by construction, since h is valid and exactly the missing parts
+    of each br(b) are marked.  A call that raises keeps nothing.
     """
+    if h._marked is not None:
+        return h._marked
     res = validate(h)
     if not res.ok:
         raise ValueError("cannot fully mark an invalid datum: %s" % res.reason)
@@ -274,7 +294,10 @@ def fully_mark(h):
                 rm[name] = r
             deg *= factorial(count)
     forget = h.forget_to if h.forget_to is not None else tuple(h.a_marks)
-    return HurwitzData(new_a, h.b_marks, h.d, f_map, h.br, rm, forget, h.identify), deg
+    full = HurwitzData(new_a, h.b_marks, h.d, f_map, h.br, rm, forget, h.identify)
+    full._cover = _cover_fields(full)
+    h._marked = full, deg
+    return h._marked
 
 
 def _ramifications(h):
@@ -690,8 +713,6 @@ _CLASSES = {}
 # (cover value, tau) -> (the sorted CoverType tuple over tau, ticks), kept
 # beside the classes; cleared wherever _CLASSES is
 _TYPES = {}
-# datum value of a fully marked datum -> its cover value
-_VALUES = {}
 
 
 def _cover_value(h):
@@ -699,21 +720,22 @@ def _cover_value(h):
     rm) as one hashable value, shared by data that differ only in forget_to
     or identify.
 
-    The datum is validated on the first call with its value (all eight
-    fields), and only a fully marked one is kept; any other raises
-    ValueError on every call, whatever its siblings."""
-    value = (
-        h.a_marks, h.b_marks, h.d,
-        tuple(sorted(h.f_map.items())), tuple(sorted(h.br.items())), tuple(sorted(h.rm.items())),
-        h.forget_to, None if h.identify is None else tuple(sorted(h.identify.items())),
-    )
-    cover = _VALUES.get(value)
-    if cover is None:
+    The value is kept on the datum.  A datum fully_mark built carries it
+    from the start; any other is validated on its first call, and kept
+    only when fully marked, so one that is not raises ValueError on every
+    call, whatever its siblings."""
+    if h._cover is None:
         res = validate(h)
         if res.status != "fully_marked":
             raise ValueError("cover enumeration requires a fully marked datum (%s)" % res.status)
-        cover = _VALUES[value] = value[:6]
-    return cover
+        h._cover = _cover_fields(h)
+    return h._cover
+
+
+def _cover_fields(h):
+    """_cover_value's value, with the mappings as sorted item tuples."""
+    return (h.a_marks, h.b_marks, h.d, tuple(sorted(h.f_map.items())),
+            tuple(sorted(h.br.items())), tuple(sorted(h.rm.items())))
 
 
 def _tuple_budget(limit_tuples):
@@ -733,8 +755,8 @@ def enumerate_cover_classes(h, tau, limit_tuples=None):
 
     The result is kept per (cover value, tau): data that differ only in
     forget_to or identify share it.  Every call returns the kept tuple.
-    The datum is validated once per distinct value (_cover_value), and tau
-    on each miss, before any cover work; a malformed tree raises the
+    The datum is checked once per object (_cover_value), and tau on each
+    miss, before any cover work; a malformed tree raises the
     validating pass's ValueError and keeps nothing.  On a miss the classes
     are those over tau's orbit representative under the colour-keeping
     relabellings of the target marks (_orbit_classes), enumerated under the
@@ -960,7 +982,7 @@ def count_covers_orbit_stabilizer(h, limit_tuples=None):
     their mark labelings of each labeling's stabiliser in the tuple's
     centraliser, over d!.  Independent of the least-candidate search; the
     datum is checked as the enumeration checks it (_cover_value), once per
-    value.
+    object.
 
     No labeling is listed.  On the smooth target every flag is a leg, and a
     labeling is a length-keeping bijection from the marks over each leg

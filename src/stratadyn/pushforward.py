@@ -208,8 +208,10 @@ def _self_matrix(h, pm):
 class DegreeReport:
     """Spectral data of a pushforward matrix.
 
-    value: the dynamical degree as a float; exact: the integer value when the
-    degree is integral within INTEGER_TOL; char_poly: primitive integer
+    value: the dynamical degree as a float; exact: the integer m nearest
+    the degree, when the degree is within INTEGER_TOL of m and, for
+    "exact_roots", m is a root of char_poly (Horner's rule over its
+    integers), or None; char_poly: primitive integer
     characteristic coefficients, constant term first; method: how the value
     was found, "exact_roots" for the largest real root of char_poly once the
     norm-of-powers bound certifies it dominant, "power_iteration" for the
@@ -266,7 +268,8 @@ def dynamical_degree(mat):
         value = gel
     exact = None
     nearest = round(value)
-    if abs(value - nearest) <= INTEGER_TOL:
+    if abs(value - nearest) <= INTEGER_TOL and (
+            method == "power_iteration" or not linalg._value(cp, nearest, 0)):
         exact = int(nearest)
         value = float(nearest)
     return DegreeReport(value, exact, tuple(cp), method)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from oracles import char_poly_faddeev
+from oracles import char_poly_faddeev, validate_reference
 from stratadyn import hurwitz, linalg, pushforward, trees
 
 
@@ -21,12 +21,33 @@ def fresh_pushforwards(monkeypatch):
 
 @pytest.fixture
 def fresh_covers(monkeypatch):
-    """Empty per-process cover memos for one test: the kept classes, the
-    kept cover types and the validated data.  Counts of enumeration work and
-    of `validate` calls then read this test's calls only, and the memos of
-    the rest of the run are back in place after it."""
-    for name in ("_CLASSES", "_TYPES", "_VALUES"):
+    """Empty per-process cover memos for one test: the kept classes and the
+    kept cover types.  Counts of enumeration work then read this test's
+    calls only, and the memos of the rest of the run are back in place
+    after it."""
+    for name in ("_CLASSES", "_TYPES"):
         monkeypatch.setattr(hurwitz, name, {})
+
+
+@pytest.fixture(autouse=True)
+def cover_values_checked(monkeypatch):
+    """Check every datum whose cover value hurwitz keeps against both
+    validators.  fully_mark keys the datum it builds without validating it,
+    since it is fully marked by construction; so every marked datum a test
+    makes, from data/*.json, the portraits, the seeded generators or the
+    CLI's built-in data, is checked here to be fully marked by
+    hurwitz.validate and by the Counter oracle.  The real validate is read
+    before the test runs, so a test that counts validate calls does not
+    see these."""
+    real_fields = hurwitz._cover_fields
+    real_validate = hurwitz.validate
+
+    def checked(h):
+        statuses = (real_validate(h).status, validate_reference(h).status)
+        assert statuses == ("fully_marked", "fully_marked"), h.to_json_dict()
+        return real_fields(h)
+
+    monkeypatch.setattr(hurwitz, "_cover_fields", checked)
 
 
 @pytest.fixture

@@ -1126,7 +1126,7 @@ def stable_vertices_two_walks(tree, W, D):
 def count_covers_orbit_stabilizer_reference(h, limit_tuples=None):
     """Smooth-target count again, via the stabilizer sum over raw
     configurations; independent of the least-candidate search.  The datum is
-    checked as the enumeration checks it (_cover_value), once per value.
+    checked as the enumeration checks it (_cover_value), once per object.
     Each flag-permutation tuple is tested for transitivity and its
     centraliser found once, by a scan of every relabeling; a labeling's
     stabiliser is the part of that centraliser fixing each labelled cycle."""

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from stratadyn import hurwitz, trees
+from stratadyn import cli, hurwitz, trees
 from stratadyn.hurwitz import (
     HurwitzData,
     count_covers,
@@ -370,6 +370,79 @@ def test_fully_mark_validates_its_input_once(monkeypatch):
         full, _ = fully_mark(h)
         assert calls == [h]
         assert real(full).status == "fully_marked"
+
+
+def test_fully_mark_keeps_one_pair_per_datum(monkeypatch):
+    calls = []
+    real = hurwitz.validate
+    monkeypatch.setattr(hurwitz, "validate", lambda h: calls.append(h) or real(h))
+    h = d2_datum()
+    pairs = [fully_mark(h) for _ in range(3)]
+    assert pairs[0] is pairs[1] is pairs[2]
+    assert calls == [h]
+
+
+def test_fully_mark_that_raises_keeps_nothing_and_raises_again(monkeypatch):
+    # the mark over b1 has the name fully_mark gives the first unmarked
+    # simple point over b4
+    h = HurwitzData(
+        a_marks=["a(b4,1)", "a2", "a3", "a4"],
+        b_marks=["b1", "b2", "b3", "b4"],
+        d=3,
+        f_map={"a(b4,1)": "b1", "a2": "b2", "a3": "b3", "a4": "b3"},
+        br={"b1": [1, 2], "b2": [1, 2], "b3": [1, 2], "b4": [1, 2]},
+        rm={"a(b4,1)": 2, "a2": 2, "a3": 2, "a4": 1},
+    )
+    calls = []
+    real = hurwitz.validate
+    monkeypatch.setattr(hurwitz, "validate", lambda h: calls.append(h) or real(h))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"generated mark name a\(b4,1\) collides"):
+            fully_mark(h)
+        assert h._marked is None
+    assert calls == [h, h]
+
+
+def test_datum_mappings_are_read_only():
+    h = fig1_datum()
+    for mapping in (h.rm, h.f_map, h.br, h.identify):
+        with pytest.raises(TypeError):
+            mapping["a1"] = "b1"
+    assert h.to_json_dict() == fig1_datum().to_json_dict()
+
+
+def test_numbers_are_read_as_ints_not_truncated_or_parsed():
+    # d = 2.9 with a part 2.5 over b2 read as the valid plain d2_datum once
+    dd = d2_datum().to_json_dict()
+    base = dict(a_marks=dd["A"], b_marks=dd["B"], d=dd["d"], f_map=dd["F"], br=dd["br"],
+                rm=dd["rm"])
+    assert validate(HurwitzData(**base)).status == "plain"
+    cases = [
+        dict(d=2.9, br=dict(dd["br"], b2=[2.5])),
+        dict(d="2"),
+        dict(br=dict(dd["br"], b1=[2.0])),
+        dict(br=dict(dd["br"], b1=["2"])),
+        dict(rm=dict(dd["rm"], a1=2.0)),
+        dict(rm=dict(dd["rm"], a1="2")),
+    ]
+    for fields in cases:
+        with pytest.raises(TypeError):
+            HurwitzData(**dict(base, **fields))
+
+
+def test_marked_data_are_fully_marked_by_both_validators():
+    # fully_mark keys the datum it builds without validating it again; on
+    # the data files, the portraits, the benchmark's profiles and the CLI's
+    # built-in data both validators call that datum fully marked
+    data = [HurwitzData.from_json_dict(json.loads(f.read_text()))
+            for f in sorted(DATA.glob("*.json"))]
+    data += [oracles.portrait_datum(p, m) for p in (4, 5) for m in (1, 2)]
+    data += [d3_kind_datum(kind, n) for kind in ("simple", "total", "mixed") for n in (4, 5, 7)]
+    data += [cli._fig1_data(), cli._d2_data(), cli._d1_data(5)]
+    for h in data:
+        full, _ = fully_mark(h)
+        assert hurwitz._cover_value(full) is full._cover
+        assert validate(full).status == oracles.validate_reference(full).status == "fully_marked"
 
 
 def _corruptions(h):
@@ -835,9 +908,12 @@ def test_equal_data_share_one_kept_entry(fresh_covers):
     assert _fields(second) == _fields(first)
 
 
+FIELDS = ("a_marks", "b_marks", "d", "f_map", "br", "rm", "forget_to", "identify")
+
+
 def _with(h, **fields):
     """h with the given fields replaced."""
-    kw = {f: getattr(h, f) for f in HurwitzData.__slots__}
+    kw = {f: getattr(h, f) for f in FIELDS}
     kw.update(fields)
     return HurwitzData(**kw)
 
@@ -859,11 +935,10 @@ def test_data_differing_only_in_identify_or_forget_to_share_one_entry(fresh_cove
         assert validate(h).status == "fully_marked"
         assert _fields(enumerate_cover_classes(h, tau)) == _fields(first)
     assert len(hurwitz._CLASSES) == 1
-    # each datum is kept on its own, and all of them map to the cover value
-    # of the kept entry's key
-    assert len(hurwitz._VALUES) == 1 + len(siblings)
+    # each datum keeps its own cover value, and all of them equal the
+    # cover value of the kept entry's key
     [(cover, _tau)] = hurwitz._CLASSES
-    assert all(value == cover for value in hurwitz._VALUES.values())
+    assert all(hurwitz._cover_value(h) == cover for h in [full] + siblings)
 
 
 def test_data_differing_in_one_field_keep_their_own_entries(fresh_covers):
@@ -920,14 +995,14 @@ def test_capped_call_that_raises_keeps_nothing(fresh_covers):
     with pytest.raises(ResourceError):
         count_covers(full, limit_tuples=5)
     assert hurwitz._CLASSES == {}
+    # a datum that is not fully marked keeps no cover value either
+    plain = fig1_datum()
     with pytest.raises(ValueError, match="fully marked"):
-        count_covers(fig1_datum())
-    assert hurwitz._CLASSES == {}
+        count_covers(plain)
+    assert hurwitz._CLASSES == {} and plain._cover is None
     # the oracle counts on its own, past the memo
     assert count_covers_orbit_stabilizer(full) == 4
-    assert hurwitz._CLASSES == {}
-    # the validated datum is all the capped call kept
-    assert len(hurwitz._VALUES) == 1
+    assert hurwitz._CLASSES == {} and hurwitz._TYPES == {}
 
 
 def test_datum_that_is_not_fully_marked_raises_beside_a_kept_sibling(fresh_covers):
@@ -949,8 +1024,9 @@ def test_datum_that_is_not_fully_marked_raises_beside_a_kept_sibling(fresh_cover
             # the orbit-stabiliser count checks the datum the same way
             with pytest.raises(ValueError, match=message):
                 count_covers_orbit_stabilizer(h)
-    # nothing is kept for them
-    assert len(hurwitz._CLASSES) == 1 and len(hurwitz._VALUES) == 1
+    # nothing is kept for them, on the memo or on the datum
+    assert len(hurwitz._CLASSES) == 1
+    assert all(h._cover is None for h, _status in cases)
 
 
 def test_validate_runs_once_per_distinct_datum(fresh_covers, monkeypatch):
@@ -969,8 +1045,9 @@ def test_validate_runs_once_per_distinct_datum(fresh_covers, monkeypatch):
                 assert report["ok"] and report["expected"] == 4
     # three point strata and the smooth target, shared by the two data
     assert len(hurwitz._CLASSES) == 4
-    # one validation per datum, the first time its key is made
-    assert calls == [full, sibling]
+    # one validation per datum, the first time its cover value is asked
+    # for; fully_mark's datum carries its value from the start
+    assert calls == [sibling]
 
 
 def test_cold_miss_reads_each_flag_list_once(fresh_covers, monkeypatch):

@@ -477,7 +477,7 @@ def test_self_maps_of_one_datum_share_their_covers(make, fresh_covers):
     shared = [self_correspondence_matrix(g, 1) for g in data]
     kept = len(hurwitz._CLASSES)
     for g, mat in zip(data, shared):
-        for memo in (hurwitz._CLASSES, hurwitz._VALUES, pushforward._PUSHFORWARDS):
+        for memo in (hurwitz._CLASSES, pushforward._PUSHFORWARDS):
             memo.clear()
         assert self_correspondence_matrix(g, 1) == mat
         # one identification alone keeps as many entries as all of them
@@ -593,6 +593,16 @@ def test_degree_of_companion_with_equal_norm_squares():
     assert rep.method == "exact_roots"
     assert rep.exact == 2
     assert rep.char_poly == (-8, 0, 0, 1)
+
+
+def test_an_integer_near_the_root_is_exact_only_when_it_is_a_root():
+    # theta = 3 + 1e-10 lies within INTEGER_TOL of 3, but the characteristic
+    # polynomial 10^20 (x - 3)^2 - 1 does not vanish at 3
+    rep = dynamical_degree([[Fraction(3), Fraction(1)], [Fraction(1, 10 ** 20), Fraction(3)]])
+    assert rep.char_poly == (9 * 10 ** 20 - 1, -6 * 10 ** 20, 10 ** 20)
+    assert rep.method == "exact_roots"
+    assert rep.exact is None
+    assert abs(rep.value - (3 + 1e-10)) < 1e-12
 
 
 def _data_datum(name):
