@@ -89,12 +89,13 @@ def _write_out(path, obj):
 
 
 def load_hurwitz(path):
+    """The datum of the JSON file `path`, validated once by fully marking it
+    (hurwitz.fully_mark keeps the marking for the command's later calls and
+    raises "invalid correspondence datum: ..." on an invalid datum)."""
     with open(path) as fh:
         obj = json.load(fh)
     h = hurwitz.HurwitzData.from_json_dict(obj)
-    res = hurwitz.validate(h)
-    if not res.ok:
-        raise ValueError("invalid correspondence datum: %s" % res.reason)
+    hurwitz.fully_mark(h)
     return h
 
 
@@ -214,7 +215,7 @@ def cmd_pushforward(args):
         "matrix_float": mat_floats(pm.matrix),
     }
     if h.identify is not None:
-        sm = pushforward._self_matrix(h, pm)
+        sm = pushforward.self_correspondence_matrix(h, 1, args.limit_tuples, args.limit_strata)
         dump["self_matrix"] = mat_strs(sm)
         dump["self_matrix_float"] = mat_floats(sm)
     if args.out:

@@ -427,7 +427,7 @@ def solve_class_from_pairings(pres, pairings):
     if pres.k != 1:
         raise ValueError("pairings live on 1-dimensional stratum classes")
     n, count = pres.n, len(pres.strata)
-    column = _pairing_columns(n, count)
+    column = _split_columns(n)
     given = {}
     for s, val in pairings.items():
         side = trees.split_of(n, s)
@@ -436,11 +436,13 @@ def solve_class_from_pairings(pres, pairings):
         if given.setdefault(side, val) != val:
             raise ValueError("pairings give split %s two values: %s and %s"
                              % (list(trees.marks_of(side)), given[side], val))
-    unknown = set(given) - set(column)
+    unknown = given.keys() - column
     if unknown:
         raise ValueError("pairings mention unknown splits: %r"
                          % sorted(list(trees.marks_of(s)) for s in unknown))
-    v, den = pres._pairing_space.reduce({column[s]: val for s, val in given.items()})
+    # split s sits in column low + column[s] of _pairing_columns(n, count)
+    low = -len(column) - count
+    v, den = pres._pairing_space.reduce({low + column[s]: val for s, val in given.items()})
     if v and min(v) < 1 - count:
         raise ValueError("pairing system for n=%d: inconsistent system: "
                          "0 = nonzero after elimination" % n)

@@ -275,7 +275,7 @@ def fully_mark(h):
         return h._marked
     res = validate(h)
     if not res.ok:
-        raise ValueError("cannot fully mark an invalid datum: %s" % res.reason)
+        raise ValueError("invalid correspondence datum: %s" % res.reason)
     new_a = list(h.a_marks)
     f_map = dict(h.f_map)
     rm = dict(h.rm)
@@ -790,15 +790,15 @@ def _orbit_classes(h, cover, tau, limit):
         return _enumerate_cover_classes(h, tau, limit, masks)
     pairs = limit.replay(_CLASSES, (cover, rep), _enumerate_cover_classes, h, rep)
     # pi_B and pi_A as tables from the representative's marks and positions
-    b_to = [0] * (tau.n + 1)
-    a_to = [0] * (len(h.a_marks) + 1)
+    b_to = {}
+    a_to = {}
     fibres = _fibres(h)
     for mark, image in enumerate(to_rep, start=1):
         b_to[image] = mark
         for x, y in zip(fibres[image - 1], fibres[mark - 1]):
             a_to[x] = y
-    sides = _Relabelled(len(h.a_marks), a_to)
-    edges = _Relabelled(tau.n, b_to)
+    sides = _Relabelled(a_to)
+    edges = _Relabelled(b_to)
     return tuple(sorted(
         (tuple(sorted((sides[side], r, edges[e]) for side, r, e in nodes)), count)
         for nodes, count in pairs
@@ -822,21 +822,18 @@ def _fibres(h):
 
 
 class _Relabelled(dict):
-    """split -> the split its marks cut once mark m is renamed to[m], each
-    computed on its first read."""
+    """split -> the split its marks cut once mark m is renamed to[m], a
+    bijection of all the marks (trees.project_split), each computed on its
+    first read."""
 
-    __slots__ = ("n", "to")
+    __slots__ = ("to",)
 
-    def __init__(self, n, to):
+    def __init__(self, to):
         super().__init__()
-        self.n = n
         self.to = to
 
     def __missing__(self, split):
-        mask = 0
-        for mark in trees.marks_of(split):
-            mask |= 1 << self.to[mark]
-        image = self[split] = trees.split_of(self.n, mask)
+        image = self[split] = trees.project_split(split, self.to)
         return image
 
 

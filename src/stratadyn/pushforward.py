@@ -20,17 +20,17 @@ so c(S, T) sums rprod / r_sigma over those nodes of every class over T
 (read once per node tuple, times its class count), over the marking degree
 deg_nu.  Summed over the classes, rprod is the local degree of the cover
 space over D_T, the cover count of a smooth target, and each T is checked
-for it.  The pullback table is built once per matrix; column j pairs the
-basis curve C_j with each D_T from C_j's four flag blocks
-(`homology._curve_row`, at most 7 nonzeros), sums c(S, T) (C_j.D_T) into
-the pairings of the retained splits S, and is one
-`homology.solve_class_from_pairings` in the retained-mark presentation.  A
-pushforward builds the target and retained curve presentations and the
-target's one-edge strata, and no other.
+for it.  The pullback table is built once per matrix and kept on it.  One
+routine (`_columns`) reads every column: a curve's divisor pairings
+(`homology._pairing_row`, at most 7 nonzeros) times the table are the
+pairings of its image with the retained splits S, solved in the
+retained-mark presentation (`homology.solve_class_from_pairings`) and
+divided by deg_nu.  A pushforward builds the target and retained curve
+presentations and the target's one-edge strata, and no other.
 
-The self-correspondence matrix renames each basis stratum's marks as a
-projection that forgets no mark (`trees.project_splits`) and looks the
-image up in the presentation by its split set, building no tree.
+The self-correspondence matrix runs that routine over the retained basis
+curves, with the table's target divisors renamed by identify
+(`trees.project_split`), building no tree.
 """
 
 from __future__ import annotations
@@ -60,16 +60,19 @@ class PushforwardMatrix:
 
     Rows run over the quotient basis of the retained-mark space, columns over
     the quotient basis of the target-mark space.  Entries are Fractions.
+    pullbacks, the table the columns are read from: target split T ->
+    {retained split S: deg_nu * c(S, T)} (module docstring).
     """
 
-    __slots__ = ("matrix", "source_pres", "target_pres", "aprime", "deg_nu")
+    __slots__ = ("matrix", "source_pres", "target_pres", "aprime", "deg_nu", "pullbacks")
 
-    def __init__(self, matrix, source_pres, target_pres, aprime, deg_nu):
+    def __init__(self, matrix, source_pres, target_pres, aprime, deg_nu, pullbacks):
         self.matrix = matrix
         self.source_pres = source_pres
         self.target_pres = target_pres
         self.aprime = aprime
         self.deg_nu = deg_nu
+        self.pullbacks = pullbacks
 
     def shape(self):
         return (len(self.matrix), len(self.matrix[0]) if self.matrix else 0)
@@ -105,7 +108,7 @@ def pushforward_h2(h, limit_tuples=None, limit_strata=None):
 def _pushforward_h2(full, deg_nu, limit_tuples, limit_strata):
     """The PushforwardMatrix of pushforward_h2 for the fully marked datum
     `full` of marking degree deg_nu: the divisor pullbacks over the one-edge
-    targets, then one solve per basis curve (module docstring)."""
+    targets, then one column per target basis curve (_columns)."""
     n_b = len(full.b_marks)
     if n_b < 4:
         raise ValueError("degree-2 pushforward needs at least 4 target marks")
@@ -122,13 +125,12 @@ def _pushforward_h2(full, deg_nu, limit_tuples, limit_strata):
     p_a = homology.homology_basis(n_a, 1, limit_strata)
     divisors = trees.enumerate_strata(n_b, n_b - 4, limit_strata)
 
-    # the divisor's pairing column -> {retained split S: deg_nu * c(S, T)}
-    column = homology._split_columns(n_b)
+    # the divisor's split T -> {retained split S: deg_nu * c(S, T)}
     pullbacks = {}
     covers = hurwitz.count_covers(full, limit_tuples)
     for t in divisors:
         (split,) = trees.split_set(t)
-        pullback = pullbacks[column[split]] = {}
+        pullback = pullbacks[split] = {}
         local_deg = 0
         for nodes, count in hurwitz.enumerate_cover_classes(full, t, limit_tuples):
             rprod = prod(r for _side, r, _e in nodes)
@@ -143,18 +145,24 @@ def _pushforward_h2(full, deg_nu, limit_tuples, limit_strata):
                 % (local_deg, list(trees.marks_of(split)), covers)
             )
 
+    column = homology._split_columns(n_b)
+    table = {column[split]: pullback for split, pullback in pullbacks.items()}
+    matrix = _columns(p_a, p_b.basis_trees(), table, deg_nu)
+    return PushforwardMatrix(matrix, p_b, p_a, aprime, deg_nu, pullbacks)
+
+
+def _columns(pres, curves, table, deg_nu):
+    """One column per curve in the basis of `pres`: the class whose pairings
+    are the curve's pairing row times `table` ({all_splits position of a
+    divisor: {retained split S: deg_nu * c(S, T)}}), over deg_nu."""
     columns = []
-    for tau in p_b.basis_trees():
+    for curve in curves:
         pairs = {}
-        for col, w in homology._curve_row(n_b, homology.curve_blocks(tau), column).items():
-            linalg.axpy(pairs, w, pullbacks[col])
-        coords = homology.solve_class_from_pairings(p_a, pairs)
-        columns.append({i: c / deg_nu for i, c in coords.items()})
-    matrix = tuple(
-        tuple(columns[j].get(i, ZERO) for j in range(len(columns)))
-        for i in range(p_a.rank)
-    )
-    return PushforwardMatrix(matrix, p_b, p_a, aprime, deg_nu)
+        for col, w in homology._pairing_row(curve).items():
+            linalg.axpy(pairs, w, table[col])
+        coords = homology.solve_class_from_pairings(pres, pairs)
+        columns.append(coords if deg_nu == 1 else {i: c / deg_nu for i, c in coords.items()})
+    return tuple(tuple(coords.get(i, ZERO) for coords in columns) for i in range(pres.rank))
 
 
 # -- self-correspondence and dynamical degrees --------------------------------
@@ -164,8 +172,8 @@ def self_correspondence_matrix(h, k, limit_tuples=None, limit_strata=None):
     """Square matrix of the correspondence acting on H_{2k} of its own space.
 
     Needs the datum's identify bijection to rename target marks as retained
-    marks.  k = 0 gives the 1x1 count matrix; k = 1 conjugates the
-    pushforward into the retained-mark basis.
+    marks.  k = 0 gives the 1x1 count matrix; k = 1 reads the pushforward's
+    pullback table with its target divisors renamed (_self_matrix).
     """
     if h.identify is None:
         raise ValueError("self-correspondence needs the identify bijection")
@@ -177,32 +185,20 @@ def self_correspondence_matrix(h, k, limit_tuples=None, limit_strata=None):
 
 
 def _self_matrix(h, pm):
-    """The k = 1 self-correspondence matrix: the pushforward pm of h,
-    conjugated into the retained-mark basis by the identify bijection."""
+    """The k = 1 self-correspondence matrix of h: _columns over the retained
+    basis curves, with the target divisors of pm's table renamed by identify."""
     p_a, p_b = pm.target_pres, pm.source_pres
     if p_a.n != p_b.n:
         raise ValueError(
             "identify needs equal mark counts, got %d retained vs %d target"
             % (p_a.n, p_b.n)
         )
-    # A'-mark j corresponds to B-mark position of the b identified with it
-    a_of_b = {}
-    for i, b in enumerate(h.b_marks, start=1):
-        a = h.identify[b]
-        a_of_b[i] = pm.aprime.index(a) + 1
-    b_of_a = {j: i for i, j in a_of_b.items()}
-    rank = p_a.rank
-    out = [[ZERO] * rank for _ in range(rank)]
-    for j, t in enumerate(p_a.basis_trees()):
-        # a relabelling is a forgetful map that forgets no mark
-        splits_b = trees.project_splits(p_a.n, trees.split_set(t), b_of_a)
-        coords = p_b.reduce_index_vec({p_b.stratum_index(splits_b): ONE})
-        for c, w in coords.items():
-            for i in range(rank):
-                v = pm.matrix[i][c]
-                if v:
-                    out[i][j] += w * v
-    return tuple(tuple(row) for row in out)
+    # B-mark position -> the A'-mark position identified with it
+    a_of_b = {i: pm.aprime.index(h.identify[b]) + 1 for i, b in enumerate(h.b_marks, start=1)}
+    column = homology._split_columns(p_a.n)
+    table = {column[trees.project_split(split, a_of_b)]: pullback
+             for split, pullback in pm.pullbacks.items()}
+    return _columns(p_a, p_a.basis_trees(), table, pm.deg_nu)
 
 
 class DegreeReport:

@@ -24,9 +24,8 @@ tree_from_splits, and so are the source curves of the cover types of the
 degeneration report (`hurwitz.enumerate_cover_types`).  The split-set
 cores, substitution_splits and project_splits, are public:
 glue_substitution and forget_pushforward are them plus the trees at either
-end, and the pushforward traces cover nodes to retained-mark divisors
-(project_split) and relabels marks (project_splits) on split sets,
-building no tree.
+end, and the pushforward traces cover nodes to retained-mark divisors and
+renames target divisors (project_split) on split sets, building no tree.
 enumerate_strata searches split sets as integer bitmasks, growing each set
 by AND-ing per-split compatibility masks.  A tree is read through one
 pass, _validate, which also checks it: the parent pointers are checked

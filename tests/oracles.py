@@ -40,6 +40,11 @@ The smooth-target stabiliser sum lists every labelling of every tuple and
 finds each transitive tuple's centraliser by a scan of S_d
 (`count_covers_orbit_stabilizer_reference`), instead of counting the
 labellings and reading the centraliser off sheet 0's image.
+The k = 1 self-correspondence matrix is the pushforward matrix times the
+matrix of the identify relabelling, whose columns rename each basis curve's
+splits and look the image up in the presentation (`relabel_matrix`,
+`self_matrix_reference`), instead of the pullback table read with its
+target divisors renamed.
 Expected values frozen in the tests were computed with these oracles (or by
 hand) before the corresponding library code was written.
 """
@@ -52,7 +57,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 
-from stratadyn import homology, hurwitz, linalg, trees
+from stratadyn import homology, hurwitz, linalg, pushforward, trees
 
 
 def assemble(n, vertices):
@@ -833,6 +838,31 @@ def column_pairings_reference(full, tau, limit_tuples=None):
                 )
     return [(t, views[node_data], pairings.get(node_data, {}))
             for node_data, t in types.items()]
+
+
+def relabel_matrix(n, k, perm):
+    """The matrix on H_{2k} of the n-mark space of relabelling mark m as
+    perm[m - 1]: each basis stratum's splits renamed by a projection that
+    forgets no mark, looked up in the presentation and reduced."""
+    pres = homology.homology_basis(n, k)
+    renum = {m: perm[m - 1] for m in range(1, n + 1)}
+    mat = [[Fraction(0)] * pres.rank for _ in range(pres.rank)]
+    for j, t in enumerate(pres.basis_trees()):
+        splits = trees.project_splits(n, trees.split_set(t), renum)
+        for i, c in pres.reduce_index_vec({pres.stratum_index(splits): 1}).items():
+            mat[i][j] = c
+    return mat
+
+
+def self_matrix_reference(h):
+    """The k = 1 self-correspondence matrix of h: the pushforward matrix
+    times the relabelling matrix that renames retained mark j as the target
+    mark identified with it, so column j pushes forward the target curve
+    that retained basis curve j names."""
+    pm = pushforward.pushforward_h2(h)
+    position = {h.identify[b]: i for i, b in enumerate(h.b_marks, start=1)}
+    perm = [position[a] for a in pm.aprime]
+    return tuple(tuple(row) for row in linalg.mat_mul(pm.matrix, relabel_matrix(len(perm), 1, perm)))
 
 
 def psi_pairing(m, splitvals, i, j, k):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from stratadyn import cli, hassett, trees
+from stratadyn import cli, hassett, hurwitz, trees
 from tests.test_hurwitz import d3_five_datum, d4_total_datum
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -321,6 +321,22 @@ def test_marks_exceeding_the_branching_exit_2_with_the_multisets(tmp_path):
     r = run_cli("hurwitz", "count", "--data", str(f), check=2)
     assert r.stdout == ('{"error": "invalid correspondence datum: marks over b1 exceed its '
                         'branching: {2: 1, 1: 1} vs {2: 1}"}\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ("hurwitz", "count", "--data", str(DATA / "d2.json")),
+    ("dyndeg", "--data", str(DATA / "fig1.json"), "--k", "0"),
+    ("pushforward", "--data", str(DATA / "fig1.json")),
+])
+def test_a_command_validates_its_datum_once(argv, monkeypatch, capsys):
+    # the loader's fully_mark validates the datum and keeps its marking,
+    # which the command reads back instead of validating again
+    calls = []
+    real = hurwitz.validate
+    monkeypatch.setattr(hurwitz, "validate", lambda h: calls.append(h) or real(h))
+    assert cli.main(list(argv)) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["A", "B", "d", "F", "rm"])

@@ -4,13 +4,16 @@ import collections
 import itertools
 import json
 import math
+import random
 import re
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import oracles
 import pytest
 
+from perfbench import workloads
 from stratadyn import filtration, homology, hurwitz, linalg, pushforward, trees
 from stratadyn.hurwitz import HurwitzData
 from stratadyn.pushforward import (
@@ -278,6 +281,9 @@ def test_column_route_is_adjoint_to_the_divisor_pullback(make):
                 image = trees.project_split(side, renum)
                 if image:
                     pullback[image, split_t] += count * (rprod // r)
+    # the table the library kept with the matrix is this one
+    kept = pushforward_h2(h).pullbacks
+    assert {(s, t): w for t, row in kept.items() for s, w in row.items()} == pullback
     sources = homology.homology_basis(n_a, 1).basis_trees()
     nonzero = 0
     for j, c_j in enumerate(homology.homology_basis(n_b, 1).basis_trees()):
@@ -517,6 +523,45 @@ def test_a_fully_marked_twin_keeps_its_own_pushforward():
     assert pushforward_h2(h).matrix == pm.matrix
 
 
+def _identified(h):
+    """h with target mark b_i identified with retained mark a_i."""
+    return HurwitzData(h.a_marks, h.b_marks, h.d, h.f_map, h.br, h.rm, h.forget_to,
+                       dict(zip(h.b_marks, h.forget_to)))
+
+
+def _seeded_self_maps():
+    """The self-maps among the seeded data of the covers-dynamics benchmark
+    at seed 1; each identifies its targets by a shuffle of its marks."""
+    rng = random.Random("covers-dynamics:1:0")
+    lib = types.SimpleNamespace(hurwitz=hurwitz)
+    data = [workloads.random_hurwitz(lib, rng, kind, n_b, with_identify)
+            for kind, n_b, with_identify in workloads.CoversDynamics.SEEDED]
+    return [h for h in data if h.identify is not None]
+
+
+_SELF_MAPS = [
+    ("fig1", fig1_datum),
+    *(("d1_self%d" % n, lambda n=n: d1_datum(n)) for n in (4, 5, 6, 7)),
+    ("d2_self6", d2_six_mark_self_map_datum),
+    ("d3_self4", d3_four_mark_self_map_datum),
+    ("d3_self5", d3_self_map_datum),
+    ("d3six", lambda: _identified(marked_datum(3, [(3,), (1, 2), (1, 2)] + [(1, 1, 1)] * 3))),
+    ("portrait4", lambda: oracles.portrait_datum(4, 1)),
+    ("portrait5", lambda: oracles.portrait_datum(5, 1)),
+    ("portrait4_f2", lambda: oracles.portrait_datum(4, 2)),
+    *(("seeded%d" % j, lambda j=j: _seeded_self_maps()[j]) for j in range(16)),
+]
+
+
+@pytest.mark.parametrize("make", [make for _name, make in _SELF_MAPS],
+                         ids=[name for name, _make in _SELF_MAPS])
+def test_self_matrix_is_the_pushforward_times_the_relabelling(make):
+    # the pullback table read with its target divisors renamed gives the
+    # pushforward matrix conjugated by identify in curve coordinates
+    h = make()
+    assert self_correspondence_matrix(h, 1) == oracles.self_matrix_reference(h)
+
+
 def test_capped_calls_after_an_uncapped_one_raise_as_before():
     h = d3_self_map_datum()
     mat = self_correspondence_matrix(h, 1)
@@ -671,19 +716,6 @@ def test_blocks_identity_6_2():
                 assert b[i][j] == (1 if i == j else 0)
 
 
-def _relabel_matrix(n, k, perm):
-    """The matrix on H_{2k} of the n-mark space of relabelling mark m as
-    perm[m - 1], built as _self_matrix builds its relabelling."""
-    pres = homology.homology_basis(n, k)
-    renum = {m: perm[m - 1] for m in range(1, n + 1)}
-    mat = [[Fraction(0)] * pres.rank for _ in range(pres.rank)]
-    for j, t in enumerate(pres.basis_trees()):
-        splits = trees.project_splits(n, trees.split_set(t), renum)
-        for i, c in pres.reduce_index_vec({pres.stratum_index(splits): 1}).items():
-            mat[i][j] = c
-    return mat
-
-
 def _poly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -703,7 +735,7 @@ _RELABELLINGS = {
 def test_blocks_of_a_product_are_the_products_of_the_blocks(n, k):
     # the strictly-below span is invariant under relabelling, so the blocks
     # are the actions on it and on the quotient, and they compose
-    a, b = (_relabel_matrix(n, k, perm) for perm in _RELABELLINGS[(n, k)])
+    a, b = (oracles.relabel_matrix(n, k, perm) for perm in _RELABELLINGS[(n, k)])
     ab = filtration_blocks(linalg.mat_mul(a, b), n, k)
     ba, bb = filtration_blocks(a, n, k), filtration_blocks(b, n, k)
     assert ab["lambda_dim"] > 0 and ab["omega_dim"] > 0
@@ -715,7 +747,7 @@ def test_blocks_of_a_product_are_the_products_of_the_blocks(n, k):
 @pytest.mark.parametrize("n,k", sorted(_RELABELLINGS))
 def test_char_poly_factors_over_the_blocks(n, k):
     for perm in _RELABELLINGS[(n, k)]:
-        mat = _relabel_matrix(n, k, perm)
+        mat = oracles.relabel_matrix(n, k, perm)
         blocks = filtration_blocks(mat, n, k)
         lam, om = (linalg.char_poly(blocks[name]) for name in ("lambda_block", "omega_block"))
         assert linalg.char_poly(mat) == _poly_mul(lam, om), perm
